@@ -11,10 +11,9 @@
 //!    factor;
 //! 2. a full gate-level QSVT solve on the paper's 4-qubit (N = 16) test
 //!    system (Section IV experimental setup), through the **fused**
-//!    compile-once engine (the default `OptLevel::Fuse`), the unoptimized
-//!    compile-once engine (`OptLevel::None`) *and* the retained uncached
-//!    per-call path — their ratios are the gate-fusion and compile-once
-//!    speedups, and the `fusion_op_reduction` stat records how far the
+//!    compile-once engine (the default `OptLevel::Fuse`) and the unoptimized
+//!    compile-once engine (`OptLevel::None`) — their ratio is the gate-fusion
+//!    speedup, and the `fusion_op_reduction` stat records how far the
 //!    optimizer shrinks the degree-d QSVT circuit; the build is measured
 //!    twice through the artifact cache (`qls_cache`) — cold (fresh cache
 //!    directory, includes the store writes) and warm (pre-populated
@@ -24,9 +23,8 @@
 //! 3. dense-unitary extraction (`circuit_unitary`), the verification hot
 //!    loop;
 //! 4. an end-to-end hybrid refinement solve (Algorithm 2, circuit mode):
-//!    fused vs unfused compile-once vs the recompile-per-iteration baseline,
-//!    plus the circuit-compile counts (from the thread-local
-//!    `qls_sim::circuit_compile_count`);
+//!    fused vs unfused compile-once, plus the circuit-compile count inside
+//!    the loop (from the thread-local `qls_sim::circuit_compile_count`);
 //! 5. the multi-RHS workload: one refiner, many right-hand sides — batched
 //!    (`HybridRefiner::solve_many`) vs a sequential loop of `solve`;
 //! 6. the structured-operator residual workload (`sparse_residual`): the
@@ -304,10 +302,10 @@ fn main() {
     );
 
     // -- Workload 2: QSVT solve on the paper's test system ------------------
-    // Three engines: fused compile-once (the default), unoptimized
-    // compile-once (`OptLevel::None`), and the retained uncached per-call
-    // oracle.  `solve_seconds` keeps its historical meaning (unoptimized
-    // compile-once) so the perf trajectory stays comparable across PRs.
+    // Two engines: fused compile-once (the default) and unoptimized
+    // compile-once (`OptLevel::None`).  `solve_seconds` keeps its historical
+    // meaning (unoptimized compile-once) so the perf trajectory stays
+    // comparable across PRs.
     //
     // The build is timed through the artifact cache, hermetically (a bench
     // temp directory, so the run never reads or pollutes the user's
@@ -382,14 +380,6 @@ fn main() {
                 .expect("unfused QSVT solve"),
         );
     });
-    let qsvt_solve_uncached = time_min(3, || {
-        std::hint::black_box(
-            inverter
-                .solve_direction_uncached(&b)
-                .expect("uncached QSVT solve"),
-        );
-    });
-    let qsvt_solve_speedup = qsvt_solve_uncached / qsvt_solve;
     let qsvt_fused_speedup = qsvt_solve / qsvt_solve_fused;
     // SIMD vs scalar kernel bodies on the same fused engine, pinned to one
     // thread so the ratio is pure kernel-body arithmetic.
@@ -412,8 +402,7 @@ fn main() {
          vs warm {qsvt_build_warm:.4}s ({warm_build_speedup:.1}x, {warm_phase_gens} phase \
          generations / {warm_fusion_passes} fusion passes warm), \
          fused solve {qsvt_solve_fused:.4}s, unfused {qsvt_solve:.4}s \
-         ({qsvt_fused_speedup:.1}x fusion), uncached {qsvt_solve_uncached:.4}s \
-         ({qsvt_solve_speedup:.1}x compile-once), simd {qsvt_simd_1t:.4}s vs \
+         ({qsvt_fused_speedup:.1}x fusion), simd {qsvt_simd_1t:.4}s vs \
          scalar {qsvt_scalar_1t:.4}s ({qsvt_simd_speedup:.2}x); \
          fusion {} -> {} ops ({:.1}x)",
         preset.qsvt_n,
@@ -437,36 +426,30 @@ fn main() {
     // -- Workload 4: end-to-end hybrid refinement (Algorithm 2) -------------
     // Fused compile-once (the default: optimized QSVT circuit compiled in
     // `new`, reused by every iteration) vs the unoptimized compile-once
-    // engine vs the retained recompile-per-iteration baseline.  All refiners
-    // are built outside the timed region: the comparison isolates what the
-    // solve itself pays.  `compile_once_seconds` keeps its historical
-    // meaning (unoptimized compile-once).
-    let refine_options = |opt_level: OptLevel, recompile_baseline: bool| HybridRefinementOptions {
+    // engine.  Both refiners are built outside the timed region: the
+    // comparison isolates what the solve itself pays.
+    // `compile_once_seconds` keeps its historical meaning (unoptimized
+    // compile-once).
+    let refine_options = |opt_level: OptLevel| HybridRefinementOptions {
         target_epsilon: preset.refine_target,
         epsilon_l: preset.qsvt_eps,
         solver: QsvtSolverOptions {
             mode: QsvtMode::CircuitReal,
             opt_level,
-            recompile_baseline,
             ..Default::default()
         },
         ..Default::default()
     };
     let fused_refiner =
-        HybridRefiner::new(&a, refine_options(OptLevel::Fuse, false)).expect("fused refiner");
-    let compile_once_refiner = HybridRefiner::new(&a, refine_options(OptLevel::None, false))
-        .expect("compile-once refiner");
-    let recompile_refiner =
-        HybridRefiner::new(&a, refine_options(OptLevel::None, true)).expect("recompile refiner");
+        HybridRefiner::new(&a, refine_options(OptLevel::Fuse)).expect("fused refiner");
+    let compile_once_refiner =
+        HybridRefiner::new(&a, refine_options(OptLevel::None)).expect("compile-once refiner");
     let mut rng = experiment_rng(2);
     let (_, history) = fused_refiner.solve(&b, &mut rng).expect("refinement solve");
     let refine_iterations = history.iterations();
     let compiles_before = circuit_compile_count();
     let _ = fused_refiner.solve(&b, &mut rng).expect("solve");
     let compile_once_compiles = circuit_compile_count() - compiles_before;
-    let compiles_before = circuit_compile_count();
-    let _ = recompile_refiner.solve(&b, &mut rng).expect("solve");
-    let recompile_compiles = circuit_compile_count() - compiles_before;
     let refine_fused = time_min(preset.refine_reps, || {
         let mut rng = experiment_rng(3);
         std::hint::black_box(fused_refiner.solve(&b, &mut rng).expect("solve"));
@@ -475,11 +458,6 @@ fn main() {
         let mut rng = experiment_rng(3);
         std::hint::black_box(compile_once_refiner.solve(&b, &mut rng).expect("solve"));
     });
-    let refine_recompile = time_min(preset.refine_reps, || {
-        let mut rng = experiment_rng(3);
-        std::hint::black_box(recompile_refiner.solve(&b, &mut rng).expect("solve"));
-    });
-    let refine_speedup = refine_recompile / refine_compile_once;
     let refine_fused_speedup = refine_compile_once / refine_fused;
     let (refine_simd_1t, refine_scalar_1t) = single_thread_pool().install(|| {
         time_min_pair(
@@ -501,9 +479,8 @@ fn main() {
         "  hybrid_refinement n={} kappa={} eps_l={:.0e} target={:.0e}: \
          {refine_iterations} iterations, fused {refine_fused:.4}s \
          ({refine_fused_speedup:.1}x over unfused, {compile_once_compiles} circuit compiles \
-         in the loop), unfused compile-once {refine_compile_once:.4}s, \
-         recompile {refine_recompile:.4}s ({recompile_compiles} compiles) — \
-         {refine_speedup:.1}x compile-once; simd {refine_simd_1t:.4}s vs \
+         in the loop), unfused compile-once {refine_compile_once:.4}s; \
+         simd {refine_simd_1t:.4}s vs \
          scalar {refine_scalar_1t:.4}s ({refine_simd_speedup:.2}x)",
         preset.qsvt_n, preset.qsvt_kappa, preset.qsvt_eps, preset.refine_target
     );
@@ -1059,8 +1036,6 @@ fn main() {
       "solve_seconds": {qsvt_solve:.6},
       "fused_solve_seconds": {qsvt_solve_fused:.6},
       "fused_vs_unfused_speedup": {qsvt_fused_speedup:.3},
-      "uncached_solve_seconds": {qsvt_solve_uncached:.6},
-      "compile_once_vs_uncached_speedup": {qsvt_solve_speedup:.3},
       "simd_solve_seconds": {qsvt_simd_1t:.6},
       "scalar_solve_seconds": {qsvt_scalar_1t:.6},
       "simd_vs_scalar_speedup": {qsvt_simd_speedup:.3},
@@ -1084,13 +1059,10 @@ fn main() {
       "compile_once_seconds": {refine_compile_once:.6},
       "fused_solve_seconds": {refine_fused:.6},
       "fused_vs_unfused_speedup": {refine_fused_speedup:.3},
-      "recompile_seconds": {refine_recompile:.6},
-      "compile_once_vs_recompile_speedup": {refine_speedup:.3},
       "simd_solve_seconds": {refine_simd_1t:.6},
       "scalar_solve_seconds": {refine_scalar_1t:.6},
       "simd_vs_scalar_speedup": {refine_simd_speedup:.3},
-      "compile_once_circuit_compiles": {compile_once_compiles},
-      "recompile_circuit_compiles": {recompile_compiles}
+      "compile_once_circuit_compiles": {compile_once_compiles}
     }},
     {{
       "name": "multi_rhs_refinement",
@@ -1196,11 +1168,6 @@ const RATIO_FLOORS: &[RatioFloor] = &[
         workload: "qsvt_solve_circuit_mode",
         field: "warm_vs_cold_build_speedup",
         fraction: 0.1,
-    },
-    RatioFloor {
-        workload: "hybrid_refinement_circuit_mode",
-        field: "compile_once_vs_recompile_speedup",
-        fraction: 0.2,
     },
 ];
 

@@ -37,7 +37,8 @@
 //! * each kind carries a format version in both the directory layout
 //!   (`<kind>/v<N>/`) and the entry envelope (`"schema"`) — bumping it
 //!   orphans old entries,
-//! * corrupt, truncated, wrong-schema, or wrong-key files deserialize
+//! * corrupt, truncated, non-UTF-8, over-nested (past the JSON parser's
+//!   depth cap), wrong-schema, or wrong-key files deserialize
 //!   unsuccessfully and count as misses — the cache **never errors**; worst
 //!   case it regenerates,
 //! * writers stage to a temp file and `rename(2)` into place, so concurrent

@@ -52,6 +52,7 @@
 
 use crate::error::QlsError;
 use crate::solver::{QsvtLinearSolver, QsvtSolverOptions, SolveCost};
+use qls_linalg::lu::LinalgError;
 use qls_linalg::{scaled_residual, FactorizableOperator, InnerSolver, Matrix, Vector};
 use qls_qsvt::QsvtError;
 use qls_sim::fault::SharedFaultInjector;
@@ -494,18 +495,6 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
         self.tightened = OnceLock::new();
     }
 
-    /// Detach and return the fault injector, restoring ideal execution.
-    pub fn detach_fault_injector(&mut self) -> Option<SharedFaultInjector> {
-        self.solver.detach_fault_injector();
-        self.tightened = OnceLock::new();
-        self.fault.take()
-    }
-
-    /// The attached fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&SharedFaultInjector> {
-        self.fault.as_ref()
-    }
-
     /// The ladder of recovery actions tried **after** a failed primary
     /// attempt, in order.  Empty when the policy is disabled.
     fn recovery_ladder(&self) -> Vec<RecoveryAction> {
@@ -580,40 +569,33 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
         }
     }
 
-    /// Execute one rung (`None` = the primary attempt) for the correction
-    /// system `A e = r`.
-    fn run_action<R: Rng>(
-        &self,
-        action: Option<RecoveryAction>,
-        r: &Vector<f64>,
-        rng: &mut R,
-    ) -> Attempt {
+    /// Execute one recovery rung for the correction system `A e = r`.
+    fn run_action<R: Rng>(&self, action: RecoveryAction, r: &Vector<f64>, rng: &mut R) -> Attempt {
         match action {
-            None | Some(RecoveryAction::Retry) => self
+            RecoveryAction::Retry => self
                 .solver
                 .solve(r, rng)
                 .map(|res| (res.solution, res.cost)),
-            Some(RecoveryAction::EscalateShots { shots }) => self
+            RecoveryAction::EscalateShots { shots } => self
                 .solver
                 .solve_with_shots(r, Some(shots), rng)
                 .map(|res| (res.solution, res.cost)),
-            Some(RecoveryAction::TightenSolver) => match self.tightened_solver() {
+            RecoveryAction::TightenSolver => match self.tightened_solver() {
                 Some(solver) => solver.solve(r, rng).map(|res| (res.solution, res.cost)),
                 None => Err(QlsError::Qsvt(QsvtError::Internal(
                     "tightened solver construction failed",
                 ))),
             },
-            Some(RecoveryAction::ClassicalFallback) => self.classical_correction(r),
-            Some(RecoveryAction::Abort) => Err(QlsError::Qsvt(QsvtError::Internal(
+            RecoveryAction::ClassicalFallback => self.classical_correction(r),
+            RecoveryAction::Abort => Err(QlsError::Qsvt(QsvtError::Internal(
                 "abort is not an executable recovery action",
             ))),
         }
     }
 
-    /// One guarded refinement step: run the primary correction solve (or
-    /// consume the pre-computed batched one), health-check the candidate
-    /// iterate, and walk the recovery ladder until a rung produces a
-    /// healthy step or the ladder is exhausted.
+    /// One guarded refinement step: health-check the candidate iterate of
+    /// the batched `primary` correction solve, and walk the recovery ladder
+    /// until a rung produces a healthy step or the ladder is exhausted.
     ///
     /// `x = None` marks the initial solve (the "correction" *is* the
     /// iterate, and the contraction check does not apply — `prev_omega` is
@@ -627,21 +609,20 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
         x: Option<&Vector<f64>>,
         r: &Vector<f64>,
         prev_omega: Option<f64>,
-        primary: Option<Attempt>,
+        primary: Attempt,
         iteration: usize,
         rng: &mut R,
         log: &mut RecoveryLog,
     ) -> StepResult {
-        let mut primary = primary;
         let mut best: Option<(Vector<f64>, f64, SolveCost)> = None;
         let mut pending: Option<HealthIssue> = None;
 
-        let actions = std::iter::once(None).chain(self.recovery_ladder().into_iter().map(Some));
-        for action in actions {
-            let attempt = match primary.take() {
-                Some(precomputed) if action.is_none() => precomputed,
-                _ => self.run_action(action, r, rng),
-            };
+        // Rungs run lazily: the loop returns on the first healthy attempt.
+        let rungs = self
+            .recovery_ladder()
+            .into_iter()
+            .map(|action| (Some(action), self.run_action(action, r, rng)));
+        for (action, attempt) in std::iter::once((None, primary)).chain(rungs) {
             let health: Result<(Vector<f64>, f64, SolveCost), HealthIssue> = match attempt {
                 Err(e) => Err(HealthIssue::SolveFailed(failure_reason(&e))),
                 Ok((correction, cost)) => {
@@ -750,132 +731,34 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
         }
     }
 
-    /// Run Algorithm 2 for the right-hand side `b`.
+    /// Run Algorithm 2 for the right-hand side `b`: [`HybridRefiner::solve_many`]
+    /// on `[b]`.
     ///
-    /// `Err` is reserved for malformed inputs (a non-finite `b`); every
-    /// runtime failure of the loop itself — solver errors, injected faults,
-    /// an exhausted recovery ladder — is reported **in-band** as
-    /// [`HybridStatus::Failed`] with the partial history preserved, so
-    /// multi-system callers and services can inspect what happened.
+    /// `Err` is reserved for malformed inputs (a non-finite or wrong-length
+    /// `b`); every runtime failure of the loop itself — solver errors,
+    /// injected faults, an exhausted recovery ladder — is reported
+    /// **in-band** as [`HybridStatus::Failed`] with the partial history
+    /// preserved, so multi-system callers and services can inspect what
+    /// happened.
     pub fn solve<R: Rng>(
         &self,
         b: &Vector<f64>,
         rng: &mut R,
     ) -> Result<(Vector<f64>, HybridHistory), QlsError> {
-        if !b.iter().all(|v| v.is_finite()) {
-            return Err(QlsError::NonFinite {
-                boundary: "right-hand side",
-            });
-        }
-        let kappa = self.solver.kappa();
-        let epsilon_l = self.options.epsilon_l;
-        let contraction = (epsilon_l * kappa).min(1.0);
-        let mut log = RecoveryLog::default();
-        let mut steps = Vec::new();
-
-        let history = |steps: Vec<HybridStep>, status, log| HybridHistory {
-            steps,
-            status,
-            kappa,
-            epsilon_l,
-            target_epsilon: self.options.target_epsilon,
-            recovery: log,
-        };
-
-        // Initial solve on the QPU (iteration 0), through the guard.
-        let (mut x, mut prev_omega) = match self
-            .guarded_step(b, None, b, None, None, 0, rng, &mut log)
-        {
-            StepResult::Accepted { x, omega, cost } | StepResult::BestEffort { x, omega, cost } => {
-                steps.push(HybridStep {
-                    iteration: 0,
-                    scaled_residual: omega,
-                    theoretical_bound: contraction,
-                    cost,
-                });
-                (x, omega)
-            }
-            StepResult::Dead { reason } => {
-                return Ok((
-                    Vector::zeros(b.len()),
-                    history(steps, HybridStatus::Failed { reason }, log),
-                ));
-            }
-        };
-
-        let mut status = HybridStatus::MaxIterations;
-        if prev_omega <= self.options.target_epsilon {
-            status = Self::success_status(&log);
-        } else {
-            let mut streak = 0usize;
-            for it in 1..=self.options.max_iterations {
-                // CPU: residual in high precision (boundary-guarded).
-                let r = b - &self.operator.matvec(&x);
-                if !r.iter().all(|v| v.is_finite()) {
-                    status = HybridStatus::Failed {
-                        reason: FailureReason::NonFiniteResidual,
-                    };
-                    break;
-                }
-                // QPU: correction solve at accuracy ε_l, through the guard.
-                match self.guarded_step(b, Some(&x), &r, Some(prev_omega), None, it, rng, &mut log)
-                {
-                    StepResult::Accepted {
-                        x: x_new,
-                        omega,
-                        cost,
-                    } => {
-                        x = x_new;
-                        steps.push(HybridStep {
-                            iteration: it,
-                            scaled_residual: omega,
-                            theoretical_bound: contraction.powi(it as i32 + 1),
-                            cost,
-                        });
-                        if omega <= self.options.target_epsilon {
-                            status = Self::success_status(&log);
-                            break;
-                        }
-                        streak = 0;
-                        prev_omega = omega;
-                    }
-                    StepResult::BestEffort {
-                        x: x_new,
-                        omega,
-                        cost,
-                    } => {
-                        x = x_new;
-                        steps.push(HybridStep {
-                            iteration: it,
-                            scaled_residual: omega,
-                            theoretical_bound: contraction.powi(it as i32 + 1),
-                            cost,
-                        });
-                        streak += 1;
-                        if streak >= STAGNATION_WINDOW {
-                            status = HybridStatus::Stagnated;
-                            break;
-                        }
-                        prev_omega = omega;
-                    }
-                    StepResult::Dead { reason } => {
-                        status = HybridStatus::Failed { reason };
-                        break;
-                    }
-                }
-            }
-        }
-
-        Ok((x, history(steps, status, log)))
+        self.solve_many(std::slice::from_ref(b), rng)?
+            .pop()
+            .ok_or(QlsError::Qsvt(QsvtError::Internal(
+                "one result per right-hand side",
+            )))
     }
 
     /// Run Algorithm 2 for **many** right-hand sides against the same matrix
     /// — the multi-RHS workload (e.g. a Poisson problem under several
     /// forcing terms).  All systems share the one compiled QSVT circuit, and
-    /// each round of the refinement loop batches the correction solves of
-    /// every still-active system through
-    /// [`QsvtLinearSolver::solve_many_checked`] (coarse-grained thread
-    /// fan-out across the batch in circuit mode).
+    /// each round of the refinement loop (the initial solve is round 0)
+    /// batches the inner solves of every still-active system through
+    /// [`QsvtLinearSolver::solve_many`] (coarse-grained thread fan-out
+    /// across the batch in circuit mode).
     ///
     /// Failures are **per-system**: one failed post-selection or injected
     /// fault only sends that system through the recovery ladder (or marks
@@ -891,6 +774,9 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
         rng: &mut R,
     ) -> Result<Vec<(Vector<f64>, HybridHistory)>, QlsError> {
         for b in bs {
+            if b.len() != self.operator.nrows() {
+                return Err(QlsError::Linalg(LinalgError::DimensionMismatch));
+            }
             if !b.iter().all(|v| v.is_finite()) {
                 return Err(QlsError::NonFinite {
                     boundary: "right-hand side",
@@ -909,63 +795,38 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
             streak: usize,
             log: RecoveryLog,
         }
-
-        // Initial solves for every right-hand side, batched; each outcome
-        // then runs through the same per-system guard as the single path.
-        let firsts = self.solver.solve_many_checked(bs, rng);
-        let mut systems: Vec<System> = Vec::with_capacity(bs.len());
-        for (b, first) in bs.iter().zip(firsts) {
-            let mut log = RecoveryLog::default();
-            let primary = first.map(|res| (res.solution, res.cost));
-            let mut sys = System {
+        let mut systems: Vec<System> = bs
+            .iter()
+            .map(|b| System {
                 x: Vector::zeros(b.len()),
                 steps: Vec::new(),
                 status: None,
                 prev_omega: f64::INFINITY,
                 streak: 0,
                 log: RecoveryLog::default(),
-            };
-            match self.guarded_step(b, None, b, None, Some(primary), 0, rng, &mut log) {
-                StepResult::Accepted { x, omega, cost }
-                | StepResult::BestEffort { x, omega, cost } => {
-                    sys.x = x;
-                    sys.prev_omega = omega;
-                    sys.steps.push(HybridStep {
-                        iteration: 0,
-                        scaled_residual: omega,
-                        theoretical_bound: contraction,
-                        cost,
-                    });
-                    if omega <= self.options.target_epsilon {
-                        sys.status = Some(Self::success_status(&log));
-                    }
-                }
-                StepResult::Dead { reason } => {
-                    sys.status = Some(HybridStatus::Failed { reason });
-                }
-            }
-            sys.log = log;
-            systems.push(sys);
-        }
+            })
+            .collect();
 
-        for it in 1..=self.options.max_iterations {
-            let active: Vec<usize> = (0..systems.len())
-                .filter(|&k| systems[k].status.is_none())
-                .collect();
-            if active.is_empty() {
-                break;
-            }
-            // CPU: residuals of all active systems in high precision
-            // (boundary-guarded per system).
-            let mut batch: Vec<usize> = Vec::with_capacity(active.len());
-            let mut residuals: Vec<Vector<f64>> = Vec::with_capacity(active.len());
-            for &k in &active {
-                let r = &bs[k] - &self.operator.matvec(&systems[k].x);
+        for it in 0..=self.options.max_iterations {
+            // CPU: the right-hand side of every active system's inner solve —
+            // `b` itself in round 0, then the residual `b − A x` in high
+            // precision (boundary-guarded per system).
+            let mut batch: Vec<usize> = Vec::with_capacity(systems.len());
+            let mut residuals: Vec<Vector<f64>> = Vec::with_capacity(systems.len());
+            for (k, sys) in systems.iter_mut().enumerate() {
+                if sys.status.is_some() {
+                    continue;
+                }
+                let r = if it == 0 {
+                    bs[k].clone()
+                } else {
+                    &bs[k] - &self.operator.matvec(&sys.x)
+                };
                 if r.iter().all(|v| v.is_finite()) {
                     batch.push(k);
                     residuals.push(r);
                 } else {
-                    systems[k].status = Some(HybridStatus::Failed {
+                    sys.status = Some(HybridStatus::Failed {
                         reason: FailureReason::NonFiniteResidual,
                     });
                 }
@@ -973,54 +834,44 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
             if batch.is_empty() {
                 break;
             }
-            // QPU: one batched round of correction solves at accuracy ε_l,
-            // with per-system verdicts feeding the per-system guard.
-            let corrections = self.solver.solve_many_checked(&residuals, rng);
-            for ((&k, r), correction) in batch.iter().zip(&residuals).zip(corrections) {
+            // QPU: one batched round of inner solves at accuracy ε_l, with
+            // per-system verdicts feeding the per-system guard.
+            let solves = self.solver.solve_many(&residuals, rng);
+            for ((&k, r), solve) in batch.iter().zip(&residuals).zip(solves) {
                 let sys = &mut systems[k];
-                let primary = correction.map(|res| (res.solution, res.cost));
-                match self.guarded_step(
-                    &bs[k],
-                    Some(&sys.x),
-                    r,
-                    Some(sys.prev_omega),
-                    Some(primary),
-                    it,
-                    rng,
-                    &mut sys.log,
-                ) {
-                    StepResult::Accepted { x, omega, cost } => {
-                        sys.x = x;
-                        sys.steps.push(HybridStep {
-                            iteration: it,
-                            scaled_residual: omega,
-                            theoretical_bound: contraction.powi(it as i32 + 1),
-                            cost,
-                        });
-                        if omega <= self.options.target_epsilon {
-                            sys.status = Some(Self::success_status(&sys.log));
-                        } else {
-                            sys.streak = 0;
-                        }
-                        sys.prev_omega = omega;
-                    }
-                    StepResult::BestEffort { x, omega, cost } => {
-                        sys.x = x;
-                        sys.steps.push(HybridStep {
-                            iteration: it,
-                            scaled_residual: omega,
-                            theoretical_bound: contraction.powi(it as i32 + 1),
-                            cost,
-                        });
-                        sys.streak += 1;
-                        if sys.streak >= STAGNATION_WINDOW {
-                            sys.status = Some(HybridStatus::Stagnated);
-                        }
-                        sys.prev_omega = omega;
-                    }
+                let primary = solve.map(|res| (res.solution, res.cost));
+                let (x, prev_omega) = if it == 0 {
+                    (None, None)
+                } else {
+                    (Some(&sys.x), Some(sys.prev_omega))
+                };
+                let step =
+                    self.guarded_step(&bs[k], x, r, prev_omega, primary, it, rng, &mut sys.log);
+                let (x, omega, cost, stalled) = match step {
+                    StepResult::Accepted { x, omega, cost } => (x, omega, cost, false),
+                    StepResult::BestEffort { x, omega, cost } => (x, omega, cost, true),
                     StepResult::Dead { reason } => {
                         sys.status = Some(HybridStatus::Failed { reason });
+                        continue;
                     }
+                };
+                sys.x = x;
+                sys.steps.push(HybridStep {
+                    iteration: it,
+                    scaled_residual: omega,
+                    theoretical_bound: contraction.powi(it as i32 + 1),
+                    cost,
+                });
+                sys.prev_omega = omega;
+                if stalled {
+                    sys.streak += 1;
+                    if sys.streak >= STAGNATION_WINDOW {
+                        sys.status = Some(HybridStatus::Stagnated);
+                    }
+                } else if omega <= self.options.target_epsilon {
+                    sys.status = Some(Self::success_status(&sys.log));
+                } else {
+                    sys.streak = 0;
                 }
             }
         }
@@ -1245,58 +1096,6 @@ mod tests {
             "no recompilation inside the refinement loop"
         );
         assert!(history.iterations() >= 1, "the loop actually iterated");
-
-        // The retained recompile baseline, by contrast, compiles on every
-        // inner solve — once per step of the history.
-        let baseline = HybridRefiner::new(
-            &a,
-            HybridRefinementOptions {
-                target_epsilon: 1e-8,
-                epsilon_l: 0.05,
-                solver: crate::solver::QsvtSolverOptions {
-                    mode: qls_qsvt::QsvtMode::CircuitReal,
-                    recompile_baseline: true,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let before_baseline = qls_sim::circuit_compile_count();
-        let (_, baseline_history) = baseline.solve(&b, &mut rng).unwrap();
-        assert_eq!(
-            qls_sim::circuit_compile_count() - before_baseline,
-            baseline_history.steps.len(),
-            "the baseline recompiles once per solve step"
-        );
-    }
-
-    #[test]
-    fn recompile_baseline_agrees_with_compile_once_refinement() {
-        let (a, b) = system(2.0, 4, 159);
-        let make = |recompile_baseline: bool| HybridRefinementOptions {
-            target_epsilon: 1e-8,
-            epsilon_l: 0.05,
-            solver: crate::solver::QsvtSolverOptions {
-                mode: qls_qsvt::QsvtMode::CircuitReal,
-                recompile_baseline,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let mut rng = ChaCha8Rng::seed_from_u64(18);
-        let (x_fast, h_fast) = HybridRefiner::new(&a, make(false))
-            .unwrap()
-            .solve(&b, &mut rng)
-            .unwrap();
-        let (x_slow, h_slow) = HybridRefiner::new(&a, make(true))
-            .unwrap()
-            .solve(&b, &mut rng)
-            .unwrap();
-        assert_eq!(h_fast.status, h_slow.status);
-        assert_eq!(h_fast.steps.len(), h_slow.steps.len());
-        let rel = (&x_fast - &x_slow).norm2() / x_slow.norm2();
-        assert!(rel < 1e-10, "paths diverge by {rel}");
     }
 
     #[test]
@@ -1527,5 +1326,27 @@ mod tests {
             Err(QlsError::NonFinite { .. }) => {}
             other => panic!("expected a boundary rejection, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn wrong_length_right_hand_side_is_an_error_at_every_entry_point() {
+        let (a, _) = system(10.0, 16, 166);
+        let short = Vector::from_f64_slice(&[0.25; 8]);
+        let mut rng = ChaCha8Rng::seed_from_u64(23);
+        let refiner = HybridRefiner::new(&a, HybridRefinementOptions::default()).unwrap();
+        let mismatch = |e: &QlsError| matches!(e, QlsError::Linalg(LinalgError::DimensionMismatch));
+        assert!(refiner.solve(&short, &mut rng).is_err_and(|e| mismatch(&e)));
+        assert!(refiner
+            .solve_many(std::slice::from_ref(&short), &mut rng)
+            .is_err_and(|e| mismatch(&e)));
+        assert!(refiner
+            .solver()
+            .solve(&short, &mut rng)
+            .is_err_and(|e| mismatch(&e)));
+        let inverter =
+            qls_qsvt::QsvtInverter::new(&a, 1e-2, qls_qsvt::QsvtMode::Emulation).unwrap();
+        assert!(inverter
+            .solve_direction(&short)
+            .is_err_and(|e| format!("{e:?}") == "DimensionMismatch"));
     }
 }

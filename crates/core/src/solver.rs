@@ -18,6 +18,7 @@
 use crate::error::QlsError;
 use qls_cache::CachePolicy;
 use qls_encoding::StatePreparation;
+use qls_linalg::lu::LinalgError;
 use qls_linalg::{brent_minimize, scaled_residual, LinearOperator, Matrix, Vector};
 use qls_qsvt::{QsvtInverter, QsvtMode, QsvtResources};
 use qls_sim::fault::{lock_injector, SharedFaultInjector};
@@ -44,14 +45,6 @@ pub struct QsvtSolverOptions {
     /// one-op-per-gate (the unoptimized compile-once baseline the perf
     /// trajectory measures fusion against).
     pub opt_level: OptLevel,
-    /// Perf-trajectory baseline switch: when `true`, every solve applies the
-    /// QSVT circuit through the **uncached** pre-compile-once path
-    /// (`QsvtInverter::solve_direction_uncached` — the circuit is recompiled
-    /// on each call, as every solve did before the execution-engine layer).
-    /// Retained so `bench_json` can measure compile-once vs
-    /// recompile-per-iteration end to end and tests can check the two paths
-    /// agree.  Leave `false` outside benchmarks.
-    pub recompile_baseline: bool,
     /// Persistent artifact cache policy (`qls-cache`).  `Enabled` — the
     /// default — lets repeat constructions of the same solver (same matrix
     /// spectrum, accuracy, and options) load the QSVT phase factors and the
@@ -69,7 +62,6 @@ impl Default for QsvtSolverOptions {
             shots: None,
             brent_tolerance: 1e-12,
             opt_level: OptLevel::default(),
-            recompile_baseline: false,
             cache: CachePolicy::default(),
         }
     }
@@ -163,16 +155,6 @@ impl<Op: LinearOperator<f64>> QsvtLinearSolver<Op> {
         self.inverter.attach_fault_injector(injector);
     }
 
-    /// Detach and return the fault injector, restoring ideal execution.
-    pub fn detach_fault_injector(&mut self) -> Option<SharedFaultInjector> {
-        self.inverter.detach_fault_injector()
-    }
-
-    /// The attached fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&SharedFaultInjector> {
-        self.inverter.fault_injector()
-    }
-
     /// The solver options.
     pub fn options(&self) -> &QsvtSolverOptions {
         &self.options
@@ -214,54 +196,44 @@ impl<Op: LinearOperator<f64>> QsvtLinearSolver<Op> {
         shots: Option<usize>,
         rng: &mut R,
     ) -> Result<QsvtSolveResult, QlsError> {
-        assert_eq!(b.len(), self.operator.nrows(), "dimension mismatch");
+        self.check_dimension(b)?;
         // Quantum solve: direction of the solution, through the compiled-once
-        // circuit (or the retained recompile-per-call baseline when the
-        // benchmark switch asks for it).
-        let (direction, success_probability) = if self.options.recompile_baseline {
-            self.inverter.solve_direction_uncached(b)?
-        } else {
-            self.inverter.solve_direction(b)?
-        };
+        // circuit.
+        let (direction, success_probability) = self.inverter.solve_direction(b)?;
         self.finish_solve(b, direction, success_probability, shots, rng)
     }
 
     /// Solve `A x = b_k` for **many** right-hand sides, reusing the one
     /// compiled QSVT circuit across the whole batch
-    /// (`QsvtInverter::solve_direction_batch`, which fans the registers out
-    /// across threads in circuit mode).  Results are identical to calling
-    /// [`QsvtLinearSolver::solve`] per right-hand side in order.  The first
-    /// per-system failure aborts the whole batch; use
-    /// [`QsvtLinearSolver::solve_many_checked`] to keep the healthy systems.
+    /// (`QsvtInverter::solve_direction_batch_checked`, which fans the
+    /// registers out across threads in circuit mode).  Results are identical
+    /// to calling [`QsvtLinearSolver::solve`] per right-hand side in order.
+    /// Each system gets its own verdict: one wrong-length right-hand side,
+    /// failed post-selection or injected fault only fails that system, and
+    /// every other system still returns its solution.
     pub fn solve_many<R: Rng>(
         &self,
         bs: &[Vector<f64>],
         rng: &mut R,
-    ) -> Result<Vec<QsvtSolveResult>, QlsError> {
-        self.solve_many_checked(bs, rng).into_iter().collect()
-    }
-
-    /// [`QsvtLinearSolver::solve_many`] with a **per-system verdict**: one
-    /// failed post-selection (or injected fault) no longer poisons the whole
-    /// multi-RHS batch — the affected system carries its own error while
-    /// every other system still returns its solution.
-    pub fn solve_many_checked<R: Rng>(
-        &self,
-        bs: &[Vector<f64>],
-        rng: &mut R,
     ) -> Vec<Result<QsvtSolveResult, QlsError>> {
-        if self.options.recompile_baseline {
-            // The baseline has no batch path — it models the engine-less API.
-            return bs.iter().map(|b| self.solve(b, rng)).collect();
-        }
         let directions = self.inverter.solve_direction_batch_checked(bs);
         bs.iter()
             .zip(directions)
             .map(|(b, outcome)| {
+                self.check_dimension(b)?;
                 let (direction, success) = outcome?;
                 self.finish_solve(b, direction, success, self.options.shots, rng)
             })
             .collect()
+    }
+
+    /// Reject a right-hand side whose length differs from the operator's.
+    fn check_dimension(&self, b: &Vector<f64>) -> Result<(), QlsError> {
+        if b.len() == self.operator.nrows() {
+            Ok(())
+        } else {
+            Err(QlsError::Linalg(LinalgError::DimensionMismatch))
+        }
     }
 
     /// Classical pre/post-processing shared by the single and batched solve:

@@ -67,6 +67,8 @@ pub enum QsvtError {
     Phases(PhaseError),
     /// Ancilla post-selection had (numerically) zero success probability.
     PostSelectionFailed,
+    /// A right-hand side's length differs from the matrix dimension.
+    DimensionMismatch,
     /// An attached fault injector reported a transient device failure on
     /// this run (see `qls_sim::fault`).
     InjectedFault {
@@ -87,6 +89,9 @@ impl std::fmt::Display for QsvtError {
             QsvtError::SingularMatrix => write!(f, "matrix is singular"),
             QsvtError::Phases(e) => write!(f, "phase-factor computation failed: {e}"),
             QsvtError::PostSelectionFailed => write!(f, "ancilla post-selection failed"),
+            QsvtError::DimensionMismatch => {
+                write!(f, "right-hand side length does not match the matrix")
+            }
             QsvtError::InjectedFault { run_index } => {
                 write!(f, "injected transient failure on device run {run_index}")
             }
@@ -139,8 +144,7 @@ pub struct QsvtInverter {
     /// Circuit-mode artefacts (phases + compiled circuit), built at
     /// construction; `None` in emulation mode.
     circuit: Option<CircuitArtefacts>,
-    /// Fault injector shared with the executor (circuit mode) or consulted
-    /// directly after the ideal output (emulation mode).  `None` keeps every
+    /// Fault injector applied after every device run.  `None` keeps every
     /// solve ideal and bit-identical to the pre-fault inverter.
     fault: Option<SharedFaultInjector>,
 }
@@ -157,8 +161,7 @@ impl QsvtInverter {
     /// [`QsvtInverter::new`] at an explicit circuit-optimization level.
     /// `OptLevel::None` compiles the QSVT gate list one-to-one — the
     /// unoptimized compile-once baseline `bench_json` measures fusion
-    /// against (the fully uncached pre-engine path is
-    /// [`QsvtInverter::solve_direction_uncached`]).
+    /// against.
     pub fn with_opt_level(
         a: &Matrix<f64>,
         epsilon_l: f64,
@@ -265,37 +268,17 @@ impl QsvtInverter {
         })
     }
 
-    /// Attach a fault injector: in circuit mode it is handed to the compiled
-    /// executor (degrading the register after each run through the checked
-    /// execution path); in emulation mode it perturbs the ideal output
-    /// direction, modelling the same per-run degradation without a register.
-    /// The uncached baseline path stays fault-free — it is the oracle.
+    /// Attach a fault injector.  Every device run consults it, in input
+    /// order: in circuit mode it degrades each register after the batch
+    /// run; in emulation mode it perturbs the ideal output direction,
+    /// modelling the same per-run degradation without a register.
     pub fn attach_fault_injector(&mut self, injector: SharedFaultInjector) {
-        if let Some(art) = self.circuit.as_mut() {
-            art.executor.attach_fault_injector(injector.clone());
-        }
         self.fault = Some(injector);
-    }
-
-    /// Detach and return the fault injector, restoring ideal execution.
-    pub fn detach_fault_injector(&mut self) -> Option<SharedFaultInjector> {
-        if let Some(art) = self.circuit.as_mut() {
-            art.executor.detach_fault_injector();
-        }
-        self.fault.take()
     }
 
     /// The attached fault injector, if any.
     pub fn fault_injector(&self) -> Option<&SharedFaultInjector> {
         self.fault.as_ref()
-    }
-
-    /// The circuit-mode artefacts, or the `Internal` error that replaces the
-    /// old `expect("circuit mode artefacts")` panics on the solve path.
-    fn artefacts(&self) -> Result<&CircuitArtefacts, QsvtError> {
-        self.circuit.as_ref().ok_or(QsvtError::Internal(
-            "circuit artefacts missing in circuit mode",
-        ))
     }
 
     /// The condition number measured from the SVD.
@@ -381,56 +364,12 @@ impl QsvtInverter {
     /// direction; the norm is recovered classically, Remark 2), together with
     /// the ancilla post-selection success probability.
     ///
-    /// In circuit mode the compiled-once QSVT circuit is reused — no
-    /// per-solve recompilation (see [`QsvtInverter::solve_direction_uncached`]
-    /// for the retained pre-compile-once baseline).
+    /// A batch of one: [`QsvtInverter::solve_direction_batch_checked`] on
+    /// `[b]`, reusing the compiled-once QSVT circuit in circuit mode.
     pub fn solve_direction(&self, b: &Vector<f64>) -> Result<(Vector<f64>, f64), QsvtError> {
-        self.solve_direction_with(b, false)
-    }
-
-    /// [`QsvtInverter::solve_direction`] through the **uncached** circuit
-    /// application path: the QSVT circuit is re-walked and recompiled on this
-    /// very call, exactly as every solve did before the compile-once engine
-    /// existed.  Retained (like `qls_sim::kernels::reference`) as the
-    /// baseline the `bench_json` perf trajectory measures the compile-once
-    /// path against, and as the oracle for the equivalence tests.  Identical
-    /// to [`QsvtInverter::solve_direction`] in emulation mode.
-    pub fn solve_direction_uncached(
-        &self,
-        b: &Vector<f64>,
-    ) -> Result<(Vector<f64>, f64), QsvtError> {
-        self.solve_direction_with(b, true)
-    }
-
-    fn solve_direction_with(
-        &self,
-        b: &Vector<f64>,
-        uncached: bool,
-    ) -> Result<(Vector<f64>, f64), QsvtError> {
-        assert_eq!(b.len(), self.matrix.nrows(), "dimension mismatch");
-        let mut b_normalised = b.clone();
-        let norm = b_normalised.normalize();
-        if norm == 0.0 {
-            // Zero right-hand sides never run the device (and so never tick
-            // an attached injector's run counter).
-            return Ok((Vector::zeros(b.len()), 1.0));
-        }
-        let raw = match self.mode {
-            QsvtMode::Emulation => {
-                let mut raw = self.apply_emulated(&b_normalised);
-                // Emulation never materialises a register; the injector
-                // degrades the ideal output direction instead, modelling the
-                // same device run.
-                if let Some(inj) = &self.fault {
-                    lock_injector(inj).apply_to_direction(raw.as_mut_slice())?;
-                }
-                raw
-            }
-            // The uncached baseline is the retained oracle: always ideal.
-            QsvtMode::CircuitReal if uncached => self.apply_circuit_uncached(&b_normalised)?,
-            QsvtMode::CircuitReal => self.apply_circuit(&b_normalised)?,
-        };
-        normalise_direction(raw)
+        self.solve_direction_batch_checked(std::slice::from_ref(b))
+            .pop()
+            .unwrap_or(Err(QsvtError::Internal("one result per input")))
     }
 
     /// Apply the QSVT inversion to **many** right-hand sides at once, reusing
@@ -438,7 +377,8 @@ impl QsvtInverter {
     /// registers fan out across threads through
     /// `qls_sim::QuantumExecutor::run_batch` (coarse-grained, one register
     /// per worker); results are identical to mapping
-    /// [`QsvtInverter::solve_direction`] over the inputs in order.
+    /// [`QsvtInverter::solve_direction`] over the inputs in order.  The first
+    /// failed system fails the whole batch.
     pub fn solve_direction_batch(
         &self,
         bs: &[Vector<f64>],
@@ -447,48 +387,79 @@ impl QsvtInverter {
     }
 
     /// [`QsvtInverter::solve_direction_batch`] with a **per-system verdict**:
-    /// one failed post-selection or injected fault no longer takes down the
-    /// whole multi-RHS batch — the affected slot carries its own error and
-    /// every other system still returns its direction.
+    /// one wrong-length input, failed post-selection or injected fault only
+    /// fails its own slot, and every other system still returns its
+    /// direction.
     pub fn solve_direction_batch_checked(
         &self,
         bs: &[Vector<f64>],
     ) -> Vec<Result<(Vector<f64>, f64), QsvtError>> {
-        if self.mode == QsvtMode::Emulation {
-            return bs.iter().map(|b| self.solve_direction(b)).collect();
-        }
-        let art = match self.artefacts() {
-            Ok(art) => art,
-            Err(e) => return bs.iter().map(|_| Err(e.clone())).collect(),
-        };
-        // Normalise every right-hand side; zero inputs have a fixed result
-        // and must not enter the batch (`nonzero` remembers which slot each
-        // executed register belongs to).
-        let mut nonzero: Vec<bool> = Vec::with_capacity(bs.len());
-        let mut states: Vec<StateVector> = Vec::with_capacity(bs.len());
-        for b in bs {
-            assert_eq!(b.len(), self.matrix.nrows(), "dimension mismatch");
-            let mut b_normalised = b.clone();
-            let norm = b_normalised.normalize();
-            nonzero.push(norm != 0.0);
-            if norm != 0.0 {
-                states.push(self.embed(art, &b_normalised));
-            }
-        }
-        let verdicts = art.executor.run_batch_checked(&mut states);
-        let mut ran = states.into_iter().zip(verdicts);
-        nonzero
-            .into_iter()
-            .map(|has_state| {
-                if has_state {
-                    let Some((state, verdict)) = ran.next() else {
-                        return Err(QsvtError::Internal("one executed register per input"));
-                    };
-                    verdict?;
-                    normalise_direction(self.project_readout(art, state))
-                } else {
-                    Ok((Vector::zeros(self.matrix.nrows()), 1.0))
+        let n = self.matrix.nrows();
+        // Normalise every right-hand side.  Wrong-length and zero inputs
+        // have a fixed result and never run the device (so they never tick
+        // an attached injector's run counter); `units` holds the ones that
+        // do, in input order.
+        let mut units: Vec<Vector<f64>> = Vec::with_capacity(bs.len());
+        let slots: Vec<Result<bool, QsvtError>> = bs
+            .iter()
+            .map(|b| {
+                if b.len() != n {
+                    return Err(QsvtError::DimensionMismatch);
                 }
+                let mut unit = b.clone();
+                let runs = unit.normalize() != 0.0;
+                if runs {
+                    units.push(unit);
+                }
+                Ok(runs)
+            })
+            .collect();
+        let mut outputs = self.run_device(&units).into_iter();
+        slots
+            .into_iter()
+            .map(|slot| {
+                if !slot? {
+                    return Ok((Vector::zeros(n), 1.0));
+                }
+                let raw = outputs
+                    .next()
+                    .ok_or(QsvtError::Internal("one device run per nonzero input"))??;
+                normalise_direction(raw)
+            })
+            .collect()
+    }
+
+    /// One device run per unit-norm input, in input order: the raw QSVT
+    /// output after the attached injector (if any) has degraded it.  Circuit
+    /// mode runs the **pre-compiled** circuit on every `|0⟩_anc ⊗ |v⟩` in
+    /// one batch, then applies the injector register by register before
+    /// projecting the ancillas back onto `|0⟩`, so the fault stream is
+    /// consumed in input order at any thread count.
+    fn run_device(&self, units: &[Vector<f64>]) -> Vec<Result<Vector<f64>, QsvtError>> {
+        let Some(art) = &self.circuit else {
+            // Emulation never materialises a register; the injector degrades
+            // the ideal output direction instead, modelling the same run.
+            return units
+                .iter()
+                .map(|v| {
+                    let mut raw = self.apply_emulated(v);
+                    if let Some(inj) = &self.fault {
+                        lock_injector(inj).apply_to_direction(raw.as_mut_slice())?;
+                    }
+                    Ok(raw)
+                })
+                .collect();
+        };
+        let mut states: Vec<StateVector> = units.iter().map(|v| self.embed(art, v)).collect();
+        art.executor.run_batch(&mut states);
+        let mut injector = self.fault.as_ref().map(lock_injector);
+        states
+            .into_iter()
+            .map(|mut state| {
+                if let Some(inj) = injector.as_mut() {
+                    inj.apply_to_state(&mut state)?;
+                }
+                Ok(self.project_readout(art, state))
             })
             .collect()
     }
@@ -524,36 +495,6 @@ impl QsvtInverter {
         .iter()
         .map(|c| c.re)
         .collect()
-    }
-
-    /// Circuit path: run the **pre-compiled** QSVT circuit on
-    /// `|0⟩_anc ⊗ |v⟩` and project the ancillas back onto `|0⟩`.  Runs
-    /// through the fault-checked executor path (identical to the plain path
-    /// when no injector is attached).
-    fn apply_circuit(&self, v: &Vector<f64>) -> Result<Vector<f64>, QsvtError> {
-        let art = self.artefacts()?;
-        let mut state = self.embed(art, v);
-        art.executor.run_in_place_checked(&mut state)?;
-        Ok(self.project_readout(art, state))
-    }
-
-    /// The pre-compile-once circuit path, kept as the old per-solve
-    /// behaviour: normalisation pass on entry, circuit recompiled inside
-    /// `apply_circuit`, ancilla index list rebuilt.  Baseline only — see
-    /// [`QsvtInverter::solve_direction_uncached`].
-    fn apply_circuit_uncached(&self, v: &Vector<f64>) -> Result<Vector<f64>, QsvtError> {
-        let art = self.artefacts()?;
-        let n = art.qsvt.num_data_qubits();
-        let total = n + art.qsvt.num_ancilla_qubits();
-        let dim = 1usize << n;
-        let mut amps = vec![Complex64::new(0.0, 0.0); 1usize << total];
-        for i in 0..dim {
-            amps[i] = Complex64::new(v[i], 0.0);
-        }
-        let mut sv = StateVector::from_amplitudes(amps);
-        sv.apply_circuit(art.qsvt.circuit());
-        sv.project_zeros(&(n..total).collect::<Vec<_>>());
-        Ok((0..dim).map(|i| sv.amplitudes()[i].re).collect())
     }
 
     /// The relative forward error `‖x̂ − A⁻¹b‖ / ‖A⁻¹b‖` of the direction this
@@ -615,6 +556,24 @@ mod tests {
         (a, b)
     }
 
+    /// The raw-circuit oracle: the QSVT gate list applied gate by gate by
+    /// `StateVector::apply_circuit` (no fusion, no compile-once engine) to
+    /// `|0⟩_anc ⊗ |b̂⟩`, ancillas projected back onto `|0⟩`.
+    fn raw_circuit_direction(inverter: &QsvtInverter, b: &Vector<f64>) -> (Vector<f64>, f64) {
+        let qsvt = inverter.qsvt_circuit().expect("circuit mode");
+        let n = qsvt.num_data_qubits();
+        let total = n + qsvt.num_ancilla_qubits();
+        let mut amps = vec![Complex64::new(0.0, 0.0); 1 << total];
+        for (amp, &v) in amps.iter_mut().zip(b.iter()) {
+            *amp = Complex64::new(v, 0.0);
+        }
+        let mut state = StateVector::from_amplitudes(amps);
+        state.apply_circuit(qsvt.circuit());
+        state.project_zeros(&(n..total).collect::<Vec<_>>());
+        let raw = (0..1 << n).map(|i| state.amplitudes()[i].re).collect();
+        normalise_direction(raw).expect("oracle direction")
+    }
+
     #[test]
     fn emulated_inversion_reaches_requested_accuracy() {
         for &(kappa, eps_l) in &[(5.0, 1e-2), (10.0, 1e-2), (10.0, 1e-4), (50.0, 1e-3)] {
@@ -672,30 +631,11 @@ mod tests {
     }
 
     #[test]
-    fn compile_once_path_matches_uncached_baseline() {
-        // The compile-once solve must agree with the retained pre-refactor
-        // per-call path to 1e-12 on random systems (it skips the input
-        // normalisation round trip, so the float ops differ slightly).
-        for seed in [137, 138, 139] {
-            let (a, b) = test_system(2.0, 4, seed);
-            let inverter = QsvtInverter::new(&a, 0.05, QsvtMode::CircuitReal).unwrap();
-            let (dir_fast, succ_fast) = inverter.solve_direction(&b).unwrap();
-            let (dir_slow, succ_slow) = inverter.solve_direction_uncached(&b).unwrap();
-            assert!(
-                (&dir_fast - &dir_slow).norm2() < 1e-12,
-                "seed {seed}: compiled vs uncached direction differ by {}",
-                (&dir_fast - &dir_slow).norm2()
-            );
-            assert!((succ_fast - succ_slow).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn fused_circuit_halves_op_count_and_matches_unfused_solver() {
         // The optimizer must collapse the real QSVT inversion circuit
         // (projector-phase blocks fuse into the block-encoding products) by
         // at least 2x, and the fused solve must agree with both the
-        // unoptimized compile-once engine and the fully uncached oracle.
+        // unoptimized compile-once engine and the raw-circuit oracle.
         for seed in [137, 141] {
             let (a, b) = test_system(2.0, 4, seed);
             let fused = QsvtInverter::new(&a, 0.05, QsvtMode::CircuitReal).unwrap();
@@ -714,7 +654,7 @@ mod tests {
             assert!(unfused.circuit_stats().is_none());
             let (dir_fused, succ_fused) = fused.solve_direction(&b).unwrap();
             let (dir_raw, succ_raw) = unfused.solve_direction(&b).unwrap();
-            let (dir_oracle, _) = fused.solve_direction_uncached(&b).unwrap();
+            let (dir_oracle, succ_oracle) = raw_circuit_direction(&fused, &b);
             assert!(
                 (&dir_fused - &dir_raw).norm2() < 1e-12,
                 "seed {seed}: fused vs unfused directions differ by {}",
@@ -722,6 +662,7 @@ mod tests {
             );
             assert!((succ_fused - succ_raw).abs() < 1e-12);
             assert!((&dir_fused - &dir_oracle).norm2() < 1e-12);
+            assert!((succ_fused - succ_oracle).abs() < 1e-12);
         }
     }
 
@@ -741,9 +682,6 @@ mod tests {
             before,
             "solve_direction / solve_direction_batch must reuse the compiled circuit"
         );
-        // The uncached baseline, by contrast, compiles per call.
-        inverter.solve_direction_uncached(&b).unwrap();
-        assert_eq!(qls_sim::circuit_compile_count(), before + 1);
     }
 
     #[test]

@@ -39,9 +39,15 @@
 //! thread-local [`crate::kernels::circuit_compile_count`] makes the contract
 //! testable: wrap any `run`/`run_batch` region with it and the count must
 //! not move.
+//!
+//! ## Faults
+//!
+//! Execution here is always ideal.  A [`crate::fault::FaultInjector`]
+//! degrades the registers a run returns, applied by the caller after the
+//! run (`qls_qsvt::QsvtInverter` does this, in input order), so the
+//! batch fan-out never has to order the injector's random stream.
 
 use crate::circuit::Circuit;
-use crate::fault::{lock_injector, FaultError, SharedFaultInjector};
 use crate::fuse::{CircuitStats, CostModel, FusionOptions};
 use crate::gate::Gate;
 use crate::kernels::{CompiledCircuit, PARALLEL_WORK_THRESHOLD};
@@ -185,11 +191,6 @@ pub struct QuantumExecutor {
     /// Before/after fusion report (`None` for [`OptLevel::None`] and for
     /// [`QuantumExecutor::from_compiled`]).
     stats: Option<CircuitStats>,
-    /// Fault injector consulted by the *checked* execution paths only
-    /// ([`QuantumExecutor::run_in_place_checked`],
-    /// [`QuantumExecutor::run_batch_checked`]); `None` (the default) keeps
-    /// every path fault-free and bit-identical to the pre-fault engine.
-    fault: Option<SharedFaultInjector>,
 }
 
 impl QuantumExecutor {
@@ -279,7 +280,6 @@ impl QuantumExecutor {
                 sharded: shards.map(|s| ShardedCircuit::compile(circuit, num_qubits, s)),
                 opt_level,
                 stats: None,
-                fault: None,
             },
             OptLevel::Fuse => {
                 let mut opts = FusionOptions::measured();
@@ -311,7 +311,6 @@ impl QuantumExecutor {
                                     .map(|s| ShardedCircuit::compile(&cf.fused, num_qubits, s)),
                                 opt_level,
                                 stats: Some(cf.stats),
-                                fault: None,
                             };
                         }
                     }
@@ -334,7 +333,6 @@ impl QuantumExecutor {
                     sharded: shards.map(|s| ShardedCircuit::compile(&fused, num_qubits, s)),
                     opt_level,
                     stats: Some(stats),
-                    fault: None,
                 }
             }
         }
@@ -347,26 +345,7 @@ impl QuantumExecutor {
             sharded: None,
             opt_level: OptLevel::None,
             stats: None,
-            fault: None,
         }
-    }
-
-    /// Attach a fault injector.  Only the checked execution paths consult it
-    /// ([`QuantumExecutor::run_in_place_checked`],
-    /// [`QuantumExecutor::run_batch_checked`]); the plain `run*` family stays
-    /// fault-free so it keeps serving as the equivalence oracle.
-    pub fn attach_fault_injector(&mut self, injector: SharedFaultInjector) {
-        self.fault = Some(injector);
-    }
-
-    /// Detach and return the fault injector, restoring ideal execution.
-    pub fn detach_fault_injector(&mut self) -> Option<SharedFaultInjector> {
-        self.fault.take()
-    }
-
-    /// The attached fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&SharedFaultInjector> {
-        self.fault.as_ref()
     }
 
     /// The optimization level the engine was built with.
@@ -417,10 +396,11 @@ impl QuantumExecutor {
         self.sharded.as_ref()
     }
 
-    /// The ideal (fault-free) application at the engine's [`ExecMode`]:
-    /// flat compiled sweeps, or shard/apply-plan/gather.  Both paths are
+    /// Apply the compiled circuit to `state` in place (per-gate fan-out above
+    /// the usual work threshold; in sharded mode the register is split,
+    /// run through the exchange plan, and gathered back).  Both layouts are
     /// bit-identical for the same compiled operation list.
-    fn apply_ideal(&self, state: &mut StateVector) {
+    pub fn run_in_place(&self, state: &mut StateVector) {
         match &self.sharded {
             None => self.compiled.apply(state),
             Some(plan) => {
@@ -429,13 +409,6 @@ impl QuantumExecutor {
                 state.set_amplitudes(sharded.into_state().into_amplitudes());
             }
         }
-    }
-
-    /// Apply the compiled circuit to `state` in place (per-gate fan-out above
-    /// the usual work threshold; in sharded mode the register is split,
-    /// run through the exchange plan, and gathered back).
-    pub fn run_in_place(&self, state: &mut StateVector) {
-        self.apply_ideal(state);
     }
 
     /// Apply the sharded plan to an already-sharded register in place,
@@ -472,7 +445,7 @@ impl QuantumExecutor {
             // Each sharded run already fans out across shards; a nested
             // batch fan-out would oversubscribe the workers.
             for state in states {
-                self.apply_ideal(state);
+                self.run_in_place(state);
             }
             return;
         }
@@ -501,44 +474,6 @@ impl QuantumExecutor {
     pub fn run_batch_vec(&self, mut states: Vec<StateVector>) -> Vec<StateVector> {
         self.run_batch(&mut states);
         states
-    }
-
-    /// [`QuantumExecutor::run_in_place`] through the fault layer: apply the
-    /// compiled circuit, then let the attached injector (if any) degrade the
-    /// register or report a transient failure.  Without an injector this is
-    /// exactly `run_in_place` — same kernels, same floats.
-    pub fn run_in_place_checked(&self, state: &mut StateVector) -> Result<(), FaultError> {
-        self.apply_ideal(state);
-        if let Some(inj) = &self.fault {
-            lock_injector(inj).apply_to_state(state)?;
-        }
-        Ok(())
-    }
-
-    /// [`QuantumExecutor::run_batch`] through the fault layer, with a
-    /// per-register verdict so one injected failure cannot take down the
-    /// whole batch.  With an injector attached the registers run
-    /// sequentially in order — the injector's run counter and random stream
-    /// must advance deterministically, which a thread fan-out cannot
-    /// guarantee; without one, this defers to [`QuantumExecutor::run_batch`]
-    /// (bit-identical, fully parallel).
-    pub fn run_batch_checked(&self, states: &mut [StateVector]) -> Vec<Result<(), FaultError>> {
-        match &self.fault {
-            None => {
-                self.run_batch(states);
-                vec![Ok(()); states.len()]
-            }
-            Some(inj) => {
-                let mut guard = lock_injector(inj);
-                states
-                    .iter_mut()
-                    .map(|state| {
-                        self.apply_ideal(state);
-                        guard.apply_to_state(state)
-                    })
-                    .collect()
-            }
-        }
     }
 }
 
@@ -624,48 +559,6 @@ mod tests {
         let mut direct = StateVector::zero_state(5);
         direct.apply_circuit(&circ);
         assert!(max_diff(&out, &direct) < 1e-12);
-    }
-
-    #[test]
-    fn checked_paths_without_injector_match_the_plain_paths() {
-        let circ = test_circuit(5);
-        let exec = QuantumExecutor::new(&circ);
-        assert!(exec.fault_injector().is_none());
-        let mut checked = StateVector::zero_state(5);
-        exec.run_in_place_checked(&mut checked).unwrap();
-        assert_eq!(checked.amplitudes(), exec.run_zero().amplitudes());
-        let mut batch: Vec<StateVector> = (0..4).map(|i| StateVector::basis_state(5, i)).collect();
-        let plain = exec.run_batch_vec(batch.clone());
-        let verdicts = exec.run_batch_checked(&mut batch);
-        assert!(verdicts.iter().all(|v| v.is_ok()));
-        for (c, p) in batch.iter().zip(&plain) {
-            assert_eq!(c.amplitudes(), p.amplitudes());
-        }
-    }
-
-    #[test]
-    fn injected_transient_fails_only_its_own_register() {
-        use crate::fault::{FaultInjector, FaultPlan, TransientKind};
-        let circ = test_circuit(4);
-        let mut exec = QuantumExecutor::new(&circ);
-        exec.attach_fault_injector(FaultInjector::shared(
-            FaultPlan::new(5).with_transient(1, TransientKind::InjectedError),
-        ));
-        let mut batch: Vec<StateVector> = (0..3).map(|i| StateVector::basis_state(4, i)).collect();
-        let verdicts = exec.run_batch_checked(&mut batch);
-        assert!(verdicts[0].is_ok());
-        assert_eq!(
-            verdicts[1],
-            Err(FaultError::InjectedTransient { run_index: 1 })
-        );
-        assert!(verdicts[2].is_ok());
-        // Registers 0 and 2 still hold the ideal result (no amplitude noise
-        // in this plan).
-        let ideal = exec.run(&StateVector::basis_state(4, 2));
-        assert_eq!(batch[2].amplitudes(), ideal.amplitudes());
-        let detached = exec.detach_fault_injector();
-        assert!(detached.is_some());
-        assert!(exec.fault_injector().is_none());
     }
 
     #[test]

@@ -19,15 +19,15 @@
 //!   faults and records every action in an event log.  Same seed + same plan
 //!   + same call sequence ⇒ bit-identical fault history, every time.
 //!
-//! The injector attaches to [`crate::QuantumExecutor`] (see
-//! [`QuantumExecutor::attach_fault_injector`]) and is consulted only by the
-//! *checked* execution entry points (`run_in_place_checked`,
-//! `run_batch_checked`); the plain `run`/`run_in_place`/`run_batch` paths are
-//! untouched, so the no-fault configuration stays bit-identical to a build
-//! without this module — the house equivalence-oracle pattern
-//! (`kernels::reference`, `OptLevel::None`).
-//!
-//! [`QuantumExecutor::attach_fault_injector`]: crate::QuantumExecutor::attach_fault_injector
+//! The simulator itself never consults an injector: [`crate::QuantumExecutor`]
+//! always runs ideally.  Faults enter in one place, `qls_qsvt::QsvtInverter`,
+//! which calls [`FaultInjector::apply_to_state`] on each register after the
+//! batch run (circuit mode) or [`FaultInjector::apply_to_direction`] on the
+//! ideal output (emulation mode), in input order.  The solver and refiner
+//! layers forward their `attach_fault_injector` to it.  Without an injector
+//! (or with an empty plan) a solve is bit-identical to one without this
+//! module — the house equivalence-oracle pattern (`kernels::reference`,
+//! `OptLevel::None`).
 
 use crate::state::StateVector;
 use num_complex::Complex64;
@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// What a scheduled transient failure does when its run comes up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransientKind {
-    /// The run reports a hardware error: the checked execution returns
+    /// The run reports a hardware error: the faulted run returns
     /// [`FaultError::InjectedTransient`] instead of a state.
     InjectedError,
     /// The run silently corrupts the register: every amplitude becomes NaN.
@@ -50,8 +50,8 @@ pub enum TransientKind {
 /// A transient failure scheduled for one specific device run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransientFault {
-    /// 0-based index of the device run this fault fires on (each checked
-    /// execution of a register ticks the counter once).
+    /// 0-based index of the device run this fault fires on (each faulted
+    /// register or emulated output ticks the counter once).
     pub run_index: usize,
     /// What happens on that run.
     pub kind: TransientKind,
@@ -156,9 +156,9 @@ impl std::fmt::Display for FaultError {
 
 impl std::error::Error for FaultError {}
 
-/// Shared handle to a [`FaultInjector`], cloneable across the executor, the
-/// QSVT inverter and the solver readout path so all of them tick the same
-/// run counter and draw from the same deterministic stream.
+/// Shared handle to a [`FaultInjector`], cloneable across the QSVT inverter
+/// and the solver readout path so both tick the same run counter and draw
+/// from the same deterministic stream.
 pub type SharedFaultInjector = Arc<Mutex<FaultInjector>>;
 
 /// The stateful executor of a [`FaultPlan`].
@@ -189,8 +189,7 @@ impl FaultInjector {
     }
 
     /// Build an injector wrapped in the [`SharedFaultInjector`] handle that
-    /// [`crate::QuantumExecutor::attach_fault_injector`] and the solver
-    /// layers accept.
+    /// the solver layers' `attach_fault_injector` accepts.
     pub fn shared(plan: FaultPlan) -> SharedFaultInjector {
         Arc::new(Mutex::new(FaultInjector::new(plan)))
     }

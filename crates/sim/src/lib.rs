@@ -79,13 +79,12 @@
 //!
 //! The [`fault`] module supplies a seeded, deterministic degradation layer:
 //! a declarative [`FaultPlan`] (Gaussian amplitude noise, scheduled transient
-//! failures, readout sign corruption) executed by a [`FaultInjector`]
-//! attachable to [`QuantumExecutor`].  Only the *checked* execution paths
-//! (`run_in_place_checked`, `run_batch_checked`) consult it; the plain
-//! `run*` family never degrades, so the no-fault configuration stays
-//! bit-identical to the ideal simulator and serves as the equivalence
-//! oracle for the robustness layer built on top (`qls-core`'s recovery
-//! ladder).
+//! failures, readout sign corruption) executed by a [`FaultInjector`].  The
+//! simulator never consults it — [`QuantumExecutor`] has one ideal execution
+//! path — and `qls_qsvt::QsvtInverter` applies it to the registers a run
+//! returns, so the no-fault configuration stays bit-identical to the ideal
+//! simulator and serves as the equivalence oracle for the robustness layer
+//! built on top (`qls-core`'s recovery ladder).
 //!
 //! ## Qubit convention
 //!

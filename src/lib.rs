@@ -91,13 +91,14 @@
 //! (`qls_sim::fault`): a declarative `FaultPlan` — Gaussian amplitude
 //! noise, transient failures scheduled by run index, readout sign
 //! corruption — executed by a `FaultInjector` that attaches to
-//! `QuantumExecutor`, `QsvtInverter`, `QsvtLinearSolver` or `HybridRefiner`.
-//! Only *checked* execution paths consult it; the plain paths never
-//! degrade, so a no-fault configuration is bit-identical to the ideal
-//! simulator (the equivalence-oracle pattern — asserted by
-//! `tests/fault_recovery.rs` and the `qls-sim` fault suites).  On top, the
-//! refiner's `RecoveryPolicy` ladder absorbs injected faults, failed
-//! post-selections, non-finite values and stalled contraction; see
+//! `QsvtInverter`, `QsvtLinearSolver` or `HybridRefiner` (the latter two
+//! hand it down to their inverter).  Faults enter in one place: the
+//! inverter degrades each device run's output after the ideal run, so every
+//! operation has one execution path, and a no-fault configuration is
+//! bit-identical to the ideal simulator (the equivalence-oracle pattern —
+//! asserted by `tests/fault_recovery.rs` and the `qls-qsvt` fault suite).
+//! On top, the refiner's `RecoveryPolicy` ladder absorbs injected faults,
+//! failed post-selections, non-finite values and stalled contraction; see
 //! `examples/noisy_refinement.rs` for the end-to-end demonstration and
 //! `qls_core::refine` for how to write deterministic fault tests.
 //!

@@ -245,3 +245,38 @@ fn readout_corruption_composes_with_finite_shot_sampling() {
     );
     assert!(scaled_residual(&a, &x, &b) <= 1e-5);
 }
+
+#[test]
+fn circuit_mode_transient_is_absorbed_by_a_retry() {
+    // The same contract on the gate-level path, where the injector degrades
+    // the simulated register itself: run 1 (the first correction solve)
+    // fails, and one retry re-runs it cleanly.
+    let (a, b) = system(2.0, 4, 307);
+    let mut refiner = HybridRefiner::new(
+        &a,
+        HybridRefinementOptions {
+            target_epsilon: 1e-8,
+            epsilon_l: 0.05,
+            solver: QsvtSolverOptions {
+                mode: QsvtMode::CircuitReal,
+                cache: CachePolicy::Disabled,
+                ..Default::default()
+            },
+            recovery: RecoveryPolicy::full(),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    refiner.attach_fault_injector(FaultInjector::shared(
+        FaultPlan::new(37).with_transient(1, TransientKind::InjectedError),
+    ));
+    let mut rng = experiment_rng(11);
+    let (x, history) = refiner.solve(&b, &mut rng).unwrap();
+    assert_eq!(history.status, HybridStatus::RecoveredConverged);
+    assert!(scaled_residual(&a, &x, &b) <= 1e-8);
+    assert_eq!(history.recovery.len(), 1, "{:?}", history.recovery);
+    let event = history.recovery.events[0];
+    assert_eq!(event.iteration, 1);
+    assert_eq!(event.action, RecoveryAction::Retry);
+    assert!(event.recovered);
+}
