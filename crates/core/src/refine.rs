@@ -455,7 +455,8 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
     /// Prepare the refiner: builds the QSVT solver once (block-encoding,
     /// polynomial and compiled circuit are reused across all iterations and
     /// all right-hand sides, as in the paper's communication scheme of
-    /// Fig. 1).
+    /// Fig. 1).  Input the solver cannot prepare is an error, not a panic
+    /// (see [`QsvtLinearSolver::new`]).
     pub fn new(a: &Op, options: HybridRefinementOptions) -> Result<Self, QlsError> {
         let mut solver_options = options.solver;
         solver_options.epsilon_l = options.epsilon_l;
@@ -1348,5 +1349,35 @@ mod tests {
         assert!(inverter
             .solve_direction(&short)
             .is_err_and(|e| format!("{e:?}") == "DimensionMismatch"));
+    }
+
+    #[test]
+    fn invalid_constructor_input_is_an_error_not_a_panic() {
+        let (square, _) = system(4.0, 16, 167);
+        let (six, _) = system(4.0, 6, 168);
+        let rectangular = Matrix::from_f64_slice(4, 3, &[1.0; 12]);
+        let emulated = |epsilon_l| HybridRefinementOptions {
+            epsilon_l,
+            ..Default::default()
+        };
+        let circuit = HybridRefinementOptions {
+            epsilon_l: 0.05,
+            solver: QsvtSolverOptions {
+                mode: qls_qsvt::QsvtMode::CircuitReal,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let invalid = |e: QlsError| matches!(e, QlsError::Qsvt(QsvtError::InvalidInput(_)));
+        for epsilon_l in [0.0, 1.5, f64::NAN] {
+            assert!(
+                HybridRefiner::new(&square, emulated(epsilon_l)).is_err_and(invalid),
+                "epsilon_l = {epsilon_l}"
+            );
+        }
+        assert!(HybridRefiner::new(&rectangular, emulated(0.05)).is_err_and(invalid));
+        assert!(HybridRefiner::new(&six, circuit).is_err_and(invalid));
+        // Emulation has no register to fill, so N = 6 stays accepted.
+        assert!(HybridRefiner::new(&six, emulated(0.05)).is_ok());
     }
 }

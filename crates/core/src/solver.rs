@@ -128,7 +128,9 @@ impl<Op: LinearOperator<f64>> QsvtLinearSolver<Op> {
     /// Prepare the solver (builds the inverse polynomial and, in circuit mode,
     /// the phase factors and the optimized, compiled-once QSVT circuit).
     /// The densification needed by the quantum-side construction happens here,
-    /// once — never on the solve path.
+    /// once — never on the solve path.  A non-square `A`, an `ε_l` outside
+    /// `(0, 1)` or, in circuit mode, an `N` that is not a power of two is a
+    /// `QsvtError::InvalidInput`.
     pub fn new(a: &Op, options: QsvtSolverOptions) -> Result<Self, QlsError> {
         // The densified temporary is dropped before the operator is cloned,
         // so the dense default (`to_dense` = clone) never holds an extra
@@ -170,8 +172,9 @@ impl<Op: LinearOperator<f64>> QsvtLinearSolver<Op> {
         self.inverter.kappa()
     }
 
-    /// Quantum-side resource description (degree, block-encoding calls, …).
-    pub fn quantum_resources(&self) -> QsvtResources {
+    /// Quantum-side resource description (degree, block-encoding calls, …),
+    /// computed once when the solver was built.
+    pub fn quantum_resources(&self) -> &QsvtResources {
         self.inverter.resources()
     }
 
@@ -301,6 +304,7 @@ impl<Op: LinearOperator<f64>> QsvtLinearSolver<Op> {
 
         let solution = direction.scaled(scale);
         let omega = scaled_residual(&self.operator, &solution, b);
+        let resources = self.inverter.resources();
 
         Ok(QsvtSolveResult {
             solution,
@@ -309,8 +313,8 @@ impl<Op: LinearOperator<f64>> QsvtLinearSolver<Op> {
             scaled_residual: omega,
             success_probability,
             cost: SolveCost {
-                polynomial_degree: self.inverter.resources().degree,
-                block_encoding_calls: self.inverter.resources().block_encoding_calls,
+                polynomial_degree: resources.degree,
+                block_encoding_calls: resources.block_encoding_calls,
                 shots,
                 state_prep_flops,
                 brent_evaluations: brent.evaluations,

@@ -59,6 +59,20 @@ impl QsvtCircuit {
     /// Build the plain QSVT sequence: the `⟨0|·|0⟩` block equals the *complex*
     /// QSP polynomial `P` applied to the singular values of `A/α`.
     pub fn new<B: BlockEncoding>(block_encoding: &B, wx_phases: &[f64]) -> Self {
+        Self::with_adjoint(
+            block_encoding,
+            &block_encoding.circuit().adjoint(),
+            wx_phases,
+        )
+    }
+
+    /// [`QsvtCircuit::new`] with `U†` built by the caller, so sequences over
+    /// one block-encoding share a single copy of each of `U` and `U†`.
+    fn with_adjoint<B: BlockEncoding>(
+        block_encoding: &B,
+        be_adjoint: &Circuit,
+        wx_phases: &[f64],
+    ) -> Self {
         assert!(wx_phases.len() >= 2, "need at least degree-1 phases");
         let degree = wx_phases.len() - 1;
         let n = block_encoding.num_data_qubits();
@@ -75,7 +89,6 @@ impl QsvtCircuit {
         }
 
         let be_circuit = block_encoding.circuit();
-        let be_adjoint = be_circuit.adjoint();
 
         // Operator order: e^{iϑ_0(2Π−I)} · U · e^{iϑ_1(2Π−I)} · U† ⋯ U · e^{iϑ_d(2Π−I)};
         // in circuit (time) order the rightmost factor is applied first.
@@ -89,7 +102,7 @@ impl QsvtCircuit {
             if application_index % 2 == 1 {
                 circuit.append(be_circuit);
             } else {
-                circuit.append(&be_adjoint);
+                circuit.append(be_adjoint);
             }
             append_projector_phase(&mut circuit, &ancillas, theta[k]);
         }
@@ -116,9 +129,10 @@ impl QsvtCircuit {
         block_encoding: &B,
         wx_phases: &[f64],
     ) -> Self {
-        let plus = QsvtCircuit::new(block_encoding, wx_phases);
+        let be_adjoint = block_encoding.circuit().adjoint();
+        let plus = QsvtCircuit::with_adjoint(block_encoding, &be_adjoint, wx_phases);
         let neg_phases: Vec<f64> = wx_phases.iter().map(|&p| -p).collect();
-        let minus = QsvtCircuit::new(block_encoding, &neg_phases);
+        let minus = QsvtCircuit::with_adjoint(block_encoding, &be_adjoint, &neg_phases);
 
         let inner_total = plus.num_data_qubits + plus.num_ancilla_qubits;
         let selector = inner_total; // new top qubit
@@ -130,9 +144,10 @@ impl QsvtCircuit {
         let mut circuit = Circuit::new(total);
         circuit.h(selector);
         // Apply U_Φ when the selector is |0⟩ (X conjugation), U_{−Φ} when |1⟩.
-        // The branch circuits move in (`into_controlled` + `append_owned`):
-        // their degree-many block-encoding unitaries are megabytes of gate
-        // payload that warm cache-replay construction must not re-clone.
+        // The branch circuits move in (`into_controlled` + `append_owned`),
+        // so their ops are not copied a second time; the degree-many
+        // block-encoding unitaries they carry all share `U`'s and `U†`'s
+        // storage.
         circuit.x(selector);
         circuit.append_owned(plus.circuit.into_controlled(&[selector]));
         circuit.x(selector);

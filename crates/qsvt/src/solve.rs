@@ -42,7 +42,8 @@ pub enum QsvtMode {
     Emulation,
 }
 
-/// Resource accounting for one QSVT solve.
+/// Resource accounting for one QSVT solve, computed once when the
+/// [`QsvtInverter`] is built.
 #[derive(Debug, Clone, Serialize)]
 pub struct QsvtResources {
     /// Degree of the inversion polynomial (2D + 1).
@@ -50,7 +51,8 @@ pub struct QsvtResources {
     /// Calls to the block-encoding `U` / `U†` per solve (= degree, Remark 1;
     /// doubled when real-part extraction is used).
     pub block_encoding_calls: usize,
-    /// Data qubits.
+    /// Data qubits: `⌈log₂ N⌉`, enough to hold the `N` amplitudes of a
+    /// right-hand side.
     pub data_qubits: usize,
     /// Ancilla qubits (block-encoding + QSVT extraction ancillas).
     pub ancilla_qubits: usize,
@@ -81,6 +83,10 @@ pub enum QsvtError {
     /// An internal invariant of the solver was violated (a bug, not an
     /// input error); the message names the invariant.
     Internal(&'static str),
+    /// The constructor was given input it cannot prepare: a non-square
+    /// matrix, `ε_l` outside `(0, 1)`, or (in circuit mode) a dimension that
+    /// is not a power of two.  The message names the violated requirement.
+    InvalidInput(&'static str),
 }
 
 impl std::fmt::Display for QsvtError {
@@ -99,6 +105,7 @@ impl std::fmt::Display for QsvtError {
                 write!(f, "solve produced a non-finite (NaN/Inf) output")
             }
             QsvtError::Internal(what) => write!(f, "internal solver invariant violated: {what}"),
+            QsvtError::InvalidInput(what) => write!(f, "invalid input: {what}"),
         }
     }
 }
@@ -123,8 +130,10 @@ impl From<FaultError> for QsvtError {
 /// Circuit-mode artefacts, all built exactly once in [`QsvtInverter::new`]:
 /// the QSVT circuit and the circuit **compiled** into a [`QuantumExecutor`],
 /// plus the ancilla index list used for post-selection.  Nothing here is
-/// re-derived or re-compiled on the per-solve path.  (The phase factors and
-/// block-encoding only feed the circuit construction and are not retained.)
+/// re-derived, re-compiled or re-walked on the per-solve path: the one
+/// resource walk over the circuit also runs at construction, into
+/// [`QsvtInverter::resources`].  (The phase factors and block-encoding only
+/// feed the circuit construction and are not retained.)
 struct CircuitArtefacts {
     qsvt: QsvtCircuit,
     executor: QuantumExecutor,
@@ -141,6 +150,8 @@ pub struct QsvtInverter {
     epsilon_l: f64,
     polynomial: InversePolynomial,
     mode: QsvtMode,
+    /// Resource record for one solve, computed at construction.
+    resources: QsvtResources,
     /// Circuit-mode artefacts (phases + compiled circuit), built at
     /// construction; `None` in emulation mode.
     circuit: Option<CircuitArtefacts>,
@@ -204,6 +215,10 @@ impl QsvtInverter {
     /// Warm constructions therefore run zero phase-factor iterations and
     /// zero fusion passes, and produce bit-identical artefacts to a cold
     /// build.  `Disabled` is the escape hatch that never touches the disk.
+    ///
+    /// Returns [`QsvtError::InvalidInput`] for a non-square matrix, for
+    /// `epsilon_l` outside `(0, 1)` (NaN included), and in circuit mode for
+    /// a dimension that is not a power of two.
     pub fn with_config(
         a: &Matrix<f64>,
         epsilon_l: f64,
@@ -212,11 +227,19 @@ impl QsvtInverter {
         exec_mode: ExecMode,
         cache: CachePolicy,
     ) -> Result<Self, QsvtError> {
-        assert!(a.is_square(), "QSVT inversion needs a square matrix");
-        assert!(
-            epsilon_l > 0.0 && epsilon_l < 1.0,
-            "epsilon_l must be in (0, 1)"
-        );
+        if !a.is_square() {
+            return Err(QsvtError::InvalidInput(
+                "QSVT inversion needs a square matrix",
+            ));
+        }
+        if !(epsilon_l > 0.0 && epsilon_l < 1.0) {
+            return Err(QsvtError::InvalidInput("epsilon_l must be in (0, 1)"));
+        }
+        if mode == QsvtMode::CircuitReal && !a.nrows().is_power_of_two() {
+            return Err(QsvtError::InvalidInput(
+                "circuit mode needs a power-of-two dimension",
+            ));
+        }
         let svd = Svd::new(a);
         let sigma_min = svd.sigma_min();
         if sigma_min <= 0.0 {
@@ -254,6 +277,7 @@ impl QsvtInverter {
         } else {
             None
         };
+        let resources = resource_record(polynomial.degree(), a.nrows(), circuit.as_ref());
 
         Ok(QsvtInverter {
             matrix: a.clone(),
@@ -263,6 +287,7 @@ impl QsvtInverter {
             epsilon_l,
             polynomial,
             mode,
+            resources,
             circuit,
             fault: None,
         })
@@ -312,8 +337,9 @@ impl QsvtInverter {
     }
 
     /// The QSVT circuit built in circuit mode (`None` in emulation mode).
-    /// The per-solve path never re-walks it — it was compiled once at
-    /// construction — but benches and diagnostics can still inspect it.
+    /// It is compiled and walked for [`QsvtInverter::resources`] once, at
+    /// construction; the per-solve path runs only the compiled form.
+    /// Benches and diagnostics can still inspect it.
     pub fn qsvt_circuit(&self) -> Option<&QsvtCircuit> {
         self.circuit.as_ref().map(|art| &art.qsvt)
     }
@@ -331,32 +357,10 @@ impl QsvtInverter {
         self.circuit.as_ref().map(|art| art.executor.exec_mode())
     }
 
-    /// Resource accounting for one solve.
-    pub fn resources(&self) -> QsvtResources {
-        let degree = self.polynomial.degree();
-        match &self.circuit {
-            Some(art) => QsvtResources {
-                degree,
-                block_encoding_calls: art.qsvt.block_encoding_calls(),
-                data_qubits: art.qsvt.num_data_qubits(),
-                ancilla_qubits: art.qsvt.num_ancilla_qubits(),
-                circuit_estimate: Some(estimate_resources(
-                    art.qsvt.circuit(),
-                    &TCountModel::default(),
-                )),
-            },
-            None => {
-                let n = self.matrix.nrows().trailing_zeros() as usize;
-                QsvtResources {
-                    degree,
-                    block_encoding_calls: degree,
-                    data_qubits: n,
-                    // Emulation models the 1-ancilla dilation encoding + the QSVT ancilla.
-                    ancilla_qubits: 2,
-                    circuit_estimate: None,
-                }
-            }
-        }
+    /// Resource accounting for one solve: the record computed at
+    /// construction, so reading it costs nothing.
+    pub fn resources(&self) -> &QsvtResources {
+        &self.resources
     }
 
     /// Apply the QSVT inversion to a right-hand side: returns the *normalised
@@ -513,6 +517,32 @@ impl QsvtInverter {
     }
 }
 
+/// The resource record of an `n × n` inverter whose polynomial has `degree`:
+/// circuit mode reads the QSVT circuit (including the gate-level
+/// [`estimate_resources`] walk); emulation models the 1-ancilla dilation
+/// encoding plus the QSVT ancilla on `⌈log₂ n⌉` data qubits.
+fn resource_record(degree: usize, n: usize, circuit: Option<&CircuitArtefacts>) -> QsvtResources {
+    match circuit {
+        Some(art) => QsvtResources {
+            degree,
+            block_encoding_calls: art.qsvt.block_encoding_calls(),
+            data_qubits: art.qsvt.num_data_qubits(),
+            ancilla_qubits: art.qsvt.num_ancilla_qubits(),
+            circuit_estimate: Some(estimate_resources(
+                art.qsvt.circuit(),
+                &TCountModel::default(),
+            )),
+        },
+        None => QsvtResources {
+            degree,
+            block_encoding_calls: degree,
+            data_qubits: n.next_power_of_two().trailing_zeros() as usize,
+            ancilla_qubits: 2,
+            circuit_estimate: None,
+        },
+    }
+}
+
 /// Normalise a raw QSVT output into the solution direction and the ancilla
 /// post-selection success probability `‖P(A†/α) b̂‖²`.
 ///
@@ -588,6 +618,104 @@ mod tests {
             );
             assert!(err < 20.0 * eps_l, "typical-case error too large: {err}");
         }
+    }
+
+    #[test]
+    fn emulated_data_qubits_hold_every_amplitude() {
+        // ⌈log₂ N⌉ qubits hold N amplitudes: 3 for N = 6, 4 for N = 12
+        // and for N = 16.
+        for (n, qubits) in [(6, 3), (12, 4), (16, 4)] {
+            let (a, _) = test_system(4.0, n, 138);
+            let inverter = QsvtInverter::new(&a, 0.05, QsvtMode::Emulation).unwrap();
+            assert_eq!(inverter.resources().data_qubits, qubits, "N = {n}");
+        }
+    }
+
+    #[test]
+    fn circuit_resources_match_a_fresh_walk_of_the_qsvt_circuit() {
+        let (a, _) = test_system(2.0, 4, 139);
+        let inverter = QsvtInverter::new(&a, 0.05, QsvtMode::CircuitReal).unwrap();
+        let fresh = estimate_resources(
+            inverter.qsvt_circuit().expect("circuit mode").circuit(),
+            &TCountModel::default(),
+        );
+        let recorded = inverter.resources().circuit_estimate.as_ref();
+        assert_eq!(format!("{recorded:?}"), format!("{:?}", Some(&fresh)));
+    }
+
+    #[test]
+    fn qsvt_gate_list_holds_one_copy_of_u_and_of_u_dagger() {
+        let (a, _) = test_system(2.0, 4, 142);
+        let inverter = QsvtInverter::new(&a, 0.05, QsvtMode::CircuitReal).unwrap();
+        let qsvt = inverter.qsvt_circuit().expect("circuit mode");
+        let mut buffers: Vec<*const Complex64> = Vec::new();
+        let mut unitaries = 0;
+        for op in qsvt.circuit().operations() {
+            if let qls_sim::Gate::Unitary(m) = &op.gate {
+                unitaries += 1;
+                buffers.push(m.as_slice().as_ptr());
+            }
+        }
+        buffers.sort_unstable();
+        buffers.dedup();
+        assert_eq!(unitaries, qsvt.block_encoding_calls());
+        assert_eq!(buffers.len(), 2, "{unitaries} unitaries over U and U†");
+    }
+
+    #[test]
+    fn deep_copied_qsvt_circuit_and_the_shared_one_hit_one_cache_entry() {
+        // The fused-circuit fingerprint finds a repeated matrix by pointer
+        // before comparing contents, but hashes the same bytes either way.
+        // A copy whose every matrix owns its buffer (as every gate list did
+        // before matrix storage was shared) writes the entry; the shared
+        // circuit must hit it.
+        use qls_sim::{CMatrix, Circuit, Gate, Operation};
+        let (a, _) = test_system(2.0, 4, 143);
+        let inverter = QsvtInverter::with_config(
+            &a,
+            0.05,
+            QsvtMode::CircuitReal,
+            OptLevel::Fuse,
+            ExecMode::Flat,
+            CachePolicy::Disabled,
+        )
+        .unwrap();
+        let shared = inverter.qsvt_circuit().expect("circuit mode").circuit();
+        let mut deep = Circuit::new(shared.num_qubits());
+        for op in shared.operations() {
+            let gate = match &op.gate {
+                Gate::Unitary(m) => Gate::Unitary(CMatrix::from_vec(
+                    m.nrows(),
+                    m.ncols(),
+                    m.as_slice().to_vec(),
+                )),
+                gate => gate.clone(),
+            };
+            deep.push(Operation::new(
+                gate,
+                op.targets.clone(),
+                op.controls.clone(),
+            ));
+        }
+        let dir = std::env::temp_dir().join(format!("qls-qsvt-deep-copy-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let build = |circuit: &Circuit| {
+            QuantumExecutor::with_config(
+                circuit,
+                OptLevel::Fuse,
+                ExecMode::Flat,
+                CachePolicy::Enabled,
+            )
+        };
+        qls_cache::with_cache_dir(&dir, || {
+            let misses = qls_cache::cache_miss_count();
+            build(&deep);
+            assert_eq!(qls_cache::cache_miss_count(), misses + 1, "cold build");
+            let hits = qls_cache::cache_hit_count();
+            build(shared);
+            assert_eq!(qls_cache::cache_hit_count(), hits + 1, "same key");
+        });
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -257,6 +257,9 @@ impl Circuit {
     }
 
     /// Append all operations of another circuit (must fit in this register).
+    /// Appended `Gate::Unitary` matrices share storage with `other`'s (a
+    /// [`CMatrix`](crate::CMatrix) clone only bumps a count), so appending
+    /// one block-encoding degree-many times holds one copy of its matrix.
     pub fn append(&mut self, other: &Circuit) -> &mut Self {
         assert!(
             other.num_qubits <= self.num_qubits,
@@ -397,14 +400,10 @@ impl Circuit {
         let mut qubit_depth = vec![0usize; self.num_qubits];
         let mut depth = 0;
         for op in &self.ops {
-            let start = op
-                .qubits()
-                .into_iter()
-                .map(|q| qubit_depth[q])
-                .max()
-                .unwrap_or(0);
+            let qubits = || op.targets.iter().chain(&op.controls);
+            let start = qubits().map(|&q| qubit_depth[q]).max().unwrap_or(0);
             let end = start + 1;
-            for q in op.qubits() {
+            for &q in qubits() {
                 qubit_depth[q] = end;
             }
             depth = depth.max(end);

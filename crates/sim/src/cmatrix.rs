@@ -10,51 +10,56 @@
 use num_complex::Complex64;
 use qls_linalg::Matrix;
 use std::ops::{Index, IndexMut};
+use std::sync::Arc;
 
 /// A dense row-major complex matrix.
+///
+/// The entries live in shared, reference-counted storage: `clone` only bumps
+/// a count, so a circuit that repeats one gate matrix many times (the QSVT
+/// sequence applies the same block-encoding `U` and `U†` degree-many times)
+/// holds one buffer per distinct matrix.  The first write through a shared
+/// matrix ([`IndexMut`] or [`CMatrix::scale`]) copies the buffer, so a write
+/// never shows through another clone.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CMatrix {
     rows: usize,
     cols: usize,
-    data: Vec<Complex64>,
+    data: Arc<Vec<Complex64>>,
 }
 
 impl CMatrix {
     /// Create a matrix of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        CMatrix {
-            rows,
-            cols,
-            data: vec![Complex64::new(0.0, 0.0); rows * cols],
-        }
+        Self::from_vec(rows, cols, vec![Complex64::new(0.0, 0.0); rows * cols])
     }
 
     /// Create the identity matrix of order `n`.
     pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = Complex64::new(1.0, 0.0);
-        }
-        m
+        Self::from_fn(n, n, |i, j| {
+            Complex64::new(if i == j { 1.0 } else { 0.0 }, 0.0)
+        })
     }
 
     /// Create a matrix from a row-major vector of complex entries.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<Complex64>) -> Self {
         assert_eq!(data.len(), rows * cols, "from_vec: length mismatch");
-        CMatrix { rows, cols, data }
+        CMatrix {
+            rows,
+            cols,
+            data: Arc::new(data),
+        }
     }
 
     /// Create a matrix from a row-major slice of real entries.
     pub fn from_real(a: &Matrix<f64>) -> Self {
-        CMatrix {
-            rows: a.nrows(),
-            cols: a.ncols(),
-            data: a
-                .as_slice()
+        Self::from_vec(
+            a.nrows(),
+            a.ncols(),
+            a.as_slice()
                 .iter()
                 .map(|&x| Complex64::new(x, 0.0))
                 .collect(),
-        }
+        )
     }
 
     /// Build from a function of the indices.
@@ -65,7 +70,7 @@ impl CMatrix {
                 data.push(f(i, j));
             }
         }
-        CMatrix { rows, cols, data }
+        Self::from_vec(rows, cols, data)
     }
 
     /// Number of rows.
@@ -81,6 +86,12 @@ impl CMatrix {
     /// Borrow the underlying row-major storage.
     pub fn as_slice(&self) -> &[Complex64] {
         &self.data
+    }
+
+    /// True when `self` and `other` are clones sharing one storage buffer
+    /// (which implies equal entries).
+    pub(crate) fn shares_storage(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.data, &other.data)
     }
 
     /// The real part as a real matrix.
@@ -104,19 +115,21 @@ impl CMatrix {
     /// Matrix product.
     pub fn matmul(&self, other: &Self) -> Self {
         assert_eq!(self.cols, other.rows, "matmul: dimension mismatch");
-        let mut out = Self::zeros(self.rows, other.cols);
+        let cols = other.cols;
+        let mut out = vec![Complex64::new(0.0, 0.0); self.rows * cols];
         for i in 0..self.rows {
+            let row = &mut out[i * cols..(i + 1) * cols];
             for k in 0..self.cols {
                 let a = self[(i, k)];
                 if a == Complex64::new(0.0, 0.0) {
                     continue;
                 }
-                for j in 0..other.cols {
-                    out[(i, j)] += a * other[(k, j)];
+                for (j, o) in row.iter_mut().enumerate() {
+                    *o += a * other[(k, j)];
                 }
             }
         }
-        out
+        Self::from_vec(self.rows, cols, out)
     }
 
     /// Matrix-vector product.
@@ -133,29 +146,14 @@ impl CMatrix {
 
     /// Conjugate transpose (adjoint).
     pub fn adjoint(&self) -> Self {
-        let mut out = Self::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out[(j, i)] = self[(i, j)].conj();
-            }
-        }
-        out
+        Self::from_fn(self.cols, self.rows, |i, j| self[(j, i)].conj())
     }
 
     /// Kronecker (tensor) product `self ⊗ other`.
     pub fn kron(&self, other: &Self) -> Self {
-        let mut out = Self::zeros(self.rows * other.rows, self.cols * other.cols);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                let a = self[(i, j)];
-                for k in 0..other.rows {
-                    for l in 0..other.cols {
-                        out[(i * other.rows + k, j * other.cols + l)] = a * other[(k, l)];
-                    }
-                }
-            }
-        }
-        out
+        Self::from_fn(self.rows * other.rows, self.cols * other.cols, |r, c| {
+            self[(r / other.rows, c / other.cols)] * other[(r % other.rows, c % other.cols)]
+        })
     }
 
     /// Extract the sub-block with rows `r0..r0+h` and columns `c0..c0+w`.
@@ -173,7 +171,7 @@ impl CMatrix {
         assert_eq!(self.cols, other.cols, "max_abs_diff: shape mismatch");
         self.data
             .iter()
-            .zip(&other.data)
+            .zip(other.data.iter())
             .map(|(a, b)| (a - b).norm())
             .fold(0.0, f64::max)
     }
@@ -222,9 +220,10 @@ impl CMatrix {
         self.max_abs_diff(&self.adjoint()) <= tol
     }
 
-    /// Scale every entry in place.
+    /// Scale every entry in place (copying the storage first if it is
+    /// shared with a clone).
     pub fn scale(&mut self, s: Complex64) {
-        for x in &mut self.data {
+        for x in Arc::make_mut(&mut self.data).iter_mut() {
             *x *= s;
         }
     }
@@ -240,10 +239,11 @@ impl Index<(usize, usize)> for CMatrix {
 }
 
 impl IndexMut<(usize, usize)> for CMatrix {
+    /// Copies the storage first if it is shared with a clone.
     #[inline]
     fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut Complex64 {
         debug_assert!(i < self.rows && j < self.cols);
-        &mut self.data[i * self.cols + j]
+        &mut Arc::make_mut(&mut self.data)[i * self.cols + j]
     }
 }
 
@@ -255,7 +255,7 @@ impl IndexMut<(usize, usize)> for CMatrix {
 impl serde::Serialize for CMatrix {
     fn serialize(&self) -> serde::Value {
         let mut entries = Vec::with_capacity(self.data.len() * 2);
-        for z in &self.data {
+        for z in self.data.iter() {
             entries.push(serde::Value::Float(z.re));
             entries.push(serde::Value::Float(z.im));
         }
@@ -283,7 +283,7 @@ impl<'de> serde::Deserialize<'de> for CMatrix {
             .chunks_exact(2)
             .map(|p| Complex64::new(p[0], p[1]))
             .collect();
-        Ok(CMatrix { rows, cols, data })
+        Ok(CMatrix::from_vec(rows, cols, data))
     }
 }
 
@@ -372,6 +372,21 @@ mod tests {
             let expect: Complex64 = (0..3).map(|j| m[(i, j)] * x[j]).sum();
             assert!((y[i] - expect).norm() < 1e-14);
         }
+    }
+
+    #[test]
+    fn writes_through_a_clone_leave_the_original_unchanged() {
+        let original = CMatrix::from_fn(3, 3, |i, j| c(i as f64, j as f64));
+        let entries = original.as_slice().to_vec();
+        let mut written = original.clone();
+        assert!(written.shares_storage(&original), "clone shares storage");
+        written[(1, 2)] = c(9.0, -9.0);
+        assert!(!written.shares_storage(&original), "first write copies");
+        assert_eq!(written[(1, 2)], c(9.0, -9.0));
+        let mut scaled = original.clone();
+        scaled.scale(c(0.0, 2.0));
+        assert_eq!(scaled[(2, 1)], c(2.0, 1.0) * c(0.0, 2.0));
+        assert_eq!(original.as_slice(), &entries[..]);
     }
 
     #[test]

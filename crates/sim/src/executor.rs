@@ -94,11 +94,14 @@ fn fused_circuit_fingerprint(
     // QSVT circuits repeat the same block-encoding unitary degree-many
     // times; hashing every copy would make the fingerprint itself cost more
     // than a warm cache replay saves.  Each *distinct* matrix is hashed
-    // once; repeats hash as a back-reference to its first occurrence
-    // (an equality check against the distinct set is a memcmp, several
-    // times cheaper than streaming the matrix through the hash).  The
-    // encoding stays injective: the op stream determines the distinct list
-    // and every op's matrix content.
+    // once; repeats hash as a back-reference to its first occurrence.  A
+    // repeat is usually a clone sharing the first occurrence's storage
+    // (`Circuit::append`), found by pointer; otherwise an equality check
+    // against the distinct set (a memcmp, several times cheaper than
+    // streaming the matrix through the hash) finds it.  Either way the same
+    // bytes are hashed (a matrix holding NaN, which never compares equal,
+    // is the one exception).  The encoding stays injective: the op stream
+    // determines the distinct list and every op's matrix content.
     let mut distinct: Vec<&crate::cmatrix::CMatrix> = Vec::new();
     for op in circuit.operations() {
         b.write_str(op.gate.name());
@@ -106,7 +109,11 @@ fn fused_circuit_fingerprint(
             Gate::Rx(t) | Gate::Ry(t) | Gate::Rz(t) | Gate::Phase(t) | Gate::GlobalPhase(t) => {
                 b.write_f64(*t);
             }
-            Gate::Unitary(m) => match distinct.iter().position(|d| *d == m) {
+            Gate::Unitary(m) => match distinct
+                .iter()
+                .position(|d| d.shares_storage(m))
+                .or_else(|| distinct.iter().position(|d| *d == m))
+            {
                 Some(i) => {
                     b.write_u64(u64::MAX);
                     b.write_usize(i);
