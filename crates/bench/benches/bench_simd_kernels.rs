@@ -22,7 +22,7 @@ fn bench_statevector(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("simd", n), &n, |b, _| {
             b.iter(|| {
                 let mut sv = StateVector::zero_state(n);
-                compiled.apply_sequential(&mut sv);
+                compiled.apply(&mut sv);
                 std::hint::black_box(sv.probability(0))
             })
         });
@@ -30,7 +30,7 @@ fn bench_statevector(c: &mut Criterion) {
             b.iter(|| {
                 with_scalar_kernels(|| {
                     let mut sv = StateVector::zero_state(n);
-                    compiled.apply_sequential(&mut sv);
+                    compiled.apply(&mut sv);
                     std::hint::black_box(sv.probability(0))
                 })
             })

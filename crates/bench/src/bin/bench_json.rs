@@ -6,9 +6,7 @@
 //! 1. a random mixed-gate circuit on 16 qubits (the simulator hot path),
 //!    measured through the specialized kernel dispatch *and* through the
 //!    retained generic reference path of `qls_sim::kernels::reference`, both
-//!    pinned to one thread — their ratio is the kernel speedup — plus the
-//!    kernel path at the machine's full thread count for the parallel scaling
-//!    factor;
+//!    pinned to one thread — their ratio is the kernel speedup;
 //! 2. a full gate-level QSVT solve on the paper's 4-qubit (N = 16) test
 //!    system (Section IV experimental setup), through the **fused**
 //!    compile-once engine (the default `OptLevel::Fuse`) and the unoptimized
@@ -46,22 +44,15 @@
 //!    the recovery-event count and final status;
 //! 9. the Fig. 4 large-κ workload (`fig4_large_kappa`): the hybrid solve at
 //!    κ = 100/200/300 with ε_l·κ = 1/4 (emulation path) — condition number,
-//!    polynomial degree, iteration count and solve seconds per κ;
-//! 10. the sharded-execution workload (`sharded_vs_flat`): the random
-//!     mixed-gate circuit through the sharded register engine
-//!     (`qls_sim::shard`, 4 shards) vs the flat engine, with the
-//!     deterministic static-model execution plan (shard-local/exchanged/flat
-//!     op counts, exchange rounds, per-shard bytes) and the QSVT circuit's
-//!     exchange rounds with and without the low-support fusion preference —
-//!     the binary asserts the preference retires at least one round.
+//!    polynomial degree, iteration count and solve seconds per κ.
 //!
 //! Kernel-bound workloads additionally report `simd_vs_scalar_speedup` —
 //! the vectorized kernel bodies against their bit-identical scalar oracles
 //! (`with_scalar_kernels` for the statevector, `matvec_scalar` for CSR),
 //! pinned to one thread — and the random-circuit workload records the
 //! static vs micro-calibrated fused op counts (`calibrated_fusion_ops`).
-//! Parallel workloads carry `machine_threads` and a
-//! `parallel_speedup_meaningful` flag (false on 1-thread machines, where
+//! The parallel workload (`multi_rhs_refinement`) carries `machine_threads`
+//! and a `parallel_speedup_meaningful` flag (false on 1-thread machines, where
 //! the ~1.0 ratios would otherwise read as regressions).
 //!
 //! Usage: `bench_json [--preset small|full] [--out PATH] [--compare BASELINE]`.
@@ -72,7 +63,7 @@
 //! baseline — generous fractional floors on the timing *ratios* (which
 //! survive preset and machine changes where absolute seconds do not) and
 //! exact ceilings on the deterministic counters (circuit compiles in the
-//! refinement loop, sharded exchange rounds, warm-build regenerations) — and
+//! refinement loop, warm-build regenerations) — and
 //! exits nonzero listing every violated floor.
 
 use qls_bench::{experiment_rng, layered_circuit, paper_test_system, random_circuit};
@@ -88,8 +79,7 @@ use qls_qsvt::{phase_generation_count, QsvtInverter, QsvtMode};
 use qls_sim::kernels::reference;
 use qls_sim::{
     calibration_count, circuit_compile_count, circuit_unitary, fusion_pass_count, optimize_circuit,
-    optimize_circuit_for, sharding_stats, with_scalar_kernels, ExecMode, FusionOptions, OptLevel,
-    QuantumExecutor, ShardedCircuit, StateVector,
+    with_scalar_kernels, FusionOptions, OptLevel, StateVector,
 };
 use rayon::ThreadPoolBuilder;
 use serde::{parse_json, Value};
@@ -281,12 +271,8 @@ fn main() {
             std::hint::black_box(sv.probability(0));
         })
     });
-    let kernel_nt = time_min(preset.random_reps, || {
-        std::hint::black_box(StateVector::run(&circ));
-    });
     let kernel_speedup = generic_1t / kernel_1t;
     let simd_speedup = scalar_1t / kernel_1t;
-    let parallel_speedup = kernel_1t / kernel_nt;
     // Static vs micro-calibrated fusion pricing on the same circuit; the
     // calibration-cache counter shows the measured model timed its kernel
     // classes at most once per register size.
@@ -296,8 +282,7 @@ fn main() {
     eprintln!(
         "  random_{n}q: kernel {kernel_1t:.4}s, scalar {scalar_1t:.4}s \
          ({simd_speedup:.2}x simd), generic {generic_1t:.4}s \
-         ({kernel_speedup:.1}x), {machine_threads}-thread {kernel_nt:.4}s \
-         ({parallel_speedup:.2}x scaling); fusion {static_fusion_ops} static \
+         ({kernel_speedup:.1}x); fusion {static_fusion_ops} static \
          -> {calibrated_fusion_ops} calibrated ops ({fusion_calibrations} calibrations)"
     );
 
@@ -889,108 +874,6 @@ fn main() {
         );
     }
 
-    // -- Workload 10: sharded vs flat execution ------------------------------
-    // Wall time of the random mixed-gate circuit through the sharded engine
-    // (4 shards, chunk-parallel with pairwise exchanges) vs the flat engine,
-    // interleaved so the ratio survives machine drift.  The execution-plan
-    // numbers come from `sharding_stats` (static cost model — deterministic,
-    // machine-independent) so CI can assert on them.
-    let shard_count = 4usize;
-    let scirc = random_circuit(preset.random_qubits, preset.random_ops, 20260807);
-    let flat_exec = QuantumExecutor::with_exec_mode(&scirc, OptLevel::Fuse, ExecMode::Flat);
-    let sharded_exec = QuantumExecutor::with_exec_mode(
-        &scirc,
-        OptLevel::Fuse,
-        ExecMode::Sharded {
-            shards: shard_count,
-        },
-    );
-    let (sharded_secs, flat_secs) = time_min_pair(
-        preset.random_reps,
-        || {
-            std::hint::black_box(sharded_exec.run_zero());
-        },
-        || {
-            std::hint::black_box(flat_exec.run_zero());
-        },
-    );
-    let sharded_speedup = flat_secs / sharded_secs;
-    let sstats = sharding_stats(&scirc, shard_count);
-    // The low-support fusion preference on the QSVT solve circuit: exchange
-    // rounds of the fused degree-d circuit with the shard boundary armed vs
-    // without (both static-model, both compiled for the same 4 shards).
-    // The preference exists to retire exchange rounds — hold it to that.
-    let qsvt_circ = inverter.qsvt_circuit().expect("qsvt circuit").circuit();
-    let qsvt_nq = qsvt_circ.num_qubits();
-    let boundary = qsvt_nq.saturating_sub(shard_count.trailing_zeros() as usize);
-    let preferred = optimize_circuit_for(
-        qsvt_circ,
-        qsvt_nq,
-        &FusionOptions::default().with_shard_boundary(boundary),
-    );
-    let unpreferred = optimize_circuit_for(qsvt_circ, qsvt_nq, &FusionOptions::default());
-    let preferred_plan = ShardedCircuit::compile(&preferred, qsvt_nq, shard_count);
-    let unpreferred_plan = ShardedCircuit::compile(&unpreferred, qsvt_nq, shard_count);
-    let qsvt_rounds = preferred_plan.exchange_rounds();
-    let qsvt_rounds_unpreferred = unpreferred_plan.exchange_rounds();
-    assert!(
-        qsvt_rounds < qsvt_rounds_unpreferred,
-        "low-support fusion preference must retire at least one exchange round on the fused \
-         QSVT circuit ({qsvt_rounds} preferred vs {qsvt_rounds_unpreferred} unpreferred)"
-    );
-    eprintln!(
-        "  sharded_vs_flat {n}q x {shard_count} shards: sharded {sharded_secs:.4}s, \
-         flat {flat_secs:.4}s ({sharded_speedup:.2}x), plan {} local / {} exchanged / {} flat \
-         ops in {} rounds + {} gathers, {} KiB/shard; qsvt rounds {qsvt_rounds} preferred vs \
-         {qsvt_rounds_unpreferred} unpreferred",
-        sstats.local_ops,
-        sstats.exchanged_ops,
-        sstats.flat_ops,
-        sstats.exchange_rounds,
-        sstats.flat_gathers,
-        sstats.per_shard_bytes / 1024,
-    );
-    let mut sharded_json = String::new();
-    let _ = write!(
-        sharded_json,
-        r#",
-    {{
-      "name": "sharded_vs_flat",
-      "qubits": {n},
-      "ops": {ops},
-      "shard_count": {shard_count},
-      "shard_boundary": {shard_boundary},
-      "per_shard_amplitudes": {per_shard_amplitudes},
-      "per_shard_bytes": {per_shard_bytes},
-      "local_ops": {local_ops},
-      "exchanged_ops": {exchanged_ops},
-      "flat_ops": {flat_ops},
-      "exchange_rounds": {exchange_rounds},
-      "flat_gathers": {flat_gathers},
-      "sharded_seconds": {sharded_secs:.6},
-      "flat_seconds": {flat_secs:.6},
-      "sharded_vs_flat_speedup": {sharded_speedup:.3},
-      "machine_threads": {machine_threads},
-      "parallel_speedup_meaningful": {parallel_meaningful},
-      "qsvt_shard_count": {shard_count},
-      "qsvt_exchange_rounds": {qsvt_rounds},
-      "qsvt_exchange_rounds_unpreferred": {qsvt_rounds_unpreferred},
-      "qsvt_flat_gathers": {qsvt_flat_gathers},
-      "qsvt_flat_gathers_unpreferred": {qsvt_flat_gathers_unpreferred}
-    }}"#,
-        ops = preset.random_ops,
-        shard_boundary = sstats.shard_boundary,
-        per_shard_amplitudes = sstats.per_shard_amplitudes,
-        per_shard_bytes = sstats.per_shard_bytes,
-        local_ops = sstats.local_ops,
-        exchanged_ops = sstats.exchanged_ops,
-        flat_ops = sstats.flat_ops,
-        exchange_rounds = sstats.exchange_rounds,
-        flat_gathers = sstats.flat_gathers,
-        qsvt_flat_gathers = preferred_plan.flat_gathers(),
-        qsvt_flat_gathers_unpreferred = unpreferred_plan.flat_gathers(),
-    );
-
     // -- Emit JSON -----------------------------------------------------------
     let unix_seconds = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -1013,11 +896,7 @@ fn main() {
       "scalar_single_thread_seconds": {scalar_1t:.6},
       "simd_vs_scalar_speedup": {simd_speedup:.3},
       "generic_single_thread_seconds": {generic_1t:.6},
-      "kernel_parallel_seconds": {kernel_nt:.6},
       "kernel_vs_generic_speedup": {kernel_speedup:.3},
-      "machine_threads": {machine_threads},
-      "parallel_speedup_meaningful": {parallel_meaningful},
-      "parallel_vs_single_thread_speedup": {parallel_speedup:.3},
       "static_fusion_ops": {static_fusion_ops},
       "calibrated_fusion_ops": {calibrated_fusion_ops},
       "fusion_calibrations": {fusion_calibrations}
@@ -1073,7 +952,7 @@ fn main() {
       "machine_threads": {machine_threads},
       "parallel_speedup_meaningful": {parallel_meaningful},
       "batched_vs_sequential_speedup": {batch_speedup:.3}
-    }}{sparse_json}{structured_json}{recovery_json}{fig4_json}{sharded_json}
+    }}{sparse_json}{structured_json}{recovery_json}{fig4_json}
   ]
 }}
 "#,
@@ -1130,8 +1009,8 @@ struct RatioFloor {
 
 /// A deterministic counter checked by `--compare`: the current value of
 /// `workload.field` must not exceed the committed baseline value.  These
-/// counters (circuit compiles in the refinement loop, sharded exchange
-/// rounds, warm-build regenerations) are machine- and preset-independent
+/// counters (circuit compiles in the refinement loop, warm-build
+/// regenerations) are machine- and preset-independent
 /// once at their floor, so any increase is a real regression.
 struct CounterCeiling {
     workload: &'static str,
@@ -1183,10 +1062,6 @@ const COUNTER_CEILINGS: &[CounterCeiling] = &[
     CounterCeiling {
         workload: "qsvt_solve_circuit_mode",
         field: "build_fusion_passes_warm",
-    },
-    CounterCeiling {
-        workload: "sharded_vs_flat",
-        field: "qsvt_exchange_rounds",
     },
 ];
 

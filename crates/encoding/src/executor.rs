@@ -26,7 +26,7 @@
 
 use crate::block_encoding::BlockEncoding;
 use num_complex::Complex64;
-use qls_sim::{ExecMode, OptLevel, QuantumExecutor, StateVector};
+use qls_sim::{OptLevel, QuantumExecutor, StateVector};
 
 /// A block-encoding compiled once (forward and adjoint) for repeated and
 /// batched application.
@@ -52,34 +52,16 @@ impl BlockEncodingExecutor {
     /// (`OptLevel::None` keeps the compiled form one-op-per-gate — the
     /// unoptimized oracle/baseline).
     pub fn with_opt_level<B: BlockEncoding + ?Sized>(be: &B, opt_level: OptLevel) -> Self {
-        Self::with_exec_mode(be, opt_level, ExecMode::Flat)
-    }
-
-    /// [`BlockEncodingExecutor::with_opt_level`] at an explicit
-    /// [`ExecMode`]: `ExecMode::Sharded` runs both compiled circuits
-    /// (forward and adjoint) through the sharded register engine
-    /// (`qls_sim::shard`), with fusion biased toward low-qubit support to
-    /// minimize exchange rounds.
-    pub fn with_exec_mode<B: BlockEncoding + ?Sized>(
-        be: &B,
-        opt_level: OptLevel,
-        mode: ExecMode,
-    ) -> Self {
         let n = be.num_data_qubits();
         let total = be.total_qubits();
         BlockEncodingExecutor {
-            forward: QuantumExecutor::with_exec_mode(be.circuit(), opt_level, mode),
-            adjoint: QuantumExecutor::with_exec_mode(&be.circuit().adjoint(), opt_level, mode),
+            forward: QuantumExecutor::with_options(be.circuit(), opt_level),
+            adjoint: QuantumExecutor::with_options(&be.circuit().adjoint(), opt_level),
             num_data_qubits: n,
             num_ancilla_qubits: be.num_ancilla_qubits(),
             alpha: be.alpha(),
             ancillas: (n..total).collect(),
         }
-    }
-
-    /// The execution mode of the compiled engines.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.forward.exec_mode()
     }
 
     /// Number of data qubits `n`.

@@ -179,28 +179,12 @@ impl QsvtInverter {
         mode: QsvtMode,
         opt_level: OptLevel,
     ) -> Result<Self, QsvtError> {
-        Self::with_exec_mode(a, epsilon_l, mode, opt_level, ExecMode::Flat)
-    }
-
-    /// [`QsvtInverter::with_opt_level`] at an explicit [`ExecMode`]:
-    /// `ExecMode::Sharded` compiles the QSVT circuit into the sharded
-    /// register engine (`qls_sim::shard`) with fusion biased toward
-    /// low-qubit support, so every solve executes via per-shard sweeps and
-    /// pairwise exchanges.  Only meaningful in circuit mode; emulation mode
-    /// has no register to shard.
-    pub fn with_exec_mode(
-        a: &Matrix<f64>,
-        epsilon_l: f64,
-        mode: QsvtMode,
-        opt_level: OptLevel,
-        exec_mode: ExecMode,
-    ) -> Result<Self, QsvtError> {
         Self::with_config(
             a,
             epsilon_l,
             mode,
             opt_level,
-            exec_mode,
+            ExecMode::Flat,
             CachePolicy::default(),
         )
     }
@@ -215,6 +199,7 @@ impl QsvtInverter {
     /// Warm constructions therefore run zero phase-factor iterations and
     /// zero fusion passes, and produce bit-identical artefacts to a cold
     /// build.  `Disabled` is the escape hatch that never touches the disk.
+    /// `exec_mode` has one value, [`ExecMode::Flat`].
     ///
     /// Returns [`QsvtError::InvalidInput`] for a non-square matrix, for
     /// `epsilon_l` outside `(0, 1)` (NaN included), and in circuit mode for
@@ -349,12 +334,6 @@ impl QsvtInverter {
     /// and estimated sweep work.
     pub fn circuit_stats(&self) -> Option<&CircuitStats> {
         self.circuit.as_ref().and_then(|art| art.executor.stats())
-    }
-
-    /// The execution mode of the compiled QSVT engine (`None` in emulation
-    /// mode, which has no register).
-    pub fn exec_mode(&self) -> Option<ExecMode> {
-        self.circuit.as_ref().map(|art| art.executor.exec_mode())
     }
 
     /// Resource accounting for one solve: the record computed at

@@ -8,16 +8,15 @@
 //! exactly once into its [`CompiledCircuit`] form and then exposes
 //!
 //! * [`QuantumExecutor::run`] / [`run_in_place`](QuantumExecutor::run_in_place)
-//!   — apply the compiled circuit to one register (per-gate thread fan-out as
-//!   usual, see [`crate::kernels`]);
+//!   — apply the compiled circuit to one register, on the calling thread
+//!   (the kernels of [`crate::kernels`] are sequential);
 //! * [`QuantumExecutor::run_batch`] — apply the compiled circuit to **many**
 //!   registers, fanning out across the *batch* with one register per worker
-//!   thread.  Coarse-grained batch parallelism scales on multi-core machines
-//!   where per-gate fan-out cannot (a gate application is memory-bound and
-//!   synchronises at every gate; independent registers never synchronise).
-//!   Inside a batch fan-out the per-gate parallelism is disabled
-//!   ([`CompiledCircuit::apply_sequential`]), so no nested thread spawning
-//!   occurs and results stay bit-identical to a sequential loop of
+//!   thread once the batch carries at least [`PARALLEL_WORK_THRESHOLD`]
+//!   complex multiplies of work.  This is the simulator's only thread
+//!   fan-out: independent registers never synchronise, so it scales where
+//!   splitting one memory-bound gate sweep across threads did not.  Results
+//!   are bit-identical to a sequential loop of
 //!   [`run`](QuantumExecutor::run) at any thread count.
 //!
 //! ## Optimization
@@ -51,7 +50,6 @@ use crate::circuit::Circuit;
 use crate::fuse::{CircuitStats, CostModel, FusionOptions};
 use crate::gate::Gate;
 use crate::kernels::{CompiledCircuit, PARALLEL_WORK_THRESHOLD};
-use crate::shard::{ShardedCircuit, ShardedState};
 use crate::state::StateVector;
 use qls_cache::{machine_fingerprint, CachePolicy, CacheStore, Fingerprint, FingerprintBuilder};
 use rayon::prelude::*;
@@ -143,10 +141,6 @@ fn fused_circuit_fingerprint(
         CostModel::Static => 0,
         CostModel::Measured => 1,
     });
-    match opts.shard_boundary {
-        None => b.write_u64(0),
-        Some(m) => b.write_u64(1).write_usize(m),
-    };
     b.finish()
 }
 
@@ -165,35 +159,24 @@ pub enum OptLevel {
     Fuse,
 }
 
-/// How the executor lays out the register at run time.
+/// How the executor lays out the register at run time: one contiguous
+/// `2^n`-amplitude register, the only layout.
+///
+/// It stays a one-variant enum because the benchmark harness in `perfbench/`
+/// passes `ExecMode::Flat` to [`QuantumExecutor::with_config`] and
+/// `qls_qsvt::QsvtInverter::with_config`; both ignore it.  It goes once that
+/// harness stops naming it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// One contiguous `2^n`-amplitude register (the default, and the
-    /// bit-identity oracle for the sharded mode).
+    /// One contiguous register.
     #[default]
     Flat,
-    /// The register split into `shards` worker-owned chunks
-    /// ([`crate::shard`]): low-support ops run embarrassingly parallel per
-    /// chunk with the same compiled kernels, high-qubit ops execute via
-    /// batched pairwise shard exchanges.  `shards` must be a power of two at
-    /// most `2^n`.  Under [`OptLevel::Fuse`] the optimizer is armed with the
-    /// shard boundary
-    /// ([`FusionOptions::with_shard_boundary`](crate::fuse::FusionOptions::with_shard_boundary))
-    /// so fusion minimizes exchange rounds.
-    Sharded {
-        /// Number of worker-owned chunks, `2^k`.
-        shards: usize,
-    },
 }
 
 /// A circuit compiled once and executable many times, single or batched.
 #[derive(Debug, Clone)]
 pub struct QuantumExecutor {
     compiled: CompiledCircuit,
-    /// Sharded execution plan, compiled from the *same* (fused) operation
-    /// list as `compiled` — `Some` iff the mode is [`ExecMode::Sharded`].
-    /// The flat form stays the bit-identity oracle.
-    sharded: Option<ShardedCircuit>,
     opt_level: OptLevel,
     /// Before/after fusion report (`None` for [`OptLevel::None`] and for
     /// [`QuantumExecutor::from_compiled`]).
@@ -218,49 +201,34 @@ impl QuantumExecutor {
         Self::for_register_with_options(circuit, num_qubits, OptLevel::default())
     }
 
-    /// [`QuantumExecutor::for_register`] at an explicit [`OptLevel`].
+    /// [`QuantumExecutor::for_register`] at an explicit [`OptLevel`], with
+    /// the artifact cache disabled — ad-hoc executors over arbitrary
+    /// circuits should not populate the user's cache directory by default.
+    /// Layers with stable, expensive-to-fuse circuits (the QSVT solver
+    /// stack) opt in through [`QuantumExecutor::for_register_with_config`].
     pub fn for_register_with_options(
         circuit: &Circuit,
         num_qubits: usize,
         opt_level: OptLevel,
     ) -> Self {
-        Self::for_register_with_exec_mode(circuit, num_qubits, opt_level, ExecMode::Flat)
-    }
-
-    /// Compile `circuit` once at an explicit [`OptLevel`] and [`ExecMode`].
-    pub fn with_exec_mode(circuit: &Circuit, opt_level: OptLevel, mode: ExecMode) -> Self {
-        Self::for_register_with_exec_mode(circuit, circuit.num_qubits(), opt_level, mode)
-    }
-
-    /// [`QuantumExecutor::for_register_with_exec_mode`] with the artifact
-    /// cache disabled — ad-hoc executors over arbitrary circuits should not
-    /// populate the user's cache directory by default.  Layers with stable,
-    /// expensive-to-fuse circuits (the QSVT solver stack) opt in through
-    /// [`QuantumExecutor::for_register_with_config`].
-    pub fn for_register_with_exec_mode(
-        circuit: &Circuit,
-        num_qubits: usize,
-        opt_level: OptLevel,
-        mode: ExecMode,
-    ) -> Self {
-        Self::for_register_with_config(circuit, num_qubits, opt_level, mode, CachePolicy::Disabled)
+        Self::for_register_with_config(circuit, num_qubits, opt_level, CachePolicy::Disabled)
     }
 
     /// [`QuantumExecutor::for_register_with_config`] at the circuit's own
-    /// register width.
+    /// register width.  `mode` has one value, [`ExecMode::Flat`].
     pub fn with_config(
         circuit: &Circuit,
         opt_level: OptLevel,
         mode: ExecMode,
         cache: CachePolicy,
     ) -> Self {
-        Self::for_register_with_config(circuit, circuit.num_qubits(), opt_level, mode, cache)
+        // Irrefutable while `Flat` is the only layout.
+        let ExecMode::Flat = mode;
+        Self::for_register_with_config(circuit, circuit.num_qubits(), opt_level, cache)
     }
 
-    /// The general constructor: explicit register width, [`OptLevel`],
-    /// [`ExecMode`], and [`CachePolicy`].  In sharded mode the fused (or raw)
-    /// operation list is compiled twice — the flat oracle plus the sharded
-    /// plan — still at construction only; runs never recompile.
+    /// The general constructor: explicit register width, [`OptLevel`] and
+    /// [`CachePolicy`].
     ///
     /// With the cache enabled, the [`OptLevel::Fuse`] path consults the
     /// persistent `fused-circuits` store before running the optimizer: a hit
@@ -274,28 +242,16 @@ impl QuantumExecutor {
         circuit: &Circuit,
         num_qubits: usize,
         opt_level: OptLevel,
-        mode: ExecMode,
         cache: CachePolicy,
     ) -> Self {
-        let shards = match mode {
-            ExecMode::Flat => None,
-            ExecMode::Sharded { shards } => Some(shards),
-        };
         match opt_level {
             OptLevel::None => QuantumExecutor {
                 compiled: CompiledCircuit::compile_for(circuit, num_qubits),
-                sharded: shards.map(|s| ShardedCircuit::compile(circuit, num_qubits, s)),
                 opt_level,
                 stats: None,
             },
             OptLevel::Fuse => {
-                let mut opts = FusionOptions::measured();
-                if let Some(s) = shards {
-                    // Arm the low-support preference with the shard boundary
-                    // m = n − k so fusion prices exchange traffic honestly.
-                    let k = s.trailing_zeros() as usize;
-                    opts = opts.with_shard_boundary(num_qubits.saturating_sub(k));
-                }
+                let opts = FusionOptions::measured();
                 let store = match cache {
                     CachePolicy::Enabled => CacheStore::open(),
                     CachePolicy::Disabled => None,
@@ -314,8 +270,6 @@ impl QuantumExecutor {
                         if cf.fused.num_qubits() <= num_qubits {
                             return QuantumExecutor {
                                 compiled: CompiledCircuit::compile_for(&cf.fused, num_qubits),
-                                sharded: shards
-                                    .map(|s| ShardedCircuit::compile(&cf.fused, num_qubits, s)),
                                 opt_level,
                                 stats: Some(cf.stats),
                             };
@@ -329,15 +283,11 @@ impl QuantumExecutor {
                         FUSED_CACHE_KIND,
                         FUSED_CACHE_VERSION,
                         key,
-                        &CachedFusion {
-                            fused: fused.clone(),
-                            stats,
-                        },
+                        &CachedFusion { fused, stats },
                     );
                 }
                 QuantumExecutor {
                     compiled,
-                    sharded: shards.map(|s| ShardedCircuit::compile(&fused, num_qubits, s)),
                     opt_level,
                     stats: Some(stats),
                 }
@@ -349,7 +299,6 @@ impl QuantumExecutor {
     pub fn from_compiled(compiled: CompiledCircuit) -> Self {
         QuantumExecutor {
             compiled,
-            sharded: None,
             opt_level: OptLevel::None,
             stats: None,
         }
@@ -380,52 +329,14 @@ impl QuantumExecutor {
         self.compiled.is_empty()
     }
 
-    /// The compiled artefact itself — in sharded mode this flat form is the
-    /// bit-identity oracle for the sharded plan.
+    /// The compiled artefact itself.
     pub fn compiled(&self) -> &CompiledCircuit {
         &self.compiled
     }
 
-    /// The execution mode the engine was built with.
-    pub fn exec_mode(&self) -> ExecMode {
-        match &self.sharded {
-            None => ExecMode::Flat,
-            Some(plan) => ExecMode::Sharded {
-                shards: plan.num_shards(),
-            },
-        }
-    }
-
-    /// The sharded execution plan (`Some` iff the mode is
-    /// [`ExecMode::Sharded`]) — exposes exchange-round and per-step-kind op
-    /// counts.
-    pub fn sharding(&self) -> Option<&ShardedCircuit> {
-        self.sharded.as_ref()
-    }
-
-    /// Apply the compiled circuit to `state` in place (per-gate fan-out above
-    /// the usual work threshold; in sharded mode the register is split,
-    /// run through the exchange plan, and gathered back).  Both layouts are
-    /// bit-identical for the same compiled operation list.
+    /// Apply the compiled circuit to `state` in place.
     pub fn run_in_place(&self, state: &mut StateVector) {
-        match &self.sharded {
-            None => self.compiled.apply(state),
-            Some(plan) => {
-                let mut sharded = ShardedState::from_state(state, plan.num_shards());
-                plan.apply(&mut sharded);
-                state.set_amplitudes(sharded.into_state().into_amplitudes());
-            }
-        }
-    }
-
-    /// Apply the sharded plan to an already-sharded register in place,
-    /// avoiding the split/gather of [`QuantumExecutor::run_in_place`].
-    /// Panics unless the engine was built with [`ExecMode::Sharded`].
-    pub fn run_sharded_in_place(&self, state: &mut ShardedState) {
-        self.sharded
-            .as_ref()
-            .expect("executor was not built with ExecMode::Sharded")
-            .apply(state);
+        self.compiled.apply(state);
     }
 
     /// Apply the compiled circuit to a copy of `initial` and return the
@@ -448,14 +359,6 @@ impl QuantumExecutor {
     /// total work justifies threads.  Results are bit-identical to
     /// `for s in states { executor.run_in_place(s) }` at any thread count.
     pub fn run_batch(&self, states: &mut [StateVector]) {
-        if self.sharded.is_some() {
-            // Each sharded run already fans out across shards; a nested
-            // batch fan-out would oversubscribe the workers.
-            for state in states {
-                self.run_in_place(state);
-            }
-            return;
-        }
         if let Some(first) = states.first() {
             let per_state = self.compiled.work_estimate(first.amplitudes().len());
             let batch_work = per_state.saturating_mul(states.len());
@@ -463,11 +366,9 @@ impl QuantumExecutor {
                 && batch_work >= PARALLEL_WORK_THRESHOLD
                 && rayon::current_num_threads() > 1
             {
-                // Coarse grain: one register per worker, per-gate fan-out off
-                // so worker threads never spawn nested workers.
                 states
                     .par_iter_mut()
-                    .for_each(|state| self.compiled.apply_sequential(state));
+                    .for_each(|state| self.compiled.apply(state));
                 return;
             }
         }

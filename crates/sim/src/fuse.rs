@@ -103,7 +103,7 @@ pub enum CostModel {
     Static,
     /// Units measured on this machine: at first use for a register size,
     /// one representative sweep per kernel class is timed
-    /// (`CompiledOp::apply_sequential` on a capped-size buffer) and
+    /// (`CompiledOp::apply` on a capped-size buffer) and
     /// normalized so a single-target diagonal multiply is 1 unit.  Results
     /// are cached thread-locally per register size and clamped to
     /// [0.25, 4]× the static units, so a noisy timing can shift break-even
@@ -138,20 +138,6 @@ pub struct FusionOptions {
     pub op_overhead_cost: usize,
     /// How candidate fusions are priced (see [`CostModel`]).
     pub cost_model: CostModel,
-    /// The shard boundary `m` of the sharded execution scheme
-    /// ([`crate::shard`]): qubits `< m` are shard-local, qubits `≥ m` cost a
-    /// pairwise shard exchange per op that touches them.  `Some(m)` adds an
-    /// exchange-movement term to every priced sweep — per exchanged qubit,
-    /// a fixed round latency (the `α` of an `α + β·n` transfer model) plus
-    /// `CostUnits::exchange` per amplitude; ops whose support cannot be
-    /// served by pairwise exchanges at all are charged the full flat gather
-    /// — and lets two exchange-bearing ops fuse beyond
-    /// [`FusionOptions::max_fused_qubits`] so the gate can judge the trade.
-    /// The optimizer then actively *prefers low-qubit support*: merging two
-    /// high-qubit ops visibly retires a whole exchange round.  `None` (the
-    /// default) prices pure sweep arithmetic — flat execution is unaffected
-    /// by the sharding preference.
-    pub shard_boundary: Option<usize>,
 }
 
 impl Default for FusionOptions {
@@ -162,7 +148,6 @@ impl Default for FusionOptions {
             lookback: 16,
             op_overhead_cost: 512,
             cost_model: CostModel::Static,
-            shard_boundary: None,
         }
     }
 }
@@ -176,15 +161,6 @@ impl FusionOptions {
         FusionOptions {
             cost_model: CostModel::Measured,
             ..Default::default()
-        }
-    }
-
-    /// These options with the low-support sharding preference armed at shard
-    /// boundary `m` (see [`FusionOptions::shard_boundary`]).
-    pub fn with_shard_boundary(self, boundary: usize) -> Self {
-        FusionOptions {
-            shard_boundary: Some(boundary),
-            ..self
         }
     }
 }
@@ -210,31 +186,7 @@ struct CostUnits {
     generic2: f64,
     /// Generic dense block, `k = 3` (64 multiplies + gather/scatter).
     generic3: f64,
-    /// Per-amplitude cost of one round-trip pairwise shard exchange (swap
-    /// halves out, swap back) for one high qubit — pure data movement, twice
-    /// the one-way permutation traffic.  Only charged when
-    /// [`FusionOptions::shard_boundary`] is set.
-    exchange: f64,
 }
-
-/// Fixed synchronization latency charged per exchanged qubit on top of the
-/// per-amplitude exchange traffic — the `α` in the classic `α + β·n`
-/// distributed transfer model.  A pairwise exchange round costs a barrier
-/// and a partner rendezvous regardless of how little data moves, so at
-/// small register widths (where `β·n` is noise against compute deltas) this
-/// term is what actually steers the cost gate toward merging high-support
-/// ops and eliminating rounds; at large widths the `4^k` dense-compute
-/// growth dominates and keeps fusion from over-densifying.
-const EXCHANGE_ROUND_OVERHEAD: f64 = 8192.0;
-
-/// Dense-fusion target cap used in place of
-/// [`FusionOptions::max_fused_qubits`] when the sharding preference is
-/// armed and *both* candidate ops touch high qubits: merging two
-/// exchange-bearing ops can retire a whole round, so the candidate is
-/// priced by the cost gate instead of being rejected on width alone.  Hard
-/// bound 6 keeps the materialized `2^k × 2^k` tables and their embedding
-/// matmuls trivially small.
-const MAX_EXCHANGE_FUSED_QUBITS: usize = 6;
 
 /// The documented static table (`CostModel::Static`), matching the kernel
 /// dispatch commentary in [`crate::kernels`].
@@ -246,7 +198,6 @@ const STATIC_UNITS: CostUnits = CostUnits {
     single: 4.0,
     generic2: 32.0,
     generic3: 128.0,
-    exchange: 2.0,
 };
 
 impl CostUnits {
@@ -294,8 +245,9 @@ pub fn fusion_pass_count() -> usize {
 
 /// Cache kind for persisted calibration tables (see [`calibration_count`]).
 const CALIBRATION_CACHE_KIND: &str = "fusion-calibration";
-/// Entry-format version of the calibration store.
-const CALIBRATION_CACHE_VERSION: u32 = 1;
+/// Entry-format version of the calibration store; bump whenever the
+/// [`CostUnits`] wire shape changes, so old entries become misses.
+const CALIBRATION_CACHE_VERSION: u32 = 2;
 
 fn calibration_fingerprint(num_qubits: usize) -> qls_cache::Fingerprint {
     qls_cache::FingerprintBuilder::new(CALIBRATION_CACHE_KIND)
@@ -360,7 +312,7 @@ fn calibrate(num_qubits: usize) -> CostUnits {
         // of the sweep's intrinsic cost (first pass also warms the buffer).
         for _ in 0..4 {
             let t0 = Instant::now();
-            cop.apply_sequential(&mut amps, &mut scratch);
+            cop.apply(&mut amps, &mut scratch);
             best = best.min(t0.elapsed().as_secs_f64());
         }
         best
@@ -386,20 +338,6 @@ fn calibrate(num_qubits: usize) -> CostUnits {
         vec![0, bit, m - 1],
         vec![],
     ));
-    // Exchange unit: time moving the whole buffer into a partner buffer and
-    // back (what one pairwise shard exchange does per swapped high qubit,
-    // amortized over both partners).
-    let t_exchange = {
-        let mut partner = amps.clone();
-        let mut best = f64::INFINITY;
-        for _ in 0..4 {
-            let t0 = Instant::now();
-            amps.swap_with_slice(&mut partner);
-            partner.swap_with_slice(&mut amps);
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best
-    };
     // One unit = the measured cost of one single-target diagonal multiply
     // (the cheapest full sweep), so on a machine where every kernel hits
     // the static throughput ratios the measured table degenerates to the
@@ -416,16 +354,15 @@ fn calibrate(num_qubits: usize) -> CostUnits {
         single: scale(t_single, len / 2, STATIC_UNITS.single),
         generic2: scale(t_g2, len / 4, STATIC_UNITS.generic2),
         generic3: scale(t_g3, len / 8, STATIC_UNITS.generic3),
-        exchange: scale(t_exchange, len, STATIC_UNITS.exchange),
     }
 }
 
 /// Before/after report of one optimization run.
 ///
-/// "Sweep work" is the same quantity the kernels' parallel-fan-out decision
-/// uses ([`crate::kernels::CompiledOp::work_estimate`]): free-index count ×
-/// per-iteration cost, summed over the circuit — an estimate of the complex
-/// multiplies one full application performs.
+/// "Sweep work" is the quantity `QuantumExecutor::run_batch` weighs against
+/// its fan-out threshold ([`crate::kernels::CompiledOp::work_estimate`]):
+/// free-index count × per-iteration cost, summed over the circuit — an
+/// estimate of the complex multiplies one full application performs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CircuitStats {
     /// Operation count of the raw circuit.
@@ -696,27 +633,9 @@ fn dense_drop_bit(m: &CMatrix, t: usize) -> CMatrix {
     })
 }
 
-/// True when the segment's support (controls included) touches any qubit at
-/// or above the shard boundary — i.e. serving it sharded costs an exchange.
-fn touches_high(seg: &Segment, boundary: Option<usize>) -> bool {
-    match boundary {
-        Some(m) => seg.controls.iter().chain(&seg.targets).any(|&q| q >= m),
-        None => false,
-    }
-}
-
 /// Fuse `second ∘ first` when the rules allow it (`first` is applied before
 /// `second` in circuit order).  The result is not yet simplified.
 fn try_fuse(first: &Segment, second: &Segment, opts: &FusionOptions) -> Option<Segment> {
-    // Two exchange-bearing ops may fuse beyond the normal dense cap — the
-    // merge can retire an exchange round, and the cost gate (which prices
-    // rounds when the boundary is set) gets to judge the trade.
-    let dense_cap =
-        if touches_high(first, opts.shard_boundary) && touches_high(second, opts.shard_boundary) {
-            opts.max_fused_qubits.max(MAX_EXCHANGE_FUSED_QUBITS)
-        } else {
-            opts.max_fused_qubits
-        };
     if first.controls == second.controls {
         let union = union_sorted(&first.targets, &second.targets);
         // Nested targets fuse for free: the fused op is no bigger than one
@@ -736,7 +655,7 @@ fn try_fuse(first: &Segment, second: &Segment, opts: &FusionOptions) -> Option<S
                 pristine: None,
             });
         }
-        if !nested && union.len() > dense_cap {
+        if !nested && union.len() > opts.max_fused_qubits {
             return None;
         }
         let ma = embed_dense(&dense_of(first), &first.targets, &union);
@@ -784,7 +703,7 @@ fn try_fuse(first: &Segment, second: &Segment, opts: &FusionOptions) -> Option<S
         return None;
     }
     let union = union_sorted(&sa, &sb);
-    if union.len() > dense_cap {
+    if union.len() > opts.max_fused_qubits {
         return None;
     }
     let ma = embed_dense(&controlled_dense(first), &sa, &union);
@@ -831,33 +750,7 @@ fn controlled_dense(seg: &Segment) -> CMatrix {
 /// [`crate::kernels`]: diagonals and permutation gates (X/SWAP) cost one
 /// multiply-equivalent per visited amplitude, dense `k`-target ops cost
 /// `4^k` per `2^k`-block, and controls shrink the visited subspace.
-///
-/// With a shard `boundary` set the sweep also pays for the data movement the
-/// sharded executor ([`crate::shard`]) performs to serve it: one round-trip
-/// pairwise exchange per high qubit (support qubit ≥ boundary) when the
-/// support fits an exchange round, or the full gather/scatter (priced as
-/// permuting every shard qubit, never cheaper than any exchange) when it
-/// does not.  Merging two high ops then visibly saves a round, so the cost
-/// gate steers fusion toward low-qubit support.
-fn sweep_cost(seg: &Segment, len: usize, units: &CostUnits, boundary: Option<usize>) -> usize {
-    let movement = match boundary {
-        Some(m) => {
-            let support = union_sorted(&seg.controls, &seg.targets);
-            let high = support.iter().filter(|&&q| q >= m).count();
-            if high == 0 {
-                0.0
-            } else {
-                let shard_qubits = (len.trailing_zeros() as usize).saturating_sub(m);
-                let exchanged = if support.len() <= m {
-                    high
-                } else {
-                    shard_qubits.max(high)
-                };
-                exchanged as f64 * (EXCHANGE_ROUND_OVERHEAD + len as f64 * units.exchange)
-            }
-        }
-        None => 0.0,
-    };
+fn sweep_cost(seg: &Segment, len: usize, units: &CostUnits) -> usize {
     let c = seg.controls.len();
     let (count, unit) = match &seg.body {
         // Phase-shift-class diagonals (unit leading entry, one target) only
@@ -883,7 +776,7 @@ fn sweep_cost(seg: &Segment, len: usize, units: &CostUnits, boundary: Option<usi
             (((len >> c) >> k).max(1), unit)
         }
     };
-    (count as f64 * unit + movement).round() as usize
+    (count as f64 * unit).round() as usize
 }
 
 /// True when the two segments are guaranteed to commute: disjoint supports
@@ -929,8 +822,7 @@ pub fn optimize_circuit_for(circuit: &Circuit, num_qubits: usize, opts: &FusionO
     FUSION_PASSES.with(|c| c.set(c.get() + 1));
     let len = 1usize << num_qubits;
     let units = resolve_units(opts.cost_model, num_qubits);
-    let boundary = opts.shard_boundary.map(|b| b.min(num_qubits));
-    let cost = |seg: &Segment| sweep_cost(seg, len, &units, boundary);
+    let cost = |seg: &Segment| sweep_cost(seg, len, &units);
     let mut out: Vec<Segment> = Vec::new();
     'ops: for op in circuit.operations() {
         let Some(seg) = segment_of(op) else {

@@ -15,7 +15,7 @@
 //! ## Performance model
 //!
 //! Gate application is the workspace-wide hot path, and it is organised
-//! around two ideas (full dispatch table in [`kernels`]):
+//! around four ideas (full dispatch table in [`kernels`]):
 //!
 //! 1. **Compile once, apply cheaply.**  [`CompiledCircuit::compile`] turns
 //!    each operation into a [`CompiledOp`] — flattened matrix, control mask
@@ -25,25 +25,26 @@
 //!    k-qubit `Gate::Unitary` falls back to a generic blocked mat-vec fed
 //!    from a reusable scratch buffer.  Controlled variants enumerate just the
 //!    control-satisfied subspace (`2^(n-c)` instead of `2^n` indices).
-//! 2. **Real thread fan-out.**  Once one application carries at least
-//!    [`PARALLEL_WORK_THRESHOLD`] complex multiplies of work (iteration
-//!    count weighted by the kernel's per-iteration cost), the update is split
-//!    into contiguous index blocks across `rayon::current_num_threads()`
-//!    scoped threads (the vendored rayon is backed by `std::thread::scope`).
-//!    Partitioning never reorders per-amplitude arithmetic, so results are
-//!    bit-identical at every worker count
-//!    (`rayon::ThreadPoolBuilder::install` pins the count in tests).
+//! 2. **Sequential kernels.**  One gate application sweeps the register on
+//!    the calling thread, through SIMD bodies ([`simd`]) that are
+//!    bit-identical to the scalar loops.  The kernels do not split a sweep
+//!    across threads: on two threads that ran a 16-qubit random circuit at
+//!    0.24–0.62x of one thread, and the solver's registers (6–10 qubits)
+//!    never carry enough work to try.
 //!
 //! 3. **Compile once, execute many.**  [`QuantumExecutor`] ([`executor`]) is
 //!    the execution-engine layer the rest of the workspace builds on: it owns
 //!    a [`CompiledCircuit`] compiled exactly once at construction and exposes
 //!    `run`/`run_in_place` plus a batched `run_batch` that applies the one
 //!    compiled circuit to many registers with **coarse-grained fan-out across
-//!    the batch** (one register per worker, per-gate parallelism disabled
-//!    inside the fan-out so threads never nest).  Construction compiles,
-//!    execution never does; the thread-local
-//!    [`kernels::circuit_compile_count`] counter makes that contract
-//!    testable.
+//!    the batch** (one register per worker, once the batch carries
+//!    [`PARALLEL_WORK_THRESHOLD`] complex multiplies of work).  That is the
+//!    simulator's only thread fan-out (the vendored rayon is backed by
+//!    `std::thread::scope`), and its results are bit-identical at every
+//!    worker count (`rayon::ThreadPoolBuilder::install` pins the count in
+//!    tests).  Construction compiles, execution never does; the
+//!    thread-local [`kernels::circuit_compile_count`] counter makes that
+//!    contract testable.
 //!
 //! 4. **Optimize before compiling.**  The circuit-optimizer pass ([`fuse`])
 //!    rewrites the operation list ahead of compilation — runs of adjacent
@@ -55,21 +56,6 @@
 //!    ([`OptLevel::Fuse`]); `OptLevel::None` retains the one-`CompiledOp`-
 //!    per-gate path as the equivalence oracle, and [`CircuitStats`] reports
 //!    the before/after op counts and estimated sweep work.
-//!
-//! 5. **Shard past the one-allocation wall.**  [`shard`] splits the
-//!    `2^n`-amplitude register at the shard boundary `m = n − k` into `2^k`
-//!    worker-owned chunks ([`ShardedState`]): ops supported below the
-//!    boundary run embarrassingly parallel per chunk with the *same*
-//!    compiled kernels (SIMD bodies included), ops touching global qubits
-//!    execute via pairwise shard exchanges (swap chunk halves with the
-//!    partner shard, apply, swap back), batched so one exchange round
-//!    serves a run of high-qubit ops.  [`QuantumExecutor`] exposes it as
-//!    [`ExecMode::Sharded`]; the flat register remains the bit-identity
-//!    oracle, and the fusion pass accepts a shard boundary
-//!    ([`FusionOptions::with_shard_boundary`]) that prices exchange traffic
-//!    so merged ops prefer low-qubit support and rounds are minimized.
-//!    [`sharding_stats`] reports per-shard memory and exchange rounds for a
-//!    circuit.
 //!
 //! The seed's original "rebuild the whole vector per gate" path survives as
 //! `kernels::reference`, serving as the property-test oracle and the baseline
@@ -115,7 +101,6 @@ pub mod gate;
 pub mod kernels;
 pub mod measure;
 pub mod resources;
-pub mod shard;
 pub mod simd;
 pub mod state;
 pub mod unitary;
@@ -137,10 +122,7 @@ pub use measure::{
     estimate_magnitudes, sample, shots_for_accuracy, signed_from_magnitudes, SampleResult,
 };
 pub use qls_cache::CachePolicy;
-pub use resources::{
-    estimate_resources, fusion_stats, sharding_stats, ResourceEstimate, ShardingStats, TCountModel,
-};
-pub use shard::{ShardedCircuit, ShardedState};
+pub use resources::{estimate_resources, fusion_stats, ResourceEstimate, TCountModel};
 pub use simd::{simd_kernels_enabled, with_scalar_kernels};
 pub use state::StateVector;
 pub use unitary::{apply_circuit_to_vector, circuit_unitary};

@@ -152,64 +152,6 @@ pub fn fusion_stats(circuit: &Circuit) -> CircuitStats {
     CompiledCircuit::optimized_with(circuit, circuit.num_qubits(), &FusionOptions::default()).1
 }
 
-/// Report of the sharded execution model ([`crate::shard`]) for one circuit
-/// at one shard count: per-shard memory and how the fused op list splits
-/// into shard-local sweeps, pairwise exchange rounds, and gather fallbacks.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct ShardingStats {
-    /// Register width `n`.
-    pub num_qubits: usize,
-    /// Number of worker-owned chunks, `2^k`.
-    pub num_shards: usize,
-    /// The shard boundary `m = n − k`: qubits below it are shard-local.
-    pub shard_boundary: usize,
-    /// Amplitudes per chunk, `2^m`.
-    pub per_shard_amplitudes: usize,
-    /// Amplitude bytes owned by each worker.
-    pub per_shard_bytes: usize,
-    /// Fused ops served embarrassingly parallel per shard.
-    pub local_ops: usize,
-    /// Fused ops served inside pairwise exchange rounds.
-    pub exchanged_ops: usize,
-    /// Fused ops served by the gather/scatter fallback.
-    pub flat_ops: usize,
-    /// Pairwise exchange rounds per application — the communication metric
-    /// the low-support fusion preference minimizes.
-    pub exchange_rounds: usize,
-    /// Full gather/scatter fallbacks per application.
-    pub flat_gathers: usize,
-}
-
-/// [`fusion_stats`]-style report of the sharded execution model: fuse the
-/// circuit with the low-support preference armed at the shard boundary
-/// (static cost model, so the report is machine-independent), compile the
-/// sharded plan, and summarize it.  Like [`fusion_stats`] this compiles once
-/// (one [`crate::kernels::circuit_compile_count`] tick) — a reporting
-/// helper, not a hot-path call.
-pub fn sharding_stats(circuit: &Circuit, num_shards: usize) -> ShardingStats {
-    use crate::fuse::optimize_circuit_for;
-    use crate::shard::ShardedCircuit;
-    let n = circuit.num_qubits();
-    let k = num_shards.trailing_zeros() as usize;
-    let boundary = n.saturating_sub(k);
-    let opts = FusionOptions::default().with_shard_boundary(boundary);
-    let fused = optimize_circuit_for(circuit, n, &opts);
-    let plan = ShardedCircuit::compile(&fused, n, num_shards);
-    ShardingStats {
-        num_qubits: n,
-        num_shards: plan.num_shards(),
-        shard_boundary: plan.local_qubits(),
-        per_shard_amplitudes: 1usize << plan.local_qubits(),
-        per_shard_bytes: (1usize << plan.local_qubits())
-            * std::mem::size_of::<num_complex::Complex64>(),
-        local_ops: plan.local_ops(),
-        exchanged_ops: plan.exchanged_ops(),
-        flat_ops: plan.flat_ops(),
-        exchange_rounds: plan.exchange_rounds(),
-        flat_gathers: plan.flat_gathers(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

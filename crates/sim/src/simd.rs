@@ -46,12 +46,6 @@
 //! [`with_scalar_kernels`] switch forces the verbatim scalar loops instead
 //! — the equivalence oracle and the baseline for the
 //! `simd_vs_scalar_speedup` benchmark fields.
-//!
-//! Nothing here is register-size-aware: the sweeps see only a buffer and a
-//! stride, so the sharded engine ([`crate::shard`]) reuses these exact
-//! bodies unchanged on each `2^m`-amplitude chunk — a chunk is just a
-//! smaller register, and the bit-identity argument above carries over
-//! per shard.
 
 use num_complex::Complex64;
 use std::cell::Cell;

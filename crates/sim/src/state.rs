@@ -4,10 +4,9 @@
 //! myQLM state-vector simulator, and this module plays the same role.  The
 //! state of an `n`-qubit register is the full vector of `2^n` complex
 //! amplitudes.  Gates are applied **in place** through the compiled
-//! specialized kernels of [`crate::kernels`] (dispatch table and parallelism
-//! model documented there): [`StateVector::apply_circuit`] compiles each
-//! operation once and dispatches to the cheapest kernel, and above the
-//! parallel threshold the update fans out across real threads.
+//! specialized kernels of [`crate::kernels`] (dispatch table documented
+//! there): [`StateVector::apply_circuit`] compiles each operation once and
+//! dispatches to the cheapest kernel, on the calling thread.
 
 use crate::circuit::{Circuit, Operation};
 use crate::kernels::{CompiledCircuit, CompiledOp};
@@ -220,18 +219,6 @@ impl StateVector {
         let mut sv = Self::zero_state(circuit.num_qubits());
         sv.apply_circuit(circuit);
         sv
-    }
-
-    /// [`StateVector::run`] through the sharded engine ([`crate::shard`]):
-    /// the register is split into `num_shards` worker-owned chunks and the
-    /// circuit executes via per-shard sweeps and pairwise exchanges.
-    /// Bit-identical to [`StateVector::run`] at every shard count.
-    pub fn run_sharded(circuit: &Circuit, num_shards: usize) -> Self {
-        use crate::shard::{ShardedCircuit, ShardedState};
-        let plan = ShardedCircuit::compile(circuit, circuit.num_qubits(), num_shards);
-        let mut sharded = ShardedState::zero_state(circuit.num_qubits(), num_shards);
-        plan.apply(&mut sharded);
-        sharded.into_state()
     }
 
     /// Project onto the subspace where the given qubits are all `|0⟩`,

@@ -1,9 +1,9 @@
 //! Batched-execution regression tests for the compile-once engine
 //! ([`qls_sim::QuantumExecutor`]): `run_batch` must produce amplitudes
 //! **bit-identical** to a sequential loop of `run` at every worker count,
-//! whether the batch fan-out engages (many registers, per-gate parallelism
-//! off) or not (few registers / little work, per-gate parallelism as usual) —
-//! and executing must never recompile.
+//! whether the batch fan-out engages (many registers, one per worker) or not
+//! (few registers / little work, a plain loop) — and executing must never
+//! recompile.
 
 use num_complex::Complex64;
 use qls_sim::{
@@ -104,8 +104,8 @@ fn run_batch_is_bit_identical_to_sequential_runs_at_any_thread_count() {
 
 #[test]
 fn small_batches_below_threshold_also_match() {
-    // Tiny work: the batch path falls back to the sequential loop (with
-    // per-gate parallelism allowed) — results must still be identical.
+    // Tiny work: the batch path falls back to the sequential loop — results
+    // must still be identical.
     let n = 4;
     let circ = mixed_circuit(n);
     let exec = QuantumExecutor::new(&circ);

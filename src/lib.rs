@@ -21,13 +21,27 @@
 //! * [`poly`] (`qls-poly`) — Chebyshev machinery and the Eq. (4) inverse
 //!   polynomial;
 //! * [`sim`] (`qls-sim`) — the state-vector quantum simulator (compiled
-//!   in-place gate kernels with real thread fan-out; see the performance
-//!   model in `qls_sim::kernels`), the circuit-optimizer pass
-//!   (`qls_sim::fuse`: gate fusion + diagonal merging, on by default through
-//!   `OptLevel::Fuse`, reported by `CircuitStats`), and the compile-once
-//!   execution engine (`qls_sim::QuantumExecutor`: optimize + compile a
-//!   circuit exactly once, `run` it many times, `run_batch` it across many
-//!   registers with coarse-grained thread fan-out);
+//!   in-place gate kernels, sequential per register; see the performance
+//!   model in `qls_sim`), the circuit-optimizer pass (`qls_sim::fuse`: gate
+//!   fusion + diagonal merging, on by default through `OptLevel::Fuse`,
+//!   reported by `CircuitStats`), and the compile-once execution engine
+//!   (`qls_sim::QuantumExecutor`: optimize + compile a circuit exactly once,
+//!   `run` it many times, `run_batch` it across many registers with one
+//!   register per worker thread — the simulator's only thread fan-out);
+//! * [`encoding`] (`qls-encoding`) — state preparation and block-encodings;
+//! * [`qsvt`] (`qls-qsvt`) — QSP phases, QSVT circuits, matrix inversion
+//!   (compile-once: `QsvtInverter` compiles its circuit in `new` and offers
+//!   batched multi-RHS solves via `solve_direction_batch`);
+//! * [`core`] (`qls-core`) — the hybrid solver (Algorithm 2; `HybridRefiner`
+//!   reuses one compiled circuit across all refinement iterations and all
+//!   right-hand sides of `solve_many`, and accepts any `FactorizableOperator`
+//!   — its classical residual path is O(nnz) on structured problems), cost
+//!   models, communication model, baselines, the unified `QlsError`
+//!   taxonomy, and the fault-recovery ladder (`RecoveryPolicy`: retry →
+//!   escalate shots → tighten ε_l → classical fallback, audited in a
+//!   `RecoveryLog`);
+//! * [`cache`] (`qls-cache`) — the persistent artifact cache behind warm
+//!   solver construction (see "Persistent artifact cache" below).
 //!
 //! ## Performance model: SIMD kernels + measured-cost fusion
 //!
@@ -50,40 +64,10 @@
 //! controlled ops with different control sets.  `CostModel::Static` keeps
 //! the deterministic table for reproducible tests.
 //!
-//! ## Sharded execution: past the one-allocation wall
-//!
-//! `qls_sim::shard` splits the `2^n`-amplitude register at the shard
-//! boundary `m = n − k` into `2^k` worker-owned chunks (`ShardedState`).
-//! Ops supported below the boundary run embarrassingly parallel per chunk
-//! with the *same* compiled kernels (SIMD bodies included); ops touching
-//! global qubits execute via pairwise shard exchanges — partner shards swap
-//! chunk halves, the ops run shard-locally with the qubit pair transposed,
-//! the halves swap back — batched so one exchange round serves a run of
-//! high-qubit ops.  Select it per engine with
-//! `qls_sim::ExecMode::Sharded { shards }` (on `QuantumExecutor`,
-//! `BlockEncodingExecutor::with_exec_mode`, `QsvtInverter::with_exec_mode`);
-//! the flat register remains the **bit-identity oracle** at every shard
-//! count (`tests/shard_equivalence.rs` in `qls-sim`).  Fusion cooperates:
-//! `FusionOptions::with_shard_boundary` prices movement per exchanged qubit
-//! with an `α + β·n` transfer model (fixed round latency + per-amplitude
-//! traffic) and lets exchange-bearing ops merge past the dense cap, so
-//! fused ops prefer low-qubit support and exchange rounds are retired
-//! outright (0 rounds on the degree-117 QSVT circuit, vs 3 without the
-//! preference); `qls_sim::sharding_stats` reports
-//! per-shard memory and exchange rounds (see `examples/large_register.rs`
-//! and the `sharded_vs_flat` workload of `bench_json`).
-//! * [`encoding`] (`qls-encoding`) — state preparation and block-encodings;
-//! * [`qsvt`] (`qls-qsvt`) — QSP phases, QSVT circuits, matrix inversion
-//!   (compile-once: `QsvtInverter` compiles its circuit in `new` and offers
-//!   batched multi-RHS solves via `solve_direction_batch`);
-//! * [`core`] (`qls-core`) — the hybrid solver (Algorithm 2; `HybridRefiner`
-//!   reuses one compiled circuit across all refinement iterations and all
-//!   right-hand sides of `solve_many`, and accepts any `FactorizableOperator`
-//!   — its classical residual path is O(nnz) on structured problems), cost
-//!   models, communication model, baselines, the unified `QlsError`
-//!   taxonomy, and the fault-recovery ladder (`RecoveryPolicy`: retry →
-//!   escalate shots → tighten ε_l → classical fallback, audited in a
-//!   `RecoveryLog`).
+//! Threads enter in two places only: `QuantumExecutor::run_batch` runs one
+//! register per worker, and `qls-linalg` partitions the rows of its large
+//! matvec, SpMV and matmul kernels.  A single gate sweep always runs on the
+//! calling thread.
 //!
 //! ## Robustness: faults and recovery
 //!
@@ -144,7 +128,7 @@
 //! src/lib.rs            facade: re-exports + prelude
 //! tests/                cross-crate integration and property tests
 //! examples/             runnable walkthroughs (see below)
-//! crates/<name>/        the seven qls-* member crates listed above
+//! crates/<name>/        the eight qls-* member crates: the seven above, plus
 //! crates/bench/         criterion benches + figure/table binaries
 //! vendor/<name>/        offline stand-ins for crates.io dependencies
 //! ```
@@ -173,9 +157,7 @@
 //!   workload — `poisson2d` — the matrix-free 2-D stencil workload —
 //!   `noisy_refinement` — the fault-injection + recovery-ladder
 //!   demonstration — `hhl_vs_qsvt`, `precision_tradeoff`,
-//!   `circuit_resources`, and `large_register` — a 22-qubit circuit run
-//!   through the sharded engine, printing per-shard memory and exchange
-//!   rounds).
+//!   `circuit_resources` and `warm_cache`).
 //! * `cargo bench` — criterion micro-benchmarks of every substrate
 //!   (`crates/bench/benches/`).
 //! * `cargo run --release -p qls-bench --bin table1` — regenerate Table I;
@@ -225,10 +207,9 @@ pub mod prelude {
     pub use qls_poly::{ChebyshevSeries, InversePolynomial};
     pub use qls_qsvt::{phase_generation_count, QsvtInverter, QsvtMode};
     pub use qls_sim::{
-        calibration_count, estimate_resources, fusion_pass_count, fusion_stats, sharding_stats,
-        with_scalar_kernels, Circuit, CircuitStats, CostModel, ExecMode, FaultInjector, FaultPlan,
-        FusionOptions, Gate, OptLevel, QuantumExecutor, ShardedCircuit, ShardedState,
-        ShardingStats, StateVector, TCountModel, TransientKind,
+        calibration_count, estimate_resources, fusion_pass_count, fusion_stats, Circuit,
+        CircuitStats, FaultInjector, FaultPlan, FusionOptions, Gate, OptLevel, QuantumExecutor,
+        StateVector, TCountModel, TransientKind,
     };
 
     pub use rand::SeedableRng;
