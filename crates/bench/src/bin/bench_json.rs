@@ -49,8 +49,8 @@
 //! Kernel-bound workloads additionally report `simd_vs_scalar_speedup` —
 //! the vectorized kernel bodies against their bit-identical scalar oracles
 //! (`with_scalar_kernels` for the statevector, `matvec_scalar` for CSR),
-//! pinned to one thread — and the random-circuit workload records the
-//! static vs micro-calibrated fused op counts (`calibrated_fusion_ops`).
+//! pinned to one thread — and the random-circuit workload records its fused
+//! op count (`static_fusion_ops`).
 //! The parallel workload (`multi_rhs_refinement`) carries `machine_threads`
 //! and a `parallel_speedup_meaningful` flag (false on 1-thread machines, where
 //! the ~1.0 ratios would otherwise read as regressions).
@@ -78,7 +78,7 @@ use qls_linalg::{
 use qls_qsvt::{phase_generation_count, QsvtInverter, QsvtMode};
 use qls_sim::kernels::reference;
 use qls_sim::{
-    calibration_count, circuit_compile_count, circuit_unitary, fusion_pass_count, optimize_circuit,
+    circuit_compile_count, circuit_unitary, fusion_pass_count, optimize_circuit,
     with_scalar_kernels, FusionOptions, OptLevel, StateVector,
 };
 use rayon::ThreadPoolBuilder;
@@ -273,17 +273,12 @@ fn main() {
     });
     let kernel_speedup = generic_1t / kernel_1t;
     let simd_speedup = scalar_1t / kernel_1t;
-    // Static vs micro-calibrated fusion pricing on the same circuit; the
-    // calibration-cache counter shows the measured model timed its kernel
-    // classes at most once per register size.
     let static_fusion_ops = optimize_circuit(&circ, &FusionOptions::default()).len();
-    let calibrated_fusion_ops = optimize_circuit(&circ, &FusionOptions::measured()).len();
-    let fusion_calibrations = calibration_count();
     eprintln!(
         "  random_{n}q: kernel {kernel_1t:.4}s, scalar {scalar_1t:.4}s \
          ({simd_speedup:.2}x simd), generic {generic_1t:.4}s \
-         ({kernel_speedup:.1}x); fusion {static_fusion_ops} static \
-         -> {calibrated_fusion_ops} calibrated ops ({fusion_calibrations} calibrations)"
+         ({kernel_speedup:.1}x); fusion {ops} -> {static_fusion_ops} ops",
+        ops = preset.random_ops
     );
 
     // -- Workload 2: QSVT solve on the paper's test system ------------------
@@ -897,9 +892,7 @@ fn main() {
       "simd_vs_scalar_speedup": {simd_speedup:.3},
       "generic_single_thread_seconds": {generic_1t:.6},
       "kernel_vs_generic_speedup": {kernel_speedup:.3},
-      "static_fusion_ops": {static_fusion_ops},
-      "calibrated_fusion_ops": {calibrated_fusion_ops},
-      "fusion_calibrations": {fusion_calibrations}
+      "static_fusion_ops": {static_fusion_ops}
     }},
     {{
       "name": "qsvt_solve_circuit_mode",

@@ -159,12 +159,13 @@ impl FingerprintBuilder {
     }
 }
 
-/// A 64-bit fingerprint of *this machine's performance class*, for cache
-/// entries whose content depends on local timing (measured fusion-cost
-/// calibration tables, and the fused circuits chosen under them).  Coarse on
-/// purpose: architecture, OS, and SIMD capability — enough that an artifact
-/// cache copied between unlike machines misses instead of importing another
-/// machine's timing decisions, while rebuilds on the same machine hit.
+/// A 64-bit fingerprint of *this machine's platform class*, for cache
+/// entries whose floats depend on the platform: fused circuits multiply gate
+/// matrices built with the platform's `sin`/`cos`, so their products can
+/// differ in the last bit between platforms.  Coarse on purpose:
+/// architecture, OS, and SIMD capability — enough that an artifact cache
+/// copied between unlike machines misses instead of replaying another
+/// platform's floats, while rebuilds on the same machine hit.
 pub fn machine_fingerprint() -> u64 {
     let mut b = FingerprintBuilder::new("machine");
     b.write_str(std::env::consts::ARCH);

@@ -23,11 +23,9 @@
 //! * **Fused circuits** (`fused-circuits`): register width, the full raw
 //!   operation list (gate kind tags, angle/matrix bit patterns, targets,
 //!   controls), every fusion option, and the [`machine_fingerprint`] —
-//!   measured-cost fusion is timing-dependent, so entries never migrate
-//!   between unlike machines; on one machine a warm hit replays the cold
-//!   run's fusion decisions exactly.
-//! * **Calibration tables** (`fusion-calibration`): register size and the
-//!   [`machine_fingerprint`].
+//!   fused products carry the platform's `sin`/`cos` roundoff, so entries
+//!   never migrate between unlike machines; on one machine a warm hit
+//!   replays the cold run's fusion decisions exactly.
 //!
 //! ## Invalidation rules
 //!
@@ -196,7 +194,7 @@ impl CacheStore {
         version: u32,
         key: Fingerprint,
     ) -> Option<T> {
-        let loaded = self.load_quiet(kind, version, key);
+        let loaded = self.read_entry(kind, version, key);
         match loaded {
             Some(_) => CACHE_HITS.with(|c| c.set(c.get() + 1)),
             None => CACHE_MISSES.with(|c| c.set(c.get() + 1)),
@@ -204,8 +202,8 @@ impl CacheStore {
         loaded
     }
 
-    /// [`CacheStore::load`] without touching the hit/miss counters.
-    pub fn load_quiet<T: serde::DeserializeOwned>(
+    /// The lookup behind [`CacheStore::load`], before the counters tick.
+    fn read_entry<T: serde::DeserializeOwned>(
         &self,
         kind: &str,
         version: u32,
@@ -452,7 +450,7 @@ mod tests {
                         // Readers may miss (before the first rename) but must
                         // never observe a torn entry: a hit is a complete,
                         // self-consistent artifact from exactly one writer.
-                        if let Some(a) = store.load_quiet::<Artifact>("k", 1, key) {
+                        if let Some(a) = store.load::<Artifact>("k", 1, key) {
                             let i: f64 = a.label.strip_prefix("writer-").unwrap().parse().unwrap();
                             assert_eq!(a.values, vec![i; 64]);
                         }

@@ -47,7 +47,7 @@
 //! batch fan-out never has to order the injector's random stream.
 
 use crate::circuit::Circuit;
-use crate::fuse::{CircuitStats, CostModel, FusionOptions};
+use crate::fuse::{CircuitStats, FusionOptions};
 use crate::gate::Gate;
 use crate::kernels::{CompiledCircuit, PARALLEL_WORK_THRESHOLD};
 use crate::state::StateVector;
@@ -59,7 +59,7 @@ use serde::{Deserialize, Serialize};
 const FUSED_CACHE_KIND: &str = "fused-circuits";
 /// Bump whenever the fusion pass, the [`CachedFusion`] wire shape, or the
 /// fingerprint recipe below changes meaning — old entries become misses.
-const FUSED_CACHE_VERSION: u32 = 1;
+const FUSED_CACHE_VERSION: u32 = 2;
 
 /// The on-disk payload of one fused-circuit cache entry: the rewritten
 /// operation list plus the before/after report.  Compilation itself
@@ -76,17 +76,13 @@ struct CachedFusion {
 
 /// Content fingerprint of a fusion job: every input the optimizer's output
 /// depends on.  Gate params and `Unitary` entries are hashed by f64 bit
-/// pattern; the machine fingerprint is included because the measured cost
-/// model makes fusion decisions timing-dependent — an artifact cache copied
-/// to an unlike machine misses instead of importing foreign break-evens.
-fn fused_circuit_fingerprint(
-    circuit: &Circuit,
-    num_qubits: usize,
-    opts: &FusionOptions,
-) -> Fingerprint {
+/// pattern.  The machine fingerprint is included because fused products
+/// multiply gate matrices built with the platform's `sin`/`cos`, which can
+/// differ in the last bit between platforms — an artifact cache copied to
+/// an unlike machine misses instead of replaying another platform's floats.
+fn fused_circuit_fingerprint(circuit: &Circuit, opts: &FusionOptions) -> Fingerprint {
     let mut b = FingerprintBuilder::new(FUSED_CACHE_KIND);
     b.write_u64(machine_fingerprint());
-    b.write_usize(num_qubits);
     b.write_usize(circuit.num_qubits());
     b.write_usize(circuit.len());
     // QSVT circuits repeat the same block-encoding unitary degree-many
@@ -137,10 +133,6 @@ fn fused_circuit_fingerprint(
     b.write_usize(opts.max_diagonal_qubits);
     b.write_usize(opts.lookback);
     b.write_usize(opts.op_overhead_cost);
-    b.write_u64(match opts.cost_model {
-        CostModel::Static => 0,
-        CostModel::Measured => 1,
-    });
     b.finish()
 }
 
@@ -152,9 +144,11 @@ pub enum OptLevel {
     ///
     /// [`CompiledOp`]: crate::kernels::CompiledOp
     None,
-    /// Run gate fusion + diagonal merging ([`crate::fuse`]) with the
-    /// measured cost model ([`FusionOptions::measured`]) before compiling.
-    /// The default.
+    /// Run gate fusion + diagonal merging ([`crate::fuse`]) with the default
+    /// [`FusionOptions`] before compiling.  The default.  Fusion is a pure
+    /// function of the circuit and the register width, so
+    /// [`crate::resources::fusion_stats`] reports the circuit this level
+    /// runs.
     #[default]
     Fuse,
 }
@@ -178,8 +172,7 @@ pub enum ExecMode {
 pub struct QuantumExecutor {
     compiled: CompiledCircuit,
     opt_level: OptLevel,
-    /// Before/after fusion report (`None` for [`OptLevel::None`] and for
-    /// [`QuantumExecutor::from_compiled`]).
+    /// Before/after fusion report (`None` for [`OptLevel::None`]).
     stats: Option<CircuitStats>,
 }
 
@@ -190,32 +183,25 @@ impl QuantumExecutor {
         Self::with_options(circuit, OptLevel::default())
     }
 
-    /// Compile `circuit` once at an explicit [`OptLevel`].
+    /// Compile `circuit` once at an explicit [`OptLevel`], with the artifact
+    /// cache disabled — ad-hoc executors over arbitrary circuits should not
+    /// populate the user's cache directory by default.  Layers with stable,
+    /// expensive-to-fuse circuits (the QSVT solver stack) opt in through
+    /// [`QuantumExecutor::with_config`].
     pub fn with_options(circuit: &Circuit, opt_level: OptLevel) -> Self {
-        Self::for_register_with_options(circuit, circuit.num_qubits(), opt_level)
+        Self::with_config(circuit, opt_level, ExecMode::Flat, CachePolicy::Disabled)
     }
 
-    /// Compile `circuit` once for a register of `num_qubits` (≥ the circuit's
-    /// width), so the compiled form can run on a larger register directly.
-    pub fn for_register(circuit: &Circuit, num_qubits: usize) -> Self {
-        Self::for_register_with_options(circuit, num_qubits, OptLevel::default())
-    }
-
-    /// [`QuantumExecutor::for_register`] at an explicit [`OptLevel`], with
-    /// the artifact cache disabled — ad-hoc executors over arbitrary
-    /// circuits should not populate the user's cache directory by default.
-    /// Layers with stable, expensive-to-fuse circuits (the QSVT solver
-    /// stack) opt in through [`QuantumExecutor::for_register_with_config`].
-    pub fn for_register_with_options(
-        circuit: &Circuit,
-        num_qubits: usize,
-        opt_level: OptLevel,
-    ) -> Self {
-        Self::for_register_with_config(circuit, num_qubits, opt_level, CachePolicy::Disabled)
-    }
-
-    /// [`QuantumExecutor::for_register_with_config`] at the circuit's own
-    /// register width.  `mode` has one value, [`ExecMode::Flat`].
+    /// The general constructor: explicit [`OptLevel`] and [`CachePolicy`].
+    /// `mode` has one value, [`ExecMode::Flat`].
+    ///
+    /// With the cache enabled, the [`OptLevel::Fuse`] path consults the
+    /// persistent `fused-circuits` store before running the optimizer: a hit
+    /// replays the previously fused operation list (zero
+    /// [`crate::fuse::fusion_pass_count`] ticks), a miss fuses as usual and
+    /// stores the result.  Either way the compiled form is bit-identical:
+    /// fusion is a pure function of the circuit, and the cache stores the
+    /// fusion *decision*, not floats produced by it.
     pub fn with_config(
         circuit: &Circuit,
         opt_level: OptLevel,
@@ -224,41 +210,22 @@ impl QuantumExecutor {
     ) -> Self {
         // Irrefutable while `Flat` is the only layout.
         let ExecMode::Flat = mode;
-        Self::for_register_with_config(circuit, circuit.num_qubits(), opt_level, cache)
-    }
-
-    /// The general constructor: explicit register width, [`OptLevel`] and
-    /// [`CachePolicy`].
-    ///
-    /// With the cache enabled, the [`OptLevel::Fuse`] path consults the
-    /// persistent `fused-circuits` store before running the optimizer: a hit
-    /// replays the previously fused operation list (zero
-    /// [`crate::fuse::fusion_pass_count`] ticks, and — because the measured
-    /// cost model's calibration table is also persisted — zero timing runs),
-    /// a miss fuses as usual and stores the result.  Either way the compiled
-    /// form is bit-identical: the cache stores the fusion *decision*, not
-    /// floats produced by it.
-    pub fn for_register_with_config(
-        circuit: &Circuit,
-        num_qubits: usize,
-        opt_level: OptLevel,
-        cache: CachePolicy,
-    ) -> Self {
+        let num_qubits = circuit.num_qubits();
         match opt_level {
             OptLevel::None => QuantumExecutor {
-                compiled: CompiledCircuit::compile_for(circuit, num_qubits),
+                compiled: CompiledCircuit::compile(circuit),
                 opt_level,
                 stats: None,
             },
             OptLevel::Fuse => {
-                let opts = FusionOptions::measured();
+                let opts = FusionOptions::default();
                 let store = match cache {
                     CachePolicy::Enabled => CacheStore::open(),
                     CachePolicy::Disabled => None,
                 };
                 let key = store
                     .as_ref()
-                    .map(|_| fused_circuit_fingerprint(circuit, num_qubits, &opts));
+                    .map(|_| fused_circuit_fingerprint(circuit, &opts));
                 if let (Some(store), Some(key)) = (&store, key) {
                     if let Some(cf) =
                         store.load::<CachedFusion>(FUSED_CACHE_KIND, FUSED_CACHE_VERSION, key)
@@ -292,15 +259,6 @@ impl QuantumExecutor {
                     stats: Some(stats),
                 }
             }
-        }
-    }
-
-    /// Wrap an already-compiled circuit.
-    pub fn from_compiled(compiled: CompiledCircuit) -> Self {
-        QuantumExecutor {
-            compiled,
-            opt_level: OptLevel::None,
-            stats: None,
         }
     }
 
@@ -456,17 +414,6 @@ mod tests {
             let single = exec.run(init);
             assert_eq!(b.amplitudes(), single.amplitudes());
         }
-    }
-
-    #[test]
-    fn for_register_runs_on_larger_register() {
-        let circ = test_circuit(3);
-        let exec = QuantumExecutor::for_register(&circ, 5);
-        assert_eq!(exec.num_qubits(), 5);
-        let out = exec.run_zero();
-        let mut direct = StateVector::zero_state(5);
-        direct.apply_circuit(&circ);
-        assert!(max_diff(&out, &direct) < 1e-12);
     }
 
     #[test]

@@ -53,16 +53,13 @@
 //! `X · D · X` collapse to a single cheap diagonal even though the greedy
 //! `X · D` intermediate is a dense sweep the gate would refuse.
 //!
-//! Sweep pricing follows the selected [`CostModel`]: the deterministic
-//! [`CostModel::Static`] table (the documented complex-multiply-equivalent
-//! constants, and the default for explicit [`FusionOptions`]), or
-//! [`CostModel::Measured`], which times one representative sweep per kernel
-//! class on this machine at first use — cached thread-locally per register
-//! size, clamped to [0.25, 4]× the static units — so the gate's break-even
-//! points track what the SIMD kernels actually cost here.
-//! [`CompiledCircuit::optimized`](crate::kernels::CompiledCircuit::optimized)
-//! and [`OptLevel::Fuse`](crate::executor::OptLevel) use the measured model
-//! ([`FusionOptions::measured`]).
+//! Sweep pricing uses one fixed table of complex-multiply-equivalent units
+//! per kernel class (`STATIC_UNITS`, matching the dispatch table of
+//! [`crate::kernels`]), so fusion is a pure function of the circuit and the
+//! register width: a cold build, a warm cache replay and a second process
+//! all fuse a circuit the same way, and [`crate::resources::fusion_stats`]
+//! reports the circuit that
+//! [`OptLevel::Fuse`](crate::executor::OptLevel) actually runs.
 //! Everything is plain matrix algebra on supports of at most a handful of
 //! qubits, *independent of the register size*: the pass costs the equivalent
 //! of a few dozen executions at worst (deep circuits collapsing into dense
@@ -85,33 +82,19 @@ use crate::cmatrix::CMatrix;
 use crate::gate::Gate;
 use num_complex::Complex64;
 use serde::{Deserialize, Serialize};
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::cell::Cell;
 
 const ZERO: Complex64 = Complex64::new(0.0, 0.0);
 const ONE: Complex64 = Complex64::new(1.0, 0.0);
 
-/// How the fusion cost gate prices candidate sweeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CostModel {
-    /// The fixed per-kernel-class unit table (complex-multiply
-    /// equivalents).  Deterministic — the same circuit always fuses the
-    /// same way — and the default for explicitly constructed
-    /// [`FusionOptions`], so tests and reproducible pipelines are not at
-    /// the mercy of machine noise.
-    #[default]
-    Static,
-    /// Units measured on this machine: at first use for a register size,
-    /// one representative sweep per kernel class is timed
-    /// (`CompiledOp::apply` on a capped-size buffer) and
-    /// normalized so a single-target diagonal multiply is 1 unit.  Results
-    /// are cached thread-locally per register size and clamped to
-    /// [0.25, 4]× the static units, so a noisy timing can shift break-even
-    /// points but never push the gate into pathological territory.
-    Measured,
-}
-
 /// Tuning knobs of the fusion pass.
+///
+/// Every production caller uses [`FusionOptions::default`]:
+/// [`OptLevel::Fuse`](crate::executor::OptLevel),
+/// [`CompiledCircuit::optimized`](crate::kernels::CompiledCircuit::optimized)
+/// and [`fusion_stats`](crate::resources::fusion_stats).  Candidate fusions
+/// are always priced with the one fixed cost table, so equal options on an
+/// equal circuit and register width give an equal fused circuit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FusionOptions {
     /// Combined-target cap `K` for dense fusion: two dense ops fuse only when
@@ -136,8 +119,6 @@ pub struct FusionOptions {
     /// outweighs the saved dispatch.  Nested-target and equal-target fusions
     /// never increase the sweep cost, so they pass at any register size.
     pub op_overhead_cost: usize,
-    /// How candidate fusions are priced (see [`CostModel`]).
-    pub cost_model: CostModel,
 }
 
 impl Default for FusionOptions {
@@ -147,29 +128,25 @@ impl Default for FusionOptions {
             max_diagonal_qubits: 6,
             lookback: 16,
             op_overhead_cost: 512,
-            cost_model: CostModel::Static,
         }
     }
 }
 
 impl FusionOptions {
-    /// The default options with the [`CostModel::Measured`] cost gate —
-    /// what
-    /// [`CompiledCircuit::optimized`](crate::kernels::CompiledCircuit::optimized)
-    /// and [`OptLevel::Fuse`](crate::executor::OptLevel) use.
+    /// The default options.  The fusion pass has one cost table, so this is
+    /// [`FusionOptions::default`]; it stays only because the benchmark
+    /// harness in `perfbench/` calls it, and goes once that harness stops
+    /// naming it.
     pub fn measured() -> Self {
-        FusionOptions {
-            cost_model: CostModel::Measured,
-            ..Default::default()
-        }
+        Self::default()
     }
 }
 
-/// Resolved per-kernel-class unit costs for the fusion cost gate, in
+/// Per-kernel-class unit costs for the fusion cost gate, in
 /// complex-multiply equivalents: per visited amplitude for the diagonal
 /// classes, per pair for the permutation/single-qubit classes, per
 /// `2^k`-block for the generic classes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct CostUnits {
     /// Phase-shift-class diagonal (unit leading entry, one target).
     phase: f64,
@@ -188,8 +165,8 @@ struct CostUnits {
     generic3: f64,
 }
 
-/// The documented static table (`CostModel::Static`), matching the kernel
-/// dispatch commentary in [`crate::kernels`].
+/// The fusion pass's one cost table, matching the kernel dispatch
+/// commentary in [`crate::kernels`].
 const STATIC_UNITS: CostUnits = CostUnits {
     phase: 1.0,
     diag1: 1.0,
@@ -201,7 +178,7 @@ const STATIC_UNITS: CostUnits = CostUnits {
 };
 
 impl CostUnits {
-    /// Per-block unit of the generic kernel on `k ≥ 2` targets: measured
+    /// Per-block unit of the generic kernel on `k ≥ 2` targets: tabulated
     /// for `k ∈ {2, 3}` (the sizes dense fusion actually produces under the
     /// default cap), extrapolated by the 4×-per-qubit multiply growth above.
     fn generic(&self, k: usize) -> f64 {
@@ -215,24 +192,16 @@ impl CostUnits {
 }
 
 thread_local! {
-    /// Measured [`CostUnits`] per register size (see [`CostModel::Measured`]).
-    static MEASURED_UNITS: RefCell<HashMap<usize, CostUnits>> = RefCell::new(HashMap::new());
-    /// Calibration-table fills by this thread, for cache-contract tests.
-    static CALIBRATIONS: Cell<usize> = const { Cell::new(0) };
     /// Fusion passes run by this thread, for cache-contract tests.
     static FUSION_PASSES: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Number of fusion-cost calibration-table fills so far by the calling
-/// thread — at most one per distinct register size under
-/// [`CostModel::Measured`], zero under [`CostModel::Static`].  A fill is
-/// either a timing run ([`calibrate`]) or a load from the persistent
-/// artifact cache (`qls-cache`, kind `fusion-calibration`); either way the
-/// thread-local table is primed and later sweeps pay nothing.  Mirrors
-/// [`crate::kernels::circuit_compile_count`]: read it around a code region
-/// to verify the calibration cache is doing its job.
+/// Always 0: the fusion pass no longer calibrates a cost table.  It stays
+/// only because the benchmark harness in `perfbench/` reads it (its
+/// per-layer `sim.calibrations` metric), and goes once that harness stops
+/// naming it.
 pub fn calibration_count() -> usize {
-    CALIBRATIONS.with(|c| c.get())
+    0
 }
 
 /// Number of fusion passes ([`optimize_circuit`] / [`optimize_circuit_for`])
@@ -241,120 +210,6 @@ pub fn calibration_count() -> usize {
 /// region with this counter asserts "zero fusion passes" directly.
 pub fn fusion_pass_count() -> usize {
     FUSION_PASSES.with(|c| c.get())
-}
-
-/// Cache kind for persisted calibration tables (see [`calibration_count`]).
-const CALIBRATION_CACHE_KIND: &str = "fusion-calibration";
-/// Entry-format version of the calibration store; bump whenever the
-/// [`CostUnits`] wire shape changes, so old entries become misses.
-const CALIBRATION_CACHE_VERSION: u32 = 2;
-
-fn calibration_fingerprint(num_qubits: usize) -> qls_cache::Fingerprint {
-    qls_cache::FingerprintBuilder::new(CALIBRATION_CACHE_KIND)
-        .write_u64(qls_cache::machine_fingerprint())
-        .write_usize(num_qubits)
-        .finish()
-}
-
-fn resolve_units(model: CostModel, num_qubits: usize) -> CostUnits {
-    match model {
-        CostModel::Static => STATIC_UNITS,
-        CostModel::Measured => MEASURED_UNITS.with(|cache| {
-            *cache.borrow_mut().entry(num_qubits).or_insert_with(|| {
-                CALIBRATIONS.with(|c| c.set(c.get() + 1));
-                // First use for this register size: take the persisted table
-                // for this machine if one exists (first-optimize timing runs
-                // then amortize across processes), else measure and persist.
-                // `load_quiet` keeps the hit/miss counters for the artifact
-                // stores the solver layers assert on.
-                let store = qls_cache::CacheStore::open();
-                let key = calibration_fingerprint(num_qubits);
-                store
-                    .as_ref()
-                    .and_then(|s| {
-                        s.load_quiet(CALIBRATION_CACHE_KIND, CALIBRATION_CACHE_VERSION, key)
-                    })
-                    .unwrap_or_else(|| {
-                        let units = calibrate(num_qubits);
-                        if let Some(s) = &store {
-                            s.store(
-                                CALIBRATION_CACHE_KIND,
-                                CALIBRATION_CACHE_VERSION,
-                                key,
-                                &units,
-                            );
-                        }
-                        units
-                    })
-            })
-        }),
-    }
-}
-
-/// Time one representative sweep per kernel class and convert to cost
-/// units (single-target diagonal multiply ≡ 1), clamped to the static
-/// envelope.  Runs on a capped `2^clamp(n, 6, 12)` buffer: per-amplitude
-/// kernel costs are insensitive to register size beyond cache-resident
-/// scales, and the cap keeps first-use calibration well under a
-/// millisecond.
-fn calibrate(num_qubits: usize) -> CostUnits {
-    use crate::kernels::CompiledOp;
-    use std::time::Instant;
-    let m = num_qubits.clamp(6, 12);
-    let len = 1usize << m;
-    let mut amps = vec![Complex64::new((len as f64).sqrt().recip(), 0.0); len];
-    let mut scratch: Vec<Complex64> = Vec::new();
-    let bit = m / 2; // mid-register target: representative stride pattern
-    let mut time = |op: Operation| -> f64 {
-        let cop = CompiledOp::compile(&op, m);
-        let mut best = f64::INFINITY;
-        // Best-of-4: the minimum is the least noise-contaminated estimate
-        // of the sweep's intrinsic cost (first pass also warms the buffer).
-        for _ in 0..4 {
-            let t0 = Instant::now();
-            cop.apply(&mut amps, &mut scratch);
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best
-    };
-    let h = Gate::H.matrix();
-    let hh = h.kron(&h);
-    let hhh = hh.kron(&h);
-    let diag2 = CMatrix::from_fn(4, 4, |r, c| {
-        if r == c {
-            Complex64::from_polar(1.0, 0.3 * r as f64 + 0.1)
-        } else {
-            ZERO
-        }
-    });
-    let t_phase = time(Operation::new(Gate::Phase(0.7), vec![bit], vec![]));
-    let t_diag1 = time(Operation::new(Gate::Rz(0.4), vec![bit], vec![]));
-    let t_diagk = time(Operation::new(Gate::Unitary(diag2), vec![0, bit], vec![]));
-    let t_perm = time(Operation::new(Gate::X, vec![bit], vec![]));
-    let t_single = time(Operation::new(Gate::H, vec![bit], vec![]));
-    let t_g2 = time(Operation::new(Gate::Unitary(hh), vec![0, bit], vec![]));
-    let t_g3 = time(Operation::new(
-        Gate::Unitary(hhh),
-        vec![0, bit, m - 1],
-        vec![],
-    ));
-    // One unit = the measured cost of one single-target diagonal multiply
-    // (the cheapest full sweep), so on a machine where every kernel hits
-    // the static throughput ratios the measured table degenerates to the
-    // static one.
-    let unit = (t_diag1 / len as f64).max(f64::MIN_POSITIVE);
-    let scale = |t: f64, count: usize, stat: f64| -> f64 {
-        (t / count as f64 / unit).clamp(stat * 0.25, stat * 4.0)
-    };
-    CostUnits {
-        phase: scale(t_phase, len / 2, STATIC_UNITS.phase),
-        diag1: scale(t_diag1, len, STATIC_UNITS.diag1),
-        diagk: scale(t_diagk, len, STATIC_UNITS.diagk),
-        perm: scale(t_perm, len / 2, STATIC_UNITS.perm),
-        single: scale(t_single, len / 2, STATIC_UNITS.single),
-        generic2: scale(t_g2, len / 4, STATIC_UNITS.generic2),
-        generic3: scale(t_g3, len / 8, STATIC_UNITS.generic3),
-    }
 }
 
 /// Before/after report of one optimization run.
@@ -750,7 +605,8 @@ fn controlled_dense(seg: &Segment) -> CMatrix {
 /// [`crate::kernels`]: diagonals and permutation gates (X/SWAP) cost one
 /// multiply-equivalent per visited amplitude, dense `k`-target ops cost
 /// `4^k` per `2^k`-block, and controls shrink the visited subspace.
-fn sweep_cost(seg: &Segment, len: usize, units: &CostUnits) -> usize {
+fn sweep_cost(seg: &Segment, len: usize) -> usize {
+    let units = &STATIC_UNITS;
     let c = seg.controls.len();
     let (count, unit) = match &seg.body {
         // Phase-shift-class diagonals (unit leading entry, one target) only
@@ -767,9 +623,8 @@ fn sweep_cost(seg: &Segment, len: usize, units: &CostUnits) -> usize {
                 // Permutation kernels move amplitudes without arithmetic.
                 Some(Gate::X) | Some(Gate::Swap) => units.perm,
                 // The generic k ≥ 2 kernel pays a gather/scatter and strided
-                // access on top of its 4^k multiplies (the static table
-                // prices that at double the contiguous single-qubit path;
-                // the measured model times it directly).
+                // access on top of its 4^k multiplies (the table prices that
+                // at double the contiguous single-qubit path).
                 _ if k >= 2 => units.generic(k),
                 _ => units.single,
             };
@@ -821,8 +676,7 @@ pub fn optimize_circuit_for(circuit: &Circuit, num_qubits: usize, opts: &FusionO
     );
     FUSION_PASSES.with(|c| c.set(c.get() + 1));
     let len = 1usize << num_qubits;
-    let units = resolve_units(opts.cost_model, num_qubits);
-    let cost = |seg: &Segment| sweep_cost(seg, len, &units);
+    let cost = |seg: &Segment| sweep_cost(seg, len);
     let mut out: Vec<Segment> = Vec::new();
     'ops: for op in circuit.operations() {
         let Some(seg) = segment_of(op) else {
@@ -1005,62 +859,6 @@ mod tests {
     }
 
     #[test]
-    fn measured_model_calibrates_once_per_register_size() {
-        let mut c = Circuit::new(5);
-        c.h(0).rz(0, 0.4).cx(0, 1).x(2).phase(2, 1.1).x(2);
-        let opts = FusionOptions::measured();
-        let before = calibration_count();
-        let first = optimize_circuit(&c, &opts);
-        assert_eq!(
-            calibration_count(),
-            before + 1,
-            "first measured-model run calibrates this register size"
-        );
-        let second = optimize_circuit(&c, &opts);
-        assert_eq!(
-            calibration_count(),
-            before + 1,
-            "second run must reuse the thread-local cache"
-        );
-        assert_eq!(first.len(), second.len(), "cached units → same decisions");
-        // Static pricing never calibrates.
-        optimize_circuit(&c, &FusionOptions::default());
-        assert_eq!(calibration_count(), before + 1);
-        // And the measured-model output is still the same unitary.
-        assert_equivalent(&c, &opts);
-    }
-
-    #[test]
-    fn measured_units_stay_within_the_static_envelope() {
-        let u = calibrate(10);
-        let s = STATIC_UNITS;
-        for (name, measured, stat) in [
-            ("phase", u.phase, s.phase),
-            ("diag1", u.diag1, s.diag1),
-            ("diagk", u.diagk, s.diagk),
-            ("perm", u.perm, s.perm),
-            ("single", u.single, s.single),
-            ("generic2", u.generic2, s.generic2),
-            ("generic3", u.generic3, s.generic3),
-        ] {
-            assert!(
-                measured >= stat * 0.25 && measured <= stat * 4.0,
-                "{name} unit {measured} escaped the [0.25, 4]x clamp of {stat}"
-            );
-        }
-        // The generic extrapolation grows 4x per extra target qubit.
-        assert!((u.generic(4) - u.generic3 * 4.0).abs() < 1e-12);
-        assert!((STATIC_UNITS.generic(5) - (2u64 << 10) as f64).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cost_model_defaults() {
-        assert_eq!(FusionOptions::default().cost_model, CostModel::Static);
-        assert_eq!(FusionOptions::measured().cost_model, CostModel::Measured);
-        assert_eq!(CostModel::default(), CostModel::Static);
-    }
-
-    #[test]
     fn commuting_gates_are_hopped_over() {
         let build = |n: usize| {
             let mut c = Circuit::new(n);
@@ -1163,6 +961,8 @@ mod tests {
         // *register* width, not its own width.
         let widened = optimize_circuit_for(&build(3), 14, &opts);
         assert_eq!(widened.len(), 3, "no densification when run on 14 qubits");
+        // The generic unit extrapolates 4x per target qubit past k = 3.
+        assert_eq!(STATIC_UNITS.generic(5), 2048.0);
     }
 
     #[test]

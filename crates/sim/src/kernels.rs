@@ -45,7 +45,7 @@
 //! ([`CompiledCircuit::work_estimate`] times the batch size).  Registers
 //! never share amplitudes, so every kernel works on a plain `&mut` slice.
 //!
-//! The seed's original generic path is retained in [`reference`] as the
+//! The seed's original generic path is retained in [`mod@reference`] as the
 //! correctness oracle for the kernel property tests and as the baseline the
 //! `bench_json` perf-trajectory binary measures speedups against.
 
@@ -666,12 +666,12 @@ impl CompiledCircuit {
     }
 
     /// Run the optimizer pass of [`crate::fuse`] (gate fusion + diagonal
-    /// merging) with the measured cost model
-    /// ([`FusionOptions::measured`](crate::fuse::FusionOptions::measured):
-    /// per-kernel-class sweep costs calibrated on this machine at first use
-    /// per register size) and compile the rewritten circuit — one
-    /// compilation, observable through [`circuit_compile_count`] exactly
-    /// like [`CompiledCircuit::compile`].
+    /// merging) with the default
+    /// [`FusionOptions`](crate::fuse::FusionOptions) and compile the
+    /// rewritten circuit — one compilation, observable through
+    /// [`circuit_compile_count`] exactly like [`CompiledCircuit::compile`].
+    /// It fuses exactly as [`OptLevel::Fuse`](crate::executor::OptLevel)
+    /// does.
     ///
     /// The optimized form implements the same unitary to ≲ 1e-13 (fused ops
     /// are floating-point matrix products); [`CompiledCircuit::compile`] on
@@ -680,7 +680,7 @@ impl CompiledCircuit {
         Self::optimized_with(
             circuit,
             circuit.num_qubits(),
-            &crate::fuse::FusionOptions::measured(),
+            &crate::fuse::FusionOptions::default(),
         )
         .0
     }

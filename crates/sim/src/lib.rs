@@ -52,10 +52,12 @@
 //!    [`FusionOptions::max_fused_qubits`], uncapped when targets nest),
 //!    diagonal/phase chains merge into a single table-driven diagonal, and
 //!    identities vanish — so `m` gates become far fewer, denser kernel
-//!    dispatches.  [`QuantumExecutor`] applies it by default
-//!    ([`OptLevel::Fuse`]); `OptLevel::None` retains the one-`CompiledOp`-
-//!    per-gate path as the equivalence oracle, and [`CircuitStats`] reports
-//!    the before/after op counts and estimated sweep work.
+//!    dispatches.  One fixed cost table prices every candidate fusion, so a
+//!    circuit always fuses the same way.  [`QuantumExecutor`] applies it by
+//!    default ([`OptLevel::Fuse`]); `OptLevel::None` retains the
+//!    one-`CompiledOp`-per-gate path as the equivalence oracle, and
+//!    [`CircuitStats`] reports the before/after op counts and estimated
+//!    sweep work.
 //!
 //! The seed's original "rebuild the whole vector per gate" path survives as
 //! `kernels::reference`, serving as the property-test oracle and the baseline
@@ -114,7 +116,7 @@ pub use fault::{
 };
 pub use fuse::{
     calibration_count, fusion_pass_count, optimize_circuit, optimize_circuit_for, CircuitStats,
-    CostModel, FusionOptions,
+    FusionOptions,
 };
 pub use gate::Gate;
 pub use kernels::{circuit_compile_count, CompiledCircuit, CompiledOp, PARALLEL_WORK_THRESHOLD};

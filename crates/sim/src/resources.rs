@@ -3,7 +3,7 @@
 //! Section III-C4 of the paper expresses the quantum cost in *T gates*
 //! "because the depth of the circuit requires to use a fault-tolerant quantum
 //! computer", citing the standard decompositions of multi-controlled Toffolis
-//! and adders ([24], [34]) and rotation synthesis.  This module turns a
+//! and adders (\[24\], \[34\]) and rotation synthesis.  This module turns a
 //! [`Circuit`] into those estimates: gate counts by class, circuit depth,
 //! number of rotations, and a configurable T-count estimate.
 

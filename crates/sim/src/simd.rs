@@ -34,7 +34,7 @@
 //! kernels are contiguous scale loops LLVM already auto-vectorizes at full
 //! width, and the explicit `f64x4` versions measured no faster (phase-shift
 //! measurably slower), so `kernels.rs` keeps their scalar loops and this
-//! module's [`diagonal`] is used only inside controlled runs, where the
+//! module's `diagonal` is used only inside controlled runs, where the
 //! strided access pattern defeats the auto-vectorizer.
 //!
 //! # Dispatch

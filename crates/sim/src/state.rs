@@ -201,8 +201,7 @@ impl StateVector {
 
     /// Apply one operation in place through the specialized kernel dispatch
     /// (compiling the operation on the spot; batch callers should prefer
-    /// [`StateVector::apply_circuit`] or a pre-built
-    /// [`CompiledCircuit`](crate::kernels::CompiledCircuit)).
+    /// [`StateVector::apply_circuit`] or a pre-built [`CompiledCircuit`]).
     pub fn apply_op(&mut self, op: &Operation) {
         let compiled = CompiledOp::compile(op, self.num_qubits);
         compiled.apply(&mut self.amps, &mut self.scratch);

@@ -43,7 +43,7 @@
 //! * [`cache`] (`qls-cache`) — the persistent artifact cache behind warm
 //!   solver construction (see "Persistent artifact cache" below).
 //!
-//! ## Performance model: SIMD kernels + measured-cost fusion
+//! ## Performance model: SIMD kernels + cost-gated fusion
 //!
 //! The hot loops — statevector gate sweeps (`qls_sim::simd`), CSR SpMV and
 //! dense matvec/matmul (`qls_linalg::simd`) — are vectorized with the
@@ -54,15 +54,15 @@
 //! oracle — toggle with `qls_sim::with_scalar_kernels` (statevector) or
 //! call the `_scalar` twins (`matvec_scalar`/`matmul_scalar`) directly;
 //! remainders that don't fill a lane group fall back to the same scalar
-//! loops.  The fusion optimizer prices candidate fusions with a
-//! **micro-calibrated cost model** (`qls_sim::CostModel::Measured`, the
-//! `OptLevel::Fuse` default): at first optimize for a register size it
-//! times one representative sweep per kernel class, caches the normalized
-//! units thread-locally keyed by qubit count (`qls_sim::calibration_count`
-//! audits the cache), and uses them to decide two-op lookahead (X·D·X
-//! conjugations collapse to one diagonal) and mask-densifying fusion of
-//! controlled ops with different control sets.  `CostModel::Static` keeps
-//! the deterministic table for reproducible tests.
+//! loops.  The fusion optimizer (`qls_sim::fuse`, the `OptLevel::Fuse`
+//! default) prices candidate fusions with one fixed table of
+//! complex-multiply-equivalent units per kernel class, and uses it to
+//! decide two-op lookahead (X·D·X conjugations collapse to one diagonal)
+//! and mask-densifying fusion of controlled ops with different control
+//! sets.  Fusion is a pure function of the circuit and the register width,
+//! so a cold build, a warm cache replay and a second process fuse a
+//! circuit the same way, and `qls_sim::fusion_stats` reports the circuit
+//! the executor runs.
 //!
 //! Threads enter in two places only: `QuantumExecutor::run_batch` runs one
 //! register per worker, and `qls-linalg` partitions the rows of its large
@@ -89,7 +89,7 @@
 //! ## Persistent artifact cache: warm solver construction
 //!
 //! Building a circuit-mode solver is dominated by two one-time stages —
-//! symmetric-QSP phase-factor iteration and the measured-cost fusion pass —
+//! symmetric-QSP phase-factor iteration and the gate-fusion pass —
 //! both pure functions of their inputs.  The [`cache`] crate (`qls-cache`)
 //! makes repeat constructions a disk read: `QsvtInverter::new`,
 //! `QsvtLinearSolver::new` and `HybridRefiner::new` consult per-kind stores
@@ -105,9 +105,9 @@
 //! Chebyshev coefficients and the phase-finding options; fused circuits
 //! (kind `fused-circuits`) hash the gate list (names, params, `Unitary`
 //! entries, targets, controls), register width, fusion options, and the
-//! machine fingerprint (arch + OS + SIMD class), because measured-cost
-//! fusion decisions are timing-dependent; calibration tables (kind
-//! `fusion-calibration`) hash the machine fingerprint and register size.
+//! machine fingerprint (arch + OS + SIMD class), because fused products
+//! multiply gate matrices built with the platform's `sin`/`cos`, which can
+//! differ in the last bit between platforms.
 //!
 //! **Invalidation rules.**  There is no staleness check at read time —
 //! invalidation is structural: any input change produces a different
@@ -207,9 +207,9 @@ pub mod prelude {
     pub use qls_poly::{ChebyshevSeries, InversePolynomial};
     pub use qls_qsvt::{phase_generation_count, QsvtInverter, QsvtMode};
     pub use qls_sim::{
-        calibration_count, estimate_resources, fusion_pass_count, fusion_stats, Circuit,
-        CircuitStats, FaultInjector, FaultPlan, FusionOptions, Gate, OptLevel, QuantumExecutor,
-        StateVector, TCountModel, TransientKind,
+        estimate_resources, fusion_pass_count, fusion_stats, Circuit, CircuitStats, FaultInjector,
+        FaultPlan, FusionOptions, Gate, OptLevel, QuantumExecutor, StateVector, TCountModel,
+        TransientKind,
     };
 
     pub use rand::SeedableRng;
