@@ -15,7 +15,7 @@
 //! 1-D Poisson use case, separately for the first solve and for each
 //! refinement iteration.  Both models are parameterised by the block-encoding
 //! cost `B`, so they can be evaluated either with the analytic tridiagonal
-//! counts of Ref. [37] or with the measured gate counts of the constructions
+//! counts of Ref. \[37\] or with the measured gate counts of the constructions
 //! in `qls-encoding`.
 
 use qls_linalg::refine::iteration_bound;

@@ -1,7 +1,7 @@
 //! HHL (Harrow–Hassidim–Lloyd) baseline solver.
 //!
 //! The paper's introduction positions the QSVT solver against the two other
-//! standard quantum linear-system algorithms, HHL and VQLS, and its Ref. [36]
+//! standard quantum linear-system algorithms, HHL and VQLS, and its Ref. \[36\]
 //! studies iterative refinement on top of HHL.  This module provides a
 //! complete QPE-based HHL implementation on the `qls-sim` simulator so the
 //! repository can reproduce that comparison as an extension experiment:
@@ -17,7 +17,7 @@
 //! HHL requires a Hermitian matrix; non-symmetric systems must be embedded
 //! (`[[0, A], [Aᵀ, 0]]`) by the caller.  Accuracy is limited by the clock
 //! resolution (ε ≈ 2^{-t}·κ), which is exactly the limitation that motivates
-//! refining HHL iteratively ([36]) or switching to the QSVT.
+//! refining HHL iteratively (\[36\]) or switching to the QSVT.
 
 use num_complex::Complex64;
 use qls_linalg::{Matrix, Svd, Vector};

@@ -735,9 +735,9 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
     /// Run Algorithm 2 for the right-hand side `b`: [`HybridRefiner::solve_many`]
     /// on `[b]`.
     ///
-    /// `Err` is reserved for malformed inputs (a non-finite or wrong-length
-    /// `b`); every runtime failure of the loop itself — solver errors,
-    /// injected faults, an exhausted recovery ladder — is reported
+    /// `Err` is reserved for malformed inputs (a non-finite, all-zero or
+    /// wrong-length `b`); every runtime failure of the loop itself — solver
+    /// errors, injected faults, an exhausted recovery ladder — is reported
     /// **in-band** as [`HybridStatus::Failed`] with the partial history
     /// preserved, so multi-system callers and services can inspect what
     /// happened.
@@ -761,9 +761,11 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
     /// [`QsvtLinearSolver::solve_many`] (coarse-grained thread fan-out
     /// across the batch in circuit mode).
     ///
-    /// Failures are **per-system**: one failed post-selection or injected
-    /// fault only sends that system through the recovery ladder (or marks
-    /// it [`HybridStatus::Failed`]) — its siblings keep refining.
+    /// A malformed right-hand side (wrong length, non-finite or all zeros)
+    /// rejects the whole call before any solve.  Runtime failures are
+    /// **per-system**: one failed post-selection or injected fault only
+    /// sends that system through the recovery ladder (or marks it
+    /// [`HybridStatus::Failed`]) — its siblings keep refining.
     ///
     /// With exact readout (`shots: None`) the returned solutions and
     /// histories are identical to calling [`HybridRefiner::solve`] per
@@ -782,6 +784,11 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
                 return Err(QlsError::NonFinite {
                     boundary: "right-hand side",
                 });
+            }
+            if b.iter().all(|&v| v == 0.0) {
+                return Err(QlsError::Qsvt(QsvtError::InvalidInput(
+                    "zero right-hand side",
+                )));
             }
         }
         let kappa = self.solver.kappa();
@@ -1331,30 +1338,59 @@ mod tests {
 
     #[test]
     fn wrong_length_right_hand_side_is_an_error_at_every_entry_point() {
-        let (a, _) = system(10.0, 16, 166);
-        let short = Vector::from_f64_slice(&[0.25; 8]);
+        // The same holds for an all-zero right-hand side, which has no state
+        // `b/‖b‖` to prepare: a typed error in both modes, and in a batched
+        // inner solve only its own system fails.
+        let (a, b) = system(2.0, 4, 166);
+        let short = Vector::from_f64_slice(&[0.25; 2]);
+        let zero = Vector::zeros(4);
         let mut rng = ChaCha8Rng::seed_from_u64(23);
-        let refiner = HybridRefiner::new(&a, HybridRefinementOptions::default()).unwrap();
         let mismatch = |e: &QlsError| matches!(e, QlsError::Linalg(LinalgError::DimensionMismatch));
-        assert!(refiner.solve(&short, &mut rng).is_err_and(|e| mismatch(&e)));
-        assert!(refiner
-            .solve_many(std::slice::from_ref(&short), &mut rng)
-            .is_err_and(|e| mismatch(&e)));
-        assert!(refiner
-            .solver()
-            .solve(&short, &mut rng)
-            .is_err_and(|e| mismatch(&e)));
-        let inverter =
-            qls_qsvt::QsvtInverter::new(&a, 1e-2, qls_qsvt::QsvtMode::Emulation).unwrap();
-        assert!(inverter
-            .solve_direction(&short)
-            .is_err_and(|e| format!("{e:?}") == "DimensionMismatch"));
+        let zero_rhs = |e: &QlsError| {
+            matches!(
+                e,
+                QlsError::Qsvt(QsvtError::InvalidInput("zero right-hand side"))
+            )
+        };
+        for mode in [
+            qls_qsvt::QsvtMode::Emulation,
+            qls_qsvt::QsvtMode::CircuitReal,
+        ] {
+            let options = HybridRefinementOptions {
+                epsilon_l: 0.05,
+                solver: QsvtSolverOptions {
+                    mode,
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            let refiner = HybridRefiner::new(&a, options).unwrap();
+            let solver = refiner.solver();
+            assert!(refiner.solve(&short, &mut rng).is_err_and(|e| mismatch(&e)));
+            assert!(refiner
+                .solve_many(std::slice::from_ref(&short), &mut rng)
+                .is_err_and(|e| mismatch(&e)));
+            assert!(solver.solve(&short, &mut rng).is_err_and(|e| mismatch(&e)));
+            let inverter = qls_qsvt::QsvtInverter::new(&a, 0.05, mode).unwrap();
+            assert!(inverter
+                .solve_direction(&short)
+                .is_err_and(|e| format!("{e:?}") == "DimensionMismatch"));
+
+            assert!(refiner.solve(&zero, &mut rng).is_err_and(|e| zero_rhs(&e)));
+            assert!(refiner
+                .solve_many(&[b.clone(), zero.clone()], &mut rng)
+                .is_err_and(|e| zero_rhs(&e)));
+            assert!(solver.solve(&zero, &mut rng).is_err_and(|e| zero_rhs(&e)));
+            let batch = solver.solve_many(&[b.clone(), zero.clone(), b.clone()], &mut rng);
+            assert!(batch[0].is_ok() && batch[2].is_ok(), "{mode:?}");
+            assert!(batch[1].as_ref().is_err_and(zero_rhs), "{mode:?}");
+        }
     }
 
     #[test]
     fn invalid_constructor_input_is_an_error_not_a_panic() {
-        let (square, _) = system(4.0, 16, 167);
-        let (six, _) = system(4.0, 6, 168);
+        let (square, b16) = system(4.0, 16, 167);
+        let (six, b6) = system(4.0, 6, 168);
         let rectangular = Matrix::from_f64_slice(4, 3, &[1.0; 12]);
         let emulated = |epsilon_l| HybridRefinementOptions {
             epsilon_l,
@@ -1377,7 +1413,34 @@ mod tests {
         }
         assert!(HybridRefiner::new(&rectangular, emulated(0.05)).is_err_and(invalid));
         assert!(HybridRefiner::new(&six, circuit).is_err_and(invalid));
-        // Emulation has no register to fill, so N = 6 stays accepted.
-        assert!(HybridRefiner::new(&six, emulated(0.05)).is_ok());
+        // A sampled readout of zero shots has no counts to read.
+        let no_shots = QsvtSolverOptions {
+            shots: Some(0),
+            ..Default::default()
+        };
+        assert!(HybridRefiner::new(
+            &square,
+            HybridRefinementOptions {
+                solver: no_shots,
+                ..emulated(0.05)
+            }
+        )
+        .is_err_and(invalid));
+        assert!(QsvtLinearSolver::new(&square, no_shots).is_err_and(invalid));
+        let mut rng = ChaCha8Rng::seed_from_u64(24);
+        let exact = QsvtLinearSolver::new(&square, QsvtSolverOptions::default()).unwrap();
+        assert!(exact
+            .solve_with_shots(&b16, Some(0), &mut rng)
+            .is_err_and(invalid));
+        // Emulation has no register to fill, so N = 6 is accepted, and it
+        // solves: state preparation zero-pads the right-hand side to 8
+        // amplitudes.
+        let refiner = HybridRefiner::new(&six, emulated(0.05)).unwrap();
+        let (x, history) = refiner.solve(&b6, &mut rng).unwrap();
+        assert!(history.status.reached_target(), "{:?}", history.status);
+        let reference = lu_solve(&six, &b6).unwrap();
+        let err = (&x - &reference).norm2() / reference.norm2();
+        let bound = 10.0 * refiner.solver().kappa() * refiner.options().target_epsilon;
+        assert!(err <= bound, "forward error {err} above {bound}");
     }
 }

@@ -20,7 +20,7 @@ use qls_cache::CachePolicy;
 use qls_encoding::StatePreparation;
 use qls_linalg::lu::LinalgError;
 use qls_linalg::{brent_minimize, scaled_residual, LinearOperator, Matrix, Vector};
-use qls_qsvt::{QsvtInverter, QsvtMode, QsvtResources};
+use qls_qsvt::{QsvtError, QsvtInverter, QsvtMode, QsvtResources};
 use qls_sim::fault::{lock_injector, SharedFaultInjector};
 use qls_sim::{shots_for_accuracy, ExecMode, OptLevel};
 use rand::Rng;
@@ -129,9 +129,10 @@ impl<Op: LinearOperator<f64>> QsvtLinearSolver<Op> {
     /// the phase factors and the optimized, compiled-once QSVT circuit).
     /// The densification needed by the quantum-side construction happens here,
     /// once — never on the solve path.  A non-square `A`, an `ε_l` outside
-    /// `(0, 1)` or, in circuit mode, an `N` that is not a power of two is a
-    /// `QsvtError::InvalidInput`.
+    /// `(0, 1)`, a readout of `Some(0)` shots or, in circuit mode, an `N`
+    /// that is not a power of two is a `QsvtError::InvalidInput`.
     pub fn new(a: &Op, options: QsvtSolverOptions) -> Result<Self, QlsError> {
+        check_shots(options.shots)?;
         // The densified temporary is dropped before the operator is cloned,
         // so the dense default (`to_dense` = clone) never holds an extra
         // N² buffer beyond what the inverter keeps.
@@ -191,15 +192,17 @@ impl<Op: LinearOperator<f64>> QsvtLinearSolver<Op> {
     }
 
     /// [`QsvtLinearSolver::solve`] with a per-call shot override (`None`
-    /// reads exact amplitudes).  This is the recovery ladder's
-    /// shot-escalation rung: the same prepared solver, more measurements.
+    /// reads exact amplitudes; `Some(0)` is a `QsvtError::InvalidInput`).
+    /// This is the recovery ladder's shot-escalation rung: the same prepared
+    /// solver, more measurements.
     pub fn solve_with_shots<R: Rng>(
         &self,
         b: &Vector<f64>,
         shots: Option<usize>,
         rng: &mut R,
     ) -> Result<QsvtSolveResult, QlsError> {
-        self.check_dimension(b)?;
+        check_shots(shots)?;
+        self.check_right_hand_side(b)?;
         // Quantum solve: direction of the solution, through the compiled-once
         // circuit.
         let (direction, success_probability) = self.inverter.solve_direction(b)?;
@@ -211,9 +214,9 @@ impl<Op: LinearOperator<f64>> QsvtLinearSolver<Op> {
     /// (`QsvtInverter::solve_direction_batch_checked`, which fans the
     /// registers out across threads in circuit mode).  Results are identical
     /// to calling [`QsvtLinearSolver::solve`] per right-hand side in order.
-    /// Each system gets its own verdict: one wrong-length right-hand side,
-    /// failed post-selection or injected fault only fails that system, and
-    /// every other system still returns its solution.
+    /// Each system gets its own verdict: one wrong-length or all-zero
+    /// right-hand side, failed post-selection or injected fault only fails
+    /// that system, and every other system still returns its solution.
     pub fn solve_many<R: Rng>(
         &self,
         bs: &[Vector<f64>],
@@ -223,20 +226,25 @@ impl<Op: LinearOperator<f64>> QsvtLinearSolver<Op> {
         bs.iter()
             .zip(directions)
             .map(|(b, outcome)| {
-                self.check_dimension(b)?;
+                self.check_right_hand_side(b)?;
                 let (direction, success) = outcome?;
                 self.finish_solve(b, direction, success, self.options.shots, rng)
             })
             .collect()
     }
 
-    /// Reject a right-hand side whose length differs from the operator's.
-    fn check_dimension(&self, b: &Vector<f64>) -> Result<(), QlsError> {
-        if b.len() == self.operator.nrows() {
-            Ok(())
-        } else {
-            Err(QlsError::Linalg(LinalgError::DimensionMismatch))
+    /// Reject a right-hand side whose length differs from the operator's,
+    /// or which is all zeros: there is no state `b/‖b‖` to prepare.
+    fn check_right_hand_side(&self, b: &Vector<f64>) -> Result<(), QlsError> {
+        if b.len() != self.operator.nrows() {
+            return Err(QlsError::Linalg(LinalgError::DimensionMismatch));
         }
+        if b.iter().all(|&v| v == 0.0) {
+            return Err(QlsError::Qsvt(QsvtError::InvalidInput(
+                "zero right-hand side",
+            )));
+        }
+        Ok(())
     }
 
     /// Classical pre/post-processing shared by the single and batched solve:
@@ -324,24 +332,70 @@ impl<Op: LinearOperator<f64>> QsvtLinearSolver<Op> {
     }
 }
 
+/// Reject a readout of zero shots: it has no counts to estimate magnitudes
+/// from.
+fn check_shots(shots: Option<usize>) -> Result<(), QlsError> {
+    if shots == Some(0) {
+        return Err(QlsError::Qsvt(QsvtError::InvalidInput(
+            "a sampled readout needs at least one shot",
+        )));
+    }
+    Ok(())
+}
+
 /// Simulate a finite-shot readout of a normalised real direction vector:
 /// magnitudes are re-estimated from a multinomial sample of `shots` outcomes,
 /// signs are kept from the exact direction.
+///
+/// Each shot consumes exactly one `rng.next_u64()` (two 32-bit words):
+/// the draw `rng.gen_range(0.0..total)` makes, where `total` is the summed
+/// squared magnitude.  Its outcome is the first index whose cumulative
+/// weight is not below that draw, clamped to `N − 1`.  The index is found
+/// through a guide table (Chen & Asau's indexed search, 1974): `M`, a
+/// power of two, buckets split `[0, total)` evenly, and bucket `j` stores
+/// the number of cumulative weights below `total·j/M`.  A draw `k` whose
+/// top `log₂ M` bits are `j` has `k·2⁻⁵³ ≥ j/M` exactly, and rounding is
+/// monotone, so its value is at least `total·j/M`.  The bucket therefore
+/// never starts past the outcome, and a forward scan from it stops where a
+/// binary search of the cumulative weights would.  So the counts, the
+/// result and the RNG's position afterwards are those of drawing with
+/// `gen_range` and searching with `partition_point`.
 pub fn sample_direction<R: Rng>(direction: &Vector<f64>, shots: usize, rng: &mut R) -> Vector<f64> {
-    let probs: Vec<f64> = direction.iter().map(|&x| x * x).collect();
-    let mut counts = vec![0usize; probs.len()];
+    let n = direction.len();
     // Cumulative distribution.
-    let mut cdf = Vec::with_capacity(probs.len());
+    let mut cdf = Vec::with_capacity(n);
     let mut acc = 0.0;
-    for &p in &probs {
-        acc += p;
+    for &x in direction.iter() {
+        acc += x * x;
         cdf.push(acc);
     }
     let total = acc.max(1e-300);
+    // Guide table of M buckets, M the power of two at or above min(8N,
+    // shots), so a short readout never pays more for the table than for its
+    // draws.  One merge pass: the bucket edges are non-decreasing.
+    let buckets = (8 * n).min(shots).next_power_of_two();
+    let shift = 53 - buckets.trailing_zeros();
+    let mut guide = Vec::with_capacity(buckets);
+    let mut below = 0;
+    for j in 0..buckets {
+        let edge = total * (j as f64 / buckets as f64);
+        while below < n && cdf[below] < edge {
+            below += 1;
+        }
+        guide.push(below);
+    }
+    let last = n.saturating_sub(1);
+    let mut counts = vec![0usize; n];
     for _ in 0..shots {
-        let r: f64 = rng.gen_range(0.0..total);
-        let idx = cdf.partition_point(|&c| c < r).min(probs.len() - 1);
-        counts[idx] += 1;
+        // `gen_range(0.0..total)` computes `0.0 + (total − 0.0)·u` from the
+        // same word; with `total > 0` that is exactly `total·u`.
+        let k = rng.next_u64() >> 11;
+        let r = total * (k as f64 * (1.0 / (1u64 << 53) as f64));
+        let mut idx = guide[(k >> shift) as usize];
+        while idx < n && cdf[idx] < r {
+            idx += 1;
+        }
+        counts[idx.min(last)] += 1;
     }
     let mut sampled: Vector<f64> = counts
         .iter()
@@ -552,5 +606,86 @@ mod tests {
         let a = sample_direction(&direction, 10_000, &mut rng_a);
         let b = sample_direction(&direction, 10_000, &mut rng_b);
         assert_eq!(a.as_slice(), b.as_slice());
+    }
+
+    /// The sampler before the guide table: one `gen_range` draw and one
+    /// binary search of the cumulative distribution per shot.
+    fn oracle_sample_direction<R: Rng>(
+        direction: &Vector<f64>,
+        shots: usize,
+        rng: &mut R,
+    ) -> Vector<f64> {
+        let probs: Vec<f64> = direction.iter().map(|&x| x * x).collect();
+        let mut counts = vec![0usize; probs.len()];
+        let mut cdf = Vec::with_capacity(probs.len());
+        let mut acc = 0.0;
+        for &p in &probs {
+            acc += p;
+            cdf.push(acc);
+        }
+        let total = acc.max(1e-300);
+        for _ in 0..shots {
+            let r: f64 = rng.gen_range(0.0..total);
+            let idx = cdf.partition_point(|&c| c < r).min(probs.len() - 1);
+            counts[idx] += 1;
+        }
+        let mut sampled: Vector<f64> = counts
+            .iter()
+            .zip(direction.iter())
+            .map(|(&c, &d)| {
+                let mag = (c as f64 / shots as f64).sqrt();
+                if d < 0.0 {
+                    -mag
+                } else {
+                    mag
+                }
+            })
+            .collect();
+        sampled.normalize();
+        sampled
+    }
+
+    #[test]
+    fn guide_table_sampler_is_bit_identical_to_the_binary_search_oracle() {
+        use rand::RngCore;
+        let mut corpus = ChaCha8Rng::seed_from_u64(2718);
+        for case in 0..5_000 {
+            let n = corpus.gen_range(1..=300usize);
+            let mut v: Vec<f64> = (0..n).map(|_| corpus.gen_range(-1.0..1.0)).collect();
+            match case % 8 {
+                // Zero coordinates, which no shot may hit.
+                0 => v
+                    .iter_mut()
+                    .filter(|_| corpus.gen_bool(0.5))
+                    .for_each(|x| *x = 0.0),
+                // Squares that underflow to subnormals or zero.
+                1 => v.iter_mut().for_each(|x| *x *= 1e-160),
+                // Squares near the top of the range, and past it to ∞.
+                2 => v.iter_mut().for_each(|x| *x *= 1e150),
+                3 => v.iter_mut().for_each(|x| *x *= 1e155),
+                4 => v[corpus.gen_range(0..n)] = f64::NAN,
+                5 => v.iter_mut().for_each(|x| *x = 0.0),
+                _ => {}
+            }
+            // Short readouts exercise small guide tables; 10⁴ is the
+            // benchmark's readout.
+            let shots = match case % 25 {
+                0 => 10_000,
+                1..=4 => corpus.gen_range(0..16),
+                _ => corpus.gen_range(0..1_000),
+            };
+            let direction = Vector::from_f64_slice(&v);
+            let mut rng = ChaCha8Rng::seed_from_u64(corpus.next_u64());
+            let mut oracle_rng = rng.clone();
+            let got = sample_direction(&direction, shots, &mut rng);
+            let want = oracle_sample_direction(&direction, shots, &mut oracle_rng);
+            let bits = |s: &Vector<f64>| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "case {case}: n = {n}, shots = {shots}"
+            );
+            assert_eq!(rng.next_u32(), oracle_rng.next_u32(), "case {case}");
+        }
     }
 }

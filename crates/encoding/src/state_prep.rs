@@ -1,11 +1,12 @@
 //! Tree-based amplitude state preparation (Kerenidis–Prakash).
 //!
-//! Given a real vector `v ∈ R^{2^n}`, build a circuit that maps `|0…0⟩` to
-//! `Σ_i (v_i/‖v‖) |i⟩`.  Following the paper's Ref. [23], a binary tree of
-//! partial squared norms is computed classically in O(N) flops (the "SP —
-//! classical O(2^n)" row of Table II); the tree angles then drive a cascade of
-//! multiplexed Ry rotations, one level per qubit.  Negative entries are
-//! handled by a final layer of basis-state phase flips.
+//! Given a real vector `v ∈ R^N`, build a circuit on `n = ⌈log₂ N⌉` qubits
+//! that maps `|0…0⟩` to `Σ_i (v_i/‖v‖) |i⟩` (a length that is not a power of
+//! two is zero-padded to `2^n`).  Following the paper's Ref. \[23\], a
+//! binary tree of partial squared norms is computed classically in O(N)
+//! flops (the "SP — classical O(2^n)" row of Table II); the tree angles then
+//! drive a cascade of multiplexed Ry rotations, one level per qubit.
+//! Negative entries are handled by a final layer of basis-state phase flips.
 //!
 //! Qubit convention: the prepared register is the *data* register of the
 //! solver, occupying qubits `0..n`; within the register, qubit `n-1` (the
@@ -19,7 +20,7 @@ use qls_sim::{Circuit, Gate, StateVector};
 /// binary tree of partial norms, the rotation angles, and the sign pattern.
 #[derive(Debug, Clone)]
 pub struct StatePreparation {
-    /// Number of data qubits (`N = 2^n`).
+    /// Number of data qubits, `⌈log₂ N⌉`.
     pub num_qubits: usize,
     /// Norm of the input vector (returned to the caller so it can undo the
     /// normalisation classically, per Remark 2 of the paper).
@@ -33,23 +34,24 @@ pub struct StatePreparation {
 }
 
 impl StatePreparation {
-    /// Run the classical preprocessing for a vector of length `2^n`.
+    /// Run the classical preprocessing for a vector of any length `N ≥ 1`.
+    /// The leaves are zero-padded to the next power of two; for a length
+    /// that already is one the padding is a no-op, so its angles and flop
+    /// count are those of the unpadded tree.
     ///
-    /// Zero vectors are rejected; callers should short-circuit that case.
+    /// Empty and all-zero vectors are rejected; callers should short-circuit
+    /// that case.
     pub fn new(v: &Vector<f64>) -> Self {
-        let len = v.len();
-        assert!(
-            len.is_power_of_two() && len >= 1,
-            "vector length must be a power of two"
-        );
-        let num_qubits = len.trailing_zeros() as usize;
         let norm = v.norm2();
         assert!(norm > 0.0, "cannot prepare the zero vector");
+        let len = v.len().next_power_of_two();
+        let num_qubits = len.trailing_zeros() as usize;
 
         let mut flops = 0usize;
 
-        // Leaves of the tree: squared magnitudes.
+        // Leaves of the tree: squared magnitudes, zero-padded to `2^n`.
         let mut level: Vec<f64> = v.iter().map(|&x| x * x).collect();
+        level.resize(len, 0.0);
         flops += len;
         // Build the tree bottom-up: levels[l][j] = sum of squared magnitudes of
         // the subtree rooted at node j of level l (level 0 = root).
@@ -176,14 +178,14 @@ pub fn prepare_state_circuit(v: &Vector<f64>) -> (Circuit, f64) {
 }
 
 /// Verify a preparation circuit by running it and comparing amplitudes with
-/// the normalised input (returns the maximum absolute amplitude error).
+/// the normalised input, zero-padded to the register (returns the maximum
+/// absolute amplitude error).
 pub fn verify_preparation(v: &Vector<f64>, circuit: &Circuit) -> f64 {
     let state = StateVector::run(circuit);
     let norm = v.norm2();
     let mut err = 0.0f64;
-    for (i, &vi) in v.iter().enumerate() {
-        let target = vi / norm;
-        let got = state.amplitudes()[i];
+    for (i, got) in state.amplitudes().iter().enumerate() {
+        let target = v.as_slice().get(i).map_or(0.0, |&vi| vi / norm);
         err = err.max((got.re - target).abs().max(got.im.abs()));
     }
     err
@@ -269,8 +271,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn non_power_of_two_rejected() {
-        let _ = StatePreparation::new(&Vector::from_f64_slice(&[1.0, 2.0, 3.0]));
+    fn non_power_of_two_lengths_are_zero_padded() {
+        let mut rng = ChaCha8Rng::seed_from_u64(83);
+        for (len, qubits) in [(3, 2), (5, 3), (6, 3), (7, 3)] {
+            let v: Vec<f64> = (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            check_roundtrip(&v);
+            let prep = StatePreparation::new(&Vector::from_f64_slice(&v));
+            assert_eq!(prep.num_qubits, qubits, "length {len}");
+            assert_eq!(prep.circuit().num_qubits(), qubits, "length {len}");
+        }
     }
 }
