@@ -41,12 +41,7 @@ fn bench_fused_vs_unfused(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(raw.run(&input)))
         });
         group.bench_function(format!("{name}/optimize_pass"), |b| {
-            b.iter(|| {
-                std::hint::black_box(qls_sim::optimize_circuit(
-                    circ,
-                    &qls_sim::FusionOptions::default(),
-                ))
-            })
+            b.iter(|| std::hint::black_box(qls_sim::optimize_circuit_for(circ, circ.num_qubits())))
         });
     }
     group.finish();

@@ -13,9 +13,7 @@ fn bench_phase_finding(c: &mut Criterion) {
     group.sample_size(10);
     let target = ChebyshevSeries::new(vec![0.0, 0.3, 0.0, -0.2, 0.0, 0.15, 0.0, -0.1]);
     group.bench_function("degree_7_odd_target", |bench| {
-        bench.iter(|| {
-            std::hint::black_box(find_phases(&target, &PhaseFindingOptions::default()).unwrap())
-        })
+        bench.iter(|| std::hint::black_box(find_phases(&target, &PhaseFindingOptions).unwrap()))
     });
     group.finish();
 }

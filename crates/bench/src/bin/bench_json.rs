@@ -39,7 +39,7 @@
 //!    N ~ 10^5;
 //! 8. the fault-injected recovery workload (`noisy_refinement_recovery`):
 //!    the hybrid refiner under a seeded `FaultPlan` (amplitude noise + one
-//!    scheduled transient) with the full `RecoveryPolicy` ladder armed, vs
+//!    scheduled transient) with the recovery ladder armed, vs
 //!    the same solve clean — the measured overhead of self-healing, plus
 //!    the recovery-event count and final status;
 //! 9. the Fig. 4 large-κ workload (`fig4_large_kappa`): the hybrid solve at
@@ -78,8 +78,8 @@ use qls_linalg::{
 use qls_qsvt::{phase_generation_count, QsvtInverter, QsvtMode};
 use qls_sim::kernels::reference;
 use qls_sim::{
-    circuit_compile_count, circuit_unitary, fusion_pass_count, optimize_circuit,
-    with_scalar_kernels, FusionOptions, OptLevel, StateVector,
+    circuit_compile_count, circuit_unitary, fusion_pass_count, optimize_circuit_for,
+    with_scalar_kernels, OptLevel, StateVector,
 };
 use rayon::ThreadPoolBuilder;
 use serde::{parse_json, Value};
@@ -273,7 +273,7 @@ fn main() {
     });
     let kernel_speedup = generic_1t / kernel_1t;
     let simd_speedup = scalar_1t / kernel_1t;
-    let static_fusion_ops = optimize_circuit(&circ, &FusionOptions::default()).len();
+    let static_fusion_ops = optimize_circuit_for(&circ, n).len();
     eprintln!(
         "  random_{n}q: kernel {kernel_1t:.4}s, scalar {scalar_1t:.4}s \
          ({simd_speedup:.2}x simd), generic {generic_1t:.4}s \
@@ -758,12 +758,11 @@ fn main() {
     // the recovery machinery, not circuit execution.
     let mut recovery_json = String::new();
     {
-        use qls_core::refine::RecoveryPolicy;
         use qls_sim::{FaultInjector, FaultPlan, TransientKind};
         let options = HybridRefinementOptions {
             target_epsilon: preset.refine_target,
             epsilon_l: preset.qsvt_eps,
-            recovery: RecoveryPolicy::full(),
+            recovery: true,
             ..Default::default()
         };
         let clean_refiner = HybridRefiner::new(&a, options).expect("clean refiner");

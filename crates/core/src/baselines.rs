@@ -34,8 +34,8 @@ impl DirectQsvtSolver {
     pub fn new(a: &Matrix<f64>, epsilon: f64, mode: QsvtMode) -> Result<Self, QlsError> {
         let solver = QsvtLinearSolver::new(
             a,
+            epsilon,
             QsvtSolverOptions {
-                epsilon_l: epsilon,
                 mode,
                 shots: None,
                 ..Default::default()

@@ -11,8 +11,9 @@
 //!   accounting.
 //! * [`refine`] — Algorithm 2: the hybrid iterative-refinement loop, its
 //!   convergence history, the Theorem III.1 bound, and the fault-recovery
-//!   ladder ([`RecoveryPolicy`]: retry → escalate shots → tighten ε_l →
-//!   classical fallback) with its audit log ([`RecoveryLog`]).
+//!   ladder (armed by [`HybridRefinementOptions::recovery`]: retry →
+//!   escalate shots → tighten ε_l → classical fallback) with its audit log
+//!   ([`RecoveryLog`]).
 //! * [`error`] — the unified [`QlsError`] taxonomy (classical, quantum and
 //!   non-finite boundary failures, with `source()` chains to the root cause).
 //! * [`cost`] — the quantum cost model of Table I and the Poisson breakdown of
@@ -72,8 +73,7 @@ pub use error::QlsError;
 pub use hhl::{HhlOptions, HhlResult, HhlSolver};
 pub use refine::{
     FailureReason, HealthIssue, HybridHistory, HybridRefinementOptions, HybridRefiner,
-    HybridStatus, HybridStep, RecoveryAction, RecoveryEvent, RecoveryLog, RecoveryPolicy,
-    STAGNATION_WINDOW,
+    HybridStatus, HybridStep, RecoveryAction, RecoveryEvent, RecoveryLog, STAGNATION_WINDOW,
 };
 pub use solver::{
     sample_direction, QsvtLinearSolver, QsvtSolveResult, QsvtSolverOptions, SolveCost,

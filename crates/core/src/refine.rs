@@ -20,19 +20,21 @@
 //! The refinement loop is the natural place to absorb a noisy or faulty
 //! inner solver — the paper's whole point is that ε_l-accurate solves
 //! suffice, so a *bad* solve is just a solve whose effective ε_l was too
-//! large, and re-running or improving it is always sound.  A
-//! [`RecoveryPolicy`] intercepts the per-iteration health checks (solve
-//! errors such as `PostSelectionFailed` or an injected transient, non-finite
-//! corrections/residuals, a contraction factor ≥ 1) and escalates through a
-//! bounded ladder instead of aborting:
+//! large, and re-running or improving it is always sound.  With
+//! [`HybridRefinementOptions::recovery`] set, the refiner intercepts the
+//! per-iteration health checks (solve errors such as `PostSelectionFailed`
+//! or an injected transient, non-finite corrections/residuals, a
+//! contraction factor ≥ 1) and escalates through a fixed, bounded ladder
+//! instead of aborting:
 //!
-//! 1. **retry** the correction solve as-is (transient faults and unlucky
-//!    post-selections are per-run accidents);
-//! 2. **escalate shots** ×[`RecoveryPolicy::shot_escalation_factor`]
-//!    (readout noise shrinks as `1/√shots`) — skipped under exact readout;
+//! 1. **retry** the correction solve as-is, `RETRIES` = 1 time (transient
+//!    faults and unlucky post-selections are per-run accidents);
+//! 2. **escalate shots** `SHOT_ESCALATIONS` = 2 times, each
+//!    ×`SHOT_ESCALATION_FACTOR` = 4 (readout noise shrinks as `1/√shots`,
+//!    so each halves it) — skipped under exact readout;
 //! 3. **tighten the solver**: a second `QsvtLinearSolver` at
-//!    `ε_l × epsilon_tighten_factor` (higher QSVT degree), built lazily on
-//!    first use and reused afterwards;
+//!    ε_l × `EPSILON_TIGHTEN_FACTOR` = ε_l/10 (higher QSVT degree), built
+//!    lazily on first use and reused afterwards;
 //! 4. **classical fallback**: solve this iteration's correction with the
 //!    operator's own structured [`InnerSolver`]
 //!    ([`FactorizableOperator::factorize`]) — graceful degradation, the
@@ -60,6 +62,20 @@ use rand::Rng;
 use serde::Serialize;
 use std::sync::OnceLock;
 
+/// Recovery rung 1: plain re-runs of a failed correction solve.
+const RETRIES: usize = 1;
+
+/// Recovery rung 2: shot escalations, each multiplying the shot budget by
+/// [`SHOT_ESCALATION_FACTOR`].  Skipped when the solver reads exact
+/// amplitudes (`shots: None`).
+const SHOT_ESCALATIONS: usize = 2;
+
+/// Shot multiplier per escalation (×4 halves the readout noise).
+const SHOT_ESCALATION_FACTOR: usize = 4;
+
+/// Recovery rung 3: ε_l multiplier of the tightened solver.
+const EPSILON_TIGHTEN_FACTOR: f64 = 0.1;
+
 /// How many **consecutive** non-contracting iterations (ω_{i+1} >
 /// 0.95·ω_i) it takes to declare [`HybridStatus::Stagnated`].  One noisy
 /// iteration under finite-shot readout is expected and must not kill the
@@ -80,12 +96,14 @@ pub struct HybridRefinementOptions {
     pub epsilon_l: f64,
     /// Hard cap on refinement iterations (safety net above the theoretical bound).
     pub max_iterations: usize,
-    /// Options passed to the inner QSVT solver (mode, shots, …); its
-    /// `epsilon_l` field is overwritten with the value above.
+    /// Options passed to the inner QSVT solver (mode, shots, …), which
+    /// solves at the ε_l above.
     pub solver: QsvtSolverOptions,
-    /// Per-iteration health checks + escalation ladder (disabled by
-    /// default: the loop behaves exactly like the pre-recovery refiner).
-    pub recovery: RecoveryPolicy,
+    /// Arm the per-iteration health checks and the fixed recovery ladder
+    /// (retry, shot escalations, tightened ε_l, classical fallback; see the
+    /// module docs).  Off by default: the loop then aborts on the first
+    /// unhealthy step, exactly like the pre-recovery refiner.
+    pub recovery: bool,
 }
 
 impl Default for HybridRefinementOptions {
@@ -95,59 +113,7 @@ impl Default for HybridRefinementOptions {
             epsilon_l: 1e-2,
             max_iterations: 60,
             solver: QsvtSolverOptions::default(),
-            recovery: RecoveryPolicy::default(),
-        }
-    }
-}
-
-/// The bounded escalation ladder applied when an iteration fails its health
-/// checks.  The default is **disabled** — no interception, no extra RNG
-/// draws, bit-identical behaviour to the pre-recovery loop; use
-/// [`RecoveryPolicy::full`] for the whole ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct RecoveryPolicy {
-    /// Master switch; `false` restores the abort-on-first-error loop.
-    pub enabled: bool,
-    /// Rung 1: how many plain re-runs of the failed correction solve.
-    pub max_retries: usize,
-    /// Rung 2: how many shot escalations (each multiplies the shot budget
-    /// by [`RecoveryPolicy::shot_escalation_factor`]).  Skipped when the
-    /// solver reads exact amplitudes (`shots: None`).
-    pub shot_escalations: usize,
-    /// Shot multiplier per escalation (the ×4 of the ladder: noise halves).
-    pub shot_escalation_factor: usize,
-    /// Rung 3: rebuild the inner solver at a tighter ε_l (higher QSVT
-    /// degree), lazily on first use.
-    pub tighten_solver: bool,
-    /// ε_l multiplier of the tightened solver (< 1).
-    pub epsilon_tighten_factor: f64,
-    /// Rung 4: fall back to the operator's structured classical
-    /// [`InnerSolver`] for this iteration's correction (graceful
-    /// degradation; the run is marked [`HybridStatus::Degraded`]).
-    pub classical_fallback: bool,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            enabled: false,
-            max_retries: 1,
-            shot_escalations: 2,
-            shot_escalation_factor: 4,
-            tighten_solver: true,
-            epsilon_tighten_factor: 0.1,
-            classical_fallback: true,
-        }
-    }
-}
-
-impl RecoveryPolicy {
-    /// The full ladder: 1 retry → 2 shot escalations (×4 each) → tightened
-    /// solver (ε_l/10) → classical fallback.
-    pub fn full() -> Self {
-        RecoveryPolicy {
-            enabled: true,
-            ..Default::default()
+            recovery: false,
         }
     }
 }
@@ -458,9 +424,7 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
     /// Fig. 1).  Input the solver cannot prepare is an error, not a panic
     /// (see [`QsvtLinearSolver::new`]).
     pub fn new(a: &Op, options: HybridRefinementOptions) -> Result<Self, QlsError> {
-        let mut solver_options = options.solver;
-        solver_options.epsilon_l = options.epsilon_l;
-        let solver = QsvtLinearSolver::new(a, solver_options)?;
+        let solver = QsvtLinearSolver::new(a, options.epsilon_l, options.solver)?;
         Ok(HybridRefiner {
             operator: a.clone(),
             solver,
@@ -497,42 +461,34 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
     }
 
     /// The ladder of recovery actions tried **after** a failed primary
-    /// attempt, in order.  Empty when the policy is disabled.
+    /// attempt, in order.  Empty when recovery is off.
     fn recovery_ladder(&self) -> Vec<RecoveryAction> {
-        let policy = &self.options.recovery;
         let mut actions = Vec::new();
-        if !policy.enabled {
+        if !self.options.recovery {
             return actions;
         }
-        for _ in 0..policy.max_retries {
-            actions.push(RecoveryAction::Retry);
-        }
+        actions.extend([RecoveryAction::Retry; RETRIES]);
         if let Some(base) = self.options.solver.shots {
             let mut shots = base;
-            for _ in 0..policy.shot_escalations {
-                shots = shots.saturating_mul(policy.shot_escalation_factor.max(2));
+            for _ in 0..SHOT_ESCALATIONS {
+                shots = shots.saturating_mul(SHOT_ESCALATION_FACTOR);
                 actions.push(RecoveryAction::EscalateShots { shots });
             }
         }
-        if policy.tighten_solver {
-            actions.push(RecoveryAction::TightenSolver);
-        }
-        if policy.classical_fallback {
-            actions.push(RecoveryAction::ClassicalFallback);
-        }
+        actions.push(RecoveryAction::TightenSolver);
+        actions.push(RecoveryAction::ClassicalFallback);
         actions
     }
 
-    /// Rung 3's solver: ε_l × `epsilon_tighten_factor`, same mode/shots,
+    /// Rung 3's solver: ε_l × [`EPSILON_TIGHTEN_FACTOR`], same mode/shots,
     /// fault injector re-attached.  Built once, on first use.
     fn tightened_solver(&self) -> Option<&QsvtLinearSolver<Op>> {
         self.tightened
             .get_or_init(|| {
-                let mut opts = self.options.solver;
-                opts.epsilon_l = (self.options.epsilon_l
-                    * self.options.recovery.epsilon_tighten_factor)
-                    .clamp(1e-14, 0.49);
-                let mut solver = QsvtLinearSolver::new(&self.operator, opts).ok()?;
+                let epsilon_l =
+                    (self.options.epsilon_l * EPSILON_TIGHTEN_FACTOR).clamp(1e-14, 0.49);
+                let mut solver =
+                    QsvtLinearSolver::new(&self.operator, epsilon_l, self.options.solver).ok()?;
                 if let Some(inj) = &self.fault {
                     solver.attach_fault_injector(inj.clone());
                 }
@@ -693,7 +649,7 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
 
         // Ladder exhausted (or recovery disabled and the one attempt was
         // unhealthy).
-        if self.options.recovery.enabled {
+        if self.options.recovery {
             if let Some(issue) = pending {
                 log.events.push(RecoveryEvent {
                     iteration,
@@ -710,7 +666,7 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
                 cost,
             },
             None => StepResult::Dead {
-                reason: if self.options.recovery.enabled {
+                reason: if self.options.recovery {
                     FailureReason::RecoveryExhausted
                 } else {
                     pending
@@ -1190,7 +1146,7 @@ mod tests {
         // solution and the whole history must match the disabled path float
         // for float, with an empty log and a plain Converged status.
         let (a, b) = system(10.0, 16, 162);
-        let make = |recovery: RecoveryPolicy| HybridRefinementOptions {
+        let make = |recovery: bool| HybridRefinementOptions {
             target_epsilon: 1e-10,
             epsilon_l: 1e-2,
             recovery,
@@ -1198,11 +1154,11 @@ mod tests {
         };
         let mut rng_off = ChaCha8Rng::seed_from_u64(21);
         let mut rng_on = ChaCha8Rng::seed_from_u64(21);
-        let (x_off, h_off) = HybridRefiner::new(&a, make(RecoveryPolicy::default()))
+        let (x_off, h_off) = HybridRefiner::new(&a, make(false))
             .unwrap()
             .solve(&b, &mut rng_off)
             .unwrap();
-        let (x_on, h_on) = HybridRefiner::new(&a, make(RecoveryPolicy::full()))
+        let (x_on, h_on) = HybridRefiner::new(&a, make(true))
             .unwrap()
             .solve(&b, &mut rng_on)
             .unwrap();
@@ -1274,7 +1230,7 @@ mod tests {
                 shots: Some(1_000),
                 ..Default::default()
             },
-            recovery: RecoveryPolicy::full(),
+            recovery: true,
             ..Default::default()
         };
         let refiner = HybridRefiner::new(&a, options).unwrap();
@@ -1294,7 +1250,7 @@ mod tests {
             HybridRefinementOptions {
                 target_epsilon: 1e-8,
                 epsilon_l: 1e-2,
-                recovery: RecoveryPolicy::full(),
+                recovery: true,
                 ..Default::default()
             },
         )
@@ -1426,9 +1382,9 @@ mod tests {
             }
         )
         .is_err_and(invalid));
-        assert!(QsvtLinearSolver::new(&square, no_shots).is_err_and(invalid));
+        assert!(QsvtLinearSolver::new(&square, 1e-2, no_shots).is_err_and(invalid));
         let mut rng = ChaCha8Rng::seed_from_u64(24);
-        let exact = QsvtLinearSolver::new(&square, QsvtSolverOptions::default()).unwrap();
+        let exact = QsvtLinearSolver::new(&square, 1e-2, QsvtSolverOptions::default()).unwrap();
         assert!(exact
             .solve_with_shots(&b16, Some(0), &mut rng)
             .is_err_and(invalid));

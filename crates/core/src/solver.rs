@@ -26,11 +26,10 @@ use qls_sim::{shots_for_accuracy, ExecMode, OptLevel};
 use rand::Rng;
 use serde::Serialize;
 
-/// Configuration of a QSVT solve.
+/// Configuration of a QSVT solve; its accuracy ε_l is an argument of
+/// [`QsvtLinearSolver::new`].
 #[derive(Debug, Clone, Copy)]
 pub struct QsvtSolverOptions {
-    /// Low (solver) accuracy ε_l targeted by the QSVT solve.
-    pub epsilon_l: f64,
     /// Execution mode for the quantum part.
     pub mode: QsvtMode,
     /// Number of measurement shots used to read out the solution direction;
@@ -57,21 +56,12 @@ pub struct QsvtSolverOptions {
 impl Default for QsvtSolverOptions {
     fn default() -> Self {
         QsvtSolverOptions {
-            epsilon_l: 1e-2,
             mode: QsvtMode::Emulation,
             shots: None,
             brent_tolerance: 1e-12,
             opt_level: OptLevel::default(),
             cache: CachePolicy::default(),
         }
-    }
-}
-
-impl QsvtSolverOptions {
-    /// The number of shots the paper's model would prescribe for this ε_l
-    /// (`O(1/ε_l²)`), whether or not sampling is enabled.
-    pub fn model_shots(&self) -> usize {
-        shots_for_accuracy(self.epsilon_l, 1.0)
     }
 }
 
@@ -125,20 +115,21 @@ pub struct QsvtLinearSolver<Op: LinearOperator<f64> = Matrix<f64>> {
 }
 
 impl<Op: LinearOperator<f64>> QsvtLinearSolver<Op> {
-    /// Prepare the solver (builds the inverse polynomial and, in circuit mode,
-    /// the phase factors and the optimized, compiled-once QSVT circuit).
+    /// Prepare the solver at accuracy `epsilon_l` (builds the inverse
+    /// polynomial and, in circuit mode, the phase factors and the optimized,
+    /// compiled-once QSVT circuit).
     /// The densification needed by the quantum-side construction happens here,
     /// once — never on the solve path.  A non-square `A`, an `ε_l` outside
     /// `(0, 1)`, a readout of `Some(0)` shots or, in circuit mode, an `N`
     /// that is not a power of two is a `QsvtError::InvalidInput`.
-    pub fn new(a: &Op, options: QsvtSolverOptions) -> Result<Self, QlsError> {
+    pub fn new(a: &Op, epsilon_l: f64, options: QsvtSolverOptions) -> Result<Self, QlsError> {
         check_shots(options.shots)?;
         // The densified temporary is dropped before the operator is cloned,
         // so the dense default (`to_dense` = clone) never holds an extra
         // N² buffer beyond what the inverter keeps.
         let inverter = QsvtInverter::with_config(
             &a.to_dense(),
-            options.epsilon_l,
+            epsilon_l,
             options.mode,
             options.opt_level,
             ExecMode::default(),
@@ -270,8 +261,10 @@ impl<Op: LinearOperator<f64>> QsvtLinearSolver<Op> {
         // qls-sim::measure::signed_from_magnitudes).  An attached fault
         // injector's readout corruption composes with the sampled path —
         // sign flips model exactly the failure `signed_from_magnitudes`
-        // assumes away.
-        let shots = shots_override.unwrap_or_else(|| self.options.model_shots());
+        // assumes away.  Exact readout records the shots the paper's model
+        // prescribes for ε_l (`O(1/ε_l²)`).
+        let shots =
+            shots_override.unwrap_or_else(|| shots_for_accuracy(self.inverter.epsilon_l(), 1.0));
         if let Some(s) = shots_override {
             direction = sample_direction(&direction, s, rng);
             if let Some(inj) = self.inverter.fault_injector() {
@@ -360,8 +353,14 @@ fn check_shots(shots: Option<usize>) -> Result<(), QlsError> {
 /// binary search of the cumulative weights would.  So the counts, the
 /// result and the RNG's position afterwards are those of drawing with
 /// `gen_range` and searching with `partition_point`.
+///
+/// An empty direction gives the empty vector, and zero shots the all-zero
+/// vector (no counts means every magnitude is 0); neither draws a word.
 pub fn sample_direction<R: Rng>(direction: &Vector<f64>, shots: usize, rng: &mut R) -> Vector<f64> {
     let n = direction.len();
+    if n == 0 || shots == 0 {
+        return Vector::zeros(n);
+    }
     // Cumulative distribution.
     let mut cdf = Vec::with_capacity(n);
     let mut acc = 0.0;
@@ -439,14 +438,7 @@ mod tests {
     #[test]
     fn single_solve_reaches_epsilon_l_accuracy() {
         let (a, b) = system(10.0, 16, 141);
-        let solver = QsvtLinearSolver::new(
-            &a,
-            QsvtSolverOptions {
-                epsilon_l: 1e-3,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let solver = QsvtLinearSolver::new(&a, 1e-3, QsvtSolverOptions::default()).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let result = solver.solve(&b, &mut rng).unwrap();
         // The scaled residual of a single low-accuracy solve is ≲ ε_l·κ.
@@ -460,14 +452,7 @@ mod tests {
     #[test]
     fn scale_recovery_matches_least_squares() {
         let (a, b) = system(5.0, 8, 142);
-        let solver = QsvtLinearSolver::new(
-            &a,
-            QsvtSolverOptions {
-                epsilon_l: 1e-4,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let solver = QsvtLinearSolver::new(&a, 1e-4, QsvtSolverOptions::default()).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let result = solver.solve(&b, &mut rng).unwrap();
         // Analytic optimum of min_mu ||mu * (A eta) - b||: mu = (A eta)·b / ||A eta||².
@@ -485,8 +470,8 @@ mod tests {
         let (a, b) = system(10.0, 16, 143);
         let exact = QsvtLinearSolver::new(
             &a,
+            1e-4,
             QsvtSolverOptions {
-                epsilon_l: 1e-4,
                 shots: None,
                 ..Default::default()
             },
@@ -494,8 +479,8 @@ mod tests {
         .unwrap();
         let sampled = QsvtLinearSolver::new(
             &a,
+            1e-4,
             QsvtSolverOptions {
-                epsilon_l: 1e-4,
                 shots: Some(200_000),
                 ..Default::default()
             },
@@ -512,14 +497,7 @@ mod tests {
     #[test]
     fn cost_record_is_populated() {
         let (a, b) = system(10.0, 16, 144);
-        let solver = QsvtLinearSolver::new(
-            &a,
-            QsvtSolverOptions {
-                epsilon_l: 1e-2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let solver = QsvtLinearSolver::new(&a, 1e-2, QsvtSolverOptions::default()).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let result = solver.solve(&b, &mut rng).unwrap();
         assert!(result.cost.polynomial_degree > 0);
@@ -608,13 +586,36 @@ mod tests {
         assert_eq!(a.as_slice(), b.as_slice());
     }
 
+    #[test]
+    fn empty_and_zero_shot_readouts_draw_no_word() {
+        use rand::RngCore;
+        let mut rng = ChaCha8Rng::seed_from_u64(10);
+        let mut untouched = rng.clone();
+        // N = 0 gives the empty vector at any shot count.
+        for shots in [0, 1, 10_000] {
+            assert!(sample_direction(&Vector::zeros(0), shots, &mut rng).is_empty());
+        }
+        // Zero shots give no counts, so every magnitude is 0.
+        for direction in [vec![0.6, 0.8], vec![0.6, -0.64, 0.48, 0.0]] {
+            let sampled = sample_direction(&Vector::from_f64_slice(&direction), 0, &mut rng);
+            let bits: Vec<u64> = sampled.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(bits, vec![0; direction.len()], "{direction:?}");
+        }
+        assert_eq!(rng.next_u64(), untouched.next_u64(), "no word drawn");
+    }
+
     /// The sampler before the guide table: one `gen_range` draw and one
-    /// binary search of the cumulative distribution per shot.
+    /// binary search of the cumulative distribution per shot, behind the
+    /// same empty and zero-shot guard as `sample_direction` (without it,
+    /// zero shots gave 0/0 = NaN magnitudes and N = 0 indexed past the end).
     fn oracle_sample_direction<R: Rng>(
         direction: &Vector<f64>,
         shots: usize,
         rng: &mut R,
     ) -> Vector<f64> {
+        if direction.is_empty() || shots == 0 {
+            return Vector::zeros(direction.len());
+        }
         let probs: Vec<f64> = direction.iter().map(|&x| x * x).collect();
         let mut counts = vec![0usize; probs.len()];
         let mut cdf = Vec::with_capacity(probs.len());

@@ -66,7 +66,7 @@ impl InversePolynomial {
 
     /// Build the polynomial with explicitly chosen `b` and `D` (used by tests,
     /// by the resource model, and to reproduce runs where the angle-estimation
-    /// algorithm of [32] fixes the effective accuracy itself).
+    /// algorithm of \[32\] fixes the effective accuracy itself).
     pub fn with_parameters(kappa: f64, epsilon: f64, b: u64, cap_d: u64) -> Self {
         let cap_d = cap_d.min(b); // the expansion has at most b non-zero terms
                                   // Tail sums S_j = 2^{-2b} Σ_{i=j+1}^{b} C(2b, b+i) for j = 0..D.
@@ -122,8 +122,8 @@ impl InversePolynomial {
     }
 
     /// Maximum absolute value of the normalised polynomial over [-1, 1]
-    /// (must not exceed 1 for the QSVT; the value inside (-1/κ, 1/κ) is the
-    /// part the rectangle window of [`crate::rectangle`] is designed to tame).
+    /// (must not exceed 1 for the QSVT, which `qls_qsvt::find_phases`
+    /// checks).
     pub fn max_abs(&self, samples: usize) -> f64 {
         self.series.max_abs_on_interval(samples)
     }

@@ -19,18 +19,13 @@
 //! * [`inverse`] — the paper's Eq. (4): the explicit Chebyshev coefficients of
 //!   the polynomial approximation of 1/x, the degree formulas `b(ε,κ)` and
 //!   `D(ε,κ)`, and error measurement on the domain `[-1,-1/κ] ∪ [1/κ,1]`;
-//! * [`rectangle`] — even polynomial approximations of the rectangle (window)
-//!   function used to tame the inverse polynomial inside `(-1/κ, 1/κ)` so that
-//!   the QSVT magnitude constraint `|P(x)| ≤ 1` holds on all of [-1, 1];
 //! * [`special`] — the scalar special functions these constructions need
-//!   (log-gamma, erf, binomial tail probabilities), implemented from scratch.
+//!   (log-gamma, binomial tail probabilities), implemented from scratch.
 
 pub mod chebyshev;
 pub mod inverse;
-pub mod rectangle;
 pub mod special;
 
 pub use chebyshev::{chebyshev_nodes, chebyshev_t, interpolate, ChebyshevSeries, Parity};
 pub use inverse::{degree_b, degree_cap_d, InversePolynomial};
-pub use rectangle::rectangle_polynomial;
-pub use special::{binomial_tail, erf, ln_gamma};
+pub use special::{binomial_tail, ln_gamma};

@@ -4,8 +4,7 @@
 //! of the paper) are symmetric-binomial tail probabilities
 //! `2^{-2b} Σ_{i>j} C(2b, b+i)`, where `b` can reach 10⁵–10⁶ for the condition
 //! numbers studied in the paper.  Computing them through naive factorials is
-//! impossible at that scale, so we go through the log-gamma function; `erf` is
-//! needed by the smoothed rectangle-window construction.
+//! impossible at that scale, so we go through the log-gamma function.
 
 /// Natural logarithm of the gamma function, Lanczos approximation (g = 7,
 /// n = 9 coefficients), accurate to ~1e-13 relative error for x > 0.
@@ -116,24 +115,6 @@ pub fn binomial_tails(b: u64, j_max: u64) -> Vec<f64> {
     tails
 }
 
-/// Error function `erf(x)`, Abramowitz–Stegun 7.1.26-style rational
-/// approximation refined with one extra term; absolute error < 3e-7, which is
-/// ample for constructing smoothed window polynomials.
-pub fn erf(x: f64) -> f64 {
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-    // Coefficients of the A&S 7.1.26 approximation.
-    const A1: f64 = 0.254_829_592;
-    const A2: f64 = -0.284_496_736;
-    const A3: f64 = 1.421_413_741;
-    const A4: f64 = -1.453_152_027;
-    const A5: f64 = 1.061_405_429;
-    const P: f64 = 0.327_591_1;
-    let t = 1.0 / (1.0 + P * x);
-    let y = 1.0 - (((((A5 * t + A4) * t) + A3) * t + A2) * t + A1) * t * (-x * x).exp();
-    sign * y
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,25 +218,5 @@ mod tests {
         let b = 1_000_000u64;
         let tails = binomial_tails(b, 10);
         assert!(tails.iter().all(|t| t.is_finite() && *t >= 0.0 && *t < 0.5));
-    }
-
-    #[test]
-    fn erf_known_values() {
-        assert!(erf(0.0).abs() < 1e-7);
-        assert!((erf(1.0) - 0.842_700_79).abs() < 1e-6);
-        assert!((erf(2.0) - 0.995_322_27).abs() < 1e-6);
-        assert!((erf(-1.0) + 0.842_700_79).abs() < 1e-6);
-        assert!((erf(5.0) - 1.0).abs() < 1e-7);
-    }
-
-    #[test]
-    fn erf_is_odd_and_monotone() {
-        let xs: Vec<f64> = (0..100).map(|i| i as f64 * 0.05).collect();
-        for w in xs.windows(2) {
-            assert!(erf(w[1]) >= erf(w[0]));
-        }
-        for &x in &xs {
-            assert!((erf(x) + erf(-x)).abs() < 1e-7);
-        }
     }
 }

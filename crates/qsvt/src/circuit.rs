@@ -290,7 +290,7 @@ mod tests {
         // Phases found for an explicit odd target; the real-part circuit block
         // must reproduce the *target* (not the full complex P) on the spectrum.
         let target = ChebyshevSeries::new(vec![0.0, 0.4, 0.0, -0.3]);
-        let phases = find_phases(&target, &PhaseFindingOptions::default()).unwrap();
+        let phases = find_phases(&target, &PhaseFindingOptions).unwrap();
         let (be, a) = diagonal_block_encoding(&[0.7, -0.2, 0.45, 0.9]);
         let qsvt = QsvtCircuit::with_real_part_extraction(&be, &phases.phases);
         assert_eq!(qsvt.block_encoding_calls(), 2 * phases.degree);

@@ -8,7 +8,7 @@
 //!   polynomial the QSVT lifts to matrices, used to define and verify phase
 //!   factors.
 //! * [`phases`] — symmetric-QSP phase-factor computation (the paper's Ref.
-//!   [13] route, used for small condition numbers).
+//!   \[13\] route, used for small condition numbers).
 //! * [`circuit`] — the QSVT operator of Eqs. (2)–(3): alternating
 //!   block-encoding calls and projector-controlled phase rotations, plus the
 //!   real-part extraction ancilla.

@@ -12,7 +12,7 @@
 //! QSVT circuit built from the same phases applies `P` to every singular value
 //! of the block-encoded operator.  The phase solver in [`crate::phases`]
 //! targets the *real part* `Re P(x)`, which is the convention of the symmetric
-//! QSP method the paper cites ([13]); these scalar routines are what the
+//! QSP method the paper cites (\[13\]); these scalar routines are what the
 //! solver iterates on and what the tests verify against.
 
 use num_complex::Complex64;
@@ -70,11 +70,6 @@ pub fn qsp_polynomial(phases: &[f64], x: f64) -> Complex64 {
 /// The real part `Re ⟨0|U_Φ(x)|0⟩` targeted by the symmetric-QSP phase solver.
 pub fn qsp_real_polynomial(phases: &[f64], x: f64) -> f64 {
     qsp_polynomial(phases, x).re
-}
-
-/// Degree of the polynomial realised by a phase vector (`len − 1`).
-pub fn qsp_degree(phases: &[f64]) -> usize {
-    phases.len().saturating_sub(1)
 }
 
 #[cfg(test)]

@@ -193,9 +193,9 @@ impl QsvtInverter {
     /// artifact cache (`qls-cache`).  `Enabled` — the default throughout the
     /// QSVT layer — consults the on-disk stores before the two expensive
     /// construction stages: symmetric-QSP phase factors (kind `qsvt-phases`,
-    /// keyed by the polynomial's Chebyshev coefficients and the
-    /// phase-finding options) and the fused circuit (kind `fused-circuits`,
-    /// keyed by the gate list, fusion options, and machine fingerprint).
+    /// keyed by the polynomial's Chebyshev coefficients) and the fused
+    /// circuit (kind `fused-circuits`, keyed by the gate list and the
+    /// machine fingerprint).
     /// Warm constructions therefore run zero phase-factor iterations and
     /// zero fusion passes, and produce bit-identical artefacts to a cold
     /// build.  `Disabled` is the escape hatch that never touches the disk.
@@ -243,9 +243,8 @@ impl QsvtInverter {
         let polynomial = InversePolynomial::new(kappa, eps_prime);
 
         let circuit = if mode == QsvtMode::CircuitReal {
-            let phases =
-                find_phases_cached(&polynomial.series, &PhaseFindingOptions::default(), cache)
-                    .map_err(QsvtError::Phases)?;
+            let phases = find_phases_cached(&polynomial.series, &PhaseFindingOptions, cache)
+                .map_err(QsvtError::Phases)?;
             let be = DilationBlockEncoding::of_adjoint(a, alpha);
             let qsvt = QsvtCircuit::with_real_part_extraction(&be, &phases.phases);
             // Optimize + compile exactly once; every solve_direction call

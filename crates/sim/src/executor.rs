@@ -47,7 +47,7 @@
 //! batch fan-out never has to order the injector's random stream.
 
 use crate::circuit::Circuit;
-use crate::fuse::{CircuitStats, FusionOptions};
+use crate::fuse::CircuitStats;
 use crate::gate::Gate;
 use crate::kernels::{CompiledCircuit, PARALLEL_WORK_THRESHOLD};
 use crate::state::StateVector;
@@ -57,9 +57,10 @@ use serde::{Deserialize, Serialize};
 
 /// Cache kind for fused-circuit artifacts (see [`qls_cache`]).
 const FUSED_CACHE_KIND: &str = "fused-circuits";
-/// Bump whenever the fusion pass, the [`CachedFusion`] wire shape, or the
-/// fingerprint recipe below changes meaning — old entries become misses.
-const FUSED_CACHE_VERSION: u32 = 2;
+/// Bump whenever the fusion pass (its constants included), the
+/// [`CachedFusion`] wire shape, or the fingerprint recipe below changes
+/// meaning — old entries become misses.
+const FUSED_CACHE_VERSION: u32 = 3;
 
 /// The on-disk payload of one fused-circuit cache entry: the rewritten
 /// operation list plus the before/after report.  Compilation itself
@@ -75,12 +76,13 @@ struct CachedFusion {
 }
 
 /// Content fingerprint of a fusion job: every input the optimizer's output
-/// depends on.  Gate params and `Unitary` entries are hashed by f64 bit
+/// depends on (the pass has no options; [`FUSED_CACHE_VERSION`] covers its
+/// constants).  Gate params and `Unitary` entries are hashed by f64 bit
 /// pattern.  The machine fingerprint is included because fused products
 /// multiply gate matrices built with the platform's `sin`/`cos`, which can
 /// differ in the last bit between platforms — an artifact cache copied to
 /// an unlike machine misses instead of replaying another platform's floats.
-fn fused_circuit_fingerprint(circuit: &Circuit, opts: &FusionOptions) -> Fingerprint {
+fn fused_circuit_fingerprint(circuit: &Circuit) -> Fingerprint {
     let mut b = FingerprintBuilder::new(FUSED_CACHE_KIND);
     b.write_u64(machine_fingerprint());
     b.write_usize(circuit.num_qubits());
@@ -129,10 +131,6 @@ fn fused_circuit_fingerprint(circuit: &Circuit, opts: &FusionOptions) -> Fingerp
         b.write_usize_slice(&op.targets);
         b.write_usize_slice(&op.controls);
     }
-    b.write_usize(opts.max_fused_qubits);
-    b.write_usize(opts.max_diagonal_qubits);
-    b.write_usize(opts.lookback);
-    b.write_usize(opts.op_overhead_cost);
     b.finish()
 }
 
@@ -144,11 +142,10 @@ pub enum OptLevel {
     ///
     /// [`CompiledOp`]: crate::kernels::CompiledOp
     None,
-    /// Run gate fusion + diagonal merging ([`crate::fuse`]) with the default
-    /// [`FusionOptions`] before compiling.  The default.  Fusion is a pure
-    /// function of the circuit and the register width, so
-    /// [`crate::resources::fusion_stats`] reports the circuit this level
-    /// runs.
+    /// Run gate fusion + diagonal merging ([`crate::fuse`]) before
+    /// compiling.  The default.  Fusion is a pure function of the circuit
+    /// and the register width, so [`crate::resources::fusion_stats`]
+    /// reports the circuit this level runs.
     #[default]
     Fuse,
 }
@@ -218,14 +215,11 @@ impl QuantumExecutor {
                 stats: None,
             },
             OptLevel::Fuse => {
-                let opts = FusionOptions::default();
                 let store = match cache {
                     CachePolicy::Enabled => CacheStore::open(),
                     CachePolicy::Disabled => None,
                 };
-                let key = store
-                    .as_ref()
-                    .map(|_| fused_circuit_fingerprint(circuit, &opts));
+                let key = store.as_ref().map(|_| fused_circuit_fingerprint(circuit));
                 if let (Some(store), Some(key)) = (&store, key) {
                     if let Some(cf) =
                         store.load::<CachedFusion>(FUSED_CACHE_KIND, FUSED_CACHE_VERSION, key)
@@ -243,8 +237,7 @@ impl QuantumExecutor {
                         }
                     }
                 }
-                let (compiled, fused, stats) =
-                    CompiledCircuit::optimized_with_fused(circuit, num_qubits, &opts);
+                let (compiled, fused, stats) = CompiledCircuit::optimized(circuit, num_qubits);
                 if let (Some(store), Some(key)) = (&store, key) {
                     store.store(
                         FUSED_CACHE_KIND,

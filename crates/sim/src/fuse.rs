@@ -6,20 +6,19 @@
 //! list *before* compilation so repeated executions pay fewer, denser sweeps:
 //!
 //! 1. **Dense fusion.**  Runs of adjacent gates whose combined *target*
-//!    support stays within [`FusionOptions::max_fused_qubits`] qubits
-//!    (default 3) are fused into one dense operation by multiplying their
-//!    embedded matrices.  Fusion is always allowed — regardless of the cap —
-//!    when one operation's targets are a subset of the other's, because the
-//!    fused op is no larger than what the circuit already contained (this is
-//!    what lets a deep QSVT sequence collapse into its block-encoding-sized
-//!    product).
+//!    support stays within `MAX_FUSED_QUBITS` (3) qubits are fused into one
+//!    dense operation by multiplying their embedded matrices.  Fusion is
+//!    always allowed — regardless of the cap — when one operation's targets
+//!    are a subset of the other's, because the fused op is no larger than
+//!    what the circuit already contained (this is what lets a deep QSVT
+//!    sequence collapse into its block-encoding-sized product).
 //! 2. **Diagonal merging.**  Operations that are diagonal in the
 //!    computational basis (`Z`/`S`/`T`/`Rz`/`Phase`/`GlobalPhase`, their
 //!    controlled forms, and any diagonal `Gate::Unitary`) multiply entrywise,
 //!    so chains of them — even on *different* qubits and with *different*
 //!    control sets — merge into a single diagonal of support up to
-//!    [`FusionOptions::max_diagonal_qubits`].  A controlled diagonal is
-//!    itself a diagonal, so mismatched control masks fold into the table.
+//!    `MAX_DIAGONAL_QUBITS` (6).  A controlled diagonal is itself a
+//!    diagonal, so mismatched control masks fold into the table.
 //! 3. **Controlled fusion.**  Controlled operations fuse whenever their
 //!    control sets match: both act as the identity outside the
 //!    control-satisfied subspace and compose inside it, so the fused op keeps
@@ -39,13 +38,13 @@
 //!    registers and is rejected where the densified sweep would cost more.
 //!
 //! The pass is a single greedy sweep: each incoming operation looks backwards
-//! through the last [`FusionOptions::lookback`] emitted segments, hopping
-//! over segments it commutes with (disjoint support, or both diagonal), and
+//! through the last `LOOKBACK` (16) emitted segments, hopping over
+//! segments it commutes with (disjoint support, or both diagonal), and
 //! fuses into the first compatible one.  Each candidate fusion is priced on
 //! this circuit's register before it is accepted: a fusion that would *raise*
 //! the estimated sweep cost by more than the saved per-op overhead
-//! ([`FusionOptions::op_overhead_cost`]) is rejected, so cheap structured
-//! sweeps survive on large registers where arithmetic dominates dispatch,
+//! (`OP_OVERHEAD_COST`, 512) is rejected, so cheap structured sweeps
+//! survive on large registers where arithmetic dominates dispatch,
 //! while small solver registers (dispatch-dominated) and cost-neutral fusions
 //! (nested or equal targets — the QSVT collapse) fuse at any size.  When a
 //! *pairwise* fusion is cost-rejected, a **two-op lookahead** composes the
@@ -68,7 +67,7 @@
 //! less than one execution on large registers, where it mostly declines to
 //! fuse.
 //!
-//! Use [`optimize_circuit`] directly, or (more commonly)
+//! Use [`optimize_circuit_for`] directly, or (more commonly)
 //! [`CompiledCircuit::optimized`](crate::kernels::CompiledCircuit::optimized)
 //! / [`OptLevel::Fuse`](crate::executor::OptLevel) on
 //! [`QuantumExecutor`](crate::executor::QuantumExecutor), which also report
@@ -87,58 +86,50 @@ use std::cell::Cell;
 const ZERO: Complex64 = Complex64::new(0.0, 0.0);
 const ONE: Complex64 = Complex64::new(1.0, 0.0);
 
-/// Tuning knobs of the fusion pass.
-///
-/// Every production caller uses [`FusionOptions::default`]:
-/// [`OptLevel::Fuse`](crate::executor::OptLevel),
-/// [`CompiledCircuit::optimized`](crate::kernels::CompiledCircuit::optimized)
-/// and [`fusion_stats`](crate::resources::fusion_stats).  Candidate fusions
-/// are always priced with the one fixed cost table, so equal options on an
-/// equal circuit and register width give an equal fused circuit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FusionOptions {
-    /// Combined-target cap `K` for dense fusion: two dense ops fuse only when
-    /// the union of their targets has at most this many qubits (cost of the
-    /// fused generic kernel grows as `4^K` per block, so small caps win).
-    /// Ops whose targets nest (subset) always fuse, whatever the cap.
-    pub max_fused_qubits: usize,
-    /// Support cap for merged diagonals.  A diagonal sweep costs one multiply
-    /// per amplitude regardless of support, so this can sit well above
-    /// `max_fused_qubits`; it only bounds the `2^k` table size.
-    pub max_diagonal_qubits: usize,
-    /// How many already-emitted segments an incoming op may scan backwards
-    /// (hopping over commuting segments) to find a fusion partner.
-    pub lookback: usize,
-    /// Fixed cost of one operation application, in complex-multiply
-    /// equivalents (dispatch, bounds checks, loop setup, and one more full
-    /// pass over the memory-resident state).  A fusion is accepted only when
-    /// `sweep_cost(fused) ≤ sweep_cost(a) + sweep_cost(b) + op_overhead_cost`
-    /// on this circuit's register, so cheap structured sweeps (X, SWAP,
-    /// phase, single-qubit pairs) are *not* densified into `4^k`-multiply
-    /// generic blocks on registers large enough that the extra arithmetic
-    /// outweighs the saved dispatch.  Nested-target and equal-target fusions
-    /// never increase the sweep cost, so they pass at any register size.
-    pub op_overhead_cost: usize,
-}
+/// Combined-target cap for dense fusion: two dense ops fuse only when the
+/// union of their targets has at most this many qubits (the fused generic
+/// kernel on `k` targets costs `4^k` per block, so small caps win).  Ops
+/// whose targets nest (subset) always fuse, whatever the cap.  Changing it
+/// changes fused circuits, so it needs a bump of `FUSED_CACHE_VERSION`
+/// (`executor.rs`).
+const MAX_FUSED_QUBITS: usize = 3;
 
-impl Default for FusionOptions {
-    fn default() -> Self {
-        FusionOptions {
-            max_fused_qubits: 3,
-            max_diagonal_qubits: 6,
-            lookback: 16,
-            op_overhead_cost: 512,
-        }
-    }
-}
+/// Support cap for merged diagonals.  A diagonal sweep costs one multiply
+/// per amplitude regardless of support, so this sits well above
+/// [`MAX_FUSED_QUBITS`]; it only bounds the `2^k` table size.  Changing it
+/// needs a bump of `FUSED_CACHE_VERSION`.
+const MAX_DIAGONAL_QUBITS: usize = 6;
+
+/// How many already-emitted segments an incoming op may scan backwards
+/// (hopping over commuting segments) to find a fusion partner.  Changing it
+/// needs a bump of `FUSED_CACHE_VERSION`.
+const LOOKBACK: usize = 16;
+
+/// Fixed cost of one operation application, in complex-multiply
+/// equivalents (dispatch, bounds checks, loop setup, and one more full pass
+/// over the memory-resident state).  A fusion is accepted only when
+/// `sweep_cost(fused) ≤ sweep_cost(a) + sweep_cost(b) + OP_OVERHEAD_COST`
+/// on this circuit's register, so cheap structured sweeps (X, SWAP, phase,
+/// single-qubit pairs) are *not* densified into `4^k`-multiply generic
+/// blocks on registers large enough that the extra arithmetic outweighs the
+/// saved dispatch.  Nested-target and equal-target fusions never increase
+/// the sweep cost, so they pass at any register size.  Changing it needs a
+/// bump of `FUSED_CACHE_VERSION`.
+const OP_OVERHEAD_COST: usize = 512;
+
+/// The fusion pass has no settings: it fuses with the constants above and
+/// prices fusions with one fixed cost table, so an equal circuit and
+/// register width always give an equal fused circuit.  This empty struct
+/// stays only because the benchmark harness in `perfbench/` passes it to
+/// [`optimize_circuit`], and goes once that harness stops naming it.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct FusionOptions;
 
 impl FusionOptions {
-    /// The default options.  The fusion pass has one cost table, so this is
-    /// [`FusionOptions::default`]; it stays only because the benchmark
-    /// harness in `perfbench/` calls it, and goes once that harness stops
-    /// naming it.
+    /// [`FusionOptions::default`], kept for the benchmark harness in
+    /// `perfbench/`.
     pub fn measured() -> Self {
-        Self::default()
+        Self
     }
 }
 
@@ -490,14 +481,14 @@ fn dense_drop_bit(m: &CMatrix, t: usize) -> CMatrix {
 
 /// Fuse `second ∘ first` when the rules allow it (`first` is applied before
 /// `second` in circuit order).  The result is not yet simplified.
-fn try_fuse(first: &Segment, second: &Segment, opts: &FusionOptions) -> Option<Segment> {
+fn try_fuse(first: &Segment, second: &Segment) -> Option<Segment> {
     if first.controls == second.controls {
         let union = union_sorted(&first.targets, &second.targets);
         // Nested targets fuse for free: the fused op is no bigger than one
         // the circuit already contained.
         let nested = union == first.targets || union == second.targets;
         if let (Body::Diag(da), Body::Diag(db)) = (&first.body, &second.body) {
-            if !nested && union.len() > opts.max_diagonal_qubits {
+            if !nested && union.len() > MAX_DIAGONAL_QUBITS {
                 return None;
             }
             let ea = embed_table(da, &first.targets, &union);
@@ -510,7 +501,7 @@ fn try_fuse(first: &Segment, second: &Segment, opts: &FusionOptions) -> Option<S
                 pristine: None,
             });
         }
-        if !nested && union.len() > opts.max_fused_qubits {
+        if !nested && union.len() > MAX_FUSED_QUBITS {
             return None;
         }
         let ma = embed_dense(&dense_of(first), &first.targets, &union);
@@ -530,7 +521,7 @@ fn try_fuse(first: &Segment, second: &Segment, opts: &FusionOptions) -> Option<S
         // Check the support cap before materializing any 2^k table: heavily
         // controlled diagonals would otherwise allocate huge tables only to
         // be rejected.
-        if union_sorted(&sa, &sb).len() > opts.max_diagonal_qubits {
+        if union_sorted(&sa, &sb).len() > MAX_DIAGONAL_QUBITS {
             return None;
         }
         let (qa, ta) = full_diag_table(first);
@@ -558,7 +549,7 @@ fn try_fuse(first: &Segment, second: &Segment, opts: &FusionOptions) -> Option<S
         return None;
     }
     let union = union_sorted(&sa, &sb);
-    if union.len() > opts.max_fused_qubits {
+    if union.len() > MAX_FUSED_QUBITS {
         return None;
     }
     let ma = embed_dense(&controlled_dense(first), &sa, &union);
@@ -654,20 +645,22 @@ fn emit(seg: Segment) -> Operation {
     Operation::new(Gate::Unitary(matrix), seg.targets, seg.controls)
 }
 
-/// Run the fusion/diagonal-merging pass, returning the rewritten circuit.
+/// Run the fusion/diagonal-merging pass, returning the rewritten circuit:
+/// [`optimize_circuit_for`] at the circuit's own width.  The options are
+/// empty (see [`FusionOptions`]).
 ///
 /// The output implements the same unitary (up to floating-point roundoff in
 /// the fused matrix products, ≲ 1e-13 for realistic depths) on the same
 /// register width, with a shorter — never longer — operation list.
-pub fn optimize_circuit(circuit: &Circuit, opts: &FusionOptions) -> Circuit {
-    optimize_circuit_for(circuit, circuit.num_qubits(), opts)
+pub fn optimize_circuit(circuit: &Circuit, _opts: &FusionOptions) -> Circuit {
+    optimize_circuit_for(circuit, circuit.num_qubits())
 }
 
-/// [`optimize_circuit`] with the width of the register the circuit will
-/// actually run on (≥ the circuit's own width).  The cost gate prices sweeps
-/// at that width, so a small circuit compiled for a big register keeps its
-/// cheap structured sweeps instead of densifying.
-pub fn optimize_circuit_for(circuit: &Circuit, num_qubits: usize, opts: &FusionOptions) -> Circuit {
+/// The fusion pass for the width of the register the circuit will actually
+/// run on (≥ the circuit's own width).  The cost gate prices sweeps at that
+/// width, so a small circuit compiled for a big register keeps its cheap
+/// structured sweeps instead of densifying.
+pub fn optimize_circuit_for(circuit: &Circuit, num_qubits: usize) -> Circuit {
     assert!(
         circuit.num_qubits() <= num_qubits,
         "circuit needs {} qubits, register has {}",
@@ -682,9 +675,9 @@ pub fn optimize_circuit_for(circuit: &Circuit, num_qubits: usize, opts: &FusionO
         let Some(seg) = segment_of(op) else {
             continue; // identity
         };
-        let lo = out.len().saturating_sub(opts.lookback.max(1));
+        let lo = out.len().saturating_sub(LOOKBACK);
         for j in (lo..out.len()).rev() {
-            if let Some(fused) = try_fuse(&out[j], &seg, opts) {
+            if let Some(fused) = try_fuse(&out[j], &seg) {
                 match simplify(fused) {
                     None => {
                         out.remove(j); // the pair cancelled to the identity
@@ -697,7 +690,7 @@ pub fn optimize_circuit_for(circuit: &Circuit, num_qubits: usize, opts: &FusionO
                         // cheaper partner may sit behind a commuting segment.
                         let split = cost(&out[j])
                             .saturating_add(cost(&seg))
-                            .saturating_add(opts.op_overhead_cost);
+                            .saturating_add(OP_OVERHEAD_COST);
                         if cost(&f) <= split {
                             out[j] = f;
                             continue 'ops;
@@ -708,11 +701,11 @@ pub fn optimize_circuit_for(circuit: &Circuit, num_qubits: usize, opts: &FusionO
                         // whose greedy X·D intermediate is a dense sweep the
                         // gate just refused.
                         if j >= 1 {
-                            if let Some(traw) = try_fuse(&out[j - 1], &f, opts) {
+                            if let Some(traw) = try_fuse(&out[j - 1], &f) {
                                 let triple_split = cost(&out[j - 1])
                                     .saturating_add(cost(&out[j]))
                                     .saturating_add(cost(&seg))
-                                    .saturating_add(2 * opts.op_overhead_cost);
+                                    .saturating_add(2 * OP_OVERHEAD_COST);
                                 match simplify(traw) {
                                     None => {
                                         // The triple cancelled to the identity.
@@ -750,8 +743,13 @@ mod tests {
     use super::*;
     use crate::state::StateVector;
 
-    fn assert_equivalent(raw: &Circuit, opts: &FusionOptions) -> Circuit {
-        let fused = optimize_circuit(raw, opts);
+    /// The fusion pass at the circuit's own width.
+    fn fuse(c: &Circuit) -> Circuit {
+        optimize_circuit_for(c, c.num_qubits())
+    }
+
+    fn assert_equivalent(raw: &Circuit) -> Circuit {
+        let fused = fuse(raw);
         for col in 0..1usize << raw.num_qubits() {
             let mut a = StateVector::basis_state(raw.num_qubits(), col);
             a.apply_circuit(raw);
@@ -772,7 +770,7 @@ mod tests {
     fn single_qubit_rotation_chain_fuses_to_one_op() {
         let mut c = Circuit::new(2);
         c.h(0).rx(0, 0.3).ry(0, -1.1).rz(0, 0.7).h(0);
-        let fused = assert_equivalent(&c, &FusionOptions::default());
+        let fused = assert_equivalent(&c);
         assert_eq!(fused.len(), 1);
     }
 
@@ -780,7 +778,7 @@ mod tests {
     fn diagonal_chain_merges_across_qubits_and_controls() {
         let mut c = Circuit::new(3);
         c.rz(0, 0.4).t(1).cphase(0, 2, 0.9).z(2).crz(2, 1, -0.5);
-        let fused = assert_equivalent(&c, &FusionOptions::default());
+        let fused = assert_equivalent(&c);
         assert_eq!(fused.len(), 1, "all-diagonal circuit must merge fully");
     }
 
@@ -788,12 +786,12 @@ mod tests {
     fn x_conjugation_pairs_cancel() {
         let mut c = Circuit::new(2);
         c.x(1).phase(1, 0.8).x(1);
-        let fused = assert_equivalent(&c, &FusionOptions::default());
+        let fused = assert_equivalent(&c);
         // X·P(φ)·X = diag(e^{iφ}, 1): one diagonal op.
         assert_eq!(fused.len(), 1);
         let mut cancel = Circuit::new(1);
         cancel.x(0).x(0);
-        assert!(optimize_circuit(&cancel, &FusionOptions::default()).is_empty());
+        assert!(fuse(&cancel).is_empty());
     }
 
     #[test]
@@ -804,11 +802,11 @@ mod tests {
             .controlled_gate(Gate::H, &[0], &[1]);
         // Small register: CX/CRy share controls {2} and fuse; the
         // {1}-controlled H then mask-densifies over {0, 1, 2} — one op.
-        let fused = assert_equivalent(&c, &FusionOptions::default());
+        let fused = assert_equivalent(&c);
         assert_eq!(fused.len(), 1);
         // Large register: mask-densification is cost-rejected, so the
         // shared-control fusion keeps its cheap subspace enumeration.
-        let large = optimize_circuit_for(&c, 14, &FusionOptions::default());
+        let large = optimize_circuit_for(&c, 14);
         assert_eq!(large.len(), 2);
         assert_eq!(large.operations()[0].controls, vec![2]);
     }
@@ -821,19 +819,19 @@ mod tests {
         let mut c = Circuit::new(3);
         c.controlled_gate(Gate::X, &[0], &[2])
             .controlled_gate(Gate::H, &[0], &[1]);
-        let fused = assert_equivalent(&c, &FusionOptions::default());
+        let fused = assert_equivalent(&c);
         assert_eq!(fused.len(), 1);
         assert!(fused.operations()[0].controls.is_empty());
         // ...while on a large register the densified full sweep costs more
         // than the two control-subspace sweeps and must be rejected.
-        let large = optimize_circuit_for(&c, 14, &FusionOptions::default());
+        let large = optimize_circuit_for(&c, 14);
         assert_eq!(large.len(), 2);
         // Disjoint supports never mask-densify (it would save nothing and
         // block commuting hops).
         let mut d = Circuit::new(4);
         d.controlled_gate(Gate::X, &[0], &[1])
             .controlled_gate(Gate::X, &[2], &[3]);
-        let kept = assert_equivalent(&d, &FusionOptions::default());
+        let kept = assert_equivalent(&d);
         assert_eq!(kept.len(), 2);
     }
 
@@ -845,7 +843,7 @@ mod tests {
         // lookahead must land it.
         let mut c = Circuit::new(14);
         c.x(1).phase(1, 0.8).x(1);
-        let fused = optimize_circuit(&c, &FusionOptions::default());
+        let fused = fuse(&c);
         assert_eq!(fused.len(), 1, "X·P·X must collapse to one diagonal");
         match &fused.operations()[0].gate {
             Gate::Unitary(m) => assert!(m.diagonal().is_some(), "fusion result must be diagonal"),
@@ -855,7 +853,7 @@ mod tests {
         // drops as an identity, then the X pair cancels).
         let mut cancel = Circuit::new(14);
         cancel.x(3).phase(3, 0.0).x(3);
-        assert!(optimize_circuit(&cancel, &FusionOptions::default()).is_empty());
+        assert!(fuse(&cancel).is_empty());
     }
 
     #[test]
@@ -867,13 +865,13 @@ mod tests {
         };
         // Equivalence on the small register, where densification is cheap
         // enough that the pass may collapse everything.
-        assert_equivalent(&build(4), &FusionOptions::default());
+        assert_equivalent(&build(4));
         // On a large register densification is cost-rejected, so the second
         // Ry must hop backwards over the disjoint h/cx to merge with the
         // first.  Ry(θ)·Ry(−θ) is an identity only up to roundoff (its
         // diagonal is cos² + sin²), so the merged pair survives as one
         // dense single-qubit op: 4 raw ops become 3.
-        let fused = optimize_circuit(&build(14), &FusionOptions::default());
+        let fused = fuse(&build(14));
         assert_eq!(fused.len(), 3);
         let on_q0 = fused
             .operations()
@@ -885,7 +883,7 @@ mod tests {
         // after the same backwards hop.
         let mut exact = Circuit::new(14);
         exact.x(0).h(2).cx(2, 3).x(0);
-        assert_eq!(optimize_circuit(&exact, &FusionOptions::default()).len(), 2);
+        assert_eq!(fuse(&exact).len(), 2);
     }
 
     #[test]
@@ -899,7 +897,7 @@ mod tests {
         c.rz(1, 0.7);
         c.gate(Gate::Unitary(u), &[0, 1, 2, 3]);
         c.phase(2, -0.4).x(0);
-        let fused = assert_equivalent(&c, &FusionOptions::default());
+        let fused = assert_equivalent(&c);
         assert_eq!(fused.len(), 1);
     }
 
@@ -909,7 +907,7 @@ mod tests {
         c.gate(Gate::I, &[0])
             .controlled_gate(Gate::I, &[1], &[0])
             .h(1);
-        let fused = assert_equivalent(&c, &FusionOptions::default());
+        let fused = assert_equivalent(&c);
         assert_eq!(fused.len(), 1);
     }
 
@@ -919,18 +917,7 @@ mod tests {
         // correctly with ops on its support.
         let mut c = Circuit::new(3);
         c.gate(Gate::Swap, &[2, 0]).h(0).h(2);
-        assert_equivalent(&c, &FusionOptions::default());
-    }
-
-    #[test]
-    fn lookback_zero_still_fuses_adjacent_ops() {
-        let opts = FusionOptions {
-            lookback: 0,
-            ..Default::default()
-        };
-        let mut c = Circuit::new(1);
-        c.rz(0, 0.1).rz(0, 0.2);
-        assert_eq!(assert_equivalent(&c, &opts).len(), 1);
+        assert_equivalent(&c);
     }
 
     #[test]
@@ -945,21 +932,20 @@ mod tests {
             c.h(0).h(1).h(2);
             c
         };
-        let opts = FusionOptions::default();
         // The generic k >= 2 kernel is costed at twice its multiply count
         // (gather/scatter overhead), so none of the cross-qubit
         // densifications pay off on a big register.
-        let large = optimize_circuit(&build(14), &opts);
+        let large = fuse(&build(14));
         assert_eq!(large.len(), 3, "no densification at 14 qubits");
-        let small = assert_equivalent(&build(3), &opts);
+        let small = assert_equivalent(&build(3));
         assert_eq!(small.len(), 1, "full fusion on a 3-qubit register");
         // Equal-target fusion is cost-neutral and must happen at any size.
         let mut pair = Circuit::new(14);
         pair.ry(5, 0.3).rx(5, -0.8);
-        assert_eq!(optimize_circuit(&pair, &opts).len(), 1);
+        assert_eq!(fuse(&pair).len(), 1);
         // A small circuit compiled for a big register must be priced at the
         // *register* width, not its own width.
-        let widened = optimize_circuit_for(&build(3), 14, &opts);
+        let widened = optimize_circuit_for(&build(3), 14);
         assert_eq!(widened.len(), 3, "no densification when run on 14 qubits");
         // The generic unit extrapolates 4x per target qubit past k = 3.
         assert_eq!(STATIC_UNITS.generic(5), 2048.0);

@@ -617,7 +617,7 @@ impl CompiledOp {
 
 /// [`CompiledOp::work_estimate`] derived from the gate classification alone
 /// (no matrix flattening or offset tables), for cheap stats pricing of raw
-/// circuits in [`CompiledCircuit::optimized_with`].  Mirrors the kernel
+/// circuits in [`CompiledCircuit::optimized`].  Mirrors the kernel
 /// dispatch of [`CompiledOp::compile`] case for case.
 fn op_sweep_work(op: &Operation, len: usize) -> usize {
     let c = op.controls.len();
@@ -666,47 +666,23 @@ impl CompiledCircuit {
     }
 
     /// Run the optimizer pass of [`crate::fuse`] (gate fusion + diagonal
-    /// merging) with the default
-    /// [`FusionOptions`](crate::fuse::FusionOptions) and compile the
-    /// rewritten circuit — one compilation, observable through
+    /// merging) for a register of `num_qubits` and compile the rewritten
+    /// circuit — one compilation, observable through
     /// [`circuit_compile_count`] exactly like [`CompiledCircuit::compile`].
     /// It fuses exactly as [`OptLevel::Fuse`](crate::executor::OptLevel)
-    /// does.
+    /// does.  Returns the compiled form, the rewritten [`Circuit`] (so a
+    /// caller that persists the fused op list, like the executor's
+    /// fused-circuit cache, does not re-run the optimizer) and the
+    /// before/after [`CircuitStats`](crate::fuse::CircuitStats) report.
     ///
     /// The optimized form implements the same unitary to ≲ 1e-13 (fused ops
     /// are floating-point matrix products); [`CompiledCircuit::compile`] on
     /// the raw circuit remains the unoptimized equivalence oracle.
-    pub fn optimized(circuit: &Circuit) -> Self {
-        Self::optimized_with(
-            circuit,
-            circuit.num_qubits(),
-            &crate::fuse::FusionOptions::default(),
-        )
-        .0
-    }
-
-    /// [`CompiledCircuit::optimized`] with an explicit register width and
-    /// fusion options, also returning the before/after
-    /// [`CircuitStats`](crate::fuse::CircuitStats) report.
-    pub fn optimized_with(
+    pub fn optimized(
         circuit: &Circuit,
         num_qubits: usize,
-        options: &crate::fuse::FusionOptions,
-    ) -> (Self, crate::fuse::CircuitStats) {
-        let (compiled, _, stats) = Self::optimized_with_fused(circuit, num_qubits, options);
-        (compiled, stats)
-    }
-
-    /// [`CompiledCircuit::optimized_with`] that also hands back the rewritten
-    /// [`Circuit`] itself, so a caller that persists the fused op list (the
-    /// executor's fused-circuit cache) does not re-run the optimizer.  Still
-    /// one [`circuit_compile_count`] tick.
-    pub fn optimized_with_fused(
-        circuit: &Circuit,
-        num_qubits: usize,
-        options: &crate::fuse::FusionOptions,
     ) -> (Self, Circuit, crate::fuse::CircuitStats) {
-        let fused = crate::fuse::optimize_circuit_for(circuit, num_qubits, options);
+        let fused = crate::fuse::optimize_circuit_for(circuit, num_qubits);
         let compiled = Self::compile_for(&fused, num_qubits);
         let len = 1usize << num_qubits;
         // Shape-based pricing of the raw circuit for the stats report: the
@@ -1101,7 +1077,7 @@ mod tests {
 
     #[test]
     fn op_sweep_work_matches_compiled_work_estimate() {
-        // The shape-based pricing used by `optimized_with` must agree with
+        // The shape-based pricing used by `optimized` must agree with
         // the real compiled op, case for case, controls included.
         let n = 6;
         let len = 1usize << n;
@@ -1167,8 +1143,7 @@ mod tests {
         let mut circ = Circuit::new(3);
         circ.h(0).rz(0, 0.4).t(0).cx(0, 1).x(2).phase(2, 1.1).x(2);
         let before = circuit_compile_count();
-        let (optimized, stats) =
-            CompiledCircuit::optimized_with(&circ, 3, &crate::fuse::FusionOptions::default());
+        let (optimized, _, stats) = CompiledCircuit::optimized(&circ, 3);
         assert_eq!(
             circuit_compile_count(),
             before + 1,

@@ -49,7 +49,7 @@
 //! 4. **Optimize before compiling.**  The circuit-optimizer pass ([`fuse`])
 //!    rewrites the operation list ahead of compilation — runs of adjacent
 //!    gates fuse into one dense sweep (combined target support capped at
-//!    [`FusionOptions::max_fused_qubits`], uncapped when targets nest),
+//!    three qubits, uncapped when targets nest),
 //!    diagonal/phase chains merge into a single table-driven diagonal, and
 //!    identities vanish — so `m` gates become far fewer, denser kernel
 //!    dispatches.  One fixed cost table prices every candidate fusion, so a

@@ -9,7 +9,6 @@
 
 use crate::circuit::Circuit;
 pub use crate::fuse::CircuitStats;
-use crate::fuse::FusionOptions;
 use crate::kernels::CompiledCircuit;
 use serde::Serialize;
 
@@ -140,7 +139,7 @@ pub fn estimate_resources(circuit: &Circuit, model: &TCountModel) -> ResourceEst
 
 /// Simulation-side cost report of a circuit: what the optimizer pass of
 /// [`crate::fuse`] does to the op count and the estimated per-application
-/// sweep work (default [`FusionOptions`]).
+/// sweep work.
 ///
 /// This complements [`estimate_resources`]: that prices the circuit on
 /// fault-tolerant *hardware* (T counts, depth), this prices it on the
@@ -149,7 +148,7 @@ pub fn estimate_resources(circuit: &Circuit, model: &TCountModel) -> ResourceEst
 /// [`crate::kernels::circuit_compile_count`]) — it is a reporting helper,
 /// not something to call on a hot path.
 pub fn fusion_stats(circuit: &Circuit) -> CircuitStats {
-    CompiledCircuit::optimized_with(circuit, circuit.num_qubits(), &FusionOptions::default()).1
+    CompiledCircuit::optimized(circuit, circuit.num_qubits()).2
 }
 
 #[cfg(test)]

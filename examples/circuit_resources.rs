@@ -66,8 +66,8 @@ fn main() {
     // Full QSVT circuit at small kappa (circuit mode).
     let solver = QsvtLinearSolver::new(
         &a,
+        0.05,
         QsvtSolverOptions {
-            epsilon_l: 0.05,
             mode: QsvtMode::CircuitReal,
             ..Default::default()
         },

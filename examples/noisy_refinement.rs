@@ -4,8 +4,8 @@
 //! noise on every run, a NaN-poisoned register on run 2, and finite-shot
 //! readout.  The same plan is driven through the hybrid refiner twice —
 //! once with recovery disabled (the run fails or stalls, reported in-band)
-//! and once with the full [`RecoveryPolicy`] ladder (the run converges and
-//! the [`RecoveryLog`] shows exactly which rungs absorbed which faults).
+//! and once with the recovery ladder armed (the run converges and the
+//! [`RecoveryLog`] shows exactly which rungs absorbed which faults).
 //!
 //! Run with `cargo run --release --example noisy_refinement`.
 
@@ -28,7 +28,7 @@ fn main() {
     let plan = FaultPlan::new(7)
         .with_amplitude_noise(2e-4)
         .with_transient(2, TransientKind::NanPoison);
-    let options = |recovery: RecoveryPolicy| HybridRefinementOptions {
+    let options = |recovery: bool| HybridRefinementOptions {
         target_epsilon: 1e-6,
         epsilon_l: 1e-2,
         max_iterations: 40,
@@ -46,7 +46,7 @@ fn main() {
     // Pass 1: recovery disabled.  The NaN-poisoned register is caught at
     // the readout boundary and the run fails in-band — no panic, no NaN in
     // the returned iterate.
-    let mut plain = HybridRefiner::new(&a, options(RecoveryPolicy::default())).expect("setup");
+    let mut plain = HybridRefiner::new(&a, options(false)).expect("setup");
     plain.attach_fault_injector(FaultInjector::shared(plan.clone()));
     let mut rng = experiment_rng(1);
     let (x, history) = plain.solve(&b, &mut rng).expect("in-band failure expected");
@@ -67,7 +67,7 @@ fn main() {
 
     // Pass 2: the same plan, replayed from scratch on a fresh injector,
     // with the full ladder armed.
-    let mut healed = HybridRefiner::new(&a, options(RecoveryPolicy::full())).expect("setup");
+    let mut healed = HybridRefiner::new(&a, options(true)).expect("setup");
     healed.attach_fault_injector(FaultInjector::shared(plan));
     let mut rng = experiment_rng(1);
     let (x, history) = healed.solve(&b, &mut rng).expect("recovered solve");

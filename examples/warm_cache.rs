@@ -12,8 +12,8 @@ use qls::prelude::*;
 fn build_solver(a: &Matrix<f64>) -> QsvtLinearSolver {
     QsvtLinearSolver::new(
         a,
+        0.05,
         QsvtSolverOptions {
-            epsilon_l: 0.05,
             mode: QsvtMode::CircuitReal,
             ..Default::default()
         },

@@ -37,9 +37,9 @@
 //!   right-hand sides of `solve_many`, and accepts any `FactorizableOperator`
 //!   — its classical residual path is O(nnz) on structured problems), cost
 //!   models, communication model, baselines, the unified `QlsError`
-//!   taxonomy, and the fault-recovery ladder (`RecoveryPolicy`: retry →
-//!   escalate shots → tighten ε_l → classical fallback, audited in a
-//!   `RecoveryLog`);
+//!   taxonomy, and the fault-recovery ladder (switched on by
+//!   `HybridRefinementOptions::recovery`: retry → escalate shots → tighten
+//!   ε_l → classical fallback, audited in a `RecoveryLog`);
 //! * [`cache`] (`qls-cache`) — the persistent artifact cache behind warm
 //!   solver construction (see "Persistent artifact cache" below).
 //!
@@ -81,7 +81,7 @@
 //! operation has one execution path, and a no-fault configuration is
 //! bit-identical to the ideal simulator (the equivalence-oracle pattern —
 //! asserted by `tests/fault_recovery.rs` and the `qls-qsvt` fault suite).
-//! On top, the refiner's `RecoveryPolicy` ladder absorbs injected faults,
+//! On top, the refiner's recovery ladder absorbs injected faults,
 //! failed post-selections, non-finite values and stalled contraction; see
 //! `examples/noisy_refinement.rs` for the end-to-end demonstration and
 //! `qls_core::refine` for how to write deterministic fault tests.
@@ -102,12 +102,13 @@
 //! (two fixed-key SipHash-2-4 lanes, `qls_cache::FingerprintBuilder`) over
 //! *every input the artifact depends on*, with floats hashed by IEEE-754
 //! bit pattern: phase factors (kind `qsvt-phases`) hash the polynomial's
-//! Chebyshev coefficients and the phase-finding options; fused circuits
-//! (kind `fused-circuits`) hash the gate list (names, params, `Unitary`
-//! entries, targets, controls), register width, fusion options, and the
-//! machine fingerprint (arch + OS + SIMD class), because fused products
-//! multiply gate matrices built with the platform's `sin`/`cos`, which can
-//! differ in the last bit between platforms.
+//! Chebyshev coefficients; fused circuits (kind `fused-circuits`) hash the
+//! gate list (names, params, `Unitary` entries, targets, controls), register
+//! width, and the machine fingerprint (arch + OS + SIMD class), because
+//! fused products multiply gate matrices built with the platform's
+//! `sin`/`cos`, which can differ in the last bit between platforms.  The
+//! phase solver and the fusion pass have no options; their constants are
+//! covered by each kind's entry-format version.
 //!
 //! **Invalidation rules.**  There is no staleness check at read time —
 //! invalidation is structural: any input change produces a different
@@ -184,7 +185,7 @@ pub mod prelude {
         sample_direction, CommunicationParameters, CommunicationSchedule, CostParameters,
         DirectQsvtSolver, Direction, FailureReason, HhlOptions, HhlResult, HhlSolver,
         HybridHistory, HybridRefinementOptions, HybridRefiner, HybridStatus, PoissonCostParameters,
-        QlsError, QsvtLinearSolver, QsvtSolverOptions, RecoveryAction, RecoveryLog, RecoveryPolicy,
+        QlsError, QsvtLinearSolver, QsvtSolverOptions, RecoveryAction, RecoveryLog,
     };
     pub use qls_encoding::{
         BlockEncoding, BlockEncodingExecutor, BlockEncodingExt, DilationBlockEncoding,
@@ -208,8 +209,7 @@ pub mod prelude {
     pub use qls_qsvt::{phase_generation_count, QsvtInverter, QsvtMode};
     pub use qls_sim::{
         estimate_resources, fusion_pass_count, fusion_stats, Circuit, CircuitStats, FaultInjector,
-        FaultPlan, FusionOptions, Gate, OptLevel, QuantumExecutor, StateVector, TCountModel,
-        TransientKind,
+        FaultPlan, Gate, OptLevel, QuantumExecutor, StateVector, TCountModel, TransientKind,
     };
 
     pub use rand::SeedableRng;

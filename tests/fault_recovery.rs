@@ -25,11 +25,7 @@ fn system(kappa: f64, n: usize, seed: u64) -> (Matrix<f64>, Vector<f64>) {
     (a, b)
 }
 
-fn refiner_with(
-    a: &Matrix<f64>,
-    recovery: RecoveryPolicy,
-    plan: Option<FaultPlan>,
-) -> HybridRefiner {
+fn refiner_with(a: &Matrix<f64>, recovery: bool, plan: Option<FaultPlan>) -> HybridRefiner {
     let mut refiner = HybridRefiner::new(
         a,
         HybridRefinementOptions {
@@ -54,7 +50,7 @@ fn scheduled_transient_is_absorbed_by_a_retry() {
     let (a, b) = system(10.0, 16, 301);
     let plan = FaultPlan::new(11).with_transient(1, TransientKind::InjectedError);
 
-    let enabled = refiner_with(&a, RecoveryPolicy::full(), Some(plan.clone()));
+    let enabled = refiner_with(&a, true, Some(plan.clone()));
     let mut rng = experiment_rng(5);
     let (x, history) = enabled.solve(&b, &mut rng).unwrap();
     assert_eq!(history.status, HybridStatus::RecoveredConverged);
@@ -68,7 +64,7 @@ fn scheduled_transient_is_absorbed_by_a_retry() {
 
     // The same plan with recovery disabled: an in-band failure, with the
     // partial history (the healthy initial solve) preserved.
-    let disabled = refiner_with(&a, RecoveryPolicy::default(), Some(plan));
+    let disabled = refiner_with(&a, false, Some(plan));
     let mut rng = experiment_rng(5);
     let (_, history) = disabled.solve(&b, &mut rng).unwrap();
     assert_eq!(
@@ -88,7 +84,7 @@ fn nan_poisoned_register_is_caught_at_the_boundary_and_recovered() {
 
     // Disabled: the NaN never escapes into the iterate — it is caught at
     // the readout boundary and reported in-band.
-    let disabled = refiner_with(&a, RecoveryPolicy::default(), Some(plan.clone()));
+    let disabled = refiner_with(&a, false, Some(plan.clone()));
     let mut rng = experiment_rng(6);
     let (x, history) = disabled.solve(&b, &mut rng).unwrap();
     assert_eq!(
@@ -103,7 +99,7 @@ fn nan_poisoned_register_is_caught_at_the_boundary_and_recovered() {
     );
 
     // Enabled: the poisoned initial solve is retried and the run converges.
-    let enabled = refiner_with(&a, RecoveryPolicy::full(), Some(plan));
+    let enabled = refiner_with(&a, true, Some(plan));
     let mut rng = experiment_rng(6);
     let (_, history) = enabled.solve(&b, &mut rng).unwrap();
     assert_eq!(history.status, HybridStatus::RecoveredConverged);
@@ -120,7 +116,7 @@ fn heavy_amplitude_noise_degrades_to_the_classical_fallback() {
     let (a, b) = system(10.0, 16, 303);
     let plan = FaultPlan::new(17).with_amplitude_noise(0.1);
 
-    let enabled = refiner_with(&a, RecoveryPolicy::full(), Some(plan.clone()));
+    let enabled = refiner_with(&a, true, Some(plan.clone()));
     let mut rng = experiment_rng(7);
     let (x, history) = enabled.solve(&b, &mut rng).unwrap();
     assert_eq!(history.status, HybridStatus::Degraded);
@@ -134,7 +130,7 @@ fn heavy_amplitude_noise_degrades_to_the_classical_fallback() {
 
     // The same plan without recovery: the loop makes no progress and stops
     // in-band (stagnation window or iteration cap), never reaching target.
-    let disabled = refiner_with(&a, RecoveryPolicy::default(), Some(plan));
+    let disabled = refiner_with(&a, false, Some(plan));
     let mut rng = experiment_rng(7);
     let (_, history) = disabled.solve(&b, &mut rng).unwrap();
     assert!(
@@ -151,8 +147,8 @@ fn no_fault_configuration_is_bit_identical_to_the_plain_path() {
     // injector attached — but with an empty plan — must reproduce the plain
     // refiner float for float, with an empty recovery log.
     let (a, b) = system(10.0, 16, 304);
-    let plain = refiner_with(&a, RecoveryPolicy::default(), None);
-    let armed = refiner_with(&a, RecoveryPolicy::full(), Some(FaultPlan::new(23)));
+    let plain = refiner_with(&a, false, None);
+    let armed = refiner_with(&a, true, Some(FaultPlan::new(23)));
 
     let mut rng_plain = experiment_rng(8);
     let mut rng_armed = experiment_rng(8);
@@ -179,7 +175,7 @@ fn solve_many_quarantines_the_faulted_system() {
     let bs: Vec<Vector<f64>> = (0..3).map(|_| random_unit_vector(16, &mut rng)).collect();
     let plan = FaultPlan::new(29).with_transient(1, TransientKind::InjectedError);
 
-    let disabled = refiner_with(&a, RecoveryPolicy::default(), Some(plan.clone()));
+    let disabled = refiner_with(&a, false, Some(plan.clone()));
     let results = disabled.solve_many(&bs, &mut rng).unwrap();
     assert_eq!(results.len(), 3);
     assert_eq!(
@@ -195,7 +191,7 @@ fn solve_many_quarantines_the_faulted_system() {
 
     // With recovery the quarantined system is retried and the whole batch
     // converges.
-    let enabled = refiner_with(&a, RecoveryPolicy::full(), Some(plan));
+    let enabled = refiner_with(&a, true, Some(plan));
     let mut rng = experiment_rng(9);
     let bs: Vec<Vector<f64>> = {
         let _ = &mut rng; // same RHS set as above
@@ -230,7 +226,7 @@ fn readout_corruption_composes_with_finite_shot_sampling() {
                 shots: Some(2_000_000),
                 ..Default::default()
             },
-            recovery: RecoveryPolicy::full(),
+            recovery: true,
         },
     )
     .unwrap();
@@ -262,7 +258,7 @@ fn circuit_mode_transient_is_absorbed_by_a_retry() {
                 cache: CachePolicy::Disabled,
                 ..Default::default()
             },
-            recovery: RecoveryPolicy::full(),
+            recovery: true,
             ..Default::default()
         },
     )

@@ -8,7 +8,7 @@
 //! differently from the fixed one, so it is the circuit checked here.
 
 use qls::prelude::*;
-use qls::sim::optimize_circuit;
+use qls::sim::optimize_circuit_for;
 
 /// Exact FABLE encoding of an 8 × 8 system with κ = 8: 3 data qubits,
 /// 3 row qubits and one flag qubit.
@@ -41,7 +41,7 @@ fn fusion_gives_equal_circuits_on_fresh_threads() {
     let circuit = fable.circuit();
     let fuse = || {
         std::thread::scope(|s| {
-            s.spawn(|| optimize_circuit(circuit, &FusionOptions::default()))
+            s.spawn(|| optimize_circuit_for(circuit, circuit.num_qubits()))
                 .join()
                 .unwrap()
         })

@@ -41,10 +41,7 @@ proptest! {
     ) {
         let (a, b) = build_system(3, kappa, seed);
         let epsilon_l = 1e-3;
-        let solver = QsvtLinearSolver::new(
-            &a,
-            QsvtSolverOptions { epsilon_l, ..Default::default() },
-        ).unwrap();
+        let solver = QsvtLinearSolver::new(&a, epsilon_l, QsvtSolverOptions::default()).unwrap();
         let mut rng = experiment_rng(seed);
         let result = solver.solve(&b, &mut rng).unwrap();
         // Scaled residual of a single eps_l-accurate solve is at most ~eps_l * kappa.
@@ -137,10 +134,7 @@ proptest! {
         let mut rng = experiment_rng(seed + 3);
         let x_true = random_unit_vector(8, &mut rng).scaled(scale);
         let b = a.matvec(&x_true);
-        let solver = QsvtLinearSolver::new(
-            &a,
-            QsvtSolverOptions { epsilon_l: 1e-6, ..Default::default() },
-        ).unwrap();
+        let solver = QsvtLinearSolver::new(&a, 1e-6, QsvtSolverOptions::default()).unwrap();
         let result = solver.solve(&b, &mut rng).unwrap();
         prop_assert!((result.scale - scale).abs() / scale < 1e-3);
     }

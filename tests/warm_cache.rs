@@ -86,7 +86,6 @@ fn solver_and_refiner_warm_builds_regenerate_nothing() {
     let dir = test_dir("layers");
     let (a, b) = test_system(8, 4.0, 2);
     let solver_options = QsvtSolverOptions {
-        epsilon_l: 0.05,
         mode: QsvtMode::CircuitReal,
         ..Default::default()
     };
@@ -101,11 +100,11 @@ fn solver_and_refiner_warm_builds_regenerate_nothing() {
     };
     with_cache_dir(&dir, || {
         // One cold construction per layer populates the store…
-        let _ = QsvtLinearSolver::new(&a, solver_options).unwrap();
+        let _ = QsvtLinearSolver::new(&a, 0.05, solver_options).unwrap();
         let _ = HybridRefiner::new(&a, refiner_options).unwrap();
         // …then every layer's second construction is pure replay.
         let (p, f) = (phase_generation_count(), fusion_pass_count());
-        let solver = QsvtLinearSolver::new(&a, solver_options).unwrap();
+        let solver = QsvtLinearSolver::new(&a, 0.05, solver_options).unwrap();
         let refiner = HybridRefiner::new(&a, refiner_options).unwrap();
         assert_eq!(
             phase_generation_count(),
@@ -165,7 +164,6 @@ fn cache_enabled_cold_path_matches_cache_disabled_bit_identically() {
     let dir = test_dir("disabled");
     let (a, b) = test_system(8, 8.0, 6);
     let enabled_options = QsvtSolverOptions {
-        epsilon_l: 0.05,
         mode: QsvtMode::CircuitReal,
         ..Default::default()
     };
@@ -175,13 +173,13 @@ fn cache_enabled_cold_path_matches_cache_disabled_bit_identically() {
     };
     with_cache_dir(&dir, || {
         let (h0, m0) = (cache_hit_count(), cache_miss_count());
-        let off = QsvtLinearSolver::new(&a, disabled_options).unwrap();
+        let off = QsvtLinearSolver::new(&a, 0.05, disabled_options).unwrap();
         assert_eq!(
             (cache_hit_count(), cache_miss_count()),
             (h0, m0),
             "CachePolicy::Disabled must never touch the store"
         );
-        let on = QsvtLinearSolver::new(&a, enabled_options).unwrap(); // cold: misses + stores
+        let on = QsvtLinearSolver::new(&a, 0.05, enabled_options).unwrap(); // cold: misses + stores
         let off_result = off.solve(&b, &mut experiment_rng(7)).unwrap();
         let on_result = on.solve(&b, &mut experiment_rng(7)).unwrap();
         assert_eq!(bits(&off_result.solution), bits(&on_result.solution));
@@ -190,7 +188,7 @@ fn cache_enabled_cold_path_matches_cache_disabled_bit_identically() {
             on_result.scaled_residual.to_bits()
         );
         // And the warm replay of the enabled path stays on those same bits.
-        let warm = QsvtLinearSolver::new(&a, enabled_options).unwrap();
+        let warm = QsvtLinearSolver::new(&a, 0.05, enabled_options).unwrap();
         let warm_result = warm.solve(&b, &mut experiment_rng(7)).unwrap();
         assert_eq!(bits(&off_result.solution), bits(&warm_result.solution));
     });
