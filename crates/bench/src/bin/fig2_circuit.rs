@@ -3,7 +3,7 @@
 //! Builds the block-encoding of `tridiag(-1, 2, -1)` used by the Poisson use
 //! case, verifies the defining property `α·⟨0|U|0⟩ = A` numerically, and
 //! prints the circuit summary (gate histogram, depth, ancillas) together with
-//! the analytic resource model of the published circuit (paper Ref. [37]).
+//! the analytic resource model of the published circuit (paper Ref. \[37\]).
 
 use qls_bench::format_table;
 use qls_encoding::{BlockEncoding, BlockEncodingExt, TridiagBlockEncoding};
@@ -68,5 +68,6 @@ fn main() {
     println!("  ... ({} operations total)", be.circuit().gate_count());
     println!("\nThe 'encoding error' column verifies alpha * <0|U|0> = A entry-wise; the");
     println!("analytic columns give the O(n) gate counts of the published double-log-depth");
-    println!("construction, which the Table-II cost model uses (see DESIGN.md).");
+    println!("construction, which the Table-II cost model uses; the circuit simulated here is");
+    println!("an LCU realisation of the same encoded operator.");
 }

@@ -2,10 +2,11 @@
 //! numbers κ = 100, 200, 300.
 //!
 //! In the paper this experiment uses the angle-estimation algorithm of
-//! Ref. [32], which fixes ε_l itself; here the polynomial accuracy is tied to
+//! Ref. \[32\], which fixes ε_l itself; here the polynomial accuracy is tied to
 //! the condition number the same way (ε_l chosen so that ε_l·κ = 1/4), and the
-//! QSVT is applied through the emulation path (the degree reaches tens of
-//! thousands — see DESIGN.md).  The printed iteration counts must stay below
+//! QSVT is applied through the emulation path, which applies the polynomial
+//! to the singular values (the degree reaches tens of thousands, far past
+//! what phase finding and circuit simulation handle).  The printed iteration counts must stay below
 //! the Theorem III.1 bound, as the paper observes.
 
 use qls_bench::{ascii_semilog_plot, experiment_rng, format_table, paper_test_system};

@@ -4,7 +4,7 @@
 //! Prints, for the first solve and for one refinement iteration, the classical
 //! flop count and the quantum T-gate estimate of every sub-task (state
 //! preparation, block-encoding, QSVT, solution recovery), evaluated with the
-//! analytic tridiagonal block-encoding costs (paper Ref. [37]) and the Eq.-(4)
+//! analytic tridiagonal block-encoding costs (paper Ref. \[37\]) and the Eq.-(4)
 //! polynomial degree.  Also cross-checks the analytic block-encoding model
 //! against the concrete circuit constructed in `qls-encoding`.
 

@@ -117,12 +117,6 @@ impl FingerprintBuilder {
         self
     }
 
-    /// Append an `i64` (little-endian two's complement).
-    pub fn write_i64(&mut self, v: i64) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
     /// Append a `usize` (widened to `u64`).
     pub fn write_usize(&mut self, v: usize) -> &mut Self {
         self.write_u64(v as u64)

@@ -76,13 +76,6 @@ pub enum CachePolicy {
     Disabled,
 }
 
-impl CachePolicy {
-    /// True when the policy allows cache use.
-    pub fn is_enabled(self) -> bool {
-        self == CachePolicy::Enabled
-    }
-}
-
 thread_local! {
     static CACHE_HITS: Cell<usize> = const { Cell::new(0) };
     static CACHE_MISSES: Cell<usize> = const { Cell::new(0) };

@@ -38,12 +38,6 @@ pub struct QsvtSolverOptions {
     pub shots: Option<usize>,
     /// Iteration/evaluation budget of the Brent norm-recovery step.
     pub brent_tolerance: f64,
-    /// Circuit-optimization level of the compiled QSVT circuit (circuit mode
-    /// only): the default `OptLevel::Fuse` runs gate fusion + diagonal
-    /// merging before compiling; `OptLevel::None` keeps the compiled form
-    /// one-op-per-gate (the unoptimized compile-once baseline the perf
-    /// trajectory measures fusion against).
-    pub opt_level: OptLevel,
     /// Persistent artifact cache policy (`qls-cache`).  `Enabled` — the
     /// default — lets repeat constructions of the same solver (same matrix
     /// spectrum, accuracy, and options) load the QSVT phase factors and the
@@ -59,7 +53,6 @@ impl Default for QsvtSolverOptions {
             mode: QsvtMode::Emulation,
             shots: None,
             brent_tolerance: 1e-12,
-            opt_level: OptLevel::default(),
             cache: CachePolicy::default(),
         }
     }
@@ -131,8 +124,8 @@ impl<Op: LinearOperator<f64>> QsvtLinearSolver<Op> {
             &a.to_dense(),
             epsilon_l,
             options.mode,
-            options.opt_level,
-            ExecMode::default(),
+            OptLevel::Fuse,
+            ExecMode::Flat,
             options.cache,
         )?;
         Ok(QsvtLinearSolver {
@@ -257,11 +250,11 @@ impl<Op: LinearOperator<f64>> QsvtLinearSolver<Op> {
         let state_prep_flops = prep.classical_flops;
 
         // Optional finite-shot readout: perturb magnitudes with multinomial
-        // sampling noise, keep the signs (sign recovery is assumed exact, see
-        // qls-sim::measure::signed_from_magnitudes).  An attached fault
-        // injector's readout corruption composes with the sampled path —
-        // sign flips model exactly the failure `signed_from_magnitudes`
-        // assumes away.  Exact readout records the shots the paper's model
+        // sampling noise, keep the signs (sign recovery is assumed exact:
+        // one extra circuit with a known phase reference provides them).
+        // An attached fault injector's readout corruption composes with the
+        // sampled path — sign flips model exactly the failure that
+        // assumption rules out.  Exact readout records the shots the paper's model
         // prescribes for ε_l (`O(1/ε_l²)`).
         let shots =
             shots_override.unwrap_or_else(|| shots_for_accuracy(self.inverter.epsilon_l(), 1.0));

@@ -37,8 +37,10 @@ pub trait BlockEncoding {
     }
 }
 
-/// Extension methods shared by all block-encodings (verification and direct
-/// application, both implemented through the simulator).
+/// Verification methods shared by all block-encodings, implemented through
+/// the simulator.  Applying an encoding to a vector is [`embed_data`], a
+/// circuit run and [`project_data`] — the path the QSVT inverter runs with
+/// its compiled executor.
 pub trait BlockEncodingExt: BlockEncoding {
     /// Extract the encoded matrix `α · (⟨0|_a ⊗ I) U (|0⟩_a ⊗ I)` by building
     /// the circuit unitary (exponential in the register size — use on small
@@ -57,59 +59,14 @@ pub trait BlockEncodingExt: BlockEncoding {
         self.encoded_matrix()
             .max_abs_diff(&CMatrix::from_real(reference))
     }
-
-    /// Apply `A/α` to a data-register vector by running the circuit on
-    /// `|0⟩_a ⊗ |ψ⟩` and projecting the ancillas back onto `|0⟩_a`
-    /// (no renormalisation — this is the raw block action, which is what the
-    /// QSVT algebra needs).  The block action is linear, so the input is used
-    /// as-is (no normalise/renormalise round trip).
-    ///
-    /// One-shot convenience: the circuit is compiled on every call.  Code
-    /// that applies the same encoding repeatedly (or to many inputs at once)
-    /// should build a [`crate::executor::BlockEncodingExecutor`] instead,
-    /// which compiles the forward *and* adjoint circuit exactly once.
-    fn apply(&self, data: &[Complex64]) -> Vec<Complex64> {
-        embed_run_project(
-            self.circuit(),
-            self.num_data_qubits(),
-            self.total_qubits(),
-            data,
-        )
-    }
-
-    /// Apply the *adjoint* block `A†/α` to a data-register vector (runs the
-    /// adjoint circuit).  One-shot convenience, like
-    /// [`BlockEncodingExt::apply`]: the adjoint circuit is re-derived and
-    /// compiled per call — use a
-    /// [`crate::executor::BlockEncodingExecutor`] for repeated application.
-    fn apply_adjoint(&self, data: &[Complex64]) -> Vec<Complex64> {
-        embed_run_project(
-            &self.circuit().adjoint(),
-            self.num_data_qubits(),
-            self.total_qubits(),
-            data,
-        )
-    }
-
-    /// Success probability of post-selecting the ancillas on `|0⟩` when the
-    /// data register holds the normalised vector `ψ`: `‖(A/α)ψ‖²`.
-    fn success_probability(&self, data: &[Complex64]) -> f64 {
-        let norm2: f64 = data.iter().map(|a| a.norm_sqr()).sum();
-        if norm2 == 0.0 {
-            return 0.0;
-        }
-        let out = self.apply(data);
-        out.iter().map(|a| a.norm_sqr()).sum::<f64>() / norm2
-    }
 }
 
 impl<T: BlockEncoding + ?Sized> BlockEncodingExt for T {}
 
 /// Embed a data-register vector on the low qubits of a `total_qubits`-wide
 /// register, ancillas in `|0⟩`, **without normalising** (the block action is
-/// linear).  Shared by the `Ext` one-shot helpers, the
-/// [`crate::executor::BlockEncodingExecutor`] engine and the QSVT layer —
-/// the single place that pins the "data low, ancillas high" convention.
+/// linear).  Shared with the QSVT layer — the single place that pins the
+/// "data low, ancillas high" convention.
 pub fn embed_data(data: &[Complex64], total_qubits: usize) -> StateVector {
     assert!(data.len().is_power_of_two(), "data length must be 2^n");
     assert!(data.len() <= 1usize << total_qubits, "register too small");
@@ -130,29 +87,6 @@ pub fn project_data(
     state.amplitudes()[..1usize << num_data_qubits].to_vec()
 }
 
-/// Shared body of [`BlockEncodingExt::apply`] / `apply_adjoint`: embed the
-/// data on the low qubits (ancillas `|0⟩`), run the circuit, project the
-/// ancillas back onto `|0⟩` and return the data block.  Linear in `data`.
-fn embed_run_project(
-    circuit: &Circuit,
-    num_data_qubits: usize,
-    total_qubits: usize,
-    data: &[Complex64],
-) -> Vec<Complex64> {
-    assert_eq!(
-        data.len(),
-        1usize << num_data_qubits,
-        "data vector dimension mismatch"
-    );
-    let mut sv = embed_data(data, total_qubits);
-    sv.apply_circuit(circuit);
-    project_data(
-        &mut sv,
-        num_data_qubits,
-        &(num_data_qubits..total_qubits).collect::<Vec<_>>(),
-    )
-}
-
 /// Check that a circuit really is a block-encoding of `reference` with the
 /// claimed `alpha`, returning the maximum entry-wise error (test helper shared
 /// by the concrete constructions).
@@ -171,24 +105,20 @@ mod tests {
     use qls_linalg::Matrix;
 
     #[test]
-    fn ext_apply_matches_encoded_matrix() {
+    fn embed_run_project_applies_the_encoded_block() {
+        // The round trip the QSVT inverter runs: embed the data beside the
+        // ancillas, run the encoding circuit, project the ancillas onto |0>.
         let a = Matrix::from_f64_slice(2, 2, &[0.4, 0.1, -0.2, 0.3]);
         let be = DilationBlockEncoding::new(&a, 1.0);
         let encoded = be.encoded_matrix();
         let v = vec![Complex64::new(0.6, 0.0), Complex64::new(-0.8, 0.0)];
-        let via_apply = be.apply(&v);
+        let mut state = embed_data(&v, be.total_qubits());
+        state.apply_circuit(be.circuit());
+        let ancillas: Vec<usize> = (be.num_data_qubits()..be.total_qubits()).collect();
+        let via_circuit = project_data(&mut state, be.num_data_qubits(), &ancillas);
         let via_matrix = encoded.matvec(&v);
-        for (x, y) in via_apply.iter().zip(&via_matrix) {
+        for (x, y) in via_circuit.iter().zip(&via_matrix) {
             assert!((x - y / be.alpha()).norm() < 1e-12);
         }
-    }
-
-    #[test]
-    fn success_probability_matches_norm_reduction() {
-        let a = Matrix::from_f64_slice(2, 2, &[0.5, 0.0, 0.0, 0.1]);
-        let be = DilationBlockEncoding::new(&a, 1.0);
-        let v = vec![Complex64::new(1.0, 0.0), Complex64::new(0.0, 0.0)];
-        // (A/alpha) e_0 = 0.5 e_0, success probability 0.25.
-        assert!((be.success_probability(&v) - 0.25).abs() < 1e-12);
     }
 }

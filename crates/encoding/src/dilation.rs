@@ -12,8 +12,8 @@
 //! square roots are computed classically from the SVD of `A`, and the whole
 //! `2N × 2N` unitary enters the circuit as one multi-qubit gate.
 //!
-//! This is the *emulation-mode* block-encoding of the reproduction (see the
-//! substitution table in DESIGN.md): it is numerically exact and cheap to
+//! This is the block-encoding the QSVT inverter runs, in place of a
+//! gate-level construction of `A†`: it is numerically exact and cheap to
 //! simulate, which makes it the right substrate for the convergence
 //! experiments (Figs. 3–5) where the paper itself treats the block-encoding as
 //! a black box and counts only the number of calls to it.  Gate-level resource
@@ -195,30 +195,5 @@ mod tests {
     fn alpha_below_norm_rejected() {
         let a = Matrix::from_diag(&[0.9, 0.1]);
         let _ = DilationBlockEncoding::new(&a, 0.5);
-    }
-
-    #[test]
-    fn apply_computes_scaled_matvec() {
-        let mut rng = ChaCha8Rng::seed_from_u64(102);
-        let a = random_matrix_with_cond(
-            4,
-            5.0,
-            SingularValueDistribution::Geometric,
-            MatrixEnsemble::General,
-            &mut rng,
-        );
-        let be = DilationBlockEncoding::new(&a, 2.0);
-        let v: Vec<Complex64> = (0..4)
-            .map(|i| Complex64::new(0.2 * i as f64 + 0.1, 0.0))
-            .collect();
-        let out = be.apply(&v);
-        // Expected: (A/2) v.
-        let av = a.matvec(&qls_linalg::Vector::from_f64_slice(
-            &v.iter().map(|c| c.re).collect::<Vec<_>>(),
-        ));
-        for i in 0..4 {
-            assert!((out[i].re - av[i] / 2.0).abs() < 1e-12);
-            assert!(out[i].im.abs() < 1e-12);
-        }
     }
 }

@@ -1,7 +1,7 @@
 //! Linear-Combination-of-Unitaries (LCU) block-encoding.
 //!
 //! The "versatile approach to encode matrices" of Section II-A1 of the paper
-//! (Refs. [12], [25]): write `A = Σ_j c_j P_j` over Pauli strings, prepare the
+//! (Refs. \[12\], \[25\]): write `A = Σ_j c_j P_j` over Pauli strings, prepare the
 //! ancilla state `|c⟩ ∝ Σ_j √|c_j| |j⟩` (PREPARE), apply `P_j` to the data
 //! register controlled on the ancilla value `j` (SELECT, with the phase of
 //! `c_j` folded into a controlled global phase), and un-prepare the ancillas.
@@ -44,13 +44,6 @@ impl LcuBlockEncoding {
     /// (see [`PauliDecomposition::decompose_tridiagonal`]).
     pub fn of_tridiagonal(t: &qls_linalg::TridiagonalMatrix<f64>, tolerance: f64) -> Self {
         Self::from_decomposition(&PauliDecomposition::decompose_tridiagonal(t, tolerance))
-    }
-
-    /// Build the LCU block-encoding of a CSR sparse matrix from its stored
-    /// entries, in `O(2^n · nnz)` classical preprocessing
-    /// (see [`PauliDecomposition::decompose_sparse`]).
-    pub fn of_sparse(a: &qls_linalg::SparseMatrix<f64>, tolerance: f64) -> Self {
-        Self::from_decomposition(&PauliDecomposition::decompose_sparse(a, tolerance))
     }
 
     /// Build from an existing Pauli decomposition.
@@ -239,18 +232,5 @@ mod tests {
         assert!(trimmed.num_terms() < exact.num_terms());
         // The trimmed encoding is still a reasonable approximation.
         assert!(trimmed.encoding_error(&a) < 0.05 * exact.num_terms() as f64);
-    }
-
-    #[test]
-    fn apply_matches_matrix_action() {
-        use num_complex::Complex64;
-        let a = Matrix::from_f64_slice(2, 2, &[0.6, 0.2, -0.1, 0.4]);
-        let be = LcuBlockEncoding::new(&a, 1e-12);
-        let v = vec![Complex64::new(0.8, 0.0), Complex64::new(0.6, 0.0)];
-        let out = be.apply(&v);
-        let expected = a.matvec(&Vector::from_f64_slice(&[0.8, 0.6]));
-        for i in 0..2 {
-            assert!((out[i].re * be.alpha() - expected[i]).abs() < 1e-11);
-        }
     }
 }

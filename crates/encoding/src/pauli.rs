@@ -1,9 +1,9 @@
 //! Pauli decomposition of dense matrices.
 //!
-//! The LCU block-encoding (Section II-A1 of the paper, Refs. [12], [25])
+//! The LCU block-encoding (Section II-A1 of the paper, Refs. \[12\], \[25\])
 //! represents `A` as a weighted sum of unitaries; for a general dense matrix
 //! the natural unitary basis is the set of `4^n` Pauli strings, and the paper's
-//! authors' own tree-approach Pauli decomposition (Ref. [25]) is the classical
+//! authors' own tree-approach Pauli decomposition (Ref. \[25\]) is the classical
 //! pre-processing step whose `O(n 4^n)` cost appears in Section III-C2.  This
 //! module computes the decomposition `A = Σ_P c_P P` exactly, exploiting the
 //! permutation-with-phases structure of Pauli strings so each coefficient costs

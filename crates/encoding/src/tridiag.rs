@@ -1,16 +1,16 @@
 //! Block-encoding of the 1-D Poisson (tridiagonal) matrix of Eq. (7).
 //!
 //! Section III-C4 of the paper solves the finite-difference Poisson equation
-//! and uses the analytic block-encoding of Ty et al. (Ref. [37], the circuit
+//! and uses the analytic block-encoding of Ty et al. (Ref. \[37\], the circuit
 //! of the paper's Fig. 2), whose cost is `O(n)` primitive gates at
 //! double-logarithmic depth and which "requires no classical cost" because the
 //! circuit is known in closed form.
 //!
-//! **Substitution note (see DESIGN.md):** the concrete circuit simulated here
+//! **Substitution note:** the concrete circuit simulated here
 //! is built from the generic LCU machinery applied to the (structured, 5-term)
 //! Pauli-like decomposition of the tridiagonal matrix; the *resource model*
 //! exposed by [`TridiagBlockEncoding::analytic_resources`] follows the
-//! published counts of Ref. [37] so the Table-II reproduction reports the
+//! published counts of Ref. \[37\] so the Table-II reproduction reports the
 //! costs the paper's use case assumes.  Both describe the same encoded
 //! operator, `tridiag(-1, 2, -1)/α`; only the gate-level realisation differs.
 
@@ -20,7 +20,7 @@ use qls_linalg::{poisson_1d, Matrix, TridiagonalMatrix};
 use qls_sim::Circuit;
 use serde::Serialize;
 
-/// Analytic gate-count model of the Fig. 2 / Ref. [37] tridiagonal
+/// Analytic gate-count model of the Fig. 2 / Ref. \[37\] tridiagonal
 /// block-encoding.
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct TridiagAnalyticResources {
@@ -89,7 +89,7 @@ impl TridiagBlockEncoding {
         self.matrix.to_dense()
     }
 
-    /// The analytic resource counts of the published circuit (Ref. [37]),
+    /// The analytic resource counts of the published circuit (Ref. \[37\]),
     /// used by the Table-II cost model.
     pub fn analytic_resources(&self) -> TridiagAnalyticResources {
         let n = self.data_qubits;

@@ -69,11 +69,10 @@ pub fn cond_1_estimate<T: Real>(a: &Matrix<T>, lu: &LuFactorization<T>) -> Resul
 ///
 /// Runs the Lanczos iteration on `AᵀA` with full reorthogonalisation and
 /// reads `σ_max²` and `σ_min²` off the extreme Ritz values of the projected
-/// tridiagonal (located by Sturm-sequence bisection).  Unlike the shifted
-/// power iteration this replaced (retained as [`cond_2_estimate_power`]),
-/// Lanczos resolves **clustered spectra**: each step enlarges the whole
-/// Krylov space, so near-degenerate extreme eigenvalues converge together
-/// instead of stalling the iteration.
+/// tridiagonal (located by Sturm-sequence bisection).  Unlike a shifted
+/// power iteration, Lanczos resolves **clustered spectra**: each step
+/// enlarges the whole Krylov space, so near-degenerate extreme eigenvalues
+/// converge together instead of stalling the iteration.
 ///
 /// `max_iterations` bounds the number of Lanczos steps (also capped at the
 /// operator order, where the Ritz values are exact, and a hard cap of 400);
@@ -223,88 +222,6 @@ fn tridiag_extreme_eigenvalues(alphas: &[f64], betas: &[f64]) -> (f64, f64) {
     (bisect(1), bisect(m))
 }
 
-/// The shifted power iteration this crate used for κ₂ estimation before the
-/// Lanczos path existed — retained as the simple oracle it is, **with its
-/// known failure mode**: on clustered spectra the shifted iteration for
-/// `σ_min` can under-converge to `mu ≥ shift`, and the estimate collapses to
-/// `f64::INFINITY` even though the operator is far from singular (see the
-/// regression test).  New callers should use [`cond_2_estimate`].
-pub fn cond_2_estimate_power<Op: LinearOperator<f64>>(
-    a: &Op,
-    max_iterations: usize,
-    tol: f64,
-) -> f64 {
-    assert!(
-        a.is_square(),
-        "cond_2_estimate_power needs a square operator"
-    );
-    let n = a.nrows();
-    if n == 0 {
-        return 0.0;
-    }
-    let normalise = |v: &mut Vector<f64>| v.normalize();
-    let ata = |v: &Vector<f64>| a.matvec_transposed(&a.matvec(v));
-
-    // Deterministic, strictly positive start vector (cannot be orthogonal to
-    // a nonnegative dominant eigenvector, and generic enough in practice).
-    let mut v: Vector<f64> = (0..n).map(|i| 1.5 + (i as f64 + 1.0).sin()).collect();
-    normalise(&mut v);
-    let mut lambda_max = 0.0f64;
-    for _ in 0..max_iterations {
-        let mut w = ata(&v);
-        let rho = v.dot(&w);
-        let norm = normalise(&mut w);
-        if norm == 0.0 {
-            return if lambda_max == 0.0 {
-                0.0
-            } else {
-                f64::INFINITY
-            };
-        }
-        let converged = (rho - lambda_max).abs() <= tol * rho.abs();
-        v = w;
-        lambda_max = rho;
-        if converged {
-            break;
-        }
-    }
-    if lambda_max <= 0.0 {
-        return 0.0;
-    }
-
-    // Shifted power iteration for the bottom of the spectrum.
-    let shift = lambda_max;
-    let mut w: Vector<f64> = (0..n).map(|i| 1.5 + (2.0 * i as f64 + 1.0).cos()).collect();
-    normalise(&mut w);
-    let mut mu = 0.0f64;
-    for _ in 0..max_iterations {
-        let bw = ata(&w);
-        let mut z: Vector<f64> = w
-            .iter()
-            .zip(bw.iter())
-            .map(|(&wi, &bi)| shift * wi - bi)
-            .collect();
-        let rho = w.dot(&z);
-        let norm = normalise(&mut z);
-        if norm == 0.0 {
-            // shift·I − AᵀA annihilates w: the spectrum is (numerically) a
-            // single point, κ = 1.
-            return 1.0;
-        }
-        let converged = (rho - mu).abs() <= tol * rho.abs();
-        w = z;
-        mu = rho;
-        if converged {
-            break;
-        }
-    }
-    let lambda_min = (shift - mu).max(0.0);
-    if lambda_min == 0.0 {
-        return f64::INFINITY;
-    }
-    (lambda_max / lambda_min).sqrt()
-}
-
 /// Scale a matrix so that its spectral norm is **strictly below** `target`
 /// (block-encodings require the subnormalised norm `< 1`, strictly).
 /// Returns the scaled matrix and the applied factor `s` such that
@@ -388,14 +305,14 @@ mod tests {
     }
 
     #[test]
-    fn power_iteration_estimate_on_diagonal_matrix() {
+    fn lanczos_estimate_on_diagonal_matrix() {
         let a = Matrix::from_diag(&[8.0, 4.0, 2.0]);
         let est = cond_2_estimate(&a, 500, 1e-12);
         assert!((est - 4.0).abs() < 1e-6, "estimate {est}");
     }
 
     #[test]
-    fn power_iteration_estimate_matches_svd_on_random_matrix() {
+    fn lanczos_estimate_matches_svd_on_random_matrix() {
         let mut rng = ChaCha8Rng::seed_from_u64(23);
         for &kappa in &[10.0, 100.0] {
             let a = random_matrix_with_cond(
@@ -414,7 +331,7 @@ mod tests {
     }
 
     #[test]
-    fn power_iteration_estimate_on_structured_operators() {
+    fn lanczos_estimate_on_structured_operators() {
         // Matrix-free estimate on the tridiagonal Poisson operator vs the
         // analytic condition number; the clustered Poisson spectrum converges
         // slowly, so allow a generous iteration budget and 10% slack.
@@ -432,7 +349,7 @@ mod tests {
     }
 
     #[test]
-    fn power_iteration_estimate_identity_and_zero() {
+    fn lanczos_estimate_identity_and_zero() {
         assert!((cond_2_estimate(&Matrix::<f64>::identity(5), 100, 1e-12) - 1.0).abs() < 1e-9);
         assert_eq!(
             cond_2_estimate(&Matrix::<f64>::zeros(4, 4), 100, 1e-12),
@@ -487,17 +404,13 @@ mod tests {
     #[test]
     fn clustered_spectrum_no_longer_collapses_to_infinity() {
         // Eleven-fold degenerate σ = 1 plus one tiny σ = 1e-9: the shifted
-        // power iteration converges its Rayleigh quotient to the shift itself
-        // and reports a bogus ∞; the Lanczos estimate stays finite (saturated
-        // at the normal-equations resolution, a documented under-estimate).
+        // power iteration this estimator replaced converged its Rayleigh
+        // quotient to the shift itself and reported a bogus ∞; the Lanczos
+        // estimate stays finite (saturated at the normal-equations
+        // resolution, a documented under-estimate).
         let mut sv = vec![1.0; 11];
         sv.push(1e-9);
         let a = Matrix::from_diag(&sv);
-        let old = cond_2_estimate_power(&a, 5_000, 1e-12);
-        assert!(
-            old.is_infinite(),
-            "regression input no longer triggers the power-iteration failure: {old}"
-        );
         let est = cond_2_estimate(&a, 400, 1e-14);
         assert!(est.is_finite(), "lanczos estimate must be finite");
         assert!(

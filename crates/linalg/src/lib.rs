@@ -11,43 +11,42 @@
 //! against which the hybrid solver is validated.  This crate provides all of
 //! that, from scratch:
 //!
-//! * generic [`Real`](scalar::Real) scalar abstraction over `f32`, `f64` and a
-//!   software-emulated reduced precision ([`Emulated`](precision::Emulated)),
+//! * generic [`Real`] scalar abstraction over `f32`, `f64` and a
+//!   software-emulated reduced precision ([`Emulated`]),
 //!   so the classical mixed-precision regime `u ≪ u_l` of the paper can be
 //!   reproduced deterministically;
-//! * dense [`Matrix`](matrix::Matrix) and [`Vector`](vector::Vector) types with
+//! * dense [`Matrix`] and [`Vector`] types with
 //!   the usual kernels (mat-vec, mat-mat, transpose, norms);
 //! * the structured-operator layer ([`operator`]): the
-//!   [`LinearOperator`](operator::LinearOperator) trait with five
-//!   implementations — dense [`Matrix`](matrix::Matrix), CSR
-//!   [`SparseMatrix`](sparse::SparseMatrix) (triplet builder, parallel
-//!   row-partitioned SpMV), [`TridiagonalMatrix`](tridiag::TridiagonalMatrix),
-//!   the matrix-free [`StencilOperator`](stencil::StencilOperator)
+//!   [`LinearOperator`] trait with five
+//!   implementations — dense [`Matrix`], CSR
+//!   [`SparseMatrix`] (triplet builder, parallel
+//!   row-partitioned SpMV), [`TridiagonalMatrix`],
+//!   the matrix-free [`StencilOperator`]
 //!   (Kronecker-sum Laplacians, e.g. 2-D Poisson) and its d-dimensional
-//!   generalisation [`StencilNd`](stencil::StencilNd) (3-D Poisson and
+//!   generalisation [`StencilNd`] (3-D Poisson and
 //!   beyond) — so residuals, refinement and condition estimation run at
 //!   O(nnz) on structured problems, with dense retained as the default and as
 //!   the equivalence oracle;
 //! * the structured inner-solver layer ([`inner`]): the
-//!   [`FactorizableOperator`](inner::FactorizableOperator) trait maps each
+//!   [`FactorizableOperator`] trait maps each
 //!   operator to its natural low-precision correction solver — dense LU for
-//!   [`Matrix`](matrix::Matrix), the O(N) Thomas factorisation (with pivot
+//!   [`Matrix`], the O(N) Thomas factorisation (with pivot
 //!   breakdown detection and dense-LU rescue) for
-//!   [`TridiagonalMatrix`](tridiag::TridiagonalMatrix), and matrix-free
+//!   [`TridiagonalMatrix`], and matrix-free
 //!   Jacobi-preconditioned CG / BiCGSTAB for CSR and stencil operators — so
 //!   no classical refinement path densifies an O(N²) matrix above the
 //!   small-N fallback threshold
-//!   ([`DENSIFY_FALLBACK_MAX`](inner::DENSIFY_FALLBACK_MAX));
+//!   ([`DENSIFY_FALLBACK_MAX`]);
 //! * LU factorisation with partial pivoting ([`lu`]), Householder QR ([`qr`]),
 //!   one-sided Jacobi SVD ([`svd`]) and condition-number computation ([`cond`],
 //!   including the matrix-free Lanczos estimate
-//!   [`cond_2_estimate`](cond::cond_2_estimate), robust on clustered spectra
-//!   where the legacy power iteration
-//!   [`cond_2_estimate_power`](cond::cond_2_estimate_power) stalls);
+//!   [`cond_2_estimate`], robust on clustered
+//!   spectra where a shifted power iteration stalls);
 //! * matrix generators ([`generate`]): random matrices with prescribed
 //!   condition number / singular-value distribution, the 1-D Poisson
 //!   tridiagonal matrix of Eq. (7) of the paper, the 2-D Poisson stencil
-//!   ([`poisson_2d`](stencil::poisson_2d)) and sparse graph Laplacians;
+//!   ([`poisson_2d`]) and sparse graph Laplacians;
 //! * classical fixed- and mixed-precision iterative refinement ([`refine`],
 //!   Algorithm 1 of the paper, operator-generic) used as the CPU-only
 //!   baseline;
@@ -76,7 +75,7 @@ pub mod tridiag;
 pub mod vector;
 
 pub use brent::{brent_minimize, brent_root, BrentResult};
-pub use cond::{cond_1_estimate, cond_2, cond_2_estimate, cond_2_estimate_power, cond_inf};
+pub use cond::{cond_1_estimate, cond_2, cond_2_estimate, cond_inf};
 pub use error::{backward_error, forward_error, scaled_residual};
 pub use generate::{
     convection_diffusion_1d, convection_diffusion_2d, graph_laplacian, random_connected_graph,

@@ -7,7 +7,7 @@
 //! and rayon parallelism over rows once the work is large enough to amortise
 //! the fork/join overhead.  The vendored rayon adapters fan out over real
 //! `std::thread::scope` workers (see `vendor/rayon`), so `matmul` and `matvec`
-//! genuinely use the machine's cores above [`PAR_THRESHOLD`].
+//! genuinely use the machine's cores above `PAR_THRESHOLD` work units.
 
 use crate::scalar::Real;
 use crate::simd;
@@ -198,8 +198,8 @@ impl<T: Real> Matrix<T> {
 
     /// Matrix-vector product `A x`.
     ///
-    /// For `T = f64` this runs the SIMD row-group kernel (see
-    /// [`crate::simd`]); the result is bit-identical to
+    /// For `T = f64` this runs the SIMD row-group kernel (the crate's
+    /// `simd` module); the result is bit-identical to
     /// [`Matrix::matvec_scalar`], which every other precision uses directly.
     pub fn matvec(&self, x: &Vector<T>) -> Vector<T> {
         assert_eq!(self.cols, x.len(), "matvec: dimension mismatch");
@@ -263,8 +263,8 @@ impl<T: Real> Matrix<T> {
     /// Matrix product `A B` (ikj loop order, rayon over rows of `A` when
     /// large).
     ///
-    /// For `T = f64` this runs the cache-blocked SIMD kernel (see
-    /// [`crate::simd`]); the result is bit-identical to
+    /// For `T = f64` this runs the cache-blocked SIMD kernel (the crate's
+    /// `simd` module); the result is bit-identical to
     /// [`Matrix::matmul_scalar`], which every other precision uses directly.
     pub fn matmul(&self, other: &Self) -> Self {
         assert_eq!(self.cols, other.rows, "matmul: dimension mismatch");

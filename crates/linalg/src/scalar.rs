@@ -66,7 +66,7 @@ pub trait Real:
     fn is_finite(self) -> bool {
         self.to_f64().is_finite()
     }
-    /// Name of the format, used in reports ("f64", "f32", "emulated<p>").
+    /// Name of the format, used in reports (`"f64"`, `"f32"`, `"emulated<p>"`).
     fn format_name() -> String;
 }
 

@@ -165,8 +165,8 @@ impl<T: Real> SparseMatrix<T> {
     /// Matrix-vector product `A x` in O(nnz), row-partitioned across threads
     /// above the shared work threshold.
     ///
-    /// For `T = f64` this runs the row-group SIMD kernel (see
-    /// [`crate::simd`]); the result is bit-identical to
+    /// For `T = f64` this runs the row-group SIMD kernel (the crate's
+    /// `simd` module); the result is bit-identical to
     /// [`SparseMatrix::matvec_scalar`] — and therefore still bit-identical
     /// to the dense oracle — for every row shape, including empty and
     /// single-entry rows (padded lanes are exact no-op fmas).

@@ -52,11 +52,6 @@ impl<T: Real> StencilOperator<T> {
         }
     }
 
-    /// Grid dimensions `(nx, ny)`.
-    pub fn grid_dims(&self) -> (usize, usize) {
-        (self.nx, self.ny)
-    }
-
     /// Order of the represented matrix, `N = nx·ny`.
     pub fn order(&self) -> usize {
         self.nx * self.ny
@@ -423,7 +418,7 @@ pub fn poisson_3d<T: Real>(nx: usize, ny: usize, nz: usize, scaled_by_h2: bool) 
 /// Exact 2-norm condition number of the **unscaled** d-dimensional Poisson
 /// stencil (also valid for the `1/h²`-scaled operator on a grid with equal
 /// extents): the eigenvalues are sums of per-axis 1-D eigenvalues, so the
-/// extremes are sums of per-axis extremes — O(Σ dims[a]), usable at N ~ 10⁶.
+/// extremes are sums of per-axis extremes — O(Σ `dims[a]`), usable at N ~ 10⁶.
 pub fn poisson_nd_condition_number(dims: &[usize]) -> f64 {
     let mut min = 0.0;
     let mut max = 0.0;

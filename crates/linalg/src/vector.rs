@@ -69,11 +69,6 @@ impl<T: Real> Vector<T> {
         &mut self.data
     }
 
-    /// Consume the vector and return the underlying storage.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Convert every entry to `f64`.
     pub fn to_f64(&self) -> Vec<f64> {
         self.data.iter().map(|x| x.to_f64()).collect()

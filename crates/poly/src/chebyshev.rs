@@ -6,8 +6,6 @@
 //! phenomenon when working with high degree polynomials", and the QSP phase
 //! machinery of `qls-qsvt` consumes Chebyshev coefficients directly.
 
-use qls_linalg::{Matrix, Vector};
-
 /// Parity of a polynomial.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Parity {
@@ -94,40 +92,6 @@ impl ChebyshevSeries {
         // p(x) = c0 + x*b1' - b2' when the loop excludes c0; with the loop
         // including c0 as above, p(x) = b1 - x * b2.
         b1 - x * b2
-    }
-
-    /// Evaluate the series on a whole grid.
-    pub fn eval_many(&self, xs: &[f64]) -> Vec<f64> {
-        xs.iter().map(|&x| self.eval(x)).collect()
-    }
-
-    /// Apply the series to a symmetric matrix `A` acting on a vector `v`
-    /// (computes `p(A) v`) using the Clenshaw recurrence with matrix-vector
-    /// products.  `A` must have spectrum inside [-1, 1] for the Chebyshev
-    /// series to converge to the intended function.
-    ///
-    /// This is the classical reference for what the QSVT circuit implements on
-    /// the block-encoded operator; `qls-qsvt` uses it both for verification and
-    /// for the high-degree emulation path.
-    pub fn apply_to_matrix(&self, a: &Matrix<f64>, v: &Vector<f64>) -> Vector<f64> {
-        let n = v.len();
-        if self.coeffs.is_empty() {
-            return Vector::zeros(n);
-        }
-        let mut b1 = Vector::zeros(n);
-        let mut b2 = Vector::zeros(n);
-        for &c in self.coeffs.iter().rev() {
-            // b0 = 2 A b1 - b2 + c v
-            let mut b0 = a.matvec(&b1);
-            b0.scale(2.0);
-            b0 -= &b2;
-            b0.axpy(c, v);
-            b2 = b1;
-            b1 = b0;
-        }
-        // p(A) v = b1 - A b2.
-        let ab2 = a.matvec(&b2);
-        &b1 - &ab2
     }
 
     /// Parity of the series with tolerance `tol` on the "wrong-parity"
@@ -390,33 +354,6 @@ mod tests {
         assert!((mono[1] + 3.0).abs() < 1e-14);
         assert!((mono[2]).abs() < 1e-14);
         assert!((mono[3] - 4.0).abs() < 1e-14);
-    }
-
-    #[test]
-    fn apply_to_matrix_matches_eigen_decomposition() {
-        // Diagonal matrix: p(A) v has entries p(d_i) v_i.
-        let d = Matrix::from_diag(&[0.9, 0.5, -0.3, 0.1]);
-        let v = Vector::from_f64_slice(&[1.0, -1.0, 2.0, 0.5]);
-        let series = interpolate(|x: f64| x * x * x - 0.2 * x, 8);
-        let result = series.apply_to_matrix(&d, &v);
-        for (i, &di) in [0.9, 0.5, -0.3, 0.1].iter().enumerate() {
-            let expected = series.eval(di) * v[i];
-            assert!((result[i] - expected).abs() < 1e-12, "i = {i}");
-        }
-    }
-
-    #[test]
-    fn apply_to_matrix_for_symmetric_matrix() {
-        // Symmetric matrix with known spectrum: p(A) computed via dense powers.
-        let a = Matrix::from_f64_slice(2, 2, &[0.3, 0.2, 0.2, -0.1]);
-        let v = Vector::from_f64_slice(&[1.0, 1.0]);
-        // p(x) = T_0 + 0.5 T_2 = 1 + 0.5(2x²−1) = 0.5 + x².
-        let series = ChebyshevSeries::new(vec![1.0, 0.0, 0.5]);
-        let got = series.apply_to_matrix(&a, &v);
-        let a2 = a.matmul(&a);
-        let mut expected = a2.matvec(&v);
-        expected.axpy(0.5, &v);
-        assert!((&got - &expected).norm2() < 1e-13);
     }
 
     #[test]

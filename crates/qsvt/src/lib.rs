@@ -15,7 +15,8 @@
 //! * [`solve`] — [`QsvtInverter`]: applies the Eq. (4) matrix-inversion
 //!   polynomial to a right-hand side, either through the full simulated
 //!   circuit or through the ideal-output emulation path used for the
-//!   convergence experiments (see DESIGN.md).
+//!   convergence experiments (the [`solve`] module docs state that
+//!   substitution).
 
 pub mod circuit;
 pub mod phases;

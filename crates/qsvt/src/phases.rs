@@ -16,15 +16,16 @@
 //! well-conditioned and ≈ 2·I up to ordering) and refreshed whenever
 //! convergence stalls.  For the very high degrees needed by large condition
 //! numbers the paper switches to the estimation method of its Ref. \[32\]; this
-//! reproduction switches to the matrix-function emulation path instead (see
-//! DESIGN.md), so the solver here only needs to be robust for moderate
+//! reproduction switches to the matrix-function emulation path instead
+//! ([`crate::solve`]'s `Emulation` mode, which applies the polynomial to the
+//! singular values), so the solver here only needs to be robust for moderate
 //! degrees.
 
 use crate::qsp::qsp_real_polynomial;
 use qls_cache::{CachePolicy, CacheStore, FingerprintBuilder};
 use qls_linalg::{LuFactorization, Matrix, Vector};
 use qls_poly::{chebyshev_t, ChebyshevSeries, Parity};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::cell::Cell;
 
 /// Cache kind under which computed phase vectors are stored (see
@@ -112,7 +113,7 @@ impl std::fmt::Display for PhaseError {
 impl std::error::Error for PhaseError {}
 
 /// A computed symmetric phase vector together with solver diagnostics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct QspPhases {
     /// Full phase vector `(φ_0, …, φ_d)` in the Wx convention.
     pub phases: Vec<f64>,
@@ -122,6 +123,37 @@ pub struct QspPhases {
     pub iterations: usize,
     /// Degree of the realised polynomial.
     pub degree: usize,
+}
+
+// Deserialize is hand-written (Serialize is derived) so a decoded entry
+// holds what `find_phases` returns: `degree + 1 ≥ 2` finite phases and a
+// finite residual.  Anything else is a decode error, which the cache
+// treats as a miss — a short vector used to panic circuit assembly, a
+// wrong-length one built a circuit of another degree than the resource
+// record reports, and a NaN phase poisoned every solve.
+impl<'de> serde::Deserialize<'de> for QspPhases {
+    fn deserialize(value: &serde::Value) -> Result<Self, serde::DeError> {
+        let phases = Vec::<f64>::deserialize(value.field("QspPhases", "phases")?)?;
+        let residual = f64::deserialize(value.field("QspPhases", "residual")?)?;
+        let iterations = usize::deserialize(value.field("QspPhases", "iterations")?)?;
+        let degree = usize::deserialize(value.field("QspPhases", "degree")?)?;
+        let fail = |why: &str| Err(serde::DeError::new(format!("QspPhases: {why}")));
+        if phases.len() < 2 {
+            return fail("fewer than 2 phases");
+        }
+        if phases.len() - 1 != degree {
+            return fail("phase count is not degree + 1");
+        }
+        if !phases.iter().all(|p| p.is_finite()) || !residual.is_finite() {
+            return fail("non-finite phase or residual");
+        }
+        Ok(QspPhases {
+            phases,
+            residual,
+            iterations,
+            degree,
+        })
+    }
 }
 
 impl QspPhases {
@@ -297,6 +329,10 @@ fn phases_fingerprint(target: &ChebyshevSeries) -> qls_cache::Fingerprint {
 /// [`PhaseError`]-free since only successes are stored) without running the
 /// quasi-Newton solver.  With [`CachePolicy::Disabled`] — or when no cache
 /// directory resolves — this is exactly [`find_phases`].
+///
+/// An entry that does not decode into a well-formed [`QspPhases`] is a
+/// miss, and so is one whose degree differs from `target`'s: either way
+/// the phases are regenerated and the entry is overwritten.
 pub fn find_phases_cached(
     target: &ChebyshevSeries,
     options: &PhaseFindingOptions,
@@ -311,7 +347,9 @@ pub fn find_phases_cached(
     };
     let key = phases_fingerprint(target);
     if let Some(phases) = store.load::<QspPhases>(PHASES_CACHE_KIND, PHASES_CACHE_VERSION, key) {
-        return Ok(phases);
+        if phases.degree == target.degree() {
+            return Ok(phases);
+        }
     }
     let phases = find_phases(target, options)?;
     store.store(PHASES_CACHE_KIND, PHASES_CACHE_VERSION, key, &phases);

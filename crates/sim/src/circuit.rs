@@ -305,32 +305,9 @@ impl Circuit {
         }
     }
 
-    /// A copy of the circuit in which every operation gains the given extra
-    /// control qubits (which must not already be used as targets).
-    pub fn controlled(&self, extra_controls: &[usize]) -> Circuit {
-        let ops = self
-            .ops
-            .iter()
-            .map(|op| {
-                let mut controls = op.controls.clone();
-                controls.extend_from_slice(extra_controls);
-                Operation::new(op.gate.clone(), op.targets.clone(), controls)
-            })
-            .collect();
-        let max_extra = extra_controls
-            .iter()
-            .copied()
-            .max()
-            .map(|m| m + 1)
-            .unwrap_or(0);
-        Circuit {
-            num_qubits: self.num_qubits.max(max_extra),
-            ops,
-        }
-    }
-
-    /// Consuming variant of [`Circuit::controlled`]: adds the extra controls
-    /// to every operation in place, without cloning gate payloads.
+    /// The circuit with every operation gaining the given extra control
+    /// qubits, added in place without cloning gate payloads.  A control that
+    /// collides with an operation's target or control panics.
     pub fn into_controlled(mut self, extra_controls: &[usize]) -> Circuit {
         for op in &mut self.ops {
             for &c in extra_controls {
@@ -470,7 +447,7 @@ mod tests {
     fn controlled_circuit_adds_controls() {
         let mut c = Circuit::new(2);
         c.h(0).cx(0, 1);
-        let cc = c.controlled(&[2]);
+        let cc = c.into_controlled(&[2]);
         assert_eq!(cc.operations()[0].controls, vec![2]);
         assert_eq!(cc.operations()[1].controls, vec![0, 2]);
         assert_eq!(cc.num_qubits(), 3);

@@ -21,16 +21,15 @@
 //!
 //! ## Optimization
 //!
-//! Construction runs the circuit-optimizer pass of [`crate::fuse`] by
-//! default ([`OptLevel::Fuse`]): adjacent gates fuse into denser sweeps and
+//! Construction runs the circuit-optimizer pass of [`crate::fuse`]
+//! ([`OptLevel::Fuse`]): adjacent gates fuse into denser sweeps and
 //! diagonal chains merge before compilation, so every subsequent execution
 //! pays fewer kernel dispatches for the same unitary (to ≲ 1e-13 roundoff).
-//! [`OptLevel::None`] compiles the operation list exactly as written — the
-//! equivalence oracle and perf baseline, in the same spirit as
-//! `kernels::reference`.  Pick `Fuse` whenever a circuit is executed more
-//! than a handful of times (the optimizer costs less than one execution on
-//! realistic circuits); pick `None` when you need the compiled form to
-//! mirror the gate list one-to-one (oracle tests, per-gate instrumentation).
+//! The unfused form — the equivalence oracle and perf baseline, in the same
+//! spirit as `kernels::reference` — is [`CompiledCircuit::compile`], which
+//! compiles the operation list exactly as written.  [`OptLevel::None`]
+//! reaches it through [`QuantumExecutor::with_config`] for the benchmark
+//! harnesses that time the two side by side.
 //!
 //! ## Caching contract
 //!
@@ -134,7 +133,9 @@ fn fused_circuit_fingerprint(circuit: &Circuit) -> Fingerprint {
     b.finish()
 }
 
-/// How aggressively the executor rewrites a circuit before compiling it.
+/// How aggressively [`QuantumExecutor::with_config`] rewrites a circuit
+/// before compiling it.  Every solver path fuses; `None` is the unfused
+/// baseline that the benchmark harnesses time against it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OptLevel {
     /// Compile the operation list as-is (one [`CompiledOp`] per gate).  The
@@ -174,19 +175,18 @@ pub struct QuantumExecutor {
 }
 
 impl QuantumExecutor {
-    /// Optimize (default [`OptLevel::Fuse`]) and compile `circuit` once for
-    /// its own register width.
+    /// Fuse ([`OptLevel::Fuse`]) and compile `circuit` once for its own
+    /// register width, with the artifact cache disabled — ad-hoc executors
+    /// over arbitrary circuits should not populate the user's cache
+    /// directory.  Layers with stable, expensive-to-fuse circuits (the QSVT
+    /// solver stack) opt in through [`QuantumExecutor::with_config`].
     pub fn new(circuit: &Circuit) -> Self {
-        Self::with_options(circuit, OptLevel::default())
-    }
-
-    /// Compile `circuit` once at an explicit [`OptLevel`], with the artifact
-    /// cache disabled — ad-hoc executors over arbitrary circuits should not
-    /// populate the user's cache directory by default.  Layers with stable,
-    /// expensive-to-fuse circuits (the QSVT solver stack) opt in through
-    /// [`QuantumExecutor::with_config`].
-    pub fn with_options(circuit: &Circuit, opt_level: OptLevel) -> Self {
-        Self::with_config(circuit, opt_level, ExecMode::Flat, CachePolicy::Disabled)
+        Self::with_config(
+            circuit,
+            OptLevel::Fuse,
+            ExecMode::Flat,
+            CachePolicy::Disabled,
+        )
     }
 
     /// The general constructor: explicit [`OptLevel`] and [`CachePolicy`].
@@ -370,7 +370,12 @@ mod tests {
         let mut via_state = StateVector::zero_state(5);
         via_state.apply_circuit(&circ);
         assert!(max_diff(&exec.run_zero(), &via_state) < 1e-12);
-        let raw = QuantumExecutor::with_options(&circ, OptLevel::None);
+        let raw = QuantumExecutor::with_config(
+            &circ,
+            OptLevel::None,
+            ExecMode::Flat,
+            CachePolicy::Disabled,
+        );
         assert_eq!(raw.run_zero().amplitudes(), via_state.amplitudes());
         assert_eq!(raw.opt_level(), OptLevel::None);
         assert!(raw.stats().is_none());
@@ -417,7 +422,7 @@ mod tests {
         // On the tiny 2-qubit register the mask-densifying pass collapses
         // the whole circuit (cx included) into one dense 2-qubit unitary.
         assert_eq!(exec.len(), 1);
-        let raw = QuantumExecutor::with_options(&test_circuit(2), OptLevel::None);
+        let raw = CompiledCircuit::compile(&test_circuit(2));
         assert_eq!(raw.len(), 1 + 1 + 3 + 1); // h + cx + ry/rz/t + phase
     }
 }

@@ -27,7 +27,7 @@
 //! layers forward their `attach_fault_injector` to it.  Without an injector
 //! (or with an empty plan) a solve is bit-identical to one without this
 //! module — the house equivalence-oracle pattern (`kernels::reference`,
-//! `OptLevel::None`).
+//! the unfused `CompiledCircuit::compile`).
 
 use crate::state::StateVector;
 use num_complex::Complex64;

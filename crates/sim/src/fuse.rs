@@ -72,8 +72,9 @@
 //! / [`OptLevel::Fuse`](crate::executor::OptLevel) on
 //! [`QuantumExecutor`](crate::executor::QuantumExecutor), which also report
 //! the before/after [`CircuitStats`].  The unoptimized compile path is
-//! retained as the equivalence oracle (`OptLevel::None`, mirroring
-//! `kernels::reference`): optimized execution agrees with it to 1e-12 on the
+//! retained as the equivalence oracle
+//! ([`CompiledCircuit::compile`](crate::kernels::CompiledCircuit::compile)
+//! on the raw circuit, mirroring `kernels::reference`): optimized execution agrees with it to 1e-12 on the
 //! property tests in `crates/sim/tests/fusion_equivalence.rs`.
 
 use crate::circuit::{Circuit, Operation};

@@ -6,8 +6,8 @@
 //! this crate is its Rust replacement for the reproduction: gates and circuits
 //! ([`gate`], [`circuit`]), exact state-vector execution through compiled
 //! in-place kernels ([`state`], [`kernels`]), dense-unitary extraction for
-//! verification of block-encodings ([`unitary`]), shot sampling and
-//! post-selection ([`measure`]), dense complex matrices ([`cmatrix`]), and
+//! verification of block-encodings ([`unitary`]), the shot-count model
+//! ([`measure`]), dense complex matrices ([`cmatrix`]), and
 //! fault-tolerant resource estimates (T-count, depth, gate histograms —
 //! [`resources`]), which the paper uses to express the quantum cost of its
 //! Poisson use case (Table II).
@@ -53,8 +53,8 @@
 //!    diagonal/phase chains merge into a single table-driven diagonal, and
 //!    identities vanish — so `m` gates become far fewer, denser kernel
 //!    dispatches.  One fixed cost table prices every candidate fusion, so a
-//!    circuit always fuses the same way.  [`QuantumExecutor`] applies it by
-//!    default ([`OptLevel::Fuse`]); `OptLevel::None` retains the
+//!    circuit always fuses the same way.  [`QuantumExecutor`] applies it
+//!    ([`OptLevel::Fuse`]); [`CompiledCircuit::compile`] retains the
 //!    one-`CompiledOp`-per-gate path as the equivalence oracle, and
 //!    [`CircuitStats`] reports the before/after op counts and estimated
 //!    sweep work.
@@ -120,11 +120,9 @@ pub use fuse::{
 };
 pub use gate::Gate;
 pub use kernels::{circuit_compile_count, CompiledCircuit, CompiledOp, PARALLEL_WORK_THRESHOLD};
-pub use measure::{
-    estimate_magnitudes, sample, shots_for_accuracy, signed_from_magnitudes, SampleResult,
-};
+pub use measure::shots_for_accuracy;
 pub use qls_cache::CachePolicy;
 pub use resources::{estimate_resources, fusion_stats, ResourceEstimate, TCountModel};
 pub use simd::{simd_kernels_enabled, with_scalar_kernels};
 pub use state::StateVector;
-pub use unitary::{apply_circuit_to_vector, circuit_unitary};
+pub use unitary::circuit_unitary;

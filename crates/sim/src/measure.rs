@@ -1,81 +1,11 @@
-//! Measurement and sampling.
+//! Measurement cost.
 //!
 //! The paper's complexity model charges `O(1/ε²)` *samples* per solve because
 //! the QSVT result is read out by repeated measurement (Remark 3: the hybrid
 //! algorithm relies on the "collapse" of the quantum solution).  This module
-//! provides shot sampling from a state vector, empirical estimation of the
-//! solution amplitudes from counts, and the sign-recovery step needed to turn
-//! magnitude-only counts back into a signed real vector.
-
-use crate::state::StateVector;
-use qls_linalg::Vector;
-use rand::Rng;
-use std::collections::HashMap;
-
-/// Result of sampling a state vector with a finite number of shots.
-#[derive(Debug, Clone)]
-pub struct SampleResult {
-    /// Number of shots taken.
-    pub shots: usize,
-    /// Counts per basis state index.
-    pub counts: HashMap<usize, usize>,
-}
-
-impl SampleResult {
-    /// Empirical probability of basis state `index`.
-    pub fn frequency(&self, index: usize) -> f64 {
-        *self.counts.get(&index).unwrap_or(&0) as f64 / self.shots as f64
-    }
-
-    /// Empirical probabilities as a dense vector of length `dim`.
-    pub fn frequencies(&self, dim: usize) -> Vec<f64> {
-        (0..dim).map(|i| self.frequency(i)).collect()
-    }
-}
-
-/// Draw `shots` samples from the measurement distribution of `state` in the
-/// computational basis.
-pub fn sample(state: &StateVector, shots: usize, rng: &mut impl Rng) -> SampleResult {
-    let probs = state.probabilities();
-    // Build the cumulative distribution once; each shot is a binary search.
-    let mut cdf = Vec::with_capacity(probs.len());
-    let mut acc = 0.0;
-    for &p in &probs {
-        acc += p;
-        cdf.push(acc);
-    }
-    let total = acc.max(1e-300);
-    let mut counts: HashMap<usize, usize> = HashMap::new();
-    for _ in 0..shots {
-        let r: f64 = rng.gen_range(0.0..total);
-        let idx = cdf.partition_point(|&c| c < r).min(probs.len() - 1);
-        *counts.entry(idx).or_insert(0) += 1;
-    }
-    SampleResult { shots, counts }
-}
-
-/// Estimate the *magnitudes* of the state amplitudes from sampled counts
-/// (`|a_i| ≈ √(counts_i / shots)`).
-pub fn estimate_magnitudes(result: &SampleResult, dim: usize) -> Vec<f64> {
-    result
-        .frequencies(dim)
-        .into_iter()
-        .map(|f| f.sqrt())
-        .collect()
-}
-
-/// Reconstruct a signed real vector from sampled magnitudes by borrowing the
-/// signs of a reference vector (for real linear systems, one extra circuit with
-/// a known phase reference — or, in simulation, the exact state — provides the
-/// signs; the sampling noise only affects the magnitudes).
-pub fn signed_from_magnitudes(magnitudes: &[f64], sign_reference: &[f64]) -> Vector<f64> {
-    assert_eq!(magnitudes.len(), sign_reference.len(), "dimension mismatch");
-    magnitudes
-        .iter()
-        .zip(sign_reference)
-        .map(|(&m, &s)| if s < 0.0 { -m } else { m })
-        .collect()
-}
+//! holds that shot count; the readout itself is
+//! `qls_core::sample_direction`, which draws the shots from the
+//! post-selected amplitudes the solver already holds.
 
 /// Number of shots the paper's model prescribes to reach accuracy ε: `⌈c/ε²⌉`.
 pub fn shots_for_accuracy(epsilon: f64, constant: f64) -> usize {
@@ -86,74 +16,11 @@ pub fn shots_for_accuracy(epsilon: f64, constant: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::circuit::Circuit;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-
-    #[test]
-    fn sampling_matches_distribution() {
-        let mut circ = Circuit::new(2);
-        circ.h(0); // p(00) = p(01) = 1/2
-        let sv = StateVector::run(&circ);
-        let mut rng = ChaCha8Rng::seed_from_u64(71);
-        let result = sample(&sv, 20_000, &mut rng);
-        assert_eq!(result.shots, 20_000);
-        assert!((result.frequency(0) - 0.5).abs() < 0.02);
-        assert!((result.frequency(1) - 0.5).abs() < 0.02);
-        assert_eq!(result.frequency(2), 0.0);
-        assert_eq!(result.frequency(3), 0.0);
-    }
-
-    #[test]
-    fn deterministic_state_always_gives_same_outcome() {
-        let sv = StateVector::basis_state(3, 6);
-        let mut rng = ChaCha8Rng::seed_from_u64(72);
-        let result = sample(&sv, 100, &mut rng);
-        assert_eq!(result.frequency(6), 1.0);
-        assert_eq!(result.counts.len(), 1);
-    }
-
-    #[test]
-    fn magnitude_estimation_converges_with_shots() {
-        let mut circ = Circuit::new(2);
-        circ.ry(0, 1.23).cry(0, 1, 0.4);
-        let sv = StateVector::run(&circ);
-        let exact: Vec<f64> = sv.amplitudes().iter().map(|a| a.norm()).collect();
-        let mut rng = ChaCha8Rng::seed_from_u64(73);
-        let coarse = estimate_magnitudes(&sample(&sv, 100, &mut rng), 4);
-        let fine = estimate_magnitudes(&sample(&sv, 100_000, &mut rng), 4);
-        let err = |est: &[f64]| -> f64 {
-            est.iter()
-                .zip(&exact)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0, f64::max)
-        };
-        assert!(err(&fine) < 0.01);
-        assert!(err(&fine) <= err(&coarse) + 1e-9);
-    }
-
-    #[test]
-    fn sign_recovery() {
-        let mags = vec![0.5, 0.5, 0.7, 0.1];
-        let reference = vec![1.0, -2.0, 3.0, -0.0];
-        let signed = signed_from_magnitudes(&mags, &reference);
-        assert_eq!(signed.as_slice(), &[0.5, -0.5, 0.7, 0.1]);
-    }
 
     #[test]
     fn shot_count_formula() {
         assert_eq!(shots_for_accuracy(1e-2, 1.0), 10_000);
         assert_eq!(shots_for_accuracy(0.5, 2.0), 8);
         assert!(shots_for_accuracy(1e-4, 1.0) > shots_for_accuracy(1e-3, 1.0));
-    }
-
-    #[test]
-    fn seeded_sampling_is_reproducible() {
-        let mut circ = Circuit::new(3);
-        circ.h(0).h(1).h(2);
-        let sv = StateVector::run(&circ);
-        let r1 = sample(&sv, 500, &mut ChaCha8Rng::seed_from_u64(99));
-        let r2 = sample(&sv, 500, &mut ChaCha8Rng::seed_from_u64(99));
-        assert_eq!(r1.counts, r2.counts);
     }
 }

@@ -11,7 +11,6 @@
 use crate::circuit::{Circuit, Operation};
 use crate::kernels::{CompiledCircuit, CompiledOp};
 use num_complex::Complex64;
-use qls_linalg::Vector;
 
 /// The state vector of an `n`-qubit register.
 #[derive(Debug, Clone)]
@@ -76,13 +75,6 @@ impl StateVector {
         assert!(index < self.amps.len(), "basis index out of range");
         self.amps.fill(Complex64::new(0.0, 0.0));
         self.amps[index] = Complex64::new(1.0, 0.0);
-    }
-
-    /// Build a state whose amplitudes are the entries of a real vector,
-    /// normalised (the encoding of the right-hand side `b/‖b‖` of the paper).
-    pub fn from_real_vector(v: &Vector<f64>) -> Self {
-        assert!(v.len().is_power_of_two(), "vector length must be 2^n");
-        Self::from_amplitudes(v.iter().map(|&x| Complex64::new(x, 0.0)).collect())
     }
 
     /// Number of qubits.
@@ -238,49 +230,6 @@ impl StateVector {
         kept
     }
 
-    /// Post-select the given qubits on `|0⟩` and renormalise, returning the
-    /// success probability.  Returns `None` when the probability is (numerically)
-    /// zero and the conditional state is undefined.
-    pub fn postselect_zeros(&mut self, qubits: &[usize]) -> Option<f64> {
-        let p = self.project_zeros(qubits);
-        if p <= 1e-300 {
-            return None;
-        }
-        let inv = 1.0 / p.sqrt();
-        for a in &mut self.amps {
-            *a *= inv;
-        }
-        Some(p)
-    }
-
-    /// Extract the state of the low `k` qubits assuming all other qubits are in
-    /// `|0⟩` (panics in debug mode if that assumption is violated beyond `1e-10`).
-    pub fn extract_low_qubits(&self, k: usize) -> Vec<Complex64> {
-        let dim = 1usize << k;
-        #[cfg(debug_assertions)]
-        {
-            let leaked: f64 = self
-                .amps
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i >= dim)
-                .map(|(_, a)| a.norm_sqr())
-                .sum();
-            debug_assert!(
-                leaked < 1e-10,
-                "extract_low_qubits: {leaked} probability mass outside the low register"
-            );
-        }
-        self.amps[..dim].to_vec()
-    }
-
-    /// The real parts of the amplitudes as a real vector (the readout used for
-    /// real linear systems, where the solution amplitudes are real up to a
-    /// global phase).
-    pub fn real_amplitudes(&self) -> Vector<f64> {
-        self.amps.iter().map(|a| a.re).collect()
-    }
-
     /// Expectation value of a diagonal observable given by its values on the
     /// computational basis.
     pub fn expectation_diagonal(&self, values: &[f64]) -> f64 {
@@ -428,15 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn from_real_vector_encodes_normalised_amplitudes() {
-        let v = Vector::from_f64_slice(&[1.0, 2.0, 2.0, 4.0]);
-        let sv = StateVector::from_real_vector(&v);
-        assert_eq!(sv.num_qubits(), 2);
-        assert!((sv.norm() - 1.0).abs() < 1e-14);
-        assert!((sv.probability(3) - 16.0 / 25.0).abs() < 1e-14);
-    }
-
-    #[test]
     fn tensor_product_structure() {
         let a = StateVector::basis_state(1, 1);
         let b = StateVector::basis_state(2, 2);
@@ -446,23 +386,26 @@ mod tests {
     }
 
     #[test]
-    fn postselection_on_ancilla() {
+    fn projection_onto_ancilla_zero_keeps_the_good_branch() {
         // (|0>+|1>)/sqrt(2) on qubit 1 (ancilla), |1> on qubit 0 (data).
         let mut circ = Circuit::new(2);
         circ.x(0).h(1);
         let mut sv = StateVector::run(&circ);
-        let p = sv.postselect_zeros(&[1]).unwrap();
-        assert!((p - 0.5).abs() < 1e-14);
-        assert!((sv.probability(1) - 1.0).abs() < 1e-14);
-        assert!((sv.norm() - 1.0).abs() < 1e-14);
+        let kept = sv.project_zeros(&[1]);
+        assert!((kept - 0.5).abs() < 1e-14);
+        // No renormalisation: the raw branch keeps its weight.
+        assert!((sv.probability(1) - 0.5).abs() < 1e-14);
+        assert_eq!(sv.probability(3), 0.0);
+        assert!((sv.norm() - kept.sqrt()).abs() < 1e-14);
     }
 
     #[test]
-    fn postselection_with_zero_probability_fails() {
+    fn projection_with_zero_weight_leaves_the_zero_vector() {
         let mut circ = Circuit::new(1);
         circ.x(0);
         let mut sv = StateVector::run(&circ);
-        assert!(sv.postselect_zeros(&[0]).is_none());
+        assert_eq!(sv.project_zeros(&[0]), 0.0);
+        assert_eq!(sv.norm(), 0.0);
     }
 
     #[test]
@@ -506,12 +449,12 @@ mod tests {
     }
 
     #[test]
-    fn extract_low_qubits_after_postselection() {
+    fn projection_keeps_the_low_register_when_ancilla_is_zero() {
         let mut circ = Circuit::new(3);
         circ.h(0).cx(0, 1); // bell pair on data qubits 0,1; ancilla 2 stays |0>
-        let sv = StateVector::run(&circ);
-        let low = sv.extract_low_qubits(2);
-        assert_eq!(low.len(), 4);
+        let mut sv = StateVector::run(&circ);
+        assert!((sv.project_zeros(&[2]) - 1.0).abs() < 1e-14);
+        let low = &sv.amplitudes()[..4];
         assert!((low[0].norm_sqr() - 0.5).abs() < 1e-14);
         assert!((low[3].norm_sqr() - 0.5).abs() < 1e-14);
     }

@@ -11,7 +11,6 @@ use crate::circuit::Circuit;
 use crate::cmatrix::CMatrix;
 use crate::executor::QuantumExecutor;
 use crate::state::StateVector;
-use num_complex::Complex64;
 
 /// Compute the dense unitary implemented by a circuit by running it on every
 /// computational basis state (columns of the unitary).
@@ -46,23 +45,11 @@ pub fn circuit_unitary(circuit: &Circuit) -> CMatrix {
     u
 }
 
-/// Apply a circuit to an arbitrary input vector of dimension `2^n` (not
-/// necessarily normalised); returns the output vector.  Equivalent to
-/// multiplying by [`circuit_unitary`] but without forming the matrix.
-/// Gate application is linear, so the input is used as-is — no
-/// normalise/renormalise round trip.
-pub fn apply_circuit_to_vector(circuit: &Circuit, input: &[Complex64]) -> Vec<Complex64> {
-    let n = circuit.num_qubits();
-    assert_eq!(input.len(), 1usize << n, "input dimension mismatch");
-    let mut sv = StateVector::from_amplitudes_unchecked(input.to_vec());
-    sv.apply_circuit(circuit);
-    sv.into_amplitudes()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gate::Gate;
+    use num_complex::Complex64;
 
     #[test]
     fn unitary_of_single_hadamard() {
@@ -116,18 +103,12 @@ mod tests {
             Complex64::new(0.5, -0.4),
             Complex64::new(0.1, 0.2),
         ];
-        let via_circuit = apply_circuit_to_vector(&c, &input);
+        let mut state = StateVector::from_amplitudes_unchecked(input.clone());
+        state.apply_circuit(&c);
+        let via_circuit = state.into_amplitudes();
         let via_matrix = u.matvec(&input);
         for (a, b) in via_circuit.iter().zip(&via_matrix) {
             assert!((a - b).norm() < 1e-13);
         }
-    }
-
-    #[test]
-    fn apply_to_zero_vector() {
-        let mut c = Circuit::new(1);
-        c.h(0);
-        let out = apply_circuit_to_vector(&c, &[Complex64::new(0.0, 0.0); 2]);
-        assert!(out.iter().all(|a| a.norm() == 0.0));
     }
 }

@@ -1,14 +1,15 @@
 //! Property tests of the circuit-optimizer pass: optimized execution
 //! (fusion + diagonal merging, `OptLevel::Fuse`) must agree to 1e-12 with
 //! the unoptimized oracle — both the seed's generic reference path and the
-//! `OptLevel::None` compiled path — on random 1–10-qubit circuits mixing
+//! unfused `CompiledCircuit::compile` path (what `OptLevel::None` builds) —
+//! on random 1–10-qubit circuits mixing
 //! controlled/uncontrolled, diagonal, permutation and dense gates, and the
 //! optimization must happen exactly once, at construction.
 
 use num_complex::Complex64;
 use qls_sim::kernels::reference;
 use qls_sim::{
-    circuit_compile_count, CMatrix, Circuit, Gate, Operation, OptLevel, QuantumExecutor,
+    circuit_compile_count, CMatrix, Circuit, CompiledCircuit, Gate, Operation, QuantumExecutor,
     StateVector,
 };
 use rand::{Rng, SeedableRng};
@@ -114,10 +115,10 @@ fn optimized_execution_matches_both_oracles_on_random_circuits() {
             }
             let start = random_state(n, &mut rng);
 
-            let fused = QuantumExecutor::with_options(&circ, OptLevel::Fuse);
-            let raw = QuantumExecutor::with_options(&circ, OptLevel::None);
+            let fused = QuantumExecutor::new(&circ);
             let via_fused = fused.run(&start);
-            let via_raw = raw.run(&start);
+            let mut via_raw = start.clone();
+            CompiledCircuit::compile(&circ).apply(&mut via_raw);
             let mut via_reference = start.clone();
             reference::apply_circuit(&mut via_reference, &circ);
 
@@ -157,7 +158,7 @@ fn optimization_happens_once_at_construction_and_never_during_runs() {
     }
 
     let before = circuit_compile_count();
-    let exec = QuantumExecutor::with_options(&circ, OptLevel::Fuse);
+    let exec = QuantumExecutor::new(&circ);
     assert_eq!(
         circuit_compile_count(),
         before + 1,
@@ -240,7 +241,8 @@ fn deep_diagonal_and_conjugation_chains_collapse() {
         stats.raw_ops,
         stats.fused_ops
     );
-    let raw = QuantumExecutor::with_options(&circ, OptLevel::None);
     let start = random_state(n, &mut ChaCha8Rng::seed_from_u64(3));
-    assert!(max_amp_diff(&exec.run(&start), &raw.run(&start)) < 1e-12);
+    let mut via_raw = start.clone();
+    CompiledCircuit::compile(&circ).apply(&mut via_raw);
+    assert!(max_amp_diff(&exec.run(&start), &via_raw) < 1e-12);
 }

@@ -10,8 +10,7 @@
 
 use num_complex::Complex64;
 use qls_sim::{
-    with_scalar_kernels, CMatrix, Circuit, CompiledCircuit, Gate, OptLevel, QuantumExecutor,
-    StateVector,
+    with_scalar_kernels, CMatrix, Circuit, CompiledCircuit, Gate, QuantumExecutor, StateVector,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -134,15 +133,15 @@ fn fused_executor_is_bit_identical_with_simd_on_or_off() {
 
 #[test]
 fn unoptimized_path_stays_float_identical_to_the_seed_reference() {
-    // OptLevel::None is the equivalence oracle: with SIMD on it must still
+    // The unfused compile is the equivalence oracle: with SIMD on it must still
     // reproduce `StateVector::apply_circuit` exactly (the SIMD bodies
     // replicate the scalar operation order, and no fusion reorders gates).
     let mut rng = ChaCha8Rng::seed_from_u64(0x0A11);
     for n in 1..=8usize {
         let circ = random_circuit(n, 3 + 2 * n, &mut rng);
         let initial = random_state(n, &mut rng);
-        let exec = QuantumExecutor::with_options(&circ, OptLevel::None);
-        let via_exec = exec.run(&initial);
+        let mut via_exec = initial.clone();
+        CompiledCircuit::compile(&circ).apply(&mut via_exec);
         let mut direct = initial.clone();
         direct.apply_circuit(&circ);
         assert_eq!(via_exec.amplitudes(), direct.amplitudes(), "raw n={n}");

@@ -23,8 +23,8 @@
 //! * [`sim`] (`qls-sim`) — the state-vector quantum simulator (compiled
 //!   in-place gate kernels, sequential per register; see the performance
 //!   model in `qls_sim`), the circuit-optimizer pass (`qls_sim::fuse`: gate
-//!   fusion + diagonal merging, on by default through `OptLevel::Fuse`,
-//!   reported by `CircuitStats`), and the compile-once execution engine
+//!   fusion + diagonal merging, which every solver circuit runs, reported
+//!   by `CircuitStats`), and the compile-once execution engine
 //!   (`qls_sim::QuantumExecutor`: optimize + compile a circuit exactly once,
 //!   `run` it many times, `run_batch` it across many registers with one
 //!   register per worker thread — the simulator's only thread fan-out);
@@ -54,8 +54,8 @@
 //! oracle — toggle with `qls_sim::with_scalar_kernels` (statevector) or
 //! call the `_scalar` twins (`matvec_scalar`/`matmul_scalar`) directly;
 //! remainders that don't fill a lane group fall back to the same scalar
-//! loops.  The fusion optimizer (`qls_sim::fuse`, the `OptLevel::Fuse`
-//! default) prices candidate fusions with one fixed table of
+//! loops.  The fusion optimizer (`qls_sim::fuse`, run on every solver
+//! circuit) prices candidate fusions with one fixed table of
 //! complex-multiply-equivalent units per kernel class, and uses it to
 //! decide two-op lookahead (X·D·X conjugations collapse to one diagonal)
 //! and mask-densifying fusion of controlled ops with different control
@@ -188,8 +188,8 @@ pub mod prelude {
         QlsError, QsvtLinearSolver, QsvtSolverOptions, RecoveryAction, RecoveryLog,
     };
     pub use qls_encoding::{
-        BlockEncoding, BlockEncodingExecutor, BlockEncodingExt, DilationBlockEncoding,
-        FableBlockEncoding, LcuBlockEncoding, StatePreparation, TridiagBlockEncoding,
+        BlockEncoding, BlockEncodingExt, DilationBlockEncoding, FableBlockEncoding,
+        LcuBlockEncoding, StatePreparation, TridiagBlockEncoding,
     };
     pub use qls_linalg::generate::{
         convection_diffusion_1d, convection_diffusion_2d, graph_laplacian, random_connected_graph,
@@ -209,7 +209,7 @@ pub mod prelude {
     pub use qls_qsvt::{phase_generation_count, QsvtInverter, QsvtMode};
     pub use qls_sim::{
         estimate_resources, fusion_pass_count, fusion_stats, Circuit, CircuitStats, FaultInjector,
-        FaultPlan, Gate, OptLevel, QuantumExecutor, StateVector, TCountModel, TransientKind,
+        FaultPlan, Gate, QuantumExecutor, StateVector, TCountModel, TransientKind,
     };
 
     pub use rand::SeedableRng;

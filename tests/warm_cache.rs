@@ -2,14 +2,17 @@
 //! a warm construction must perform zero phase-factor generations and zero
 //! fusion passes, and everything downstream — phase angles (via the raw QSVT
 //! circuit), solve directions, refinement histories — must be bit-identical
-//! to the cold build, with the cache enabled or disabled.
+//! to the cold build, with the cache enabled or disabled.  A phase entry
+//! that is not what the phase solver returns is regenerated, never
+//! replayed.
 //!
 //! Every test runs against its own temp directory through `with_cache_dir`
 //! (a thread-local override), so parallel tests never share cache state and
 //! the user's real `~/.cache/qls` is never touched.
 
 use qls::prelude::*;
-use std::path::PathBuf;
+use qls::sim::{ExecMode, OptLevel};
+use std::path::{Path, PathBuf};
 
 fn test_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("qls-warm-test-{}-{name}", std::process::id()));
@@ -191,6 +194,104 @@ fn cache_enabled_cold_path_matches_cache_disabled_bit_identically() {
         let warm = QsvtLinearSolver::new(&a, 0.05, enabled_options).unwrap();
         let warm_result = warm.solve(&b, &mut experiment_rng(7)).unwrap();
         assert_eq!(bits(&off_result.solution), bits(&warm_result.solution));
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The one `qsvt-phases` entry stored under `dir`.
+fn phases_entry(dir: &Path) -> PathBuf {
+    let mut entries = Vec::new();
+    for version in std::fs::read_dir(dir.join("qsvt-phases")).unwrap() {
+        for entry in std::fs::read_dir(version.unwrap().path()).unwrap() {
+            entries.push(entry.unwrap().path());
+        }
+    }
+    assert_eq!(entries.len(), 1, "one phases entry: {entries:?}");
+    entries.pop().unwrap()
+}
+
+/// An edit of a stored phase list and degree.
+type Corruption = fn(&mut Vec<String>, &mut usize);
+
+/// Rewrite the phase list and the degree of a stored `qsvt-phases` entry
+/// through `edit`, leaving the envelope (schema, key) and the other fields
+/// as written.  The payload's fields are in declaration order, so the
+/// phase list comes first and the degree last.
+fn rewrite_phases(entry: &Path, edit: Corruption) {
+    let text = std::fs::read_to_string(entry).unwrap();
+    let value = |name: &str, end: char| {
+        let start = text.find(&format!("\"{name}\":")).expect(name) + name.len() + 3;
+        start..start + text[start..].find(end).unwrap()
+    };
+    let (list, degree_at) = (value("phases", ']'), value("degree", '}'));
+    assert!(list.end < degree_at.start, "phases precede degree");
+    let mut phases: Vec<String> = text[list.start + 1..list.end]
+        .split(',')
+        .filter(|p| !p.is_empty())
+        .map(String::from)
+        .collect();
+    let mut degree: usize = text[degree_at.clone()].parse().unwrap();
+    edit(&mut phases, &mut degree);
+    let out = format!(
+        "{}[{}{}{degree}{}",
+        &text[..list.start],
+        phases.join(","),
+        &text[list.end..degree_at.start],
+        &text[degree_at.end..]
+    );
+    std::fs::write(entry, out).unwrap();
+}
+
+#[test]
+fn corrupt_phase_entries_are_regenerated_not_replayed() {
+    // A phase entry that decodes but is not what `find_phases` returns used
+    // to reach circuit assembly: too few phases panicked the constructor, a
+    // wrong-length vector built a circuit of another degree, and a NaN
+    // phase poisoned every solve.  Each is now a miss: the inverter builds,
+    // solves bit-identically to an uncached build, and the entry is
+    // overwritten with the regenerated phases.
+    let dir = test_dir("corrupt-phases");
+    let (a, b) = test_system(4, 4.0, 8);
+    let uncached = QsvtInverter::with_config(
+        &a,
+        0.05,
+        QsvtMode::CircuitReal,
+        OptLevel::Fuse,
+        ExecMode::Flat,
+        CachePolicy::Disabled,
+    )
+    .unwrap();
+    let (x_ref, s_ref) = uncached.solve_direction(&b).unwrap();
+    let corruptions: [(&str, Corruption); 5] = [
+        ("no phases", |p, _| p.clear()),
+        ("the single phase [0.5]", |p, _| *p = vec!["0.5".into()]),
+        ("one phase short", |p, _| {
+            p.pop();
+        }),
+        ("a NaN phase", |p, _| p[1] = "NaN".into()),
+        ("a consistent entry of degree d - 2", |p, d| {
+            p.truncate(p.len() - 2);
+            *d -= 2;
+        }),
+    ];
+    with_cache_dir(&dir, || {
+        QsvtInverter::new(&a, 0.05, QsvtMode::CircuitReal).unwrap();
+        let entry = phases_entry(&dir);
+        let pristine = std::fs::read_to_string(&entry).unwrap();
+        for (what, corrupt) in corruptions {
+            rewrite_phases(&entry, corrupt);
+            assert_ne!(std::fs::read_to_string(&entry).unwrap(), pristine);
+            let inverter = QsvtInverter::new(&a, 0.05, QsvtMode::CircuitReal)
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            let (x, s) = inverter.solve_direction(&b).unwrap();
+            assert_eq!(bits(&x), bits(&x_ref), "{what}");
+            assert_eq!(s.to_bits(), s_ref.to_bits(), "{what}");
+            assert_eq!(
+                std::fs::read_to_string(&entry).unwrap(),
+                pristine,
+                "{what}: the regenerated phases overwrite the entry"
+            );
+        }
     });
     let _ = std::fs::remove_dir_all(&dir);
 }
