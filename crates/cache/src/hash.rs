@@ -9,7 +9,7 @@
 //! cache directory's lifetime negligible.
 
 /// SipHash-2-4 of `data` under the 128-bit key `(k0, k1)`.
-pub fn siphash24(k0: u64, k1: u64, data: &[u8]) -> u64 {
+pub(crate) fn siphash24(k0: u64, k1: u64, data: &[u8]) -> u64 {
     let mut v0 = 0x736f6d6570736575u64 ^ k0;
     let mut v1 = 0x646f72616e646f6du64 ^ k1;
     let mut v2 = 0x6c7967656e657261u64 ^ k0;
@@ -100,7 +100,7 @@ impl FingerprintBuilder {
     }
 
     /// Append raw bytes, length-prefixed.
-    pub fn write_bytes(&mut self, bytes: &[u8]) -> &mut Self {
+    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) -> &mut Self {
         self.write_u64(bytes.len() as u64);
         self.buf.extend_from_slice(bytes);
         self

@@ -35,10 +35,14 @@
 //! * each kind carries a format version in both the directory layout
 //!   (`<kind>/v<N>/`) and the entry envelope (`"schema"`) — bumping it
 //!   orphans old entries,
+//! * every entry carries a SipHash-2-4 checksum of its payload bytes as
+//!   written, checked against the bytes read before anything is parsed, so
+//!   a flipped bit is a miss even where the edited payload would still
+//!   decode,
 //! * corrupt, truncated, non-UTF-8, over-nested (past the JSON parser's
-//!   depth cap), wrong-schema, or wrong-key files deserialize
-//!   unsuccessfully and count as misses — the cache **never errors**; worst
-//!   case it regenerates,
+//!   depth cap), wrong-schema, wrong-key, or wrong-checksum files load
+//!   unsuccessfully and count as misses, and so does an entry the caller's
+//!   check rejects — the cache **never errors**; worst case it regenerates,
 //! * writers stage to a temp file and `rename(2)` into place, so concurrent
 //!   writers race benignly (last atomic rename wins; readers see a complete
 //!   entry or none).
@@ -58,7 +62,9 @@
 
 mod hash;
 
-pub use hash::{machine_fingerprint, siphash24, Fingerprint, FingerprintBuilder};
+pub use hash::{machine_fingerprint, Fingerprint, FingerprintBuilder};
+
+use hash::siphash24;
 
 use std::cell::{Cell, RefCell};
 use std::fs;
@@ -82,13 +88,15 @@ thread_local! {
     static CACHE_DIR_OVERRIDE: RefCell<Option<PathBuf>> = const { RefCell::new(None) };
 }
 
-/// Number of cache lookups by this thread that found a usable entry.
+/// Number of cache lookups by this thread that found an entry the caller
+/// used.
 pub fn cache_hit_count() -> usize {
     CACHE_HITS.with(|c| c.get())
 }
 
 /// Number of cache lookups by this thread that found nothing usable
-/// (absent, corrupt, stale-version, or unreadable entries all count here).
+/// (absent, corrupt, stale-version, unreadable, and caller-rejected entries
+/// all count here).
 pub fn cache_miss_count() -> usize {
     CACHE_MISSES.with(|c| c.get())
 }
@@ -111,7 +119,7 @@ pub fn with_cache_dir<R>(dir: impl Into<PathBuf>, f: impl FnOnce() -> R) -> R {
 }
 
 /// The directory [`CacheStore::open`] would use right now, if any.
-pub fn resolve_cache_dir() -> Option<PathBuf> {
+pub(crate) fn resolve_cache_dir() -> Option<PathBuf> {
     if let Some(dir) = CACHE_DIR_OVERRIDE.with(|o| o.borrow().clone()) {
         return Some(dir);
     }
@@ -139,7 +147,28 @@ pub fn resolve_cache_dir() -> Option<PathBuf> {
 /// comes from the pid component).
 static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
+/// Fixed SipHash-2-4 key of the payload checksum.  Arbitrary but frozen:
+/// changing it invalidates every existing entry.
+const CHECKSUM_KEY: (u64, u64) = (0x716c732d63616368, 0x652d7061796c6f61); // "qls-cach","e-payloa"
+
+/// The checksum of a payload's bytes, as it appears in the entry: 16
+/// lower-case hex digits.
+fn checksum_hex(payload: &str) -> String {
+    format!(
+        "{:016x}",
+        siphash24(CHECKSUM_KEY.0, CHECKSUM_KEY.1, payload.as_bytes())
+    )
+}
+
+/// What separates an entry's checksum from its payload.
+const PAYLOAD_TAG: &str = "\",\"payload\":";
+
 /// An on-disk artifact store: `root/<kind>/v<version>/<fingerprint>.json`.
+///
+/// An entry is one JSON object,
+/// `{"schema":"qls-cache/<kind>/v<version>","key":"<fingerprint>",`
+/// `"checksum":"<16 hex digits>","payload":<payload>}` with no whitespace,
+/// its checksum taken over the payload's bytes.
 ///
 /// Every operation is infallible from the caller's perspective: lookups
 /// return `Option`, writes return a best-effort `bool`, and no IO problem
@@ -162,11 +191,6 @@ impl CacheStore {
         CacheStore { root: root.into() }
     }
 
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     fn entry_path(&self, kind: &str, version: u32, key: Fingerprint) -> PathBuf {
         self.root
             .join(kind)
@@ -174,20 +198,27 @@ impl CacheStore {
             .join(format!("{}.json", key.hex()))
     }
 
-    fn schema(kind: &str, version: u32) -> String {
-        format!("qls-cache/{kind}/v{version}")
+    /// Everything an entry holds before its checksum: the envelope's schema
+    /// and key, which the reader compares byte for byte.
+    fn head(kind: &str, version: u32, key: Fingerprint) -> String {
+        format!(
+            "{{\"schema\":\"qls-cache/{kind}/v{version}\",\"key\":\"{}\",\"checksum\":\"",
+            key.hex()
+        )
     }
 
-    /// Look up an entry.  Absent, corrupt, wrong-schema, or wrong-key files
-    /// are all misses; a usable entry deserializes into `T`.  Ticks
-    /// [`cache_hit_count`] / [`cache_miss_count`].
+    /// Look up an entry.  Absent, corrupt, wrong-schema, wrong-key, or
+    /// wrong-checksum files are all misses, and so is an entry that decodes
+    /// into a `T` that `accept` rejects; only an entry the caller uses is a
+    /// hit.  Ticks [`cache_hit_count`] / [`cache_miss_count`].
     pub fn load<T: serde::DeserializeOwned>(
         &self,
         kind: &str,
         version: u32,
         key: Fingerprint,
+        accept: impl FnOnce(&T) -> bool,
     ) -> Option<T> {
-        let loaded = self.read_entry(kind, version, key);
+        let loaded = self.read_entry(kind, version, key).filter(accept);
         match loaded {
             Some(_) => CACHE_HITS.with(|c| c.set(c.get() + 1)),
             None => CACHE_MISSES.with(|c| c.set(c.get() + 1)),
@@ -203,21 +234,20 @@ impl CacheStore {
         key: Fingerprint,
     ) -> Option<T> {
         let text = fs::read_to_string(self.entry_path(kind, version, key)).ok()?;
-        let value = serde::parse_json(&text).ok()?;
-        match value.get("schema") {
-            Some(serde::Value::Str(s)) if *s == Self::schema(kind, version) => {}
-            _ => return None,
+        let (checksum, rest) = text
+            .strip_prefix(&Self::head(kind, version, key))?
+            .split_at_checked(16)?;
+        let payload = rest.strip_prefix(PAYLOAD_TAG)?.strip_suffix('}')?;
+        if checksum != checksum_hex(payload) {
+            return None;
         }
-        match value.get("key") {
-            Some(serde::Value::Str(s)) if *s == key.hex() => {}
-            _ => return None,
-        }
-        serde::from_value(value.get("payload")?).ok()
+        serde::from_json_str(payload).ok()
     }
 
-    /// Write an entry: serialize, stage to a temp file in the final
-    /// directory, `rename(2)` into place.  Returns `false` (never errors)
-    /// when any step fails — the artifact is simply not cached.
+    /// Write an entry: serialize, checksum the payload's bytes, stage to a
+    /// temp file in the final directory, `rename(2)` into place.  Returns
+    /// `false` (never errors) when any step fails — the artifact is simply
+    /// not cached.
     pub fn store<T: serde::Serialize + ?Sized>(
         &self,
         kind: &str,
@@ -232,15 +262,12 @@ impl CacheStore {
         if fs::create_dir_all(dir).is_err() {
             return false;
         }
-        let envelope = serde::Value::Map(vec![
-            (
-                "schema".to_string(),
-                serde::Value::Str(Self::schema(kind, version)),
-            ),
-            ("key".to_string(), serde::Value::Str(key.hex())),
-            ("payload".to_string(), serde::to_value(value)),
-        ]);
-        let text = serde::to_json_string(&ValueDoc(envelope));
+        let payload = serde::to_json_string(value);
+        let text = format!(
+            "{}{}{PAYLOAD_TAG}{payload}}}",
+            Self::head(kind, version, key),
+            checksum_hex(&payload)
+        );
         let staged = dir.join(format!(
             ".{}.{}.{}.tmp",
             key.hex(),
@@ -256,16 +283,6 @@ impl CacheStore {
             return false;
         }
         true
-    }
-}
-
-/// Adapter so a raw [`serde::Value`] document can go through
-/// [`serde::to_json_string`] (which takes a `Serialize` type).
-struct ValueDoc(serde::Value);
-
-impl serde::Serialize for ValueDoc {
-    fn serialize(&self) -> serde::Value {
-        self.0.clone()
     }
 }
 
@@ -306,9 +323,9 @@ mod tests {
         let root = temp_root("roundtrip");
         let store = CacheStore::at(&root);
         let (key, art) = sample();
-        assert_eq!(store.load::<Artifact>("k", 1, key), None);
+        assert_eq!(store.load::<Artifact>("k", 1, key, |_| true), None);
         assert!(store.store("k", 1, key, &art));
-        assert_eq!(store.load::<Artifact>("k", 1, key), Some(art));
+        assert_eq!(store.load::<Artifact>("k", 1, key, |_| true), Some(art));
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -318,10 +335,10 @@ mod tests {
         let store = CacheStore::at(&root);
         let (key, art) = sample();
         let (h0, m0) = (cache_hit_count(), cache_miss_count());
-        assert!(store.load::<Artifact>("k", 1, key).is_none());
+        assert!(store.load::<Artifact>("k", 1, key, |_| true).is_none());
         assert_eq!(cache_miss_count(), m0 + 1);
         store.store("k", 1, key, &art);
-        assert!(store.load::<Artifact>("k", 1, key).is_some());
+        assert!(store.load::<Artifact>("k", 1, key, |_| true).is_some());
         assert_eq!(cache_hit_count(), h0 + 1);
         let _ = fs::remove_dir_all(&root);
     }
@@ -332,7 +349,7 @@ mod tests {
         let store = CacheStore::at(&root);
         let (key, art) = sample();
         store.store("k", 1, key, &art);
-        assert_eq!(store.load::<Artifact>("k", 2, key), None);
+        assert_eq!(store.load::<Artifact>("k", 2, key, |_| true), None);
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -351,18 +368,72 @@ mod tests {
             "{\"schema\":\"qls-cache/k/v1\",\"key\":\"0\",\"payload\":null}", // wrong key
         ] {
             fs::write(&path, bad).unwrap();
-            assert_eq!(store.load::<Artifact>("k", 1, key), None, "{bad:?}");
+            assert_eq!(
+                store.load::<Artifact>("k", 1, key, |_| true),
+                None,
+                "{bad:?}"
+            );
         }
-        // A wrong-shape payload under the right envelope is also a miss.
-        fs::write(
-            &path,
-            format!(
-                "{{\"schema\":\"qls-cache/k/v1\",\"key\":\"{}\",\"payload\":{{\"label\":3}}}}",
-                key.hex()
-            ),
-        )
-        .unwrap();
-        assert_eq!(store.load::<Artifact>("k", 1, key), None);
+        // Under an intact envelope and checksum, a wrong-shape payload and
+        // one nested past the parser's depth cap are misses too.
+        for payload in ["{\"label\":3}".to_string(), "[".repeat(1_000_000)] {
+            let entry = format!(
+                "{}{}{PAYLOAD_TAG}{payload}}}",
+                CacheStore::head("k", 1, key),
+                checksum_hex(&payload)
+            );
+            fs::write(&path, entry).unwrap();
+            assert_eq!(store.load::<Artifact>("k", 1, key, |_| true), None);
+        }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn an_edited_payload_that_still_decodes_is_a_miss() {
+        let root = temp_root("checksum");
+        let store = CacheStore::at(&root);
+        let (key, art) = sample();
+        store.store("k", 1, key, &art);
+        let path = store.entry_path("k", 1, key);
+        let text = fs::read_to_string(&path).unwrap();
+        let edited = text.replace("\"phases\"", "\"phasez\"");
+        assert_ne!(edited, text);
+        fs::write(&path, &edited).unwrap();
+        let m0 = cache_miss_count();
+        assert_eq!(store.load::<Artifact>("k", 1, key, |_| true), None);
+        assert_eq!(cache_miss_count(), m0 + 1);
+        // The same edit with its checksum restored decodes: only the
+        // checksum told the two apart.
+        let payload =
+            &edited[edited.find(PAYLOAD_TAG).unwrap() + PAYLOAD_TAG.len()..edited.len() - 1];
+        let resummed = format!(
+            "{}{}{PAYLOAD_TAG}{payload}}}",
+            CacheStore::head("k", 1, key),
+            checksum_hex(payload)
+        );
+        fs::write(&path, resummed).unwrap();
+        let replayed = store.load::<Artifact>("k", 1, key, |_| true).unwrap();
+        assert_eq!(replayed.label, "phasez");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn an_entry_the_caller_rejects_is_a_miss() {
+        let root = temp_root("rejected");
+        let store = CacheStore::at(&root);
+        let (key, art) = sample();
+        store.store("k", 1, key, &art);
+        let (h0, m0) = (cache_hit_count(), cache_miss_count());
+        assert_eq!(
+            store.load::<Artifact>("k", 1, key, |a| a.values.len() == 2),
+            None
+        );
+        assert_eq!((cache_hit_count(), cache_miss_count()), (h0, m0 + 1));
+        assert_eq!(
+            store.load::<Artifact>("k", 1, key, |a| a.values.len() == 3),
+            Some(art)
+        );
+        assert_eq!((cache_hit_count(), cache_miss_count()), (h0 + 1, m0 + 1));
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -373,15 +444,15 @@ mod tests {
         let (key, art) = sample();
         with_cache_dir(&root_a, || {
             let store = CacheStore::open().unwrap();
-            assert_eq!(store.root(), root_a.as_path());
+            assert_eq!(store.root, root_a);
             store.store("k", 1, key, &art);
             // Nested override wins, then restores.
             with_cache_dir(&root_b, || {
                 let inner = CacheStore::open().unwrap();
-                assert_eq!(inner.root(), root_b.as_path());
-                assert_eq!(inner.load::<Artifact>("k", 1, key), None);
+                assert_eq!(inner.root, root_b);
+                assert_eq!(inner.load::<Artifact>("k", 1, key, |_| true), None);
             });
-            assert_eq!(CacheStore::open().unwrap().root(), root_a.as_path());
+            assert_eq!(CacheStore::open().unwrap().root, root_a);
         });
         let _ = fs::remove_dir_all(&root_a);
         let _ = fs::remove_dir_all(&root_b);
@@ -397,10 +468,10 @@ mod tests {
         assert_eq!(resolve_cache_dir().as_deref(), Some(root.as_path()));
         let (key, art) = sample();
         let store = CacheStore::open().expect("env-pointed store");
-        assert_eq!(store.root(), root.as_path());
+        assert_eq!(store.root, root);
         assert!(store.store("k", 1, key, &art));
         assert!(store.entry_path("k", 1, key).starts_with(&root));
-        assert_eq!(store.load::<Artifact>("k", 1, key), Some(art));
+        assert_eq!(store.load::<Artifact>("k", 1, key, |_| true), Some(art));
         // The thread-local override still beats the environment.
         let other = temp_root("env-override");
         with_cache_dir(&other, || {
@@ -443,7 +514,7 @@ mod tests {
                         // Readers may miss (before the first rename) but must
                         // never observe a torn entry: a hit is a complete,
                         // self-consistent artifact from exactly one writer.
-                        if let Some(a) = store.load::<Artifact>("k", 1, key) {
+                        if let Some(a) = store.load::<Artifact>("k", 1, key, |_| true) {
                             let i: f64 = a.label.strip_prefix("writer-").unwrap().parse().unwrap();
                             assert_eq!(a.values, vec![i; 64]);
                         }

@@ -18,7 +18,7 @@ fn nested_truncated_and_non_utf8_entries_load_as_misses() {
         .finish();
     let payload: Payload = vec![vec![1.0, -2.5], vec![3.0]];
     assert!(store.store("k", 1, key, &payload));
-    assert_eq!(store.load::<Payload>("k", 1, key), Some(payload));
+    assert_eq!(store.load::<Payload>("k", 1, key, |_| true), Some(payload));
 
     let path = root
         .join("k")
@@ -40,7 +40,7 @@ fn nested_truncated_and_non_utf8_entries_load_as_misses() {
     ];
     for (what, bytes) in hostile {
         fs::write(&path, bytes).unwrap();
-        assert_eq!(store.load::<Payload>("k", 1, key), None, "{what}");
+        assert_eq!(store.load::<Payload>("k", 1, key, |_| true), None, "{what}");
     }
     let _ = fs::remove_dir_all(&root);
 }

@@ -26,7 +26,6 @@ pub fn classical_lu_solve(a: &Matrix<f64>, b: &Vector<f64>) -> Result<Vector<f64
 /// The "QSVT only" baseline: one QSVT solve at the full target accuracy ε.
 pub struct DirectQsvtSolver {
     solver: QsvtLinearSolver,
-    epsilon: f64,
 }
 
 impl DirectQsvtSolver {
@@ -41,17 +40,7 @@ impl DirectQsvtSolver {
                 ..Default::default()
             },
         )?;
-        Ok(DirectQsvtSolver { solver, epsilon })
-    }
-
-    /// The target accuracy.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    /// The underlying single-solve QSVT solver.
-    pub fn solver(&self) -> &QsvtLinearSolver {
-        &self.solver
+        Ok(DirectQsvtSolver { solver })
     }
 
     /// Perform the single high-precision solve.

@@ -69,22 +69,6 @@ impl From<QsvtError> for QlsError {
     }
 }
 
-impl QlsError {
-    /// True when a retry (possibly with more shots or a tighter solver) can
-    /// plausibly succeed: post-selection failures, injected transients and
-    /// non-finite outputs are per-run accidents; singular matrices and
-    /// dimension mismatches are not.
-    pub fn is_transient(&self) -> bool {
-        match self {
-            QlsError::Qsvt(QsvtError::PostSelectionFailed)
-            | QlsError::Qsvt(QsvtError::InjectedFault { .. })
-            | QlsError::Qsvt(QsvtError::NonFiniteOutput)
-            | QlsError::NonFinite { .. } => true,
-            QlsError::Qsvt(_) | QlsError::Linalg(_) => false,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,18 +85,5 @@ mod tests {
             boundary: "residual"
         })
         .is_none());
-    }
-
-    #[test]
-    fn transience_classification() {
-        assert!(QlsError::from(QsvtError::PostSelectionFailed).is_transient());
-        assert!(QlsError::from(QsvtError::InjectedFault { run_index: 3 }).is_transient());
-        assert!(QlsError::from(QsvtError::NonFiniteOutput).is_transient());
-        assert!(QlsError::NonFinite {
-            boundary: "readout"
-        }
-        .is_transient());
-        assert!(!QlsError::from(QsvtError::SingularMatrix).is_transient());
-        assert!(!QlsError::from(LinalgError::NotSquare).is_transient());
     }
 }

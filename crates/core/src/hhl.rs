@@ -130,7 +130,7 @@ impl HhlSolver {
     ///
     /// Register layout (little-endian): data qubits `0..n`, clock qubits
     /// `n..n+t`, rotation flag `n+t`.
-    pub fn circuit(&self) -> Circuit {
+    pub(crate) fn circuit(&self) -> Circuit {
         let n_data = self.matrix.nrows().trailing_zeros() as usize;
         let t = self.options.clock_qubits;
         let flag = n_data + t;
@@ -228,8 +228,9 @@ impl HhlSolver {
     }
 
     /// Relative error of the HHL direction against the exact normalised
-    /// solution (diagnostic).
-    pub fn direction_error(&self, b: &Vector<f64>) -> f64 {
+    /// solution: the oracle of the accuracy tests.
+    #[cfg(test)]
+    fn direction_error(&self, b: &Vector<f64>) -> f64 {
         let result = self.solve_direction(b);
         let mut exact = Svd::new(&self.matrix).pseudo_solve(b, 1e-14);
         exact.normalize();

@@ -18,7 +18,8 @@
 //!   non-finite boundary failures, with `source()` chains to the root cause).
 //! * [`cost`] — the quantum cost model of Table I and the Poisson breakdown of
 //!   Table II.
-//! * [`comms`] — the CPU↔QPU communication timeline of Fig. 1.
+//! * `comms` — the CPU↔QPU communication timeline of Fig. 1
+//!   ([`CommunicationSchedule`]).
 //! * [`baselines`] — direct high-precision QSVT (the paper's comparison
 //!   strategy), the classical LU reference, and classical mixed-precision
 //!   iterative refinement (Algorithm 1).
@@ -54,7 +55,7 @@
 //! ```
 
 pub mod baselines;
-pub mod comms;
+mod comms;
 pub mod cost;
 pub mod error;
 pub mod hhl;

@@ -295,8 +295,10 @@ impl HybridHistory {
         qls_linalg::refine::iteration_bound(self.target_epsilon, self.epsilon_l, self.kappa)
     }
 
-    /// Per-iteration contraction factors ω_{i+1}/ω_i.
-    pub fn contraction_factors(&self) -> Vec<f64> {
+    /// Per-iteration contraction factors ω_{i+1}/ω_i: the measure the
+    /// Theorem III.1 tests assert on.
+    #[cfg(test)]
+    fn contraction_factors(&self) -> Vec<f64> {
         self.steps
             .windows(2)
             .map(|w| {
@@ -439,11 +441,6 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
     /// The inner QSVT solver.
     pub fn solver(&self) -> &QsvtLinearSolver<Op> {
         &self.solver
-    }
-
-    /// The classical operator the residuals are computed against.
-    pub fn operator(&self) -> &Op {
-        &self.operator
     }
 
     /// The refinement options.
@@ -714,9 +711,9 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
     /// — the multi-RHS workload (e.g. a Poisson problem under several
     /// forcing terms).  All systems share the one compiled QSVT circuit, and
     /// each round of the refinement loop (the initial solve is round 0)
-    /// batches the inner solves of every still-active system through
-    /// [`QsvtLinearSolver::solve_many`] (coarse-grained thread fan-out
-    /// across the batch in circuit mode).
+    /// batches the inner solves of every still-active system through the
+    /// inner solver's batched solve (coarse-grained thread fan-out across
+    /// the batch in circuit mode).
     ///
     /// A malformed right-hand side (wrong length, non-finite or all zeros)
     /// rejects the whole call before any solve.  Runtime failures are
@@ -879,6 +876,40 @@ mod tests {
         );
         let b = random_unit_vector(n, &mut rng);
         (a, b)
+    }
+
+    #[test]
+    fn per_run_accidents_get_their_own_failure_reason() {
+        // Post-selection failures, injected transients and non-finite
+        // outputs are per-run accidents a retry can absorb; singular
+        // matrices and dimension mismatches are solver errors.
+        let reason = |e: QlsError| failure_reason(&e);
+        assert_eq!(
+            reason(QsvtError::PostSelectionFailed.into()),
+            FailureReason::PostSelectionFailed
+        );
+        assert_eq!(
+            reason(QsvtError::InjectedFault { run_index: 3 }.into()),
+            FailureReason::InjectedFault
+        );
+        assert_eq!(
+            reason(QsvtError::NonFiniteOutput.into()),
+            FailureReason::NonFiniteReadout
+        );
+        assert_eq!(
+            reason(QlsError::NonFinite {
+                boundary: "readout"
+            }),
+            FailureReason::NonFiniteReadout
+        );
+        assert_eq!(
+            reason(QsvtError::SingularMatrix.into()),
+            FailureReason::SolverError
+        );
+        assert_eq!(
+            reason(LinalgError::NotSquare.into()),
+            FailureReason::SolverError
+        );
     }
 
     #[test]

@@ -138,18 +138,13 @@ impl<Op: LinearOperator<f64>> QsvtLinearSolver<Op> {
     /// Attach a fault injector to the quantum side (see `qls_sim::fault`).
     /// Amplitude noise and transients degrade each inner solve; readout
     /// sign corruption composes with the finite-shot sampling path.
-    pub fn attach_fault_injector(&mut self, injector: SharedFaultInjector) {
+    pub(crate) fn attach_fault_injector(&mut self, injector: SharedFaultInjector) {
         self.inverter.attach_fault_injector(injector);
     }
 
     /// The solver options.
     pub fn options(&self) -> &QsvtSolverOptions {
         &self.options
-    }
-
-    /// The classical operator the per-solve matvecs run through.
-    pub fn operator(&self) -> &Op {
-        &self.operator
     }
 
     /// The condition number of the prepared matrix (from its SVD).
@@ -179,7 +174,7 @@ impl<Op: LinearOperator<f64>> QsvtLinearSolver<Op> {
     /// reads exact amplitudes; `Some(0)` is a `QsvtError::InvalidInput`).
     /// This is the recovery ladder's shot-escalation rung: the same prepared
     /// solver, more measurements.
-    pub fn solve_with_shots<R: Rng>(
+    pub(crate) fn solve_with_shots<R: Rng>(
         &self,
         b: &Vector<f64>,
         shots: Option<usize>,
@@ -201,7 +196,7 @@ impl<Op: LinearOperator<f64>> QsvtLinearSolver<Op> {
     /// Each system gets its own verdict: one wrong-length or all-zero
     /// right-hand side, failed post-selection or injected fault only fails
     /// that system, and every other system still returns its solution.
-    pub fn solve_many<R: Rng>(
+    pub(crate) fn solve_many<R: Rng>(
         &self,
         bs: &[Vector<f64>],
         rng: &mut R,

@@ -88,9 +88,10 @@ pub fn project_data(
 }
 
 /// Check that a circuit really is a block-encoding of `reference` with the
-/// claimed `alpha`, returning the maximum entry-wise error (test helper shared
-/// by the concrete constructions).
-pub fn verify_block_encoding<B: BlockEncoding>(be: &B, reference: &Matrix<f64>) -> f64 {
+/// claimed `alpha`, returning the maximum entry-wise error: the oracle the
+/// concrete constructions' tests share.
+#[cfg(test)]
+pub(crate) fn verify_block_encoding<B: BlockEncoding>(be: &B, reference: &Matrix<f64>) -> f64 {
     assert!(
         circuit_unitary(be.circuit()).is_unitary(1e-10),
         "block-encoding circuit is not unitary"

@@ -17,7 +17,7 @@
 //! counts.
 
 use crate::block_encoding::BlockEncoding;
-use qls_linalg::{Matrix, SparseMatrix};
+use qls_linalg::Matrix;
 use qls_sim::{Circuit, Gate};
 
 /// FABLE-style block-encoding of a real matrix.
@@ -27,8 +27,6 @@ pub struct FableBlockEncoding {
     num_data_qubits: usize,
     num_ancilla_qubits: usize,
     alpha: f64,
-    retained_entries: usize,
-    dropped_entries: usize,
 }
 
 impl FableBlockEncoding {
@@ -46,23 +44,9 @@ impl FableBlockEncoding {
         )
     }
 
-    /// Build the encoding of a CSR sparse matrix **from its stored entries
-    /// only**: circuit construction walks the O(nnz) nonzeros instead of
-    /// scanning all `N²` coordinates, which is where FABLE's per-entry
-    /// multiplexed rotations actually come from.  The resulting circuit is
-    /// identical to `FableBlockEncoding::new(&a.to_dense(), threshold)` —
-    /// structural zeros never produced a rotation in the first place.
-    pub fn from_sparse(a: &SparseMatrix<f64>, threshold: f64) -> Self {
-        assert_eq!(a.nrows(), a.ncols(), "FABLE needs a square matrix");
-        let max_abs = a
-            .iter_entries()
-            .fold(0.0f64, |acc, (_, _, v)| acc.max(v.abs()));
-        Self::from_entries(a.nrows(), max_abs, threshold, a.iter_entries())
-    }
-
-    /// Shared builder: one multiplexed rotation per retained entry, entries
-    /// visited in the caller's (row-major) order.  `max_abs` must be the
-    /// maximum absolute entry of the **full** matrix.
+    /// The builder behind [`FableBlockEncoding::new`]: one multiplexed
+    /// rotation per retained entry, entries visited in row-major order.
+    /// `max_abs` must be the maximum absolute entry of the matrix.
     fn from_entries(
         dim: usize,
         max_abs: f64,
@@ -90,14 +74,12 @@ impl FableBlockEncoding {
         }
 
         // One multiplexed rotation per retained entry.
-        let mut retained = 0usize;
         let cutoff = threshold * max_abs;
         for (i, j, value) in entries {
             let entry = value / scale;
             if value.abs() <= cutoff || entry == 0.0 {
                 continue;
             }
-            retained += 1;
             let theta = 2.0 * entry.clamp(-1.0, 1.0).asin();
             // Controls: row register holds i, column register holds j.
             let mut controls: Vec<usize> = Vec::with_capacity(2 * n);
@@ -138,31 +120,7 @@ impl FableBlockEncoding {
             num_data_qubits: n,
             num_ancilla_qubits: n + 1,
             alpha,
-            retained_entries: retained,
-            // Entries without a rotation — whether filtered here or never
-            // stored at all — count as dropped: retained + dropped = N².
-            dropped_entries: dim * dim - retained,
         }
-    }
-
-    /// Build the encoding of the adjoint `A†`.
-    pub fn of_adjoint(a: &Matrix<f64>, threshold: f64) -> Self {
-        Self::new(&a.transpose(), threshold)
-    }
-
-    /// Build the encoding of the adjoint of a CSR sparse matrix.
-    pub fn of_sparse_adjoint(a: &SparseMatrix<f64>, threshold: f64) -> Self {
-        Self::from_sparse(&a.transpose(), threshold)
-    }
-
-    /// Number of matrix entries that produced a rotation.
-    pub fn retained_entries(&self) -> usize {
-        self.retained_entries
-    }
-
-    /// Number of matrix entries skipped by the compression threshold.
-    pub fn dropped_entries(&self) -> usize {
-        self.dropped_entries
     }
 }
 
@@ -218,7 +176,6 @@ mod tests {
             "error {}",
             be.encoding_error(&a)
         );
-        assert_eq!(be.retained_entries() + be.dropped_entries(), 16);
     }
 
     #[test]
@@ -234,9 +191,15 @@ mod tests {
     fn sparse_matrix_skips_zero_entries() {
         let t = poisson_1d::<f64>(4, false).to_dense();
         let be = FableBlockEncoding::new(&t, 0.0);
-        // The 4x4 Poisson matrix has 10 non-zero entries out of 16.
-        assert_eq!(be.retained_entries(), 10);
-        assert_eq!(be.dropped_entries(), 6);
+        // The 4x4 Poisson matrix has 10 non-zero entries out of 16: one
+        // multiplexed rotation each.
+        let rotations = be
+            .circuit()
+            .operations()
+            .iter()
+            .filter(|op| matches!(op.gate, Gate::Ry(_)))
+            .count();
+        assert_eq!(rotations, 10);
         assert!(verify_block_encoding(&be, &t) < 1e-10);
     }
 
@@ -253,50 +216,11 @@ mod tests {
         });
         let exact = FableBlockEncoding::new(&a, 0.0);
         let compressed = FableBlockEncoding::new(&a, 0.1);
-        assert!(compressed.retained_entries() < exact.retained_entries());
         assert!(compressed.circuit().gate_count() < exact.circuit().gate_count());
         // The exact one is essentially error-free, the compressed one has a
         // small controlled error.
         assert!(exact.encoding_error(&a) < 1e-10);
         let err = compressed.encoding_error(&a);
         assert!(err > 0.0 && err < 0.1);
-    }
-
-    #[test]
-    fn sparse_constructor_builds_the_same_circuit_as_dense() {
-        let t = poisson_1d::<f64>(8, false);
-        let dense = FableBlockEncoding::new(&t.to_dense(), 0.0);
-        let sparse = FableBlockEncoding::from_sparse(&t.to_sparse(), 0.0);
-        assert_eq!(sparse.retained_entries(), dense.retained_entries());
-        assert_eq!(sparse.dropped_entries(), dense.dropped_entries());
-        assert_eq!(sparse.alpha(), dense.alpha());
-        assert_eq!(
-            sparse.circuit().gate_count(),
-            dense.circuit().gate_count(),
-            "CSR-driven construction must emit the identical rotation list"
-        );
-        assert!(verify_block_encoding(&sparse, &t.to_dense()) < 1e-10);
-    }
-
-    #[test]
-    fn sparse_adjoint_encodes_transpose() {
-        let a = Matrix::from_f64_slice(4, 4, &{
-            let mut v = vec![0.0; 16];
-            v[1] = 0.9;
-            v[4] = -0.4;
-            v[10] = 0.3;
-            v[15] = 0.7;
-            v
-        });
-        let s = qls_linalg::SparseMatrix::from_dense(&a);
-        let be = FableBlockEncoding::of_sparse_adjoint(&s, 0.0);
-        assert!(verify_block_encoding(&be, &a.transpose()) < 1e-10);
-    }
-
-    #[test]
-    fn adjoint_encoding_encodes_transpose() {
-        let a = Matrix::from_f64_slice(2, 2, &[0.1, 0.9, -0.4, 0.3]);
-        let be = FableBlockEncoding::of_adjoint(&a, 0.0);
-        assert!(verify_block_encoding(&be, &a.transpose()) < 1e-11);
     }
 }

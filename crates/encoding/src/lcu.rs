@@ -21,7 +21,6 @@ pub struct LcuBlockEncoding {
     num_data_qubits: usize,
     num_ancilla_qubits: usize,
     alpha: f64,
-    num_terms: usize,
 }
 
 impl LcuBlockEncoding {
@@ -42,12 +41,12 @@ impl LcuBlockEncoding {
     /// three diagonals — no dense round-trip; the Pauli decomposition runs on
     /// the `n + 1` occupied XOR diagonals only
     /// (see [`PauliDecomposition::decompose_tridiagonal`]).
-    pub fn of_tridiagonal(t: &qls_linalg::TridiagonalMatrix<f64>, tolerance: f64) -> Self {
+    pub(crate) fn of_tridiagonal(t: &qls_linalg::TridiagonalMatrix<f64>, tolerance: f64) -> Self {
         Self::from_decomposition(&PauliDecomposition::decompose_tridiagonal(t, tolerance))
     }
 
     /// Build from an existing Pauli decomposition.
-    pub fn from_decomposition(decomposition: &PauliDecomposition) -> Self {
+    pub(crate) fn from_decomposition(decomposition: &PauliDecomposition) -> Self {
         let n = decomposition.num_qubits;
         let k = decomposition.num_terms().max(1);
         let num_ancillas = if k == 1 {
@@ -106,13 +105,7 @@ impl LcuBlockEncoding {
             num_data_qubits: n,
             num_ancilla_qubits: num_ancillas,
             alpha: lambda,
-            num_terms: decomposition.num_terms(),
         }
-    }
-
-    /// Number of retained Pauli terms.
-    pub fn num_terms(&self) -> usize {
-        self.num_terms
     }
 }
 
@@ -150,7 +143,7 @@ mod tests {
         // A = X: one term, one ancilla, lambda = 1.
         let x = Matrix::from_f64_slice(2, 2, &[0.0, 1.0, 1.0, 0.0]);
         let be = LcuBlockEncoding::new(&x, 1e-12);
-        assert_eq!(be.num_terms(), 1);
+        assert_eq!(be.num_ancilla_qubits(), 1);
         assert!((be.alpha() - 1.0).abs() < 1e-14);
         assert!(verify_block_encoding(&be, &x) < 1e-12);
     }
@@ -229,8 +222,9 @@ mod tests {
         );
         let exact = LcuBlockEncoding::new(&a, 0.0);
         let trimmed = LcuBlockEncoding::new(&a, 0.05);
-        assert!(trimmed.num_terms() < exact.num_terms());
+        assert!(trimmed.circuit().gate_count() < exact.circuit().gate_count());
         // The trimmed encoding is still a reasonable approximation.
-        assert!(trimmed.encoding_error(&a) < 0.05 * exact.num_terms() as f64);
+        let exact_terms = PauliDecomposition::decompose_real(&a, 0.0).num_terms();
+        assert!(trimmed.encoding_error(&a) < 0.05 * exact_terms as f64);
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! * **State preparation** — the right-hand side `b` (and, at every refinement
 //!   iteration, the residual `r_i`) must be loaded as the amplitudes of a
-//!   quantum state.  [`state_prep`] implements the tree-based method of
+//!   quantum state.  [`StatePreparation`] implements the tree-based method of
 //!   Kerenidis–Prakash (the paper's Ref. \[23\]): a binary tree of partial norms
 //!   computed classically in O(N), then a cascade of multiplexed Ry rotations.
 //! * **Block-encoding** — the matrix `A†` must be embedded in the top-left
@@ -32,8 +32,8 @@ pub mod block_encoding;
 pub mod dilation;
 pub mod fable;
 pub mod lcu;
-pub mod pauli;
-pub mod state_prep;
+mod pauli;
+mod state_prep;
 pub mod tridiag;
 
 pub use block_encoding::{BlockEncoding, BlockEncodingExt};
@@ -41,5 +41,5 @@ pub use dilation::DilationBlockEncoding;
 pub use fable::FableBlockEncoding;
 pub use lcu::LcuBlockEncoding;
 pub use pauli::{PauliDecomposition, PauliString, PauliTerm};
-pub use state_prep::{prepare_state_circuit, StatePreparation};
+pub use state_prep::StatePreparation;
 pub use tridiag::TridiagBlockEncoding;

@@ -25,28 +25,6 @@ pub enum PauliOp {
     Z,
 }
 
-impl PauliOp {
-    /// The 2×2 matrix of the operator.
-    pub fn matrix(self) -> CMatrix {
-        match self {
-            PauliOp::I => CMatrix::identity(2),
-            PauliOp::X => Gate::X.matrix(),
-            PauliOp::Y => Gate::Y.matrix(),
-            PauliOp::Z => Gate::Z.matrix(),
-        }
-    }
-
-    /// Character used in string labels ("IXYZ").
-    pub fn symbol(self) -> char {
-        match self {
-            PauliOp::I => 'I',
-            PauliOp::X => 'X',
-            PauliOp::Y => 'Y',
-            PauliOp::Z => 'Z',
-        }
-    }
-}
-
 /// An `n`-qubit Pauli string; `ops[q]` acts on qubit `q` (little-endian, qubit
 /// 0 = least significant bit of the basis index).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -56,16 +34,9 @@ pub struct PauliString {
 }
 
 impl PauliString {
-    /// The identity string on `n` qubits.
-    pub fn identity(n: usize) -> Self {
-        PauliString {
-            ops: vec![PauliOp::I; n],
-        }
-    }
-
     /// Build the string from its index in `{0..4^n}` (base-4 digits, digit `q`
     /// selecting the operator on qubit `q`: 0=I, 1=X, 2=Y, 3=Z).
-    pub fn from_index(n: usize, mut index: usize) -> Self {
+    pub(crate) fn from_index(n: usize, mut index: usize) -> Self {
         let mut ops = Vec::with_capacity(n);
         for _ in 0..n {
             ops.push(match index % 4 {
@@ -79,23 +50,8 @@ impl PauliString {
         PauliString { ops }
     }
 
-    /// Number of qubits.
-    pub fn num_qubits(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Number of non-identity factors (the "weight" of the string).
-    pub fn weight(&self) -> usize {
-        self.ops.iter().filter(|&&p| p != PauliOp::I).count()
-    }
-
-    /// Label such as "XIZY" with qubit `n-1` first (most significant).
-    pub fn label(&self) -> String {
-        self.ops.iter().rev().map(|p| p.symbol()).collect()
-    }
-
     /// Bit mask of qubits carrying X or Y (the bit-flip part of the string).
-    pub fn x_mask(&self) -> usize {
+    pub(crate) fn x_mask(&self) -> usize {
         self.ops
             .iter()
             .enumerate()
@@ -105,7 +61,7 @@ impl PauliString {
     }
 
     /// Bit mask of qubits carrying Z or Y (the phase-flip part of the string).
-    pub fn z_mask(&self) -> usize {
+    pub(crate) fn z_mask(&self) -> usize {
         self.ops
             .iter()
             .enumerate()
@@ -115,12 +71,12 @@ impl PauliString {
     }
 
     /// Number of Y factors.
-    pub fn y_count(&self) -> usize {
+    pub(crate) fn y_count(&self) -> usize {
         self.ops.iter().filter(|&&p| p == PauliOp::Y).count()
     }
 
     /// The action on a basis state: `P|k⟩ = phase(k) |k ⊕ x_mask⟩`.
-    pub fn apply_to_basis(&self, k: usize) -> (usize, Complex64) {
+    pub(crate) fn apply_to_basis(&self, k: usize) -> (usize, Complex64) {
         let x_mask = self.x_mask();
         let z_mask = self.z_mask();
         // Phase: i^{#Y} · (-1)^{popcount(k & z_mask)}.
@@ -136,20 +92,8 @@ impl PauliString {
         (k ^ x_mask, phase)
     }
 
-    /// The dense `2^n × 2^n` matrix of the string (little-endian ordering).
-    pub fn matrix(&self) -> CMatrix {
-        let n = self.num_qubits();
-        let dim = 1usize << n;
-        let mut m = CMatrix::zeros(dim, dim);
-        for k in 0..dim {
-            let (row, phase) = self.apply_to_basis(k);
-            m[(row, k)] = phase;
-        }
-        m
-    }
-
     /// Append the string's gates to a circuit on the given data qubits.
-    pub fn append_to_circuit(&self, circuit: &mut Circuit, controls: &[usize]) {
+    pub(crate) fn append_to_circuit(&self, circuit: &mut Circuit, controls: &[usize]) {
         for (q, &p) in self.ops.iter().enumerate() {
             let gate = match p {
                 PauliOp::I => continue,
@@ -186,7 +130,7 @@ pub struct PauliDecomposition {
 
 impl PauliDecomposition {
     /// Decompose a complex matrix, dropping coefficients below `tolerance`.
-    pub fn decompose(a: &CMatrix, tolerance: f64) -> Self {
+    pub(crate) fn decompose(a: &CMatrix, tolerance: f64) -> Self {
         assert_eq!(
             a.nrows(),
             a.ncols(),
@@ -248,7 +192,7 @@ impl PauliDecomposition {
     /// resulting terms are identical to [`PauliDecomposition::decompose`] on
     /// the densified matrix (coefficients and ordering), so structured
     /// constructors can skip the dense round-trip entirely.
-    pub fn decompose_real_entries(
+    pub(crate) fn decompose_real_entries(
         n: usize,
         entries: &[(usize, usize, f64)],
         tolerance: f64,
@@ -346,7 +290,10 @@ impl PauliDecomposition {
     /// (order must be a power of two).  A tridiagonal matrix touches only the
     /// `n + 1` XOR-diagonal masks `0, 1, 3, 7, …, 2^n − 1`, so this costs
     /// `O(4^n)` total instead of the dense path's `O(8^n)`.
-    pub fn decompose_tridiagonal(t: &qls_linalg::TridiagonalMatrix<f64>, tolerance: f64) -> Self {
+    pub(crate) fn decompose_tridiagonal(
+        t: &qls_linalg::TridiagonalMatrix<f64>,
+        tolerance: f64,
+    ) -> Self {
         let order = t.order();
         assert!(
             order.is_power_of_two(),
@@ -366,36 +313,21 @@ impl PauliDecomposition {
         Self::decompose_real_entries(n, &entries, tolerance)
     }
 
-    /// Decompose a CSR sparse matrix from its stored entries, in
-    /// `O(2^n · nnz)` (dimension must be a power of two).
-    pub fn decompose_sparse(a: &qls_linalg::SparseMatrix<f64>, tolerance: f64) -> Self {
-        assert_eq!(
-            a.nrows(),
-            a.ncols(),
-            "Pauli decomposition needs a square matrix"
-        );
-        assert!(
-            a.nrows().is_power_of_two(),
-            "dimension must be a power of two"
-        );
-        let n = a.nrows().trailing_zeros() as usize;
-        let entries: Vec<(usize, usize, f64)> = a.iter_entries().collect();
-        Self::decompose_real_entries(n, &entries, tolerance)
-    }
-
     /// Number of retained terms.
-    pub fn num_terms(&self) -> usize {
+    pub(crate) fn num_terms(&self) -> usize {
         self.terms.len()
     }
 
     /// The 1-norm of the coefficients, `λ = Σ|c_P|` — the sub-normalisation
     /// factor of the LCU block-encoding.
-    pub fn lambda(&self) -> f64 {
+    pub(crate) fn lambda(&self) -> f64 {
         self.terms.iter().map(|t| t.coefficient.norm()).sum()
     }
 
-    /// Reconstruct the matrix `Σ c_P P` (for verification).
-    pub fn reconstruct(&self) -> CMatrix {
+    /// Reconstruct the matrix `Σ c_P P`: the oracle of the decomposition
+    /// tests.
+    #[cfg(test)]
+    fn reconstruct(&self) -> CMatrix {
         let dim = 1usize << self.num_qubits;
         let mut m = CMatrix::zeros(dim, dim);
         for term in &self.terms {
@@ -414,33 +346,10 @@ mod tests {
     use qls_linalg::Matrix;
 
     #[test]
-    fn single_qubit_string_matrices() {
-        for (op, gate) in [
-            (PauliOp::X, Gate::X),
-            (PauliOp::Y, Gate::Y),
-            (PauliOp::Z, Gate::Z),
-        ] {
-            let s = PauliString { ops: vec![op] };
-            assert!(s.matrix().max_abs_diff(&gate.matrix()) < 1e-15);
-        }
-    }
-
-    #[test]
-    fn two_qubit_string_matches_kron() {
-        // String "XZ" = X on qubit 1, Z on qubit 0 → matrix = X ⊗ Z (little-endian).
-        let s = PauliString {
-            ops: vec![PauliOp::Z, PauliOp::X],
-        };
-        let expected = Gate::X.matrix().kron(&Gate::Z.matrix());
-        assert!(s.matrix().max_abs_diff(&expected) < 1e-15);
-        assert_eq!(s.label(), "XZ");
-    }
-
-    #[test]
     fn string_indexing_roundtrip() {
         for idx in 0..64 {
             let s = PauliString::from_index(3, idx);
-            assert_eq!(s.num_qubits(), 3);
+            assert_eq!(s.ops.len(), 3);
             // Re-derive the index from the operators.
             let back: usize = s
                 .ops
@@ -461,20 +370,11 @@ mod tests {
     }
 
     #[test]
-    fn strings_are_unitary_and_hermitian() {
-        for idx in [0usize, 5, 27, 44, 63] {
-            let m = PauliString::from_index(3, idx).matrix();
-            assert!(m.is_unitary(1e-14));
-            assert!(m.is_hermitian(1e-14));
-        }
-    }
-
-    #[test]
     fn decomposition_of_identity() {
         let a = Matrix::<f64>::identity(4);
         let d = PauliDecomposition::decompose_real(&a, 1e-12);
         assert_eq!(d.num_terms(), 1);
-        assert_eq!(d.terms[0].string.weight(), 0);
+        assert!(d.terms[0].string.ops.iter().all(|&p| p == PauliOp::I));
         assert!((d.terms[0].coefficient.re - 1.0).abs() < 1e-14);
         assert!((d.lambda() - 1.0).abs() < 1e-14);
     }
@@ -505,16 +405,16 @@ mod tests {
         let a = Matrix::from_f64_slice(2, 2, &[3.0, 1.5, 1.5, -1.0]);
         let d = PauliDecomposition::decompose_real(&a, 1e-12);
         assert_eq!(d.num_terms(), 3);
-        let coeff_of = |label: &str| -> f64 {
+        let coeff_of = |op: PauliOp| -> f64 {
             d.terms
                 .iter()
-                .find(|t| t.string.label() == label)
+                .find(|t| t.string.ops == [op])
                 .map(|t| t.coefficient.re)
                 .unwrap_or(0.0)
         };
-        assert!((coeff_of("I") - 1.0).abs() < 1e-14);
-        assert!((coeff_of("X") - 1.5).abs() < 1e-14);
-        assert!((coeff_of("Z") - 2.0).abs() < 1e-14);
+        assert!((coeff_of(PauliOp::I) - 1.0).abs() < 1e-14);
+        assert!((coeff_of(PauliOp::X) - 1.5).abs() < 1e-14);
+        assert!((coeff_of(PauliOp::Z) - 2.0).abs() < 1e-14);
     }
 
     #[test]
@@ -576,9 +476,13 @@ mod tests {
                 0.0
             }
         });
-        let sparse = qls_linalg::SparseMatrix::from_dense(&a);
+        let entries: Vec<(usize, usize, f64)> = (0..8)
+            .flat_map(|i| (0..8).map(move |j| (i, j)))
+            .map(|(i, j)| (i, j, a[(i, j)]))
+            .filter(|&(_, _, v)| v != 0.0)
+            .collect();
         let dense = PauliDecomposition::decompose_real(&a, 1e-13);
-        let structured = PauliDecomposition::decompose_sparse(&sparse, 1e-13);
+        let structured = PauliDecomposition::decompose_real_entries(3, &entries, 1e-13);
         assert_eq!(dense.num_terms(), structured.num_terms());
         for (d, s) in dense.terms.iter().zip(&structured.terms) {
             assert_eq!(d.string, s.string);
@@ -610,13 +514,27 @@ mod tests {
     }
 
     #[test]
-    fn append_to_circuit_matches_matrix() {
+    fn append_to_circuit_matches_apply_to_basis() {
+        // The circuit the LCU's SELECT applies and the action the
+        // decomposition's traces assume are the same operator: column k of
+        // the circuit unitary holds `phase` at row `k ⊕ x_mask` and 0
+        // elsewhere.
         let s = PauliString {
             ops: vec![PauliOp::X, PauliOp::Y, PauliOp::Z],
         };
         let mut circ = qls_sim::Circuit::new(3);
         s.append_to_circuit(&mut circ, &[]);
         let u = qls_sim::circuit_unitary(&circ);
-        assert!(u.max_abs_diff(&s.matrix()) < 1e-13);
+        for k in 0..8 {
+            let (row, phase) = s.apply_to_basis(k);
+            for i in 0..8 {
+                let expected = if i == row {
+                    phase
+                } else {
+                    Complex64::new(0.0, 0.0)
+                };
+                assert!((u[(i, k)] - expected).norm() < 1e-13, "({i}, {k})");
+            }
+        }
     }
 }

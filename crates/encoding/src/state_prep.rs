@@ -14,7 +14,7 @@
 //! that amplitude `i` of the produced state equals `v_i/‖v‖`.
 
 use qls_linalg::Vector;
-use qls_sim::{Circuit, Gate, StateVector};
+use qls_sim::{Circuit, Gate};
 
 /// The classical preprocessing product of the Kerenidis–Prakash method: the
 /// binary tree of partial norms, the rotation angles, and the sign pattern.
@@ -170,18 +170,12 @@ fn apply_basis_phase_flip(circuit: &mut Circuit, n: usize, index: usize) {
     }
 }
 
-/// Convenience function: classical preprocessing + circuit in one call,
-/// returning `(circuit, ‖v‖)`.
-pub fn prepare_state_circuit(v: &Vector<f64>) -> (Circuit, f64) {
-    let prep = StatePreparation::new(v);
-    (prep.circuit(), prep.norm)
-}
-
 /// Verify a preparation circuit by running it and comparing amplitudes with
 /// the normalised input, zero-padded to the register (returns the maximum
-/// absolute amplitude error).
-pub fn verify_preparation(v: &Vector<f64>, circuit: &Circuit) -> f64 {
-    let state = StateVector::run(circuit);
+/// absolute amplitude error): the oracle of the preparation tests.
+#[cfg(test)]
+fn verify_preparation(v: &Vector<f64>, circuit: &Circuit) -> f64 {
+    let state = qls_sim::StateVector::run(circuit);
     let norm = v.norm2();
     let mut err = 0.0f64;
     for (i, got) in state.amplitudes().iter().enumerate() {
@@ -200,9 +194,9 @@ mod tests {
 
     fn check_roundtrip(v: &[f64]) {
         let vec = Vector::from_f64_slice(v);
-        let (circuit, norm) = prepare_state_circuit(&vec);
-        assert!((norm - vec.norm2()).abs() < 1e-14);
-        let err = verify_preparation(&vec, &circuit);
+        let prep = StatePreparation::new(&vec);
+        assert!((prep.norm - vec.norm2()).abs() < 1e-14);
+        let err = verify_preparation(&vec, &prep.circuit());
         assert!(err < 1e-12, "preparation error {err} for {v:?}");
     }
 

@@ -63,7 +63,7 @@ impl TridiagBlockEncoding {
     ///
     /// The encoded operator is `T` itself; for a nonsymmetric `T` inside a
     /// QSVT-of-`A†` pipeline, pass the transposed diagonals.
-    pub fn from_tridiagonal(t: &TridiagonalMatrix<f64>) -> Self {
+    pub(crate) fn from_tridiagonal(t: &TridiagonalMatrix<f64>) -> Self {
         let order = t.order();
         assert!(
             order >= 2 && order.is_power_of_two(),
@@ -76,11 +76,6 @@ impl TridiagBlockEncoding {
             data_qubits: n,
             matrix: t.clone(),
         }
-    }
-
-    /// The tridiagonal matrix being encoded.
-    pub fn tridiagonal(&self) -> &TridiagonalMatrix<f64> {
-        &self.matrix
     }
 
     /// The dense matrix being encoded (for verification and the classical
@@ -178,7 +173,7 @@ mod tests {
         );
         let be = TridiagBlockEncoding::from_tridiagonal(&t);
         assert_eq!(be.num_data_qubits(), 2);
-        assert_eq!(be.tridiagonal(), &t);
+        assert_eq!(be.dense_matrix(), t.to_dense());
         let err = verify_block_encoding(&be, &t.to_dense());
         assert!(err < 1e-9, "encoding error {err}");
     }

@@ -1,17 +1,17 @@
-//! Brent's derivative-free 1-D minimisation and root finding.
+//! Brent's derivative-free 1-D minimisation.
 //!
 //! Remark 2 of the paper: quantum linear-system algorithms return only the
 //! *direction* η = x/‖x‖ of the solution, so the norm ‖x‖ must be recovered
 //! classically by solving `argmin_μ ‖A(μ η) − b‖` (the paper writes the
 //! equivalent shifted form).  The paper performs this de-normalisation with
 //! Brent's method, whose worst-case complexity appears as the `O(log(1/ε))`
-//! term of Table II.  Both the golden-section/parabolic-interpolation
-//! minimiser and the classic root finder are implemented here.
+//! term of Table II.  The golden-section/parabolic-interpolation minimiser
+//! is implemented here.
 
 /// Result of a Brent search.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BrentResult {
-    /// Abscissa of the minimum (or root).
+    /// Abscissa of the minimum.
     pub x: f64,
     /// Function value at `x`.
     pub fx: f64,
@@ -133,87 +133,6 @@ pub fn brent_minimize(
     }
 }
 
-/// Find a root of `f` in `[a, b]` (requires `f(a)` and `f(b)` of opposite
-/// signs) with Brent's method: bisection, secant and inverse quadratic
-/// interpolation combined.
-pub fn brent_root(
-    f: impl Fn(f64) -> f64,
-    a: f64,
-    b: f64,
-    tol: f64,
-    max_iter: usize,
-) -> Option<BrentResult> {
-    let mut a = a;
-    let mut b = b;
-    let mut fa = f(a);
-    let mut fb = f(b);
-    let mut evaluations = 2usize;
-    if fa * fb > 0.0 {
-        return None;
-    }
-    if fa.abs() < fb.abs() {
-        std::mem::swap(&mut a, &mut b);
-        std::mem::swap(&mut fa, &mut fb);
-    }
-    let mut c = a;
-    let mut fc = fa;
-    let mut mflag = true;
-    let mut d = 0.0;
-
-    for _ in 0..max_iter {
-        if fb == 0.0 || (b - a).abs() < tol {
-            return Some(BrentResult {
-                x: b,
-                fx: fb,
-                evaluations,
-                converged: true,
-            });
-        }
-        let mut s = if fa != fc && fb != fc {
-            // Inverse quadratic interpolation.
-            a * fb * fc / ((fa - fb) * (fa - fc))
-                + b * fa * fc / ((fb - fa) * (fb - fc))
-                + c * fa * fb / ((fc - fa) * (fc - fb))
-        } else {
-            // Secant.
-            b - fb * (b - a) / (fb - fa)
-        };
-        let cond1 = !(s > (3.0 * a + b) / 4.0 && s < b || s < (3.0 * a + b) / 4.0 && s > b);
-        let cond2 = mflag && (s - b).abs() >= (b - c).abs() / 2.0;
-        let cond3 = !mflag && (s - b).abs() >= (c - d).abs() / 2.0;
-        let cond4 = mflag && (b - c).abs() < tol;
-        let cond5 = !mflag && (c - d).abs() < tol;
-        if cond1 || cond2 || cond3 || cond4 || cond5 {
-            s = 0.5 * (a + b);
-            mflag = true;
-        } else {
-            mflag = false;
-        }
-        let fs = f(s);
-        evaluations += 1;
-        d = c;
-        c = b;
-        fc = fb;
-        if fa * fs < 0.0 {
-            b = s;
-            fb = fs;
-        } else {
-            a = s;
-            fa = fs;
-        }
-        if fa.abs() < fb.abs() {
-            std::mem::swap(&mut a, &mut b);
-            std::mem::swap(&mut fa, &mut fb);
-        }
-    }
-    Some(BrentResult {
-        x: b,
-        fx: fb,
-        evaluations,
-        converged: false,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,24 +177,6 @@ mod tests {
         };
         let r = brent_minimize(objective, 0.0, 100.0, 1e-12, 300);
         assert!((r.x - mu_true).abs() < 1e-6);
-    }
-
-    #[test]
-    fn root_of_cubic() {
-        let r = brent_root(|x| x * x * x - 2.0, 0.0, 2.0, 1e-14, 200).unwrap();
-        assert!(r.converged);
-        assert!((r.x - 2f64.powf(1.0 / 3.0)).abs() < 1e-10);
-    }
-
-    #[test]
-    fn root_requires_sign_change() {
-        assert!(brent_root(|x| x * x + 1.0, -1.0, 1.0, 1e-10, 100).is_none());
-    }
-
-    #[test]
-    fn root_at_endpoint() {
-        let r = brent_root(|x| x, 0.0, 1.0, 1e-15, 100).unwrap();
-        assert!(r.x.abs() < 1e-12);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Condition number computation and estimation.
 //!
 //! The convergence of the paper's mixed-precision refinement is governed by
-//! the product ε_l·κ (Theorem III.1), so both exact condition numbers (via the
-//! SVD, used for the small test matrices) and cheap estimates (Hager–Higham
-//! 1-norm estimation, usable at scale from an LU factorisation) are provided.
+//! the product ε_l·κ (Theorem III.1), so both the exact condition number (via
+//! the SVD, used for the small test matrices) and a matrix-free Lanczos
+//! estimate (usable at scale on any [`LinearOperator`]) are provided.
 
-use crate::lu::{LinalgError, LuFactorization};
 use crate::matrix::Matrix;
 use crate::operator::LinearOperator;
 use crate::scalar::Real;
@@ -15,53 +14,6 @@ use crate::vector::Vector;
 /// Exact 2-norm condition number κ₂(A) = σ_max/σ_min computed from the SVD.
 pub fn cond_2<T: Real>(a: &Matrix<T>) -> T {
     Svd::new(a).cond()
-}
-
-/// ∞-norm condition number κ_∞(A) = ‖A‖_∞ ‖A⁻¹‖_∞ computed from the explicit
-/// inverse (intended for small matrices / validation).
-pub fn cond_inf<T: Real>(a: &Matrix<T>) -> Result<T, LinalgError> {
-    let inv = LuFactorization::new(a)?.inverse()?;
-    Ok(a.norm_inf() * inv.norm_inf())
-}
-
-/// Hager–Higham estimator of ‖A⁻¹‖₁ from an existing LU factorisation, giving
-/// a 1-norm condition-number estimate `‖A‖₁ · est(‖A⁻¹‖₁)` in O(N²) per
-/// iteration instead of the O(N³) required to form the inverse.
-pub fn cond_1_estimate<T: Real>(a: &Matrix<T>, lu: &LuFactorization<T>) -> Result<T, LinalgError> {
-    let n = a.nrows();
-    if n == 0 {
-        return Ok(T::zero());
-    }
-    // Hager's algorithm: maximise ‖A⁻¹ x‖₁ over the unit 1-norm ball.
-    let mut x = Vector::from_vec(vec![T::one() / T::from_f64(n as f64); n]);
-    let mut est = T::zero();
-    for _iter in 0..5 {
-        let y = lu.solve(&x)?;
-        est = y.norm1();
-        // xi = sign(y)
-        let xi: Vector<T> = y
-            .iter()
-            .map(|&v| if v >= T::zero() { T::one() } else { -T::one() })
-            .collect();
-        let z = lu.solve_transposed(&xi)?;
-        // Find the index of the largest |z_j|.
-        let (jmax, zmax) = z
-            .iter()
-            .enumerate()
-            .fold((0usize, T::zero()), |(ja, za), (j, &v)| {
-                if v.abs() > za {
-                    (j, v.abs())
-                } else {
-                    (ja, za)
-                }
-            });
-        let ztx = z.dot(&x);
-        if zmax <= ztx.abs() {
-            break;
-        }
-        x = Vector::basis(n, jmax);
-    }
-    Ok(a.norm_1() * est)
 }
 
 /// Matrix-free 2-norm condition-number estimate for any [`LinearOperator`],
@@ -222,25 +174,6 @@ fn tridiag_extreme_eigenvalues(alphas: &[f64], betas: &[f64]) -> (f64, f64) {
     (bisect(1), bisect(m))
 }
 
-/// Scale a matrix so that its spectral norm is **strictly below** `target`
-/// (block-encodings require the subnormalised norm `< 1`, strictly).
-/// Returns the scaled matrix and the applied factor `s` such that
-/// `A_scaled = s · A`.
-///
-/// The effective target carries a `(1 − 4u)` margin: a matrix whose norm
-/// lands exactly on `target` (or a hair above after rounding) is still
-/// scaled below it, instead of being passed through unscaled at the boundary
-/// as the pre-margin implementation did.
-pub fn scale_to_spectral_norm<T: Real>(a: &Matrix<T>, target: T) -> (Matrix<T>, T) {
-    let norm = Svd::new(a).norm2();
-    let effective = target * T::from_f64(1.0 - 4.0 * T::unit_roundoff());
-    if norm == T::zero() || norm < effective {
-        return (a.clone(), T::one());
-    }
-    let s = effective / norm;
-    (a.scaled(s), s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,37 +204,6 @@ mod tests {
                 "requested {kappa}, got {c}"
             );
         }
-    }
-
-    #[test]
-    fn cond_inf_at_least_one() {
-        let a = Matrix::<f64>::from_f64_slice(2, 2, &[4.0, 1.0, 2.0, 3.0]);
-        let c = cond_inf(&a).unwrap();
-        assert!(c >= 1.0);
-    }
-
-    #[test]
-    fn hager_estimate_within_factor_of_exact() {
-        let mut rng = ChaCha8Rng::seed_from_u64(22);
-        let a = random_matrix_with_cond(
-            32,
-            500.0,
-            SingularValueDistribution::Geometric,
-            MatrixEnsemble::General,
-            &mut rng,
-        );
-        let lu = LuFactorization::new(&a).unwrap();
-        let est = cond_1_estimate(&a, &lu).unwrap();
-        // Exact 1-norm condition number.
-        let exact = a.norm_1() * lu.inverse().unwrap().norm_1();
-        assert!(
-            est <= exact * 1.0001,
-            "estimate {est} must not exceed exact {exact}"
-        );
-        assert!(
-            est >= exact / 10.0,
-            "estimate {est} too far below exact {exact}"
-        );
     }
 
     #[test]
@@ -355,31 +257,6 @@ mod tests {
             cond_2_estimate(&Matrix::<f64>::zeros(4, 4), 100, 1e-12),
             0.0
         );
-    }
-
-    #[test]
-    fn scaling_to_target_norm() {
-        let a = Matrix::from_diag(&[5.0, 1.0]);
-        let (scaled, s) = scale_to_spectral_norm(&a, 0.5);
-        assert!((s - 0.1).abs() < 1e-14);
-        assert!((Svd::new(&scaled).norm2() - 0.5).abs() < 1e-12);
-        // Already-small matrices are untouched.
-        let b = Matrix::from_diag(&[0.25, 0.1]);
-        let (same, s2) = scale_to_spectral_norm(&b, 0.5);
-        assert_eq!(s2, 1.0);
-        assert_eq!(same, b);
-    }
-
-    #[test]
-    fn scaling_at_the_boundary_stays_strictly_below_target() {
-        // A matrix whose norm is *exactly* the target used to pass through
-        // unscaled, violating the strict `< target` block-encoding contract.
-        let a = Matrix::from_diag(&[0.5, 0.1]);
-        let (scaled, s) = scale_to_spectral_norm(&a, 0.5);
-        assert!(s < 1.0, "boundary matrix must be scaled, got s = {s}");
-        let norm = Svd::new(&scaled).norm2();
-        assert!(norm < 0.5, "scaled norm {norm} must be strictly below 0.5");
-        assert!((norm - 0.5).abs() < 1e-12, "margin must stay tiny: {norm}");
     }
 
     #[test]

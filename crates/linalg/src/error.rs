@@ -4,8 +4,8 @@
 //! `ω = ‖b − A x̃‖ / ‖b‖` (Section III-A), chosen because it is invariant to a
 //! common rescaling of `A x` and `b` — exactly what happens when quantum
 //! algorithms force `b` to be normalised.  Equation (5) sandwiches the relative
-//! forward error between `ω/κ` and `κ ω`; these bounds are implemented here as
-//! well so tests and experiment reports can verify the claim numerically.
+//! forward error between `ω/κ` and `κ ω`; the workspace's end-to-end tests
+//! assert that bound on every solve they check.
 
 use crate::operator::LinearOperator;
 use crate::scalar::Real;
@@ -52,33 +52,9 @@ pub fn backward_error<T: Real, Op: LinearOperator<T>>(a: &Op, x: &Vector<T>, b: 
     }
 }
 
-/// The two-sided bound of Eq. (5) of the paper:
-/// `ω/κ ≤ ‖x − x̃‖/‖x‖ ≤ κ ω`, returned as `(lower, upper)`.
-pub fn forward_error_bounds_from_residual<T: Real>(omega: T, kappa: T) -> (T, T) {
-    (omega / kappa, kappa * omega)
-}
-
-/// Verify Eq. (5) for a concrete triple `(A, x̃, b)` with known true solution:
-/// returns `true` when the relative forward error lies inside `[ω/κ·(1−slack),
-/// κ·ω·(1+slack)]`.  A small slack tolerates rounding in the norm computations.
-pub fn check_eq5_bounds<T: Real, Op: LinearOperator<T>>(
-    a: &Op,
-    x_computed: &Vector<T>,
-    x_true: &Vector<T>,
-    b: &Vector<T>,
-    kappa: T,
-    slack: T,
-) -> bool {
-    let omega = scaled_residual(a, x_computed, b);
-    let fwd = forward_error(x_computed, x_true);
-    let (lo, hi) = forward_error_bounds_from_residual(omega, kappa);
-    fwd >= lo * (T::one() - slack) && fwd <= hi * (T::one() + slack)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cond::cond_2;
     use crate::generate::{random_matrix_with_cond, MatrixEnsemble, SingularValueDistribution};
     use crate::lu::lu_solve;
     use crate::matrix::Matrix;
@@ -103,30 +79,9 @@ mod tests {
         let b = Vector::from_f64_slice(&[3.0, 7.0]);
         let w1 = scaled_residual(&a, &x, &b);
         let c = 1e-3;
-        let w2 = scaled_residual(&a.scaled(c), &x, &b.scaled(c));
+        let ca = Matrix::from_f64_slice(2, 2, &[1.0 * c, 2.0 * c, 3.0 * c, 4.0 * c]);
+        let w2 = scaled_residual(&ca, &x, &b.scaled(c));
         assert!((w1 - w2).abs() < 1e-15);
-    }
-
-    #[test]
-    fn eq5_bounds_hold_for_lu_solutions() {
-        let mut rng = ChaCha8Rng::seed_from_u64(41);
-        for &kappa in &[10.0, 100.0] {
-            let a = random_matrix_with_cond(
-                16,
-                kappa,
-                SingularValueDistribution::Geometric,
-                MatrixEnsemble::General,
-                &mut rng,
-            );
-            let x_true =
-                Vector::from_f64_slice(&(0..16).map(|i| (i as f64).cos()).collect::<Vec<_>>());
-            let b = a.matvec(&x_true);
-            // Perturb the LU solution slightly to make the bound non-trivial.
-            let mut x = lu_solve(&a, &b).unwrap();
-            x[0] += 1e-6;
-            let k = cond_2(&a);
-            assert!(check_eq5_bounds(&a, &x, &x_true, &b, k, 1e-6));
-        }
     }
 
     #[test]

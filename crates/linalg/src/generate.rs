@@ -35,7 +35,7 @@ pub enum SingularValueDistribution {
 impl SingularValueDistribution {
     /// Generate `n` singular values in `[1/κ, 1]`, sorted in non-increasing
     /// order, with σ_max = 1 and σ_min = 1/κ (so κ₂ = κ exactly).
-    pub fn singular_values(self, n: usize, kappa: f64) -> Vec<f64> {
+    pub(crate) fn singular_values(self, n: usize, kappa: f64) -> Vec<f64> {
         assert!(n >= 1, "need at least one singular value");
         assert!(kappa >= 1.0, "condition number must be >= 1");
         if n == 1 {
@@ -89,7 +89,7 @@ pub enum MatrixEnsemble {
 
 /// Draw an n×n matrix with independent standard-normal entries
 /// (Box–Muller transform so only a uniform RNG is required).
-pub fn random_gaussian_matrix<R: Rng>(n: usize, rng: &mut R) -> Matrix<f64> {
+pub(crate) fn random_gaussian_matrix<R: Rng>(n: usize, rng: &mut R) -> Matrix<f64> {
     Matrix::from_fn(n, n, |_, _| {
         let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
         let u2: f64 = rng.gen_range(0.0..1.0);
@@ -99,7 +99,7 @@ pub fn random_gaussian_matrix<R: Rng>(n: usize, rng: &mut R) -> Matrix<f64> {
 
 /// Draw a Haar-distributed random orthogonal matrix (QR of a Gaussian matrix,
 /// with the sign convention fixed so the distribution is exactly Haar).
-pub fn random_orthogonal<R: Rng>(n: usize, rng: &mut R) -> Matrix<f64> {
+pub(crate) fn random_orthogonal<R: Rng>(n: usize, rng: &mut R) -> Matrix<f64> {
     let g = random_gaussian_matrix(n, rng);
     let qr = QrFactorization::new(&g).expect("QR of a random Gaussian matrix");
     let mut q = qr.q();
@@ -326,15 +326,6 @@ pub fn convection_diffusion_2d<T: crate::scalar::Real>(
     SparseMatrix::from_triplets(n, n, &triplets)
 }
 
-/// Generate a right-hand side with a known solution: returns `(b, x_true)`
-/// where `b = A x_true` and `x_true` has uniform entries in [-1, 1].
-pub fn rhs_with_known_solution<R: Rng>(a: &Matrix<f64>, rng: &mut R) -> (Vector<f64>, Vector<f64>) {
-    let n = a.ncols();
-    let x_true: Vector<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    let b = a.matvec(&x_true);
-    (b, x_true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,20 +415,6 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(35);
         let v = random_unit_vector(16, &mut rng);
         assert!((v.norm2() - 1.0).abs() < 1e-14);
-    }
-
-    #[test]
-    fn rhs_with_known_solution_is_consistent() {
-        let mut rng = ChaCha8Rng::seed_from_u64(36);
-        let a = random_matrix_with_cond(
-            8,
-            10.0,
-            SingularValueDistribution::Geometric,
-            MatrixEnsemble::General,
-            &mut rng,
-        );
-        let (b, x) = rhs_with_known_solution(&a, &mut rng);
-        assert!((&a.matvec(&x) - &b).norm2() < 1e-14);
     }
 
     #[test]

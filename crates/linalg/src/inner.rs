@@ -135,7 +135,7 @@ pub struct DenseLuSolver<T: Real> {
 
 impl<T: Real> DenseLuSolver<T> {
     /// Factorise a dense matrix with partial pivoting.
-    pub fn new(a: &Matrix<T>) -> Result<Self, LinalgError> {
+    pub(crate) fn new(a: &Matrix<T>) -> Result<Self, LinalgError> {
         Ok(DenseLuSolver {
             lu: LuFactorization::new(a)?,
         })
@@ -188,7 +188,7 @@ pub struct ThomasFactorization<T: Real> {
 impl<T: Real> ThomasFactorization<T> {
     /// Eliminate in O(N); fails with [`LinalgError::Singular`] on a pivot
     /// below the scaled breakdown threshold.
-    pub fn new(t: &TridiagonalMatrix<T>) -> Result<Self, LinalgError> {
+    pub(crate) fn new(t: &TridiagonalMatrix<T>) -> Result<Self, LinalgError> {
         let n = t.order();
         let scale = t
             .diag
@@ -295,7 +295,7 @@ pub struct ConjugateGradientSolver<T: Real, Op: LinearOperator<T>> {
 impl<T: Real, Op: LinearOperator<T>> ConjugateGradientSolver<T, Op> {
     /// Set up CG with the Jacobi preconditioner built from `diag` (must be
     /// strictly positive — SPD matrices have positive diagonals).
-    pub fn new(
+    pub(crate) fn new(
         op: Op,
         diag: &Vector<T>,
         rel_tol: f64,
@@ -424,7 +424,7 @@ pub struct BiCgStabSolver<T: Real, Op: LinearOperator<T>> {
 impl<T: Real, Op: LinearOperator<T>> BiCgStabSolver<T, Op> {
     /// Set up BiCGSTAB with a Jacobi preconditioner from `diag`; zero diagonal
     /// entries downgrade the preconditioner to the identity.
-    pub fn new(op: Op, diag: &Vector<T>, rel_tol: f64, max_iterations: usize) -> Self {
+    pub(crate) fn new(op: Op, diag: &Vector<T>, rel_tol: f64, max_iterations: usize) -> Self {
         assert!(op.is_square(), "BiCGSTAB needs a square operator");
         let inv = if diag.iter().any(|&d| d == T::zero()) {
             Vector::from_vec(vec![T::one(); op.nrows()])

@@ -11,10 +11,10 @@
 //! against which the hybrid solver is validated.  This crate provides all of
 //! that, from scratch:
 //!
-//! * generic [`Real`] scalar abstraction over `f32`, `f64` and a
-//!   software-emulated reduced precision ([`Emulated`]),
-//!   so the classical mixed-precision regime `u ≪ u_l` of the paper can be
-//!   reproduced deterministically;
+//! * generic [`Real`] scalar abstraction over `f32` and `f64`, so the
+//!   classical mixed-precision regime `u ≪ u_l` of the paper can be
+//!   reproduced deterministically (the unit tests also instantiate it at a
+//!   software-emulated reduced precision);
 //! * dense [`Matrix`] and [`Vector`] types with
 //!   the usual kernels (mat-vec, mat-mat, transpose, norms);
 //! * the structured-operator layer ([`operator`]): the
@@ -63,7 +63,8 @@ pub mod inner;
 pub mod lu;
 pub mod matrix;
 pub mod operator;
-pub mod precision;
+#[cfg(test)]
+mod precision;
 pub mod qr;
 pub mod refine;
 pub mod scalar;
@@ -74,8 +75,8 @@ pub mod svd;
 pub mod tridiag;
 pub mod vector;
 
-pub use brent::{brent_minimize, brent_root, BrentResult};
-pub use cond::{cond_1_estimate, cond_2, cond_2_estimate, cond_inf};
+pub use brent::{brent_minimize, BrentResult};
+pub use cond::{cond_2, cond_2_estimate};
 pub use error::{backward_error, forward_error, scaled_residual};
 pub use generate::{
     convection_diffusion_1d, convection_diffusion_2d, graph_laplacian, random_connected_graph,
@@ -89,18 +90,14 @@ pub use inner::{
 pub use lu::LuFactorization;
 pub use matrix::Matrix;
 pub use operator::LinearOperator;
-pub use precision::{Emulated, Precision};
 pub use qr::QrFactorization;
 pub use refine::{ClassicalRefiner, RefinementHistory, RefinementOptions, RefinementStatus};
 pub use scalar::Real;
 pub use sparse::SparseMatrix;
 pub use stencil::{
-    poisson_2d, poisson_2d_condition_number, poisson_2d_eigenvalues, poisson_2d_rhs, poisson_3d,
-    poisson_3d_condition_number, poisson_3d_rhs, poisson_nd, poisson_nd_condition_number,
-    StencilNd, StencilOperator,
+    poisson_2d, poisson_2d_condition_number, poisson_2d_rhs, poisson_3d,
+    poisson_3d_condition_number, poisson_3d_rhs, StencilNd, StencilOperator,
 };
 pub use svd::Svd;
-pub use tridiag::{
-    poisson_1d, poisson_1d_condition_number, poisson_1d_eigenvalues, TridiagonalMatrix,
-};
+pub use tridiag::{poisson_1d, poisson_1d_condition_number, TridiagonalMatrix};
 pub use vector::Vector;

@@ -48,8 +48,6 @@ pub struct LuFactorization<T: Real> {
     lu: Matrix<T>,
     /// `perm[i]` = original row index that ended up in position `i`.
     perm: Vec<usize>,
-    /// Number of row swaps performed (determines the sign of the determinant).
-    swaps: usize,
 }
 
 impl<T: Real> LuFactorization<T> {
@@ -64,7 +62,6 @@ impl<T: Real> LuFactorization<T> {
         let n = a.nrows();
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut swaps = 0usize;
 
         for k in 0..n {
             // Find the pivot: the largest magnitude entry in column k at or below row k.
@@ -83,7 +80,6 @@ impl<T: Real> LuFactorization<T> {
             if piv_row != k {
                 lu.swap_rows(piv_row, k);
                 perm.swap(piv_row, k);
-                swaps += 1;
             }
             let pivot = lu[(k, k)];
             for i in (k + 1)..n {
@@ -98,11 +94,11 @@ impl<T: Real> LuFactorization<T> {
                 }
             }
         }
-        Ok(LuFactorization { lu, perm, swaps })
+        Ok(LuFactorization { lu, perm })
     }
 
     /// Order of the factorised matrix.
-    pub fn order(&self) -> usize {
+    pub(crate) fn order(&self) -> usize {
         self.lu.nrows()
     }
 
@@ -137,7 +133,7 @@ impl<T: Real> LuFactorization<T> {
     }
 
     /// Solve `Aᵀ x = b` using the stored factors (`Aᵀ = Uᵀ Lᵀ P`).
-    pub fn solve_transposed(&self, b: &Vector<T>) -> Result<Vector<T>, LinalgError> {
+    pub(crate) fn solve_transposed(&self, b: &Vector<T>) -> Result<Vector<T>, LinalgError> {
         let n = self.order();
         if b.len() != n {
             return Err(LinalgError::DimensionMismatch);
@@ -167,32 +163,6 @@ impl<T: Real> LuFactorization<T> {
         Ok(x)
     }
 
-    /// Determinant of the original matrix.
-    pub fn determinant(&self) -> T {
-        let n = self.order();
-        let mut det = if self.swaps.is_multiple_of(2) {
-            T::one()
-        } else {
-            -T::one()
-        };
-        for i in 0..n {
-            det *= self.lu[(i, i)];
-        }
-        det
-    }
-
-    /// Inverse of the original matrix (solves against all basis vectors).
-    pub fn inverse(&self) -> Result<Matrix<T>, LinalgError> {
-        let n = self.order();
-        let mut inv = Matrix::zeros(n, n);
-        for j in 0..n {
-            let e = Vector::basis(n, j);
-            let col = self.solve(&e)?;
-            inv.set_col(j, &col);
-        }
-        Ok(inv)
-    }
-
     /// Reconstruct `A = Pᵀ L U` (mainly for tests / verification).
     pub fn reconstruct(&self) -> Matrix<T> {
         let n = self.order();
@@ -215,23 +185,6 @@ impl<T: Real> LuFactorization<T> {
             a.row_mut(self.perm[i]).copy_from_slice(&src);
         }
         a
-    }
-
-    /// The growth factor `max|u_ij| / max|a_ij|`, a classical stability indicator.
-    pub fn growth_factor(&self, original: &Matrix<T>) -> T {
-        let mut umax = T::zero();
-        let n = self.order();
-        for i in 0..n {
-            for j in i..n {
-                umax = umax.max(self.lu[(i, j)].abs());
-            }
-        }
-        let amax = original.norm_max();
-        if amax == T::zero() {
-            T::zero()
-        } else {
-            umax / amax
-        }
     }
 }
 
@@ -267,21 +220,6 @@ mod tests {
         let a = example3();
         let f = LuFactorization::new(&a).unwrap();
         assert!(f.reconstruct().max_abs_diff(&a) < 1e-13);
-    }
-
-    #[test]
-    fn determinant_of_known_matrix() {
-        let a = Matrix::<f64>::from_f64_slice(2, 2, &[1.0, 2.0, 3.0, 4.0]);
-        let f = LuFactorization::new(&a).unwrap();
-        assert!((f.determinant() + 2.0).abs() < 1e-14);
-    }
-
-    #[test]
-    fn inverse_times_matrix_is_identity() {
-        let a = example3();
-        let inv = LuFactorization::new(&a).unwrap().inverse().unwrap();
-        let prod = a.matmul(&inv);
-        assert!(prod.max_abs_diff(&Matrix::identity(3)) < 1e-12);
     }
 
     #[test]
@@ -339,20 +277,5 @@ mod tests {
         let x = lu_solve(&a, &b).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-5);
         assert!((x[2] - 2.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn growth_factor_is_modest_for_random_matrix() {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let a = random_matrix_with_cond(
-            16,
-            10.0,
-            SingularValueDistribution::Geometric,
-            MatrixEnsemble::General,
-            &mut rng,
-        );
-        let f = LuFactorization::new(&a).unwrap();
-        let g = f.growth_factor(&a);
-        assert!(g.is_finite() && g < 100.0);
     }
 }

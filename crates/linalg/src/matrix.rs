@@ -69,17 +69,6 @@ impl<T: Real> Matrix<T> {
         m
     }
 
-    /// Create a matrix from a row-major data vector.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<T>) -> Self {
-        assert_eq!(
-            data.len(),
-            rows * cols,
-            "from_vec: data length {} does not match {rows}x{cols}",
-            data.len()
-        );
-        Matrix { rows, cols, data }
-    }
-
     /// Create a matrix from a row-major `f64` slice, rounding into precision `T`.
     pub fn from_f64_slice(rows: usize, cols: usize, data: &[f64]) -> Self {
         assert_eq!(data.len(), rows * cols, "from_f64_slice: length mismatch");
@@ -131,11 +120,6 @@ impl<T: Real> Matrix<T> {
         &self.data
     }
 
-    /// Mutably borrow the underlying row-major storage.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// Borrow row `i` as a slice.
     pub fn row(&self, i: usize) -> &[T] {
         assert!(i < self.rows, "row index out of range");
@@ -143,7 +127,7 @@ impl<T: Real> Matrix<T> {
     }
 
     /// Mutably borrow row `i` as a slice.
-    pub fn row_mut(&mut self, i: usize) -> &mut [T] {
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [T] {
         assert!(i < self.rows, "row index out of range");
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
@@ -155,7 +139,7 @@ impl<T: Real> Matrix<T> {
     }
 
     /// Set column `j` from a vector.
-    pub fn set_col(&mut self, j: usize, v: &Vector<T>) {
+    pub(crate) fn set_col(&mut self, j: usize, v: &Vector<T>) {
         assert!(j < self.cols, "column index out of range");
         assert_eq!(v.len(), self.rows, "set_col: dimension mismatch");
         for i in 0..self.rows {
@@ -171,7 +155,7 @@ impl<T: Real> Matrix<T> {
     }
 
     /// Swap rows `a` and `b`.
-    pub fn swap_rows(&mut self, a: usize, b: usize) {
+    pub(crate) fn swap_rows(&mut self, a: usize, b: usize) {
         if a == b {
             return;
         }
@@ -247,7 +231,7 @@ impl<T: Real> Matrix<T> {
     }
 
     /// Transposed matrix-vector product `Aᵀ x`.
-    pub fn matvec_transposed(&self, x: &Vector<T>) -> Vector<T> {
+    pub(crate) fn matvec_transposed(&self, x: &Vector<T>) -> Vector<T> {
         assert_eq!(self.rows, x.len(), "matvec_transposed: dimension mismatch");
         let mut out = Vector::zeros(self.cols);
         for i in 0..self.rows {
@@ -358,16 +342,9 @@ impl<T: Real> Matrix<T> {
     }
 
     /// Maximum absolute row sum (∞-norm).
-    pub fn norm_inf(&self) -> T {
+    pub(crate) fn norm_inf(&self) -> T {
         (0..self.rows)
             .map(|i| self.row(i).iter().fold(T::zero(), |acc, x| acc + x.abs()))
-            .fold(T::zero(), |acc, s| acc.max(s))
-    }
-
-    /// Maximum absolute column sum (1-norm).
-    pub fn norm_1(&self) -> T {
-        (0..self.cols)
-            .map(|j| (0..self.rows).fold(T::zero(), |acc, i| acc + self[(i, j)].abs()))
             .fold(T::zero(), |acc, s| acc.max(s))
     }
 
@@ -386,31 +363,8 @@ impl<T: Real> Matrix<T> {
             .fold(T::zero(), |acc, (&a, &b)| acc.max((a - b).abs()))
     }
 
-    /// Scale every entry by `alpha` in place.
-    pub fn scale(&mut self, alpha: T) {
-        for a in &mut self.data {
-            *a *= alpha;
-        }
-    }
-
-    /// Return `alpha * self`.
-    pub fn scaled(&self, alpha: T) -> Self {
-        let mut out = self.clone();
-        out.scale(alpha);
-        out
-    }
-
-    /// Convert every entry to `f64`.
-    pub fn to_f64(&self) -> Matrix<f64> {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|x| x.to_f64()).collect(),
-        }
-    }
-
     /// Convert into another precision, rounding element-wise.
-    pub fn convert<S: Real>(&self) -> Matrix<S> {
+    pub(crate) fn convert<S: Real>(&self) -> Matrix<S> {
         Matrix {
             rows: self.rows,
             cols: self.cols,
@@ -565,7 +519,6 @@ mod tests {
     fn norms_on_known_matrix() {
         let a = m2([1.0, -2.0, -3.0, 4.0]);
         assert_eq!(a.norm_inf(), 7.0); // row sums 3, 7
-        assert_eq!(a.norm_1(), 6.0); // col sums 4, 6
         assert_eq!(a.norm_max(), 4.0);
         assert!((a.norm_frobenius() - 30f64.sqrt()).abs() < 1e-14);
     }

@@ -1,4 +1,4 @@
-//! Software-emulated reduced-precision floating point.
+//! Software-emulated reduced-precision floating point, for unit tests.
 //!
 //! Mixed-precision iterative refinement (Algorithm 1 of the paper and the
 //! Carson–Higham three-precision framework it cites) needs a *low* precision
@@ -7,9 +7,9 @@
 //! [`Emulated<P>`]: an `f64`-backed value that is re-rounded to `P` bits of
 //! mantissa after every arithmetic operation.  This reproduces the rounding
 //! behaviour of half precision (`P = 10`), bfloat16 (`P = 7`), or any custom
-//! format, and lets the classical baseline explore the same
-//! accuracy/iteration-count trade-off that the quantum solver explores through
-//! its solver tolerance ε_l.
+//! format.  The `ClassicalRefiner` unit tests use it to reach the
+//! `u ≪ u_l` regime and the divergence past `κ·u_l ≈ 1`; no library path does,
+//! so the module is compiled only for tests.
 
 use crate::scalar::Real;
 use std::fmt;
@@ -22,7 +22,7 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 /// `p` counts the stored fraction bits, so the format has `p + 1` significand
 /// bits including the implicit leading one, and unit roundoff `2^-(p+1)`.
 #[inline]
-pub fn round_to_mantissa_bits(x: f64, p: u32) -> f64 {
+pub(crate) fn round_to_mantissa_bits(x: f64, p: u32) -> f64 {
     if !x.is_finite() || x == 0.0 {
         return x;
     }
@@ -42,53 +42,6 @@ pub fn round_to_mantissa_bits(x: f64, p: u32) -> f64 {
     f64::from_bits(rounded)
 }
 
-/// Description of a floating-point precision, used by the cost/accuracy reports.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Precision {
-    /// Number of explicit mantissa (fraction) bits.
-    pub mantissa_bits: u32,
-    /// Unit roundoff `u = 2^-(mantissa_bits + 1)`.
-    pub unit_roundoff: f64,
-    /// Human-readable name.
-    pub name: &'static str,
-}
-
-impl Precision {
-    /// IEEE double precision (binary64).
-    pub const F64: Precision = Precision {
-        mantissa_bits: 52,
-        unit_roundoff: 1.1102230246251565e-16,
-        name: "f64",
-    };
-    /// IEEE single precision (binary32).
-    pub const F32: Precision = Precision {
-        mantissa_bits: 23,
-        unit_roundoff: 5.960464477539063e-8,
-        name: "f32",
-    };
-    /// IEEE half precision (binary16) — emulated.
-    pub const F16: Precision = Precision {
-        mantissa_bits: 10,
-        unit_roundoff: 4.8828125e-4,
-        name: "f16 (emulated)",
-    };
-    /// bfloat16 — emulated.
-    pub const BF16: Precision = Precision {
-        mantissa_bits: 7,
-        unit_roundoff: 3.90625e-3,
-        name: "bf16 (emulated)",
-    };
-
-    /// Build a custom precision with `p` mantissa bits.
-    pub fn custom(p: u32) -> Precision {
-        Precision {
-            mantissa_bits: p,
-            unit_roundoff: 2f64.powi(-(p as i32) - 1),
-            name: "custom (emulated)",
-        }
-    }
-}
-
 /// A software-emulated floating-point value with `P` explicit mantissa bits.
 ///
 /// Every arithmetic operation is performed in `f64` and immediately re-rounded
@@ -96,29 +49,15 @@ impl Precision {
 /// exponent range of `f64` (overflow/underflow of narrow exponent ranges is
 /// out of scope for the paper's analysis, which only depends on `u_l`).
 #[derive(Clone, Copy, PartialEq, PartialOrd)]
-pub struct Emulated<const P: u32>(f64);
+pub(crate) struct Emulated<const P: u32>(f64);
 
 impl<const P: u32> Emulated<P> {
     /// Wrap an `f64`, rounding it to the emulated precision.
     #[inline]
-    pub fn new(x: f64) -> Self {
+    pub(crate) fn new(x: f64) -> Self {
         Emulated(round_to_mantissa_bits(x, P))
     }
-    /// The underlying (already rounded) `f64` value.
-    #[inline]
-    pub fn get(self) -> f64 {
-        self.0
-    }
-    /// The [`Precision`] descriptor of this format.
-    pub fn precision() -> Precision {
-        Precision::custom(P)
-    }
 }
-
-/// Emulated IEEE half precision.
-pub type Half = Emulated<10>;
-/// Emulated bfloat16.
-pub type BFloat16 = Emulated<7>;
 
 impl<const P: u32> fmt::Debug for Emulated<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -287,27 +226,15 @@ mod tests {
         let a = H::new(1.0);
         let b = H::new(2f64.powi(-12)); // below half-precision resolution at 1.0
         let c = a + b;
-        assert_eq!(c.get(), 1.0, "tiny addend must be absorbed");
+        assert_eq!(c.to_f64(), 1.0, "tiny addend must be absorbed");
         // But f64 would keep it:
         assert!(1.0 + 2f64.powi(-12) > 1.0);
     }
 
     #[test]
     fn emulated_real_trait_roundoff() {
-        assert_eq!(<Half as Real>::unit_roundoff(), 2f64.powi(-11));
-        assert_eq!(<BFloat16 as Real>::unit_roundoff(), 2f64.powi(-8));
-    }
-
-    #[test]
-    fn precision_constants_consistent() {
-        assert_eq!(Precision::F64.unit_roundoff, 2f64.powi(-53));
-        assert_eq!(Precision::F32.unit_roundoff, 2f64.powi(-24));
-        assert_eq!(Precision::F16.unit_roundoff, 2f64.powi(-11));
-        assert_eq!(Precision::BF16.unit_roundoff, 2f64.powi(-8));
-        assert_eq!(
-            Precision::custom(10).unit_roundoff,
-            Precision::F16.unit_roundoff
-        );
+        assert_eq!(<Emulated<10> as Real>::unit_roundoff(), 2f64.powi(-11));
+        assert_eq!(<Emulated<7> as Real>::unit_roundoff(), 2f64.powi(-8));
     }
 
     #[test]
@@ -318,6 +245,6 @@ mod tests {
         // bf16 accumulation of 1000 * 0.001 stagnates once the addend falls below
         // half a unit in the last place of the running sum (at 0.5), far from the
         // exact value 1.0 — that error is precisely what the test demonstrates.
-        assert!(s.get() >= 0.25 && s.get() <= 1.0);
+        assert!(s.to_f64() >= 0.25 && s.to_f64() <= 1.0);
     }
 }

@@ -1,10 +1,8 @@
 //! Householder QR factorisation.
 //!
-//! Used in two places: (i) generating random orthogonal matrices for the
-//! prescribed-condition-number test matrices of Section IV of the paper
-//! (QR of a Gaussian matrix yields a Haar-distributed orthogonal factor), and
-//! (ii) solving least-squares problems, since the QSVT pseudo-inverse also
-//! covers non-square systems.
+//! Generates the random orthogonal matrices behind the
+//! prescribed-condition-number test matrices of Section IV of the paper (QR
+//! of a Gaussian matrix yields a Haar-distributed orthogonal factor).
 
 use crate::lu::LinalgError;
 use crate::matrix::Matrix;
@@ -91,12 +89,12 @@ impl<T: Real> QrFactorization<T> {
     }
 
     /// Number of rows of the original matrix.
-    pub fn nrows(&self) -> usize {
+    pub(crate) fn nrows(&self) -> usize {
         self.qr.nrows()
     }
 
     /// Number of columns of the original matrix.
-    pub fn ncols(&self) -> usize {
+    pub(crate) fn ncols(&self) -> usize {
         self.qr.ncols()
     }
 
@@ -112,33 +110,8 @@ impl<T: Real> QrFactorization<T> {
         r
     }
 
-    /// Apply `Qᵀ` to a vector of length m.
-    pub fn apply_qt(&self, b: &Vector<T>) -> Vector<T> {
-        let m = self.nrows();
-        let n = self.ncols();
-        assert_eq!(b.len(), m, "apply_qt: dimension mismatch");
-        let mut y = b.clone();
-        for k in 0..n {
-            if self.tau[k] == T::zero() {
-                continue;
-            }
-            // s = vᵀ y with v = [1, qr[k+1.., k]]
-            let mut s = y[k];
-            for i in (k + 1)..m {
-                s = self.qr[(i, k)].mul_add(y[i], s);
-            }
-            s *= self.tau[k];
-            y[k] -= s;
-            for i in (k + 1)..m {
-                let vik = self.qr[(i, k)];
-                y[i] = (-s).mul_add(vik, y[i]);
-            }
-        }
-        y
-    }
-
     /// Apply `Q` to a vector of length m.
-    pub fn apply_q(&self, b: &Vector<T>) -> Vector<T> {
+    pub(crate) fn apply_q(&self, b: &Vector<T>) -> Vector<T> {
         let m = self.nrows();
         let n = self.ncols();
         assert_eq!(b.len(), m, "apply_q: dimension mismatch");
@@ -161,8 +134,7 @@ impl<T: Real> QrFactorization<T> {
         y
     }
 
-    /// The explicit m×m orthogonal factor `Q` (thin usage should prefer
-    /// [`apply_q`](Self::apply_q)).
+    /// The explicit m×m orthogonal factor `Q`.
     pub fn q(&self) -> Matrix<T> {
         let m = self.nrows();
         let mut q = Matrix::zeros(m, m);
@@ -172,30 +144,6 @@ impl<T: Real> QrFactorization<T> {
             q.set_col(j, &col);
         }
         q
-    }
-
-    /// Solve the least-squares problem `min ‖A x - b‖₂` (for square `A`, the
-    /// linear system).  Fails if `R` is singular.
-    pub fn solve_least_squares(&self, b: &Vector<T>) -> Result<Vector<T>, LinalgError> {
-        let n = self.ncols();
-        if b.len() != self.nrows() {
-            return Err(LinalgError::DimensionMismatch);
-        }
-        let y = self.apply_qt(b);
-        // Back substitution on the leading n×n block of R.
-        let mut x = Vector::zeros(n);
-        for i in (0..n).rev() {
-            let rii = self.qr[(i, i)];
-            if rii == T::zero() {
-                return Err(LinalgError::Singular { step: i });
-            }
-            let mut s = y[i];
-            for j in (i + 1)..n {
-                s = (-self.qr[(i, j)]).mul_add(x[j], s);
-            }
-            x[i] = s / rii;
-        }
-        Ok(x)
     }
 }
 
@@ -241,45 +189,6 @@ mod tests {
         };
         let qr = q.matmul(&r_full);
         assert!(qr.max_abs_diff(&a) < 1e-12);
-    }
-
-    #[test]
-    fn solves_square_system() {
-        let a = random_matrix(10, 10, 3);
-        let xtrue = Vector::from_f64_slice(&(0..10).map(|i| i as f64 - 4.5).collect::<Vec<_>>());
-        let b = a.matvec(&xtrue);
-        let x = QrFactorization::new(&a)
-            .unwrap()
-            .solve_least_squares(&b)
-            .unwrap();
-        assert!((&x - &xtrue).norm2() < 1e-10);
-    }
-
-    #[test]
-    fn least_squares_residual_orthogonal_to_range() {
-        let a = random_matrix(12, 4, 4);
-        let b = Vector::from_f64_slice(&(0..12).map(|i| (i as f64).cos()).collect::<Vec<_>>());
-        let x = QrFactorization::new(&a)
-            .unwrap()
-            .solve_least_squares(&b)
-            .unwrap();
-        let r = &b - &a.matvec(&x);
-        // Normal equations: Aᵀ r ≈ 0.
-        let atr = a.matvec_transposed(&r);
-        assert!(
-            atr.norm2() < 1e-10,
-            "normal equation residual {}",
-            atr.norm2()
-        );
-    }
-
-    #[test]
-    fn apply_q_and_qt_are_inverses() {
-        let a = random_matrix(7, 7, 5);
-        let f = QrFactorization::new(&a).unwrap();
-        let v = Vector::from_f64_slice(&(0..7).map(|i| (i * i) as f64).collect::<Vec<_>>());
-        let w = f.apply_qt(&f.apply_q(&v));
-        assert!((&w - &v).norm2() < 1e-12);
     }
 
     #[test]

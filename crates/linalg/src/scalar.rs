@@ -6,8 +6,8 @@
 //! at a *low* precision `u_l` (on the QPU, the "precision" is the solver
 //! accuracy ε_l; on the CPU baseline it is a narrower floating-point format).
 //! The [`Real`] trait lets every kernel in this crate be written once and
-//! instantiated at `f32`, `f64` or a software-emulated precision
-//! ([`crate::precision::Emulated`]).
+//! instantiated at `f32` or `f64` (and, in the unit tests, at a
+//! software-emulated reduced precision).
 
 use std::fmt::{Debug, Display};
 use std::iter::Sum;
@@ -164,11 +164,6 @@ impl Real for f32 {
     }
 }
 
-/// Convert a slice of one real format into another, rounding element-wise.
-pub fn convert_slice<S: Real, T: Real>(src: &[S]) -> Vec<T> {
-    src.iter().map(|&x| T::from_f64(x.to_f64())).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,14 +194,6 @@ mod tests {
         }
         assert_eq!(quadratic(1.0_f64), 4.0);
         assert_eq!(quadratic(1.0_f32), 4.0);
-    }
-
-    #[test]
-    fn convert_slice_roundtrips_exact_values() {
-        let src = vec![1.0_f64, -2.5, 0.0, 1024.0];
-        let as32: Vec<f32> = convert_slice(&src);
-        let back: Vec<f64> = convert_slice(&as32);
-        assert_eq!(src, back);
     }
 
     #[test]

@@ -35,9 +35,9 @@
 //! becomes packed 256-bit `vfmadd` loops — and dispatched at runtime via
 //! the cached [`wide::runtime::avx2_fma_available`] check.  Both versions
 //! execute the same IEEE operations in the same order, so the dispatch is
-//! also unobservable in the results.  Non-`f64` precisions (`f32`,
-//! `Emulated`) never reach these kernels: the public entry points test
-//! `TypeId` and fall back to the scalar path.
+//! also unobservable in the results.  Non-`f64` precisions (`f32`, the
+//! tests' emulated formats) never reach these kernels: the public entry
+//! points test `TypeId` and fall back to the scalar path.
 
 use crate::scalar::Real;
 use core::any::TypeId;

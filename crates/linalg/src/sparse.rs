@@ -104,7 +104,7 @@ impl<T: Real> SparseMatrix<T> {
     /// Build from a dense matrix, keeping every nonzero entry.
     ///
     /// The resulting operator is bit-identical to the dense one under
-    /// [`SparseMatrix::matvec`] / [`SparseMatrix::matvec_transposed`].
+    /// [`SparseMatrix::matvec`] / `SparseMatrix::matvec_transposed`.
     pub fn from_dense(a: &Matrix<T>) -> Self {
         let rows = a.nrows();
         let cols = a.ncols();
@@ -211,7 +211,7 @@ impl<T: Real> SparseMatrix<T> {
 
     /// Transposed matrix-vector product `Aᵀ x` in O(nnz) (sequential column
     /// scatter, the same operation order as the dense kernel).
-    pub fn matvec_transposed(&self, x: &Vector<T>) -> Vector<T> {
+    pub(crate) fn matvec_transposed(&self, x: &Vector<T>) -> Vector<T> {
         assert_eq!(
             self.rows,
             x.len(),
@@ -229,7 +229,7 @@ impl<T: Real> SparseMatrix<T> {
     }
 
     /// The main diagonal as a dense vector (absent entries are zero).
-    pub fn diagonal(&self) -> Vector<T> {
+    pub(crate) fn diagonal(&self) -> Vector<T> {
         let n = self.rows.min(self.cols);
         let mut d = Vector::zeros(n);
         for i in 0..n {
@@ -247,7 +247,7 @@ impl<T: Real> SparseMatrix<T> {
     /// CSR form (sorted columns, no duplicates), so structural equality is
     /// exact symmetry.  Used by the inner-solver selection to decide between
     /// CG and BiCGSTAB.
-    pub fn is_symmetric(&self) -> bool {
+    pub(crate) fn is_symmetric(&self) -> bool {
         self.rows == self.cols && *self == self.transpose()
     }
 
@@ -267,15 +267,8 @@ impl<T: Real> SparseMatrix<T> {
         m
     }
 
-    /// Scale every stored entry by `alpha` in place.
-    pub fn scale(&mut self, alpha: T) {
-        for v in &mut self.values {
-            *v *= alpha;
-        }
-    }
-
     /// Convert into another precision, rounding element-wise.
-    pub fn convert<S: Real>(&self) -> SparseMatrix<S> {
+    pub(crate) fn convert<S: Real>(&self) -> SparseMatrix<S> {
         SparseMatrix {
             rows: self.rows,
             cols: self.cols,

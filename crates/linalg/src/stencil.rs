@@ -53,12 +53,12 @@ impl<T: Real> StencilOperator<T> {
     }
 
     /// Order of the represented matrix, `N = nx·ny`.
-    pub fn order(&self) -> usize {
+    pub(crate) fn order(&self) -> usize {
         self.nx * self.ny
     }
 
     /// The stencil coefficients `(center, off_x, off_y)`.
-    pub fn coefficients(&self) -> (T, T, T) {
+    pub(crate) fn coefficients(&self) -> (T, T, T) {
         (self.center, self.off_x, self.off_y)
     }
 
@@ -131,7 +131,7 @@ impl<T: Real> StencilOperator<T> {
 
     /// Convert the five coefficients to another precision (O(1): the grid is
     /// never materialised).
-    pub fn convert<S: Real>(&self) -> StencilOperator<S> {
+    pub(crate) fn convert<S: Real>(&self) -> StencilOperator<S> {
         StencilOperator {
             nx: self.nx,
             ny: self.ny,
@@ -221,7 +221,7 @@ pub struct StencilNd<T: Real> {
 
 impl<T: Real> StencilNd<T> {
     /// Build a d-dimensional stencil with the given per-axis couplings.
-    pub fn new(dims: &[usize], center: T, offs: &[T]) -> Self {
+    pub(crate) fn new(dims: &[usize], center: T, offs: &[T]) -> Self {
         assert!(!dims.is_empty(), "stencil needs at least one axis");
         assert!(
             dims.iter().all(|&d| d >= 1),
@@ -241,28 +241,23 @@ impl<T: Real> StencilNd<T> {
         }
     }
 
-    /// Grid extents per axis.
-    pub fn dims(&self) -> &[usize] {
-        &self.dims
-    }
-
     /// Order of the represented matrix, `N = Π dims[a]`.
-    pub fn order(&self) -> usize {
+    pub(crate) fn order(&self) -> usize {
         self.dims.iter().product()
     }
 
     /// The centre coefficient.
-    pub fn center(&self) -> T {
+    pub(crate) fn center(&self) -> T {
         self.center
     }
 
     /// The per-axis neighbour couplings.
-    pub fn offsets(&self) -> &[T] {
+    pub(crate) fn offsets(&self) -> &[T] {
         &self.offs
     }
 
     /// Number of stored matrix entries the coupling pattern represents.
-    pub fn stencil_nnz(&self) -> usize {
+    pub(crate) fn stencil_nnz(&self) -> usize {
         let n = self.order();
         let mut nnz = n;
         for &d in &self.dims {
@@ -272,7 +267,7 @@ impl<T: Real> StencilNd<T> {
     }
 
     /// Apply the stencil in O(d·N), without ever materialising the matrix.
-    pub fn matvec(&self, x: &Vector<T>) -> Vector<T> {
+    pub(crate) fn matvec(&self, x: &Vector<T>) -> Vector<T> {
         let n = self.order();
         assert_eq!(x.len(), n, "stencil matvec: dimension mismatch");
         let xs = x.as_slice();
@@ -299,7 +294,7 @@ impl<T: Real> StencilNd<T> {
     }
 
     /// Materialise as CSR (entries in the matvec's column order).
-    pub fn to_sparse(&self) -> SparseMatrix<T> {
+    pub(crate) fn to_sparse(&self) -> SparseMatrix<T> {
         let n = self.order();
         let d = self.dims.len();
         let mut triplets = Vec::with_capacity(self.stencil_nnz());
@@ -322,12 +317,12 @@ impl<T: Real> StencilNd<T> {
     }
 
     /// Densify into a full matrix.
-    pub fn to_dense(&self) -> Matrix<T> {
+    pub(crate) fn to_dense(&self) -> Matrix<T> {
         self.to_sparse().to_dense()
     }
 
     /// Convert the coefficients to another precision (O(d)).
-    pub fn convert<S: Real>(&self) -> StencilNd<S> {
+    pub(crate) fn convert<S: Real>(&self) -> StencilNd<S> {
         StencilNd {
             dims: self.dims.clone(),
             strides: self.strides.clone(),
@@ -393,7 +388,7 @@ impl<T: Real> LinearOperator<T> for StencilNd<T> {
 /// With `scaled_by_h2` each axis carries its `1/h_a²` factor
 /// (`h_a = 1/(dims[a]+1)`); without it, the pure stencil with
 /// `center = 2d`, `off = −1`, whose spectrum lies in `(0, 4d)`.
-pub fn poisson_nd<T: Real>(dims: &[usize], scaled_by_h2: bool) -> StencilNd<T> {
+pub(crate) fn poisson_nd<T: Real>(dims: &[usize], scaled_by_h2: bool) -> StencilNd<T> {
     let scales: Vec<f64> = dims
         .iter()
         .map(|&d| {
@@ -419,7 +414,7 @@ pub fn poisson_3d<T: Real>(nx: usize, ny: usize, nz: usize, scaled_by_h2: bool) 
 /// stencil (also valid for the `1/h²`-scaled operator on a grid with equal
 /// extents): the eigenvalues are sums of per-axis 1-D eigenvalues, so the
 /// extremes are sums of per-axis extremes — O(Σ `dims[a]`), usable at N ~ 10⁶.
-pub fn poisson_nd_condition_number(dims: &[usize]) -> f64 {
+pub(crate) fn poisson_nd_condition_number(dims: &[usize]) -> f64 {
     let mut min = 0.0;
     let mut max = 0.0;
     for &d in dims {
@@ -489,7 +484,7 @@ pub fn poisson_2d<T: Real>(nx: usize, ny: usize, scaled_by_h2: bool) -> StencilO
 /// Exact eigenvalues of the **unscaled** 2-D Poisson stencil:
 /// `λ_ij = 4 sin²(iπ/(2(nx+1))) + 4 sin²(jπ/(2(ny+1)))`, `i = 1..nx`,
 /// `j = 1..ny`.
-pub fn poisson_2d_eigenvalues(nx: usize, ny: usize) -> Vec<f64> {
+pub(crate) fn poisson_2d_eigenvalues(nx: usize, ny: usize) -> Vec<f64> {
     let ex = crate::tridiag::poisson_1d_eigenvalues(nx);
     let ey = crate::tridiag::poisson_1d_eigenvalues(ny);
     let mut out = Vec::with_capacity(nx * ny);

@@ -46,7 +46,7 @@ impl<T: Real> TridiagonalMatrix<T> {
     }
 
     /// Constant-coefficient tridiagonal `tridiag(a, b, c)` of order n.
-    pub fn constant(n: usize, a: T, b: T, c: T) -> Self {
+    pub(crate) fn constant(n: usize, a: T, b: T, c: T) -> Self {
         TridiagonalMatrix {
             lower: vec![a; n.saturating_sub(1)],
             diag: vec![b; n],
@@ -81,7 +81,7 @@ impl<T: Real> TridiagonalMatrix<T> {
 
     /// Transposed matrix-vector product `Tᵀ x` in O(N) (the transpose of a
     /// tridiagonal matrix swaps the sub- and super-diagonals).
-    pub fn matvec_transposed(&self, x: &Vector<T>) -> Vector<T> {
+    pub(crate) fn matvec_transposed(&self, x: &Vector<T>) -> Vector<T> {
         let n = self.order();
         assert_eq!(
             x.len(),
@@ -102,7 +102,7 @@ impl<T: Real> TridiagonalMatrix<T> {
     }
 
     /// Number of stored diagonal entries (`3N − 2` for N ≥ 1).
-    pub fn nnz(&self) -> usize {
+    pub(crate) fn nnz(&self) -> usize {
         self.diag.len() + self.lower.len() + self.upper.len()
     }
 
@@ -132,7 +132,7 @@ impl<T: Real> TridiagonalMatrix<T> {
     /// [`LinalgError::Singular`]; the inner-solver layer
     /// ([`crate::inner::FactorizableOperator`]) reacts by falling back to
     /// pivoted dense LU.
-    pub fn try_solve_thomas(&self, b: &Vector<T>) -> Result<Vector<T>, LinalgError> {
+    pub(crate) fn try_solve_thomas(&self, b: &Vector<T>) -> Result<Vector<T>, LinalgError> {
         crate::inner::ThomasFactorization::new(self)?.solve(b)
     }
 
@@ -141,16 +141,17 @@ impl<T: Real> TridiagonalMatrix<T> {
     /// Poisson matrix).
     ///
     /// # Panics
-    /// Panics on pivot breakdown or a dimension mismatch — use
-    /// [`TridiagonalMatrix::try_solve_thomas`] when the input is not known to
-    /// be diagonally dominant / SPD.
+    /// Panics on pivot breakdown or a dimension mismatch (the inner solvers
+    /// use the crate's non-panicking `try_solve_thomas` and fall back to
+    /// dense LU) — do not call it on input not known to be diagonally
+    /// dominant / SPD.
     pub fn solve_thomas(&self, b: &Vector<T>) -> Vector<T> {
         self.try_solve_thomas(b)
             .expect("Thomas breakdown: matrix is not safe for unpivoted elimination (use try_solve_thomas or factorize)")
     }
 
     /// Entrywise conversion to another precision.
-    pub fn convert<S: Real>(&self) -> TridiagonalMatrix<S> {
+    pub(crate) fn convert<S: Real>(&self) -> TridiagonalMatrix<S> {
         let conv = |xs: &[T]| xs.iter().map(|&x| S::from_f64(x.to_f64())).collect();
         TridiagonalMatrix {
             lower: conv(&self.lower),
@@ -243,7 +244,7 @@ pub fn poisson_1d<T: Real>(n: usize, scaled_by_h2: bool) -> TridiagonalMatrix<T>
 
 /// Exact eigenvalues of the unscaled `tridiag(-1, 2, -1)` matrix of order n:
 /// `λ_k = 2 - 2 cos(kπ/(n+1)) = 4 sin²(kπ/(2(n+1)))`, k = 1..n.
-pub fn poisson_1d_eigenvalues(n: usize) -> Vec<f64> {
+pub(crate) fn poisson_1d_eigenvalues(n: usize) -> Vec<f64> {
     (1..=n)
         .map(|k| {
             let t = (k as f64) * std::f64::consts::PI / (2.0 * (n as f64 + 1.0));

@@ -16,7 +16,7 @@ pub struct Vector<T: Real> {
 
 impl<T: Real> Vector<T> {
     /// Create a vector from raw data.
-    pub fn from_vec(data: Vec<T>) -> Self {
+    pub(crate) fn from_vec(data: Vec<T>) -> Self {
         Vector { data }
     }
 
@@ -35,7 +35,7 @@ impl<T: Real> Vector<T> {
     }
 
     /// The `i`-th standard basis vector of dimension `n`.
-    pub fn basis(n: usize, i: usize) -> Self {
+    pub(crate) fn basis(n: usize, i: usize) -> Self {
         assert!(i < n, "basis index {i} out of range for dimension {n}");
         let mut v = Self::zeros(n);
         v[i] = T::one();
@@ -69,13 +69,8 @@ impl<T: Real> Vector<T> {
         &mut self.data
     }
 
-    /// Convert every entry to `f64`.
-    pub fn to_f64(&self) -> Vec<f64> {
-        self.data.iter().map(|x| x.to_f64()).collect()
-    }
-
     /// Convert into another precision, rounding element-wise.
-    pub fn convert<S: Real>(&self) -> Vector<S> {
+    pub(crate) fn convert<S: Real>(&self) -> Vector<S> {
         Vector {
             data: self.data.iter().map(|x| S::from_f64(x.to_f64())).collect(),
         }
@@ -104,11 +99,6 @@ impl<T: Real> Vector<T> {
         maxabs * sum.sqrt()
     }
 
-    /// 1-norm (sum of absolute values).
-    pub fn norm1(&self) -> T {
-        self.data.iter().fold(T::zero(), |acc, x| acc + x.abs())
-    }
-
     /// ∞-norm (largest absolute value).
     pub fn norm_inf(&self) -> T {
         self.data.iter().fold(T::zero(), |acc, x| acc.max(x.abs()))
@@ -123,7 +113,7 @@ impl<T: Real> Vector<T> {
     }
 
     /// Multiply every entry by `alpha` in place.
-    pub fn scale(&mut self, alpha: T) {
+    pub(crate) fn scale(&mut self, alpha: T) {
         for a in &mut self.data {
             *a *= alpha;
         }
@@ -269,7 +259,7 @@ mod tests {
     #[test]
     fn construction_and_len() {
         assert_eq!(Vector::<f64>::zeros(4).len(), 4);
-        assert_eq!(Vector::<f64>::ones(3).norm1(), 3.0);
+        assert_eq!(Vector::<f64>::ones(3).as_slice(), &[1.0; 3]);
         let e1 = Vector::<f64>::basis(4, 1);
         assert_eq!(e1.as_slice(), &[0.0, 1.0, 0.0, 0.0]);
     }
@@ -284,7 +274,6 @@ mod tests {
     fn dot_and_norms() {
         let a = v(&[3.0, 4.0]);
         assert_eq!(a.norm2(), 5.0);
-        assert_eq!(a.norm1(), 7.0);
         assert_eq!(a.norm_inf(), 4.0);
         let b = v(&[1.0, -1.0]);
         assert_eq!(a.dot(&b), -1.0);

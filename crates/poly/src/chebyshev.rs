@@ -36,7 +36,7 @@ pub fn chebyshev_t(n: usize, x: f64) -> f64 {
 
 /// The `n` Chebyshev nodes of the first kind on [-1, 1]:
 /// `x_k = cos((2k+1)π / (2n))`, k = 0..n.
-pub fn chebyshev_nodes(n: usize) -> Vec<f64> {
+pub(crate) fn chebyshev_nodes(n: usize) -> Vec<f64> {
     (0..n)
         .map(|k| ((2 * k + 1) as f64 * std::f64::consts::PI / (2.0 * n as f64)).cos())
         .collect()
@@ -55,19 +55,9 @@ impl ChebyshevSeries {
         ChebyshevSeries { coeffs }
     }
 
-    /// The zero polynomial.
-    pub fn zero() -> Self {
-        ChebyshevSeries { coeffs: vec![] }
-    }
-
     /// Degree of the series (index of the last non-negligible coefficient).
     pub fn degree(&self) -> usize {
         self.coeffs.iter().rposition(|&c| c != 0.0).unwrap_or(0)
-    }
-
-    /// Number of stored coefficients.
-    pub fn len(&self) -> usize {
-        self.coeffs.len()
     }
 
     /// True when no coefficients are stored.
@@ -129,75 +119,6 @@ impl ChebyshevSeries {
         for c in &mut self.coeffs {
             *c *= s;
         }
-    }
-
-    /// Return a scaled copy.
-    pub fn scaled(&self, s: f64) -> Self {
-        let mut out = self.clone();
-        out.scale(s);
-        out
-    }
-
-    /// Add another series (coefficient-wise).
-    pub fn add(&self, other: &Self) -> Self {
-        let n = self.coeffs.len().max(other.coeffs.len());
-        let mut coeffs = vec![0.0; n];
-        for (i, c) in self.coeffs.iter().enumerate() {
-            coeffs[i] += c;
-        }
-        for (i, c) in other.coeffs.iter().enumerate() {
-            coeffs[i] += c;
-        }
-        ChebyshevSeries { coeffs }
-    }
-
-    /// Drop trailing coefficients whose magnitude is below `tol`, returning the
-    /// number of coefficients removed.
-    pub fn truncate(&mut self, tol: f64) -> usize {
-        let keep = self
-            .coeffs
-            .iter()
-            .rposition(|c| c.abs() > tol)
-            .map(|p| p + 1)
-            .unwrap_or(0);
-        let removed = self.coeffs.len() - keep;
-        self.coeffs.truncate(keep);
-        removed
-    }
-
-    /// Extract the coefficients of the monomial basis (x⁰, x¹, …) — only for
-    /// low degrees (≲ 30), where the conversion is still well conditioned.
-    /// Useful for debugging and for constructing small QSP test cases.
-    pub fn to_monomial(&self) -> Vec<f64> {
-        let deg = self.degree();
-        // Build T_k in the monomial basis by the recurrence T_{k+1} = 2x T_k - T_{k-1}.
-        let mut t_prev = vec![1.0]; // T_0
-        let mut t_curr = vec![0.0, 1.0]; // T_1
-        let mut result = vec![0.0; deg + 1];
-        if !self.coeffs.is_empty() {
-            result[0] += self.coeffs[0];
-        }
-        if deg >= 1 && self.coeffs.len() > 1 {
-            result[1] += self.coeffs[1];
-        }
-        for k in 2..=deg {
-            // T_k = 2 x T_{k-1} - T_{k-2}.
-            let mut t_next = vec![0.0; k + 1];
-            for (i, &c) in t_curr.iter().enumerate() {
-                t_next[i + 1] += 2.0 * c;
-            }
-            for (i, &c) in t_prev.iter().enumerate() {
-                t_next[i] -= c;
-            }
-            if let Some(&ck) = self.coeffs.get(k) {
-                for (i, &c) in t_next.iter().enumerate() {
-                    result[i] += ck * c;
-                }
-            }
-            t_prev = t_curr;
-            t_curr = t_next;
-        }
-        result
     }
 }
 
@@ -322,38 +243,10 @@ mod tests {
     }
 
     #[test]
-    fn truncation_removes_small_tail() {
-        let mut s = ChebyshevSeries::new(vec![1.0, 0.5, 1e-18, 1e-19]);
-        let removed = s.truncate(1e-15);
-        assert_eq!(removed, 2);
-        assert_eq!(s.len(), 2);
-        // Truncating everything yields the empty series.
-        let mut z = ChebyshevSeries::new(vec![1e-20; 4]);
-        z.truncate(1e-15);
+    fn empty_series_is_the_zero_polynomial() {
+        let z = ChebyshevSeries::new(vec![]);
         assert!(z.is_empty());
         assert_eq!(z.eval(0.3), 0.0);
-    }
-
-    #[test]
-    fn series_arithmetic() {
-        let a = ChebyshevSeries::new(vec![1.0, 2.0]);
-        let b = ChebyshevSeries::new(vec![0.0, 1.0, 3.0]);
-        let c = a.add(&b);
-        assert_eq!(c.coeffs, vec![1.0, 3.0, 3.0]);
-        let d = a.scaled(2.0);
-        assert_eq!(d.coeffs, vec![2.0, 4.0]);
-    }
-
-    #[test]
-    fn to_monomial_of_t3() {
-        let s = ChebyshevSeries::new(vec![0.0, 0.0, 0.0, 1.0]);
-        let mono = s.to_monomial();
-        // T_3 = 4x³ − 3x.
-        assert_eq!(mono.len(), 4);
-        assert!((mono[0]).abs() < 1e-14);
-        assert!((mono[1] + 3.0).abs() < 1e-14);
-        assert!((mono[2]).abs() < 1e-14);
-        assert!((mono[3] - 4.0).abs() < 1e-14);
     }
 
     #[test]

@@ -67,7 +67,7 @@ impl InversePolynomial {
     /// Build the polynomial with explicitly chosen `b` and `D` (used by tests,
     /// by the resource model, and to reproduce runs where the angle-estimation
     /// algorithm of \[32\] fixes the effective accuracy itself).
-    pub fn with_parameters(kappa: f64, epsilon: f64, b: u64, cap_d: u64) -> Self {
+    pub(crate) fn with_parameters(kappa: f64, epsilon: f64, b: u64, cap_d: u64) -> Self {
         let cap_d = cap_d.min(b); // the expansion has at most b non-zero terms
                                   // Tail sums S_j = 2^{-2b} Σ_{i=j+1}^{b} C(2b, b+i) for j = 0..D.
         let tails = binomial_tails(b, cap_d);
@@ -121,16 +121,10 @@ impl InversePolynomial {
             .fold(0.0, f64::max)
     }
 
-    /// Maximum absolute value of the normalised polynomial over [-1, 1]
-    /// (must not exceed 1 for the QSVT, which `qls_qsvt::find_phases`
-    /// checks).
-    pub fn max_abs(&self, samples: usize) -> f64 {
-        self.series.max_abs_on_interval(samples)
-    }
-
-    /// The target function `f_{ε,κ}(x) = (1 − (1 − x²)^b)/x` the series expands
-    /// (evaluated directly, for validation).
-    pub fn target_function(&self, x: f64) -> f64 {
+    /// The target function `f_{ε,κ}(x) = (1 − (1 − x²)^b)/x` the series expands,
+    /// evaluated directly: the oracle of the series tests.
+    #[cfg(test)]
+    fn target_function(&self, x: f64) -> f64 {
         if x == 0.0 {
             return 0.0;
         }

@@ -13,19 +13,18 @@
 //!
 //! This crate implements:
 //!
-//! * [`chebyshev`] — Chebyshev polynomials of the first kind: evaluation,
-//!   Clenshaw summation of series, interpolation of arbitrary functions at
-//!   Chebyshev nodes, parity analysis, series arithmetic;
+//! * `chebyshev` — Chebyshev polynomials of the first kind: evaluation,
+//!   Clenshaw summation of series ([`ChebyshevSeries`]), interpolation of
+//!   arbitrary functions at Chebyshev nodes, parity analysis;
 //! * [`inverse`] — the paper's Eq. (4): the explicit Chebyshev coefficients of
 //!   the polynomial approximation of 1/x, the degree formulas `b(ε,κ)` and
 //!   `D(ε,κ)`, and error measurement on the domain `[-1,-1/κ] ∪ [1/κ,1]`;
-//! * [`special`] — the scalar special functions these constructions need
+//! * `special` — the scalar special functions these constructions need
 //!   (log-gamma, binomial tail probabilities), implemented from scratch.
 
-pub mod chebyshev;
+mod chebyshev;
 pub mod inverse;
-pub mod special;
+mod special;
 
-pub use chebyshev::{chebyshev_nodes, chebyshev_t, interpolate, ChebyshevSeries, Parity};
+pub use chebyshev::{chebyshev_t, interpolate, ChebyshevSeries, Parity};
 pub use inverse::{degree_b, degree_cap_d, InversePolynomial};
-pub use special::{binomial_tail, ln_gamma};

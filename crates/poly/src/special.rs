@@ -8,7 +8,7 @@
 
 /// Natural logarithm of the gamma function, Lanczos approximation (g = 7,
 /// n = 9 coefficients), accurate to ~1e-13 relative error for x > 0.
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     // Coefficients for g = 7 from the standard Lanczos tables.
     const COEFFS: [f64; 9] = [
         0.999_999_999_999_809_9,
@@ -37,7 +37,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 }
 
 /// Natural logarithm of the binomial coefficient `C(n, k)`.
-pub fn ln_binomial(n: u64, k: u64) -> f64 {
+pub(crate) fn ln_binomial(n: u64, k: u64) -> f64 {
     assert!(k <= n, "ln_binomial: k = {k} > n = {n}");
     if k == 0 || k == n {
         return 0.0;
@@ -47,7 +47,7 @@ pub fn ln_binomial(n: u64, k: u64) -> f64 {
 
 /// The probability mass `P(X = b + i)` for `X ~ Binomial(2b, 1/2)`, i.e.
 /// `2^{-2b} C(2b, b + i)`, computed in log space.
-pub fn binomial_center_pmf(b: u64, i: u64) -> f64 {
+pub(crate) fn binomial_center_pmf(b: u64, i: u64) -> f64 {
     if i > b {
         return 0.0;
     }
@@ -60,8 +60,10 @@ pub fn binomial_center_pmf(b: u64, i: u64) -> f64 {
 ///
 /// Terms are accumulated from the centre outwards and truncated once they fall
 /// below `1e-30` relative to the running sum, which keeps the cost
-/// `O(√b)` per call instead of `O(b)`.
-pub fn binomial_tail(b: u64, j: u64) -> f64 {
+/// `O(√b)` per call instead of `O(b)`.  The oracle of [`binomial_tails`],
+/// which the library uses.
+#[cfg(test)]
+fn binomial_tail(b: u64, j: u64) -> f64 {
     if j >= b {
         return 0.0;
     }
@@ -84,7 +86,7 @@ pub fn binomial_tail(b: u64, j: u64) -> f64 {
 /// All tail sums `S_j = P(X > b + j)` for `j = 0..=j_max`, computed in a single
 /// backward pass (suffix sums of the pmf), so the whole coefficient vector of
 /// Eq. (4) costs `O(j_max + √b)` pmf evaluations.
-pub fn binomial_tails(b: u64, j_max: u64) -> Vec<f64> {
+pub(crate) fn binomial_tails(b: u64, j_max: u64) -> Vec<f64> {
     let j_max = j_max.min(b);
     // Find the largest index where the pmf is still non-negligible.
     // The pmf at offset i is ~ exp(-i²/b)/√(πb); it drops below 1e-30 around

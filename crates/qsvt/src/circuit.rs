@@ -4,8 +4,8 @@
 //! operator alternates `U`, `U†` and projector-controlled phase rotations
 //! `e^{iφ(2Π−I)}`, where `Π` projects the block-encoding ancillas onto
 //! `|0…0⟩`.  Inside every singular-value invariant subspace the sequence acts
-//! exactly as the scalar QSP product of [`crate::qsp`], so the `⟨0|·|0⟩` block
-//! of the circuit equals `P^{(SV)}(A/α)` for the complex QSP polynomial `P`.
+//! exactly as the scalar QSP product `U_Φ(x)`, so the `⟨0|·|0⟩` block of the
+//! circuit equals `P^{(SV)}(A/α)` for the complex QSP polynomial `P`.
 //!
 //! Because the phase solver targets the *real part* of `P`, the module also
 //! provides the standard real-part extraction: one extra ancilla selects
@@ -13,10 +13,10 @@
 //! a Hadamard pair turns the pair into `(P + P̄)/2 = Re P`.
 //!
 //! Phase conventions: the public API takes phases in the **Wx convention**
-//! (the one produced by [`crate::phases::find_phases`] and verified by
-//! [`crate::qsp`]); the conversion to projector-rotation angles
-//! (`ϑ_0 = φ_0 − π/4`, `ϑ_d = φ_d − π/4`, `ϑ_k = φ_k − π/2` inside, plus a
-//! global phase of `d·π/2`) is applied internally.
+//! (the one [`crate::phases::find_phases`] produces); the conversion to
+//! projector-rotation angles (`ϑ_0 = φ_0 − π/4`, `ϑ_d = φ_d − π/4`,
+//! `ϑ_k = φ_k − π/2` inside, plus a global phase of `d·π/2`) is applied
+//! internally.
 
 use qls_encoding::BlockEncoding;
 use qls_sim::{Circuit, Gate};
@@ -57,17 +57,9 @@ pub struct QsvtCircuit {
 
 impl QsvtCircuit {
     /// Build the plain QSVT sequence: the `⟨0|·|0⟩` block equals the *complex*
-    /// QSP polynomial `P` applied to the singular values of `A/α`.
-    pub fn new<B: BlockEncoding>(block_encoding: &B, wx_phases: &[f64]) -> Self {
-        Self::with_adjoint(
-            block_encoding,
-            &block_encoding.circuit().adjoint(),
-            wx_phases,
-        )
-    }
-
-    /// [`QsvtCircuit::new`] with `U†` built by the caller, so sequences over
-    /// one block-encoding share a single copy of each of `U` and `U†`.
+    /// QSP polynomial `P` applied to the singular values of `A/α`.  `U†` is
+    /// built by the caller, so sequences over one block-encoding share a
+    /// single copy of each of `U` and `U†`.
     fn with_adjoint<B: BlockEncoding>(
         block_encoding: &B,
         be_adjoint: &Circuit,
@@ -169,23 +161,18 @@ impl QsvtCircuit {
     }
 
     /// Number of data qubits.
-    pub fn num_data_qubits(&self) -> usize {
+    pub(crate) fn num_data_qubits(&self) -> usize {
         self.num_data_qubits
     }
 
     /// Number of ancilla qubits that must be post-selected on `|0⟩`.
-    pub fn num_ancilla_qubits(&self) -> usize {
+    pub(crate) fn num_ancilla_qubits(&self) -> usize {
         self.num_ancilla_qubits
-    }
-
-    /// Degree of the applied polynomial.
-    pub fn degree(&self) -> usize {
-        self.degree
     }
 
     /// Number of calls to the block-encoding (and its adjoint) — the quantity
     /// the paper's complexity model counts (Remark 1: `d` calls).
-    pub fn block_encoding_calls(&self) -> usize {
+    pub(crate) fn block_encoding_calls(&self) -> usize {
         self.block_encoding_calls
     }
 }
@@ -220,7 +207,7 @@ mod tests {
         let (be, a) = diagonal_block_encoding(&[0.9, 0.4, -0.3, 0.05]);
         for d in [1usize, 2, 3, 5] {
             let phases = vec![0.0; d + 1];
-            let qsvt = QsvtCircuit::new(&be, &phases);
+            let qsvt = QsvtCircuit::with_adjoint(&be, &be.circuit().adjoint(), &phases);
             assert_eq!(qsvt.block_encoding_calls(), d);
             let block = qsvt_block(&qsvt);
             for (i, &lambda) in a.diag().iter().enumerate() {
@@ -238,7 +225,7 @@ mod tests {
     fn qsvt_block_matches_scalar_qsp_for_generic_phases() {
         let (be, a) = diagonal_block_encoding(&[0.8, 0.3, -0.6, 0.1]);
         let phases = vec![0.23, -0.51, 0.74, 0.11];
-        let qsvt = QsvtCircuit::new(&be, &phases);
+        let qsvt = QsvtCircuit::with_adjoint(&be, &be.circuit().adjoint(), &phases);
         let block = qsvt_block(&qsvt);
         for (i, &lambda) in a.diag().iter().enumerate() {
             let expected = qsp_polynomial(&phases, lambda);
@@ -264,7 +251,7 @@ mod tests {
         let a = Matrix::from_f64_slice(2, 2, &[0.5, 0.2, 0.2, -0.1]);
         let be = DilationBlockEncoding::new(&a, 1.0);
         let phases = vec![0.1, -0.3, 0.25, 0.1];
-        let qsvt = QsvtCircuit::new(&be, &phases);
+        let qsvt = QsvtCircuit::with_adjoint(&be, &be.circuit().adjoint(), &phases);
         let block = qsvt_block(&qsvt);
         // Compare against direct polynomial evaluation through the eigenbasis:
         // P(A) computed by applying the scalar QSP polynomial to the eigenvalues.

@@ -4,9 +4,9 @@
 //! reproduction: everything between "a block-encoding of `A†` exists" and
 //! "a vector proportional to `A⁻¹ b` comes out".
 //!
-//! * [`qsp`] — scalar Quantum Signal Processing: the single-qubit model whose
-//!   polynomial the QSVT lifts to matrices, used to define and verify phase
-//!   factors.
+//! * `qsp` (crate-private) — scalar Quantum Signal Processing: the
+//!   single-qubit model whose polynomial the QSVT lifts to matrices, which
+//!   [`phases`] iterates on to find [`QspPhases`].
 //! * [`phases`] — symmetric-QSP phase-factor computation (the paper's Ref.
 //!   \[13\] route, used for small condition numbers).
 //! * [`circuit`] — the QSVT operator of Eqs. (2)–(3): alternating
@@ -20,7 +20,7 @@
 
 pub mod circuit;
 pub mod phases;
-pub mod qsp;
+mod qsp;
 pub mod solve;
 
 pub use circuit::QsvtCircuit;
@@ -28,5 +28,4 @@ pub use phases::{
     find_phases, find_phases_cached, phase_generation_count, PhaseError, PhaseFindingOptions,
     QspPhases,
 };
-pub use qsp::{qsp_polynomial, qsp_real_polynomial, qsp_unitary};
 pub use solve::{QsvtError, QsvtInverter, QsvtMode, QsvtResources};

@@ -33,9 +33,10 @@ use std::cell::Cell;
 /// fingerprint scheme).
 pub const PHASES_CACHE_KIND: &str = "qsvt-phases";
 /// Entry-format version of the phase store; bump to orphan old entries.
-/// Changing the phase solver (its constants included) or the fingerprint
-/// recipe of [`find_phases_cached`] needs a bump.
-pub const PHASES_CACHE_VERSION: u32 = 2;
+/// Changing the phase solver (its constants included), the fingerprint
+/// recipe of [`find_phases_cached`] or the entry format needs a bump (3:
+/// entries carry a payload checksum).
+pub const PHASES_CACHE_VERSION: u32 = 3;
 
 thread_local! {
     /// Phase-factor generations performed by this thread, for cache-contract
@@ -157,8 +158,10 @@ impl<'de> serde::Deserialize<'de> for QspPhases {
 }
 
 impl QspPhases {
-    /// Maximum deviation `|Re⟨0|U_Φ(x)|0⟩ − f(x)|` over a uniform grid.
-    pub fn verify_against(&self, target: &ChebyshevSeries, samples: usize) -> f64 {
+    /// Maximum deviation `|Re⟨0|U_Φ(x)|0⟩ − f(x)|` over a uniform grid: the
+    /// oracle of the phase-solver tests.
+    #[cfg(test)]
+    fn verify_against(&self, target: &ChebyshevSeries, samples: usize) -> f64 {
         (0..samples)
             .map(|i| -1.0 + 2.0 * i as f64 / (samples - 1) as f64)
             .map(|x| (qsp_real_polynomial(&self.phases, x) - target.eval(x)).abs())
@@ -332,7 +335,8 @@ fn phases_fingerprint(target: &ChebyshevSeries) -> qls_cache::Fingerprint {
 ///
 /// An entry that does not decode into a well-formed [`QspPhases`] is a
 /// miss, and so is one whose degree differs from `target`'s: either way
-/// the phases are regenerated and the entry is overwritten.
+/// the phases are regenerated, the entry is overwritten, and only
+/// `cache_miss_count` ticks.
 pub fn find_phases_cached(
     target: &ChebyshevSeries,
     options: &PhaseFindingOptions,
@@ -346,10 +350,14 @@ pub fn find_phases_cached(
         return find_phases(target, options);
     };
     let key = phases_fingerprint(target);
-    if let Some(phases) = store.load::<QspPhases>(PHASES_CACHE_KIND, PHASES_CACHE_VERSION, key) {
-        if phases.degree == target.degree() {
-            return Ok(phases);
-        }
+    let degree = target.degree();
+    if let Some(phases) = store.load(
+        PHASES_CACHE_KIND,
+        PHASES_CACHE_VERSION,
+        key,
+        |p: &QspPhases| p.degree == degree,
+    ) {
+        return Ok(phases);
     }
     let phases = find_phases(target, options)?;
     store.store(PHASES_CACHE_KIND, PHASES_CACHE_VERSION, key, &phases);

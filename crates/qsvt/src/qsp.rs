@@ -32,7 +32,7 @@ fn mat2_mul(a: &Mat2, b: &Mat2) -> Mat2 {
 
 /// The signal operator `W(x)` (an X-rotation by `-2·arccos(x)` up to
 /// convention), for `x ∈ [-1, 1]`.
-pub fn signal_operator(x: f64) -> Mat2 {
+pub(crate) fn signal_operator(x: f64) -> Mat2 {
     let x = x.clamp(-1.0, 1.0);
     let s = (1.0 - x * x).max(0.0).sqrt();
     [
@@ -42,7 +42,7 @@ pub fn signal_operator(x: f64) -> Mat2 {
 }
 
 /// The phase operator `e^{iφ Z} = diag(e^{iφ}, e^{-iφ})`.
-pub fn phase_operator(phi: f64) -> Mat2 {
+pub(crate) fn phase_operator(phi: f64) -> Mat2 {
     [
         [Complex64::from_polar(1.0, phi), Complex64::new(0.0, 0.0)],
         [Complex64::new(0.0, 0.0), Complex64::from_polar(1.0, -phi)],
@@ -51,7 +51,7 @@ pub fn phase_operator(phi: f64) -> Mat2 {
 
 /// The full QSP unitary `U_Φ(x)` for `d = phases.len() - 1` applications of the
 /// signal operator.
-pub fn qsp_unitary(phases: &[f64], x: f64) -> Mat2 {
+pub(crate) fn qsp_unitary(phases: &[f64], x: f64) -> Mat2 {
     assert!(!phases.is_empty(), "need at least one phase");
     let w = signal_operator(x);
     let mut u = phase_operator(phases[0]);
@@ -63,12 +63,12 @@ pub fn qsp_unitary(phases: &[f64], x: f64) -> Mat2 {
 }
 
 /// The complex QSP polynomial `P(x) = ⟨0|U_Φ(x)|0⟩`.
-pub fn qsp_polynomial(phases: &[f64], x: f64) -> Complex64 {
+pub(crate) fn qsp_polynomial(phases: &[f64], x: f64) -> Complex64 {
     qsp_unitary(phases, x)[0][0]
 }
 
 /// The real part `Re ⟨0|U_Φ(x)|0⟩` targeted by the symmetric-QSP phase solver.
-pub fn qsp_real_polynomial(phases: &[f64], x: f64) -> f64 {
+pub(crate) fn qsp_real_polynomial(phases: &[f64], x: f64) -> f64 {
     qsp_polynomial(phases, x).re
 }
 

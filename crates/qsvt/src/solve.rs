@@ -149,7 +149,6 @@ pub struct QsvtInverter {
     kappa: f64,
     epsilon_l: f64,
     polynomial: InversePolynomial,
-    mode: QsvtMode,
     /// Resource record for one solve, computed at construction.
     resources: QsvtResources,
     /// Circuit-mode artefacts (phases + compiled circuit), built at
@@ -261,7 +260,6 @@ impl QsvtInverter {
             kappa,
             epsilon_l,
             polynomial,
-            mode,
             resources,
             circuit,
             fault: None,
@@ -286,29 +284,9 @@ impl QsvtInverter {
         self.kappa
     }
 
-    /// The block-encoding sub-normalisation (`α = ‖A‖₂`).
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
     /// The requested solver accuracy ε_l.
     pub fn epsilon_l(&self) -> f64 {
         self.epsilon_l
-    }
-
-    /// The inversion polynomial in use.
-    pub fn polynomial(&self) -> &InversePolynomial {
-        &self.polynomial
-    }
-
-    /// The execution mode.
-    pub fn mode(&self) -> QsvtMode {
-        self.mode
-    }
-
-    /// The matrix this inverter was built for.
-    pub fn matrix(&self) -> &Matrix<f64> {
-        &self.matrix
     }
 
     /// The QSVT circuit built in circuit mode (`None` in emulation mode).
@@ -471,9 +449,10 @@ impl QsvtInverter {
     }
 
     /// The relative forward error `‖x̂ − A⁻¹b‖ / ‖A⁻¹b‖` of the direction this
-    /// inverter produces for a given right-hand side (diagnostic; uses the
-    /// exact SVD solution as reference).
-    pub fn direction_error(&self, b: &Vector<f64>) -> Result<f64, QsvtError> {
+    /// inverter produces for a given right-hand side, against the exact SVD
+    /// solution: the oracle of the accuracy tests.
+    #[cfg(test)]
+    fn direction_error(&self, b: &Vector<f64>) -> Result<f64, QsvtError> {
         let (direction, _) = self.solve_direction(b)?;
         let mut exact = self.svd.pseudo_solve(b, 1e-14);
         let exact_norm = exact.normalize();

@@ -13,7 +13,6 @@
 
 use crate::gate::Gate;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A gate placed on specific target and control qubits.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -54,22 +53,13 @@ impl Operation {
     }
 
     /// Highest qubit index used by the operation.
-    pub fn max_qubit(&self) -> usize {
+    pub(crate) fn max_qubit(&self) -> usize {
         self.targets
             .iter()
             .chain(self.controls.iter())
             .copied()
             .max()
             .unwrap_or(0)
-    }
-
-    /// All qubits touched by the operation.
-    pub fn qubits(&self) -> Vec<usize> {
-        self.targets
-            .iter()
-            .chain(self.controls.iter())
-            .copied()
-            .collect()
     }
 }
 
@@ -187,10 +177,6 @@ impl Circuit {
     pub fn x(&mut self, q: usize) -> &mut Self {
         self.gate(Gate::X, &[q])
     }
-    /// Pauli-Y on `q`.
-    pub fn y(&mut self, q: usize) -> &mut Self {
-        self.gate(Gate::Y, &[q])
-    }
     /// Pauli-Z on `q`.
     pub fn z(&mut self, q: usize) -> &mut Self {
         self.gate(Gate::Z, &[q])
@@ -199,17 +185,9 @@ impl Circuit {
     pub fn h(&mut self, q: usize) -> &mut Self {
         self.gate(Gate::H, &[q])
     }
-    /// S gate on `q`.
-    pub fn s(&mut self, q: usize) -> &mut Self {
-        self.gate(Gate::S, &[q])
-    }
     /// T gate on `q`.
     pub fn t(&mut self, q: usize) -> &mut Self {
         self.gate(Gate::T, &[q])
-    }
-    /// X-rotation by `theta` on `q`.
-    pub fn rx(&mut self, q: usize, theta: f64) -> &mut Self {
-        self.gate(Gate::Rx(theta), &[q])
     }
     /// Y-rotation by `theta` on `q`.
     pub fn ry(&mut self, q: usize, theta: f64) -> &mut Self {
@@ -235,17 +213,9 @@ impl Circuit {
     pub fn ccx(&mut self, c1: usize, c2: usize, t: usize) -> &mut Self {
         self.controlled_gate(Gate::X, &[t], &[c1, c2])
     }
-    /// Multi-controlled X.
-    pub fn mcx(&mut self, controls: &[usize], t: usize) -> &mut Self {
-        self.controlled_gate(Gate::X, &[t], controls)
-    }
     /// Controlled Y-rotation.
     pub fn cry(&mut self, c: usize, t: usize, theta: f64) -> &mut Self {
         self.controlled_gate(Gate::Ry(theta), &[t], &[c])
-    }
-    /// Controlled Z-rotation.
-    pub fn crz(&mut self, c: usize, t: usize, theta: f64) -> &mut Self {
-        self.controlled_gate(Gate::Rz(theta), &[t], &[c])
     }
     /// Controlled phase.
     pub fn cphase(&mut self, c: usize, t: usize, phi: f64) -> &mut Self {
@@ -360,20 +330,9 @@ impl Circuit {
         self.ops.len()
     }
 
-    /// Gate counts grouped by gate mnemonic (controls appear as a `c`-prefix
-    /// per control, e.g. a Toffoli is counted under "ccx").
-    pub fn gate_histogram(&self) -> HashMap<String, usize> {
-        let mut hist = HashMap::new();
-        for op in &self.ops {
-            let name = format!("{}{}", "c".repeat(op.controls.len()), op.gate.name());
-            *hist.entry(name).or_insert(0) += 1;
-        }
-        hist
-    }
-
     /// Circuit depth: the length of the longest chain of operations sharing a
     /// qubit (greedy as-soon-as-possible scheduling).
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         let mut qubit_depth = vec![0usize; self.num_qubits];
         let mut depth = 0;
         for op in &self.ops {
@@ -387,14 +346,6 @@ impl Circuit {
         }
         depth
     }
-
-    /// Number of two-or-more-qubit operations (entangling gates).
-    pub fn entangling_gate_count(&self) -> usize {
-        self.ops
-            .iter()
-            .filter(|op| op.targets.len() + op.controls.len() >= 2)
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -406,13 +357,6 @@ mod tests {
         let mut c = Circuit::new(3);
         c.h(0).cx(0, 1).ccx(0, 1, 2).rz(2, 0.5).swap(0, 2);
         assert_eq!(c.gate_count(), 5);
-        assert_eq!(c.entangling_gate_count(), 3);
-        let hist = c.gate_histogram();
-        assert_eq!(hist["h"], 1);
-        assert_eq!(hist["cx"], 1);
-        assert_eq!(hist["ccx"], 1);
-        assert_eq!(hist["rz"], 1);
-        assert_eq!(hist["swap"], 1);
     }
 
     #[test]

@@ -94,24 +94,6 @@ impl CMatrix {
         Arc::ptr_eq(&self.data, &other.data)
     }
 
-    /// The real part as a real matrix.
-    pub fn real(&self) -> Matrix<f64> {
-        Matrix::from_f64_slice(
-            self.rows,
-            self.cols,
-            &self.data.iter().map(|c| c.re).collect::<Vec<_>>(),
-        )
-    }
-
-    /// The imaginary part as a real matrix.
-    pub fn imag(&self) -> Matrix<f64> {
-        Matrix::from_f64_slice(
-            self.rows,
-            self.cols,
-            &self.data.iter().map(|c| c.im).collect::<Vec<_>>(),
-        )
-    }
-
     /// Matrix product.
     pub fn matmul(&self, other: &Self) -> Self {
         assert_eq!(self.cols, other.rows, "matmul: dimension mismatch");
@@ -145,7 +127,7 @@ impl CMatrix {
     }
 
     /// Conjugate transpose (adjoint).
-    pub fn adjoint(&self) -> Self {
+    pub(crate) fn adjoint(&self) -> Self {
         Self::from_fn(self.cols, self.rows, |i, j| self[(j, i)].conj())
     }
 
@@ -183,7 +165,7 @@ impl CMatrix {
     /// pass use this to route computational-basis-diagonal operations to the
     /// one-multiply-per-amplitude diagonal kernels, which is only valid when
     /// the off-diagonal part is truly absent (no tolerance).
-    pub fn diagonal(&self) -> Option<Vec<Complex64>> {
+    pub(crate) fn diagonal(&self) -> Option<Vec<Complex64>> {
         if self.rows != self.cols {
             return None;
         }
@@ -196,11 +178,6 @@ impl CMatrix {
             }
         }
         Some((0..self.rows).map(|i| self[(i, i)]).collect())
-    }
-
-    /// Frobenius norm.
-    pub fn norm_frobenius(&self) -> f64 {
-        self.data.iter().map(|c| c.norm_sqr()).sum::<f64>().sqrt()
     }
 
     /// True when `U† U = I` within `tol` (entry-wise).
@@ -393,7 +370,10 @@ mod tests {
     fn from_real_roundtrip() {
         let a = Matrix::from_f64_slice(2, 2, &[1.0, -2.0, 3.0, 0.5]);
         let ca = CMatrix::from_real(&a);
-        assert_eq!(ca.real(), a);
-        assert_eq!(ca.imag().norm_frobenius(), 0.0);
+        for i in 0..2 {
+            for j in 0..2 {
+                assert_eq!(ca[(i, j)], c(a[(i, j)], 0.0));
+            }
+        }
     }
 }

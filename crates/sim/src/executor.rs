@@ -7,7 +7,7 @@
 //! dozen.  [`QuantumExecutor`] owns that pattern: it compiles a circuit
 //! exactly once into its [`CompiledCircuit`] form and then exposes
 //!
-//! * [`QuantumExecutor::run`] / [`run_in_place`](QuantumExecutor::run_in_place)
+//! * [`QuantumExecutor::run`] / `run_in_place`
 //!   — apply the compiled circuit to one register, on the calling thread
 //!   (the kernels of [`crate::kernels`] are sequential);
 //! * [`QuantumExecutor::run_batch`] — apply the compiled circuit to **many**
@@ -57,9 +57,10 @@ use serde::{Deserialize, Serialize};
 /// Cache kind for fused-circuit artifacts (see [`qls_cache`]).
 const FUSED_CACHE_KIND: &str = "fused-circuits";
 /// Bump whenever the fusion pass (its constants included), the
-/// [`CachedFusion`] wire shape, or the fingerprint recipe below changes
-/// meaning — old entries become misses.
-const FUSED_CACHE_VERSION: u32 = 3;
+/// [`CachedFusion`] wire shape, the entry format, or the fingerprint recipe
+/// below changes meaning — old entries become misses (4: entries carry a
+/// payload checksum).
+const FUSED_CACHE_VERSION: u32 = 4;
 
 /// The on-disk payload of one fused-circuit cache entry: the rewritten
 /// operation list plus the before/after report.  Compilation itself
@@ -169,7 +170,6 @@ pub enum ExecMode {
 #[derive(Debug, Clone)]
 pub struct QuantumExecutor {
     compiled: CompiledCircuit,
-    opt_level: OptLevel,
     /// Before/after fusion report (`None` for [`OptLevel::None`]).
     stats: Option<CircuitStats>,
 }
@@ -211,7 +211,6 @@ impl QuantumExecutor {
         match opt_level {
             OptLevel::None => QuantumExecutor {
                 compiled: CompiledCircuit::compile(circuit),
-                opt_level,
                 stats: None,
             },
             OptLevel::Fuse => {
@@ -221,20 +220,21 @@ impl QuantumExecutor {
                 };
                 let key = store.as_ref().map(|_| fused_circuit_fingerprint(circuit));
                 if let (Some(store), Some(key)) = (&store, key) {
-                    if let Some(cf) =
-                        store.load::<CachedFusion>(FUSED_CACHE_KIND, FUSED_CACHE_VERSION, key)
-                    {
-                        // Belt and braces on top of the deserializer's own
-                        // invariant checks: a replayed circuit must still fit
-                        // the register (key collisions are negligible, but a
-                        // panic from stale data is never acceptable).
-                        if cf.fused.num_qubits() <= num_qubits {
-                            return QuantumExecutor {
-                                compiled: CompiledCircuit::compile_for(&cf.fused, num_qubits),
-                                opt_level,
-                                stats: Some(cf.stats),
-                            };
-                        }
+                    // Belt and braces on top of the deserializer's own
+                    // invariant checks: a replayed circuit must still fit
+                    // the register (key collisions are negligible, but a
+                    // panic from stale data is never acceptable).  One that
+                    // does not is a miss.
+                    if let Some(cf) = store.load(
+                        FUSED_CACHE_KIND,
+                        FUSED_CACHE_VERSION,
+                        key,
+                        |cf: &CachedFusion| cf.fused.num_qubits() <= num_qubits,
+                    ) {
+                        return QuantumExecutor {
+                            compiled: CompiledCircuit::compile_for(&cf.fused, num_qubits),
+                            stats: Some(cf.stats),
+                        };
                     }
                 }
                 let (compiled, fused, stats) = CompiledCircuit::optimized(circuit, num_qubits);
@@ -248,16 +248,10 @@ impl QuantumExecutor {
                 }
                 QuantumExecutor {
                     compiled,
-                    opt_level,
                     stats: Some(stats),
                 }
             }
         }
-    }
-
-    /// The optimization level the engine was built with.
-    pub fn opt_level(&self) -> OptLevel {
-        self.opt_level
     }
 
     /// The before/after fusion report (`Some` iff the optimizer ran).
@@ -266,7 +260,7 @@ impl QuantumExecutor {
     }
 
     /// Register width the engine was compiled for.
-    pub fn num_qubits(&self) -> usize {
+    pub(crate) fn num_qubits(&self) -> usize {
         self.compiled.num_qubits()
     }
 
@@ -277,7 +271,7 @@ impl QuantumExecutor {
 
     /// True when the compiled circuit has no operations.
     pub fn is_empty(&self) -> bool {
-        self.compiled.is_empty()
+        self.compiled.len() == 0
     }
 
     /// The compiled artefact itself.
@@ -286,7 +280,7 @@ impl QuantumExecutor {
     }
 
     /// Apply the compiled circuit to `state` in place.
-    pub fn run_in_place(&self, state: &mut StateVector) {
+    pub(crate) fn run_in_place(&self, state: &mut StateVector) {
         self.compiled.apply(state);
     }
 
@@ -362,6 +356,50 @@ mod tests {
     }
 
     #[test]
+    fn a_replay_wider_than_the_register_counts_as_a_miss() {
+        // A well-formed fused entry under the circuit's key whose circuit
+        // is wider than the register is rejected: the lookup is a miss, the
+        // circuit is fused afresh, and the engine runs the circuit's own
+        // fused form.
+        let dir = std::env::temp_dir().join(format!("qls-exec-wide-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let circ = test_circuit(3);
+        let wide = test_circuit(4);
+        qls_cache::with_cache_dir(&dir, || {
+            let stored = CacheStore::open().unwrap().store(
+                FUSED_CACHE_KIND,
+                FUSED_CACHE_VERSION,
+                fused_circuit_fingerprint(&circ),
+                &CachedFusion {
+                    stats: crate::resources::fusion_stats(&wide),
+                    fused: wide,
+                },
+            );
+            assert!(stored);
+            let (h, m) = (qls_cache::cache_hit_count(), qls_cache::cache_miss_count());
+            let f = crate::fuse::fusion_pass_count();
+            let exec = QuantumExecutor::with_config(
+                &circ,
+                OptLevel::Fuse,
+                ExecMode::Flat,
+                CachePolicy::Enabled,
+            );
+            assert_eq!(
+                (
+                    qls_cache::cache_hit_count() - h,
+                    qls_cache::cache_miss_count() - m,
+                    crate::fuse::fusion_pass_count() - f
+                ),
+                (0, 1, 1),
+                "(hits, misses, fusion passes)"
+            );
+            let fresh = QuantumExecutor::new(&circ);
+            assert_eq!(exec.run_zero().amplitudes(), fresh.run_zero().amplitudes());
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn run_matches_apply_circuit() {
         let circ = test_circuit(5);
         // The default (fused) engine agrees to roundoff; the unoptimized
@@ -377,9 +415,7 @@ mod tests {
             CachePolicy::Disabled,
         );
         assert_eq!(raw.run_zero().amplitudes(), via_state.amplitudes());
-        assert_eq!(raw.opt_level(), OptLevel::None);
         assert!(raw.stats().is_none());
-        assert_eq!(exec.opt_level(), OptLevel::Fuse);
         assert!(exec.stats().unwrap().fused_ops <= exec.stats().unwrap().raw_ops);
     }
 

@@ -111,13 +111,6 @@ impl FaultPlan {
         self.readout_flip_probability = p;
         self
     }
-
-    /// True when the plan injects nothing at all.
-    pub fn is_empty(&self) -> bool {
-        self.amplitude_sigma == 0.0
-            && self.transients.is_empty()
-            && self.readout_flip_probability == 0.0
-    }
 }
 
 /// One recorded fault application (the injector's audit log).
@@ -167,7 +160,7 @@ pub type SharedFaultInjector = Arc<Mutex<FaultInjector>>;
 /// faults are applied in call order, and the only inputs are the plan and
 /// the sequence of calls — so identical (seed, plan, call sequence) triples
 /// produce identical perturbations, identical scheduled failures and an
-/// identical [`FaultInjector::events`] log.
+/// identical event log.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     plan: FaultPlan,
@@ -178,7 +171,7 @@ pub struct FaultInjector {
 
 impl FaultInjector {
     /// Build an injector executing `plan` from its seed.
-    pub fn new(plan: FaultPlan) -> Self {
+    pub(crate) fn new(plan: FaultPlan) -> Self {
         let rng = ChaCha8Rng::seed_from_u64(plan.seed);
         FaultInjector {
             plan,
@@ -194,27 +187,9 @@ impl FaultInjector {
         Arc::new(Mutex::new(FaultInjector::new(plan)))
     }
 
-    /// The plan this injector executes.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Number of device runs seen so far.
     pub fn runs(&self) -> usize {
         self.next_run
-    }
-
-    /// Everything injected so far, in order.
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
-    /// Rewind to the initial state (same seed, run counter 0, empty log) so
-    /// the exact fault sequence can be replayed.
-    pub fn reset(&mut self) {
-        self.rng = ChaCha8Rng::seed_from_u64(self.plan.seed);
-        self.next_run = 0;
-        self.events.clear();
     }
 
     /// One Gaussian draw (Box–Muller; two uniform draws per call, so the
@@ -350,7 +325,6 @@ mod tests {
     #[test]
     fn empty_plan_is_a_no_op() {
         let mut inj = FaultInjector::new(FaultPlan::new(1));
-        assert!(inj.plan().is_empty());
         let mut state = StateVector::basis_state(2, 1);
         let before = state.amplitudes().to_vec();
         inj.apply_to_state(&mut state).unwrap();
@@ -361,7 +335,6 @@ mod tests {
         inj.corrupt_readout(&mut dir);
         assert_eq!(dir, [0.6, -0.8]);
         assert_eq!(inj.runs(), 2);
-        assert!(inj.events().is_empty());
     }
 
     #[test]
@@ -403,22 +376,21 @@ mod tests {
     }
 
     #[test]
-    fn reset_replays_the_exact_stream() {
+    fn one_plan_replays_the_exact_stream() {
         let plan = FaultPlan::new(11)
             .with_amplitude_noise(0.05)
             .with_readout_sign_flips(0.3);
-        let mut inj = FaultInjector::new(plan);
-        let mut d1 = vec![0.5; 8];
-        inj.apply_to_direction(&mut d1).unwrap();
-        inj.corrupt_readout(&mut d1);
-        let events1 = inj.events().to_vec();
-        inj.reset();
-        assert_eq!(inj.runs(), 0);
-        let mut d2 = vec![0.5; 8];
-        inj.apply_to_direction(&mut d2).unwrap();
-        inj.corrupt_readout(&mut d2);
-        assert_eq!(d1, d2);
-        assert_eq!(events1, inj.events());
+        let run = |plan: FaultPlan| {
+            let mut inj = FaultInjector::new(plan);
+            let mut d = vec![0.5; 8];
+            inj.apply_to_direction(&mut d).unwrap();
+            inj.corrupt_readout(&mut d);
+            assert_eq!(inj.runs(), 1);
+            d
+        };
+        let d1 = run(plan.clone());
+        assert_ne!(d1, vec![0.5; 8], "the plan must perturb the direction");
+        assert_eq!(d1, run(plan));
     }
 
     #[test]

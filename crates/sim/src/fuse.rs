@@ -68,7 +68,7 @@
 //! fuse.
 //!
 //! Use [`optimize_circuit_for`] directly, or (more commonly)
-//! [`CompiledCircuit::optimized`](crate::kernels::CompiledCircuit::optimized)
+//! `CompiledCircuit::optimized`
 //! / [`OptLevel::Fuse`](crate::executor::OptLevel) on
 //! [`QuantumExecutor`](crate::executor::QuantumExecutor), which also report
 //! the before/after [`CircuitStats`].  The unoptimized compile path is
@@ -207,7 +207,7 @@ pub fn fusion_pass_count() -> usize {
 /// Before/after report of one optimization run.
 ///
 /// "Sweep work" is the quantity `QuantumExecutor::run_batch` weighs against
-/// its fan-out threshold ([`crate::kernels::CompiledOp::work_estimate`]):
+/// its fan-out threshold (`CompiledOp::work_estimate`):
 /// free-index count × per-iteration cost, summed over the circuit — an
 /// estimate of the complex multiplies one full application performs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -770,7 +770,7 @@ mod tests {
     #[test]
     fn single_qubit_rotation_chain_fuses_to_one_op() {
         let mut c = Circuit::new(2);
-        c.h(0).rx(0, 0.3).ry(0, -1.1).rz(0, 0.7).h(0);
+        c.h(0).gate(Gate::Rx(0.3), &[0]).ry(0, -1.1).rz(0, 0.7).h(0);
         let fused = assert_equivalent(&c);
         assert_eq!(fused.len(), 1);
     }
@@ -778,7 +778,11 @@ mod tests {
     #[test]
     fn diagonal_chain_merges_across_qubits_and_controls() {
         let mut c = Circuit::new(3);
-        c.rz(0, 0.4).t(1).cphase(0, 2, 0.9).z(2).crz(2, 1, -0.5);
+        c.rz(0, 0.4)
+            .t(1)
+            .cphase(0, 2, 0.9)
+            .z(2)
+            .controlled_gate(Gate::Rz(-0.5), &[1], &[2]);
         let fused = assert_equivalent(&c);
         assert_eq!(fused.len(), 1, "all-diagonal circuit must merge fully");
     }
@@ -942,7 +946,7 @@ mod tests {
         assert_eq!(small.len(), 1, "full fusion on a 3-qubit register");
         // Equal-target fusion is cost-neutral and must happen at any size.
         let mut pair = Circuit::new(14);
-        pair.ry(5, 0.3).rx(5, -0.8);
+        pair.ry(5, 0.3).gate(Gate::Rx(-0.8), &[5]);
         assert_eq!(fuse(&pair).len(), 1);
         // A small circuit compiled for a big register must be priced at the
         // *register* width, not its own width.

@@ -55,7 +55,7 @@ pub enum Gate {
 
 impl Gate {
     /// Number of target qubits the gate acts on.
-    pub fn arity(&self) -> usize {
+    pub(crate) fn arity(&self) -> usize {
         match self {
             Gate::Swap => 2,
             Gate::Unitary(m) => {
@@ -161,7 +161,7 @@ impl Gate {
     }
 
     /// The adjoint (inverse) gate.
-    pub fn adjoint(&self) -> Gate {
+    pub(crate) fn adjoint(&self) -> Gate {
         match self {
             Gate::I | Gate::X | Gate::Y | Gate::Z | Gate::H | Gate::Swap => self.clone(),
             Gate::S => Gate::Sdg,
@@ -200,7 +200,7 @@ impl Gate {
     }
 
     /// True for gates in the Clifford group (no T gates needed).
-    pub fn is_clifford(&self) -> bool {
+    pub(crate) fn is_clifford(&self) -> bool {
         matches!(
             self,
             Gate::I | Gate::X | Gate::Y | Gate::Z | Gate::H | Gate::S | Gate::Sdg | Gate::Swap
@@ -209,7 +209,7 @@ impl Gate {
 
     /// True for gates that carry a continuous parameter (and therefore need
     /// Solovay-Kitaev-style synthesis on fault-tolerant hardware).
-    pub fn is_rotation(&self) -> bool {
+    pub(crate) fn is_rotation(&self) -> bool {
         matches!(
             self,
             Gate::Rx(_) | Gate::Ry(_) | Gate::Rz(_) | Gate::Phase(_) | Gate::GlobalPhase(_)

@@ -68,7 +68,7 @@ thread_local! {
 }
 
 /// The number of circuit compilations ([`CompiledCircuit::compile`] /
-/// [`CompiledCircuit::compile_for`]) performed so far by the calling thread.
+/// `CompiledCircuit::compile_for`) performed so far by the calling thread.
 ///
 /// Read it before and after a code region to verify a caching contract: the
 /// compile-once engines ([`crate::executor::QuantumExecutor`] and everything
@@ -183,7 +183,7 @@ pub struct CompiledOp {
 
 impl CompiledOp {
     /// Compile one operation for an `num_qubits`-wide register.
-    pub fn compile(op: &Operation, num_qubits: usize) -> Self {
+    pub(crate) fn compile(op: &Operation, num_qubits: usize) -> Self {
         assert!(
             op.max_qubit() < num_qubits,
             "operation touches qubit {} outside the register",
@@ -347,7 +347,7 @@ impl CompiledOp {
     /// cost.  [`CircuitStats`](crate::fuse::CircuitStats) reports it, and
     /// `QuantumExecutor::run_batch` compares it against
     /// [`PARALLEL_WORK_THRESHOLD`] to decide whether a batch fans out.
-    pub fn work_estimate(&self, len: usize) -> usize {
+    pub(crate) fn work_estimate(&self, len: usize) -> usize {
         self.free_count(len).saturating_mul(self.kernel.unit_cost())
     }
 
@@ -358,7 +358,7 @@ impl CompiledOp {
     /// longer buffer is a larger register whose extra qubits the op treats as
     /// free); anything shorter is rejected before any kernel runs, in release
     /// builds too.
-    pub fn apply(&self, amps: &mut [Complex64], scratch: &mut Vec<Complex64>) {
+    pub(crate) fn apply(&self, amps: &mut [Complex64], scratch: &mut Vec<Complex64>) {
         assert!(
             amps.len().is_power_of_two() && amps.len() >= (1usize << self.num_qubits),
             "operation compiled for {} qubits applied to {} amplitudes",
@@ -678,7 +678,7 @@ impl CompiledCircuit {
     /// The optimized form implements the same unitary to ≲ 1e-13 (fused ops
     /// are floating-point matrix products); [`CompiledCircuit::compile`] on
     /// the raw circuit remains the unoptimized equivalence oracle.
-    pub fn optimized(
+    pub(crate) fn optimized(
         circuit: &Circuit,
         num_qubits: usize,
     ) -> (Self, Circuit, crate::fuse::CircuitStats) {
@@ -705,7 +705,7 @@ impl CompiledCircuit {
 
     /// Compile for a register of `num_qubits` (≥ the circuit's width), so the
     /// compiled form can run on a larger register directly.
-    pub fn compile_for(circuit: &Circuit, num_qubits: usize) -> Self {
+    pub(crate) fn compile_for(circuit: &Circuit, num_qubits: usize) -> Self {
         assert!(
             circuit.num_qubits() <= num_qubits,
             "circuit needs {} qubits, register has {}",
@@ -724,23 +724,18 @@ impl CompiledCircuit {
     }
 
     /// Register width this circuit was compiled for.
-    pub fn num_qubits(&self) -> usize {
+    pub(crate) fn num_qubits(&self) -> usize {
         self.num_qubits
     }
 
     /// Number of compiled operations.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ops.len()
-    }
-
-    /// True when there are no operations.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
     }
 
     /// Approximate complex multiplies of one full application to an
     /// `len`-amplitude register (sum of every operation's
-    /// [`CompiledOp::work_estimate`]).
+    /// `CompiledOp::work_estimate`).
     pub fn work_estimate(&self, len: usize) -> usize {
         self.ops
             .iter()
@@ -1001,7 +996,7 @@ mod tests {
 
         let mut zz = start.clone();
         let mut pair = Circuit::new(2);
-        pair.z(0).z(0).s(1);
+        pair.z(0).z(0).gate(Gate::S, &[1]);
         pair.gate(Gate::Sdg, &[1]);
         zz.apply_circuit(&pair);
         assert_eq!(zz.amplitudes(), start.amplitudes());

@@ -7,8 +7,8 @@
 //! ([`gate`], [`circuit`]), exact state-vector execution through compiled
 //! in-place kernels ([`state`], [`kernels`]), dense-unitary extraction for
 //! verification of block-encodings ([`unitary`]), the shot-count model
-//! ([`measure`]), dense complex matrices ([`cmatrix`]), and
-//! fault-tolerant resource estimates (T-count, depth, gate histograms —
+//! ([`measure`]), dense complex matrices ([`CMatrix`]), and
+//! fault-tolerant resource estimates (T-count, depth, gate-class counts —
 //! [`resources`]), which the paper uses to express the quantum cost of its
 //! Poisson use case (Table II).
 //!
@@ -95,7 +95,7 @@
 //! ```
 
 pub mod circuit;
-pub mod cmatrix;
+mod cmatrix;
 pub mod executor;
 pub mod fault;
 pub mod fuse;
@@ -123,6 +123,6 @@ pub use kernels::{circuit_compile_count, CompiledCircuit, CompiledOp, PARALLEL_W
 pub use measure::shots_for_accuracy;
 pub use qls_cache::CachePolicy;
 pub use resources::{estimate_resources, fusion_stats, ResourceEstimate, TCountModel};
-pub use simd::{simd_kernels_enabled, with_scalar_kernels};
+pub use simd::with_scalar_kernels;
 pub use state::StateVector;
 pub use unitary::circuit_unitary;

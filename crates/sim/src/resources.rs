@@ -28,7 +28,7 @@ pub struct TCountModel {
 
 impl TCountModel {
     /// Model with rotation synthesis at accuracy ε (T/rotation ≈ 3·log2(1/ε) + 10).
-    pub fn with_rotation_accuracy(epsilon: f64) -> Self {
+    pub(crate) fn with_rotation_accuracy(epsilon: f64) -> Self {
         assert!(epsilon > 0.0 && epsilon < 1.0);
         TCountModel {
             t_per_rotation: (3.0 * (1.0 / epsilon).log2()).ceil() as usize + 10,
@@ -155,6 +155,7 @@ pub fn fusion_stats(circuit: &Circuit) -> CircuitStats {
 mod tests {
     use super::*;
     use crate::circuit::Circuit;
+    use crate::gate::Gate;
 
     #[test]
     fn t_count_model_scales_with_accuracy() {
@@ -166,7 +167,7 @@ mod tests {
     #[test]
     fn clifford_only_circuit_has_no_t() {
         let mut c = Circuit::new(3);
-        c.h(0).cx(0, 1).cz(1, 2).s(2).swap(0, 2);
+        c.h(0).cx(0, 1).cz(1, 2).gate(Gate::S, &[2]).swap(0, 2);
         let est = estimate_resources(&c, &TCountModel::default());
         assert_eq!(est.estimated_t_count, 0);
         assert_eq!(est.t_gate_count, 0);
@@ -207,9 +208,9 @@ mod tests {
     fn multi_controlled_scales_linearly_in_controls() {
         let model = TCountModel::default();
         let mut c3 = Circuit::new(4);
-        c3.mcx(&[0, 1, 2], 3);
+        c3.controlled_gate(Gate::X, &[3], &[0, 1, 2]);
         let mut c5 = Circuit::new(6);
-        c5.mcx(&[0, 1, 2, 3, 4], 5);
+        c5.controlled_gate(Gate::X, &[5], &[0, 1, 2, 3, 4]);
         let t3 = estimate_resources(&c3, &model).estimated_t_count;
         let t5 = estimate_resources(&c5, &model).estimated_t_count;
         assert!(t5 > t3);

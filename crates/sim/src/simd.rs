@@ -57,7 +57,7 @@ thread_local! {
 }
 
 /// True when the SIMD kernel bodies are active on the calling thread.
-pub fn simd_kernels_enabled() -> bool {
+pub(crate) fn simd_kernels_enabled() -> bool {
     SIMD_ENABLED.with(|c| c.get())
 }
 

@@ -78,7 +78,7 @@ impl StateVector {
     }
 
     /// Number of qubits.
-    pub fn num_qubits(&self) -> usize {
+    pub(crate) fn num_qubits(&self) -> usize {
         self.num_qubits
     }
 
@@ -89,7 +89,7 @@ impl StateVector {
 
     /// Mutable access to the amplitudes (used by tests and by post-selection).
     /// The length is fixed at `2^num_qubits` — only the values are writable.
-    pub fn amplitudes_mut(&mut self) -> &mut [Complex64] {
+    pub(crate) fn amplitudes_mut(&mut self) -> &mut [Complex64] {
         &mut self.amps
     }
 
@@ -117,7 +117,7 @@ impl StateVector {
     }
 
     /// Normalise in place; returns the previous norm.
-    pub fn normalize(&mut self) -> f64 {
+    pub(crate) fn normalize(&mut self) -> f64 {
         let n = self.norm();
         if n > 0.0 {
             let inv = 1.0 / n;
@@ -128,32 +128,9 @@ impl StateVector {
         n
     }
 
-    /// Inner product `⟨self|other⟩`.
-    pub fn inner(&self, other: &Self) -> Complex64 {
-        assert_eq!(
-            self.num_qubits, other.num_qubits,
-            "inner: register size mismatch"
-        );
-        self.amps
-            .iter()
-            .zip(&other.amps)
-            .map(|(a, b)| a.conj() * b)
-            .sum()
-    }
-
-    /// Fidelity `|⟨self|other⟩|²` between two normalised states.
-    pub fn fidelity(&self, other: &Self) -> f64 {
-        self.inner(other).norm_sqr()
-    }
-
     /// Probability of measuring the computational basis state `index`.
     pub fn probability(&self, index: usize) -> f64 {
         self.amps[index].norm_sqr()
-    }
-
-    /// All basis-state probabilities.
-    pub fn probabilities(&self) -> Vec<f64> {
-        self.amps.iter().map(|a| a.norm_sqr()).collect()
     }
 
     /// The probability that qubit `q` is measured as `1`.
@@ -174,21 +151,6 @@ impl StateVector {
             start += stride << 1;
         }
         sum
-    }
-
-    /// Tensor product `self ⊗ other` (other occupies the *lower* qubit indices).
-    pub fn tensor(&self, other: &Self) -> Self {
-        let mut amps = vec![Complex64::new(0.0, 0.0); self.amps.len() * other.amps.len()];
-        for (i, &a) in self.amps.iter().enumerate() {
-            for (j, &b) in other.amps.iter().enumerate() {
-                amps[(i << other.num_qubits) | j] = a * b;
-            }
-        }
-        StateVector {
-            num_qubits: self.num_qubits + other.num_qubits,
-            amps,
-            scratch: Vec::new(),
-        }
     }
 
     /// Apply one operation in place through the specialized kernel dispatch
@@ -228,21 +190,6 @@ impl StateVector {
             }
         }
         kept
-    }
-
-    /// Expectation value of a diagonal observable given by its values on the
-    /// computational basis.
-    pub fn expectation_diagonal(&self, values: &[f64]) -> f64 {
-        assert_eq!(
-            values.len(),
-            self.amps.len(),
-            "observable dimension mismatch"
-        );
-        self.amps
-            .iter()
-            .zip(values)
-            .map(|(a, &v)| a.norm_sqr() * v)
-            .sum()
     }
 }
 
@@ -359,8 +306,7 @@ mod tests {
         let mut sv = StateVector::zero_state(3);
         sv.apply_circuit(&circ);
         sv.apply_circuit(&circ.adjoint());
-        let zero = StateVector::zero_state(3);
-        assert!(sv.fidelity(&zero) > 1.0 - 1e-12);
+        assert!(sv.probability(0) > 1.0 - 1e-12);
     }
 
     #[test]
@@ -374,15 +320,6 @@ mod tests {
             .swap(0, 3);
         let sv = StateVector::run(&circ);
         assert!((sv.norm() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tensor_product_structure() {
-        let a = StateVector::basis_state(1, 1);
-        let b = StateVector::basis_state(2, 2);
-        let ab = a.tensor(&b); // a occupies the high qubit
-        assert_eq!(ab.num_qubits(), 3);
-        assert!((ab.probability(0b110) - 1.0).abs() < 1e-14);
     }
 
     #[test]
@@ -409,17 +346,12 @@ mod tests {
     }
 
     #[test]
-    fn probability_of_one_and_expectation() {
+    fn probability_of_one_on_the_plus_state() {
         let mut circ = Circuit::new(2);
         circ.h(0);
         let sv = StateVector::run(&circ);
         assert!((sv.probability_of_one(0) - 0.5).abs() < 1e-14);
         assert!(sv.probability_of_one(1) < 1e-14);
-        // Z expectation on qubit 0 is 0 for |+>.
-        let z_values: Vec<f64> = (0..4)
-            .map(|i| if i & 1 == 0 { 1.0 } else { -1.0 })
-            .collect();
-        assert!(sv.expectation_diagonal(&z_values).abs() < 1e-14);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! for solving linear systems"* (Koska–Baboulin–Gazda):
 //!
 //! * [`linalg`] (`qls-linalg`) — the classical substrate: dense linear
-//!   algebra, precision emulation, classical iterative refinement, the
+//!   algebra in `f32` and `f64`, classical iterative refinement, the
 //!   structured-operator layer (`qls_linalg::operator::LinearOperator` with
 //!   dense / CSR / tridiagonal / matrix-free stencil implementations, now
 //!   including the d-dimensional `StencilNd` for 3-D Poisson) and the
@@ -114,11 +114,14 @@
 //! invalidation is structural: any input change produces a different
 //! fingerprint (a never-found key), each kind carries an entry-format
 //! version in both the directory layout and the JSON envelope (bumping it
-//! orphans old entries), and corrupt or truncated files deserialize to a
-//! miss, never an error.  Writes are atomic (temp file + rename), so
-//! concurrent solvers race benignly.  `qls_cache::cache_hit_count` /
-//! `cache_miss_count` audit the stores the same way `circuit_compile_count`
-//! audits compilation; see `examples/warm_cache.rs` and the
+//! orphans old entries), every entry carries a SipHash-2-4 checksum of its
+//! payload bytes that the reader checks before parsing, and corrupt,
+//! truncated or edited files are a miss, never an error.  Writes are atomic
+//! (temp file + rename), so concurrent solvers race benignly.
+//! `qls_cache::cache_hit_count` / `cache_miss_count` audit the stores the
+//! same way `circuit_compile_count` audits compilation — a hit is a replay
+//! the caller used, so an entry it rejects counts as a miss; see
+//! `examples/warm_cache.rs` and the
 //! `build_seconds_warm` / `warm_vs_cold_build_speedup` fields of
 //! `BENCH_simulator.json`.
 //!
@@ -148,8 +151,19 @@
 //! ```
 //!
 //! Wider sweeps: `cargo test --workspace` runs every member crate's suite;
-//! `cargo build --release --bins --examples` and `cargo bench --no-run`
-//! prove all binaries, examples and benches compile.
+//! `cargo build --release --workspace --bins --examples` and `cargo bench
+//! --no-run` prove all binaries, examples and benches compile (without
+//! `--workspace`, `--bins` at the root builds only this facade, which has
+//! no binaries).
+//!
+//! ## Public API
+//!
+//! An item of a `qls-*` crate is `pub` only when another crate, binary,
+//! example, bench, test or the `perfbench/` harness names it; everything
+//! else is `pub(crate)`, so rustc's `dead_code` lint (an error under CI's
+//! `clippy -D warnings`) flags any item that loses its last caller.  An
+//! oracle that only its own crate's unit tests use is `#[cfg(test)]`, and
+//! no lint attribute silences the census (CI checks that too).
 //!
 //! ## Examples, benches, figure binaries
 //!

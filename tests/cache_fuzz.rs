@@ -1,7 +1,9 @@
 //! Seeded fuzzing through the persistent artifact cache: whatever the disk
 //! holds under a circuit-mode inverter's two entries (`qsvt-phases` and
-//! `fused-circuits`), rebuilding the inverter must not panic.  It returns
-//! `Ok` or a typed `QsvtError`; a corrupt entry is a cache miss.
+//! `fused-circuits`), rebuilding the inverter must not panic.  Every
+//! mutated entry fails its payload checksum, so it is a cache miss, never a
+//! replay: the rebuilt inverter solves bit-identically to an uncached
+//! build.
 //!
 //! Each mutation starts from the pristine entry, which is restored after
 //! the rebuild: bit flips, truncation at a random length, a splice of random
@@ -9,6 +11,7 @@
 
 use qls::prelude::*;
 use qls::qsvt::QsvtError;
+use qls::sim::{ExecMode, OptLevel};
 use rand::{Rng, RngCore};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -72,7 +75,25 @@ fn mutated_cache_entries_never_panic_the_inverter() {
         MatrixEnsemble::General,
         &mut rng,
     );
+    let b = random_unit_vector(4, &mut rng);
     let build = || QsvtInverter::new(&a, 0.1, QsvtMode::CircuitReal);
+    let bits = |inverter: &QsvtInverter| {
+        let (x, scale) = inverter.solve_direction(&b).unwrap();
+        let mut bits: Vec<u64> = x.as_slice().iter().map(|v| v.to_bits()).collect();
+        bits.push(scale.to_bits());
+        bits
+    };
+    let uncached = bits(
+        &QsvtInverter::with_config(
+            &a,
+            0.1,
+            QsvtMode::CircuitReal,
+            OptLevel::Fuse,
+            ExecMode::Flat,
+            CachePolicy::Disabled,
+        )
+        .unwrap(),
+    );
     let operators: [(&str, Mutation); 4] = [
         ("bit flips", |bytes, rng| flip_bits(bytes, rng)),
         ("truncation", truncate),
@@ -81,18 +102,20 @@ fn mutated_cache_entries_never_panic_the_inverter() {
     ];
     with_cache_dir(&dir, || {
         build().expect("cold build");
-        // A mutated phase vector that still decodes builds another circuit,
-        // whose fused form lands beside the original entry: locate both
-        // entries before mutating either.
         let entries = ["qsvt-phases", "fused-circuits"].map(|kind| (kind, entry(&dir, kind)));
         for (kind, path) in entries {
             let pristine = std::fs::read(&path).unwrap();
             let rebuild = |what: &str, bytes: &[u8]| {
                 std::fs::write(&path, bytes).unwrap();
-                // `Ok` or a typed `QsvtError` both pass; only a panic fails.
                 let outcome: Result<Result<QsvtInverter, QsvtError>, _> =
                     catch_unwind(AssertUnwindSafe(build));
-                assert!(outcome.is_ok(), "{kind}, {what}: the rebuild panicked");
+                let inverter = outcome
+                    .unwrap_or_else(|_| panic!("{kind}, {what}: the rebuild panicked"))
+                    .unwrap_or_else(|e| panic!("{kind}, {what}: the rebuild failed: {e}"));
+                assert!(
+                    bits(&inverter) == uncached,
+                    "{kind}, {what}: the rebuild replayed the mutated entry"
+                );
                 std::fs::write(&path, &pristine).unwrap();
             };
             for (what, mutate) in operators {

@@ -16,6 +16,31 @@ fn random_system(n: usize, kappa: f64, seed: u64) -> (Matrix<f64>, Vector<f64>) 
     (a, b)
 }
 
+/// The two-sided bound of Eq. (5) of the paper:
+/// `ω/κ ≤ ‖x − x̃‖/‖x‖ ≤ κ ω`, returned as `(lower, upper)`.
+fn forward_error_bounds_from_residual(omega: f64, kappa: f64) -> (f64, f64) {
+    (omega / kappa, kappa * omega)
+}
+
+/// Verify Eq. (5) for a computed solution `x` of `A x = b`, measured against
+/// a reference solution `x_ref` instead of the unknown exact one.  Eq. (5)
+/// applied to the reference bounds its own relative error by `κ·ω(x_ref)`,
+/// and by the triangle inequality that term widens each side of the bound.
+/// The relative slack of 1e-6 covers rounding in the norm computations.
+fn check_eq5_bounds(
+    a: &Matrix<f64>,
+    x: &Vector<f64>,
+    x_ref: &Vector<f64>,
+    b: &Vector<f64>,
+    kappa: f64,
+) -> bool {
+    let slack = 1e-6;
+    let reference_error = kappa * scaled_residual(a, x_ref, b);
+    let (lo, hi) = forward_error_bounds_from_residual(scaled_residual(a, x, b), kappa);
+    let fwd = forward_error(x, x_ref);
+    fwd >= (lo - reference_error) * (1.0 - slack) && fwd <= (hi + reference_error) * (1.0 + slack)
+}
+
 #[test]
 fn fig3_setting_converges_within_the_theorem_bound_for_all_epsilon_l() {
     // kappa = 10, eps = 1e-11 — the paper's Fig. 3 configuration.
@@ -44,9 +69,12 @@ fn fig3_setting_converges_within_the_theorem_bound_for_all_epsilon_l() {
             "eps_l = {epsilon_l}: {} iterations > bound {bound}",
             history.iterations()
         );
-        // Forward error consistent with Eq. (5): bounded by kappa * omega.
+        // The forward error sits inside both sides of Eq. (5).
         let reference = classical_lu_solve(&a, &b).unwrap();
-        assert!(forward_error(&x, &reference) <= 10.0 * history.final_residual() * 10.0);
+        assert!(
+            check_eq5_bounds(&a, &x, &reference, &b, cond_2(&a)),
+            "eps_l = {epsilon_l}"
+        );
     }
 }
 
@@ -123,7 +151,7 @@ fn residual_contraction_matches_theorem_iii_1() {
                         },
                     )
                     .unwrap();
-                    let (_, history) = refiner.solve(&b, &mut rng).unwrap();
+                    let (x, history) = refiner.solve(&b, &mut rng).unwrap();
                     let point = format!(
                         "seed {seed}: kappa {kappa}, eps_l*kappa {contraction}, \
                          {ensemble:?}, {distribution:?}"
@@ -132,9 +160,34 @@ fn residual_contraction_matches_theorem_iii_1() {
                     let bound = history.iteration_bound().expect("bound applies");
                     assert!(history.iterations() <= bound, "{point}");
                     assert!(history.satisfies_theorem_bound(1.0 + 1e-9), "{point}");
+                    let x_ref = classical_lu_solve(&a, &b).unwrap();
+                    assert!(
+                        check_eq5_bounds(&a, &x, &x_ref, &b, cond_2(&a)),
+                        "Eq. (5) at {point}"
+                    );
                 }
             }
         }
+    }
+}
+
+#[test]
+fn eq5_bounds_hold_for_lu_solutions() {
+    let mut rng = experiment_rng(41);
+    for &kappa in &[10.0, 100.0] {
+        let a = random_matrix_with_cond(
+            16,
+            kappa,
+            SingularValueDistribution::Geometric,
+            MatrixEnsemble::General,
+            &mut rng,
+        );
+        let x_true = Vector::from_f64_slice(&(0..16).map(|i| (i as f64).cos()).collect::<Vec<_>>());
+        let b = a.matvec(&x_true);
+        // Perturb the LU solution slightly to make the bound non-trivial.
+        let mut x = classical_lu_solve(&a, &b).unwrap();
+        x[0] += 1e-6;
+        assert!(check_eq5_bounds(&a, &x, &x_true, &b, cond_2(&a)));
     }
 }
 

@@ -4,13 +4,15 @@
 //! circuit), solve directions, refinement histories — must be bit-identical
 //! to the cold build, with the cache enabled or disabled.  A phase entry
 //! that is not what the phase solver returns is regenerated, never
-//! replayed.
+//! replayed, and a replay the caller rejects counts as a miss, not a hit.
 //!
 //! Every test runs against its own temp directory through `with_cache_dir`
 //! (a thread-local override), so parallel tests never share cache state and
 //! the user's real `~/.cache/qls` is never touched.
 
+use qls::cache::{CacheStore, Fingerprint};
 use qls::prelude::*;
+use qls::qsvt::phases::{QspPhases, PHASES_CACHE_KIND, PHASES_CACHE_VERSION};
 use qls::sim::{ExecMode, OptLevel};
 use std::path::{Path, PathBuf};
 
@@ -292,6 +294,51 @@ fn corrupt_phase_entries_are_regenerated_not_replayed() {
                 "{what}: the regenerated phases overwrite the entry"
             );
         }
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_replay_of_another_degree_counts_as_a_miss() {
+    // A self-consistent phase entry of degree d - 2, stored through the
+    // cache under the target's key (so its checksum holds), decodes but
+    // fails the degree check: the rebuild regenerates the phases and counts
+    // that lookup as a miss.  The fused circuit of the regenerated phases is
+    // the cold build's, so its lookup is the one hit.
+    let dir = test_dir("rejected-replay");
+    let (a, b) = test_system(4, 4.0, 8);
+    with_cache_dir(&dir, || {
+        let cold = QsvtInverter::new(&a, 0.05, QsvtMode::CircuitReal).unwrap();
+        let d = cold.resources().degree;
+        let entry = phases_entry(&dir);
+        let stem = entry.file_stem().unwrap().to_str().unwrap();
+        let key = Fingerprint(u128::from_str_radix(stem, 16).unwrap());
+        let shorter = QspPhases {
+            phases: vec![0.0; d - 1],
+            residual: 0.0,
+            iterations: 1,
+            degree: d - 2,
+        };
+        assert!(CacheStore::at(&dir).store(PHASES_CACHE_KIND, PHASES_CACHE_VERSION, key, &shorter));
+        let (h, m, g) = (
+            cache_hit_count(),
+            cache_miss_count(),
+            phase_generation_count(),
+        );
+        let warm = QsvtInverter::new(&a, 0.05, QsvtMode::CircuitReal).unwrap();
+        assert_eq!(
+            (
+                cache_hit_count() - h,
+                cache_miss_count() - m,
+                phase_generation_count() - g
+            ),
+            (1, 1, 1),
+            "(hits, misses, phase generations) of the rebuild"
+        );
+        let (x_cold, s_cold) = cold.solve_direction(&b).unwrap();
+        let (x_warm, s_warm) = warm.solve_direction(&b).unwrap();
+        assert_eq!(bits(&x_warm), bits(&x_cold));
+        assert_eq!(s_warm.to_bits(), s_cold.to_bits());
     });
     let _ = std::fs::remove_dir_all(&dir);
 }
