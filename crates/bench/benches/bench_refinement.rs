@@ -78,7 +78,8 @@ fn bench_hhl_baseline(c: &mut Criterion) {
             clock_qubits: 6,
             ..Default::default()
         },
-    );
+    )
+    .expect("HHL solver");
     group.bench_function("n4_clock6", |bench| {
         bench.iter(|| std::hint::black_box(solver.solve_direction(&b)))
     });

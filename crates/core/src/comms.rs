@@ -15,10 +15,8 @@
 //! byte estimates, so the communication pattern can be printed, plotted and
 //! tested.
 
-use serde::Serialize;
-
 /// Direction of a transfer on the CPU–QPU link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
     /// From the classical host to the quantum device.
     CpuToQpu,
@@ -27,7 +25,7 @@ pub enum Direction {
 }
 
 /// What is being transferred.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Payload {
     /// The block-encoding circuit of `A†`.
     BlockEncodingCircuit,
@@ -40,7 +38,7 @@ pub enum Payload {
 }
 
 /// One transfer event of the Fig. 1 timeline.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TransferEvent {
     /// Refinement phase: 0 = setup/first solve, i ≥ 1 = iteration i.
     pub iteration: usize,
@@ -55,7 +53,7 @@ pub struct TransferEvent {
 }
 
 /// Parameters of the communication model.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CommunicationParameters {
     /// Number of data qubits n (N = 2^n).
     pub n_qubits: usize,
@@ -88,7 +86,7 @@ impl Default for CommunicationParameters {
 }
 
 /// The complete Fig. 1 timeline for one run of Algorithm 2.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CommunicationSchedule {
     /// Parameters the schedule was built from.
     pub parameters: CommunicationParameters,

@@ -19,10 +19,9 @@
 //! in `qls-encoding`.
 
 use qls_linalg::refine::iteration_bound;
-use serde::Serialize;
 
 /// Parameters of the quantum cost model of Table I.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CostParameters {
     /// Condition number κ of the matrix.
     pub kappa: f64,
@@ -36,7 +35,7 @@ pub struct CostParameters {
 }
 
 /// The Table-I cost of one strategy.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct StrategyCost {
     /// Number of calls to the solver.
     pub solves: f64,
@@ -51,7 +50,7 @@ pub struct StrategyCost {
 }
 
 /// The two columns of Table I.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct QuantumCostComparison {
     /// Parameters the comparison was evaluated at.
     pub parameters: CostParameters,
@@ -122,7 +121,7 @@ pub fn quantum_cost_comparison(parameters: CostParameters) -> QuantumCostCompari
 }
 
 /// One row of Table II (cost of one sub-task of the Poisson use case).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PoissonCostRow {
     /// Phase: "first solve" or "iteration".
     pub phase: &'static str,
@@ -137,7 +136,7 @@ pub struct PoissonCostRow {
 }
 
 /// Parameters of the Table-II Poisson breakdown.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PoissonCostParameters {
     /// Number of data qubits n (N = 2^n grid points).
     pub n_qubits: usize,

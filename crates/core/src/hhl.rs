@@ -19,13 +19,16 @@
 //! resolution (ε ≈ 2^{-t}·κ), which is exactly the limitation that motivates
 //! refining HHL iteratively (\[36\]) or switching to the QSVT.
 
+use crate::error::QlsError;
+use crate::solver::check_right_hand_side;
 use num_complex::Complex64;
+use qls_linalg::lu::LinalgError;
 use qls_linalg::{Matrix, Svd, Vector};
+use qls_qsvt::QsvtError;
 use qls_sim::{CMatrix, Circuit, Gate, StateVector};
-use serde::Serialize;
 
 /// Configuration of the HHL solve.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct HhlOptions {
     /// Number of clock (phase-estimation) qubits.
     pub clock_qubits: usize,
@@ -86,29 +89,43 @@ pub struct HhlSolver {
 
 impl HhlSolver {
     /// Prepare the solver for a symmetric matrix.
-    pub fn new(a: &Matrix<f64>, options: HhlOptions) -> Self {
-        assert!(a.is_square(), "HHL needs a square matrix");
-        assert!(
-            a.is_symmetric(1e-10),
-            "HHL needs a symmetric matrix; embed non-symmetric systems first"
-        );
-        assert!(a.nrows().is_power_of_two(), "dimension must be 2^n");
+    ///
+    /// A non-square `A` is a `LinalgError::NotSquare`; a non-symmetric `A`
+    /// or an order that is not a power of two is a
+    /// `QsvtError::InvalidInput`, and a singular `A` (an eigenvalue of
+    /// exactly 0) a `QsvtError::SingularMatrix`.
+    pub fn new(a: &Matrix<f64>, options: HhlOptions) -> Result<Self, QlsError> {
+        if !a.is_square() {
+            return Err(QlsError::Linalg(LinalgError::NotSquare));
+        }
+        if !a.is_symmetric(1e-10) {
+            return Err(QlsError::Qsvt(QsvtError::InvalidInput(
+                "HHL needs a symmetric matrix; embed non-symmetric systems first",
+            )));
+        }
+        if !a.nrows().is_power_of_two() {
+            return Err(QlsError::Qsvt(QsvtError::InvalidInput(
+                "HHL needs a power-of-two dimension",
+            )));
+        }
         let (eigenvalues, eigenvectors) = symmetric_eigen(a);
         let lambda_max = eigenvalues.iter().cloned().fold(f64::MIN, f64::max);
         let lambda_min_abs = eigenvalues.iter().map(|l| l.abs()).fold(f64::MAX, f64::min);
-        assert!(lambda_min_abs > 0.0, "matrix is singular");
+        if lambda_min_abs <= 0.0 {
+            return Err(QlsError::Qsvt(QsvtError::SingularMatrix));
+        }
         let evolution_time = options
             .evolution_time
             .unwrap_or(std::f64::consts::PI / lambda_max);
         let rotation_constant = options.rotation_constant.unwrap_or(lambda_min_abs);
-        HhlSolver {
+        Ok(HhlSolver {
             matrix: a.clone(),
             options,
             eigenvalues,
             eigenvectors,
             evolution_time,
             rotation_constant,
-        }
+        })
     }
 
     /// The exact unitary `e^{iAt·s}` as a dense matrix.
@@ -189,8 +206,14 @@ impl HhlSolver {
     }
 
     /// Solve `A x = b`, returning the normalised solution direction.
-    pub fn solve_direction(&self, b: &Vector<f64>) -> HhlResult {
-        let n_data = self.matrix.nrows().trailing_zeros() as usize;
+    ///
+    /// A `b` whose length differs from the order of `A` is a
+    /// `LinalgError::DimensionMismatch`, and an all-zero `b` (there is no
+    /// state `b/‖b‖` to prepare) a `QsvtError::InvalidInput`.
+    pub fn solve_direction(&self, b: &Vector<f64>) -> Result<HhlResult, QlsError> {
+        let dim = self.matrix.nrows();
+        check_right_hand_side(b, dim)?;
+        let n_data = dim.trailing_zeros() as usize;
         let t = self.options.clock_qubits;
         let flag = n_data + t;
         let total = n_data + t + 1;
@@ -199,7 +222,6 @@ impl HhlSolver {
         // Embed |b⟩ on the data register.
         let mut b_normalised = b.clone();
         b_normalised.normalize();
-        let dim = self.matrix.nrows();
         let mut amps = vec![Complex64::new(0.0, 0.0); 1usize << total];
         for i in 0..dim {
             amps[i] = Complex64::new(b_normalised[i], 0.0);
@@ -219,19 +241,19 @@ impl HhlSolver {
         let norm = direction.normalize();
         let success_probability = if norm > 0.0 { success } else { 0.0 };
 
-        HhlResult {
+        Ok(HhlResult {
             direction,
             success_probability,
             total_qubits: total,
             gate_count: circuit.gate_count(),
-        }
+        })
     }
 
     /// Relative error of the HHL direction against the exact normalised
     /// solution: the oracle of the accuracy tests.
     #[cfg(test)]
     fn direction_error(&self, b: &Vector<f64>) -> f64 {
-        let result = self.solve_direction(b);
+        let result = self.solve_direction(b).unwrap();
         let mut exact = Svd::new(&self.matrix).pseudo_solve(b, 1e-14);
         exact.normalize();
         // Allow a global sign flip (the post-selected state has an arbitrary sign).
@@ -280,10 +302,11 @@ mod tests {
                 clock_qubits: 6,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let err = solver.direction_error(&b);
         assert!(err < 5e-2, "direction error {err}");
-        let result = solver.solve_direction(&b);
+        let result = solver.solve_direction(&b).unwrap();
         assert!(result.success_probability > 0.0);
         assert_eq!(result.total_qubits, 1 + 6 + 1);
     }
@@ -305,7 +328,8 @@ mod tests {
                 clock_qubits: 7,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         let err = solver.direction_error(&b);
         assert!(err < 0.1, "direction error {err}");
     }
@@ -328,6 +352,7 @@ mod tests {
                 ..Default::default()
             },
         )
+        .unwrap()
         .direction_error(&b);
         let fine = HhlSolver::new(
             &a,
@@ -336,14 +361,52 @@ mod tests {
                 ..Default::default()
             },
         )
+        .unwrap()
         .direction_error(&b);
         assert!(fine <= coarse + 1e-9, "fine {fine} vs coarse {coarse}");
     }
 
     #[test]
-    #[should_panic]
     fn rejects_nonsymmetric_matrix() {
         let a = Matrix::from_f64_slice(2, 2, &[1.0, 0.5, 0.0, 1.0]);
-        let _ = HhlSolver::new(&a, HhlOptions::default());
+        assert!(matches!(
+            HhlSolver::new(&a, HhlOptions::default()),
+            Err(QlsError::Qsvt(QsvtError::InvalidInput(_)))
+        ));
+    }
+
+    #[test]
+    fn rejects_matrices_it_cannot_prepare() {
+        let non_square = Matrix::from_f64_slice(2, 4, &[1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0]);
+        assert!(matches!(
+            HhlSolver::new(&non_square, HhlOptions::default()),
+            Err(QlsError::Linalg(LinalgError::NotSquare))
+        ));
+        let order_three = Matrix::from_diag(&[1.0, 2.0, 3.0]);
+        assert!(matches!(
+            HhlSolver::new(&order_three, HhlOptions::default()),
+            Err(QlsError::Qsvt(QsvtError::InvalidInput(_)))
+        ));
+        let singular = Matrix::from_diag(&[1.0, 0.0]);
+        assert!(matches!(
+            HhlSolver::new(&singular, HhlOptions::default()),
+            Err(QlsError::Qsvt(QsvtError::SingularMatrix))
+        ));
+    }
+
+    #[test]
+    fn rejects_right_hand_sides_it_cannot_prepare() {
+        let solver = HhlSolver::new(&Matrix::from_diag(&[1.0, 0.5]), HhlOptions::default())
+            .expect("diagonal SPD system");
+        for short_or_long in [vec![1.0], vec![1.0, 1.0, 1.0]] {
+            assert!(matches!(
+                solver.solve_direction(&Vector::from_f64_slice(&short_or_long)),
+                Err(QlsError::Linalg(LinalgError::DimensionMismatch))
+            ));
+        }
+        assert!(matches!(
+            solver.solve_direction(&Vector::zeros(2)),
+            Err(QlsError::Qsvt(QsvtError::InvalidInput(_)))
+        ));
     }
 }

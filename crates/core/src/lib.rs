@@ -7,8 +7,10 @@
 //! solving linear systems").
 //!
 //! * [`solver`] — one QSVT solve (Remark 2 pipeline: normalise `b`, state
-//!   preparation, QSVT of `A†`, readout, Brent norm recovery) with full cost
-//!   accounting.
+//!   preparation, QSVT of `A†`, readout, Brent norm recovery) with its
+//!   per-solve cost record (degree, block-encoding calls, shots,
+//!   state-preparation flops, Brent evaluations); Table II's classical
+//!   costs are modelled in [`cost`].
 //! * [`refine`] — Algorithm 2: the hybrid iterative-refinement loop, its
 //!   convergence history, the Theorem III.1 bound, and the fault-recovery
 //!   ladder (armed by [`HybridRefinementOptions::recovery`]: retry →
@@ -20,9 +22,10 @@
 //!   Table II.
 //! * `comms` — the CPU↔QPU communication timeline of Fig. 1
 //!   ([`CommunicationSchedule`]).
-//! * [`baselines`] — direct high-precision QSVT (the paper's comparison
-//!   strategy), the classical LU reference, and classical mixed-precision
-//!   iterative refinement (Algorithm 1).
+//! * [`baselines`] — the classical LU reference and classical
+//!   mixed-precision iterative refinement (Algorithm 1).  The paper's other
+//!   comparison strategy, one direct high-precision QSVT solve, is a
+//!   [`QsvtLinearSolver`] built at the target ε.
 //! * [`hhl`] — a QPE-based HHL solver (extension baseline discussed in the
 //!   paper's introduction).
 //!
@@ -62,7 +65,7 @@ pub mod hhl;
 pub mod refine;
 pub mod solver;
 
-pub use baselines::{classical_lu_solve, DirectQsvtSolver};
+pub use baselines::classical_lu_solve;
 pub use comms::{
     CommunicationParameters, CommunicationSchedule, Direction, Payload, TransferEvent,
 };

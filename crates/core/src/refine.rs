@@ -60,7 +60,6 @@ use qls_linalg::{scaled_residual, FactorizableOperator, InnerSolver, Matrix, Vec
 use qls_qsvt::QsvtError;
 use qls_sim::fault::SharedFaultInjector;
 use rand::Rng;
-use serde::Serialize;
 use std::sync::OnceLock;
 
 /// Recovery rung 1: plain re-runs of a failed correction solve.
@@ -120,7 +119,7 @@ impl Default for HybridRefinementOptions {
 }
 
 /// What a health check found wrong with one correction attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealthIssue {
     /// The inner solve itself returned an error.
     SolveFailed(FailureReason),
@@ -134,7 +133,7 @@ pub enum HealthIssue {
 }
 
 /// One rung of the recovery ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryAction {
     /// Re-run the correction solve unchanged.
     Retry,
@@ -153,7 +152,7 @@ pub enum RecoveryAction {
 
 /// One recorded recovery decision: which issue triggered which rung at
 /// which iteration, and whether that rung produced a healthy step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryEvent {
     /// Refinement iteration (0 = initial solve).
     pub iteration: usize,
@@ -167,7 +166,7 @@ pub struct RecoveryEvent {
 
 /// The audit log of every recovery action of a run, stored in
 /// [`HybridHistory::recovery`].  Empty ⇔ the run never needed the ladder.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RecoveryLog {
     /// Events in the order they were taken.
     pub events: Vec<RecoveryEvent>,
@@ -194,7 +193,7 @@ impl RecoveryLog {
 }
 
 /// Why a hybrid refinement ultimately failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureReason {
     /// Ancilla post-selection failed and could not be recovered.
     PostSelectionFailed,
@@ -213,7 +212,7 @@ pub enum FailureReason {
 }
 
 /// Why the hybrid refinement stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HybridStatus {
     /// Target scaled residual reached without any recovery action.
     Converged,
@@ -247,7 +246,7 @@ impl HybridStatus {
 }
 
 /// One step of the refinement history.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct HybridStep {
     /// Iteration index (0 = initial solve).
     pub iteration: usize,
@@ -260,7 +259,7 @@ pub struct HybridStep {
 }
 
 /// Complete record of a hybrid refinement run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct HybridHistory {
     /// Per-step records (index 0 is the initial solve).
     pub steps: Vec<HybridStep>,
@@ -406,7 +405,8 @@ fn issue_reason(issue: HealthIssue) -> FailureReason {
 /// reproduces the dense convergence history float for float (see the
 /// operator-equivalence tests).
 pub struct HybridRefiner<Op: FactorizableOperator<f64> = Matrix<f64>> {
-    operator: Op,
+    /// The inner QSVT solver; it holds the refiner's one copy of the
+    /// operator, which every residual and the recovery rungs read.
     solver: QsvtLinearSolver<Op>,
     options: HybridRefinementOptions,
     /// Fault injector shared with the inner solver (and any tightened
@@ -429,7 +429,6 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
     pub fn new(a: &Op, options: HybridRefinementOptions) -> Result<Self, QlsError> {
         let solver = QsvtLinearSolver::new(a, options.epsilon_l, options.solver)?;
         Ok(HybridRefiner {
-            operator: a.clone(),
             solver,
             options,
             fault: None,
@@ -486,7 +485,8 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
                 let epsilon_l =
                     (self.options.epsilon_l * EPSILON_TIGHTEN_FACTOR).clamp(1e-14, 0.49);
                 let mut solver =
-                    QsvtLinearSolver::new(&self.operator, epsilon_l, self.options.solver).ok()?;
+                    QsvtLinearSolver::new(self.solver.operator(), epsilon_l, self.options.solver)
+                        .ok()?;
                 if let Some(inj) = &self.fault {
                     solver.attach_fault_injector(inj.clone());
                 }
@@ -502,7 +502,7 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
     fn classical_correction(&self, r: &Vector<f64>) -> Attempt {
         let solver = self
             .fallback
-            .get_or_init(|| self.operator.factorize::<f64>().ok());
+            .get_or_init(|| self.solver.operator().factorize::<f64>().ok());
         match solver {
             Some(inner) => {
                 let correction = inner.solve(r)?;
@@ -514,7 +514,6 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
                         shots: 0,
                         state_prep_flops: 0,
                         brent_evaluations: 0,
-                        classical_matvec_flops: 2 * self.operator.nnz(),
                     },
                 ))
             }
@@ -592,7 +591,7 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
                             }
                             None => correction,
                         };
-                        let omega = scaled_residual(&self.operator, &candidate, b);
+                        let omega = scaled_residual(self.solver.operator(), &candidate, b);
                         if !omega.is_finite() {
                             Err(HealthIssue::NonFiniteResidual)
                         } else {
@@ -731,7 +730,7 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
         rng: &mut R,
     ) -> Result<Vec<(Vector<f64>, HybridHistory)>, QlsError> {
         for b in bs {
-            if b.len() != self.operator.nrows() {
+            if b.len() != self.solver.operator().nrows() {
                 return Err(QlsError::Linalg(LinalgError::DimensionMismatch));
             }
             if !b.iter().all(|v| v.is_finite()) {
@@ -782,7 +781,7 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
                 let r = if it == 0 {
                     bs[k].clone()
                 } else {
-                    &bs[k] - &self.operator.matvec(&sys.x)
+                    &bs[k] - &self.solver.operator().matvec(&sys.x)
                 };
                 if r.iter().all(|v| v.is_finite()) {
                     batch.push(k);

@@ -18,11 +18,10 @@ use crate::block_encoding::BlockEncoding;
 use crate::lcu::LcuBlockEncoding;
 use qls_linalg::{poisson_1d, Matrix, TridiagonalMatrix};
 use qls_sim::Circuit;
-use serde::Serialize;
 
 /// Analytic gate-count model of the Fig. 2 / Ref. \[37\] tridiagonal
 /// block-encoding.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TridiagAnalyticResources {
     /// Number of data qubits n.
     pub data_qubits: usize,

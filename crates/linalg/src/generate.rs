@@ -258,7 +258,7 @@ pub fn random_connected_graph<R: Rng>(
 /// Dirichlet boundaries, centrally differenced and scaled by `h²`: the
 /// tridiagonal matrix with rows `(−1 − p/2, 2, −1 + p/2)` where `p` is the
 /// mesh Péclet number `c·h`.  Nonsymmetric for any `p ≠ 0` — the canonical
-/// small workload for the transposed solves and the BiCGSTAB inner path.  For
+/// small workload for the transposed matvec and the BiCGSTAB inner path.  For
 /// `|p| < 2` the matrix is (weakly) row diagonally dominant and all
 /// eigenvalues `2 − 2·√((1−p/2)(1+p/2))·cos(kπ/(n+1))` are real and positive.
 pub fn convection_diffusion_1d<T: crate::scalar::Real>(

@@ -80,17 +80,13 @@ impl fmt::Display for InnerSolverKind {
 }
 
 /// A reusable low-precision inner solver: factor (or set up) once, solve many
-/// right-hand sides.  Both solves are fallible — iterative breakdowns and
+/// right-hand sides.  The solve is fallible — iterative breakdowns and
 /// singular factors surface as errors instead of silent inf/NaN.
 pub trait InnerSolver<T: Real>: Send + Sync {
-    /// Order of the represented system.
-    fn order(&self) -> usize;
     /// Which solver this is (for reports and debugging).
     fn kind(&self) -> InnerSolverKind;
     /// Solve `A x = b`.
     fn solve(&self, b: &Vector<T>) -> Result<Vector<T>, LinalgError>;
-    /// Solve `Aᵀ x = b`.
-    fn solve_transposed(&self, b: &Vector<T>) -> Result<Vector<T>, LinalgError>;
 }
 
 /// An operator that can build the structured inner solver appropriate to its
@@ -143,20 +139,12 @@ impl<T: Real> DenseLuSolver<T> {
 }
 
 impl<T: Real> InnerSolver<T> for DenseLuSolver<T> {
-    fn order(&self) -> usize {
-        self.lu.order()
-    }
-
     fn kind(&self) -> InnerSolverKind {
         InnerSolverKind::DenseLu
     }
 
     fn solve(&self, b: &Vector<T>) -> Result<Vector<T>, LinalgError> {
         self.lu.solve(b)
-    }
-
-    fn solve_transposed(&self, b: &Vector<T>) -> Result<Vector<T>, LinalgError> {
-        self.lu.solve_transposed(b)
     }
 }
 
@@ -167,8 +155,8 @@ impl<T: Real> InnerSolver<T> for DenseLuSolver<T> {
 /// The Thomas algorithm as a reusable factorisation `T = L·U`:
 /// `L` unit lower bidiagonal with multipliers `l_i = lower_{i−1}/m_{i−1}`,
 /// `U` upper bidiagonal with pivots `m_i = d_i − l_i·upper_{i−1}` and the
-/// original super-diagonal.  One O(N) elimination serves both `T x = b`
-/// (forward `L`, back `U`) and `Tᵀ x = b` (`Tᵀ = Uᵀ Lᵀ`).
+/// original super-diagonal.  One O(N) elimination serves every `T x = b`
+/// (forward `L`, back `U`).
 ///
 /// Thomas does not pivot, so a pivot `|m_i|` at or below a scaled threshold
 /// (`4·u·max|entry|`) is reported as [`LinalgError::Singular`] instead of
@@ -222,16 +210,12 @@ impl<T: Real> ThomasFactorization<T> {
 }
 
 impl<T: Real> InnerSolver<T> for ThomasFactorization<T> {
-    fn order(&self) -> usize {
-        self.pivots.len()
-    }
-
     fn kind(&self) -> InnerSolverKind {
         InnerSolverKind::Thomas
     }
 
     fn solve(&self, b: &Vector<T>) -> Result<Vector<T>, LinalgError> {
-        let n = self.order();
+        let n = self.pivots.len();
         if b.len() != n {
             return Err(LinalgError::DimensionMismatch);
         }
@@ -248,27 +232,6 @@ impl<T: Real> InnerSolver<T> for ThomasFactorization<T> {
         y[n - 1] /= self.pivots[n - 1];
         for i in (0..n - 1).rev() {
             y[i] = (y[i] - self.uppers[i] * y[i + 1]) / self.pivots[i];
-        }
-        Ok(y)
-    }
-
-    fn solve_transposed(&self, b: &Vector<T>) -> Result<Vector<T>, LinalgError> {
-        let n = self.order();
-        if b.len() != n {
-            return Err(LinalgError::DimensionMismatch);
-        }
-        if n == 0 {
-            return Ok(Vector::zeros(0));
-        }
-        // Tᵀ = Uᵀ Lᵀ.  Forward: Uᵀ y = b (lower bidiagonal, diagonal m).
-        let mut y = Vector::zeros(n);
-        y[0] = b[0] / self.pivots[0];
-        for i in 1..n {
-            y[i] = (b[i] - self.uppers[i - 1] * y[i - 1]) / self.pivots[i];
-        }
-        // Back: Lᵀ x = y (unit upper bidiagonal).
-        for i in (0..n - 1).rev() {
-            y[i] = y[i] - self.lowers[i + 1] * y[i + 1];
         }
         Ok(y)
     }
@@ -328,8 +291,14 @@ impl<T: Real, Op: LinearOperator<T>> ConjugateGradientSolver<T, Op> {
             .map(|(&ri, &di)| ri * di)
             .collect()
     }
+}
 
-    fn solve_impl(&self, b: &Vector<T>, transposed: bool) -> Result<Vector<T>, LinalgError> {
+impl<T: Real, Op: LinearOperator<T> + 'static> InnerSolver<T> for ConjugateGradientSolver<T, Op> {
+    fn kind(&self) -> InnerSolverKind {
+        InnerSolverKind::ConjugateGradient
+    }
+
+    fn solve(&self, b: &Vector<T>) -> Result<Vector<T>, LinalgError> {
         let n = self.op.nrows();
         if b.len() != n {
             return Err(LinalgError::DimensionMismatch);
@@ -339,13 +308,6 @@ impl<T: Real, Op: LinearOperator<T>> ConjugateGradientSolver<T, Op> {
             return Ok(Vector::zeros(n));
         }
         let tol = T::from_f64(self.rel_tol) * bnorm;
-        let mv = |v: &Vector<T>| {
-            if transposed {
-                self.op.matvec_transposed(v)
-            } else {
-                self.op.matvec(v)
-            }
-        };
 
         let mut x = Vector::zeros(n);
         let mut r = b.clone();
@@ -355,7 +317,7 @@ impl<T: Real, Op: LinearOperator<T>> ConjugateGradientSolver<T, Op> {
         let mut best = x.clone();
         let mut best_res = bnorm;
         for step in 0..self.max_iterations {
-            let ap = mv(&p);
+            let ap = self.op.matvec(&p);
             let pap = p.dot(&ap);
             if pap <= T::zero() {
                 if step == 0 {
@@ -389,31 +351,11 @@ impl<T: Real, Op: LinearOperator<T>> ConjugateGradientSolver<T, Op> {
     }
 }
 
-impl<T: Real, Op: LinearOperator<T> + 'static> InnerSolver<T> for ConjugateGradientSolver<T, Op> {
-    fn order(&self) -> usize {
-        self.op.nrows()
-    }
-
-    fn kind(&self) -> InnerSolverKind {
-        InnerSolverKind::ConjugateGradient
-    }
-
-    fn solve(&self, b: &Vector<T>) -> Result<Vector<T>, LinalgError> {
-        self.solve_impl(b, false)
-    }
-
-    fn solve_transposed(&self, b: &Vector<T>) -> Result<Vector<T>, LinalgError> {
-        self.solve_impl(b, true)
-    }
-}
-
 /// Jacobi-preconditioned BiCGSTAB for nonsymmetric systems, matrix-free over
 /// any [`LinearOperator`] at the low precision.
 ///
-/// Transposed solves run the same iteration against `Aᵀ` (via
-/// `matvec_transposed`), which is what the κ machinery and adjoint solves
-/// need.  On a breakdown (`ρ → 0`, `r̂·v → 0` or `t·t → 0`) the best iterate
-/// so far is returned; the refinement loop detects any resulting stagnation.
+/// On a breakdown (`ρ → 0`, `r̂·v → 0` or `t·t → 0`) the best iterate so far
+/// is returned; the refinement loop detects any resulting stagnation.
 pub struct BiCgStabSolver<T: Real, Op: LinearOperator<T>> {
     op: Op,
     inv_diag: Vector<T>,
@@ -445,8 +387,14 @@ impl<T: Real, Op: LinearOperator<T>> BiCgStabSolver<T, Op> {
             .map(|(&ri, &di)| ri * di)
             .collect()
     }
+}
 
-    fn solve_impl(&self, b: &Vector<T>, transposed: bool) -> Result<Vector<T>, LinalgError> {
+impl<T: Real, Op: LinearOperator<T> + 'static> InnerSolver<T> for BiCgStabSolver<T, Op> {
+    fn kind(&self) -> InnerSolverKind {
+        InnerSolverKind::BiCgStab
+    }
+
+    fn solve(&self, b: &Vector<T>) -> Result<Vector<T>, LinalgError> {
         let n = self.op.nrows();
         if b.len() != n {
             return Err(LinalgError::DimensionMismatch);
@@ -456,13 +404,6 @@ impl<T: Real, Op: LinearOperator<T>> BiCgStabSolver<T, Op> {
             return Ok(Vector::zeros(n));
         }
         let tol = T::from_f64(self.rel_tol) * bnorm;
-        let mv = |v: &Vector<T>| {
-            if transposed {
-                self.op.matvec_transposed(v)
-            } else {
-                self.op.matvec(v)
-            }
-        };
 
         let mut x = Vector::zeros(n);
         let mut r = b.clone();
@@ -484,7 +425,7 @@ impl<T: Real, Op: LinearOperator<T>> BiCgStabSolver<T, Op> {
             // p = r + beta (p − omega v)
             p = &r + &(&(&p - &(&v * omega)) * beta);
             let p_hat = self.precondition(&p);
-            v = mv(&p_hat);
+            v = self.op.matvec(&p_hat);
             let rhv = r_hat.dot(&v);
             if rhv == T::zero() {
                 break;
@@ -501,7 +442,7 @@ impl<T: Real, Op: LinearOperator<T>> BiCgStabSolver<T, Op> {
                 best = x.clone();
             }
             let s_hat = self.precondition(&s);
-            let t = mv(&s_hat);
+            let t = self.op.matvec(&s_hat);
             let tt = t.dot(&t);
             if tt == T::zero() {
                 break;
@@ -519,24 +460,6 @@ impl<T: Real, Op: LinearOperator<T>> BiCgStabSolver<T, Op> {
             }
         }
         Ok(best)
-    }
-}
-
-impl<T: Real, Op: LinearOperator<T> + 'static> InnerSolver<T> for BiCgStabSolver<T, Op> {
-    fn order(&self) -> usize {
-        self.op.nrows()
-    }
-
-    fn kind(&self) -> InnerSolverKind {
-        InnerSolverKind::BiCgStab
-    }
-
-    fn solve(&self, b: &Vector<T>) -> Result<Vector<T>, LinalgError> {
-        self.solve_impl(b, false)
-    }
-
-    fn solve_transposed(&self, b: &Vector<T>) -> Result<Vector<T>, LinalgError> {
-        self.solve_impl(b, true)
     }
 }
 
@@ -651,7 +574,7 @@ mod tests {
     }
 
     #[test]
-    fn thomas_factorization_matches_lu_both_ways() {
+    fn thomas_factorization_matches_lu() {
         let t = TridiagonalMatrix::new(
             vec![1.0, -2.0, 0.5, 1.5],
             vec![4.0, 5.0, 6.0, 7.0, 8.0],
@@ -666,12 +589,6 @@ mod tests {
             &lu_solve(&d, &b).unwrap(),
             1e-13,
             "solve",
-        );
-        assert_close(
-            &f.solve_transposed(&b).unwrap(),
-            &lu_solve(&d.transpose(), &b).unwrap(),
-            1e-13,
-            "solve_transposed",
         );
     }
 
@@ -713,7 +630,7 @@ mod tests {
     }
 
     #[test]
-    fn bicgstab_solves_nonsymmetric_csr_both_ways() {
+    fn bicgstab_solves_nonsymmetric_csr() {
         // 1-D convection-diffusion: tridiagonal but fed through CSR to force
         // the nonsymmetric sparse path.
         let n = 80;
@@ -724,8 +641,6 @@ mod tests {
         let b: Vector<f64> = (0..n).map(|i| 1.0 / (1.0 + i as f64)).collect();
         let x = solver.solve(&b).unwrap();
         assert!((&csr.matvec(&x) - &b).norm2() / b.norm2() < 1e-10);
-        let xt = solver.solve_transposed(&b).unwrap();
-        assert!((&csr.matvec_transposed(&xt) - &b).norm2() / b.norm2() < 1e-10);
     }
 
     #[test]

@@ -132,37 +132,6 @@ impl<T: Real> LuFactorization<T> {
         Ok(y)
     }
 
-    /// Solve `Aᵀ x = b` using the stored factors (`Aᵀ = Uᵀ Lᵀ P`).
-    pub(crate) fn solve_transposed(&self, b: &Vector<T>) -> Result<Vector<T>, LinalgError> {
-        let n = self.order();
-        if b.len() != n {
-            return Err(LinalgError::DimensionMismatch);
-        }
-        let mut y = b.clone();
-        // Forward substitution with Uᵀ (lower triangular with U's diagonal).
-        for i in 0..n {
-            let mut s = y[i];
-            for j in 0..i {
-                s = (-self.lu[(j, i)]).mul_add(y[j], s);
-            }
-            y[i] = s / self.lu[(i, i)];
-        }
-        // Back substitution with Lᵀ (unit upper triangular).
-        for i in (0..n).rev() {
-            let mut s = y[i];
-            for j in (i + 1)..n {
-                s = (-self.lu[(j, i)]).mul_add(y[j], s);
-            }
-            y[i] = s;
-        }
-        // Undo the permutation: x = Pᵀ y.
-        let mut x = Vector::zeros(n);
-        for i in 0..n {
-            x[self.perm[i]] = y[i];
-        }
-        Ok(x)
-    }
-
     /// Reconstruct `A = Pᵀ L U` (mainly for tests / verification).
     pub fn reconstruct(&self) -> Matrix<T> {
         let n = self.order();
@@ -220,16 +189,6 @@ mod tests {
         let a = example3();
         let f = LuFactorization::new(&a).unwrap();
         assert!(f.reconstruct().max_abs_diff(&a) < 1e-13);
-    }
-
-    #[test]
-    fn transposed_solve() {
-        let a = example3();
-        let b = Vector::from_f64_slice(&[1.0, 2.0, 3.0]);
-        let f = LuFactorization::new(&a).unwrap();
-        let x = f.solve_transposed(&b).unwrap();
-        let residual = &a.transpose().matvec(&x) - &b;
-        assert!(residual.norm2() < 1e-12);
     }
 
     #[test]

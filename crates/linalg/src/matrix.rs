@@ -341,13 +341,6 @@ impl<T: Real> Matrix<T> {
         maxabs * sum.sqrt()
     }
 
-    /// Maximum absolute row sum (∞-norm).
-    pub(crate) fn norm_inf(&self) -> T {
-        (0..self.rows)
-            .map(|i| self.row(i).iter().fold(T::zero(), |acc, x| acc + x.abs()))
-            .fold(T::zero(), |acc, s| acc.max(s))
-    }
-
     /// Largest absolute entry (max-norm, not submultiplicative).
     pub fn norm_max(&self) -> T {
         self.data.iter().fold(T::zero(), |acc, x| acc.max(x.abs()))
@@ -518,7 +511,6 @@ mod tests {
     #[test]
     fn norms_on_known_matrix() {
         let a = m2([1.0, -2.0, -3.0, 4.0]);
-        assert_eq!(a.norm_inf(), 7.0); // row sums 3, 7
         assert_eq!(a.norm_max(), 4.0);
         assert!((a.norm_frobenius() - 30f64.sqrt()).abs() < 1e-14);
     }

@@ -2,12 +2,13 @@
 //!
 //! The paper's hybrid refinement only ever touches the matrix through a
 //! handful of operations on the classical side: the high-precision residual
-//! `r = b − A x` (a matvec per iteration), the transposed matvec used by norm
-//! and condition estimation, and a few cheap norms.  None of those require
-//! dense storage — the Poisson systems the paper benchmarks are tridiagonal
-//! (3 nonzeros per row), and 2-D Poisson problems never need the matrix
-//! materialised at all.  [`LinearOperator`] captures exactly that access
-//! pattern so every consumer above it ([`crate::refine::ClassicalRefiner`],
+//! `r = b − A x` (a matvec per iteration), the transposed matvec used by
+//! condition estimation, and the Frobenius norm of the backward error.
+//! None of those require dense storage — the Poisson systems the paper
+//! benchmarks are tridiagonal (3 nonzeros per row), and 2-D Poisson problems
+//! never need the matrix materialised at all.  [`LinearOperator`] captures
+//! exactly that access pattern so every consumer above it
+//! ([`crate::refine::ClassicalRefiner`],
 //! [`crate::error::scaled_residual`], condition estimation,
 //! `qls_core::HybridRefiner`, …) can be written once and run at O(nnz) per
 //! matvec on structured problems while keeping dense [`Matrix`] as the
@@ -44,7 +45,7 @@ use crate::vector::Vector;
 /// The trait is deliberately small: it is the exact interface the classical
 /// side of the hybrid solver consumes.  All methods must be consistent with
 /// the dense materialisation returned by [`LinearOperator::to_dense`] (the
-/// norms exactly, the matvecs to within the usual floating-point
+/// Frobenius norm exactly, the matvecs to within the usual floating-point
 /// reassociation — the CSR and stencil implementations are in fact
 /// bit-identical to the dense oracle because they accumulate in the same
 /// column order).
@@ -71,9 +72,6 @@ pub trait LinearOperator<T: Real>: Clone + Send + Sync {
     /// block-encoding construction).  Must reproduce the represented matrix
     /// exactly.
     fn to_dense(&self) -> Matrix<T>;
-
-    /// Exact ∞-norm (maximum absolute row sum) in O(nnz).
-    fn norm_inf(&self) -> T;
 
     /// Exact Frobenius norm in O(nnz).
     fn norm_frobenius(&self) -> T;
@@ -109,10 +107,6 @@ impl<T: Real> LinearOperator<T> for Matrix<T> {
         self.clone()
     }
 
-    fn norm_inf(&self) -> T {
-        Matrix::norm_inf(self)
-    }
-
     fn norm_frobenius(&self) -> T {
         Matrix::norm_frobenius(self)
     }
@@ -130,7 +124,6 @@ mod tests {
         let xt: Vector<f64> = (0..op.nrows()).map(|i| (i as f64 * 0.3).sin()).collect();
         assert!((&op.matvec(&x) - &dense.matvec(&x)).norm2() < 1e-12);
         assert!((&op.matvec_transposed(&xt) - &dense.matvec_transposed(&xt)).norm2() < 1e-12);
-        assert!((op.norm_inf() - LinearOperator::norm_inf(&dense)).abs() < 1e-12);
         assert!((op.norm_frobenius() - LinearOperator::norm_frobenius(&dense)).abs() < 1e-12);
     }
 

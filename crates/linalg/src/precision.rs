@@ -173,9 +173,6 @@ impl<const P: u32> Real for Emulated<P> {
     fn min(self, other: Self) -> Self {
         Emulated(self.0.min(other.0))
     }
-    fn format_name() -> String {
-        format!("emulated<{} mantissa bits>", P)
-    }
 }
 
 #[cfg(test)]

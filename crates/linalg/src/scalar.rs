@@ -66,8 +66,6 @@ pub trait Real:
     fn is_finite(self) -> bool {
         self.to_f64().is_finite()
     }
-    /// Name of the format, used in reports (`"f64"`, `"f32"`, `"emulated<p>"`).
-    fn format_name() -> String;
 }
 
 impl Real for f64 {
@@ -111,9 +109,6 @@ impl Real for f64 {
     #[inline]
     fn mul_add(self, a: Self, b: Self) -> Self {
         f64::mul_add(self, a, b)
-    }
-    fn format_name() -> String {
-        "f64".to_string()
     }
 }
 
@@ -159,9 +154,6 @@ impl Real for f32 {
     fn mul_add(self, a: Self, b: Self) -> Self {
         f32::mul_add(self, a, b)
     }
-    fn format_name() -> String {
-        "f32".to_string()
-    }
 }
 
 #[cfg(test)]
@@ -201,11 +193,5 @@ mod tests {
         assert_eq!(Real::max(2.0_f64, 3.0), 3.0);
         assert_eq!(Real::min(2.0_f64, 3.0), 2.0);
         assert_eq!(Real::max(-2.0_f32, -3.0), -2.0);
-    }
-
-    #[test]
-    fn format_names() {
-        assert_eq!(<f64 as Real>::format_name(), "f64");
-        assert_eq!(<f32 as Real>::format_name(), "f32");
     }
 }

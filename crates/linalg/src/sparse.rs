@@ -308,12 +308,6 @@ impl<T: Real> LinearOperator<T> for SparseMatrix<T> {
         SparseMatrix::to_dense(self)
     }
 
-    fn norm_inf(&self) -> T {
-        (0..self.rows)
-            .map(|i| self.row(i).1.iter().fold(T::zero(), |acc, v| acc + v.abs()))
-            .fold(T::zero(), |acc, s| acc.max(s))
-    }
-
     fn norm_frobenius(&self) -> T {
         let maxabs = self
             .values
@@ -415,7 +409,6 @@ mod tests {
     fn norms_match_dense() {
         let d = example_dense();
         let s = SparseMatrix::from_dense(&d);
-        assert_eq!(LinearOperator::norm_inf(&s), d.norm_inf());
         assert!((LinearOperator::norm_frobenius(&s) - d.norm_frobenius()).abs() < 1e-15);
     }
 

@@ -168,21 +168,6 @@ impl<T: Real> LinearOperator<T> for StencilOperator<T> {
         StencilOperator::to_dense(self)
     }
 
-    fn norm_inf(&self) -> T {
-        // The maximum absolute row sum is attained at an interior point
-        // (every boundary row is missing one or more couplings).
-        let x_terms = if self.nx > 1 { 2 } else { 0 };
-        let y_terms = if self.ny > 1 { 2 } else { 0 };
-        let mut s = self.center.abs();
-        for _ in 0..x_terms {
-            s += self.off_x.abs();
-        }
-        for _ in 0..y_terms {
-            s += self.off_y.abs();
-        }
-        s
-    }
-
     fn norm_frobenius(&self) -> T {
         let (nx, ny) = (self.nx, self.ny);
         let c2 = self.center * self.center;
@@ -356,18 +341,6 @@ impl<T: Real> LinearOperator<T> for StencilNd<T> {
 
     fn to_dense(&self) -> Matrix<T> {
         StencilNd::to_dense(self)
-    }
-
-    fn norm_inf(&self) -> T {
-        // Maximum absolute row sum: a point as interior as each axis allows
-        // (min(2, dims[a]−1) neighbours along axis a).
-        let mut s = self.center.abs();
-        for (a, &dim) in self.dims.iter().enumerate() {
-            for _ in 0..2.min(dim - 1) {
-                s += self.offs[a].abs();
-            }
-        }
-        s
     }
 
     fn norm_frobenius(&self) -> T {
@@ -568,7 +541,6 @@ mod tests {
     fn norms_match_dense() {
         let s = poisson_2d::<f64>(4, 6, true);
         let d = s.to_dense();
-        assert_eq!(LinearOperator::norm_inf(&s), d.norm_inf());
         assert!(
             (LinearOperator::norm_frobenius(&s) - d.norm_frobenius()).abs() / d.norm_frobenius()
                 < 1e-14
@@ -622,16 +594,11 @@ mod tests {
     fn stencil_nd_norms_match_dense() {
         let s = poisson_3d::<f64>(4, 3, 2, true);
         let d = s.to_dense();
-        assert_eq!(LinearOperator::norm_inf(&s), d.norm_inf());
         assert!(
             (LinearOperator::norm_frobenius(&s) - d.norm_frobenius()).abs() / d.norm_frobenius()
                 < 1e-14
         );
         assert_eq!(LinearOperator::nnz(&s), s.to_sparse().nnz());
-        // Degenerate axes (extent 1 and 2) keep the row-sum bound exact.
-        let thin = poisson_nd::<f64>(&[2, 1, 5], false);
-        let dt = thin.to_dense();
-        assert_eq!(LinearOperator::norm_inf(&thin), dt.norm_inf());
     }
 
     #[test]

@@ -202,22 +202,6 @@ impl<T: Real> LinearOperator<T> for TridiagonalMatrix<T> {
         TridiagonalMatrix::to_dense(self)
     }
 
-    fn norm_inf(&self) -> T {
-        let n = self.order();
-        (0..n)
-            .map(|i| {
-                let mut s = self.diag[i].abs();
-                if i > 0 {
-                    s += self.lower[i - 1].abs();
-                }
-                if i + 1 < n {
-                    s += self.upper[i].abs();
-                }
-                s
-            })
-            .fold(T::zero(), |acc, s| acc.max(s))
-    }
-
     fn norm_frobenius(&self) -> T {
         let sum_sq = |xs: &[T]| xs.iter().fold(T::zero(), |acc, &x| x.mul_add(x, acc));
         (sum_sq(&self.diag) + sum_sq(&self.lower) + sum_sq(&self.upper)).sqrt()
@@ -364,7 +348,6 @@ mod tests {
         assert!((&t.matvec_transposed(&x) - &d.matvec_transposed(&x)).norm2() < 1e-14);
         assert_eq!(t.to_sparse().to_dense(), d);
         assert_eq!(TridiagonalMatrix::nnz(&t), 10);
-        assert_eq!(LinearOperator::norm_inf(&t), d.norm_inf());
         assert!((LinearOperator::norm_frobenius(&t) - d.norm_frobenius()).abs() < 1e-13);
     }
 

@@ -139,9 +139,6 @@ proptest! {
     ) {
         let (sparse, dense) = random_sparse_dense_pair(n, density, seed);
         prop_assert!(
-            (LinearOperator::norm_inf(&sparse) - dense.norm_inf()).abs() < 1e-12
-        );
-        prop_assert!(
             (LinearOperator::norm_frobenius(&sparse) - dense.norm_frobenius()).abs()
                 < 1e-12
         );

@@ -30,7 +30,6 @@ use qls_sim::{
     estimate_resources, CircuitStats, ExecMode, OptLevel, QuantumExecutor, ResourceEstimate,
     StateVector, TCountModel,
 };
-use serde::Serialize;
 
 /// How the QSVT output is produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,7 +43,7 @@ pub enum QsvtMode {
 
 /// Resource accounting for one QSVT solve, computed once when the
 /// [`QsvtInverter`] is built.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct QsvtResources {
     /// Degree of the inversion polynomial (2D + 1).
     pub degree: usize,
@@ -143,7 +142,8 @@ struct CircuitArtefacts {
 
 /// The QSVT-based approximate inverse of a fixed matrix.
 pub struct QsvtInverter {
-    matrix: Matrix<f64>,
+    /// The SVD of `A`: the emulation path applies the polynomial through
+    /// it, and its `N × N` factor `u` gives the order of `A`.
     svd: Svd<f64>,
     alpha: f64,
     kappa: f64,
@@ -254,7 +254,6 @@ impl QsvtInverter {
         let resources = resource_record(polynomial.degree(), a.nrows(), circuit.as_ref());
 
         Ok(QsvtInverter {
-            matrix: a.clone(),
             svd,
             alpha,
             kappa,
@@ -345,7 +344,7 @@ impl QsvtInverter {
         &self,
         bs: &[Vector<f64>],
     ) -> Vec<Result<(Vector<f64>, f64), QsvtError>> {
-        let n = self.matrix.nrows();
+        let n = self.svd.u.nrows();
         // Normalise every right-hand side.  Wrong-length and zero inputs
         // have a fixed result and never run the device (so they never tick
         // an attached injector's run counter); `units` holds the ones that

@@ -15,9 +15,9 @@
 //!   a NaN-poisoned register), and readout sign corruption that composes with
 //!   the finite-shot sampling path of `qls_core`.
 //! * [`FaultInjector`] — the stateful executor of a plan: it owns a ChaCha
-//!   stream seeded from the plan, counts device runs, applies the scheduled
-//!   faults and records every action in an event log.  Same seed + same plan
-//!   + same call sequence ⇒ bit-identical fault history, every time.
+//!   stream seeded from the plan, counts device runs and applies the
+//!   scheduled faults.  Same seed + same plan + same call sequence ⇒
+//!   bit-identical faults, every time.
 //!
 //! The simulator itself never consults an injector: [`crate::QuantumExecutor`]
 //! always runs ideally.  Faults enter in one place, `qls_qsvt::QsvtInverter`,
@@ -113,20 +113,6 @@ impl FaultPlan {
     }
 }
 
-/// One recorded fault application (the injector's audit log).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultEvent {
-    /// Gaussian amplitude noise of the recorded strength hit this run.
-    AmplitudeNoise { run_index: usize, sigma: f64 },
-    /// A scheduled transient fired on this run.
-    Transient {
-        run_index: usize,
-        kind: TransientKind,
-    },
-    /// `flips` coordinates of a sampled readout had their sign flipped.
-    ReadoutCorruption { run_index: usize, flips: usize },
-}
-
 /// Error surfaced by an injected transient failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultError {
@@ -159,14 +145,12 @@ pub type SharedFaultInjector = Arc<Mutex<FaultInjector>>;
 /// Deterministic by construction: the ChaCha stream is seeded from the plan,
 /// faults are applied in call order, and the only inputs are the plan and
 /// the sequence of calls — so identical (seed, plan, call sequence) triples
-/// produce identical perturbations, identical scheduled failures and an
-/// identical event log.
+/// produce identical perturbations and identical scheduled failures.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     plan: FaultPlan,
     rng: ChaCha8Rng,
     next_run: usize,
-    events: Vec<FaultEvent>,
 }
 
 impl FaultInjector {
@@ -177,7 +161,6 @@ impl FaultInjector {
             plan,
             rng,
             next_run: 0,
-            events: Vec::new(),
         }
     }
 
@@ -220,27 +203,15 @@ impl FaultInjector {
                 let noise = Complex64::new(sigma * self.gaussian(), sigma * self.gaussian());
                 *amp += noise;
             }
-            self.events.push(FaultEvent::AmplitudeNoise {
-                run_index: run,
-                sigma,
-            });
         }
         match self.scheduled_transient(run) {
             Some(TransientKind::NanPoison) => {
                 for amp in state.amplitudes_mut() {
                     *amp = Complex64::new(f64::NAN, f64::NAN);
                 }
-                self.events.push(FaultEvent::Transient {
-                    run_index: run,
-                    kind: TransientKind::NanPoison,
-                });
                 Ok(())
             }
             Some(TransientKind::InjectedError) => {
-                self.events.push(FaultEvent::Transient {
-                    run_index: run,
-                    kind: TransientKind::InjectedError,
-                });
                 Err(FaultError::InjectedTransient { run_index: run })
             }
             None => Ok(()),
@@ -259,27 +230,15 @@ impl FaultInjector {
             for v in direction.iter_mut() {
                 *v += sigma * self.gaussian();
             }
-            self.events.push(FaultEvent::AmplitudeNoise {
-                run_index: run,
-                sigma,
-            });
         }
         match self.scheduled_transient(run) {
             Some(TransientKind::NanPoison) => {
                 for v in direction.iter_mut() {
                     *v = f64::NAN;
                 }
-                self.events.push(FaultEvent::Transient {
-                    run_index: run,
-                    kind: TransientKind::NanPoison,
-                });
                 Ok(())
             }
             Some(TransientKind::InjectedError) => {
-                self.events.push(FaultEvent::Transient {
-                    run_index: run,
-                    kind: TransientKind::InjectedError,
-                });
                 Err(FaultError::InjectedTransient { run_index: run })
             }
             None => Ok(()),
@@ -295,19 +254,10 @@ impl FaultInjector {
         if p <= 0.0 {
             return;
         }
-        let mut flips = 0usize;
         for v in readout.iter_mut() {
             if self.rng.gen_bool(p) {
                 *v = -*v;
-                flips += 1;
             }
-        }
-        if flips > 0 {
-            self.events.push(FaultEvent::ReadoutCorruption {
-                // The readout belongs to the run that just completed.
-                run_index: self.next_run.saturating_sub(1),
-                flips,
-            });
         }
     }
 }

@@ -111,8 +111,7 @@ pub use circuit::{Circuit, Operation};
 pub use cmatrix::CMatrix;
 pub use executor::{ExecMode, OptLevel, QuantumExecutor};
 pub use fault::{
-    FaultError, FaultEvent, FaultInjector, FaultPlan, SharedFaultInjector, TransientFault,
-    TransientKind,
+    FaultError, FaultInjector, FaultPlan, SharedFaultInjector, TransientFault, TransientKind,
 };
 pub use fuse::{
     calibration_count, fusion_pass_count, optimize_circuit, optimize_circuit_for, CircuitStats,

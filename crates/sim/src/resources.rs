@@ -10,10 +10,9 @@
 use crate::circuit::Circuit;
 pub use crate::fuse::CircuitStats;
 use crate::kernels::CompiledCircuit;
-use serde::Serialize;
 
 /// Parameters of the T-count model.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TCountModel {
     /// T gates per single-qubit rotation synthesised to accuracy
     /// `rotation_synthesis_accuracy` (the standard repeat-until-success /
@@ -45,7 +44,7 @@ impl Default for TCountModel {
 }
 
 /// Resource estimate of a circuit.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ResourceEstimate {
     /// Number of qubits of the register.
     pub num_qubits: usize,

@@ -30,8 +30,9 @@ fn main() {
             clock_qubits: 8,
             ..Default::default()
         },
-    );
-    let hhl_result = hhl.solve_direction(&b);
+    )
+    .expect("HHL");
+    let hhl_result = hhl.solve_direction(&b).expect("HHL solve");
     let hhl_err = forward_error(&hhl_result.direction, &reference_direction).min(forward_error(
         &hhl_result.direction.scaled(-1.0),
         &reference_direction,
@@ -48,16 +49,24 @@ fn main() {
     );
 
     // Direct QSVT at moderate accuracy (single solve, no refinement).
-    let direct = DirectQsvtSolver::new(&a, 1e-6, QsvtMode::Emulation).expect("direct QSVT");
+    let direct = QsvtLinearSolver::new(
+        &a,
+        1e-6,
+        QsvtSolverOptions {
+            mode: QsvtMode::Emulation,
+            ..Default::default()
+        },
+    )
+    .expect("direct QSVT");
     let direct_result = direct.solve(&b, &mut rng).expect("solve");
     println!("\nDirect QSVT at eps = 1e-6:");
     println!(
         "  scaled residual:        {:.3e}",
-        direct_result.scaled_residual
+        scaled_residual(&a, &direct_result.solution, &b)
     );
     println!(
         "  block-encoding calls:   {}",
-        direct.block_encoding_calls()
+        direct.quantum_resources().block_encoding_calls
     );
     println!(
         "  forward error vs LU:    {:.3e}",

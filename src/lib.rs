@@ -197,9 +197,9 @@ pub mod prelude {
     pub use qls_core::{
         classical_lu_solve, poisson_cost_breakdown, qsvt_degree_model, quantum_cost_comparison,
         sample_direction, CommunicationParameters, CommunicationSchedule, CostParameters,
-        DirectQsvtSolver, Direction, FailureReason, HhlOptions, HhlResult, HhlSolver,
-        HybridHistory, HybridRefinementOptions, HybridRefiner, HybridStatus, PoissonCostParameters,
-        QlsError, QsvtLinearSolver, QsvtSolverOptions, RecoveryAction, RecoveryLog,
+        Direction, FailureReason, HhlOptions, HhlResult, HhlSolver, HybridHistory,
+        HybridRefinementOptions, HybridRefiner, HybridStatus, PoissonCostParameters, QlsError,
+        QsvtLinearSolver, QsvtSolverOptions, RecoveryAction, RecoveryLog,
     };
     pub use qls_encoding::{
         BlockEncoding, BlockEncodingExt, DilationBlockEncoding, FableBlockEncoding,

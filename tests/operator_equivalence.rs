@@ -14,28 +14,36 @@ use qls::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Operator wrapper that counts every `to_dense` call — the probe behind the
-/// "no classical refinement path densifies a structured operator" guarantee.
+/// Operator wrapper that counts every `to_dense` and every `matvec` call —
+/// the probe behind the "no classical refinement path densifies a
+/// structured operator" guarantee and the per-solve matvec budget.  Clones
+/// share the counters.
 #[derive(Clone, Debug)]
-struct DensifyCounter<Op> {
+struct CountingOperator<Op> {
     inner: Op,
     densify_calls: Arc<AtomicUsize>,
+    matvec_calls: Arc<AtomicUsize>,
 }
 
-impl<Op> DensifyCounter<Op> {
+impl<Op> CountingOperator<Op> {
     fn new(inner: Op) -> Self {
-        DensifyCounter {
+        CountingOperator {
             inner,
             densify_calls: Arc::new(AtomicUsize::new(0)),
+            matvec_calls: Arc::new(AtomicUsize::new(0)),
         }
     }
 
     fn densify_count(&self) -> usize {
         self.densify_calls.load(Ordering::SeqCst)
     }
+
+    fn matvec_count(&self) -> usize {
+        self.matvec_calls.load(Ordering::SeqCst)
+    }
 }
 
-impl<Op: LinearOperator<f64>> LinearOperator<f64> for DensifyCounter<Op> {
+impl<Op: LinearOperator<f64>> LinearOperator<f64> for CountingOperator<Op> {
     fn nrows(&self) -> usize {
         self.inner.nrows()
     }
@@ -43,6 +51,7 @@ impl<Op: LinearOperator<f64>> LinearOperator<f64> for DensifyCounter<Op> {
         self.inner.ncols()
     }
     fn matvec(&self, x: &Vector<f64>) -> Vector<f64> {
+        self.matvec_calls.fetch_add(1, Ordering::SeqCst);
         self.inner.matvec(x)
     }
     fn matvec_transposed(&self, x: &Vector<f64>) -> Vector<f64> {
@@ -55,15 +64,12 @@ impl<Op: LinearOperator<f64>> LinearOperator<f64> for DensifyCounter<Op> {
         self.densify_calls.fetch_add(1, Ordering::SeqCst);
         self.inner.to_dense()
     }
-    fn norm_inf(&self) -> f64 {
-        self.inner.norm_inf()
-    }
     fn norm_frobenius(&self) -> f64 {
         self.inner.norm_frobenius()
     }
 }
 
-impl<Op: FactorizableOperator<f64>> FactorizableOperator<f64> for DensifyCounter<Op> {
+impl<Op: FactorizableOperator<f64>> FactorizableOperator<f64> for CountingOperator<Op> {
     fn factorize<L: Real>(&self) -> Result<Box<dyn InnerSolver<L>>, LinalgError> {
         self.inner.factorize::<L>()
     }
@@ -200,8 +206,8 @@ fn assert_structured_matches_oracle<Op: FactorizableOperator<f64> + Clone>(
         ..Default::default()
     };
 
-    let counted = DensifyCounter::new(op.clone());
-    let refiner = ClassicalRefiner::<f64, f32, DensifyCounter<Op>>::new(&counted, opts)
+    let counted = CountingOperator::new(op.clone());
+    let refiner = ClassicalRefiner::<f64, f32, CountingOperator<Op>>::new(&counted, opts)
         .expect("structured refiner");
     assert_eq!(
         refiner.inner_kind(),
@@ -279,7 +285,7 @@ fn hybrid_refiner_never_densifies_after_construction() {
     // block-encoding.  Neither `solve` nor `solve_many` may densify again:
     // the classical half of Algorithm 2 is residuals + updates only.
     let stencil = poisson_2d::<f64>(8, 8, false);
-    let counted = DensifyCounter::new(stencil);
+    let counted = CountingOperator::new(stencil);
     let refiner = HybridRefiner::new(&counted, options()).expect("hybrid refiner");
     let after_new = counted.densify_count();
     assert!(after_new >= 1, "construction builds the block-encoding");
@@ -296,6 +302,51 @@ fn hybrid_refiner_never_densifies_after_construction() {
         counted.densify_count(),
         after_new,
         "the refinement loop must not densify the operator"
+    );
+}
+
+#[test]
+fn inner_solve_applies_the_operator_once() {
+    // Each inner QSVT solve applies A once (`A·η` for the norm recovery),
+    // and each refinement step once more for the scaled residual of its
+    // candidate iterate; every step after the first also forms the
+    // residual `b − A x` it solves for.  So a history of k steps costs
+    // 1 + 1 + 3(k − 1) = 3k − 1 matvecs.
+    let counted = CountingOperator::new(poisson_2d::<f64>(8, 8, false));
+    let bs = [
+        poisson_2d_rhs::<f64>(8, 8, |x, y| x * y + 0.5),
+        poisson_2d_rhs::<f64>(8, 8, |x, y| (5.0 * x * y).cos()),
+        poisson_2d_rhs::<f64>(8, 8, |x, _| if x > 0.5 { 1.0 } else { -1.0 }),
+    ];
+
+    let solver =
+        QsvtLinearSolver::new(&counted, 1e-2, QsvtSolverOptions::default()).expect("QSVT solver");
+    let before = counted.matvec_count();
+    solver
+        .solve(&bs[0], &mut experiment_rng(1))
+        .expect("inner solve");
+    assert_eq!(counted.matvec_count() - before, 1, "one inner solve");
+
+    let refiner = HybridRefiner::new(&counted, options()).expect("hybrid refiner");
+    let before = counted.matvec_count();
+    let (_, history) = refiner
+        .solve(&bs[0], &mut experiment_rng(2))
+        .expect("hybrid solve");
+    let k = history.steps.len();
+    assert!(k >= 2, "the refinement must take at least one correction");
+    assert_eq!(history.status, HybridStatus::Converged);
+    assert_eq!(counted.matvec_count() - before, 3 * k - 1, "{k} steps");
+
+    let before = counted.matvec_count();
+    let runs = refiner
+        .solve_many(&bs, &mut experiment_rng(3))
+        .expect("hybrid solve_many");
+    let expected: usize = runs.iter().map(|(_, h)| 3 * h.steps.len() - 1).sum();
+    assert_eq!(
+        counted.matvec_count() - before,
+        expected,
+        "solve_many over {} systems",
+        bs.len()
     );
 }
 

@@ -45,7 +45,7 @@ proptest! {
         let mut rng = experiment_rng(seed);
         let result = solver.solve(&b, &mut rng).unwrap();
         // Scaled residual of a single eps_l-accurate solve is at most ~eps_l * kappa.
-        prop_assert!(result.scaled_residual <= epsilon_l * kappa * 2.0);
+        prop_assert!(scaled_residual(&a, &result.solution, &b) <= epsilon_l * kappa * 2.0);
     }
 
     #[test]
