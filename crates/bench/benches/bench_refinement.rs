@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qls_bench::{experiment_rng, paper_test_system};
-use qls_core::{HhlOptions, HhlSolver, HybridRefinementOptions, HybridRefiner};
+use qls_core::{HhlSolver, HybridRefinementOptions, HybridRefiner};
 use qls_linalg::generate::{random_matrix_with_cond, MatrixEnsemble, SingularValueDistribution};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -72,14 +72,7 @@ fn bench_hhl_baseline(c: &mut Criterion) {
         &mut rng,
     );
     let b = qls_linalg::generate::random_unit_vector(4, &mut rng);
-    let solver = HhlSolver::new(
-        &a,
-        HhlOptions {
-            clock_qubits: 6,
-            ..Default::default()
-        },
-    )
-    .expect("HHL solver");
+    let solver = HhlSolver::new(&a, 6).expect("HHL solver");
     group.bench_function("n4_clock6", |bench| {
         bench.iter(|| std::hint::black_box(solver.solve_direction(&b)))
     });

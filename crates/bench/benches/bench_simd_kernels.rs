@@ -44,7 +44,7 @@ fn bench_spmv(c: &mut Criterion) {
     group.sample_size(20);
     for &g in &[32usize, 64] {
         let n = g * g;
-        let csr = poisson_2d::<f64>(g, g, false).to_sparse();
+        let csr = poisson_2d::<f64>(g, g, false);
         let x: Vector<f64> = (0..n).map(|i| ((i % 101) as f64 / 101.0) - 0.5).collect();
         group.bench_with_input(BenchmarkId::new("simd", n), &n, |b, _| {
             b.iter(|| std::hint::black_box(csr.matvec(&x)))

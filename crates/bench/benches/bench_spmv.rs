@@ -1,9 +1,9 @@
 //! Criterion micro-benchmarks of the structured-operator matvec
-//! implementations against the dense kernel: the O(nnz) CSR, tridiagonal and
-//! matrix-free stencil products vs the O(N²) dense row product, on the 2-D
-//! Poisson problem (the workload whose residual path the operator layer
-//! exists to accelerate), plus the residual `r = b − A x` as it appears
-//! inside the refinement loop.
+//! implementations against the dense kernel: the O(nnz) CSR and tridiagonal
+//! products vs the O(N²) dense row product, on the 2-D Poisson problem (the
+//! workload whose residual path the operator layer exists to accelerate),
+//! plus the residual `r = b − A x` as it appears inside the refinement
+//! loop.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qls_linalg::{poisson_1d, poisson_2d, Vector};
@@ -17,18 +17,14 @@ fn bench_spmv(c: &mut Criterion) {
     group.sample_size(20);
     for &g in &[16usize, 32] {
         let n = g * g;
-        let stencil = poisson_2d::<f64>(g, g, false);
-        let csr = stencil.to_sparse();
-        let dense = stencil.to_dense();
+        let csr = poisson_2d::<f64>(g, g, false);
+        let dense = csr.to_dense();
         let x = grid_vector(n);
         group.bench_with_input(BenchmarkId::new("dense", n), &n, |b, _| {
             b.iter(|| std::hint::black_box(dense.matvec(&x)))
         });
         group.bench_with_input(BenchmarkId::new("csr", n), &n, |b, _| {
             b.iter(|| std::hint::black_box(csr.matvec(&x)))
-        });
-        group.bench_with_input(BenchmarkId::new("stencil", n), &n, |b, _| {
-            b.iter(|| std::hint::black_box(stencil.matvec(&x)))
         });
     }
     group.finish();
@@ -57,19 +53,15 @@ fn bench_residual(c: &mut Criterion) {
     group.sample_size(20);
     let g = 32usize;
     let n = g * g;
-    let stencil = poisson_2d::<f64>(g, g, false);
-    let csr = stencil.to_sparse();
-    let dense = stencil.to_dense();
+    let csr = poisson_2d::<f64>(g, g, false);
+    let dense = csr.to_dense();
     let x = grid_vector(n);
-    let b = stencil.matvec(&grid_vector(n));
+    let b = csr.matvec(&grid_vector(n));
     group.bench_function(format!("dense_{n}"), |bench| {
         bench.iter(|| std::hint::black_box(&b - &dense.matvec(&x)))
     });
     group.bench_function(format!("csr_{n}"), |bench| {
         bench.iter(|| std::hint::black_box(&b - &csr.matvec(&x)))
-    });
-    group.bench_function(format!("stencil_{n}"), |bench| {
-        bench.iter(|| std::hint::black_box(&b - &stencil.matvec(&x)))
     });
     group.finish();
 }

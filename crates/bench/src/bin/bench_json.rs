@@ -27,14 +27,14 @@
 //!    (`HybridRefiner::solve_many`) vs a sequential loop of `solve`;
 //! 6. the structured-operator residual workload (`sparse_residual`): the
 //!    refinement-loop hot path `r = b − A x` on the 2-D Poisson problem
-//!    through the dense matrix, the CSR operator and the matrix-free stencil
-//!    — the O(N²) vs O(nnz) comparison of the operator layer, at N = 4096
-//!    and N = 16384 on the full preset;
+//!    through the dense matrix and the CSR operator — the O(N²) vs O(nnz)
+//!    comparison of the operator layer, at N = 4096 and N = 16384 on the
+//!    full preset;
 //! 7. the structured-inner-solve workloads: the classical refiner through the
 //!    inner solver selected by `FactorizableOperator::factorize` — Thomas vs
 //!    the retained densify-LU oracle on 1-D Poisson (N = 16384 on the full
-//!    preset, with a solution-agreement guard), matrix-free Jacobi-CG on 3-D
-//!    Poisson (`StencilNd`), Jacobi-BiCGSTAB on nonsymmetric
+//!    preset, with a solution-agreement guard), Jacobi-CG on the CSR 3-D
+//!    Poisson operator, Jacobi-BiCGSTAB on nonsymmetric
 //!    convection-diffusion, and Jacobi-CG on a shifted graph Laplacian at
 //!    N ~ 10^5;
 //! 8. the fault-injected recovery workload (`noisy_refinement_recovery`):
@@ -60,11 +60,11 @@
 //! in seconds; the committed `BENCH_simulator.json` comes from the `full`
 //! preset.  `--compare` turns the run into a perf-regression gate: after
 //! emitting the artifact it checks the fresh numbers against the committed
-//! baseline — generous fractional floors on the timing *ratios* (which
-//! survive preset and machine changes where absolute seconds do not) and
-//! exact ceilings on the deterministic counters (circuit compiles in the
-//! refinement loop, warm-build regenerations) — and
-//! exits nonzero listing every violated floor.
+//! baseline — every (workload, field) pair of the baseline must be present,
+//! generous fractional floors hold the timing *ratios* (which survive preset
+//! and machine changes where absolute seconds do not) and exact ceilings the
+//! deterministic counters (circuit compiles in the refinement loop,
+//! warm-build regenerations) — and exits nonzero listing every violation.
 
 use qls_bench::{experiment_rng, layered_circuit, paper_test_system, random_circuit};
 use qls_cache::{with_cache_dir, CachePolicy};
@@ -72,8 +72,8 @@ use qls_core::HybridStatus;
 use qls_core::{HybridRefinementOptions, HybridRefiner, QsvtSolverOptions};
 use qls_linalg::{
     convection_diffusion_2d, poisson_1d, poisson_2d, poisson_3d, random_connected_graph,
-    shifted_graph_laplacian, ClassicalRefiner, RefinementOptions, SparseMatrix, StencilNd,
-    TridiagonalMatrix, Vector,
+    shifted_graph_laplacian, ClassicalRefiner, RefinementOptions, SparseMatrix, TridiagonalMatrix,
+    Vector,
 };
 use qls_qsvt::{phase_generation_count, QsvtInverter, QsvtMode};
 use qls_sim::kernels::reference;
@@ -83,6 +83,7 @@ use qls_sim::{
 };
 use rayon::ThreadPoolBuilder;
 use serde::{parse_json, Value};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -106,8 +107,8 @@ struct Preset {
     /// 1-D Poisson order for the structured-inner-solve workload (Thomas vs
     /// densify-LU inside the classical refiner).
     inner_tridiag_n: usize,
-    /// Cubic 3-D Poisson grid side for the matrix-free CG refinement
-    /// workload (N = side³).
+    /// Cubic 3-D Poisson grid side for the Jacobi-CG refinement workload
+    /// (N = side³).
     poisson3d_grid: usize,
     /// Square convection-diffusion grid side for the BiCGSTAB refinement
     /// workload (N = side²).
@@ -485,16 +486,15 @@ fn main() {
         preset.multi_rhs
     );
 
-    // -- Workload 6: structured-operator residual (dense vs CSR vs stencil) --
+    // -- Workload 6: structured-operator residual (dense vs CSR) --
     // The refinement-loop hot path r = b − A x on the 2-D Poisson problem.
     // Dense pays O(N²) time (and memory: the N = 16384 matrix is ~2 GiB),
-    // the CSR and stencil operators pay O(nnz) — same floats out either way
-    // (the structured matvecs are bit-identical to the dense kernel).
+    // the CSR operator pays O(nnz) — same floats out either way (the CSR
+    // matvec is bit-identical to the dense kernel).
     let mut sparse_json = String::new();
     for &g in &preset.sparse_grids {
         let n = g * g;
-        let stencil = poisson_2d::<f64>(g, g, false);
-        let csr = stencil.to_sparse();
+        let csr = poisson_2d::<f64>(g, g, false);
         let nnz = csr.nnz();
         let x: Vector<f64> = (0..n).map(|i| ((i % 101) as f64 / 101.0) - 0.5).collect();
         let b: Vector<f64> = (0..n).map(|i| ((i % 89) as f64 / 89.0) - 0.5).collect();
@@ -510,12 +510,9 @@ fn main() {
                 std::hint::black_box(&b - &csr.matvec_scalar(&x));
             },
         );
-        let stencil_secs = time_min(5, || {
-            std::hint::black_box(&b - &stencil.matvec(&x));
-        });
         let (dense_secs, reference) = {
             // Scoped so the dense matrix is dropped before the next size.
-            let dense = stencil.to_dense();
+            let dense = csr.to_dense();
             let secs = time_min(3, || {
                 std::hint::black_box(&b - &dense.matvec(&x));
             });
@@ -527,18 +524,12 @@ fn main() {
             reference.as_slice(),
             "CSR residual must be bit-identical to dense"
         );
-        assert_eq!(
-            (&b - &stencil.matvec(&x)).as_slice(),
-            reference.as_slice(),
-            "stencil residual must be bit-identical to dense"
-        );
         let csr_speedup = dense_secs / csr_secs;
         let csr_simd_speedup = csr_scalar_secs / csr_secs;
-        let stencil_speedup = dense_secs / stencil_secs;
         eprintln!(
             "  sparse_residual N={n} (grid {g}x{g}, nnz {nnz}): dense {dense_secs:.6}s, \
              csr {csr_secs:.6}s ({csr_speedup:.1}x, {csr_simd_speedup:.2}x over scalar \
-             {csr_scalar_secs:.6}s), stencil {stencil_secs:.6}s ({stencil_speedup:.1}x)"
+             {csr_scalar_secs:.6}s)"
         );
         let _ = write!(
             sparse_json,
@@ -552,9 +543,7 @@ fn main() {
       "csr_residual_seconds": {csr_secs:.6},
       "csr_scalar_residual_seconds": {csr_scalar_secs:.6},
       "simd_vs_scalar_speedup": {csr_simd_speedup:.3},
-      "stencil_residual_seconds": {stencil_secs:.6},
-      "csr_vs_dense_speedup": {csr_speedup:.3},
-      "stencil_vs_dense_speedup": {stencil_speedup:.3}
+      "csr_vs_dense_speedup": {csr_speedup:.3}
     }}"#
         );
     }
@@ -625,8 +614,8 @@ fn main() {
         );
     }
 
-    // 3-D Poisson through the d-dimensional stencil: matrix-free Jacobi-CG
-    // inner solves at f32, true mixed precision (epsilon_l * kappa << 1).
+    // 3-D Poisson as CSR: Jacobi-CG inner solves at f32, true mixed
+    // precision (epsilon_l * kappa << 1).
     {
         let g = preset.poisson3d_grid;
         let n = g * g * g;
@@ -638,7 +627,7 @@ fn main() {
         let a = poisson_3d::<f64>(g, g, g, false);
         let b: Vector<f64> = (0..n).map(|i| ((i % 89) as f64 / 89.0) - 0.5).collect();
         let refiner =
-            ClassicalRefiner::<f64, f32, StencilNd<f64>>::new(&a, opts).expect("3-D refiner");
+            ClassicalRefiner::<f64, f32, SparseMatrix<f64>>::new(&a, opts).expect("3-D refiner");
         let (_, history) = refiner.solve(&b).expect("3-D solve");
         let iterations = history.iterations();
         let solve_secs = time_min(3, || {
@@ -1074,12 +1063,30 @@ fn workload_field(doc: &Value, workload: &str, field: &str) -> Result<f64, Strin
     numeric(v).ok_or_else(|| format!("workload {workload} field {field} is not numeric"))
 }
 
+/// Every `(workload name, field)` pair of a parsed artifact.
+fn workload_fields(doc: &Value) -> BTreeSet<(&str, &str)> {
+    let Some(Value::Seq(items)) = doc.get("workloads") else {
+        return BTreeSet::new();
+    };
+    items
+        .iter()
+        .filter_map(|w| match (w.get("name"), w) {
+            (Some(Value::Str(name)), Value::Map(fields)) => {
+                Some(fields.iter().map(move |(f, _)| (name.as_str(), f.as_str())))
+            }
+            _ => None,
+        })
+        .flatten()
+        .collect()
+}
+
 /// Check the fresh artifact against the committed baseline; returns the list
-/// of violated floors/ceilings (empty = gate passes).  A field missing from
-/// the *baseline* is skipped — that is how new fields roll out (the gate
-/// starts enforcing them once a regenerated baseline is committed) — but a
-/// field missing from the *current* run is a violation: the gate must never
-/// silently pass because a workload stopped being emitted.
+/// of violated rules (empty = gate passes).  Every `(workload, field)` pair
+/// of the baseline must appear in the current run, so the gate never
+/// silently passes because a workload or a measurement stopped being
+/// emitted; a field missing from the *baseline* is fine — that is how new
+/// fields roll out (the floors and ceilings start enforcing them once a
+/// regenerated baseline is committed).
 fn compare_against_baseline(current_json: &str, baseline_json: &str) -> Vec<String> {
     let current: Value = match parse_json(current_json) {
         Ok(v) => v,
@@ -1089,7 +1096,11 @@ fn compare_against_baseline(current_json: &str, baseline_json: &str) -> Vec<Stri
         Ok(v) => v,
         Err(e) => return vec![format!("baseline artifact is not valid JSON: {e}")],
     };
-    let mut violations = Vec::new();
+    let emitted = workload_fields(&current);
+    let mut violations: Vec<String> = workload_fields(&baseline)
+        .difference(&emitted)
+        .map(|(workload, field)| format!("workload {workload} missing field {field}"))
+        .collect();
     for floor in RATIO_FLOORS {
         let base = match workload_field(&baseline, floor.workload, floor.field) {
             Ok(v) => v,

@@ -25,29 +25,7 @@ use num_complex::Complex64;
 use qls_linalg::lu::LinalgError;
 use qls_linalg::{Matrix, Svd, Vector};
 use qls_qsvt::QsvtError;
-use qls_sim::{CMatrix, Circuit, Gate, StateVector};
-
-/// Configuration of the HHL solve.
-#[derive(Debug, Clone, Copy)]
-pub struct HhlOptions {
-    /// Number of clock (phase-estimation) qubits.
-    pub clock_qubits: usize,
-    /// Evolution time `t` of `e^{iAt}`; eigenvalues λ·t/(2π) must lie in (0, 1).
-    /// Pass `None` to choose `t = π / λ_max` automatically.
-    pub evolution_time: Option<f64>,
-    /// The constant `C` of the rotation `sin θ/2 = C/λ`; `None` picks `λ_min`.
-    pub rotation_constant: Option<f64>,
-}
-
-impl Default for HhlOptions {
-    fn default() -> Self {
-        HhlOptions {
-            clock_qubits: 6,
-            evolution_time: None,
-            rotation_constant: None,
-        }
-    }
-}
+use qls_sim::{CMatrix, Circuit, CompiledCircuit, Gate, StateVector};
 
 /// Result of an HHL solve.
 #[derive(Debug, Clone)]
@@ -58,7 +36,8 @@ pub struct HhlResult {
     pub success_probability: f64,
     /// Total number of qubits simulated.
     pub total_qubits: usize,
-    /// Gate count of the HHL circuit.
+    /// Gate count of the HHL circuit (without the flag flip that precedes
+    /// the post-selection).
     pub gate_count: usize,
 }
 
@@ -78,23 +57,33 @@ fn symmetric_eigen(a: &Matrix<f64>) -> (Vec<f64>, Matrix<f64>) {
 
 /// HHL solver for symmetric positive-definite (or symmetric with known-sign
 /// spectrum) matrices.
+///
+/// `A` is fixed, so [`HhlSolver::new`] builds and compiles the whole
+/// circuit once; [`HhlSolver::solve_direction`] only prepares `|b⟩`, runs
+/// the compiled circuit and post-selects.
 pub struct HhlSolver {
-    matrix: Matrix<f64>,
-    options: HhlOptions,
-    eigenvalues: Vec<f64>,
-    eigenvectors: Matrix<f64>,
-    evolution_time: f64,
-    rotation_constant: f64,
+    /// The HHL circuit followed by the flag flip, compiled once.
+    compiled: CompiledCircuit,
+    /// Order of `A`.
+    order: usize,
+    /// Width `t` of the clock (phase-estimation) register.
+    clock_qubits: usize,
+    /// Gate count of the HHL circuit without the flag flip.
+    gate_count: usize,
 }
 
 impl HhlSolver {
-    /// Prepare the solver for a symmetric matrix.
+    /// Prepare the solver for a symmetric matrix with a `clock_qubits`-wide
+    /// phase-estimation register.  The evolution time is `t = π / λ_max`,
+    /// so every eigenphase `λ·t/(2π)` of a positive spectrum lies in
+    /// `(0, 1/2]`, and the constant `C` of the rotation `sin θ/2 = C/λ` is
+    /// `min |λ|`.
     ///
     /// A non-square `A` is a `LinalgError::NotSquare`; a non-symmetric `A`
     /// or an order that is not a power of two is a
     /// `QsvtError::InvalidInput`, and a singular `A` (an eigenvalue of
     /// exactly 0) a `QsvtError::SingularMatrix`.
-    pub fn new(a: &Matrix<f64>, options: HhlOptions) -> Result<Self, QlsError> {
+    pub fn new(a: &Matrix<f64>, clock_qubits: usize) -> Result<Self, QlsError> {
         if !a.is_square() {
             return Err(QlsError::Linalg(LinalgError::NotSquare));
         }
@@ -114,95 +103,25 @@ impl HhlSolver {
         if lambda_min_abs <= 0.0 {
             return Err(QlsError::Qsvt(QsvtError::SingularMatrix));
         }
-        let evolution_time = options
-            .evolution_time
-            .unwrap_or(std::f64::consts::PI / lambda_max);
-        let rotation_constant = options.rotation_constant.unwrap_or(lambda_min_abs);
-        Ok(HhlSolver {
-            matrix: a.clone(),
-            options,
-            eigenvalues,
-            eigenvectors,
+        let evolution_time = std::f64::consts::PI / lambda_max;
+        let mut circuit = hhl_circuit(
+            &eigenvalues,
+            &eigenvectors,
             evolution_time,
-            rotation_constant,
+            lambda_min_abs,
+            clock_qubits,
+        );
+        let gate_count = circuit.gate_count();
+        // Flip the flag so that the "good" outcome (flag = 1, clock = 0) is
+        // all-zeros for the post-selection.
+        let n_data = a.nrows().trailing_zeros() as usize;
+        circuit.x(n_data + clock_qubits);
+        Ok(HhlSolver {
+            compiled: CompiledCircuit::compile(&circuit),
+            order: a.nrows(),
+            clock_qubits,
+            gate_count,
         })
-    }
-
-    /// The exact unitary `e^{iAt·s}` as a dense matrix.
-    fn evolution_unitary(&self, steps: f64) -> CMatrix {
-        let n = self.matrix.nrows();
-        let t = self.evolution_time * steps;
-        // U = V diag(e^{iλt}) Vᵀ.
-        CMatrix::from_fn(n, n, |i, j| {
-            let mut acc = Complex64::new(0.0, 0.0);
-            for k in 0..n {
-                let phase = Complex64::from_polar(1.0, self.eigenvalues[k] * t);
-                acc += phase * self.eigenvectors[(i, k)] * self.eigenvectors[(j, k)];
-            }
-            acc
-        })
-    }
-
-    /// Build the full HHL circuit for a prepared `|b⟩` on the data register.
-    ///
-    /// Register layout (little-endian): data qubits `0..n`, clock qubits
-    /// `n..n+t`, rotation flag `n+t`.
-    pub(crate) fn circuit(&self) -> Circuit {
-        let n_data = self.matrix.nrows().trailing_zeros() as usize;
-        let t = self.options.clock_qubits;
-        let flag = n_data + t;
-        let total = n_data + t + 1;
-        let mut circuit = Circuit::new(total);
-
-        // 1. Hadamards on the clock register.
-        for q in n_data..n_data + t {
-            circuit.h(q);
-        }
-        // 2. Controlled powers of U = e^{iAt}.
-        for j in 0..t {
-            let u_pow = self.evolution_unitary(2f64.powi(j as i32));
-            let targets: Vec<usize> = (0..n_data).collect();
-            circuit.controlled_gate(Gate::Unitary(u_pow), &targets, &[n_data + j]);
-        }
-        // 3. Inverse QFT on the clock register.
-        circuit.append(&inverse_qft(n_data, t, total));
-        // 4. Eigenvalue-controlled rotation of the flag.
-        let dim_clock = 1usize << t;
-        for k in 1..dim_clock {
-            // Clock value k encodes the phase estimate φ = k / 2^t, i.e. the
-            // eigenvalue λ̃ = 2π k / (2^t · t_evolution).
-            let lambda = 2.0 * std::f64::consts::PI * (k as f64)
-                / ((dim_clock as f64) * self.evolution_time);
-            let ratio = (self.rotation_constant / lambda).clamp(-1.0, 1.0);
-            let theta = 2.0 * ratio.asin();
-            if theta.abs() < 1e-14 {
-                continue;
-            }
-            // Controls: clock register in state |k⟩.
-            let controls: Vec<usize> = (0..t).map(|b| n_data + b).collect();
-            let zero_controls: Vec<usize> = (0..t)
-                .filter(|b| k & (1 << b) == 0)
-                .map(|b| n_data + b)
-                .collect();
-            for &q in &zero_controls {
-                circuit.x(q);
-            }
-            circuit.controlled_gate(Gate::Ry(theta), &[flag], &controls);
-            for &q in &zero_controls {
-                circuit.x(q);
-            }
-        }
-        // 5. Un-compute the phase estimation (QFT, controlled U^{-2^j}, H's).
-        circuit.append(&inverse_qft(n_data, t, total).adjoint());
-        for j in (0..t).rev() {
-            let u_pow = self.evolution_unitary(-(2f64.powi(j as i32)));
-            let targets: Vec<usize> = (0..n_data).collect();
-            circuit.controlled_gate(Gate::Unitary(u_pow), &targets, &[n_data + j]);
-        }
-        for q in n_data..n_data + t {
-            circuit.h(q);
-        }
-        circuit
     }
 
     /// Solve `A x = b`, returning the normalised solution direction.
@@ -211,14 +130,11 @@ impl HhlSolver {
     /// `LinalgError::DimensionMismatch`, and an all-zero `b` (there is no
     /// state `b/‖b‖` to prepare) a `QsvtError::InvalidInput`.
     pub fn solve_direction(&self, b: &Vector<f64>) -> Result<HhlResult, QlsError> {
-        let dim = self.matrix.nrows();
+        let dim = self.order;
         check_right_hand_side(b, dim)?;
         let n_data = dim.trailing_zeros() as usize;
-        let t = self.options.clock_qubits;
-        let flag = n_data + t;
-        let total = n_data + t + 1;
+        let total = n_data + self.clock_qubits + 1;
 
-        let circuit = self.circuit();
         // Embed |b⟩ on the data register.
         let mut b_normalised = b.clone();
         b_normalised.normalize();
@@ -227,13 +143,9 @@ impl HhlSolver {
             amps[i] = Complex64::new(b_normalised[i], 0.0);
         }
         let mut sv = StateVector::from_amplitudes(amps);
-        sv.apply_circuit(&circuit);
+        self.compiled.apply(&mut sv);
 
-        // Post-select flag = |1⟩ and clock = |0…0⟩.
-        // First flip the flag so that the "good" outcome is all-zeros.
-        let mut flip = Circuit::new(total);
-        flip.x(flag);
-        sv.apply_circuit(&flip);
+        // Post-select the flipped flag and the clock on |0…0⟩.
         let ancillas: Vec<usize> = (n_data..total).collect();
         let success = sv.project_zeros(&ancillas);
 
@@ -245,22 +157,109 @@ impl HhlSolver {
             direction,
             success_probability,
             total_qubits: total,
-            gate_count: circuit.gate_count(),
+            gate_count: self.gate_count,
         })
     }
 
-    /// Relative error of the HHL direction against the exact normalised
-    /// solution: the oracle of the accuracy tests.
+    /// Relative error of the HHL direction for `A x = b` against the exact
+    /// normalised solution: the oracle of the accuracy tests.
     #[cfg(test)]
-    fn direction_error(&self, b: &Vector<f64>) -> f64 {
+    fn direction_error(&self, a: &Matrix<f64>, b: &Vector<f64>) -> f64 {
         let result = self.solve_direction(b).unwrap();
-        let mut exact = Svd::new(&self.matrix).pseudo_solve(b, 1e-14);
+        let mut exact = Svd::new(a).pseudo_solve(b, 1e-14);
         exact.normalize();
         // Allow a global sign flip (the post-selected state has an arbitrary sign).
         let direct = (&result.direction - &exact).norm2();
         let flipped = (&result.direction.scaled(-1.0) - &exact).norm2();
         direct.min(flipped)
     }
+}
+
+/// The exact unitary `e^{iA·t}` as a dense matrix, from the
+/// eigendecomposition `A = V diag(λ) Vᵀ`.
+fn evolution_unitary(eigenvalues: &[f64], eigenvectors: &Matrix<f64>, t: f64) -> CMatrix {
+    let n = eigenvalues.len();
+    // U = V diag(e^{iλt}) Vᵀ.
+    CMatrix::from_fn(n, n, |i, j| {
+        let mut acc = Complex64::new(0.0, 0.0);
+        for k in 0..n {
+            let phase = Complex64::from_polar(1.0, eigenvalues[k] * t);
+            acc += phase * eigenvectors[(i, k)] * eigenvectors[(j, k)];
+        }
+        acc
+    })
+}
+
+/// Build the full HHL circuit for a prepared `|b⟩` on the data register:
+/// phase estimation of `e^{iA·evolution_time}` on a `clock_qubits`-wide
+/// clock, the eigenvalue-controlled rotation `sin θ/2 = C/λ̃` of the flag
+/// (`C = rotation_constant`), and the inverse phase estimation.
+///
+/// Register layout (little-endian): data qubits `0..n`, clock qubits
+/// `n..n+t`, rotation flag `n+t`.
+fn hhl_circuit(
+    eigenvalues: &[f64],
+    eigenvectors: &Matrix<f64>,
+    evolution_time: f64,
+    rotation_constant: f64,
+    clock_qubits: usize,
+) -> Circuit {
+    let n_data = eigenvalues.len().trailing_zeros() as usize;
+    let t = clock_qubits;
+    let flag = n_data + t;
+    let total = n_data + t + 1;
+    let mut circuit = Circuit::new(total);
+    let unitary = |steps: f64| evolution_unitary(eigenvalues, eigenvectors, evolution_time * steps);
+
+    // 1. Hadamards on the clock register.
+    for q in n_data..n_data + t {
+        circuit.h(q);
+    }
+    // 2. Controlled powers of U = e^{iAt}.
+    for j in 0..t {
+        let u_pow = unitary(2f64.powi(j as i32));
+        let targets: Vec<usize> = (0..n_data).collect();
+        circuit.controlled_gate(Gate::Unitary(u_pow), &targets, &[n_data + j]);
+    }
+    // 3. Inverse QFT on the clock register.
+    circuit.append(&inverse_qft(n_data, t, total));
+    // 4. Eigenvalue-controlled rotation of the flag.
+    let dim_clock = 1usize << t;
+    for k in 1..dim_clock {
+        // Clock value k encodes the phase estimate φ = k / 2^t, i.e. the
+        // eigenvalue λ̃ = 2π k / (2^t · t_evolution).
+        let lambda =
+            2.0 * std::f64::consts::PI * (k as f64) / ((dim_clock as f64) * evolution_time);
+        let ratio = (rotation_constant / lambda).clamp(-1.0, 1.0);
+        let theta = 2.0 * ratio.asin();
+        if theta.abs() < 1e-14 {
+            continue;
+        }
+        // Controls: clock register in state |k⟩.
+        let controls: Vec<usize> = (0..t).map(|b| n_data + b).collect();
+        let zero_controls: Vec<usize> = (0..t)
+            .filter(|b| k & (1 << b) == 0)
+            .map(|b| n_data + b)
+            .collect();
+        for &q in &zero_controls {
+            circuit.x(q);
+        }
+        circuit.controlled_gate(Gate::Ry(theta), &[flag], &controls);
+        for &q in &zero_controls {
+            circuit.x(q);
+        }
+    }
+    // 5. Un-compute the phase estimation (QFT, controlled U^{-2^j}, H's).
+    circuit.append(&inverse_qft(n_data, t, total).adjoint());
+    for j in (0..t).rev() {
+        let u_pow = unitary(-(2f64.powi(j as i32)));
+        let targets: Vec<usize> = (0..n_data).collect();
+        circuit.controlled_gate(Gate::Unitary(u_pow), &targets, &[n_data + j]);
+    }
+    for q in n_data..n_data + t {
+        circuit.h(q);
+    }
+    circuit
 }
 
 /// Inverse quantum Fourier transform on the clock register
@@ -296,15 +295,8 @@ mod tests {
         // Eigenvalues chosen to be exactly representable by the clock register.
         let a = Matrix::from_diag(&[1.0, 0.5]);
         let b = Vector::from_f64_slice(&[1.0, 1.0]);
-        let solver = HhlSolver::new(
-            &a,
-            HhlOptions {
-                clock_qubits: 6,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let err = solver.direction_error(&b);
+        let solver = HhlSolver::new(&a, 6).unwrap();
+        let err = solver.direction_error(&a, &b);
         assert!(err < 5e-2, "direction error {err}");
         let result = solver.solve_direction(&b).unwrap();
         assert!(result.success_probability > 0.0);
@@ -322,15 +314,8 @@ mod tests {
             &mut rng,
         );
         let b = random_unit_vector(4, &mut rng);
-        let solver = HhlSolver::new(
-            &a,
-            HhlOptions {
-                clock_qubits: 7,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let err = solver.direction_error(&b);
+        let solver = HhlSolver::new(&a, 7).unwrap();
+        let err = solver.direction_error(&a, &b);
         assert!(err < 0.1, "direction error {err}");
     }
 
@@ -345,24 +330,8 @@ mod tests {
             &mut rng,
         );
         let b = random_unit_vector(2, &mut rng);
-        let coarse = HhlSolver::new(
-            &a,
-            HhlOptions {
-                clock_qubits: 4,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .direction_error(&b);
-        let fine = HhlSolver::new(
-            &a,
-            HhlOptions {
-                clock_qubits: 8,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .direction_error(&b);
+        let coarse = HhlSolver::new(&a, 4).unwrap().direction_error(&a, &b);
+        let fine = HhlSolver::new(&a, 8).unwrap().direction_error(&a, &b);
         assert!(fine <= coarse + 1e-9, "fine {fine} vs coarse {coarse}");
     }
 
@@ -370,7 +339,7 @@ mod tests {
     fn rejects_nonsymmetric_matrix() {
         let a = Matrix::from_f64_slice(2, 2, &[1.0, 0.5, 0.0, 1.0]);
         assert!(matches!(
-            HhlSolver::new(&a, HhlOptions::default()),
+            HhlSolver::new(&a, 6),
             Err(QlsError::Qsvt(QsvtError::InvalidInput(_)))
         ));
     }
@@ -379,25 +348,25 @@ mod tests {
     fn rejects_matrices_it_cannot_prepare() {
         let non_square = Matrix::from_f64_slice(2, 4, &[1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0]);
         assert!(matches!(
-            HhlSolver::new(&non_square, HhlOptions::default()),
+            HhlSolver::new(&non_square, 6),
             Err(QlsError::Linalg(LinalgError::NotSquare))
         ));
         let order_three = Matrix::from_diag(&[1.0, 2.0, 3.0]);
         assert!(matches!(
-            HhlSolver::new(&order_three, HhlOptions::default()),
+            HhlSolver::new(&order_three, 6),
             Err(QlsError::Qsvt(QsvtError::InvalidInput(_)))
         ));
         let singular = Matrix::from_diag(&[1.0, 0.0]);
         assert!(matches!(
-            HhlSolver::new(&singular, HhlOptions::default()),
+            HhlSolver::new(&singular, 6),
             Err(QlsError::Qsvt(QsvtError::SingularMatrix))
         ));
     }
 
     #[test]
     fn rejects_right_hand_sides_it_cannot_prepare() {
-        let solver = HhlSolver::new(&Matrix::from_diag(&[1.0, 0.5]), HhlOptions::default())
-            .expect("diagonal SPD system");
+        let solver =
+            HhlSolver::new(&Matrix::from_diag(&[1.0, 0.5]), 6).expect("diagonal SPD system");
         for short_or_long in [vec![1.0], vec![1.0, 1.0, 1.0]] {
             assert!(matches!(
                 solver.solve_direction(&Vector::from_f64_slice(&short_or_long)),
@@ -408,5 +377,18 @@ mod tests {
             solver.solve_direction(&Vector::zeros(2)),
             Err(QlsError::Qsvt(QsvtError::InvalidInput(_)))
         ));
+    }
+
+    #[test]
+    fn solve_direction_never_recompiles() {
+        let a = Matrix::from_diag(&[1.0, 0.5]);
+        let solver = HhlSolver::new(&a, 6).expect("diagonal SPD system");
+        let b = Vector::from_f64_slice(&[1.0, 1.0]);
+        let before = qls_sim::circuit_compile_count();
+        let first = solver.solve_direction(&b).unwrap();
+        let second = solver.solve_direction(&b).unwrap();
+        assert_eq!(qls_sim::circuit_compile_count(), before);
+        assert_eq!(first.direction, second.direction);
+        assert_eq!(first.success_probability, second.success_probability);
     }
 }

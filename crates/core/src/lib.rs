@@ -74,7 +74,7 @@ pub use cost::{
     PoissonCostParameters, PoissonCostRow, QuantumCostComparison, StrategyCost,
 };
 pub use error::QlsError;
-pub use hhl::{HhlOptions, HhlResult, HhlSolver};
+pub use hhl::{HhlResult, HhlSolver};
 pub use refine::{
     FailureReason, HealthIssue, HybridHistory, HybridRefinementOptions, HybridRefiner,
     HybridStatus, HybridStep, RecoveryAction, RecoveryEvent, RecoveryLog, STAGNATION_WINDOW,

@@ -56,7 +56,7 @@
 use crate::error::QlsError;
 use crate::solver::{QsvtLinearSolver, QsvtSolverOptions, SolveCost};
 use qls_linalg::lu::LinalgError;
-use qls_linalg::{scaled_residual, FactorizableOperator, InnerSolver, Matrix, Vector};
+use qls_linalg::{residual, FactorizableOperator, InnerSolver, Matrix, Vector};
 use qls_qsvt::QsvtError;
 use qls_sim::fault::SharedFaultInjector;
 use rand::Rng;
@@ -334,21 +334,22 @@ impl HybridHistory {
 /// error the inner solve produced.
 type Attempt = Result<(Vector<f64>, SolveCost), QlsError>;
 
+/// A candidate iterate with its residual `r = b − A x` and scaled residual
+/// ω = ‖r‖/‖b‖: one matvec checks the step and sets up the next correction.
+struct Candidate {
+    x: Vector<f64>,
+    r: Vector<f64>,
+    omega: f64,
+    cost: SolveCost,
+}
+
 /// Outcome of one guarded refinement step (initial solve or correction).
 enum StepResult {
     /// A healthy step: finite, and contracting (or the initial solve).
-    Accepted {
-        x: Vector<f64>,
-        omega: f64,
-        cost: SolveCost,
-    },
+    Accepted(Candidate),
     /// Every rung produced finite but non-contracting candidates; this is
     /// the best of them.  The caller counts it toward the stagnation window.
-    BestEffort {
-        x: Vector<f64>,
-        omega: f64,
-        cost: SolveCost,
-    },
+    BestEffort(Candidate),
     /// No rung produced a finite candidate at all.
     Dead { reason: FailureReason },
 }
@@ -390,9 +391,10 @@ fn issue_reason(issue: HealthIssue) -> FailureReason {
 /// The refiner is generic over the classical operator representation of `A`
 /// ([`FactorizableOperator`], dense [`Matrix`] by default so every existing
 /// caller compiles unchanged).  The CPU half of the loop — the
-/// high-precision residual `r = b − A x` recomputed every iteration — goes
-/// through the operator, so a CSR / tridiagonal / stencil operator makes the
-/// hot classical path O(nnz) instead of O(N²); only the one-time
+/// high-precision residual `r = b − A x`, formed once per iteration: its
+/// norm checks the step and the vector is the next correction's right-hand
+/// side — goes through the operator, so a CSR or tridiagonal operator makes
+/// the hot classical path O(nnz) instead of O(N²); only the one-time
 /// quantum-side construction in `new` densifies (the inner correction solves
 /// are the QSVT circuit, not a classical factorization, so after
 /// construction no step of `solve` / `solve_many` ever materialises a dense
@@ -400,8 +402,8 @@ fn issue_reason(issue: HealthIssue) -> FailureReason {
 /// `hybrid_refiner_never_densifies_after_construction` operator-equivalence
 /// test; the classical-fallback recovery rung factorizes through the
 /// operator's own structured [`InnerSolver`], lazily, and only when that
-/// rung actually fires).  Because the CSR and stencil matvecs are
-/// bit-identical to the dense kernel, refining over a structured operator
+/// rung actually fires).  Because the CSR matvec is bit-identical to the
+/// dense kernel, refining over a structured operator
 /// reproduces the dense convergence history float for float (see the
 /// operator-equivalence tests).
 pub struct HybridRefiner<Op: FactorizableOperator<f64> = Matrix<f64>> {
@@ -568,7 +570,7 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
         rng: &mut R,
         log: &mut RecoveryLog,
     ) -> StepResult {
-        let mut best: Option<(Vector<f64>, f64, SolveCost)> = None;
+        let mut best: Option<Candidate> = None;
         let mut pending: Option<HealthIssue> = None;
 
         // Rungs run lazily: the loop returns on the first healthy attempt.
@@ -577,7 +579,7 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
             .into_iter()
             .map(|action| (Some(action), self.run_action(action, r, rng)));
         for (action, attempt) in std::iter::once((None, primary)).chain(rungs) {
-            let health: Result<(Vector<f64>, f64, SolveCost), HealthIssue> = match attempt {
+            let health: Result<Candidate, HealthIssue> = match attempt {
                 Err(e) => Err(HealthIssue::SolveFailed(failure_reason(&e))),
                 Ok((correction, cost)) => {
                     if !correction.iter().all(|v| v.is_finite()) {
@@ -591,7 +593,7 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
                             }
                             None => correction,
                         };
-                        let omega = scaled_residual(self.solver.operator(), &candidate, b);
+                        let (r, omega) = residual(self.solver.operator(), &candidate, b);
                         if !omega.is_finite() {
                             Err(HealthIssue::NonFiniteResidual)
                         } else {
@@ -602,11 +604,17 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
                                         || omega <= prev * CONTRACTION_TOLERANCE
                                 }
                             };
+                            let candidate = Candidate {
+                                x: candidate,
+                                r,
+                                omega,
+                                cost,
+                            };
                             if healthy {
-                                Ok((candidate, omega, cost))
+                                Ok(candidate)
                             } else {
-                                if best.as_ref().is_none_or(|(_, b_omega, _)| omega < *b_omega) {
-                                    best = Some((candidate, omega, cost));
+                                if best.as_ref().is_none_or(|b| omega < b.omega) {
+                                    best = Some(candidate);
                                 }
                                 Err(HealthIssue::NonContracting)
                             }
@@ -615,7 +623,7 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
                 }
             };
             match health {
-                Ok((x_new, omega, cost)) => {
+                Ok(candidate) => {
                     if let (Some(issue), Some(act)) = (pending, action) {
                         log.events.push(RecoveryEvent {
                             iteration,
@@ -624,11 +632,7 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
                             recovered: true,
                         });
                     }
-                    return StepResult::Accepted {
-                        x: x_new,
-                        omega,
-                        cost,
-                    };
+                    return StepResult::Accepted(candidate);
                 }
                 Err(issue) => {
                     if let (Some(trigger), Some(act)) = (pending, action) {
@@ -657,11 +661,7 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
             }
         }
         match best {
-            Some((x_new, omega, cost)) => StepResult::BestEffort {
-                x: x_new,
-                omega,
-                cost,
-            },
+            Some(candidate) => StepResult::BestEffort(candidate),
             None => StepResult::Dead {
                 reason: if self.options.recovery {
                     FailureReason::RecoveryExhausted
@@ -750,6 +750,9 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
 
         struct System {
             x: Vector<f64>,
+            /// The right-hand side of the next inner solve: `b` in round 0,
+            /// then the residual `b − A x` the last step's guard formed.
+            r: Vector<f64>,
             steps: Vec<HybridStep>,
             status: Option<HybridStatus>,
             prev_omega: f64,
@@ -760,6 +763,7 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
             .iter()
             .map(|b| System {
                 x: Vector::zeros(b.len()),
+                r: b.clone(),
                 steps: Vec::new(),
                 status: None,
                 prev_omega: f64::INFINITY,
@@ -770,19 +774,16 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
 
         for it in 0..=self.options.max_iterations {
             // CPU: the right-hand side of every active system's inner solve —
-            // `b` itself in round 0, then the residual `b − A x` in high
-            // precision (boundary-guarded per system).
+            // `b` itself in round 0, then the high-precision residual
+            // `b − A x` that the previous step's guard already formed
+            // (boundary-guarded per system).
             let mut batch: Vec<usize> = Vec::with_capacity(systems.len());
             let mut residuals: Vec<Vector<f64>> = Vec::with_capacity(systems.len());
             for (k, sys) in systems.iter_mut().enumerate() {
                 if sys.status.is_some() {
                     continue;
                 }
-                let r = if it == 0 {
-                    bs[k].clone()
-                } else {
-                    &bs[k] - &self.solver.operator().matvec(&sys.x)
-                };
+                let r = std::mem::replace(&mut sys.r, Vector::zeros(0));
                 if r.iter().all(|v| v.is_finite()) {
                     batch.push(k);
                     residuals.push(r);
@@ -808,15 +809,16 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
                 };
                 let step =
                     self.guarded_step(&bs[k], x, r, prev_omega, primary, it, rng, &mut sys.log);
-                let (x, omega, cost, stalled) = match step {
-                    StepResult::Accepted { x, omega, cost } => (x, omega, cost, false),
-                    StepResult::BestEffort { x, omega, cost } => (x, omega, cost, true),
+                let (Candidate { x, r, omega, cost }, stalled) = match step {
+                    StepResult::Accepted(candidate) => (candidate, false),
+                    StepResult::BestEffort(candidate) => (candidate, true),
                     StepResult::Dead { reason } => {
                         sys.status = Some(HybridStatus::Failed { reason });
                         continue;
                     }
                 };
                 sys.x = x;
+                sys.r = r;
                 sys.steps.push(HybridStep {
                     iteration: it,
                     scaled_residual: omega,

@@ -13,16 +13,28 @@ use crate::vector::Vector;
 
 /// The scaled residual `ω = ‖b − A x̃‖₂ / ‖b‖₂` of a computed solution.
 ///
-/// Generic over [`LinearOperator`], so the residual costs O(nnz) on sparse or
-/// matrix-free operators (dense [`crate::Matrix`] callers are unchanged).
+/// Generic over [`LinearOperator`], so the residual costs O(nnz) on sparse
+/// operators (dense [`crate::Matrix`] callers are unchanged).
 pub fn scaled_residual<T: Real, Op: LinearOperator<T>>(a: &Op, x: &Vector<T>, b: &Vector<T>) -> T {
+    residual(a, x, b).1
+}
+
+/// The residual `r = b − A x̃` together with its scaled norm
+/// ω = [`scaled_residual`]: one matvec, for the refiners that check ω and
+/// then solve for `r`.
+pub fn residual<T: Real, Op: LinearOperator<T>>(
+    a: &Op,
+    x: &Vector<T>,
+    b: &Vector<T>,
+) -> (Vector<T>, T) {
     let r = b - &a.matvec(x);
     let nb = b.norm2();
-    if nb == T::zero() {
+    let omega = if nb == T::zero() {
         r.norm2()
     } else {
         r.norm2() / nb
-    }
+    };
+    (r, omega)
 }
 
 /// Relative forward error `‖x − x̃‖₂ / ‖x‖₂` with respect to a reference

@@ -476,7 +476,7 @@ mod tests {
     #[test]
     fn convection_diffusion_2d_reduces_to_poisson_at_zero_peclet() {
         let cd = convection_diffusion_2d::<f64>(4, 3, 0.0, 0.0);
-        let poisson = crate::stencil::poisson_2d::<f64>(4, 3, false).to_sparse();
+        let poisson = crate::stencil::poisson_2d::<f64>(4, 3, false);
         assert_eq!(cd.to_dense(), poisson.to_dense());
     }
 

@@ -16,8 +16,6 @@
 //! | [`Matrix`] | dense LU | O(N³) + O(N²) mem | — (it *is* the oracle) |
 //! | [`TridiagonalMatrix`] | Thomas LU ([`ThomasFactorization`]) | O(N) | dense LU on pivot breakdown |
 //! | [`SparseMatrix`] | Jacobi-CG (SPD) / Jacobi-BiCGSTAB | O(nnz)/iter | dense LU for N ≤ [`DENSIFY_FALLBACK_MAX`] |
-//! | [`StencilOperator`] | Jacobi-CG / Jacobi-BiCGSTAB, matrix-free | O(N)/iter | dense LU for N ≤ [`DENSIFY_FALLBACK_MAX`] |
-//! | [`StencilNd`] | Jacobi-CG / Jacobi-BiCGSTAB, matrix-free | O(N)/iter | dense LU for N ≤ [`DENSIFY_FALLBACK_MAX`] |
 //!
 //! The small-N densify fallback is not just a convenience: for N ≤ 64 the
 //! dense factors are cheap, and reusing the *exact same* dense-LU code keeps
@@ -42,12 +40,11 @@ use crate::matrix::Matrix;
 use crate::operator::LinearOperator;
 use crate::scalar::Real;
 use crate::sparse::SparseMatrix;
-use crate::stencil::{StencilNd, StencilOperator};
 use crate::tridiag::TridiagonalMatrix;
 use crate::vector::Vector;
 
-/// Largest order for which CSR / stencil operators fall back to densify +
-/// dense LU instead of an iterative inner solver.
+/// Largest order for which CSR operators fall back to densify + dense LU
+/// instead of an iterative inner solver.
 ///
 /// Below this size the dense factorisation is cheaper than an iterative
 /// solve's setup, and — more importantly — it keeps small structured refiners
@@ -103,7 +100,7 @@ pub trait FactorizableOperator<T: Real>: LinearOperator<T> {
 
     /// Densify and factorise with dense LU at precision `L` — the equivalence
     /// oracle every structured path can be validated against, and the small-N
-    /// fallback of the sparse/stencil implementations.
+    /// fallback of the CSR implementation.
     fn factorize_dense_lu<L: Real>(&self) -> Result<Box<dyn InnerSolver<L>>, LinalgError> {
         if !self.is_square() {
             return Err(LinalgError::NotSquare);
@@ -512,55 +509,6 @@ impl<T: Real> FactorizableOperator<T> for SparseMatrix<T> {
     }
 }
 
-/// Shared CG/BiCGSTAB selection for the matrix-free stencils: they are
-/// symmetric by construction, so CG applies whenever the diagonal-dominance
-/// bound `center ≥ Σ 2|off|` certifies positive definiteness.
-fn factorize_stencil<L: Real, Op: LinearOperator<L> + 'static>(
-    op: Op,
-    center: L,
-    off_sum: L,
-) -> Result<Box<dyn InnerSolver<L>>, LinalgError> {
-    let n = op.nrows();
-    let diag = Vector::from_vec(vec![center; n]);
-    let tol = inner_tolerance::<L>();
-    if center > L::zero() && center >= off_sum {
-        Ok(Box::new(ConjugateGradientSolver::new(op, &diag, tol, n)?))
-    } else {
-        Ok(Box::new(BiCgStabSolver::new(op, &diag, tol, 2 * n)))
-    }
-}
-
-impl<T: Real> FactorizableOperator<T> for StencilOperator<T> {
-    /// Matrix-free Jacobi-CG (diagonally dominant SPD stencils such as
-    /// Poisson) or BiCGSTAB; densify-LU below [`DENSIFY_FALLBACK_MAX`].
-    fn factorize<L: Real>(&self) -> Result<Box<dyn InnerSolver<L>>, LinalgError> {
-        if self.order() <= DENSIFY_FALLBACK_MAX {
-            return self.factorize_dense_lu::<L>();
-        }
-        let low: StencilOperator<L> = self.convert();
-        let (center, off_x, off_y) = low.coefficients();
-        let off_sum = (off_x.abs() + off_y.abs()) * L::from_f64(2.0);
-        factorize_stencil(low, center, off_sum)
-    }
-}
-
-impl<T: Real> FactorizableOperator<T> for StencilNd<T> {
-    /// Matrix-free Jacobi-CG / BiCGSTAB for the d-dimensional stencil;
-    /// densify-LU below [`DENSIFY_FALLBACK_MAX`].
-    fn factorize<L: Real>(&self) -> Result<Box<dyn InnerSolver<L>>, LinalgError> {
-        if self.order() <= DENSIFY_FALLBACK_MAX {
-            return self.factorize_dense_lu::<L>();
-        }
-        let low: StencilNd<L> = self.convert();
-        let center = low.center();
-        let off_sum = low
-            .offsets()
-            .iter()
-            .fold(L::zero(), |acc, &o| acc + o.abs() + o.abs());
-        factorize_stencil(low, center, off_sum)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -621,7 +569,7 @@ mod tests {
 
     #[test]
     fn cg_solves_spd_csr_to_low_precision_accuracy() {
-        let csr = poisson_2d::<f64>(12, 12, false).to_sparse();
+        let csr = poisson_2d::<f64>(12, 12, false);
         let solver = csr.factorize::<f64>().unwrap();
         assert_eq!(solver.kind(), InnerSolverKind::ConjugateGradient);
         let b: Vector<f64> = (0..144).map(|i| ((i as f64) * 0.31).cos()).collect();
@@ -645,27 +593,12 @@ mod tests {
 
     #[test]
     fn small_operators_fall_back_to_the_dense_oracle() {
-        let csr = poisson_2d::<f64>(8, 8, false).to_sparse();
+        let csr = poisson_2d::<f64>(8, 8, false);
         assert_eq!(csr.nrows(), DENSIFY_FALLBACK_MAX);
         assert_eq!(
             csr.factorize::<f32>().unwrap().kind(),
             InnerSolverKind::DenseLu
         );
-        let stencil = poisson_2d::<f64>(8, 8, false);
-        assert_eq!(
-            stencil.factorize::<f32>().unwrap().kind(),
-            InnerSolverKind::DenseLu
-        );
-    }
-
-    #[test]
-    fn stencil_factorize_is_matrix_free_cg() {
-        let s = poisson_2d::<f64>(10, 10, false);
-        let solver = s.factorize::<f64>().unwrap();
-        assert_eq!(solver.kind(), InnerSolverKind::ConjugateGradient);
-        let b: Vector<f64> = (0..100).map(|i| ((i as f64) - 50.0) / 100.0).collect();
-        let x = solver.solve(&b).unwrap();
-        assert!((&s.matvec(&x) - &b).norm2() / b.norm2() < 1e-10);
     }
 
     #[test]
@@ -689,7 +622,7 @@ mod tests {
 
     #[test]
     fn low_precision_cg_reaches_low_precision_tolerance() {
-        let csr = poisson_2d::<f64>(12, 12, false).to_sparse();
+        let csr = poisson_2d::<f64>(12, 12, false);
         let solver = csr.factorize::<f32>().unwrap();
         assert_eq!(solver.kind(), InnerSolverKind::ConjugateGradient);
         let b: Vector<f32> = (0..144).map(|i| ((i as f64) * 0.17).sin() as f32).collect();

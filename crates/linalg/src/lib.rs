@@ -18,23 +18,20 @@
 //! * dense [`Matrix`] and [`Vector`] types with
 //!   the usual kernels (mat-vec, mat-mat, transpose, norms);
 //! * the structured-operator layer ([`operator`]): the
-//!   [`LinearOperator`] trait with five
+//!   [`LinearOperator`] trait with three
 //!   implementations — dense [`Matrix`], CSR
 //!   [`SparseMatrix`] (triplet builder, parallel
-//!   row-partitioned SpMV), [`TridiagonalMatrix`],
-//!   the matrix-free [`StencilOperator`]
-//!   (Kronecker-sum Laplacians, e.g. 2-D Poisson) and its d-dimensional
-//!   generalisation [`StencilNd`] (3-D Poisson and
-//!   beyond) — so residuals, refinement and condition estimation run at
-//!   O(nnz) on structured problems, with dense retained as the default and as
-//!   the equivalence oracle;
+//!   row-partitioned SIMD SpMV) and [`TridiagonalMatrix`] — so residuals,
+//!   refinement and condition estimation run at O(nnz) on structured
+//!   problems, with dense retained as the default and as the equivalence
+//!   oracle;
 //! * the structured inner-solver layer ([`inner`]): the
 //!   [`FactorizableOperator`] trait maps each
 //!   operator to its natural low-precision correction solver — dense LU for
 //!   [`Matrix`], the O(N) Thomas factorisation (with pivot
 //!   breakdown detection and dense-LU rescue) for
-//!   [`TridiagonalMatrix`], and matrix-free
-//!   Jacobi-preconditioned CG / BiCGSTAB for CSR and stencil operators — so
+//!   [`TridiagonalMatrix`], and
+//!   Jacobi-preconditioned CG / BiCGSTAB for CSR operators — so
 //!   no classical refinement path densifies an O(N²) matrix above the
 //!   small-N fallback threshold
 //!   ([`DENSIFY_FALLBACK_MAX`]);
@@ -45,8 +42,9 @@
 //!   spectra where a shifted power iteration stalls);
 //! * matrix generators ([`generate`]): random matrices with prescribed
 //!   condition number / singular-value distribution, the 1-D Poisson
-//!   tridiagonal matrix of Eq. (7) of the paper, the 2-D Poisson stencil
-//!   ([`poisson_2d`]) and sparse graph Laplacians;
+//!   tridiagonal matrix of Eq. (7) of the paper, the 2-D and 3-D Poisson
+//!   operators as CSR matrices ([`poisson_2d`], [`poisson_3d`]) and sparse
+//!   graph Laplacians;
 //! * classical fixed- and mixed-precision iterative refinement ([`refine`],
 //!   Algorithm 1 of the paper, operator-generic) used as the CPU-only
 //!   baseline;
@@ -77,7 +75,7 @@ pub mod vector;
 
 pub use brent::{brent_minimize, BrentResult};
 pub use cond::{cond_2, cond_2_estimate};
-pub use error::{backward_error, forward_error, scaled_residual};
+pub use error::{backward_error, forward_error, residual, scaled_residual};
 pub use generate::{
     convection_diffusion_1d, convection_diffusion_2d, graph_laplacian, random_connected_graph,
     random_matrix_with_cond, random_unit_vector, shifted_graph_laplacian, MatrixEnsemble,
@@ -96,7 +94,7 @@ pub use scalar::Real;
 pub use sparse::SparseMatrix;
 pub use stencil::{
     poisson_2d, poisson_2d_condition_number, poisson_2d_rhs, poisson_3d,
-    poisson_3d_condition_number, poisson_3d_rhs, StencilNd, StencilOperator,
+    poisson_3d_condition_number, poisson_3d_rhs,
 };
 pub use svd::Svd;
 pub use tridiag::{poisson_1d, poisson_1d_condition_number, TridiagonalMatrix};

@@ -5,8 +5,8 @@
 //! `r = b − A x` (a matvec per iteration), the transposed matvec used by
 //! condition estimation, and the Frobenius norm of the backward error.
 //! None of those require dense storage — the Poisson systems the paper
-//! benchmarks are tridiagonal (3 nonzeros per row), and 2-D Poisson problems
-//! never need the matrix materialised at all.  [`LinearOperator`] captures
+//! benchmarks are tridiagonal (3 nonzeros per row), and the 2-D and 3-D
+//! Poisson problems have 5 and 7.  [`LinearOperator`] captures
 //! exactly that access pattern so every consumer above it
 //! ([`crate::refine::ClassicalRefiner`],
 //! [`crate::error::scaled_residual`], condition estimation,
@@ -15,17 +15,15 @@
 //! default — and as the equivalence oracle the structured implementations are
 //! property-tested against (mirroring `qls_sim::kernels::reference`).
 //!
-//! Five implementations ship with the crate:
+//! Three implementations ship with the crate:
 //!
 //! | type | storage | matvec cost |
 //! |------|---------|-------------|
 //! | [`Matrix`] | dense row-major | O(N²), row-parallel |
-//! | [`crate::sparse::SparseMatrix`] | CSR | O(nnz), row-parallel |
+//! | [`crate::sparse::SparseMatrix`] | CSR (also the 2-D and 3-D Poisson operators) | O(nnz), row-parallel |
 //! | [`crate::tridiag::TridiagonalMatrix`] | three diagonals | O(N), row-parallel |
-//! | [`crate::stencil::StencilOperator`] | five scalars (matrix-free) | O(N), row-parallel |
-//! | [`crate::stencil::StencilNd`] | `2d + 1` scalars (matrix-free, d-dim) | O(d·N), row-parallel |
 //!
-//! Each of the five also implements
+//! Each of the three also implements
 //! [`crate::inner::FactorizableOperator`], which maps the representation to
 //! its structured low-precision inner solver (Thomas, Jacobi-CG/BiCGSTAB,
 //! dense LU) so the refinement loops never densify structured operators.
@@ -46,9 +44,8 @@ use crate::vector::Vector;
 /// side of the hybrid solver consumes.  All methods must be consistent with
 /// the dense materialisation returned by [`LinearOperator::to_dense`] (the
 /// Frobenius norm exactly, the matvecs to within the usual floating-point
-/// reassociation — the CSR and stencil implementations are in fact
-/// bit-identical to the dense oracle because they accumulate in the same
-/// column order).
+/// reassociation — the CSR implementation is in fact bit-identical to the
+/// dense oracle because it accumulates in the same column order).
 pub trait LinearOperator<T: Real>: Clone + Send + Sync {
     /// Number of rows.
     fn nrows(&self) -> usize;

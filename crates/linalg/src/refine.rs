@@ -13,7 +13,7 @@
 //! is validated: both must exhibit the geometric residual contraction of
 //! Theorem III.1 with the appropriate contraction factor.
 
-use crate::error::scaled_residual;
+use crate::error::residual;
 use crate::inner::{FactorizableOperator, InnerSolver, InnerSolverKind};
 use crate::lu::LinalgError;
 use crate::matrix::Matrix;
@@ -63,8 +63,6 @@ pub struct RefinementStep {
     pub iteration: usize,
     /// Scaled residual after this iteration.
     pub scaled_residual: f64,
-    /// Norm of the correction applied at this iteration (0 for the initial solve).
-    pub correction_norm: f64,
 }
 
 /// Full convergence history of a refinement run.
@@ -97,15 +95,14 @@ impl RefinementHistory {
 /// and the update; `L` is the low precision used for the inner correction
 /// solves; `Op` is the operator representation of `A` used on the
 /// high-precision side (dense [`Matrix`] by default, so existing callers
-/// compile unchanged — pass a [`crate::SparseMatrix`],
-/// [`crate::TridiagonalMatrix`], [`crate::StencilOperator`] or
-/// [`crate::StencilNd`] to make every residual cost O(nnz)).
+/// compile unchanged — pass a [`crate::SparseMatrix`] or a
+/// [`crate::TridiagonalMatrix`] to make every residual cost O(nnz)).
 ///
 /// The inner solver is selected by the operator itself through
 /// [`FactorizableOperator::factorize`]: dense matrices keep dense LU,
 /// tridiagonal matrices get the O(N) Thomas factorisation (with dense-LU
-/// rescue on pivot breakdown), and CSR / stencil operators get matrix-free
-/// Jacobi-CG or BiCGSTAB above the small-N densify threshold — so **no
+/// rescue on pivot breakdown), and CSR operators get Jacobi-CG or BiCGSTAB
+/// above the small-N densify threshold — so **no
 /// structured refinement path materialises an O(N²) matrix**.  The dense-LU
 /// inner solver remains available at any size through
 /// [`ClassicalRefiner::with_dense_lu`], the equivalence oracle the structured
@@ -165,6 +162,10 @@ impl<H: Real, L: Real, Op: FactorizableOperator<H>> ClassicalRefiner<H, L, Op> {
 
     /// Solve `A x = b` by low-precision LU + high-precision refinement,
     /// returning the solution at precision `H` and the convergence history.
+    ///
+    /// Each step applies the high-precision operator once: the residual
+    /// `r = b − A x` of the new iterate gives the step's ω and is the
+    /// right-hand side of the next correction solve.
     pub fn solve(&self, b: &Vector<H>) -> Result<(Vector<H>, RefinementHistory), LinalgError> {
         let n = self.a_high.nrows();
         if b.len() != n {
@@ -176,11 +177,11 @@ impl<H: Real, L: Real, Op: FactorizableOperator<H>> ClassicalRefiner<H, L, Op> {
         let mut x: Vector<H> = x_low.convert();
 
         let mut steps = Vec::new();
-        let omega0 = scaled_residual(&self.a_high, &x, b).to_f64();
+        let (mut r, omega0) = residual(&self.a_high, &x, b);
+        let omega0 = omega0.to_f64();
         steps.push(RefinementStep {
             iteration: 0,
             scaled_residual: omega0,
-            correction_norm: 0.0,
         });
 
         let mut status = RefinementStatus::MaxIterations;
@@ -191,20 +192,20 @@ impl<H: Real, L: Real, Op: FactorizableOperator<H>> ClassicalRefiner<H, L, Op> {
         }
 
         for it in 1..=self.options.max_iterations {
-            // Residual in high precision.
-            let r = b - &self.a_high.matvec(&x);
-            // Correction solve in low precision (reusing the factors).
+            // Correction solve in low precision (reusing the factors) for
+            // the high-precision residual of the current iterate.
             let r_low: Vector<L> = r.convert();
             let e_low = self.inner_low.solve(&r_low)?;
             let e: Vector<H> = e_low.convert();
             // Update in high precision.
             x += &e;
 
-            let omega = scaled_residual(&self.a_high, &x, b).to_f64();
+            let (r_next, omega) = residual(&self.a_high, &x, b);
+            r = r_next;
+            let omega = omega.to_f64();
             steps.push(RefinementStep {
                 iteration: it,
                 scaled_residual: omega,
-                correction_norm: e.norm2().to_f64(),
             });
 
             if omega <= self.options.target_scaled_residual {

@@ -11,8 +11,8 @@
 //! and reducing at the end would be faster on long rows but reassociates
 //! the sum; this layout keeps every SIMD result **bit-identical** to the
 //! scalar oracle (`matvec_scalar` / `matmul_scalar`), which in turn keeps
-//! the crate-wide invariant that dense, CSR, tridiagonal and stencil
-//! operators all produce bit-identical products.
+//! the crate-wide invariant that dense, CSR and tridiagonal operators all
+//! produce bit-identical products.
 //!
 //! # Remainder convention
 //!

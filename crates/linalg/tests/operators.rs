@@ -1,17 +1,15 @@
 //! Property tests of the structured-operator layer against the dense oracle.
 //!
-//! Whatever random matrix is drawn, the CSR / tridiagonal / stencil
+//! Whatever random matrix is drawn, the CSR and tridiagonal
 //! implementations of [`LinearOperator`] must agree with the dense
-//! materialisation — to 1e-12 in general, and *bit for bit* for the CSR and
-//! stencil matvecs (they accumulate in the same column order with the same
-//! fused multiply-adds, and skipping a structural zero is an exact no-op).
+//! materialisation — to 1e-12 in general, and *bit for bit* for the CSR
+//! matvecs (they accumulate in the same column order with the same fused
+//! multiply-adds, and skipping a structural zero is an exact no-op).
 //! The triplet builder's merge/sort/empty-row handling is exercised
 //! separately with adversarial inputs.
 
 use proptest::prelude::*;
-use qls_linalg::{
-    poisson_2d, LinearOperator, Matrix, SparseMatrix, StencilOperator, TridiagonalMatrix, Vector,
-};
+use qls_linalg::{LinearOperator, Matrix, SparseMatrix, TridiagonalMatrix, Vector};
 
 /// Deterministic pseudo-random value in [-1, 1] from integer coordinates.
 fn hash_val(i: usize, j: usize, seed: u64) -> f64 {
@@ -85,30 +83,6 @@ proptest! {
     }
 
     #[test]
-    fn stencil_matvec_agrees_with_dense_oracle(
-        nx in 1usize..8,
-        ny in 1usize..8,
-        seed in 0u64..10_000,
-    ) {
-        let s = StencilOperator::new(
-            nx,
-            ny,
-            hash_val(0, 0, seed),
-            hash_val(0, 1, seed),
-            hash_val(0, 2, seed),
-        );
-        let d = LinearOperator::to_dense(&s);
-        let x = test_vector(nx * ny, seed.wrapping_add(17));
-        let y_stencil = s.matvec(&x);
-        let y_dense = d.matvec(&x);
-        prop_assert!((&y_stencil - &y_dense).norm2() < 1e-12);
-        prop_assert_eq!(y_stencil.as_slice(), y_dense.as_slice());
-        // Symmetry: transposed application is the same map.
-        let yt = LinearOperator::matvec_transposed(&s, &x);
-        prop_assert_eq!(yt.as_slice(), y_stencil.as_slice());
-    }
-
-    #[test]
     fn triplet_builder_with_duplicates_and_shuffled_input_matches_dense(
         n in 2usize..12,
         seed in 0u64..10_000,
@@ -162,12 +136,4 @@ fn triplet_builder_empty_rows_and_columns() {
             assert!(cols.is_empty() && vals.is_empty());
         }
     }
-}
-
-#[test]
-fn stencil_to_sparse_to_dense_chain_is_exact() {
-    let s = poisson_2d::<f64>(6, 5, true);
-    let via_sparse = s.to_sparse().to_dense();
-    assert_eq!(via_sparse, LinearOperator::to_dense(&s));
-    assert_eq!(s.to_sparse().nnz(), s.stencil_nnz());
 }

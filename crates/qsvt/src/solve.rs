@@ -14,9 +14,14 @@
 //! * [`QsvtMode::Emulation`] — the ideal-output emulation used for the
 //!   convergence experiments (Figs. 3–5): the polynomial is applied to the
 //!   singular values classically (`V P(Σ/α) Wᵀ v`), which is mathematically
-//!   the output of a noiseless QSVT circuit with exact phase factors.  The
-//!   resource accounting (block-encoding calls = degree) is identical, so
-//!   the cost model sees the same calls in either mode.
+//!   the output of a noiseless QSVT circuit with exact phase factors.
+//!
+//! The two modes record different block-encoding call counts in
+//! [`QsvtResources`].  Circuit mode counts the circuit it runs: real-part
+//! extraction applies both `U_Φ` and `U_{−Φ}`, so a solve records
+//! 2·degree calls.  Emulation records degree calls, the count of the
+//! paper's Remark 1, while its ancilla count (2) still includes the
+//! real-part selector qubit of the circuit.
 
 use crate::circuit::QsvtCircuit;
 use crate::phases::{find_phases_cached, PhaseError, PhaseFindingOptions};

@@ -59,8 +59,9 @@ const FUSED_CACHE_KIND: &str = "fused-circuits";
 /// Bump whenever the fusion pass (its constants included), the
 /// [`CachedFusion`] wire shape, the entry format, or the fingerprint recipe
 /// below changes meaning — old entries become misses (4: entries carry a
-/// payload checksum).
-const FUSED_CACHE_VERSION: u32 = 4;
+/// payload checksum; 5: diagonals under different control sets no longer
+/// fold into one uncontrolled diagonal).
+const FUSED_CACHE_VERSION: u32 = 5;
 
 /// The on-disk payload of one fused-circuit cache entry: the rewritten
 /// operation list plus the before/after report.  Compilation itself

@@ -15,10 +15,9 @@
 //! 2. **Diagonal merging.**  Operations that are diagonal in the
 //!    computational basis (`Z`/`S`/`T`/`Rz`/`Phase`/`GlobalPhase`, their
 //!    controlled forms, and any diagonal `Gate::Unitary`) multiply entrywise,
-//!    so chains of them — even on *different* qubits and with *different*
-//!    control sets — merge into a single diagonal of support up to
-//!    `MAX_DIAGONAL_QUBITS` (6).  A controlled diagonal is itself a
-//!    diagonal, so mismatched control masks fold into the table.
+//!    so chains of them with the same control set — even on *different*
+//!    qubits — merge into a single diagonal of support up to
+//!    `MAX_DIAGONAL_QUBITS` (6).
 //! 3. **Controlled fusion.**  Controlled operations fuse whenever their
 //!    control sets match: both act as the identity outside the
 //!    control-satisfied subspace and compose inside it, so the fused op keeps
@@ -330,30 +329,6 @@ fn dense_of(seg: &Segment) -> CMatrix {
     }
 }
 
-/// A controlled diagonal re-expressed as an *uncontrolled* diagonal over
-/// `controls ∪ targets` (entries are 1 wherever a control bit is 0).
-fn full_diag_table(seg: &Segment) -> (Vec<usize>, Vec<Complex64>) {
-    let Body::Diag(d) = &seg.body else {
-        unreachable!("full_diag_table is only called on diagonal segments")
-    };
-    let qubits = union_sorted(&seg.controls, &seg.targets);
-    let cmask: usize = positions(&seg.controls, &qubits)
-        .iter()
-        .map(|&p| 1usize << p)
-        .sum();
-    let tpos = positions(&seg.targets, &qubits);
-    let table = (0..1usize << qubits.len())
-        .map(|j| {
-            if j & cmask == cmask {
-                d[gather_bits(j, &tpos)]
-            } else {
-                ONE
-            }
-        })
-        .collect();
-    (qubits, table)
-}
-
 /// Turn one raw operation into a segment; `None` drops it (identity).
 fn segment_of(op: &Operation) -> Option<Segment> {
     if matches!(op.gate, Gate::I) {
@@ -514,33 +489,11 @@ fn try_fuse(first: &Segment, second: &Segment) -> Option<Segment> {
             pristine: None,
         });
     }
-    // Mismatched control sets: diagonals fuse by folding the controls into
-    // the diagonal support (a controlled diagonal is a diagonal).
-    let sa = union_sorted(&first.controls, &first.targets);
-    let sb = union_sorted(&second.controls, &second.targets);
-    if matches!(first.body, Body::Diag(_)) && matches!(second.body, Body::Diag(_)) {
-        // Check the support cap before materializing any 2^k table: heavily
-        // controlled diagonals would otherwise allocate huge tables only to
-        // be rejected.
-        if union_sorted(&sa, &sb).len() > MAX_DIAGONAL_QUBITS {
-            return None;
-        }
-        let (qa, ta) = full_diag_table(first);
-        let (qb, tb) = full_diag_table(second);
-        let union = union_sorted(&qa, &qb);
-        let ea = embed_table(&ta, &qa, &union);
-        let eb = embed_table(&tb, &qb, &union);
-        let table = ea.iter().zip(&eb).map(|(a, b)| a * b).collect();
-        return Some(Segment {
-            controls: Vec::new(),
-            targets: union,
-            body: Body::Diag(table),
-            pristine: None,
-        });
-    }
-    // Mask-densifying fusion: dense ops with different control sets fuse by
+    // Mask-densifying fusion: ops with different control sets fuse by
     // embedding each as an *uncontrolled* block-diagonal matrix over its
     // controls ∪ targets (identity wherever its controls are unsatisfied).
+    let sa = union_sorted(&first.controls, &first.targets);
+    let sb = union_sorted(&second.controls, &second.targets);
     // Only attempted on overlapping supports — fusing disjoint ops saves
     // nothing and would block commuting hops (and later cancellations) —
     // and always within the dense cap, since the fused op trades the cheap
@@ -776,15 +729,19 @@ mod tests {
     }
 
     #[test]
-    fn diagonal_chain_merges_across_qubits_and_controls() {
+    fn diagonal_chain_merges_across_qubits() {
         let mut c = Circuit::new(3);
-        c.rz(0, 0.4)
-            .t(1)
-            .cphase(0, 2, 0.9)
-            .z(2)
-            .controlled_gate(Gate::Rz(-0.5), &[1], &[2]);
+        c.rz(0, 0.4).t(1).z(2).rz(1, -0.3);
         let fused = assert_equivalent(&c);
         assert_eq!(fused.len(), 1, "all-diagonal circuit must merge fully");
+        // Diagonals under the same control set merge into one controlled
+        // diagonal.
+        let mut c = Circuit::new(3);
+        c.controlled_gate(Gate::Rz(-0.5), &[0], &[2])
+            .controlled_gate(Gate::T, &[1], &[2]);
+        let fused = assert_equivalent(&c);
+        assert_eq!(fused.len(), 1);
+        assert_eq!(fused.operations()[0].controls, vec![2]);
     }
 
     #[test]

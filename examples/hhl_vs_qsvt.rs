@@ -24,14 +24,7 @@ fn main() {
     println!("4x4 symmetric positive-definite system, kappa = 5\n");
 
     // HHL with an 8-qubit clock register.
-    let hhl = HhlSolver::new(
-        &a,
-        HhlOptions {
-            clock_qubits: 8,
-            ..Default::default()
-        },
-    )
-    .expect("HHL");
+    let hhl = HhlSolver::new(&a, 8).expect("HHL");
     let hhl_result = hhl.solve_direction(&b).expect("HHL solve");
     let hhl_err = forward_error(&hhl_result.direction, &reference_direction).min(forward_error(
         &hhl_result.direction.scaled(-1.0),

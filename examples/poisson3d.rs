@@ -1,10 +1,10 @@
 //! Solve the 3-D Poisson equation at N = 13 824 unknowns — a size where the
 //! old densify-LU inner solver would need a 1.5 GB dense matrix and an
 //! O(N³) factorisation — entirely through the structured layer: the
-//! seven-point Laplacian is a matrix-free `StencilNd` (7 stored scalars), and
-//! the classical mixed-precision refinement (Algorithm 1) runs its
-//! low-precision correction solves with matrix-free Jacobi-CG, selected
-//! automatically by `FactorizableOperator::factorize`.
+//! seven-point Laplacian is a CSR `SparseMatrix` (at most 7 nonzeros per
+//! row), and the classical mixed-precision refinement (Algorithm 1) runs its
+//! low-precision correction solves with Jacobi-CG on the CSR operator,
+//! selected automatically by `FactorizableOperator::factorize`.
 //!
 //! Run with `cargo run --release --example poisson3d`.
 
@@ -18,7 +18,8 @@ fn main() {
     let kappa = poisson_3d_condition_number(nx, ny, nz);
     println!(
         "3-D Poisson problem: {nx}x{ny}x{nz} grid (N = {n}), kappa = {kappa:.2}\n\
-         operator storage: 7 stencil coefficients vs {} dense entries ({:.2} GB)\n",
+         operator storage: {} CSR nonzeros vs {} dense entries ({:.2} GB)\n",
+        a.nnz(),
         n * n,
         (n * n * 8) as f64 / 1e9
     );
@@ -37,7 +38,7 @@ fn main() {
         ..Default::default()
     };
     let refiner =
-        ClassicalRefiner::<f64, f32, StencilNd<f64>>::new(&a, opts).expect("refiner setup");
+        ClassicalRefiner::<f64, f32, SparseMatrix<f64>>::new(&a, opts).expect("refiner setup");
     println!(
         "inner solver selected by factorize: {} (threshold for densify-LU is N <= {})",
         refiner.inner_kind(),
@@ -65,7 +66,7 @@ fn main() {
     );
 
     // Matrix-free Lanczos condition estimate vs the analytic Kronecker-sum
-    // value — O(N) per step, no densification.
+    // value — O(nnz) per step, no densification.
     let kappa_est = cond_2_estimate(&a, 400, 1e-10);
     println!(
         "matrix-free condition estimate: {kappa_est:.2} (analytic {kappa:.2}, \

@@ -10,14 +10,13 @@
 //! * [`linalg`] (`qls-linalg`) — the classical substrate: dense linear
 //!   algebra in `f32` and `f64`, classical iterative refinement, the
 //!   structured-operator layer (`qls_linalg::operator::LinearOperator` with
-//!   dense / CSR / tridiagonal / matrix-free stencil implementations, now
-//!   including the d-dimensional `StencilNd` for 3-D Poisson) and the
-//!   structured inner-solver layer
+//!   dense / CSR / tridiagonal implementations; the 2-D and 3-D Poisson
+//!   operators are CSR matrices) and the structured inner-solver layer
 //!   (`qls_linalg::inner::FactorizableOperator`: Thomas for tridiagonal,
-//!   Jacobi-CG / BiCGSTAB for CSR and stencils, dense LU retained as the
-//!   oracle), so residuals, refinement *and the low-precision correction
-//!   solves* all run at O(nnz) on structured problems — no classical
-//!   refinement path densifies an O(N²) matrix;
+//!   Jacobi-CG / BiCGSTAB for CSR, dense LU retained as the oracle), so
+//!   residuals, refinement *and the low-precision correction solves* all run
+//!   at O(nnz) on structured problems — no classical refinement path
+//!   densifies an O(N²) matrix;
 //! * [`poly`] (`qls-poly`) — Chebyshev machinery and the Eq. (4) inverse
 //!   polynomial;
 //! * [`sim`] (`qls-sim`) — the state-vector quantum simulator (compiled
@@ -163,13 +162,16 @@
 //! else is `pub(crate)`, so rustc's `dead_code` lint (an error under CI's
 //! `clippy -D warnings`) flags any item that loses its last caller.  An
 //! oracle that only its own crate's unit tests use is `#[cfg(test)]`, and
-//! no lint attribute silences the census (CI checks that too).
+//! no lint attribute silences the census (CI checks that too).  The same
+//! rule holds for the [`prelude`]: it re-exports only what an example, test
+//! or doctest imports through it; every other public item stays reachable
+//! under its crate's path (`qls::core::…`, `qls::sim::…`, and so on).
 //!
 //! ## Examples, benches, figure binaries
 //!
 //! * `cargo run --release --example quickstart` — end-to-end hybrid solve
 //!   (also `poisson1d`, `poisson1d_multirhs` — the batched multi-RHS
-//!   workload — `poisson2d` — the matrix-free 2-D stencil workload —
+//!   workload — `poisson2d` and `poisson3d` — the Poisson stencils as CSR —
 //!   `noisy_refinement` — the fault-injection + recovery-ladder
 //!   demonstration — `hhl_vs_qsvt`, `precision_tradeoff`,
 //!   `circuit_resources` and `warm_cache`).
@@ -196,34 +198,32 @@ pub mod prelude {
     pub use qls_cache::{cache_hit_count, cache_miss_count, with_cache_dir, CachePolicy};
     pub use qls_core::{
         classical_lu_solve, poisson_cost_breakdown, qsvt_degree_model, quantum_cost_comparison,
-        sample_direction, CommunicationParameters, CommunicationSchedule, CostParameters,
-        Direction, FailureReason, HhlOptions, HhlResult, HhlSolver, HybridHistory,
-        HybridRefinementOptions, HybridRefiner, HybridStatus, PoissonCostParameters, QlsError,
-        QsvtLinearSolver, QsvtSolverOptions, RecoveryAction, RecoveryLog,
+        CommunicationParameters, CommunicationSchedule, CostParameters, Direction, FailureReason,
+        HhlSolver, HybridHistory, HybridRefinementOptions, HybridRefiner, HybridStatus,
+        PoissonCostParameters, QsvtLinearSolver, QsvtSolverOptions, RecoveryAction,
     };
     pub use qls_encoding::{
         BlockEncoding, BlockEncodingExt, DilationBlockEncoding, FableBlockEncoding,
         LcuBlockEncoding, StatePreparation, TridiagBlockEncoding,
     };
     pub use qls_linalg::generate::{
-        convection_diffusion_1d, convection_diffusion_2d, graph_laplacian, random_connected_graph,
+        convection_diffusion_1d, convection_diffusion_2d, random_connected_graph,
         random_matrix_with_cond, random_unit_vector, shifted_graph_laplacian, MatrixEnsemble,
         SingularValueDistribution,
     };
     pub use qls_linalg::tridiag::{poisson_rhs, sample_on_grid};
     pub use qls_linalg::{
-        backward_error, cond_2, cond_2_estimate, forward_error, poisson_1d,
-        poisson_1d_condition_number, poisson_2d, poisson_2d_condition_number, poisson_2d_rhs,
-        poisson_3d, poisson_3d_condition_number, poisson_3d_rhs, scaled_residual, ClassicalRefiner,
+        cond_2, cond_2_estimate, forward_error, poisson_1d, poisson_1d_condition_number,
+        poisson_2d, poisson_2d_condition_number, poisson_2d_rhs, poisson_3d,
+        poisson_3d_condition_number, poisson_3d_rhs, scaled_residual, ClassicalRefiner,
         FactorizableOperator, InnerSolver, InnerSolverKind, LinearOperator, Matrix,
-        RefinementOptions, SparseMatrix, StencilNd, StencilOperator, TridiagonalMatrix, Vector,
-        DENSIFY_FALLBACK_MAX,
+        RefinementOptions, SparseMatrix, TridiagonalMatrix, Vector, DENSIFY_FALLBACK_MAX,
     };
-    pub use qls_poly::{ChebyshevSeries, InversePolynomial};
+    pub use qls_poly::InversePolynomial;
     pub use qls_qsvt::{phase_generation_count, QsvtInverter, QsvtMode};
     pub use qls_sim::{
-        estimate_resources, fusion_pass_count, fusion_stats, Circuit, CircuitStats, FaultInjector,
-        FaultPlan, Gate, QuantumExecutor, StateVector, TCountModel, TransientKind,
+        estimate_resources, fusion_pass_count, fusion_stats, FaultInjector, FaultPlan,
+        QuantumExecutor, TCountModel, TransientKind,
     };
 
     pub use rand::SeedableRng;

@@ -1,12 +1,14 @@
 //! End-to-end equivalence of the operator layer: running Algorithm 2 over a
-//! structured operator (CSR or matrix-free stencil) must reproduce the
+//! structured operator (the CSR Poisson stencils) must reproduce the
 //! dense-matrix refiner's convergence history **bit for bit**.
 //!
 //! This is the operator-layer analogue of the simulator's
-//! `kernels::reference` / `OptLevel::None` oracles: the structured matvecs
-//! accumulate in the same column order with the same fused multiply-adds as
+//! `kernels::reference` / `OptLevel::None` oracles: the CSR matvec
+//! accumulates in the same column order with the same fused multiply-adds as
 //! the dense kernel, so swapping the representation changes *nothing* about
-//! the computed floats — only the cost of computing them.
+//! the computed floats — only the cost of computing them.  The tests also
+//! hold each refiner to its matvec budget: every step forms the residual of
+//! its iterate once.
 
 use qls::linalg::lu::LinalgError;
 use qls::linalg::Real;
@@ -78,12 +80,12 @@ impl<Op: FactorizableOperator<f64>> FactorizableOperator<f64> for CountingOperat
 }
 
 /// The N = 64 test problem: the 8x8 2-D Poisson stencil (kappa ≈ 32, so the
-/// epsilon_l = 1e-2 inner solver still contracts per Theorem III.1).
-fn poisson_64() -> (StencilOperator<f64>, SparseMatrix<f64>, Matrix<f64>) {
-    let stencil = poisson_2d::<f64>(8, 8, false);
-    let csr = stencil.to_sparse();
-    let dense = stencil.to_dense();
-    (stencil, csr, dense)
+/// epsilon_l = 1e-2 inner solver still contracts per Theorem III.1), as CSR
+/// and densified.
+fn poisson_64() -> (SparseMatrix<f64>, Matrix<f64>) {
+    let csr = poisson_2d::<f64>(8, 8, false);
+    let dense = csr.to_dense();
+    (csr, dense)
 }
 
 fn options() -> HybridRefinementOptions {
@@ -121,13 +123,12 @@ fn assert_identical_histories(
 
 #[test]
 fn hybrid_refiner_histories_are_bit_identical_across_operator_representations() {
-    let (stencil, csr, dense) = poisson_64();
+    let (csr, dense) = poisson_64();
     assert_eq!(dense.nrows(), 64);
     let b = poisson_2d_rhs::<f64>(8, 8, |x, y| 2.0 * y * (1.0 - y) + 2.0 * x * (1.0 - x));
 
     let dense_refiner = HybridRefiner::new(&dense, options()).expect("dense refiner");
     let csr_refiner = HybridRefiner::new(&csr, options()).expect("CSR refiner");
-    let stencil_refiner = HybridRefiner::new(&stencil, options()).expect("stencil refiner");
 
     // Identical RNG seeds (exact readout never consumes the RNG, but the
     // contract should hold for the full call signature).
@@ -137,12 +138,9 @@ fn hybrid_refiner_histories_are_bit_identical_across_operator_representations() 
     let csr_run = csr_refiner
         .solve(&b, &mut experiment_rng(42))
         .expect("CSR solve");
-    let stencil_run = stencil_refiner
-        .solve(&b, &mut experiment_rng(42))
-        .expect("stencil solve");
 
     // The run must actually exercise the refinement loop, converge, and
-    // agree bit for bit across all three representations.
+    // agree bit for bit across both representations.
     assert_eq!(dense_run.1.status, HybridStatus::Converged);
     assert!(
         dense_run.1.iterations() >= 2,
@@ -150,7 +148,6 @@ fn hybrid_refiner_histories_are_bit_identical_across_operator_representations() 
         dense_run.1.iterations()
     );
     assert_identical_histories("csr vs dense", &csr_run, &dense_run);
-    assert_identical_histories("stencil vs dense", &stencil_run, &dense_run);
 }
 
 #[test]
@@ -159,7 +156,7 @@ fn classical_refiner_is_bit_identical_over_csr() {
     // operator vs the dense matrix: the low-precision factorisation runs on
     // the same densified matrix and the high-precision residuals are
     // bit-identical, so the whole history must match exactly.
-    let (_, csr, dense) = poisson_64();
+    let (csr, dense) = poisson_64();
     let b = poisson_2d_rhs::<f64>(8, 8, |x, y| (3.0 * x - y).sin());
     let opts = RefinementOptions {
         target_scaled_residual: 1e-13,
@@ -187,8 +184,9 @@ fn smooth_rhs(n: usize) -> Vector<f64> {
 
 /// Run the structured refiner and the dense-LU oracle over the same operator
 /// and assert: the structured path picked the expected inner solver, both
-/// converged with zero `to_dense` calls on the structured side, and the final
-/// solutions agree to 1e-10.
+/// converged with zero `to_dense` calls on the structured side, a history of
+/// k steps applied the high-precision operator k times (one residual per
+/// step), and the final solutions agree to 1e-10.
 fn assert_structured_matches_oracle<Op: FactorizableOperator<f64> + Clone>(
     label: &str,
     op: &Op,
@@ -219,6 +217,11 @@ fn assert_structured_matches_oracle<Op: FactorizableOperator<f64> + Clone>(
         counted.densify_count(),
         0,
         "{label}: the structured refinement path called to_dense"
+    );
+    assert_eq!(
+        counted.matvec_count(),
+        h_structured.steps.len(),
+        "{label}: one high-precision residual per step"
     );
 
     let oracle =
@@ -251,24 +254,17 @@ fn thomas_refinement_matches_the_dense_lu_oracle() {
 
 #[test]
 fn stencil_cg_refinement_matches_the_dense_lu_oracle() {
-    // 2-D Poisson at 16x16 (N = 256): matrix-free Jacobi-CG inner solves.
-    let stencil = poisson_2d::<f64>(16, 16, false);
-    assert_structured_matches_oracle(
-        "stencil-16x16",
-        &stencil,
-        InnerSolverKind::ConjugateGradient,
-    );
+    // The 2-D Poisson stencil at 16x16 (N = 256) as CSR: Jacobi-CG inner
+    // solves.
+    let csr = poisson_2d::<f64>(16, 16, false);
+    assert_structured_matches_oracle("poisson2d-16x16", &csr, InnerSolverKind::ConjugateGradient);
 }
 
 #[test]
 fn stencil_nd_cg_refinement_matches_the_dense_lu_oracle() {
-    // 3-D Poisson on a 6x5x4 grid (N = 120): the d-dimensional stencil.
-    let stencil = poisson_3d::<f64>(6, 5, 4, false);
-    assert_structured_matches_oracle(
-        "poisson3d-6x5x4",
-        &stencil,
-        InnerSolverKind::ConjugateGradient,
-    );
+    // The 3-D (seven-point) Poisson stencil on a 6x5x4 grid (N = 120) as CSR.
+    let csr = poisson_3d::<f64>(6, 5, 4, false);
+    assert_structured_matches_oracle("poisson3d-6x5x4", &csr, InnerSolverKind::ConjugateGradient);
 }
 
 #[test]
@@ -284,8 +280,7 @@ fn hybrid_refiner_never_densifies_after_construction() {
     // The hybrid loop densifies exactly once — in `new`, for the quantum-side
     // block-encoding.  Neither `solve` nor `solve_many` may densify again:
     // the classical half of Algorithm 2 is residuals + updates only.
-    let stencil = poisson_2d::<f64>(8, 8, false);
-    let counted = CountingOperator::new(stencil);
+    let counted = CountingOperator::new(poisson_2d::<f64>(8, 8, false));
     let refiner = HybridRefiner::new(&counted, options()).expect("hybrid refiner");
     let after_new = counted.densify_count();
     assert!(after_new >= 1, "construction builds the block-encoding");
@@ -308,10 +303,9 @@ fn hybrid_refiner_never_densifies_after_construction() {
 #[test]
 fn inner_solve_applies_the_operator_once() {
     // Each inner QSVT solve applies A once (`A·η` for the norm recovery),
-    // and each refinement step once more for the scaled residual of its
-    // candidate iterate; every step after the first also forms the
-    // residual `b − A x` it solves for.  So a history of k steps costs
-    // 1 + 1 + 3(k − 1) = 3k − 1 matvecs.
+    // and each refinement step once more for the residual `b − A x` of its
+    // candidate iterate, whose norm is the step's ω and which the next step
+    // solves for.  So a history of k steps costs 2k matvecs.
     let counted = CountingOperator::new(poisson_2d::<f64>(8, 8, false));
     let bs = [
         poisson_2d_rhs::<f64>(8, 8, |x, y| x * y + 0.5),
@@ -335,13 +329,13 @@ fn inner_solve_applies_the_operator_once() {
     let k = history.steps.len();
     assert!(k >= 2, "the refinement must take at least one correction");
     assert_eq!(history.status, HybridStatus::Converged);
-    assert_eq!(counted.matvec_count() - before, 3 * k - 1, "{k} steps");
+    assert_eq!(counted.matvec_count() - before, 2 * k, "{k} steps");
 
     let before = counted.matvec_count();
     let runs = refiner
         .solve_many(&bs, &mut experiment_rng(3))
         .expect("hybrid solve_many");
-    let expected: usize = runs.iter().map(|(_, h)| 3 * h.steps.len() - 1).sum();
+    let expected: usize = runs.iter().map(|(_, h)| 2 * h.steps.len()).sum();
     assert_eq!(
         counted.matvec_count() - before,
         expected,
@@ -352,22 +346,22 @@ fn inner_solve_applies_the_operator_once() {
 
 #[test]
 fn multi_rhs_refinement_is_bit_identical_over_the_stencil() {
-    // The batched multi-RHS path over the matrix-free operator.
-    let (stencil, _, dense) = poisson_64();
+    // The batched multi-RHS path over the CSR Poisson stencil.
+    let (csr, dense) = poisson_64();
     let bs: Vec<Vector<f64>> = vec![
         poisson_2d_rhs::<f64>(8, 8, |x, y| x + y),
         poisson_2d_rhs::<f64>(8, 8, |x, y| (5.0 * x * y).cos()),
         poisson_2d_rhs::<f64>(8, 8, |x, _| if x > 0.5 { 1.0 } else { -1.0 }),
     ];
     let dense_refiner = HybridRefiner::new(&dense, options()).expect("dense refiner");
-    let stencil_refiner = HybridRefiner::new(&stencil, options()).expect("stencil refiner");
+    let csr_refiner = HybridRefiner::new(&csr, options()).expect("CSR refiner");
     let dense_runs = dense_refiner
         .solve_many(&bs, &mut experiment_rng(7))
         .expect("dense solve_many");
-    let stencil_runs = stencil_refiner
+    let csr_runs = csr_refiner
         .solve_many(&bs, &mut experiment_rng(7))
-        .expect("stencil solve_many");
-    for (k, (d, s)) in dense_runs.iter().zip(&stencil_runs).enumerate() {
-        assert_identical_histories(&format!("multi-rhs system {k}"), s, d);
+        .expect("CSR solve_many");
+    for (k, (d, c)) in dense_runs.iter().zip(&csr_runs).enumerate() {
+        assert_identical_histories(&format!("multi-rhs system {k}"), c, d);
     }
 }
