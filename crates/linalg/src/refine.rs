@@ -190,6 +190,11 @@ impl<H: Real, L: Real, Op: FactorizableOperator<H>> ClassicalRefiner<H, L, Op> {
             status = RefinementStatus::Converged;
             return Ok((x, RefinementHistory { steps, status }));
         }
+        // A non-finite ω (NaN or overflow in the iterate) never recovers.
+        if !omega0.is_finite() {
+            status = RefinementStatus::Diverged;
+            return Ok((x, RefinementHistory { steps, status }));
+        }
 
         for it in 1..=self.options.max_iterations {
             // Correction solve in low precision (reusing the factors) for
@@ -212,7 +217,7 @@ impl<H: Real, L: Real, Op: FactorizableOperator<H>> ClassicalRefiner<H, L, Op> {
                 status = RefinementStatus::Converged;
                 break;
             }
-            if omega > prev_omega * 2.0 {
+            if !omega.is_finite() || omega > prev_omega * 2.0 {
                 status = RefinementStatus::Diverged;
                 break;
             }
@@ -419,6 +424,21 @@ mod tests {
         // Non-contracting case returns None.
         assert_eq!(iteration_bound(1e-11, 0.2, 10.0), None);
         assert_eq!(iteration_bound(1e-11, 0.0, 10.0), None);
+    }
+
+    #[test]
+    fn non_finite_residual_stops_with_diverged() {
+        let refiner =
+            ClassicalRefiner::<f64, f32>::new(&Matrix::identity(3), RefinementOptions::default())
+                .unwrap();
+        // ω is NaN for both (not 0 for the all-NaN one, which would read
+        // Converged), and a NaN ω must stop the loop, not run it to the cap.
+        for b in [[f64::NAN; 3], [f64::NAN, 1.0, 1.0]] {
+            let (_, history) = refiner.solve(&Vector::from_f64_slice(&b)).unwrap();
+            assert_eq!(history.status, RefinementStatus::Diverged, "b = {b:?}");
+            assert_eq!(history.iterations(), 0);
+            assert!(history.final_residual().is_nan());
+        }
     }
 
     #[test]

@@ -66,6 +66,10 @@ pub trait Real:
     fn is_finite(self) -> bool {
         self.to_f64().is_finite()
     }
+    /// True if the value is NaN.
+    fn is_nan(self) -> bool {
+        self.to_f64().is_nan()
+    }
 }
 
 impl Real for f64 {

@@ -85,12 +85,18 @@ impl<T: Real> Vector<T> {
             .fold(T::zero(), |acc, (&a, &b)| a.mul_add(b, acc))
     }
 
-    /// Euclidean (2-)norm.
+    /// Euclidean (2-)norm; NaN when any entry is NaN.
     pub fn norm2(&self) -> T {
         // Scale by the largest magnitude to avoid overflow for extreme inputs.
         let maxabs = self.data.iter().fold(T::zero(), |acc, x| acc.max(x.abs()));
         if maxabs == T::zero() {
-            return T::zero();
+            // `max` drops NaN, so entries that are all NaN land here too.
+            // Otherwise a NaN entry makes the scaled sum below NaN.
+            return if self.data.iter().any(|x| x.is_nan()) {
+                T::from_f64(f64::NAN)
+            } else {
+                T::zero()
+            };
         }
         let sum = self.data.iter().fold(T::zero(), |acc, &x| {
             let s = x / maxabs;
@@ -99,9 +105,16 @@ impl<T: Real> Vector<T> {
         maxabs * sum.sqrt()
     }
 
-    /// ∞-norm (largest absolute value).
+    /// ∞-norm (largest absolute value); NaN when any entry is NaN.
     pub fn norm_inf(&self) -> T {
-        self.data.iter().fold(T::zero(), |acc, x| acc.max(x.abs()))
+        // `max` returns its other operand for a NaN, so NaN is kept by hand.
+        self.data.iter().fold(T::zero(), |acc, x| {
+            if acc.is_nan() || x.is_nan() {
+                T::from_f64(f64::NAN)
+            } else {
+                acc.max(x.abs())
+            }
+        })
     }
 
     /// `self += alpha * x` (the BLAS `axpy` kernel).
@@ -277,6 +290,18 @@ mod tests {
         assert_eq!(a.norm_inf(), 4.0);
         let b = v(&[1.0, -1.0]);
         assert_eq!(a.dot(&b), -1.0);
+    }
+
+    #[test]
+    fn norms_of_vectors_with_nan_entries_are_nan() {
+        let all_nan = v(&[f64::NAN; 3]);
+        assert!(all_nan.norm2().is_nan());
+        assert!(all_nan.norm_inf().is_nan());
+        let one_nan = v(&[1.0, f64::NAN, 2.0]);
+        assert!(one_nan.norm2().is_nan());
+        assert!(one_nan.norm_inf().is_nan());
+        assert_eq!(v(&[0.0, -0.0]).norm2(), 0.0);
+        assert_eq!(v(&[0.0, -0.0]).norm_inf(), 0.0);
     }
 
     #[test]

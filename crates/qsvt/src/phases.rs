@@ -11,20 +11,25 @@
 //! square nonlinear system `F(ψ) = c`, where `ψ` is the reduced (half) phase
 //! vector measured from the reference point `Φ* = (π/4, 0, …, 0, π/4)` and `c`
 //! collects the Chebyshev coefficients of `f` with the right parity.  The
-//! system is solved by a full-step quasi-Newton iteration: the Jacobian is
-//! evaluated by finite differences at the starting point (where it is
-//! well-conditioned and ≈ 2·I up to ordering) and refreshed whenever
-//! convergence stalls.  For the very high degrees needed by large condition
-//! numbers the paper switches to the estimation method of its Ref. \[32\]; this
-//! reproduction switches to the matrix-function emulation path instead
-//! ([`crate::solve`]'s `Emulation` mode, which applies the polynomial to the
-//! singular values), so the solver here only needs to be robust for moderate
-//! degrees.
+//! system is solved by a full-step quasi-Newton iteration from `ψ = 0`.  The
+//! Jacobian there, `J(0)`, is well-conditioned and nonzero only on its
+//! diagonal and anti-diagonal, so grouped finite differences (Curtis, Powell
+//! & Reid, 1974) recover it from three evaluations of `F` instead of
+//! `dim + 1`; a dense finite-difference Jacobian replaces it whenever
+//! convergence stalls.  Each evaluation of `F` runs the QSP product at all
+//! of the solver's nodes at once.  For the very high degrees needed by large
+//! condition numbers the paper switches to the estimation method of its
+//! Ref. \[32\]; this reproduction switches to the matrix-function emulation
+//! path instead ([`crate::solve`]'s `Emulation` mode, which applies the
+//! polynomial to the singular values), so the solver here only needs to be
+//! robust for moderate degrees.
 
+#[cfg(test)]
 use crate::qsp::qsp_real_polynomial;
+use crate::qsp::qsp_real_polynomials;
 use qls_cache::{CachePolicy, CacheStore, FingerprintBuilder};
 use qls_linalg::{LuFactorization, Matrix, Vector};
-use qls_poly::{chebyshev_t, ChebyshevSeries, Parity};
+use qls_poly::{ChebyshevSeries, Parity};
 use serde::Serialize;
 use std::cell::Cell;
 
@@ -35,8 +40,8 @@ pub const PHASES_CACHE_KIND: &str = "qsvt-phases";
 /// Entry-format version of the phase store; bump to orphan old entries.
 /// Changing the phase solver (its constants included), the fingerprint
 /// recipe of [`find_phases_cached`] or the entry format needs a bump (3:
-/// entries carry a payload checksum).
-pub const PHASES_CACHE_VERSION: u32 = 3;
+/// entries carry a payload checksum; 4: grouped J(0)).
+pub const PHASES_CACHE_VERSION: u32 = 4;
 
 thread_local! {
     /// Phase-factor generations performed by this thread, for cache-contract
@@ -63,6 +68,10 @@ const MAX_ITERATIONS: usize = 200;
 /// less than this factor between iterations.  Changing it needs a bump of
 /// [`PHASES_CACHE_VERSION`].
 const STALL_FACTOR: f64 = 0.9;
+
+/// Finite-difference step of both Jacobians.  Changing it needs a bump of
+/// [`PHASES_CACHE_VERSION`].
+const STEP: f64 = 1e-6;
 
 /// The phase solver has no settings: it runs full (undamped) quasi-Newton
 /// steps with the constants above.  This empty struct stays only because
@@ -197,7 +206,10 @@ impl CoefficientMap {
         let nodes: Vec<f64> = (0..dim)
             .map(|k| ((2 * k + 1) as f64 * std::f64::consts::PI / (4.0 * dim as f64)).cos())
             .collect();
-        let basis = Matrix::from_fn(dim, dim, |k, j| chebyshev_t(2 * j + parity, nodes[k]));
+        // `chebyshev_t(n, x) = cos(n·arccos x)` on these nodes (all in
+        // (0, 1)), with each node's arccos taken once.
+        let angles: Vec<f64> = nodes.iter().map(|x| x.acos()).collect();
+        let basis = Matrix::from_fn(dim, dim, |k, j| ((2 * j + parity) as f64 * angles[k]).cos());
         let basis_lu = LuFactorization::new(&basis).expect("Chebyshev basis matrix is nonsingular");
         CoefficientMap {
             degree,
@@ -206,41 +218,116 @@ impl CoefficientMap {
         }
     }
 
-    /// Coefficients (c_{parity}, c_{parity+2}, …) of a scalar function sampled
-    /// at the solver nodes.
-    fn project(&self, f: impl Fn(f64) -> f64) -> Vector<f64> {
-        let samples: Vector<f64> = self.nodes.iter().map(|&x| f(x)).collect();
-        self.basis_lu.solve(&samples).expect("basis solve")
+    /// Coefficients (c_{parity}, c_{parity+2}, …) of a scalar function from
+    /// its samples at the solver nodes.
+    fn project(&self, samples: Vec<f64>) -> Vector<f64> {
+        self.basis_lu
+            .solve(&Vector::from(samples))
+            .expect("basis solve")
     }
 
     /// F(ψ): coefficients realised by the reduced phases ψ.
     fn realised(&self, reduced: &[f64]) -> Vector<f64> {
         let full = expand_phases(reduced, self.degree);
-        self.project(|x| qsp_real_polynomial(&full, x))
+        self.project(qsp_real_polynomials(&full, &self.nodes))
     }
 
-    /// Finite-difference Jacobian of F at ψ.
+    /// Finite-difference Jacobian of F at ψ: `dim + 1` evaluations.
     fn jacobian(&self, reduced: &[f64]) -> Matrix<f64> {
         let m = reduced.len();
-        let h = 1e-6;
         let base = self.realised(reduced);
         let mut jac = Matrix::zeros(m, m);
         let mut perturbed = reduced.to_vec();
         for j in 0..m {
-            perturbed[j] += h;
+            perturbed[j] += STEP;
             let shifted = self.realised(&perturbed);
             perturbed[j] = reduced[j];
             for i in 0..m {
-                jac[(i, j)] = (shifted[i] - base[i]) / h;
+                jac[(i, j)] = (shifted[i] - base[i]) / STEP;
             }
         }
         jac
+    }
+
+    /// The Jacobian at ψ = 0 from grouped differences (Curtis, Powell &
+    /// Reid, 1974), given `start = F(0)`.  At ψ = 0 column `j` is zero off
+    /// rows `j` and `dim − 1 − j`, so the columns `j < ⌈dim/2⌉` touch
+    /// disjoint rows and share one perturbation, and the others share a
+    /// second: three evaluations instead of `dim + 1`.
+    fn starting_jacobian(&self, start: &Vector<f64>) -> Matrix<f64> {
+        let dim = start.len();
+        let half = dim.div_ceil(2);
+        let mut jac = Matrix::zeros(dim, dim);
+        for group in [0..half, half..dim] {
+            let mut perturbed = vec![0.0; dim];
+            perturbed[group.clone()].fill(STEP);
+            let shifted = self.realised(&perturbed);
+            for j in group {
+                for i in [j, dim - 1 - j] {
+                    jac[(i, j)] = (shifted[i] - start[i]) / STEP;
+                }
+            }
+        }
+        jac
+    }
+
+    /// Full-step quasi-Newton iteration for `F(ψ) = c` from ψ = 0, given
+    /// `start = F(0)` and the Jacobian `jac0` there.  The Jacobian is
+    /// refreshed by finite differences whenever the residual stalls.
+    fn solve(
+        &self,
+        c: &Vector<f64>,
+        start: Vector<f64>,
+        jac0: &Matrix<f64>,
+    ) -> Result<QspPhases, PhaseError> {
+        let mut reduced = vec![0.0f64; c.len()];
+        let mut jac_lu = LuFactorization::new(jac0).map_err(|_| PhaseError::NotConverged {
+            residual: f64::INFINITY,
+        })?;
+        // `realised` is always F(reduced).  `iterations` is the number of
+        // residual checks at convergence (the steps taken plus one), and
+        // the cap otherwise.
+        let mut realised = start;
+        let mut previous = f64::INFINITY;
+        let mut iterations = MAX_ITERATIONS;
+        for it in 0..MAX_ITERATIONS {
+            let residual = &realised - c;
+            let norm = residual.norm_inf();
+            if norm <= TOLERANCE {
+                iterations = it + 1;
+                break;
+            }
+            // Refresh the Jacobian when progress stalls.
+            if norm > previous * STALL_FACTOR {
+                jac_lu = LuFactorization::new(&self.jacobian(&reduced))
+                    .map_err(|_| PhaseError::NotConverged { residual: norm })?;
+            }
+            previous = norm;
+            let step = jac_lu
+                .solve(&residual)
+                .map_err(|_| PhaseError::NotConverged { residual: norm })?;
+            for (r, s) in reduced.iter_mut().zip(step.iter()) {
+                *r -= s;
+            }
+            realised = self.realised(&reduced);
+        }
+
+        // Final residual check (a NaN residual fails it too).
+        let residual = (&realised - c).norm_inf();
+        if residual.is_nan() || residual > TOLERANCE * 10.0 {
+            return Err(PhaseError::NotConverged { residual });
+        }
+        Ok(QspPhases {
+            phases: expand_phases(&reduced, self.degree),
+            residual,
+            iterations,
+            degree: self.degree,
+        })
     }
 }
 
 /// Find symmetric QSP phases realising the target Chebyshev series.  The
 /// options are empty (see [`PhaseFindingOptions`]).
-#[allow(unused_assignments)] // residual_norm's final write is intentionally unread
 pub fn find_phases(
     target: &ChebyshevSeries,
     _options: &PhaseFindingOptions,
@@ -266,55 +353,12 @@ pub fn find_phases(
     let map = CoefficientMap::new(degree, parity, dim);
 
     // Target coefficients in the same (node-projected) representation.
-    let c = map.project(|x| target.eval(x));
+    let c = map.project(map.nodes.iter().map(|&x| target.eval(x)).collect());
 
     // Quasi-Newton iteration from ψ = 0 (the zero polynomial).
-    let mut reduced = vec![0.0f64; dim];
-    let mut jac_lu =
-        LuFactorization::new(&map.jacobian(&reduced)).map_err(|_| PhaseError::NotConverged {
-            residual: f64::INFINITY,
-        })?;
-    #[allow(unused_assignments)]
-    let mut residual_norm = f64::INFINITY;
-    let mut iterations = 0usize;
-
-    for it in 0..MAX_ITERATIONS {
-        iterations = it;
-        let realised = map.realised(&reduced);
-        let residual = &realised - &c;
-        let new_norm = residual.norm_inf();
-        if new_norm <= TOLERANCE {
-            residual_norm = new_norm;
-            break;
-        }
-        // Refresh the Jacobian when progress stalls.
-        if new_norm > residual_norm * STALL_FACTOR {
-            jac_lu = LuFactorization::new(&map.jacobian(&reduced))
-                .map_err(|_| PhaseError::NotConverged { residual: new_norm })?;
-        }
-        residual_norm = new_norm;
-        let step = jac_lu
-            .solve(&residual)
-            .map_err(|_| PhaseError::NotConverged { residual: new_norm })?;
-        for (r, s) in reduced.iter_mut().zip(step.iter()) {
-            *r -= s;
-        }
-    }
-
-    // Final residual check.
-    let final_res = (&map.realised(&reduced) - &c).norm_inf();
-    if final_res > TOLERANCE * 10.0 {
-        return Err(PhaseError::NotConverged {
-            residual: final_res,
-        });
-    }
-
-    Ok(QspPhases {
-        phases: expand_phases(&reduced, degree),
-        residual: final_res,
-        iterations: iterations + 1,
-        degree,
-    })
+    let start = map.realised(&vec![0.0; dim]);
+    let jac0 = map.starting_jacobian(&start);
+    map.solve(&c, start, &jac0)
 }
 
 /// The phase-cache key: the full coefficient vector by `f64` bit pattern
@@ -368,6 +412,101 @@ pub fn find_phases_cached(
 mod tests {
     use super::*;
     use qls_poly::{interpolate, InversePolynomial};
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// The coefficient map, the target coefficients and `F(0)` for a
+    /// target, as `find_phases` builds them.
+    fn problem(target: &ChebyshevSeries) -> (CoefficientMap, Vector<f64>, Vector<f64>) {
+        let degree = target.degree();
+        let dim = degree / 2 + 1;
+        let map = CoefficientMap::new(degree, degree % 2, dim);
+        let c = map.project(map.nodes.iter().map(|&x| target.eval(x)).collect());
+        let start = map.realised(&vec![0.0; dim]);
+        (map, c, start)
+    }
+
+    /// Inverse-polynomial targets of degrees 19, 31, 37, 51, 83, 117
+    /// (the `circuit_exact` benchmark's) and 133.
+    fn inverse_targets() -> Vec<ChebyshevSeries> {
+        [
+            (2.0, 0.1),
+            (2.0, 0.01),
+            (3.0, 0.05),
+            (4.0, 0.05),
+            (6.0, 0.05),
+            (8.0, 0.05),
+            (8.0, 0.02),
+        ]
+        .map(|(kappa, epsilon)| InversePolynomial::new(kappa, epsilon).series)
+        .to_vec()
+    }
+
+    #[test]
+    fn grouped_starting_jacobian_gives_the_dense_ones_phases() {
+        for target in inverse_targets() {
+            let (map, c, start) = problem(&target);
+            let dense = map.jacobian(&vec![0.0; c.len()]);
+            let grouped = map.solve(&c, start.clone(), &map.starting_jacobian(&start));
+            let grouped = grouped.expect("grouped J(0)");
+            let reference = map.solve(&c, start, &dense).expect("dense J(0)");
+            let degree = grouped.degree;
+            assert_eq!(grouped.iterations, reference.iterations, "degree {degree}");
+            let gap = grouped
+                .phases
+                .iter()
+                .zip(&reference.phases)
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0, f64::max);
+            assert!(gap <= 1e-15, "degree {degree}: max |Δφ| = {gap:e}");
+            let found = find_phases(&target, &PhaseFindingOptions).expect("phases");
+            assert_eq!(found.phases, grouped.phases, "find_phases groups J(0)");
+        }
+    }
+
+    #[test]
+    fn starting_jacobian_is_diagonal_plus_anti_diagonal() {
+        // The structure the grouped differences rest on, read off the dense
+        // differences.
+        for target in inverse_targets() {
+            let (map, c, _) = problem(&target);
+            let dim = c.len();
+            let dense = map.jacobian(&vec![0.0; dim]);
+            for i in 0..dim {
+                for j in (0..dim).filter(|&j| j != i && j != dim - 1 - i) {
+                    let entry = dense[(i, j)];
+                    assert!(entry.abs() <= 1e-9, "dim {dim}: J[{i}][{j}] = {entry:e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_evaluation_matches_the_per_node_product_bit_for_bit() {
+        // The solver's nodes (block remainders included) and a grid with
+        // the clamped ends, under the reference phases (exact zeros inside)
+        // and random ones.
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let grid: Vec<f64> = (0..=20).map(|i| -1.0 + 0.1 * i as f64).collect();
+        for degree in [1, 2, 9, 20, 117] {
+            let dim = degree / 2 + 1;
+            let map = CoefficientMap::new(degree, degree % 2, dim);
+            let random: Vec<f64> = (0..=degree).map(|_| rng.gen_range(-3.2..3.2)).collect();
+            for phases in [expand_phases(&vec![0.0; dim], degree), random] {
+                for xs in [&map.nodes, &grid] {
+                    let batched = qsp_real_polynomials(&phases, xs);
+                    for (&x, value) in xs.iter().zip(batched) {
+                        let expected = qsp_real_polynomial(&phases, x);
+                        assert_eq!(
+                            value.to_bits(),
+                            expected.to_bits(),
+                            "degree {degree}, x {x}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     fn check_target(target: &ChebyshevSeries, tol: f64) -> QspPhases {
         let phases = find_phases(target, &PhaseFindingOptions).expect("phase finding");

@@ -12,14 +12,16 @@
 //! QSVT circuit built from the same phases applies `P` to every singular value
 //! of the block-encoded operator.  The phase solver in [`crate::phases`]
 //! targets the *real part* `Re P(x)`, which is the convention of the symmetric
-//! QSP method the paper cites (\[13\]); these scalar routines are what the
-//! solver iterates on and what the tests verify against.
+//! QSP method the paper cites (\[13\]).  The solver evaluates it at all of its
+//! nodes at once ([`qsp_real_polynomials`]); the per-signal 2×2 products are
+//! the tests' oracle.
 
 use num_complex::Complex64;
 
 /// A 2×2 complex matrix stored as `[[a, b], [c, d]]`.
 pub type Mat2 = [[Complex64; 2]; 2];
 
+#[cfg(test)]
 fn mat2_mul(a: &Mat2, b: &Mat2) -> Mat2 {
     let mut out = [[Complex64::new(0.0, 0.0); 2]; 2];
     for i in 0..2 {
@@ -51,6 +53,7 @@ pub(crate) fn phase_operator(phi: f64) -> Mat2 {
 
 /// The full QSP unitary `U_Φ(x)` for `d = phases.len() - 1` applications of the
 /// signal operator.
+#[cfg(test)]
 pub(crate) fn qsp_unitary(phases: &[f64], x: f64) -> Mat2 {
     assert!(!phases.is_empty(), "need at least one phase");
     let w = signal_operator(x);
@@ -63,13 +66,60 @@ pub(crate) fn qsp_unitary(phases: &[f64], x: f64) -> Mat2 {
 }
 
 /// The complex QSP polynomial `P(x) = ⟨0|U_Φ(x)|0⟩`.
+#[cfg(test)]
 pub(crate) fn qsp_polynomial(phases: &[f64], x: f64) -> Complex64 {
     qsp_unitary(phases, x)[0][0]
 }
 
-/// The real part `Re ⟨0|U_Φ(x)|0⟩` targeted by the symmetric-QSP phase solver.
+/// The real part `Re ⟨0|U_Φ(x)|0⟩` targeted by the symmetric-QSP phase solver:
+/// the per-signal oracle of [`qsp_real_polynomials`].
+#[cfg(test)]
 pub(crate) fn qsp_real_polynomial(phases: &[f64], x: f64) -> f64 {
     qsp_polynomial(phases, x).re
+}
+
+/// Signals that [`qsp_real_polynomials`] carries through the phases in
+/// lockstep.
+const LANES: usize = 8;
+
+/// `Re ⟨0|U_Φ(x)|0⟩` at every signal `x` of `xs`, bit for bit what the
+/// per-signal product `qsp_unitary` gives.
+///
+/// The entry `[0][0]` of a product depends only on the first row of its
+/// left factor, so only that row of the running product is carried, with
+/// `mat2_mul`'s row-0 products and sums.  The products with the zero
+/// entries of `e^{iφZ}` stay: their signed zeros can flip the sign of a
+/// zero part, and dropping them changes bits.  The phase operators are
+/// formed once for all signals, and the signals advance through them in
+/// blocks of [`LANES`].
+pub(crate) fn qsp_real_polynomials(phases: &[f64], xs: &[f64]) -> Vec<f64> {
+    let (first, rest) = phases.split_first().expect("need at least one phase");
+    let zero = Complex64::new(0.0, 0.0);
+    let diagonals: Vec<[Complex64; 2]> = rest
+        .iter()
+        .map(|&phi| {
+            let p = phase_operator(phi);
+            [p[0][0], p[1][1]]
+        })
+        .collect();
+    let start = phase_operator(*first)[0];
+    let mut out = Vec::with_capacity(xs.len());
+    for block in xs.chunks(LANES) {
+        // A short last block repeats its last signal in the spare lanes.
+        let w: [Mat2; LANES] =
+            std::array::from_fn(|l| signal_operator(block[l.min(block.len() - 1)]));
+        let mut rows = [start; LANES];
+        for &[e, e_conj] in &diagonals {
+            for (row, w) in rows.iter_mut().zip(&w) {
+                let [u0, u1] = *row;
+                let v0 = u0 * w[0][0] + u1 * w[1][0];
+                let v1 = u0 * w[0][1] + u1 * w[1][1];
+                *row = [v0 * e + v1 * zero, v0 * zero + v1 * e_conj];
+            }
+        }
+        out.extend(rows[..block.len()].iter().map(|row| row[0].re));
+    }
+    out
 }
 
 #[cfg(test)]

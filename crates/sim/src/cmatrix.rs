@@ -12,6 +12,8 @@ use qls_linalg::Matrix;
 use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
+const ZERO: Complex64 = Complex64::new(0.0, 0.0);
+
 /// A dense row-major complex matrix.
 ///
 /// The entries live in shared, reference-counted storage: `clone` only bumps
@@ -30,7 +32,7 @@ pub struct CMatrix {
 impl CMatrix {
     /// Create a matrix of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self::from_vec(rows, cols, vec![Complex64::new(0.0, 0.0); rows * cols])
+        Self::from_vec(rows, cols, vec![ZERO; rows * cols])
     }
 
     /// Create the identity matrix of order `n`.
@@ -94,16 +96,61 @@ impl CMatrix {
         Arc::ptr_eq(&self.data, &other.data)
     }
 
-    /// Matrix product.
+    /// Matrix product.  Each output row sums `self[(i, k)] · other[k]` over
+    /// the nonzero entries of `self`'s row in ascending `k`, on split re/im
+    /// planes of `other`: the products and sums of an interleaved
+    /// `Complex64` loop, in its order, so the result is bit-identical to it.
     pub fn matmul(&self, other: &Self) -> Self {
         assert_eq!(self.cols, other.rows, "matmul: dimension mismatch");
+        other.combine_rows(self.rows, |i, terms| {
+            let row = &self.data[i * self.cols..(i + 1) * self.cols];
+            terms.extend(row.iter().copied().enumerate().filter(|&(_, a)| a != ZERO));
+        })
+    }
+
+    /// The `rows × ncols` matrix whose row `i` is `Σ a · self[k]` over the
+    /// terms `(k, a)` that `terms(i, buf)` pushes into the emptied `buf`,
+    /// accumulated from zero in push order.  `self` is split once into
+    /// re/im planes, and each row accumulates in the runtime-dispatched
+    /// kernel `simd::accumulate_rows`.
+    pub(crate) fn combine_rows(
+        &self,
+        rows: usize,
+        mut terms: impl FnMut(usize, &mut Vec<(usize, Complex64)>),
+    ) -> Self {
+        let n = self.cols;
+        let (re, im): (Vec<f64>, Vec<f64>) = self.data.iter().map(|z| (z.re, z.im)).unzip();
+        let (mut acc_re, mut acc_im) = (vec![0.0; n], vec![0.0; n]);
+        let mut buf = Vec::new();
+        let mut out = Vec::with_capacity(rows * n);
+        for i in 0..rows {
+            buf.clear();
+            terms(i, &mut buf);
+            acc_re.fill(0.0);
+            acc_im.fill(0.0);
+            crate::simd::accumulate_rows(&buf, &re, &im, &mut acc_re, &mut acc_im);
+            out.extend(
+                acc_re
+                    .iter()
+                    .zip(&acc_im)
+                    .map(|(&re, &im)| Complex64::new(re, im)),
+            );
+        }
+        Self::from_vec(rows, n, out)
+    }
+
+    /// The interleaved zero-skipping product loop: the bit-identity oracle
+    /// of [`CMatrix::matmul`] and of the fusion pass's row-apply.
+    #[cfg(test)]
+    pub(crate) fn matmul_interleaved(&self, other: &Self) -> Self {
+        assert_eq!(self.cols, other.rows, "matmul: dimension mismatch");
         let cols = other.cols;
-        let mut out = vec![Complex64::new(0.0, 0.0); self.rows * cols];
+        let mut out = vec![ZERO; self.rows * cols];
         for i in 0..self.rows {
             let row = &mut out[i * cols..(i + 1) * cols];
             for k in 0..self.cols {
                 let a = self[(i, k)];
-                if a == Complex64::new(0.0, 0.0) {
+                if a == ZERO {
                     continue;
                 }
                 for (j, o) in row.iter_mut().enumerate() {
@@ -169,10 +216,9 @@ impl CMatrix {
         if self.rows != self.cols {
             return None;
         }
-        let zero = Complex64::new(0.0, 0.0);
         for r in 0..self.rows {
             for c in 0..self.cols {
-                if r != c && self[(r, c)] != zero {
+                if r != c && self[(r, c)] != ZERO {
                     return None;
                 }
             }
@@ -267,9 +313,42 @@ impl<'de> serde::Deserialize<'de> for CMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn c(re: f64, im: f64) -> Complex64 {
         Complex64::new(re, im)
+    }
+
+    #[test]
+    fn planar_matmul_is_bit_identical_to_the_interleaved_loop() {
+        // Random shapes of order 1–64 (strip remainders included), with
+        // exact zeros (skipped), signed zeros and zero parts among the
+        // entries.
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        let entry = |rng: &mut ChaCha8Rng| match rng.gen_range(0..6u32) {
+            0 => ZERO,
+            1 => c(-0.0, -0.0),
+            2 => c(-0.0, rng.gen_range(-1.0..1.0)),
+            3 => c(rng.gen_range(-1.0..1.0), 0.0),
+            _ => c(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)),
+        };
+        let bits = |m: &CMatrix| -> Vec<[u64; 2]> {
+            m.as_slice()
+                .iter()
+                .map(|z| [z.re.to_bits(), z.im.to_bits()])
+                .collect()
+        };
+        for _ in 0..120 {
+            let [rows, inner, cols] = [(); 3].map(|_| rng.gen_range(1..=64usize));
+            let a = CMatrix::from_fn(rows, inner, |_, _| entry(&mut rng));
+            let b = CMatrix::from_fn(inner, cols, |_, _| entry(&mut rng));
+            assert_eq!(
+                bits(&a.matmul(&b)),
+                bits(&a.matmul_interleaved(&b)),
+                "{rows}x{inner} · {inner}x{cols}"
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! SIMD (`f64x4`) statevector kernels — vectorized bodies for the hot
 //! uncontrolled sweeps of [`crate::kernels`], plus the generic-kernel
-//! subspace matvec (which vectorizes for controlled ops too).
+//! subspace matvec (which vectorizes for controlled ops too) and the row
+//! accumulation of dense complex products (`CMatrix::matmul` and the
+//! fusion pass).
 //!
 //! # Lane layout and bit-identity
 //!
@@ -22,7 +24,9 @@
 //! the roundings.  The generic kernel instead splits the gate matrix into
 //! column-major re/im planes and assigns four *output* rows per lane pair
 //! (`dim = 2^k ≥ 4` is always lane-divisible), accumulating each output in
-//! the scalar kernel's ascending-column order.
+//! the scalar kernel's ascending-column order.  The dense-product row
+//! accumulation works on row-major re/im planes the same way, one output
+//! column per lane, in plain array loops the compiler vectorizes.
 //!
 //! # Remainder convention
 //!
@@ -407,6 +411,66 @@ multiversioned! {
         dim: usize,
         src: &[Complex64],
         out: &mut [Complex64],
+    )
+}
+
+// ---------------------------------------------------------------------------
+// Dense-product row accumulation on split re/im planes: one output row of
+// `Σ_t a_t · rhs[k_t]`, the kernel of `CMatrix::matmul` and the fusion
+// pass's row-apply.
+// ---------------------------------------------------------------------------
+
+#[inline(always)]
+fn accumulate_rows_body(
+    terms: &[(usize, Complex64)],
+    rhs_re: &[f64],
+    rhs_im: &[f64],
+    acc_re: &mut [f64],
+    acc_im: &mut [f64],
+) {
+    // Each output adds the terms one by one, in order, as `o += a·b` with
+    // `Complex64`'s products and sums: re += a.re·b.re − a.im·b.im,
+    // im += a.re·b.im + a.im·b.re.  Strips of eight columns keep their
+    // accumulators in registers across all the terms.
+    let n = acc_re.len();
+    let strips = n - n % 8;
+    for j in (0..strips).step_by(8) {
+        let mut re: [f64; 8] = acc_re[j..j + 8].try_into().expect("strip of 8");
+        let mut im: [f64; 8] = acc_im[j..j + 8].try_into().expect("strip of 8");
+        for &(k, a) in terms {
+            let row = k * n + j;
+            let b_re: &[f64; 8] = rhs_re[row..row + 8].try_into().expect("strip of 8");
+            let b_im: &[f64; 8] = rhs_im[row..row + 8].try_into().expect("strip of 8");
+            for l in 0..8 {
+                re[l] += a.re * b_re[l] - a.im * b_im[l];
+                im[l] += a.re * b_im[l] + a.im * b_re[l];
+            }
+        }
+        acc_re[j..j + 8].copy_from_slice(&re);
+        acc_im[j..j + 8].copy_from_slice(&im);
+    }
+    for j in strips..n {
+        let (mut re, mut im) = (acc_re[j], acc_im[j]);
+        for &(k, a) in terms {
+            let (b_re, b_im) = (rhs_re[k * n + j], rhs_im[k * n + j]);
+            re += a.re * b_re - a.im * b_im;
+            im += a.re * b_im + a.im * b_re;
+        }
+        acc_re[j] = re;
+        acc_im[j] = im;
+    }
+}
+
+multiversioned! {
+    /// `acc += Σ a·rhs[k]` over `terms` in order, on row-major re/im planes
+    /// of `rhs` whose rows are `acc`'s length; bit-identical to the
+    /// interleaved `Complex64` loop (separate multiplies and adds, no fma).
+    accumulate_rows => accumulate_rows_body(
+        terms: &[(usize, Complex64)],
+        rhs_re: &[f64],
+        rhs_im: &[f64],
+        acc_re: &mut [f64],
+        acc_im: &mut [f64],
     )
 }
 
