@@ -44,7 +44,6 @@ fn bench_classical_refinement(c: &mut Criterion) {
                 RefinementOptions {
                     target_scaled_residual: 1e-12,
                     max_iterations: 20,
-                    ..Default::default()
                 },
             )
             .unwrap();

@@ -1,9 +1,8 @@
-//! Criterion micro-benchmarks of the structured-operator matvec
-//! implementations against the dense kernel: the O(nnz) CSR and tridiagonal
-//! products vs the O(N²) dense row product, on the 2-D Poisson problem (the
-//! workload whose residual path the operator layer exists to accelerate),
-//! plus the residual `r = b − A x` as it appears inside the refinement
-//! loop.
+//! Criterion micro-benchmarks of the CSR matvec against the dense kernel:
+//! the O(nnz) product vs the O(N²) dense row product on the 2-D Poisson
+//! problem (the workload whose residual path the operator layer exists to
+//! accelerate), the O(N) product of the tridiagonal 1-D Poisson matrix, and
+//! the residual `r = b − A x` as it appears inside the refinement loop.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qls_linalg::{poisson_1d, poisson_2d, Vector};
@@ -34,12 +33,8 @@ fn bench_tridiagonal(c: &mut Criterion) {
     let mut group = c.benchmark_group("linalg/spmv_tridiagonal");
     group.sample_size(20);
     for &n in &[1024usize, 16384] {
-        let t = poisson_1d::<f64>(n, false);
+        let csr = poisson_1d::<f64>(n, false);
         let x = grid_vector(n);
-        group.bench_with_input(BenchmarkId::new("tridiag", n), &n, |b, _| {
-            b.iter(|| std::hint::black_box(t.matvec(&x)))
-        });
-        let csr = t.to_sparse();
         group.bench_with_input(BenchmarkId::new("csr", n), &n, |b, _| {
             b.iter(|| std::hint::black_box(csr.matvec(&x)))
         });

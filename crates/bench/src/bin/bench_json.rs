@@ -72,8 +72,7 @@ use qls_core::HybridStatus;
 use qls_core::{HybridRefinementOptions, HybridRefiner, QsvtSolverOptions};
 use qls_linalg::{
     convection_diffusion_2d, poisson_1d, poisson_2d, poisson_3d, random_connected_graph,
-    shifted_graph_laplacian, ClassicalRefiner, RefinementOptions, SparseMatrix, TridiagonalMatrix,
-    Vector,
+    shifted_graph_laplacian, ClassicalRefiner, RefinementOptions, SparseMatrix, Vector,
 };
 use qls_qsvt::{phase_generation_count, QsvtInverter, QsvtMode};
 use qls_sim::kernels::reference;
@@ -565,22 +564,24 @@ fn main() {
         let opts = RefinementOptions {
             target_scaled_residual: 1e-12,
             max_iterations: 40,
-            ..Default::default()
         };
         let tri = poisson_1d::<f64>(n, false);
         let b: Vector<f64> = (0..n).map(|i| ((i % 97) as f64 / 97.0) - 0.5).collect();
         let solve_structured = || {
-            let refiner = ClassicalRefiner::<f64, f64, TridiagonalMatrix<f64>>::new(&tri, opts)
+            let refiner = ClassicalRefiner::<f64, f64, SparseMatrix<f64>>::new(&tri, opts)
                 .expect("structured refiner");
-            refiner.solve(&b).expect("structured solve").0
+            (
+                refiner.inner_kind(),
+                refiner.solve(&b).expect("structured solve").0,
+            )
         };
         let solve_densify = || {
             let refiner =
-                ClassicalRefiner::<f64, f64, TridiagonalMatrix<f64>>::with_dense_lu(&tri, opts)
+                ClassicalRefiner::<f64, f64, SparseMatrix<f64>>::with_dense_lu(&tri, opts)
                     .expect("densify-LU refiner");
             refiner.solve(&b).expect("densify-LU solve").0
         };
-        let x_structured = solve_structured();
+        let (inner_solver, x_structured) = solve_structured();
         let x_densify = solve_densify();
         let agreement = (&x_structured - &x_densify).norm2() / x_densify.norm2();
         assert!(
@@ -595,7 +596,7 @@ fn main() {
         });
         let inner_speedup = densify_secs / structured_secs;
         eprintln!(
-            "  structured_inner_solve N={n} (1-D Poisson, thomas vs densify-LU): \
+            "  structured_inner_solve N={n} (1-D Poisson, {inner_solver} vs densify-LU): \
              structured {structured_secs:.6}s, densify-LU {densify_secs:.6}s \
              ({inner_speedup:.1}x), agreement {agreement:.2e}"
         );
@@ -605,7 +606,7 @@ fn main() {
     {{
       "name": "structured_inner_solve",
       "matrix_size": {n},
-      "inner_solver": "thomas",
+      "inner_solver": "{inner_solver}",
       "structured_solve_seconds": {structured_secs:.6},
       "densify_lu_solve_seconds": {densify_secs:.6},
       "structured_vs_densify_speedup": {inner_speedup:.3},
@@ -622,7 +623,6 @@ fn main() {
         let opts = RefinementOptions {
             target_scaled_residual: 1e-12,
             max_iterations: 40,
-            ..Default::default()
         };
         let a = poisson_3d::<f64>(g, g, g, false);
         let b: Vector<f64> = (0..n).map(|i| ((i % 89) as f64 / 89.0) - 0.5).collect();
@@ -630,11 +630,12 @@ fn main() {
             ClassicalRefiner::<f64, f32, SparseMatrix<f64>>::new(&a, opts).expect("3-D refiner");
         let (_, history) = refiner.solve(&b).expect("3-D solve");
         let iterations = history.iterations();
+        let inner_solver = refiner.inner_kind();
         let solve_secs = time_min(3, || {
             std::hint::black_box(refiner.solve(&b).expect("3-D solve"));
         });
         eprintln!(
-            "  poisson3d_refinement N={n} (grid {g}^3, jacobi-cg inner): \
+            "  poisson3d_refinement N={n} (grid {g}^3, {inner_solver} inner): \
              {solve_secs:.6}s, {iterations} iterations"
         );
         let _ = write!(
@@ -644,7 +645,7 @@ fn main() {
       "name": "poisson3d_refinement",
       "matrix_size": {n},
       "grid": {g},
-      "inner_solver": "jacobi-cg",
+      "inner_solver": "{inner_solver}",
       "iterations": {iterations},
       "solve_seconds": {solve_secs:.6}
     }}"#
@@ -659,7 +660,6 @@ fn main() {
         let opts = RefinementOptions {
             target_scaled_residual: 1e-12,
             max_iterations: 40,
-            ..Default::default()
         };
         let a = convection_diffusion_2d::<f64>(g, g, px, py);
         let b: Vector<f64> = (0..n).map(|i| ((i % 83) as f64 / 83.0) - 0.5).collect();
@@ -667,12 +667,13 @@ fn main() {
             ClassicalRefiner::<f64, f32, SparseMatrix<f64>>::new(&a, opts).expect("cd refiner");
         let (_, history) = refiner.solve(&b).expect("cd solve");
         let iterations = history.iterations();
+        let inner_solver = refiner.inner_kind();
         let solve_secs = time_min(3, || {
             std::hint::black_box(refiner.solve(&b).expect("cd solve"));
         });
         eprintln!(
             "  convection_diffusion_refinement N={n} (grid {g}x{g}, peclet ({px}, {py}), \
-             jacobi-bicgstab inner): {solve_secs:.6}s, {iterations} iterations"
+             {inner_solver} inner): {solve_secs:.6}s, {iterations} iterations"
         );
         let _ = write!(
             structured_json,
@@ -683,7 +684,7 @@ fn main() {
       "grid": {g},
       "peclet_x": {px},
       "peclet_y": {py},
-      "inner_solver": "jacobi-bicgstab",
+      "inner_solver": "{inner_solver}",
       "iterations": {iterations},
       "solve_seconds": {solve_secs:.6}
     }}"#
@@ -697,7 +698,6 @@ fn main() {
         let opts = RefinementOptions {
             target_scaled_residual: 1e-12,
             max_iterations: 40,
-            ..Default::default()
         };
         let edges = {
             let mut rng = experiment_rng(23);
@@ -710,11 +710,12 @@ fn main() {
             ClassicalRefiner::<f64, f32, SparseMatrix<f64>>::new(&a, opts).expect("graph refiner");
         let (_, history) = refiner.solve(&b).expect("graph solve");
         let iterations = history.iterations();
+        let inner_solver = refiner.inner_kind();
         let solve_secs = time_min(3, || {
             std::hint::black_box(refiner.solve(&b).expect("graph solve"));
         });
         eprintln!(
-            "  graph_laplacian_refinement N={n} (nnz {nnz}, jacobi-cg inner): \
+            "  graph_laplacian_refinement N={n} (nnz {nnz}, {inner_solver} inner): \
              {solve_secs:.6}s, {iterations} iterations"
         );
         let _ = write!(
@@ -724,7 +725,7 @@ fn main() {
       "name": "graph_laplacian_refinement",
       "matrix_size": {n},
       "nnz": {nnz},
-      "inner_solver": "jacobi-cg",
+      "inner_solver": "{inner_solver}",
       "iterations": {iterations},
       "solve_seconds": {solve_secs:.6}
     }}"#

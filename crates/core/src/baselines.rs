@@ -105,7 +105,6 @@ mod tests {
             RefinementOptions {
                 target_scaled_residual: 1e-12,
                 max_iterations: 30,
-                ..Default::default()
             },
         )
         .unwrap();

@@ -393,7 +393,7 @@ fn issue_reason(issue: HealthIssue) -> FailureReason {
 /// caller compiles unchanged).  The CPU half of the loop — the
 /// high-precision residual `r = b − A x`, formed once per iteration: its
 /// norm checks the step and the vector is the next correction's right-hand
-/// side — goes through the operator, so a CSR or tridiagonal operator makes
+/// side — goes through the operator, so a CSR operator makes
 /// the hot classical path O(nnz) instead of O(N²); only the one-time
 /// quantum-side construction in `new` densifies (the inner correction solves
 /// are the QSVT circuit, not a classical factorization, so after

@@ -37,11 +37,11 @@ impl LcuBlockEncoding {
         Self::new(&a.transpose(), tolerance)
     }
 
-    /// Build the LCU block-encoding of a tridiagonal matrix straight from its
-    /// three diagonals — no dense round-trip; the Pauli decomposition runs on
-    /// the `n + 1` occupied XOR diagonals only
+    /// Build the LCU block-encoding of a tridiagonal CSR matrix straight from
+    /// its stored entries — no dense round-trip; the Pauli decomposition runs
+    /// on the `n + 1` occupied XOR diagonals only
     /// (see [`PauliDecomposition::decompose_tridiagonal`]).
-    pub(crate) fn of_tridiagonal(t: &qls_linalg::TridiagonalMatrix<f64>, tolerance: f64) -> Self {
+    pub(crate) fn of_tridiagonal(t: &qls_linalg::SparseMatrix<f64>, tolerance: f64) -> Self {
         Self::from_decomposition(&PauliDecomposition::decompose_tridiagonal(t, tolerance))
     }
 

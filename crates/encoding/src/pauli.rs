@@ -286,30 +286,18 @@ impl PauliDecomposition {
         }
     }
 
-    /// Decompose a tridiagonal matrix straight from its three diagonals
-    /// (order must be a power of two).  A tridiagonal matrix touches only the
-    /// `n + 1` XOR-diagonal masks `0, 1, 3, 7, …, 2^n − 1`, so this costs
+    /// Decompose a tridiagonal CSR matrix straight from its stored entries
+    /// (square, of order a power of two).  A tridiagonal matrix touches only
+    /// the `n + 1` XOR-diagonal masks `0, 1, 3, 7, …, 2^n − 1`, so this costs
     /// `O(4^n)` total instead of the dense path's `O(8^n)`.
-    pub(crate) fn decompose_tridiagonal(
-        t: &qls_linalg::TridiagonalMatrix<f64>,
-        tolerance: f64,
-    ) -> Self {
-        let order = t.order();
+    pub(crate) fn decompose_tridiagonal(t: &qls_linalg::SparseMatrix<f64>, tolerance: f64) -> Self {
+        let order = t.nrows();
         assert!(
-            order.is_power_of_two(),
+            order == t.ncols() && order.is_power_of_two(),
             "tridiagonal order must be a power of two"
         );
         let n = order.trailing_zeros() as usize;
-        let mut entries = Vec::with_capacity(3 * order);
-        for i in 0..order {
-            if i > 0 {
-                entries.push((i, i - 1, t.lower[i - 1]));
-            }
-            entries.push((i, i, t.diag[i]));
-            if i + 1 < order {
-                entries.push((i, i + 1, t.upper[i]));
-            }
-        }
+        let entries: Vec<(usize, usize, f64)> = t.iter_entries().collect();
         Self::decompose_real_entries(n, &entries, tolerance)
     }
 
@@ -432,11 +420,20 @@ mod tests {
         // A non-Toeplitz, nonsymmetric tridiagonal: the structured O(4^n)
         // path must reproduce the dense O(8^n) decomposition exactly —
         // same terms, same coefficients, same order.
-        let t = qls_linalg::TridiagonalMatrix::new(
-            vec![0.3, -1.1, 0.7, 2.0, -0.4, 0.9, 1.3],
-            vec![2.0, -1.5, 3.0, 0.25, 1.0, -2.25, 0.5, 1.75],
-            vec![-0.8, 0.6, 1.2, -0.1, 0.55, -1.9, 0.05],
-        );
+        let lower = [0.3, -1.1, 0.7, 2.0, -0.4, 0.9, 1.3];
+        let diag = [2.0, -1.5, 3.0, 0.25, 1.0, -2.25, 0.5, 1.75];
+        let upper = [-0.8, 0.6, 1.2, -0.1, 0.55, -1.9, 0.05];
+        let mut triplets = Vec::new();
+        for i in 0..8 {
+            if i > 0 {
+                triplets.push((i, i - 1, lower[i - 1]));
+            }
+            triplets.push((i, i, diag[i]));
+            if i < 7 {
+                triplets.push((i, i + 1, upper[i]));
+            }
+        }
+        let t = qls_linalg::SparseMatrix::from_triplets(8, 8, &triplets);
         let dense = PauliDecomposition::decompose_real(&t.to_dense(), 1e-13);
         let structured = PauliDecomposition::decompose_tridiagonal(&t, 1e-13);
         assert_eq!(dense.num_terms(), structured.num_terms());

@@ -16,7 +16,7 @@
 
 use crate::block_encoding::BlockEncoding;
 use crate::lcu::LcuBlockEncoding;
-use qls_linalg::{poisson_1d, Matrix, TridiagonalMatrix};
+use qls_linalg::{poisson_1d, Matrix, SparseMatrix};
 use qls_sim::Circuit;
 
 /// Analytic gate-count model of the Fig. 2 / Ref. \[37\] tridiagonal
@@ -43,7 +43,7 @@ pub struct TridiagAnalyticResources {
 pub struct TridiagBlockEncoding {
     inner: LcuBlockEncoding,
     data_qubits: usize,
-    matrix: TridiagonalMatrix<f64>,
+    matrix: SparseMatrix<f64>,
 }
 
 impl TridiagBlockEncoding {
@@ -54,18 +54,19 @@ impl TridiagBlockEncoding {
         Self::from_tridiagonal(&poisson_1d::<f64>(1 << n, false))
     }
 
-    /// Build the encoding of an arbitrary tridiagonal matrix **directly from
-    /// its three diagonals** — no dense round-trip: the Pauli decomposition
-    /// walks the `n + 1` occupied XOR diagonals only, so the classical
-    /// preprocessing is `O(4^n)` instead of the dense `O(8^n)`.  The order
-    /// must be a power of two (`N = 2^n`, `n ≥ 1`).
+    /// Build the encoding of an arbitrary tridiagonal CSR matrix **directly
+    /// from its stored entries** — no dense round-trip: the Pauli
+    /// decomposition walks the `n + 1` occupied XOR diagonals only, so the
+    /// classical preprocessing is `O(4^n)` instead of the dense `O(8^n)`.
+    /// The matrix must be square of order a power of two (`N = 2^n`,
+    /// `n ≥ 1`).
     ///
     /// The encoded operator is `T` itself; for a nonsymmetric `T` inside a
-    /// QSVT-of-`A†` pipeline, pass the transposed diagonals.
-    pub(crate) fn from_tridiagonal(t: &TridiagonalMatrix<f64>) -> Self {
-        let order = t.order();
+    /// QSVT-of-`A†` pipeline, pass its transpose.
+    pub(crate) fn from_tridiagonal(t: &SparseMatrix<f64>) -> Self {
+        let order = t.nrows();
         assert!(
-            order >= 2 && order.is_power_of_two(),
+            order == t.ncols() && order >= 2 && order.is_power_of_two(),
             "tridiagonal order must be 2^n with n >= 1"
         );
         let n = order.trailing_zeros() as usize;
@@ -165,10 +166,21 @@ mod tests {
     fn general_tridiagonal_constructor_encodes_without_densifying() {
         // A nonsymmetric, non-Toeplitz tridiagonal through the structured
         // constructor: the encoded block must match the dense reference.
-        let t = qls_linalg::TridiagonalMatrix::new(
-            vec![0.4, -0.9, 1.1],
-            vec![1.5, -0.5, 2.0, 0.75],
-            vec![-0.3, 0.8, -1.2],
+        let t = SparseMatrix::from_triplets(
+            4,
+            4,
+            &[
+                (0, 0, 1.5),
+                (0, 1, -0.3),
+                (1, 0, 0.4),
+                (1, 1, -0.5),
+                (1, 2, 0.8),
+                (2, 1, -0.9),
+                (2, 2, 2.0),
+                (2, 3, -1.2),
+                (3, 2, 1.1),
+                (3, 3, 0.75),
+            ],
         );
         let be = TridiagBlockEncoding::from_tridiagonal(&t);
         assert_eq!(be.num_data_qubits(), 2);

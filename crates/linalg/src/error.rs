@@ -49,29 +49,10 @@ pub fn forward_error<T: Real>(x_computed: &Vector<T>, x_true: &Vector<T>) -> T {
     }
 }
 
-/// Norm-wise relative backward error of Rigal–Gaches:
-/// `η(x̃) = ‖b − A x̃‖ / (‖A‖·‖x̃‖ + ‖b‖)`.
-///
-/// A solution is "backward stable" when η is of the order of the working
-/// precision, regardless of the conditioning of `A`.
-pub fn backward_error<T: Real, Op: LinearOperator<T>>(a: &Op, x: &Vector<T>, b: &Vector<T>) -> T {
-    let r = b - &a.matvec(x);
-    let denom = a.norm_frobenius() * x.norm2() + b.norm2();
-    if denom == T::zero() {
-        r.norm2()
-    } else {
-        r.norm2() / denom
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate::{random_matrix_with_cond, MatrixEnsemble, SingularValueDistribution};
-    use crate::lu::lu_solve;
     use crate::matrix::Matrix;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn exact_solution_has_zero_residual_and_error() {
@@ -80,7 +61,6 @@ mod tests {
         let b = a.matvec(&x);
         assert_eq!(scaled_residual(&a, &x, &b), 0.0);
         assert_eq!(forward_error(&x, &x), 0.0);
-        assert_eq!(backward_error(&a, &x, &b), 0.0);
     }
 
     #[test]
@@ -94,23 +74,6 @@ mod tests {
         let ca = Matrix::from_f64_slice(2, 2, &[1.0 * c, 2.0 * c, 3.0 * c, 4.0 * c]);
         let w2 = scaled_residual(&ca, &x, &b.scaled(c));
         assert!((w1 - w2).abs() < 1e-15);
-    }
-
-    #[test]
-    fn backward_error_small_for_stable_solver() {
-        let mut rng = ChaCha8Rng::seed_from_u64(42);
-        let a = random_matrix_with_cond(
-            32,
-            1e6,
-            SingularValueDistribution::Geometric,
-            MatrixEnsemble::General,
-            &mut rng,
-        );
-        let x_true = Vector::from_f64_slice(&(0..32).map(|i| 1.0 + i as f64).collect::<Vec<_>>());
-        let b = a.matvec(&x_true);
-        let x = lu_solve(&a, &b).unwrap();
-        // Even for kappa = 1e6 the backward error of LU stays near machine eps.
-        assert!(backward_error(&a, &x, &b) < 1e-13);
     }
 
     #[test]

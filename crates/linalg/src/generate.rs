@@ -256,15 +256,13 @@ pub fn random_connected_graph<R: Rng>(
 
 /// The 1-D convection-diffusion operator `−u'' + p·u'` on a uniform grid with
 /// Dirichlet boundaries, centrally differenced and scaled by `h²`: the
-/// tridiagonal matrix with rows `(−1 − p/2, 2, −1 + p/2)` where `p` is the
-/// mesh Péclet number `c·h`.  Nonsymmetric for any `p ≠ 0` — the canonical
-/// small workload for the transposed matvec and the BiCGSTAB inner path.  For
-/// `|p| < 2` the matrix is (weakly) row diagonally dominant and all
-/// eigenvalues `2 − 2·√((1−p/2)(1+p/2))·cos(kπ/(n+1))` are real and positive.
-pub fn convection_diffusion_1d<T: crate::scalar::Real>(
-    n: usize,
-    peclet: f64,
-) -> crate::tridiag::TridiagonalMatrix<T> {
+/// tridiagonal CSR matrix with rows `(−1 − p/2, 2, −1 + p/2)` where `p` is
+/// the mesh Péclet number `c·h`.  Nonsymmetric for any `p ≠ 0` — the
+/// canonical small workload for the transposed matvec and for an unpivoted
+/// Thomas elimination that needs no symmetry.  For `|p| < 2` the matrix is
+/// (weakly) row diagonally dominant and all eigenvalues
+/// `2 − 2·√((1−p/2)(1+p/2))·cos(kπ/(n+1))` are real and positive.
+pub fn convection_diffusion_1d<T: crate::scalar::Real>(n: usize, peclet: f64) -> SparseMatrix<T> {
     assert!(n >= 1, "convection_diffusion_1d: empty grid");
     assert!(
         peclet.abs() < 2.0,
@@ -272,11 +270,18 @@ pub fn convection_diffusion_1d<T: crate::scalar::Real>(
     );
     let lower = T::from_f64(-1.0 - peclet / 2.0);
     let upper = T::from_f64(-1.0 + peclet / 2.0);
-    crate::tridiag::TridiagonalMatrix::new(
-        vec![lower; n.saturating_sub(1)],
-        vec![T::from_f64(2.0); n],
-        vec![upper; n.saturating_sub(1)],
-    )
+    let center = T::from_f64(2.0);
+    let mut triplets: Vec<(usize, usize, T)> = Vec::with_capacity(3 * n);
+    for k in 0..n {
+        if k > 0 {
+            triplets.push((k, k - 1, lower));
+        }
+        triplets.push((k, k, center));
+        if k + 1 < n {
+            triplets.push((k, k + 1, upper));
+        }
+    }
+    SparseMatrix::from_triplets(n, n, &triplets)
 }
 
 /// The 2-D convection-diffusion operator `−Δu + (cx, cy)·∇u` on an
@@ -470,7 +475,7 @@ mod tests {
         assert!(a.max_abs_diff(&a.transpose()) > 0.5);
         // peclet = 0 recovers the 1-D Poisson matrix exactly.
         let p0 = convection_diffusion_1d::<f64>(6, 0.0).to_dense();
-        assert_eq!(p0, crate::tridiag::poisson_1d::<f64>(6, false).to_dense());
+        assert_eq!(p0, crate::stencil::poisson_1d::<f64>(6, false).to_dense());
     }
 
     #[test]

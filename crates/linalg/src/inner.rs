@@ -14,15 +14,17 @@
 //! | operator | inner solver | cost | fallback |
 //! |---|---|---|---|
 //! | [`Matrix`] | dense LU | O(N³) + O(N²) mem | — (it *is* the oracle) |
-//! | [`TridiagonalMatrix`] | Thomas LU ([`ThomasFactorization`]) | O(N) | dense LU on pivot breakdown |
-//! | [`SparseMatrix`] | Jacobi-CG (SPD) / Jacobi-BiCGSTAB | O(nnz)/iter | dense LU for N ≤ [`DENSIFY_FALLBACK_MAX`] |
+//! | [`SparseMatrix`], every entry within one diagonal of the main one | Thomas LU ([`ThomasFactorization`]) | O(N) | dense LU on pivot breakdown |
+//! | any other [`SparseMatrix`] | Jacobi-CG (SPD) / Jacobi-BiCGSTAB | O(nnz)/iter | dense LU for N ≤ [`DENSIFY_FALLBACK_MAX`] |
 //!
-//! The small-N densify fallback is not just a convenience: for N ≤ 64 the
-//! dense factors are cheap, and reusing the *exact same* dense-LU code keeps
-//! the structured refiners **bit-identical** to the dense refiner on the small
-//! equivalence problems (the same oracle pattern as `kernels::reference` and
-//! `OptLevel::None` on the simulator side).  At any size,
-//! [`FactorizableOperator::factorize_dense_lu`] stays available as the
+//! The band is checked first, so a tridiagonal CSR matrix (the 1-D Poisson
+//! and convection-diffusion operators) keeps the O(N) Thomas elimination at
+//! every order.  The small-N densify fallback is not just a convenience: for
+//! N ≤ 64 the dense factors are cheap, and reusing the *exact same* dense-LU
+//! code keeps the structured refiners **bit-identical** to the dense refiner
+//! on the small equivalence problems (the same oracle pattern as
+//! `kernels::reference` and `OptLevel::None` on the simulator side).  At any
+//! size, [`FactorizableOperator::factorize_dense_lu`] stays available as the
 //! equivalence oracle — `ClassicalRefiner::with_dense_lu` uses it so every
 //! structured run can be checked against the dense history.
 //!
@@ -40,11 +42,10 @@ use crate::matrix::Matrix;
 use crate::operator::LinearOperator;
 use crate::scalar::Real;
 use crate::sparse::SparseMatrix;
-use crate::tridiag::TridiagonalMatrix;
 use crate::vector::Vector;
 
-/// Largest order for which CSR operators fall back to densify + dense LU
-/// instead of an iterative inner solver.
+/// Largest order for which CSR operators outside the Thomas band fall back
+/// to densify + dense LU instead of an iterative inner solver.
 ///
 /// Below this size the dense factorisation is cheaper than an iterative
 /// solve's setup, and — more importantly — it keeps small structured refiners
@@ -157,8 +158,8 @@ impl<T: Real> InnerSolver<T> for DenseLuSolver<T> {
 ///
 /// Thomas does not pivot, so a pivot `|m_i|` at or below a scaled threshold
 /// (`4·u·max|entry|`) is reported as [`LinalgError::Singular`] instead of
-/// silently amplifying into inf/NaN — the caller (e.g.
-/// [`TridiagonalMatrix::factorize`](FactorizableOperator::factorize)) falls
+/// silently amplifying into inf/NaN — the caller
+/// ([`SparseMatrix::factorize`](FactorizableOperator::factorize)) falls
 /// back to pivoted dense LU, which handles matrices like `[[0,1],[1,0]]` that
 /// are perfectly well conditioned but break the unpivoted recurrence.
 pub struct ThomasFactorization<T: Real> {
@@ -171,37 +172,55 @@ pub struct ThomasFactorization<T: Real> {
 }
 
 impl<T: Real> ThomasFactorization<T> {
-    /// Eliminate in O(N); fails with [`LinalgError::Singular`] on a pivot
-    /// below the scaled breakdown threshold.
-    pub(crate) fn new(t: &TridiagonalMatrix<T>) -> Result<Self, LinalgError> {
-        let n = t.order();
-        let scale = t
-            .diag
-            .iter()
-            .chain(&t.lower)
-            .chain(&t.upper)
-            .fold(T::zero(), |acc, &v| acc.max(v.abs()));
-        let threshold = scale * T::from_f64(4.0 * T::unit_roundoff());
-
-        let mut pivots = vec![T::zero(); n];
-        let mut lowers = vec![T::zero(); n];
+    /// Eliminate a tridiagonal CSR matrix ([`SparseMatrix::is_tridiagonal`])
+    /// at precision `T` in one pass over its rows, rounding each entry as
+    /// `T::from_f64(x.to_f64())`; absent entries are zero.  Fails with
+    /// [`LinalgError::Singular`] at the first pivot at or below the scaled
+    /// breakdown threshold.
+    pub(crate) fn new<S: Real>(a: &SparseMatrix<S>) -> Result<Self, LinalgError> {
+        debug_assert!(a.is_tridiagonal());
+        let n = a.nrows();
+        let mut pivots = Vec::with_capacity(n);
+        let mut lowers = Vec::with_capacity(n);
+        let mut uppers = Vec::with_capacity(n.saturating_sub(1));
+        let mut scale = T::zero();
+        let (mut prev_pivot, mut prev_upper) = (T::zero(), T::zero());
         for i in 0..n {
-            let m = if i == 0 {
-                t.diag[0]
-            } else {
-                let l = t.lower[i - 1] / pivots[i - 1];
-                lowers[i] = l;
-                t.diag[i] - l * t.upper[i - 1]
-            };
-            if m.abs() <= threshold {
-                return Err(LinalgError::Singular { step: i });
+            let (mut lower, mut diag, mut upper) = (T::zero(), T::zero(), T::zero());
+            let (cols, vals) = a.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                let v = T::from_f64(v.to_f64());
+                scale = scale.max(v.abs());
+                if j < i {
+                    lower = v;
+                } else if j == i {
+                    diag = v;
+                } else {
+                    upper = v;
+                }
             }
-            pivots[i] = m;
+            let (l, m) = if i == 0 {
+                (T::zero(), diag)
+            } else {
+                let l = lower / prev_pivot;
+                (l, diag - l * prev_upper)
+            };
+            lowers.push(l);
+            pivots.push(m);
+            prev_pivot = m;
+            prev_upper = upper;
+            if i + 1 < n {
+                uppers.push(upper);
+            }
+        }
+        let threshold = scale * T::from_f64(4.0 * T::unit_roundoff());
+        if let Some(step) = pivots.iter().position(|m| m.abs() <= threshold) {
+            return Err(LinalgError::Singular { step });
         }
         Ok(ThomasFactorization {
             pivots,
             lowers,
-            uppers: t.upper.clone(),
+            uppers,
         })
     }
 }
@@ -472,26 +491,23 @@ impl<T: Real> FactorizableOperator<T> for Matrix<T> {
     }
 }
 
-impl<T: Real> FactorizableOperator<T> for TridiagonalMatrix<T> {
-    /// O(N) Thomas elimination at precision `L`; on pivot breakdown the
-    /// pivoted dense LU takes over (e.g. `[[0,1],[1,0]]` — nonsingular, but
-    /// fatal for the unpivoted recurrence).
-    fn factorize<L: Real>(&self) -> Result<Box<dyn InnerSolver<L>>, LinalgError> {
-        let low: TridiagonalMatrix<L> = self.convert();
-        match ThomasFactorization::new(&low) {
-            Ok(f) => Ok(Box::new(f)),
-            Err(LinalgError::Singular { .. }) => self.factorize_dense_lu::<L>(),
-            Err(e) => Err(e),
-        }
-    }
-}
-
 impl<T: Real> FactorizableOperator<T> for SparseMatrix<T> {
-    /// Jacobi-CG for symmetric matrices with positive diagonal, BiCGSTAB
-    /// otherwise; densify-LU below [`DENSIFY_FALLBACK_MAX`].
+    /// O(N) Thomas elimination when every stored entry lies within one
+    /// diagonal of the main one (pivoted dense LU takes over on pivot
+    /// breakdown, e.g. `[[0,1],[1,0]]` — nonsingular, but fatal for the
+    /// unpivoted recurrence); otherwise densify-LU up to
+    /// [`DENSIFY_FALLBACK_MAX`], and above it Jacobi-CG for symmetric
+    /// matrices with positive diagonal, BiCGSTAB for the rest.
     fn factorize<L: Real>(&self) -> Result<Box<dyn InnerSolver<L>>, LinalgError> {
         if !self.is_square() {
             return Err(LinalgError::NotSquare);
+        }
+        if self.is_tridiagonal() {
+            return match ThomasFactorization::new(self) {
+                Ok(f) => Ok(Box::new(f)),
+                Err(LinalgError::Singular { .. }) => self.factorize_dense_lu::<L>(),
+                Err(e) => Err(e),
+            };
         }
         let n = self.nrows();
         if n <= DENSIFY_FALLBACK_MAX {
@@ -512,9 +528,9 @@ impl<T: Real> FactorizableOperator<T> for SparseMatrix<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generate::{convection_diffusion_1d, convection_diffusion_2d};
     use crate::lu::lu_solve;
-    use crate::stencil::poisson_2d;
-    use crate::tridiag::poisson_1d;
+    use crate::stencil::{poisson_1d, poisson_2d};
 
     fn assert_close(a: &Vector<f64>, b: &Vector<f64>, tol: f64, label: &str) {
         let diff = (a - b).norm2() / b.norm2().max(1e-300);
@@ -523,13 +539,13 @@ mod tests {
 
     #[test]
     fn thomas_factorization_matches_lu() {
-        let t = TridiagonalMatrix::new(
-            vec![1.0, -2.0, 0.5, 1.5],
-            vec![4.0, 5.0, 6.0, 7.0, 8.0],
-            vec![-1.0, 3.0, 2.5, -0.5],
+        let t = SparseMatrix::tridiagonal(
+            &[1.0, -2.0, 0.5, 1.5],
+            &[4.0, 5.0, 6.0, 7.0, 8.0],
+            &[-1.0, 3.0, 2.5, -0.5],
         );
         let d = t.to_dense();
-        let f = ThomasFactorization::new(&t).unwrap();
+        let f = ThomasFactorization::<f64>::new(&t).unwrap();
         assert_eq!(f.kind(), InnerSolverKind::Thomas);
         let b = Vector::from_f64_slice(&[0.3, -0.9, 1.7, 0.2, -1.1]);
         assert_close(
@@ -544,9 +560,9 @@ mod tests {
     fn thomas_breakdown_detected_and_rescued_by_factorize() {
         // [[0, 1], [1, 0]]: perfectly conditioned, but the first Thomas pivot
         // is exactly zero.
-        let t = TridiagonalMatrix::new(vec![1.0], vec![0.0, 0.0], vec![1.0]);
+        let t = SparseMatrix::tridiagonal(&[1.0], &[0.0, 0.0], &[1.0]);
         assert!(matches!(
-            ThomasFactorization::new(&t),
+            ThomasFactorization::<f64>::new(&t),
             Err(LinalgError::Singular { step: 0 })
         ));
         // factorize() falls back to pivoted dense LU and solves it.
@@ -558,6 +574,27 @@ mod tests {
     }
 
     #[test]
+    fn banded_csr_selects_thomas_at_every_order() {
+        // On both sides of DENSIFY_FALLBACK_MAX: the band is checked first.
+        for n in [0usize, 1, 2, 64, 65, 1024] {
+            let diagonal: Vec<(usize, usize, f64)> =
+                (0..n).map(|i| (i, i, 1.0 + i as f64)).collect();
+            let mut cases = vec![("diagonal", SparseMatrix::from_triplets(n, n, &diagonal))];
+            if n > 0 {
+                cases.push(("unscaled Poisson", poisson_1d::<f64>(n, false)));
+                cases.push(("scaled Poisson", poisson_1d::<f64>(n, true)));
+                cases.push(("convection-diffusion", convection_diffusion_1d(n, 0.8)));
+            }
+            for (label, a) in cases {
+                let low = a.factorize::<f32>().unwrap();
+                let high = a.factorize::<f64>().unwrap();
+                assert_eq!(low.kind(), InnerSolverKind::Thomas, "{label}, n = {n}");
+                assert_eq!(high.kind(), InnerSolverKind::Thomas, "{label}, n = {n}");
+            }
+        }
+    }
+
+    #[test]
     fn tridiagonal_factorize_selects_thomas() {
         let t = poisson_1d::<f64>(200, false);
         let solver = t.factorize::<f64>().unwrap();
@@ -565,6 +602,15 @@ mod tests {
         let b: Vector<f64> = (0..200).map(|i| ((i as f64) * 0.1).sin()).collect();
         let x = solver.solve(&b).unwrap();
         assert!((&t.matvec(&x) - &b).norm2() / b.norm2() < 1e-12);
+    }
+
+    #[test]
+    fn thomas_handles_empty_and_single_entry_matrices() {
+        let one = ThomasFactorization::<f64>::new(&SparseMatrix::tridiagonal(&[], &[2.0], &[]));
+        let x = one.unwrap().solve(&Vector::from_f64_slice(&[4.0])).unwrap();
+        assert_eq!(x.as_slice(), &[2.0]);
+        let empty = ThomasFactorization::<f64>::new(&SparseMatrix::<f64>::from_triplets(0, 0, &[]));
+        assert_eq!(empty.unwrap().solve(&Vector::zeros(0)).unwrap().len(), 0);
     }
 
     #[test]
@@ -579,11 +625,10 @@ mod tests {
 
     #[test]
     fn bicgstab_solves_nonsymmetric_csr() {
-        // 1-D convection-diffusion: tridiagonal but fed through CSR to force
-        // the nonsymmetric sparse path.
-        let n = 80;
-        let t = TridiagonalMatrix::new(vec![-1.4; n - 1], vec![2.0; n], vec![-0.6; n - 1]);
-        let csr = t.to_sparse();
+        // 2-D convection-diffusion on a 9x9 grid (N = 81): nonsymmetric and
+        // outside the Thomas band, so the sparse selector picks BiCGSTAB.
+        let csr = convection_diffusion_2d::<f64>(9, 9, 0.8, 0.4);
+        let n = csr.nrows();
         let solver = csr.factorize::<f64>().unwrap();
         assert_eq!(solver.kind(), InnerSolverKind::BiCgStab);
         let b: Vector<f64> = (0..n).map(|i| 1.0 / (1.0 + i as f64)).collect();
@@ -603,12 +648,17 @@ mod tests {
 
     #[test]
     fn cg_rejects_indefinite_first_direction() {
-        // -I is symmetric with negative diagonal: the sparse selector must
-        // not pick CG, and CG itself must fail fast if forced.
-        let neg = SparseMatrix::from_dense(&Matrix::from_diag(&[-1.0; 80]));
-        let diag = Vector::from_vec(vec![1.0f64; 80]);
-        let cg = ConjugateGradientSolver::new(neg.clone(), &diag, 1e-12, 80).unwrap();
-        let b = Vector::from_vec(vec![1.0f64; 80]);
+        // −A for the 9x9 Poisson stencil is symmetric with negative diagonal
+        // and outside the Thomas band: the sparse selector must not pick CG,
+        // and CG itself must fail fast if forced.
+        let neg_triplets: Vec<(usize, usize, f64)> = poisson_2d::<f64>(9, 9, false)
+            .iter_entries()
+            .map(|(i, j, v)| (i, j, -v))
+            .collect();
+        let neg = SparseMatrix::from_triplets(81, 81, &neg_triplets);
+        let diag = Vector::from_vec(vec![1.0f64; 81]);
+        let cg = ConjugateGradientSolver::new(neg.clone(), &diag, 1e-12, 81).unwrap();
+        let b = Vector::from_vec(vec![1.0f64; 81]);
         assert!(matches!(
             cg.solve(&b),
             Err(LinalgError::Singular { step: 0 })

@@ -18,20 +18,19 @@
 //! * dense [`Matrix`] and [`Vector`] types with
 //!   the usual kernels (mat-vec, mat-mat, transpose, norms);
 //! * the structured-operator layer ([`operator`]): the
-//!   [`LinearOperator`] trait with three
-//!   implementations — dense [`Matrix`], CSR
-//!   [`SparseMatrix`] (triplet builder, parallel
-//!   row-partitioned SIMD SpMV) and [`TridiagonalMatrix`] — so residuals,
+//!   [`LinearOperator`] trait with two implementations — dense [`Matrix`]
+//!   and CSR [`SparseMatrix`] (triplet builder, parallel row-partitioned
+//!   SIMD SpMV, products bit-identical to the dense kernel) — so residuals,
 //!   refinement and condition estimation run at O(nnz) on structured
 //!   problems, with dense retained as the default and as the equivalence
 //!   oracle;
 //! * the structured inner-solver layer ([`inner`]): the
 //!   [`FactorizableOperator`] trait maps each
 //!   operator to its natural low-precision correction solver — dense LU for
-//!   [`Matrix`], the O(N) Thomas factorisation (with pivot
-//!   breakdown detection and dense-LU rescue) for
-//!   [`TridiagonalMatrix`], and
-//!   Jacobi-preconditioned CG / BiCGSTAB for CSR operators — so
+//!   [`Matrix`]; for CSR, the O(N) Thomas factorisation (with pivot
+//!   breakdown detection and dense-LU rescue) whenever every stored entry
+//!   lies within one diagonal of the main one, and otherwise
+//!   Jacobi-preconditioned CG / BiCGSTAB — so
 //!   no classical refinement path densifies an O(N²) matrix above the
 //!   small-N fallback threshold
 //!   ([`DENSIFY_FALLBACK_MAX`]);
@@ -41,16 +40,16 @@
 //!   [`cond_2_estimate`], robust on clustered
 //!   spectra where a shifted power iteration stalls);
 //! * matrix generators ([`generate`]): random matrices with prescribed
-//!   condition number / singular-value distribution, the 1-D Poisson
-//!   tridiagonal matrix of Eq. (7) of the paper, the 2-D and 3-D Poisson
-//!   operators as CSR matrices ([`poisson_2d`], [`poisson_3d`]) and sparse
-//!   graph Laplacians;
+//!   condition number / singular-value distribution, convection-diffusion
+//!   operators and sparse graph Laplacians; the 1-D Poisson matrix of
+//!   Eq. (7) of the paper and its 2-D and 3-D analogues are CSR matrices
+//!   too ([`stencil`]: [`poisson_1d`], [`poisson_2d`], [`poisson_3d`]);
 //! * classical fixed- and mixed-precision iterative refinement ([`refine`],
 //!   Algorithm 1 of the paper, operator-generic) used as the CPU-only
 //!   baseline;
 //! * Brent's derivative-free 1-D minimisation and root finding ([`brent`]),
 //!   used for the solution-norm recovery of Remark 2;
-//! * forward/backward error metrics and the scaled residual ω ([`error`],
+//! * the forward error and the scaled residual ω ([`error`],
 //!   operator-generic).
 
 pub mod brent;
@@ -70,12 +69,11 @@ mod simd;
 pub mod sparse;
 pub mod stencil;
 pub mod svd;
-pub mod tridiag;
 pub mod vector;
 
 pub use brent::{brent_minimize, BrentResult};
 pub use cond::{cond_2, cond_2_estimate};
-pub use error::{backward_error, forward_error, residual, scaled_residual};
+pub use error::{forward_error, residual, scaled_residual};
 pub use generate::{
     convection_diffusion_1d, convection_diffusion_2d, graph_laplacian, random_connected_graph,
     random_matrix_with_cond, random_unit_vector, shifted_graph_laplacian, MatrixEnsemble,
@@ -93,9 +91,8 @@ pub use refine::{ClassicalRefiner, RefinementHistory, RefinementOptions, Refinem
 pub use scalar::Real;
 pub use sparse::SparseMatrix;
 pub use stencil::{
-    poisson_2d, poisson_2d_condition_number, poisson_2d_rhs, poisson_3d,
-    poisson_3d_condition_number, poisson_3d_rhs,
+    poisson_1d, poisson_1d_condition_number, poisson_2d, poisson_2d_condition_number,
+    poisson_2d_rhs, poisson_3d, poisson_3d_condition_number, poisson_3d_rhs, poisson_rhs,
 };
 pub use svd::Svd;
-pub use tridiag::{poisson_1d, poisson_1d_condition_number, TridiagonalMatrix};
 pub use vector::Vector;

@@ -25,7 +25,7 @@ use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 pub(crate) const PAR_THRESHOLD: usize = 64 * 64 * 64;
 
 /// Shared row-partitioned parallel map used by every operator matvec in the
-/// crate (dense, CSR, tridiagonal): computes `f(i)` for each output
+/// crate (dense and CSR): computes `f(i)` for each output
 /// row `i`, fanning out across threads when `work` (total scalar
 /// multiply-adds) reaches [`PAR_THRESHOLD`].  Each output entry depends only
 /// on its own row, so the result is bit-identical at any thread count.

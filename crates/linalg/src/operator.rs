@@ -2,31 +2,29 @@
 //!
 //! The paper's hybrid refinement only ever touches the matrix through a
 //! handful of operations on the classical side: the high-precision residual
-//! `r = b − A x` (a matvec per iteration), the transposed matvec used by
-//! condition estimation, and the Frobenius norm of the backward error.
-//! None of those require dense storage — the Poisson systems the paper
-//! benchmarks are tridiagonal (3 nonzeros per row), and the 2-D and 3-D
-//! Poisson problems have 5 and 7.  [`LinearOperator`] captures
-//! exactly that access pattern so every consumer above it
+//! `r = b − A x` (a matvec per iteration) and the transposed matvec used by
+//! condition estimation.  None of those require dense storage — the Poisson
+//! systems the paper benchmarks are tridiagonal (3 nonzeros per row), and
+//! the 2-D and 3-D Poisson problems have 5 and 7.  [`LinearOperator`]
+//! captures exactly that access pattern so every consumer above it
 //! ([`crate::refine::ClassicalRefiner`],
 //! [`crate::error::scaled_residual`], condition estimation,
 //! `qls_core::HybridRefiner`, …) can be written once and run at O(nnz) per
 //! matvec on structured problems while keeping dense [`Matrix`] as the
-//! default — and as the equivalence oracle the structured implementations are
+//! default — and as the equivalence oracle the structured implementation is
 //! property-tested against (mirroring `qls_sim::kernels::reference`).
 //!
-//! Three implementations ship with the crate:
+//! Two implementations ship with the crate:
 //!
 //! | type | storage | matvec cost |
 //! |------|---------|-------------|
 //! | [`Matrix`] | dense row-major | O(N²), row-parallel |
-//! | [`crate::sparse::SparseMatrix`] | CSR (also the 2-D and 3-D Poisson operators) | O(nnz), row-parallel |
-//! | [`crate::tridiag::TridiagonalMatrix`] | three diagonals | O(N), row-parallel |
+//! | [`crate::sparse::SparseMatrix`] | CSR (also the 1-D, 2-D and 3-D Poisson operators) | O(nnz), row-parallel |
 //!
-//! Each of the three also implements
-//! [`crate::inner::FactorizableOperator`], which maps the representation to
-//! its structured low-precision inner solver (Thomas, Jacobi-CG/BiCGSTAB,
-//! dense LU) so the refinement loops never densify structured operators.
+//! Both also implement [`crate::inner::FactorizableOperator`], which maps
+//! the representation to its structured low-precision inner solver (dense
+//! LU; Thomas, Jacobi-CG/BiCGSTAB or dense LU for CSR) so the refinement
+//! loops never densify structured operators.
 //!
 //! Algorithms that genuinely need explicit entries (LU factorisation, SVD,
 //! block-encoding synthesis) bridge through [`LinearOperator::to_dense`]; the
@@ -43,9 +41,9 @@ use crate::vector::Vector;
 /// The trait is deliberately small: it is the exact interface the classical
 /// side of the hybrid solver consumes.  All methods must be consistent with
 /// the dense materialisation returned by [`LinearOperator::to_dense`] (the
-/// Frobenius norm exactly, the matvecs to within the usual floating-point
-/// reassociation — the CSR implementation is in fact bit-identical to the
-/// dense oracle because it accumulates in the same column order).
+/// matvecs to within the usual floating-point reassociation — the CSR
+/// implementation is in fact bit-identical to the dense oracle because it
+/// accumulates in the same column order).
 pub trait LinearOperator<T: Real>: Clone + Send + Sync {
     /// Number of rows.
     fn nrows(&self) -> usize;
@@ -59,19 +57,11 @@ pub trait LinearOperator<T: Real>: Clone + Send + Sync {
     /// Transposed matrix-vector product `Aᵀ x`.
     fn matvec_transposed(&self, x: &Vector<T>) -> Vector<T>;
 
-    /// Number of stored scalars touched by one matvec (dense: `rows · cols`;
-    /// CSR: the stored nonzeros).  This is the O(nnz) in "residuals cost
-    /// O(nnz)" and the flop accounting the cost models use.
-    fn nnz(&self) -> usize;
-
     /// Materialise the operator as a dense matrix — the equivalence oracle,
     /// and the bridge to algorithms that need explicit entries (LU, SVD,
     /// block-encoding construction).  Must reproduce the represented matrix
     /// exactly.
     fn to_dense(&self) -> Matrix<T>;
-
-    /// Exact Frobenius norm in O(nnz).
-    fn norm_frobenius(&self) -> T;
 
     /// True when the operator is square.
     fn is_square(&self) -> bool {
@@ -96,16 +86,8 @@ impl<T: Real> LinearOperator<T> for Matrix<T> {
         Matrix::matvec_transposed(self, x)
     }
 
-    fn nnz(&self) -> usize {
-        Matrix::nrows(self) * Matrix::ncols(self)
-    }
-
     fn to_dense(&self) -> Matrix<T> {
         self.clone()
-    }
-
-    fn norm_frobenius(&self) -> T {
-        Matrix::norm_frobenius(self)
     }
 }
 
@@ -121,14 +103,12 @@ mod tests {
         let xt: Vector<f64> = (0..op.nrows()).map(|i| (i as f64 * 0.3).sin()).collect();
         assert!((&op.matvec(&x) - &dense.matvec(&x)).norm2() < 1e-12);
         assert!((&op.matvec_transposed(&xt) - &dense.matvec_transposed(&xt)).norm2() < 1e-12);
-        assert!((op.norm_frobenius() - LinearOperator::norm_frobenius(&dense)).abs() < 1e-12);
     }
 
     #[test]
     fn dense_matrix_is_its_own_oracle() {
         let a = Matrix::<f64>::from_fn(4, 3, |i, j| (i * 3 + j) as f64 - 5.0);
         operator_roundtrip(&a);
-        assert_eq!(LinearOperator::nnz(&a), 12);
         assert!(!LinearOperator::is_square(&a));
     }
 

@@ -27,17 +27,17 @@ pub struct RefinementOptions {
     pub target_scaled_residual: f64,
     /// Hard cap on the number of refinement iterations.
     pub max_iterations: usize,
-    /// Stop early when the scaled residual stops decreasing by at least this
-    /// multiplicative factor between iterations (stagnation detection).
-    pub stagnation_factor: f64,
 }
+
+/// Stagnation detection: the loop stops once a step fails to shrink the
+/// scaled residual by at least this factor.
+const STAGNATION_FACTOR: f64 = 0.9;
 
 impl Default for RefinementOptions {
     fn default() -> Self {
         RefinementOptions {
             target_scaled_residual: 1e-12,
             max_iterations: 50,
-            stagnation_factor: 0.9,
         }
     }
 }
@@ -95,14 +95,14 @@ impl RefinementHistory {
 /// and the update; `L` is the low precision used for the inner correction
 /// solves; `Op` is the operator representation of `A` used on the
 /// high-precision side (dense [`Matrix`] by default, so existing callers
-/// compile unchanged — pass a [`crate::SparseMatrix`] or a
-/// [`crate::TridiagonalMatrix`] to make every residual cost O(nnz)).
+/// compile unchanged — pass a [`crate::SparseMatrix`] to make every
+/// residual cost O(nnz)).
 ///
 /// The inner solver is selected by the operator itself through
 /// [`FactorizableOperator::factorize`]: dense matrices keep dense LU,
-/// tridiagonal matrices get the O(N) Thomas factorisation (with dense-LU
-/// rescue on pivot breakdown), and CSR operators get Jacobi-CG or BiCGSTAB
-/// above the small-N densify threshold — so **no
+/// tridiagonal CSR matrices get the O(N) Thomas factorisation (with dense-LU
+/// rescue on pivot breakdown), and other CSR operators get Jacobi-CG or
+/// BiCGSTAB above the small-N densify threshold — so **no
 /// structured refinement path materialises an O(N²) matrix**.  The dense-LU
 /// inner solver remains available at any size through
 /// [`ClassicalRefiner::with_dense_lu`], the equivalence oracle the structured
@@ -221,7 +221,7 @@ impl<H: Real, L: Real, Op: FactorizableOperator<H>> ClassicalRefiner<H, L, Op> {
                 status = RefinementStatus::Diverged;
                 break;
             }
-            if omega > prev_omega * self.options.stagnation_factor {
+            if omega > prev_omega * STAGNATION_FACTOR {
                 status = RefinementStatus::Stagnated;
                 break;
             }
@@ -278,7 +278,6 @@ mod tests {
         let opts = RefinementOptions {
             target_scaled_residual: 1e-14,
             max_iterations: 20,
-            ..Default::default()
         };
         let refiner = ClassicalRefiner::<f64, f32>::new(&a, opts).unwrap();
         let (x, hist) = refiner.solve(&b).unwrap();
@@ -295,7 +294,6 @@ mod tests {
         let opts = RefinementOptions {
             target_scaled_residual: 1e-12,
             max_iterations: 40,
-            ..Default::default()
         };
         let single = ClassicalRefiner::<f64, f32>::new(&a, opts).unwrap();
         let half = ClassicalRefiner::<f64, Emulated<10>>::new(&a, opts).unwrap();
@@ -317,7 +315,6 @@ mod tests {
         let opts = RefinementOptions {
             target_scaled_residual: 1e-14,
             max_iterations: 5,
-            ..Default::default()
         };
         let refiner = ClassicalRefiner::<f64, f64>::new(&a, opts).unwrap();
         let (_, hist) = refiner.solve(&b).unwrap();
@@ -332,7 +329,6 @@ mod tests {
         let opts = RefinementOptions {
             target_scaled_residual: 1e-15,
             max_iterations: 30,
-            stagnation_factor: 0.99,
         };
         let refiner = ClassicalRefiner::<f64, Emulated<14>>::new(&a, opts).unwrap();
         let (_, hist) = refiner.solve(&b).unwrap();
@@ -360,7 +356,6 @@ mod tests {
         let opts = RefinementOptions {
             target_scaled_residual: 1e-12,
             max_iterations: 50,
-            ..Default::default()
         };
         let refiner = ClassicalRefiner::<f64, f32>::new(&a, opts).unwrap();
         let (_, hist) = refiner.solve(&b).unwrap();
@@ -381,7 +376,6 @@ mod tests {
         let opts = RefinementOptions {
             target_scaled_residual: 1e-12,
             max_iterations: 10,
-            ..Default::default()
         };
         match ClassicalRefiner::<f64, Emulated<3>>::new(&a, opts) {
             Err(_) => {} // singular at 3 bits: acceptable
@@ -401,7 +395,6 @@ mod tests {
         let opts = RefinementOptions {
             target_scaled_residual: 1e-13,
             max_iterations: 20,
-            ..Default::default()
         };
         let dense_refiner = ClassicalRefiner::<f64, f32>::new(&a, opts).unwrap();
         let sparse_refiner =

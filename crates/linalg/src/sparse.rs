@@ -130,6 +130,25 @@ impl<T: Real> SparseMatrix<T> {
         }
     }
 
+    /// The square tridiagonal matrix with the given sub-, main and
+    /// super-diagonal (`diag.len() − 1` entries each): the test oracle of
+    /// the banded paths.
+    #[cfg(test)]
+    pub(crate) fn tridiagonal(lower: &[T], diag: &[T], upper: &[T]) -> Self {
+        let n = diag.len();
+        let mut triplets = Vec::with_capacity(3 * n);
+        for i in 0..n {
+            if i > 0 {
+                triplets.push((i, i - 1, lower[i - 1]));
+            }
+            triplets.push((i, i, diag[i]));
+            if i + 1 < n {
+                triplets.push((i, i + 1, upper[i]));
+            }
+        }
+        Self::from_triplets(n, n, &triplets)
+    }
+
     /// Number of rows.
     pub fn nrows(&self) -> usize {
         self.rows
@@ -241,6 +260,18 @@ impl<T: Real> SparseMatrix<T> {
         d
     }
 
+    /// True when the matrix is square and every stored entry lies within one
+    /// diagonal of the main one (`|i − j| ≤ 1`): the band the Thomas
+    /// elimination needs.  O(rows): columns are sorted within a row, so only
+    /// each row's first and last entry are read.
+    pub(crate) fn is_tridiagonal(&self) -> bool {
+        self.rows == self.cols
+            && (0..self.rows).all(|i| {
+                let (cols, _) = self.row(i);
+                cols.first().is_none_or(|&c| c + 1 >= i) && cols.last().is_none_or(|&c| c <= i + 1)
+            })
+    }
+
     /// Exact symmetry check: the matrix equals its transpose entry for entry.
     ///
     /// O(nnz log nnz) (one transpose rebuild); both sides are in canonical
@@ -300,27 +331,8 @@ impl<T: Real> LinearOperator<T> for SparseMatrix<T> {
         SparseMatrix::matvec_transposed(self, x)
     }
 
-    fn nnz(&self) -> usize {
-        SparseMatrix::nnz(self)
-    }
-
     fn to_dense(&self) -> Matrix<T> {
         SparseMatrix::to_dense(self)
-    }
-
-    fn norm_frobenius(&self) -> T {
-        let maxabs = self
-            .values
-            .iter()
-            .fold(T::zero(), |acc, v| acc.max(v.abs()));
-        if maxabs == T::zero() {
-            return T::zero();
-        }
-        let sum = self.values.iter().fold(T::zero(), |acc, &v| {
-            let s = v / maxabs;
-            s.mul_add(s, acc)
-        });
-        maxabs * sum.sqrt()
     }
 }
 
@@ -403,13 +415,6 @@ mod tests {
         let d = example_dense();
         let s = SparseMatrix::from_dense(&d);
         assert_eq!(s.transpose().to_dense(), d.transpose());
-    }
-
-    #[test]
-    fn norms_match_dense() {
-        let d = example_dense();
-        let s = SparseMatrix::from_dense(&d);
-        assert!((LinearOperator::norm_frobenius(&s) - d.norm_frobenius()).abs() < 1e-15);
     }
 
     #[test]

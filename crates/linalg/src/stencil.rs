@@ -1,9 +1,14 @@
-//! The 2-D and 3-D Poisson problems as CSR matrices.
+//! The 1-D, 2-D and 3-D Poisson problems as CSR matrices.
 //!
-//! The d-dimensional analogue of the paper's Poisson running example
-//! (Section III-C4) discretises `−Δu = f` on the unit square or cube with
-//! homogeneous Dirichlet boundary conditions: the matrix is the Kronecker sum
-//! of the 1-D second-difference matrices of every axis
+//! Section III-C4 of the paper uses the finite-difference discretisation of
+//! the one-dimensional Poisson equation `−u''(x) = f(x)` with homogeneous
+//! Dirichlet boundary conditions as its running example (Eq. (7)): the matrix
+//! is `(1/h²) tridiag(−1, 2, −1)` with `h = 1/(N+1)`, which classical solvers
+//! handle in O(N) flops (the Thomas elimination that
+//! [`crate::inner::FactorizableOperator::factorize`] selects for every CSR
+//! matrix inside one diagonal of the main one).  The d-dimensional analogue
+//! discretises `−Δu = f` on the unit square or cube: the matrix is the
+//! Kronecker sum of the 1-D second-difference matrices of every axis
 //! (`A = T_x ⊗ I_ny + I_nx ⊗ T_y` in 2-D) — the classic five-point and
 //! seven-point stencils.  At `N` unknowns the dense form costs O(N²) memory;
 //! the generators here build the `(2d + 1)`-diagonal pattern directly as a
@@ -12,7 +17,9 @@
 //! `to_dense().matvec(..)` (same column order, same fused multiply-adds), so
 //! the CSR operator can replace the dense matrix inside the refinement loop
 //! without changing a single bit of the convergence history (verified by the
-//! end-to-end equivalence tests).
+//! end-to-end equivalence tests).  The module also holds the exact 1-D
+//! eigenvalues, the condition numbers they give in every dimension, and the
+//! grid samplers of right-hand sides and exact solutions.
 
 use crate::scalar::Real;
 use crate::sparse::SparseMatrix;
@@ -75,6 +82,43 @@ fn poisson_nd<T: Real>(dims: &[usize], scaled_by_h2: bool) -> SparseMatrix<T> {
     SparseMatrix::from_triplets(n, n, &triplets)
 }
 
+/// The 1-D Poisson (second-difference) matrix of Eq. (7):
+/// `(1/h²) tridiag(−1, 2, −1)` of order `n` with `h = 1/(n+1)`.
+///
+/// When `scaled_by_h2` is false the factor `1/h²` is omitted, giving the pure
+/// `tridiag(−1, 2, −1)` stencil whose spectrum lies in `(0, 4)` — the form
+/// most convenient for block-encoding since the spectral norm is bounded by 4
+/// independently of `n`.
+pub fn poisson_1d<T: Real>(n: usize, scaled_by_h2: bool) -> SparseMatrix<T> {
+    poisson_nd(&[n], scaled_by_h2)
+}
+
+/// Exact eigenvalues of the unscaled `tridiag(−1, 2, −1)` matrix of order n:
+/// `λ_k = 2 − 2 cos(kπ/(n+1)) = 4 sin²(kπ/(2(n+1)))`, k = 1..n.
+fn poisson_1d_eigenvalues(n: usize) -> Vec<f64> {
+    (1..=n)
+        .map(|k| {
+            let t = (k as f64) * std::f64::consts::PI / (2.0 * (n as f64 + 1.0));
+            4.0 * t.sin().powi(2)
+        })
+        .collect()
+}
+
+/// Exact 2-norm condition number of the Poisson matrix of order n
+/// (independent of the 1/h² scaling), which grows as O(N²) as noted in
+/// Section III-C4 of the paper.
+pub fn poisson_1d_condition_number(n: usize) -> f64 {
+    poisson_nd_condition_number(&[n])
+}
+
+/// Sample `f(x_j)` on the interior grid `x_j = j·h` (`j = 1..n`,
+/// `h = 1/(n+1)`) of the 1-D Poisson problem: the right-hand side of a
+/// forcing term, or the grid values of an exact solution.
+pub fn poisson_rhs<T: Real>(n: usize, f: impl Fn(f64) -> f64) -> Vector<T> {
+    let h = 1.0 / (n as f64 + 1.0);
+    (1..=n).map(|j| T::from_f64(f(j as f64 * h))).collect()
+}
+
 /// The 3-D Poisson (seven-point) operator on an `nx × ny × nz` interior grid.
 pub fn poisson_3d<T: Real>(nx: usize, ny: usize, nz: usize, scaled_by_h2: bool) -> SparseMatrix<T> {
     poisson_nd(&[nx, ny, nz], scaled_by_h2)
@@ -88,7 +132,7 @@ fn poisson_nd_condition_number(dims: &[usize]) -> f64 {
     let mut min = 0.0;
     let mut max = 0.0;
     for &d in dims {
-        let ev = crate::tridiag::poisson_1d_eigenvalues(d);
+        let ev = poisson_1d_eigenvalues(d);
         min += ev.iter().cloned().fold(f64::MAX, f64::min);
         max += ev.iter().cloned().fold(f64::MIN, f64::max);
     }
@@ -165,9 +209,63 @@ pub fn poisson_2d_rhs<T: Real>(nx: usize, ny: usize, f: impl Fn(f64, f64) -> f64
 mod tests {
     use super::*;
     use crate::cond::cond_2;
+    use crate::inner::{FactorizableOperator, InnerSolverKind};
     use crate::matrix::Matrix;
     use crate::operator::LinearOperator;
-    use crate::tridiag::{poisson_1d, poisson_1d_eigenvalues};
+
+    /// Eq. (7) written out entry by entry: `−s, 2s, −s` on every row.
+    fn equation_7<T: Real>(n: usize, s: f64) -> SparseMatrix<T> {
+        let off = vec![T::from_f64(-s); n - 1];
+        SparseMatrix::tridiagonal(&off, &vec![T::from_f64(2.0 * s); n], &off)
+    }
+
+    #[test]
+    fn poisson_1d_is_equation_7_entry_for_entry() {
+        for n in [1usize, 2, 3, 16, 100] {
+            let h = 1.0 / (n as f64 + 1.0);
+            let s = 1.0 / (h * h);
+            assert_eq!(poisson_1d::<f64>(n, true), equation_7(n, s), "n = {n}");
+            assert_eq!(poisson_1d::<f64>(n, false), equation_7(n, 1.0), "n = {n}");
+            assert_eq!(poisson_1d::<f32>(n, true), equation_7(n, s), "n = {n}");
+            assert_eq!(poisson_1d::<f32>(n, false), equation_7(n, 1.0), "n = {n}");
+        }
+        let d = poisson_1d::<f64>(4, true).to_dense();
+        assert!((d[(0, 0)] - 50.0).abs() < 1e-10);
+        assert!((d[(0, 1)] + 25.0).abs() < 1e-10);
+        assert_eq!(d[(0, 2)], 0.0);
+        assert!(d.is_symmetric(0.0));
+    }
+
+    #[test]
+    fn poisson_1d_eigenvalues_match_the_dense_spectrum() {
+        let n = 8;
+        let kappa_analytic = poisson_1d_condition_number(n);
+        let kappa_numeric = cond_2(&poisson_1d::<f64>(n, false).to_dense());
+        assert!((kappa_analytic - kappa_numeric).abs() / kappa_analytic < 1e-8);
+        assert!(poisson_1d_eigenvalues(n)
+            .iter()
+            .all(|&l| l > 0.0 && l < 4.0));
+        // κ(N) ≈ (2(N+1)/π)² grows quadratically: doubling N quadruples it.
+        let ratio = poisson_1d_condition_number(32) / poisson_1d_condition_number(16);
+        assert!((ratio - 4.0).abs() < 0.5, "ratio {ratio} should be ≈ 4");
+    }
+
+    #[test]
+    fn poisson_discretisation_converges_to_analytic_solution() {
+        // −u'' = π² sin(πx), u(0) = u(1) = 0 has exact solution sin(πx).
+        let f = |x: f64| std::f64::consts::PI.powi(2) * (std::f64::consts::PI * x).sin();
+        let u_exact = |x: f64| (std::f64::consts::PI * x).sin();
+        let mut prev_err = f64::MAX;
+        for &n in &[8usize, 16, 32] {
+            let thomas = poisson_1d::<f64>(n, true).factorize::<f64>().unwrap();
+            assert_eq!(thomas.kind(), InnerSolverKind::Thomas);
+            let u = thomas.solve(&poisson_rhs::<f64>(n, f)).unwrap();
+            let err = (&u - &poisson_rhs::<f64>(n, u_exact)).norm_inf();
+            assert!(err < prev_err, "discretisation error must decrease with n");
+            prev_err = err;
+        }
+        assert!(prev_err < 1e-3);
+    }
 
     /// The Kronecker sum `Σ_a I ⊗ … ⊗ T_a ⊗ … ⊗ I` of dense 1-D factors,
     /// row-major over the axes (axis 0 outermost), summed in axis order.

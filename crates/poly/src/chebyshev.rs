@@ -107,11 +107,13 @@ impl ChebyshevSeries {
 
     /// Maximum absolute value of the series on a uniform grid of `samples`
     /// points over [-1, 1] (used to check the QSVT constraint |P(x)| ≤ 1).
+    /// A NaN sample makes the maximum NaN, so a non-finite series never
+    /// reads as bounded.
     pub fn max_abs_on_interval(&self, samples: usize) -> f64 {
         (0..samples)
             .map(|i| -1.0 + 2.0 * i as f64 / (samples - 1) as f64)
             .map(|x| self.eval(x).abs())
-            .fold(0.0, f64::max)
+            .fold(0.0, |m: f64, v| if m.is_nan() || v <= m { m } else { v })
     }
 
     /// Multiply every coefficient by a scalar.
@@ -255,5 +257,14 @@ mod tests {
         assert!(bounded.max_abs_on_interval(1001) <= 0.5 + 1e-12);
         let unbounded = ChebyshevSeries::new(vec![0.0, 2.0]);
         assert!(unbounded.max_abs_on_interval(1001) > 1.5);
+        // A NaN or ∞ coefficient poisons the samples; the maximum keeps the
+        // NaN instead of dropping it.
+        for coeffs in [
+            vec![0.0, f64::NAN, 0.0, 0.5],
+            vec![0.0, 0.3, 0.0, f64::INFINITY],
+        ] {
+            let max = ChebyshevSeries::new(coeffs.clone()).max_abs_on_interval(1001);
+            assert!(max.is_nan(), "{coeffs:?}: {max}");
+        }
     }
 }

@@ -343,8 +343,10 @@ pub fn find_phases(
         Parity::Even if parity == 0 => {}
         _ => return Err(PhaseError::MixedParity),
     }
+    // A NaN maximum means a non-finite coefficient: reject it before
+    // iterating, as any other unbounded target.
     let max_abs = target.max_abs_on_interval(2001);
-    if max_abs > 1.0 + 1e-9 {
+    if max_abs.is_nan() || max_abs > 1.0 + 1e-9 {
         return Err(PhaseError::NotBounded { max_abs });
     }
 
@@ -595,6 +597,24 @@ mod tests {
         match find_phases(&target, &PhaseFindingOptions) {
             Err(PhaseError::NotBounded { max_abs }) => assert!(max_abs > 1.5),
             other => panic!("expected NotBounded, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_non_finite_targets_before_iterating() {
+        // The `circuit_exact` target (degree 117) with one NaN coefficient.
+        let mut poisoned = InversePolynomial::new(8.0, 0.05).series;
+        assert_eq!(poisoned.degree(), 117);
+        poisoned.coeffs[41] = f64::NAN;
+        for target in [
+            ChebyshevSeries::new(vec![0.0, f64::NAN, 0.0, 0.5]),
+            ChebyshevSeries::new(vec![0.0, 0.3, 0.0, f64::INFINITY]),
+            poisoned,
+        ] {
+            match find_phases(&target, &PhaseFindingOptions) {
+                Err(PhaseError::NotBounded { max_abs }) => assert!(max_abs.is_nan()),
+                other => panic!("expected NotBounded, got {other:?}"),
+            }
         }
     }
 

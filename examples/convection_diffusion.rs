@@ -2,11 +2,11 @@
 //! inner-solver layer.
 //!
 //! Central differencing of `−u'' + c·u'` gives rows `(−1 − p/2, 2, −1 + p/2)`
-//! with mesh Péclet number `p = c·h` — nonsymmetric for any `p ≠ 0`.  The 1-D
-//! operator stays tridiagonal, so `factorize` still picks the O(N) Thomas
-//! elimination (it never required symmetry, only nonzero pivots); the 2-D
-//! operator is a nonsymmetric CSR matrix, where `factorize` switches from
-//! Jacobi-CG to Jacobi-BiCGSTAB.  Both paths exercise `matvec_transposed`,
+//! with mesh Péclet number `p = c·h` — nonsymmetric for any `p ≠ 0`.  Both
+//! operators are CSR matrices.  The 1-D one is tridiagonal, so `factorize`
+//! picks the O(N) Thomas elimination (it never required symmetry, only
+//! nonzero pivots); the 2-D one is a nonsymmetric five-point matrix, where
+//! `factorize` switches from Jacobi-CG to Jacobi-BiCGSTAB.  Both paths exercise `matvec_transposed`,
 //! as does the Lanczos condition estimate on the squared operator AᵀA.
 //!
 //! Run with `cargo run --release --example convection_diffusion`.
@@ -14,7 +14,7 @@
 use qls::prelude::*;
 
 fn main() {
-    // --- 1-D: tridiagonal, Thomas inner solver ------------------------------
+    // --- 1-D: tridiagonal CSR, Thomas inner solver --------------------------
     let n1 = 4096usize;
     let peclet = 0.8;
     let a1 = convection_diffusion_1d::<f64>(n1, peclet);
@@ -30,10 +30,9 @@ fn main() {
     let opts = RefinementOptions {
         target_scaled_residual: 1e-13,
         max_iterations: 40,
-        ..Default::default()
     };
     let refiner1 =
-        ClassicalRefiner::<f64, f32, TridiagonalMatrix<f64>>::new(&a1, opts).expect("1-D refiner");
+        ClassicalRefiner::<f64, f32, SparseMatrix<f64>>::new(&a1, opts).expect("1-D refiner");
     let (u1, h1) = refiner1.solve(&b1).expect("1-D solve");
     println!(
         "  inner solver: {}, {} iterations, final scaled residual {:.3e}, \

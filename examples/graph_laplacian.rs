@@ -33,7 +33,6 @@ fn main() {
     let opts = RefinementOptions {
         target_scaled_residual: 1e-12,
         max_iterations: 40,
-        ..Default::default()
     };
     let t0 = Instant::now();
     let refiner =

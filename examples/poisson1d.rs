@@ -19,8 +19,13 @@ fn main() {
     let kappa = poisson_1d_condition_number(n);
     println!("1-D Poisson problem: N = {n}, condition number kappa = {kappa:.2}\n");
 
-    // Classical O(N) reference (Thomas algorithm).
-    let u_thomas = tridiag.solve_thomas(&b);
+    // Classical O(N) reference: `factorize` selects the Thomas elimination
+    // for a tridiagonal CSR matrix.
+    let u_thomas = tridiag
+        .factorize::<f64>()
+        .expect("Thomas factorisation")
+        .solve(&b)
+        .expect("Thomas solve");
 
     // Hybrid QSVT + iterative refinement (Algorithm 2).
     let refiner = HybridRefiner::new(
@@ -46,7 +51,7 @@ fn main() {
     );
 
     // Compare with the analytic solution on the grid.
-    let u_exact = sample_on_grid::<f64>(n, exact);
+    let u_exact = poisson_rhs::<f64>(n, exact);
     println!(
         "discretisation error vs analytic solution: {:.3e} (max norm)",
         u_hybrid

@@ -49,6 +49,9 @@ fn main() {
 
     let tridiag = poisson_1d::<f64>(n, true);
     let a = tridiag.to_dense();
+    // The O(N) Thomas elimination `factorize` selects for a tridiagonal CSR
+    // matrix: the classical reference of the discrete system.
+    let thomas = tridiag.factorize::<f64>().expect("Thomas factorisation");
     let kappa = poisson_1d_condition_number(n);
     println!(
         "multi-RHS 1-D Poisson: N = {n}, kappa = {kappa:.2}, {} right-hand sides\n",
@@ -80,7 +83,7 @@ fn main() {
     println!("  forcing      | iters | final residual | error vs analytic (max-norm)");
     for (((name, _, exact), b), (u, history)) in cases.iter().zip(&bs).zip(&solutions) {
         assert_eq!(history.status, HybridStatus::Converged, "forcing {name}");
-        let u_exact = sample_on_grid::<f64>(n, exact);
+        let u_exact = poisson_rhs::<f64>(n, exact);
         let max_err = u
             .iter()
             .zip(u_exact.iter())
@@ -96,7 +99,7 @@ fn main() {
         // discretisation (h² scale); the solve itself matches the O(N)
         // Thomas reference of the *discrete* system far below that.
         assert!(max_err < 5e-2, "forcing {name}: error {max_err:.3e}");
-        let u_thomas = tridiag.solve_thomas(b);
+        let u_thomas = thomas.solve(b).expect("Thomas solve");
         assert!(forward_error(u, &u_thomas) < 1e-8);
     }
     assert!(

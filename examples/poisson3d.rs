@@ -35,7 +35,6 @@ fn main() {
     let opts = RefinementOptions {
         target_scaled_residual: 1e-13,
         max_iterations: 40,
-        ..Default::default()
     };
     let refiner =
         ClassicalRefiner::<f64, f32, SparseMatrix<f64>>::new(&a, opts).expect("refiner setup");

@@ -10,10 +10,11 @@
 //! * [`linalg`] (`qls-linalg`) — the classical substrate: dense linear
 //!   algebra in `f32` and `f64`, classical iterative refinement, the
 //!   structured-operator layer (`qls_linalg::operator::LinearOperator` with
-//!   dense / CSR / tridiagonal implementations; the 2-D and 3-D Poisson
-//!   operators are CSR matrices) and the structured inner-solver layer
-//!   (`qls_linalg::inner::FactorizableOperator`: Thomas for tridiagonal,
-//!   Jacobi-CG / BiCGSTAB for CSR, dense LU retained as the oracle), so
+//!   dense and CSR implementations; the 1-D, 2-D and 3-D Poisson operators
+//!   are CSR matrices) and the structured inner-solver layer
+//!   (`qls_linalg::inner::FactorizableOperator`: for CSR, Thomas when every
+//!   entry lies within one diagonal of the main one and Jacobi-CG /
+//!   BiCGSTAB otherwise; dense LU retained as the oracle), so
 //!   residuals, refinement *and the low-precision correction solves* all run
 //!   at O(nnz) on structured problems — no classical refinement path
 //!   densifies an O(N²) matrix;
@@ -211,13 +212,12 @@ pub mod prelude {
         random_matrix_with_cond, random_unit_vector, shifted_graph_laplacian, MatrixEnsemble,
         SingularValueDistribution,
     };
-    pub use qls_linalg::tridiag::{poisson_rhs, sample_on_grid};
     pub use qls_linalg::{
         cond_2, cond_2_estimate, forward_error, poisson_1d, poisson_1d_condition_number,
         poisson_2d, poisson_2d_condition_number, poisson_2d_rhs, poisson_3d,
-        poisson_3d_condition_number, poisson_3d_rhs, scaled_residual, ClassicalRefiner,
-        FactorizableOperator, InnerSolver, InnerSolverKind, LinearOperator, Matrix,
-        RefinementOptions, SparseMatrix, TridiagonalMatrix, Vector, DENSIFY_FALLBACK_MAX,
+        poisson_3d_condition_number, poisson_3d_rhs, poisson_rhs, scaled_residual,
+        ClassicalRefiner, FactorizableOperator, InnerSolver, InnerSolverKind, LinearOperator,
+        Matrix, RefinementOptions, SparseMatrix, Vector, DENSIFY_FALLBACK_MAX,
     };
     pub use qls_poly::InversePolynomial;
     pub use qls_qsvt::{phase_generation_count, QsvtInverter, QsvtMode};

@@ -247,7 +247,6 @@ fn hybrid_solver_agrees_with_classical_mixed_precision_refinement() {
         RefinementOptions {
             target_scaled_residual: 1e-12,
             max_iterations: 40,
-            ..Default::default()
         },
     )
     .unwrap();

@@ -1,6 +1,7 @@
-//! End-to-end equivalence of the operator layer: running Algorithm 2 over a
-//! structured operator (the CSR Poisson stencils) must reproduce the
-//! dense-matrix refiner's convergence history **bit for bit**.
+//! End-to-end equivalence of the operator layer: running Algorithm 1 or 2
+//! over a structured operator (the CSR Poisson stencils and
+//! convection-diffusion operators) must reproduce the dense-matrix refiner's
+//! convergence history **bit for bit**.
 //!
 //! This is the operator-layer analogue of the simulator's
 //! `kernels::reference` / `OptLevel::None` oracles: the CSR matvec
@@ -59,15 +60,9 @@ impl<Op: LinearOperator<f64>> LinearOperator<f64> for CountingOperator<Op> {
     fn matvec_transposed(&self, x: &Vector<f64>) -> Vector<f64> {
         self.inner.matvec_transposed(x)
     }
-    fn nnz(&self) -> usize {
-        self.inner.nnz()
-    }
     fn to_dense(&self) -> Matrix<f64> {
         self.densify_calls.fetch_add(1, Ordering::SeqCst);
         self.inner.to_dense()
-    }
-    fn norm_frobenius(&self) -> f64 {
-        self.inner.norm_frobenius()
     }
 }
 
@@ -161,7 +156,6 @@ fn classical_refiner_is_bit_identical_over_csr() {
     let opts = RefinementOptions {
         target_scaled_residual: 1e-13,
         max_iterations: 30,
-        ..Default::default()
     };
     let dense_refiner = ClassicalRefiner::<f64, f32>::new(&dense, opts).expect("dense refiner");
     let csr_refiner =
@@ -175,6 +169,46 @@ fn classical_refiner_is_bit_identical_over_csr() {
         assert_eq!(d.scaled_residual, s.scaled_residual);
     }
     assert_eq!(x_dense.as_slice(), x_csr.as_slice());
+}
+
+#[test]
+fn one_dimensional_csr_refinement_is_bit_identical_to_dense() {
+    // Algorithm 1 over the 1-D operators at N = 256 with the dense-LU inner
+    // solver forced on both sides: the f32 factors are the same, and the CSR
+    // residuals equal the dense ones bit for bit, on the scaled Eq. (7)
+    // matrix and on nonsymmetric convection-diffusion alike.
+    let n = 256;
+    let opts = RefinementOptions {
+        target_scaled_residual: 1e-13,
+        max_iterations: 30,
+    };
+    let b = poisson_rhs::<f64>(n, |x| (3.0 * x).sin() + x * x);
+    for (label, csr) in [
+        ("scaled Poisson", poisson_1d::<f64>(n, true)),
+        (
+            "convection-diffusion",
+            convection_diffusion_1d::<f64>(n, 0.8),
+        ),
+    ] {
+        let dense = csr.to_dense();
+        let dense_refiner = ClassicalRefiner::<f64, f32>::new(&dense, opts).expect("dense refiner");
+        let csr_refiner =
+            ClassicalRefiner::<f64, f32, SparseMatrix<f64>>::with_dense_lu(&csr, opts)
+                .expect("CSR refiner");
+        let (x_dense, h_dense) = dense_refiner.solve(&b).expect("dense solve");
+        let (x_csr, h_csr) = csr_refiner.solve(&b).expect("CSR solve");
+        assert!(h_dense.iterations() >= 1, "{label}: no refinement step");
+        assert_eq!(h_dense.status, h_csr.status, "{label}");
+        assert_eq!(h_dense.steps.len(), h_csr.steps.len(), "{label}");
+        for (d, s) in h_dense.steps.iter().zip(&h_csr.steps) {
+            assert_eq!(
+                d.scaled_residual, s.scaled_residual,
+                "{label}: scaled residual differs at iteration {}",
+                d.iteration
+            );
+        }
+        assert_eq!(x_dense.as_slice(), x_csr.as_slice(), "{label}");
+    }
 }
 
 /// Deterministic right-hand side for the larger-than-fallback problems.
@@ -201,7 +235,6 @@ fn assert_structured_matches_oracle<Op: FactorizableOperator<f64> + Clone>(
     let opts = RefinementOptions {
         target_scaled_residual: 1e-13,
         max_iterations: 60,
-        ..Default::default()
     };
 
     let counted = CountingOperator::new(op.clone());
@@ -247,7 +280,8 @@ fn assert_structured_matches_oracle<Op: FactorizableOperator<f64> + Clone>(
 
 #[test]
 fn thomas_refinement_matches_the_dense_lu_oracle() {
-    // 1-D Poisson at N = 256: O(N) Thomas inner solves vs densify-LU.
+    // 1-D Poisson at N = 256 as CSR: O(N) Thomas inner solves vs
+    // densify-LU.
     let tridiag = poisson_1d::<f64>(256, false);
     assert_structured_matches_oracle("tridiag-256", &tridiag, InnerSolverKind::Thomas);
 }
