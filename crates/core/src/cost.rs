@@ -19,6 +19,7 @@
 //! in `qls-encoding`.
 
 use qls_linalg::refine::iteration_bound;
+use qls_qsvt::degree_cap_d;
 
 /// Parameters of the quantum cost model of Table I.
 #[derive(Debug, Clone, Copy)]
@@ -63,17 +64,12 @@ pub struct QuantumCostComparison {
 }
 
 /// Number of block-encoding calls (polynomial degree) of a QSVT solve at
-/// accuracy `eps`: `d(κ, ε) ≍ κ log(κ/ε)` — the scaling the paper uses in
-/// Table I (constants chosen to match the Eq. (4) construction's 2D+1 degree
-/// up to its leading behaviour).
+/// accuracy `eps`: the degree `2·D(ε, κ) + 1` of the Eq. (4) polynomial the
+/// solver builds ([`qls_qsvt::degree_cap_d`]), which grows as
+/// `Θ(κ log(κ/ε))`, the scaling the paper uses in Table I.  Panics unless
+/// `κ ≥ 1` and `0 < ε < 1`.
 pub fn qsvt_degree_model(kappa: f64, eps: f64) -> f64 {
-    assert!(kappa >= 1.0 && eps > 0.0 && eps < 1.0);
-    // 2·D(ε,κ)+1 with D = sqrt(b log(4b/ε)), b = κ² log(κ/ε); asymptotically
-    // this is Θ(κ log(κ/ε)); we evaluate the exact expression for fidelity
-    // with the implementation.
-    let b = (kappa * kappa * (kappa / eps).ln()).ceil();
-    let d = (b * (4.0 * b / eps).ln()).sqrt().ceil();
-    2.0 * d + 1.0
+    (2 * degree_cap_d(kappa, eps) + 1) as f64
 }
 
 /// Evaluate the Table-I comparison at the given parameters.

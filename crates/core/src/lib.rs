@@ -62,6 +62,7 @@ mod comms;
 pub mod cost;
 pub mod error;
 pub mod hhl;
+mod readout;
 pub mod refine;
 pub mod solver;
 
@@ -75,10 +76,9 @@ pub use cost::{
 };
 pub use error::QlsError;
 pub use hhl::{HhlResult, HhlSolver};
+pub use readout::sample_direction;
 pub use refine::{
     FailureReason, HealthIssue, HybridHistory, HybridRefinementOptions, HybridRefiner,
     HybridStatus, HybridStep, RecoveryAction, RecoveryEvent, RecoveryLog, STAGNATION_WINDOW,
 };
-pub use solver::{
-    sample_direction, QsvtLinearSolver, QsvtSolveResult, QsvtSolverOptions, SolveCost,
-};
+pub use solver::{QsvtLinearSolver, QsvtSolveResult, QsvtSolverOptions, SolveCost};

@@ -18,6 +18,7 @@
 //! in [`crate::cost`].
 
 use crate::error::QlsError;
+use crate::readout::sample_direction;
 use qls_cache::CachePolicy;
 use qls_encoding::StatePreparation;
 use qls_linalg::lu::LinalgError;
@@ -326,82 +327,6 @@ fn check_shots(shots: Option<usize>) -> Result<(), QlsError> {
     Ok(())
 }
 
-/// Simulate a finite-shot readout of a normalised real direction vector:
-/// magnitudes are re-estimated from a multinomial sample of `shots` outcomes,
-/// signs are kept from the exact direction.
-///
-/// Each shot consumes exactly one `rng.next_u64()` (two 32-bit words):
-/// the draw `rng.gen_range(0.0..total)` makes, where `total` is the summed
-/// squared magnitude.  Its outcome is the first index whose cumulative
-/// weight is not below that draw, clamped to `N − 1`.  The index is found
-/// through a guide table (Chen & Asau's indexed search, 1974): `M`, a
-/// power of two, buckets split `[0, total)` evenly, and bucket `j` stores
-/// the number of cumulative weights below `total·j/M`.  A draw `k` whose
-/// top `log₂ M` bits are `j` has `k·2⁻⁵³ ≥ j/M` exactly, and rounding is
-/// monotone, so its value is at least `total·j/M`.  The bucket therefore
-/// never starts past the outcome, and a forward scan from it stops where a
-/// binary search of the cumulative weights would.  So the counts, the
-/// result and the RNG's position afterwards are those of drawing with
-/// `gen_range` and searching with `partition_point`.
-///
-/// An empty direction gives the empty vector, and zero shots the all-zero
-/// vector (no counts means every magnitude is 0); neither draws a word.
-pub fn sample_direction<R: Rng>(direction: &Vector<f64>, shots: usize, rng: &mut R) -> Vector<f64> {
-    let n = direction.len();
-    if n == 0 || shots == 0 {
-        return Vector::zeros(n);
-    }
-    // Cumulative distribution.
-    let mut cdf = Vec::with_capacity(n);
-    let mut acc = 0.0;
-    for &x in direction.iter() {
-        acc += x * x;
-        cdf.push(acc);
-    }
-    let total = acc.max(1e-300);
-    // Guide table of M buckets, M the power of two at or above min(8N,
-    // shots), so a short readout never pays more for the table than for its
-    // draws.  One merge pass: the bucket edges are non-decreasing.
-    let buckets = (8 * n).min(shots).next_power_of_two();
-    let shift = 53 - buckets.trailing_zeros();
-    let mut guide = Vec::with_capacity(buckets);
-    let mut below = 0;
-    for j in 0..buckets {
-        let edge = total * (j as f64 / buckets as f64);
-        while below < n && cdf[below] < edge {
-            below += 1;
-        }
-        guide.push(below);
-    }
-    let last = n.saturating_sub(1);
-    let mut counts = vec![0usize; n];
-    for _ in 0..shots {
-        // `gen_range(0.0..total)` computes `0.0 + (total − 0.0)·u` from the
-        // same word; with `total > 0` that is exactly `total·u`.
-        let k = rng.next_u64() >> 11;
-        let r = total * (k as f64 * (1.0 / (1u64 << 53) as f64));
-        let mut idx = guide[(k >> shift) as usize];
-        while idx < n && cdf[idx] < r {
-            idx += 1;
-        }
-        counts[idx.min(last)] += 1;
-    }
-    let mut sampled: Vector<f64> = counts
-        .iter()
-        .zip(direction.iter())
-        .map(|(&c, &d)| {
-            let mag = (c as f64 / shots as f64).sqrt();
-            if d < 0.0 {
-                -mag
-            } else {
-                mag
-            }
-        })
-        .collect();
-    sampled.normalize();
-    sampled
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -502,184 +427,5 @@ mod tests {
         assert!(result.cost.state_prep_flops > 0);
         assert!(result.cost.brent_evaluations > 0);
         assert!(result.success_probability > 0.0);
-    }
-
-    #[test]
-    fn sampled_direction_stays_normalised() {
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let direction = Vector::from_f64_slice(&[0.6, -0.64, 0.48, 0.0]);
-        let sampled = sample_direction(&direction, 10_000, &mut rng);
-        assert!((sampled.norm2() - 1.0).abs() < 1e-12);
-        // Signs preserved.
-        assert!(sampled[1] <= 0.0);
-        assert!(sampled[0] >= 0.0);
-    }
-
-    #[test]
-    fn sampling_recovers_every_sign_on_random_directions() {
-        // Property: with enough shots the sampled direction never flips a
-        // sign on coordinates with non-negligible probability mass.
-        for seed in 0..20 {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let direction = random_unit_vector(16, &mut rng);
-            let sampled = sample_direction(&direction, 100_000, &mut rng);
-            for (s, d) in sampled.iter().zip(direction.iter()) {
-                if d.abs() > 0.05 {
-                    assert!(
-                        s * d >= 0.0,
-                        "seed {seed}: sign flipped on coordinate with mass {d}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sampling_error_shrinks_with_shot_count() {
-        // Property: the readout error follows the O(1/sqrt(shots)) model —
-        // averaged over seeds, 100x the shots must cut the error by well
-        // over 2x (the theoretical factor is 10x).
-        let mut rng = ChaCha8Rng::seed_from_u64(77);
-        let direction = random_unit_vector(32, &mut rng);
-        let mut err_lo = 0.0;
-        let mut err_hi = 0.0;
-        for seed in 0..10 {
-            let mut rng = ChaCha8Rng::seed_from_u64(1000 + seed);
-            err_lo += (&sample_direction(&direction, 1_000, &mut rng) - &direction).norm2();
-            err_hi += (&sample_direction(&direction, 100_000, &mut rng) - &direction).norm2();
-        }
-        assert!(
-            err_hi < err_lo / 2.0,
-            "100x shots only improved {err_lo:.4} -> {err_hi:.4}"
-        );
-    }
-
-    #[test]
-    fn zero_amplitude_coordinates_never_receive_counts() {
-        // Property: a coordinate with zero probability mass can never be hit
-        // by the multinomial sampler, at any seed.
-        for seed in 0..20 {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let direction = Vector::from_f64_slice(&[0.8, 0.0, -0.6, 0.0, 0.0, 0.0, 0.0, 0.0]);
-            let sampled = sample_direction(&direction, 5_000, &mut rng);
-            assert_eq!(sampled[1], 0.0, "seed {seed}");
-            for i in 3..8 {
-                assert_eq!(sampled[i], 0.0, "seed {seed}, coordinate {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn sampling_is_deterministic_per_seed() {
-        let direction = Vector::from_f64_slice(&[0.6, -0.64, 0.48, 0.0]);
-        let mut rng_a = ChaCha8Rng::seed_from_u64(9);
-        let mut rng_b = ChaCha8Rng::seed_from_u64(9);
-        let a = sample_direction(&direction, 10_000, &mut rng_a);
-        let b = sample_direction(&direction, 10_000, &mut rng_b);
-        assert_eq!(a.as_slice(), b.as_slice());
-    }
-
-    #[test]
-    fn empty_and_zero_shot_readouts_draw_no_word() {
-        use rand::RngCore;
-        let mut rng = ChaCha8Rng::seed_from_u64(10);
-        let mut untouched = rng.clone();
-        // N = 0 gives the empty vector at any shot count.
-        for shots in [0, 1, 10_000] {
-            assert!(sample_direction(&Vector::zeros(0), shots, &mut rng).is_empty());
-        }
-        // Zero shots give no counts, so every magnitude is 0.
-        for direction in [vec![0.6, 0.8], vec![0.6, -0.64, 0.48, 0.0]] {
-            let sampled = sample_direction(&Vector::from_f64_slice(&direction), 0, &mut rng);
-            let bits: Vec<u64> = sampled.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(bits, vec![0; direction.len()], "{direction:?}");
-        }
-        assert_eq!(rng.next_u64(), untouched.next_u64(), "no word drawn");
-    }
-
-    /// The sampler before the guide table: one `gen_range` draw and one
-    /// binary search of the cumulative distribution per shot, behind the
-    /// same empty and zero-shot guard as `sample_direction` (without it,
-    /// zero shots gave 0/0 = NaN magnitudes and N = 0 indexed past the end).
-    fn oracle_sample_direction<R: Rng>(
-        direction: &Vector<f64>,
-        shots: usize,
-        rng: &mut R,
-    ) -> Vector<f64> {
-        if direction.is_empty() || shots == 0 {
-            return Vector::zeros(direction.len());
-        }
-        let probs: Vec<f64> = direction.iter().map(|&x| x * x).collect();
-        let mut counts = vec![0usize; probs.len()];
-        let mut cdf = Vec::with_capacity(probs.len());
-        let mut acc = 0.0;
-        for &p in &probs {
-            acc += p;
-            cdf.push(acc);
-        }
-        let total = acc.max(1e-300);
-        for _ in 0..shots {
-            let r: f64 = rng.gen_range(0.0..total);
-            let idx = cdf.partition_point(|&c| c < r).min(probs.len() - 1);
-            counts[idx] += 1;
-        }
-        let mut sampled: Vector<f64> = counts
-            .iter()
-            .zip(direction.iter())
-            .map(|(&c, &d)| {
-                let mag = (c as f64 / shots as f64).sqrt();
-                if d < 0.0 {
-                    -mag
-                } else {
-                    mag
-                }
-            })
-            .collect();
-        sampled.normalize();
-        sampled
-    }
-
-    #[test]
-    fn guide_table_sampler_is_bit_identical_to_the_binary_search_oracle() {
-        use rand::RngCore;
-        let mut corpus = ChaCha8Rng::seed_from_u64(2718);
-        for case in 0..5_000 {
-            let n = corpus.gen_range(1..=300usize);
-            let mut v: Vec<f64> = (0..n).map(|_| corpus.gen_range(-1.0..1.0)).collect();
-            match case % 8 {
-                // Zero coordinates, which no shot may hit.
-                0 => v
-                    .iter_mut()
-                    .filter(|_| corpus.gen_bool(0.5))
-                    .for_each(|x| *x = 0.0),
-                // Squares that underflow to subnormals or zero.
-                1 => v.iter_mut().for_each(|x| *x *= 1e-160),
-                // Squares near the top of the range, and past it to ∞.
-                2 => v.iter_mut().for_each(|x| *x *= 1e150),
-                3 => v.iter_mut().for_each(|x| *x *= 1e155),
-                4 => v[corpus.gen_range(0..n)] = f64::NAN,
-                5 => v.iter_mut().for_each(|x| *x = 0.0),
-                _ => {}
-            }
-            // Short readouts exercise small guide tables; 10⁴ is the
-            // benchmark's readout.
-            let shots = match case % 25 {
-                0 => 10_000,
-                1..=4 => corpus.gen_range(0..16),
-                _ => corpus.gen_range(0..1_000),
-            };
-            let direction = Vector::from_f64_slice(&v);
-            let mut rng = ChaCha8Rng::seed_from_u64(corpus.next_u64());
-            let mut oracle_rng = rng.clone();
-            let got = sample_direction(&direction, shots, &mut rng);
-            let want = oracle_sample_direction(&direction, shots, &mut oracle_rng);
-            let bits = |s: &Vector<f64>| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                bits(&got),
-                bits(&want),
-                "case {case}: n = {n}, shots = {shots}"
-            );
-            assert_eq!(rng.next_u32(), oracle_rng.next_u32(), "case {case}");
-        }
     }
 }

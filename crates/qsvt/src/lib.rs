@@ -29,3 +29,7 @@ pub use phases::{
     QspPhases,
 };
 pub use solve::{QsvtError, QsvtInverter, QsvtMode, QsvtResources};
+
+// qls-core's cost model prices a solve with the degree formula the inverter
+// builds its polynomial with.
+pub use qls_poly::degree_cap_d;

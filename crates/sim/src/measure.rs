@@ -4,8 +4,10 @@
 //! the QSVT result is read out by repeated measurement (Remark 3: the hybrid
 //! algorithm relies on the "collapse" of the quantum solution).  This module
 //! holds that shot count; the readout itself is
-//! `qls_core::sample_direction`, which draws the shots from the
-//! post-selected amplitudes the solver already holds.
+//! `qls_core::sample_direction`, which draws the shot counts those
+//! measurements would give (one multinomial draw) from the post-selected
+//! amplitudes the solver already holds, at a cost that grows with the
+//! register, not with the shot count.
 
 /// Number of shots the paper's model prescribes to reach accuracy ε: `⌈c/ε²⌉`.
 pub fn shots_for_accuracy(epsilon: f64, constant: f64) -> usize {
