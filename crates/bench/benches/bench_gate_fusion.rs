@@ -1,8 +1,13 @@
 //! Criterion micro-benchmarks of the circuit-optimizer pass
 //! (`qls_sim::fuse`): fused vs unoptimized compile-once execution on
-//! representative workloads, plus the one-time cost of the pass itself.
+//! representative workloads, plus the one-time cost of the pass itself,
+//! there and on the QSVT circuit of the `circuit_exact` benchmark.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use qls_encoding::DilationBlockEncoding;
+use qls_linalg::Svd;
+use qls_poly::InversePolynomial;
+use qls_qsvt::{find_phases, PhaseFindingOptions, QsvtCircuit};
 use qls_sim::{Circuit, CompiledCircuit, QuantumExecutor, StateVector};
 
 /// A projector-rotation-shaped workload (the QSVT inner-loop pattern):
@@ -20,6 +25,22 @@ fn phase_block_circuit(num_qubits: usize, blocks: usize) -> Circuit {
         }
     }
     c
+}
+
+/// The QSVT circuit the `circuit_exact` benchmark builds: N = 16, κ = 8,
+/// matrix seed 1, ε_l = 0.05, so degree 117 and 1184 ops, 234 of them
+/// 32×32 block-encoding calls the pass multiplies into the fused block.
+fn circuit_exact_qsvt_circuit() -> Circuit {
+    let (a, _) = qls_bench::paper_test_system(16, 8.0, 1);
+    let svd = Svd::new(&a);
+    let poly = InversePolynomial::new(svd.cond(), 0.05);
+    let phases = find_phases(&poly.series, &PhaseFindingOptions).expect("phase factors");
+    let be = DilationBlockEncoding::of_adjoint(&a, svd.norm2());
+    let circuit = QsvtCircuit::with_real_part_extraction(&be, &phases.phases)
+        .circuit()
+        .clone();
+    assert_eq!(circuit.len(), 1184, "the circuit_exact QSVT circuit");
+    circuit
 }
 
 fn bench_fused_vs_unfused(c: &mut Criterion) {
@@ -48,6 +69,10 @@ fn bench_fused_vs_unfused(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(qls_sim::optimize_circuit_for(circ, circ.num_qubits())))
         });
     }
+    let qsvt = circuit_exact_qsvt_circuit();
+    group.bench_function("circuit_exact_qsvt/optimize_pass", |b| {
+        b.iter(|| std::hint::black_box(qls_sim::optimize_circuit_for(&qsvt, qsvt.num_qubits())))
+    });
     group.finish();
 }
 

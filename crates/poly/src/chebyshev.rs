@@ -42,6 +42,11 @@ pub(crate) fn chebyshev_nodes(n: usize) -> Vec<f64> {
         .collect()
 }
 
+/// Points [`ChebyshevSeries::max_abs_on_interval`] evaluates in lockstep:
+/// independent recurrences the processor overlaps, where one point's
+/// recurrence waits on its own previous step.
+const LANES: usize = 8;
+
 /// A finite Chebyshev series `p(x) = Σ_k c_k T_k(x)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChebyshevSeries {
@@ -109,11 +114,43 @@ impl ChebyshevSeries {
     /// points over [-1, 1] (used to check the QSVT constraint |P(x)| ≤ 1).
     /// A NaN sample makes the maximum NaN, so a non-finite series never
     /// reads as bounded.
+    ///
+    /// The points run through the Clenshaw recurrence eight at a time, each
+    /// getting the bits [`ChebyshevSeries::eval`] gives it, and are folded
+    /// in grid order, so the maximum equals a per-point scan's bit for bit.
     pub fn max_abs_on_interval(&self, samples: usize) -> f64 {
-        (0..samples)
-            .map(|i| -1.0 + 2.0 * i as f64 / (samples - 1) as f64)
-            .map(|x| self.eval(x).abs())
-            .fold(0.0, |m: f64, v| if m.is_nan() || v <= m { m } else { v })
+        let point = |i: usize| -1.0 + 2.0 * i as f64 / (samples - 1) as f64;
+        let mut max = 0.0f64;
+        for start in (0..samples).step_by(LANES) {
+            let count = LANES.min(samples - start);
+            // A short last group repeats its last point in the spare lanes,
+            // whose values are not folded.
+            let x = std::array::from_fn(|l| point(start + l.min(count - 1)));
+            for v in &self.eval_lanes(x)[..count] {
+                let v = v.abs();
+                max = if max.is_nan() || v <= max { max } else { v };
+            }
+        }
+        max
+    }
+
+    /// [`ChebyshevSeries::eval`] at [`LANES`] points in lockstep: each lane
+    /// runs `eval`'s recurrence with its operations in its order (no fused
+    /// multiply-add), so lane `l` holds the bits of `eval(x[l])`.
+    fn eval_lanes(&self, x: [f64; LANES]) -> [f64; LANES] {
+        if self.coeffs.is_empty() {
+            return [0.0; LANES];
+        }
+        let mut b1 = [0.0f64; LANES];
+        let mut b2 = [0.0f64; LANES];
+        for &c in self.coeffs.iter().rev() {
+            for l in 0..LANES {
+                let b0 = 2.0 * x[l] * b1[l] - b2[l] + c;
+                b2[l] = b1[l];
+                b1[l] = b0;
+            }
+        }
+        std::array::from_fn(|l| b1[l] - x[l] * b2[l])
     }
 
     /// Multiply every coefficient by a scalar.
@@ -249,6 +286,65 @@ mod tests {
         let z = ChebyshevSeries::new(vec![]);
         assert!(z.is_empty());
         assert_eq!(z.eval(0.3), 0.0);
+    }
+
+    /// The per-point scan: the oracle of the lockstep one.
+    fn max_abs_per_point(series: &ChebyshevSeries, samples: usize) -> f64 {
+        (0..samples)
+            .map(|i| -1.0 + 2.0 * i as f64 / (samples - 1) as f64)
+            .map(|x| series.eval(x).abs())
+            .fold(0.0, |m: f64, v| if m.is_nan() || v <= m { m } else { v })
+    }
+
+    /// A seeded xorshift64 stream of values in [-1, 1).
+    fn uniform(state: &mut u64) -> f64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        (*state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+    }
+
+    #[test]
+    fn lockstep_scan_is_bit_identical_to_the_per_point_scan() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut series = vec![ChebyshevSeries::new(vec![])];
+        for degree in (0..=300).step_by(7).chain([1, 2, 117, 300]) {
+            for parity in [0, 1] {
+                let coeffs = (0..=degree)
+                    .map(|k| {
+                        let c = uniform(&mut state) / (1 + k) as f64;
+                        if k % 2 == parity {
+                            c
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect();
+                series.push(ChebyshevSeries::new(coeffs));
+            }
+        }
+        for coeffs in [
+            vec![0.0, f64::NAN, 0.0, 0.5],
+            vec![0.0, 0.3, 0.0, f64::INFINITY],
+            vec![f64::NEG_INFINITY, 0.0, 0.2],
+            vec![f64::INFINITY, 0.0, f64::NEG_INFINITY],
+        ] {
+            series.push(ChebyshevSeries::new(coeffs));
+        }
+        for s in &series {
+            for samples in [1, 2, 7, 8, 9, 2001] {
+                let (lockstep, oracle) = (
+                    s.max_abs_on_interval(samples),
+                    max_abs_per_point(s, samples),
+                );
+                assert_eq!(
+                    lockstep.to_bits(),
+                    oracle.to_bits(),
+                    "degree {}, {samples} samples: {lockstep} vs {oracle}",
+                    s.coeffs.len().saturating_sub(1)
+                );
+            }
+        }
     }
 
     #[test]

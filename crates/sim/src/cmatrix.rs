@@ -102,41 +102,22 @@ impl CMatrix {
     /// `Complex64` loop, in its order, so the result is bit-identical to it.
     pub fn matmul(&self, other: &Self) -> Self {
         assert_eq!(self.cols, other.rows, "matmul: dimension mismatch");
-        other.combine_rows(self.rows, |i, terms| {
+        let mut lhs = RowTerms {
+            ends: Vec::with_capacity(self.rows),
+            terms: Vec::with_capacity(self.data.len()),
+        };
+        for i in 0..self.rows {
             let row = &self.data[i * self.cols..(i + 1) * self.cols];
-            terms.extend(row.iter().copied().enumerate().filter(|&(_, a)| a != ZERO));
-        })
-    }
-
-    /// The `rows × ncols` matrix whose row `i` is `Σ a · self[k]` over the
-    /// terms `(k, a)` that `terms(i, buf)` pushes into the emptied `buf`,
-    /// accumulated from zero in push order.  `self` is split once into
-    /// re/im planes, and each row accumulates in the runtime-dispatched
-    /// kernel `simd::accumulate_rows`.
-    pub(crate) fn combine_rows(
-        &self,
-        rows: usize,
-        mut terms: impl FnMut(usize, &mut Vec<(usize, Complex64)>),
-    ) -> Self {
-        let n = self.cols;
-        let (re, im): (Vec<f64>, Vec<f64>) = self.data.iter().map(|z| (z.re, z.im)).unzip();
-        let (mut acc_re, mut acc_im) = (vec![0.0; n], vec![0.0; n]);
-        let mut buf = Vec::new();
-        let mut out = Vec::with_capacity(rows * n);
-        for i in 0..rows {
-            buf.clear();
-            terms(i, &mut buf);
-            acc_re.fill(0.0);
-            acc_im.fill(0.0);
-            crate::simd::accumulate_rows(&buf, &re, &im, &mut acc_re, &mut acc_im);
-            out.extend(
-                acc_re
-                    .iter()
-                    .zip(&acc_im)
-                    .map(|(&re, &im)| Complex64::new(re, im)),
-            );
+            for (k, &a) in row.iter().enumerate() {
+                if a != ZERO {
+                    lhs.push(k, a);
+                }
+            }
+            lhs.end_row();
         }
-        Self::from_vec(rows, n, out)
+        let mut out = Planar::default();
+        out.assign_product(&lhs, &Planar::from(other));
+        out.to_cmatrix()
     }
 
     /// The interleaved zero-skipping product loop: the bit-identity oracle
@@ -213,17 +194,7 @@ impl CMatrix {
     /// one-multiply-per-amplitude diagonal kernels, which is only valid when
     /// the off-diagonal part is truly absent (no tolerance).
     pub(crate) fn diagonal(&self) -> Option<Vec<Complex64>> {
-        if self.rows != self.cols {
-            return None;
-        }
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                if r != c && self[(r, c)] != ZERO {
-                    return None;
-                }
-            }
-        }
-        Some((0..self.rows).map(|i| self[(i, i)]).collect())
+        exact_diagonal(self.rows, self.cols, |r, c| self[(r, c)])
     }
 
     /// True when `U† U = I` within `tol` (entry-wise).
@@ -248,6 +219,167 @@ impl CMatrix {
     pub fn scale(&mut self, s: Complex64) {
         for x in Arc::make_mut(&mut self.data).iter_mut() {
             *x *= s;
+        }
+    }
+}
+
+/// The diagonal of the `rows × cols` matrix with entries `at(r, c)` when
+/// every off-diagonal entry equals zero bit-for-bit, `None` otherwise.
+fn exact_diagonal(
+    rows: usize,
+    cols: usize,
+    at: impl Fn(usize, usize) -> Complex64,
+) -> Option<Vec<Complex64>> {
+    if rows != cols {
+        return None;
+    }
+    for r in 0..rows {
+        for c in 0..cols {
+            if r != c && at(r, c) != ZERO {
+                return None;
+            }
+        }
+    }
+    Some((0..rows).map(|i| at(i, i)).collect())
+}
+
+/// The left factor of a product as the nonzero terms of each of its rows:
+/// each [`RowTerms::end_row`] closes one output row, `Σ a · rhs[k]` over
+/// the `(k, a)` pushed since the previous row closed, in push order.
+/// [`RowTerms::clear`] keeps the buffers for the next product.
+#[derive(Debug, Default)]
+pub(crate) struct RowTerms {
+    ends: Vec<usize>,
+    terms: Vec<(usize, Complex64)>,
+}
+
+impl RowTerms {
+    /// Forget every row, keeping the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.ends.clear();
+        self.terms.clear();
+    }
+
+    /// Add `a · rhs[k]` to the current row.
+    pub(crate) fn push(&mut self, k: usize, a: Complex64) {
+        self.terms.push((k, a));
+    }
+
+    /// Close the current row (a row with no terms is zero).
+    pub(crate) fn end_row(&mut self) {
+        self.ends.push(self.terms.len());
+    }
+}
+
+/// A dense row-major complex matrix on split re/im planes, the form the
+/// dense-product kernel `simd::accumulate_block` reads and writes.
+/// [`CMatrix::matmul`] splits its right factor into one; the fusion pass
+/// keeps every fused block in one from the product that creates it until
+/// the pass emits it, so absorbing a gate neither re-splits nor
+/// re-interleaves the block.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Planar {
+    rows: usize,
+    cols: usize,
+    re: Vec<f64>,
+    im: Vec<f64>,
+}
+
+impl Planar {
+    /// Build from a function of the indices.
+    pub(crate) fn from_fn(
+        rows: usize,
+        cols: usize,
+        mut f: impl FnMut(usize, usize) -> Complex64,
+    ) -> Self {
+        let mut m = Planar {
+            rows,
+            cols,
+            re: Vec::with_capacity(rows * cols),
+            im: Vec::with_capacity(rows * cols),
+        };
+        for i in 0..rows {
+            for j in 0..cols {
+                let z = f(i, j);
+                m.re.push(z.re);
+                m.im.push(z.im);
+            }
+        }
+        m
+    }
+
+    /// Number of rows.
+    pub(crate) fn nrows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    pub(crate) fn ncols(&self) -> usize {
+        self.cols
+    }
+
+    /// The entry at row `i`, column `j`.
+    #[inline]
+    pub(crate) fn get(&self, i: usize, j: usize) -> Complex64 {
+        debug_assert!(i < self.rows && j < self.cols);
+        let at = i * self.cols + j;
+        Complex64::new(self.re[at], self.im[at])
+    }
+
+    /// The entries of row `i`, in column order.
+    pub(crate) fn row(&self, i: usize) -> impl Iterator<Item = Complex64> + '_ {
+        let cols = i * self.cols..(i + 1) * self.cols;
+        self.re[cols.clone()]
+            .iter()
+            .zip(&self.im[cols])
+            .map(|(&re, &im)| Complex64::new(re, im))
+    }
+
+    /// The same matrix with interleaved entries.
+    pub(crate) fn to_cmatrix(&self) -> CMatrix {
+        let data = self
+            .re
+            .iter()
+            .zip(&self.im)
+            .map(|(&re, &im)| Complex64::new(re, im))
+            .collect();
+        CMatrix::from_vec(self.rows, self.cols, data)
+    }
+
+    /// Overwrite `self`, reusing its buffers, with the product of `lhs`'s
+    /// rows and `rhs`, in one call of the runtime-dispatched kernel
+    /// `simd::accumulate_block`.
+    pub(crate) fn assign_product(&mut self, lhs: &RowTerms, rhs: &Planar) {
+        self.rows = lhs.ends.len();
+        self.cols = rhs.cols;
+        let len = self.rows * self.cols;
+        self.re.resize(len, 0.0);
+        self.im.resize(len, 0.0);
+        crate::simd::accumulate_block(
+            &lhs.ends,
+            &lhs.terms,
+            &rhs.re,
+            &rhs.im,
+            &mut self.re,
+            &mut self.im,
+        );
+    }
+
+    /// The diagonal entries when the matrix is exactly diagonal, as
+    /// [`CMatrix::diagonal`].
+    pub(crate) fn diagonal(&self) -> Option<Vec<Complex64>> {
+        exact_diagonal(self.rows, self.cols, |r, c| self.get(r, c))
+    }
+}
+
+impl From<&CMatrix> for Planar {
+    fn from(m: &CMatrix) -> Self {
+        let (re, im) = m.data.iter().map(|z| (z.re, z.im)).unzip();
+        Planar {
+            rows: m.rows,
+            cols: m.cols,
+            re,
+            im,
         }
     }
 }
@@ -313,6 +445,7 @@ impl<'de> serde::Deserialize<'de> for CMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::{with_tier, Tier};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -320,34 +453,70 @@ mod tests {
         Complex64::new(re, im)
     }
 
-    #[test]
-    fn planar_matmul_is_bit_identical_to_the_interleaved_loop() {
-        // Random shapes of order 1–64 (strip remainders included), with
-        // exact zeros (skipped), signed zeros and zero parts among the
-        // entries.
-        let mut rng = ChaCha8Rng::seed_from_u64(17);
-        let entry = |rng: &mut ChaCha8Rng| match rng.gen_range(0..6u32) {
+    /// The entries of a matrix as bit patterns (signed zeros included).
+    fn bits(m: &CMatrix) -> Vec<[u64; 2]> {
+        m.as_slice()
+            .iter()
+            .map(|z| [z.re.to_bits(), z.im.to_bits()])
+            .collect()
+    }
+
+    /// A random entry: exact zeros (skipped), signed zeros and zero parts
+    /// among ordinary values.
+    fn entry(rng: &mut ChaCha8Rng) -> Complex64 {
+        match rng.gen_range(0..6u32) {
             0 => ZERO,
             1 => c(-0.0, -0.0),
             2 => c(-0.0, rng.gen_range(-1.0..1.0)),
             3 => c(rng.gen_range(-1.0..1.0), 0.0),
             _ => c(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)),
-        };
-        let bits = |m: &CMatrix| -> Vec<[u64; 2]> {
-            m.as_slice()
-                .iter()
-                .map(|z| [z.re.to_bits(), z.im.to_bits()])
-                .collect()
-        };
-        for _ in 0..120 {
-            let [rows, inner, cols] = [(); 3].map(|_| rng.gen_range(1..=64usize));
-            let a = CMatrix::from_fn(rows, inner, |_, _| entry(&mut rng));
-            let b = CMatrix::from_fn(inner, cols, |_, _| entry(&mut rng));
-            assert_eq!(
-                bits(&a.matmul(&b)),
-                bits(&a.matmul_interleaved(&b)),
-                "{rows}x{inner} · {inner}x{cols}"
-            );
+        }
+    }
+
+    /// A left factor with one nonzero per row, as a permutation, X, phase
+    /// or global-phase gate embeds: ±1, ±i or a random phase in a random
+    /// column, and now and then a zero row (no term at all).
+    fn one_per_row(rows: usize, inner: usize, rng: &mut ChaCha8Rng) -> CMatrix {
+        let picks: Vec<(usize, Complex64)> = (0..rows)
+            .map(|_| {
+                let a = match rng.gen_range(0..8u32) {
+                    0 => c(1.0, 0.0),
+                    1 => c(-1.0, 0.0),
+                    2 => c(0.0, 1.0),
+                    3 => c(0.0, -1.0),
+                    4 => ZERO,
+                    _ => Complex64::from_polar(1.0, rng.gen_range(-3.0..3.0)),
+                };
+                (rng.gen_range(0..inner), a)
+            })
+            .collect();
+        CMatrix::from_fn(rows, inner, |i, k| match picks[i] {
+            (col, a) if col == k => a,
+            _ => ZERO,
+        })
+    }
+
+    #[test]
+    fn planar_matmul_is_bit_identical_to_the_interleaved_loop() {
+        // Random shapes of order 1–64 (strip remainders included), dense
+        // left factors and ones with one nonzero per row in turn, on every
+        // kernel tier this CPU supports.
+        for tier in Tier::supported() {
+            let mut rng = ChaCha8Rng::seed_from_u64(17);
+            for trial in 0..240 {
+                let [rows, inner, cols] = [(); 3].map(|_| rng.gen_range(1..=64usize));
+                let a = if trial % 2 == 0 {
+                    CMatrix::from_fn(rows, inner, |_, _| entry(&mut rng))
+                } else {
+                    one_per_row(rows, inner, &mut rng)
+                };
+                let b = CMatrix::from_fn(inner, cols, |_, _| entry(&mut rng));
+                assert_eq!(
+                    bits(&with_tier(tier, || a.matmul(&b))),
+                    bits(&a.matmul_interleaved(&b)),
+                    "{tier:?}: {rows}x{inner} · {inner}x{cols}"
+                );
+            }
         }
     }
 

@@ -60,14 +60,19 @@ const FUSED_CACHE_KIND: &str = "fused-circuits";
 /// [`CachedFusion`] wire shape, the entry format, or the fingerprint recipe
 /// below changes meaning — old entries become misses (4: entries carry a
 /// payload checksum; 5: diagonals under different control sets no longer
-/// fold into one uncontrolled diagonal).
+/// fold into one uncontrolled diagonal).  An entry holds the fused
+/// matrices' floats, so a change to any bit the pass computes needs a bump
+/// too, and a faster pass that computes every bit as before (the split
+/// re/im product, its AVX-512 clone) needs none.
 const FUSED_CACHE_VERSION: u32 = 5;
 
 /// The on-disk payload of one fused-circuit cache entry: the rewritten
-/// operation list plus the before/after report.  Compilation itself
-/// (matrix flattening, control masks, stride tables) is cheap and
-/// machine-width-dependent, so a hit replays the *fusion decision* and
-/// recompiles — [`crate::kernels::circuit_compile_count`] still ticks once
+/// operation list, fused matrices included (for the `circuit_exact` QSVT
+/// circuit two 32×32 blocks, whose floats fill most of its 92 KB entry),
+/// plus the before/after report.  Compilation itself (matrix flattening,
+/// control masks, stride tables) is cheap and machine-width-dependent, so a
+/// hit replays the stored operations — the floats the pass produced — and
+/// recompiles: [`crate::kernels::circuit_compile_count`] still ticks once
 /// per construction, preserving the compile-once contract tests, while
 /// [`crate::fuse::fusion_pass_count`] does not.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -198,8 +203,9 @@ impl QuantumExecutor {
     /// replays the previously fused operation list (zero
     /// [`crate::fuse::fusion_pass_count`] ticks), a miss fuses as usual and
     /// stores the result.  Either way the compiled form is bit-identical:
-    /// fusion is a pure function of the circuit, and the cache stores the
-    /// fusion *decision*, not floats produced by it.
+    /// fusion is a pure function of the circuit, and the cache stores its
+    /// output, the fused matrices' floats included, so a pass that would
+    /// compute any of those bits differently bumps `FUSED_CACHE_VERSION`.
     pub fn with_config(
         circuit: &Circuit,
         opt_level: OptLevel,

@@ -65,14 +65,19 @@
 //! qubits): row `r` of the product sums one row of the accumulated block per
 //! nonzero entry of the op's row, so a `k`-qubit op costs `d · 2^k` row
 //! updates, and only a dense op of the full support pays the `d³` product.
-//! The row updates run on split re/im planes with the runtime-dispatched
-//! kernel of [`CMatrix::matmul`], and give the bits the embedded product
-//! gave.  Deep circuits that collapse into dense products cost the most: the
-//! degree-117 QSVT sequence of the `circuit_exact` benchmark (1184 ops, 234
-//! of them 32×32 block-encoding products) fuses into 5 ops in about 6.5 ms
-//! on a 2-thread x86-64 container with AVX2, repaid across the
-//! many-execution workloads the compile-once engines exist for; on large
-//! registers the pass mostly declines to fuse.
+//! A fused block stays on split re/im planes from the product that creates
+//! it until the pass emits it.  Each product is one call of the
+//! runtime-dispatched block kernel that [`CMatrix::matmul`] also uses,
+//! written into a spare block that then takes the replaced block's place
+//! (and hands its buffers on as the next spare), so absorbing a gate
+//! neither re-splits nor re-interleaves the block; every product gives the
+//! bits the embedded interleaved product gave.  Deep circuits that collapse
+//! into dense products cost the most: the degree-117 QSVT sequence of the
+//! `circuit_exact` benchmark (1184 ops, 234 of them 32×32 block-encoding
+//! products) fuses into 5 ops in about 2.8 ms on a 2-thread x86-64
+//! container with AVX-512, about 2 ms of it in the 234 products, repaid
+//! across the many-execution workloads the compile-once engines exist for;
+//! on large registers the pass mostly declines to fuse.
 //!
 //! Use [`optimize_circuit_for`] directly, or (more commonly)
 //! `CompiledCircuit::optimized`
@@ -85,10 +90,11 @@
 //! property tests in `crates/sim/tests/fusion_equivalence.rs`.
 
 use crate::circuit::{Circuit, Operation};
-use crate::cmatrix::CMatrix;
+use crate::cmatrix::{CMatrix, Planar, RowTerms};
 use crate::gate::Gate;
 use num_complex::Complex64;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::cell::Cell;
 
 const ZERO: Complex64 = Complex64::new(0.0, 0.0);
@@ -256,8 +262,9 @@ fn ratio(raw: usize, fused: usize) -> f64 {
 /// How a segment acts on its targets.
 #[derive(Debug, Clone)]
 enum Body {
-    /// Dense `2^k × 2^k` matrix (row/column bit `t` ↔ `targets[t]`).
-    Dense(CMatrix),
+    /// Dense `2^k × 2^k` matrix on split re/im planes (row/column bit `t`
+    /// ↔ `targets[t]`).
+    Dense(Planar),
     /// Diagonal of a computational-basis-diagonal op (`2^k` entries).
     Diag(Vec<Complex64>),
 }
@@ -310,57 +317,88 @@ fn embed_table(table: &[Complex64], from: &[usize], to: &[usize]) -> Vec<Complex
 }
 
 /// Re-express a dense matrix from support `from` on the larger support `to`
-/// (tensoring with the identity on the added qubits).
-fn embed_dense(m: &CMatrix, from: &[usize], to: &[usize]) -> CMatrix {
+/// (tensoring with the identity on the added qubits); on its own support it
+/// is `m` itself.
+fn embed_dense<'a>(m: Cow<'a, Planar>, from: &[usize], to: &[usize]) -> Cow<'a, Planar> {
     if from == to {
-        return m.clone();
+        return m;
     }
     let pos = positions(from, to);
     let from_mask: usize = pos.iter().map(|&p| 1usize << p).sum();
     let dim = 1usize << to.len();
-    CMatrix::from_fn(dim, dim, |r, c| {
+    Cow::Owned(Planar::from_fn(dim, dim, |r, c| {
         if (r ^ c) & !from_mask != 0 {
             ZERO
         } else {
-            m[(gather_bits(r, &pos), gather_bits(c, &pos))]
+            m.get(gather_bits(r, &pos), gather_bits(c, &pos))
         }
-    })
+    }))
 }
 
-/// `embed_dense(m, from, to) · block` without building the embedding.  Row
-/// `r` of the embedding holds `m[(gather(r), c)]` at the column `k` that is
-/// `r` with its `from` bits set to `c`, and zero elsewhere; `c` ascending
-/// gives `k` ascending.  So the row-apply sums, over the nonzero entries of
-/// `m`'s row, the same terms in the same order as `matmul`'s zero-skipping
-/// loop over the embedding's row, and the product is bit-identical to it.
-fn apply_embedded(m: &CMatrix, from: &[usize], to: &[usize], block: &CMatrix) -> CMatrix {
+/// Buffers the pass reuses from one product to the next.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The row terms of the product being formed.
+    terms: RowTerms,
+    /// The matrix the next product is written into: the body of the last
+    /// segment a fusion replaced (empty until a fusion has replaced one).
+    spare: Planar,
+}
+
+/// `embed_dense(m, from, to) · block` without building the embedding, in
+/// one call of the block kernel, written into `scratch.spare`.  Row `r` of
+/// the embedding holds `m[(gather(r), c)]` at the column `k` that is `r`
+/// with its `from` bits set to `c`, and zero elsewhere; `c` ascending gives
+/// `k` ascending.  So the row-apply sums, over the nonzero entries of `m`'s
+/// row, the same terms in the same order as `matmul`'s zero-skipping loop
+/// over the embedding's row, and the product is bit-identical to it.  A
+/// gate with one nonzero per row (X, a phase, a global phase, any
+/// diagonal) gives one term per row.
+fn apply_embedded(
+    m: &Planar,
+    from: &[usize],
+    to: &[usize],
+    block: &Planar,
+    scratch: &mut Scratch,
+) -> Planar {
     let pos = positions(from, to);
     let from_mask: usize = pos.iter().map(|&p| 1usize << p).sum();
-    let n = m.ncols();
-    let scattered: Vec<usize> = (0..n).map(|c| gather_bits_scatter(c, &pos)).collect();
-    block.combine_rows(block.nrows(), |r, terms| {
+    let scattered: Vec<usize> = (0..m.ncols())
+        .map(|c| gather_bits_scatter(c, &pos))
+        .collect();
+    let terms = &mut scratch.terms;
+    terms.clear();
+    for r in 0..block.nrows() {
         let (row, rest) = (gather_bits(r, &pos), r & !from_mask);
-        for (&a, &bits) in m.as_slice()[row * n..(row + 1) * n].iter().zip(&scattered) {
+        for (a, &bits) in m.row(row).zip(&scattered) {
             if a != ZERO {
-                terms.push((rest | bits, a));
+                terms.push(rest | bits, a);
             }
         }
-    })
+        terms.end_row();
+    }
+    let mut out = std::mem::take(&mut scratch.spare);
+    out.assign_product(terms, block);
+    out
 }
 
 /// How [`try_fuse`] forms `embed(second) · embed(first)`: the arguments are
-/// `second`'s matrix, its support, the fused support and `embed(first)`.
-/// The pass uses [`apply_embedded`]; the tests swap in the
-/// `embed_dense` + interleaved `matmul` oracle.
-type Product = fn(&CMatrix, &[usize], &[usize], &CMatrix) -> CMatrix;
+/// `second`'s matrix, its support, the fused support, `embed(first)` and
+/// the pass's scratch.  The pass uses [`apply_embedded`]; the tests swap in
+/// the `embed_dense` + interleaved `matmul` oracle.
+type Product = fn(&Planar, &[usize], &[usize], &Planar, &mut Scratch) -> Planar;
 
 /// The segment's body as a dense matrix on its own targets.
-fn dense_of(seg: &Segment) -> CMatrix {
+fn dense_of(seg: &Segment) -> Cow<'_, Planar> {
     match &seg.body {
-        Body::Dense(m) => m.clone(),
-        Body::Diag(d) => {
-            CMatrix::from_fn(d.len(), d.len(), |r, c| if r == c { d[r] } else { ZERO })
-        }
+        Body::Dense(m) => Cow::Borrowed(m),
+        Body::Diag(d) => Cow::Owned(Planar::from_fn(d.len(), d.len(), |r, c| {
+            if r == c {
+                d[r]
+            } else {
+                ZERO
+            }
+        })),
     }
 }
 
@@ -374,7 +412,7 @@ fn segment_of(op: &Operation) -> Option<Segment> {
     let (targets, matrix) = sorted_targets_matrix(op);
     let body = match matrix.diagonal() {
         Some(d) => Body::Diag(d),
-        None => Body::Dense(matrix),
+        None => Body::Dense(Planar::from(&matrix)),
     };
     simplify(Segment {
         controls,
@@ -462,16 +500,16 @@ fn simplify(mut seg: Segment) -> Option<Segment> {
 }
 
 /// True when `m = I ⊗ m'` with the identity on sub-index bit `t`.
-fn dense_identity_factor(m: &CMatrix, t: usize) -> bool {
+fn dense_identity_factor(m: &Planar, t: usize) -> bool {
     let dim = m.nrows();
     let bit = 1usize << t;
     for r in 0..dim {
         for c in 0..dim {
             if (r ^ c) & bit != 0 {
-                if m[(r, c)] != ZERO {
+                if m.get(r, c) != ZERO {
                     return false;
                 }
-            } else if r & bit == 0 && m[(r, c)] != m[(r | bit, c | bit)] {
+            } else if r & bit == 0 && m.get(r, c) != m.get(r | bit, c | bit) {
                 return false;
             }
         }
@@ -480,19 +518,24 @@ fn dense_identity_factor(m: &CMatrix, t: usize) -> bool {
 }
 
 /// Remove identity-factor bit `t` from a dense matrix.
-fn dense_drop_bit(m: &CMatrix, t: usize) -> CMatrix {
+fn dense_drop_bit(m: &Planar, t: usize) -> Planar {
     let insert0 = |idx: usize| -> usize {
         let low = idx & ((1usize << t) - 1);
         ((idx >> t) << (t + 1)) | low
     };
-    CMatrix::from_fn(m.nrows() / 2, m.ncols() / 2, |r, c| {
-        m[(insert0(r), insert0(c))]
+    Planar::from_fn(m.nrows() / 2, m.ncols() / 2, |r, c| {
+        m.get(insert0(r), insert0(c))
     })
 }
 
 /// Fuse `second ∘ first` when the rules allow it (`first` is applied before
 /// `second` in circuit order).  The result is not yet simplified.
-fn try_fuse(first: &Segment, second: &Segment, product: Product) -> Option<Segment> {
+fn try_fuse(
+    first: &Segment,
+    second: &Segment,
+    product: Product,
+    scratch: &mut Scratch,
+) -> Option<Segment> {
     if first.controls == second.controls {
         let union = union_sorted(&first.targets, &second.targets);
         // Nested targets fuse for free: the fused op is no bigger than one
@@ -515,8 +558,8 @@ fn try_fuse(first: &Segment, second: &Segment, product: Product) -> Option<Segme
         if !nested && union.len() > MAX_FUSED_QUBITS {
             return None;
         }
-        let ma = embed_dense(&dense_of(first), &first.targets, &union);
-        let fused = product(&dense_of(second), &second.targets, &union, &ma);
+        let block = embed_dense(dense_of(first), &first.targets, &union);
+        let fused = product(&dense_of(second), &second.targets, &union, &block, scratch);
         return Some(Segment {
             controls: first.controls.clone(),
             targets: union,
@@ -541,8 +584,8 @@ fn try_fuse(first: &Segment, second: &Segment, product: Product) -> Option<Segme
     if union.len() > MAX_FUSED_QUBITS {
         return None;
     }
-    let ma = embed_dense(&controlled_dense(first), &sa, &union);
-    let fused = product(&controlled_dense(second), &sb, &union, &ma);
+    let block = embed_dense(Cow::Owned(controlled_dense(first)), &sa, &union);
+    let fused = product(&controlled_dense(second), &sb, &union, &block, scratch);
     Some(Segment {
         controls: Vec::new(),
         targets: union,
@@ -554,7 +597,7 @@ fn try_fuse(first: &Segment, second: &Segment, product: Product) -> Option<Segme
 /// A controlled segment re-expressed as an *uncontrolled* dense matrix over
 /// `controls ∪ targets`: the body on the control-satisfied block, the
 /// identity elsewhere.
-fn controlled_dense(seg: &Segment) -> CMatrix {
+fn controlled_dense(seg: &Segment) -> Planar {
     let qubits = union_sorted(&seg.controls, &seg.targets);
     let cmask: usize = positions(&seg.controls, &qubits)
         .iter()
@@ -564,7 +607,7 @@ fn controlled_dense(seg: &Segment) -> CMatrix {
     let tmask: usize = tpos.iter().map(|&p| 1usize << p).sum();
     let m = dense_of(seg);
     let dim = 1usize << qubits.len();
-    CMatrix::from_fn(dim, dim, |r, c| {
+    Planar::from_fn(dim, dim, |r, c| {
         if r & cmask != cmask || c & cmask != cmask {
             // Outside the control-satisfied block the op is the identity.
             if r == c {
@@ -575,7 +618,7 @@ fn controlled_dense(seg: &Segment) -> CMatrix {
         } else if (r ^ c) & !tmask != 0 {
             ZERO
         } else {
-            m[(gather_bits(r, &tpos), gather_bits(c, &tpos))]
+            m.get(gather_bits(r, &tpos), gather_bits(c, &tpos))
         }
     })
 }
@@ -630,7 +673,7 @@ fn emit(seg: Segment) -> Operation {
     if let Some(op) = seg.pristine {
         return op;
     }
-    let matrix = dense_of(&seg);
+    let matrix = dense_of(&seg).to_cmatrix();
     Operation::new(Gate::Unitary(matrix), seg.targets, seg.controls)
 }
 
@@ -665,13 +708,14 @@ fn fuse_with(circuit: &Circuit, num_qubits: usize, product: Product) -> Circuit 
     let len = 1usize << num_qubits;
     let cost = |seg: &Segment| sweep_cost(seg, len);
     let mut out: Vec<Segment> = Vec::new();
+    let mut scratch = Scratch::default();
     'ops: for op in circuit.operations() {
         let Some(seg) = segment_of(op) else {
             continue; // identity
         };
         let lo = out.len().saturating_sub(LOOKBACK);
         for j in (lo..out.len()).rev() {
-            if let Some(fused) = try_fuse(&out[j], &seg, product) {
+            if let Some(fused) = try_fuse(&out[j], &seg, product, &mut scratch) {
                 match simplify(fused) {
                     None => {
                         out.remove(j); // the pair cancelled to the identity
@@ -686,7 +730,10 @@ fn fuse_with(circuit: &Circuit, num_qubits: usize, product: Product) -> Circuit 
                             .saturating_add(cost(&seg))
                             .saturating_add(OP_OVERHEAD_COST);
                         if cost(&f) <= split {
-                            out[j] = f;
+                            // The replaced body takes the next product.
+                            if let Body::Dense(old) = std::mem::replace(&mut out[j], f).body {
+                                scratch.spare = old;
+                            }
                             continue 'ops;
                         }
                         // Two-op lookahead: the pairwise intermediate is too
@@ -695,7 +742,7 @@ fn fuse_with(circuit: &Circuit, num_qubits: usize, product: Product) -> Circuit 
                         // whose greedy X·D intermediate is a dense sweep the
                         // gate just refused.
                         if j >= 1 {
-                            if let Some(traw) = try_fuse(&out[j - 1], &f, product) {
+                            if let Some(traw) = try_fuse(&out[j - 1], &f, product, &mut scratch) {
                                 let triple_split = cost(&out[j - 1])
                                     .saturating_add(cost(&out[j]))
                                     .saturating_add(cost(&seg))
@@ -735,6 +782,7 @@ fn fuse_with(circuit: &Circuit, num_qubits: usize, product: Product) -> Circuit 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::{with_tier, Tier};
     use crate::state::StateVector;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -745,9 +793,17 @@ mod tests {
     }
 
     /// The row-apply's oracle: the embedded matrix times the block, by the
-    /// interleaved zero-skipping loop.
-    fn embedded_product(m: &CMatrix, from: &[usize], to: &[usize], block: &CMatrix) -> CMatrix {
-        embed_dense(m, from, to).matmul_interleaved(block)
+    /// interleaved zero-skipping loop (the planes only carry the entries in
+    /// and out, bit for bit).
+    fn embedded_product(
+        m: &Planar,
+        from: &[usize],
+        to: &[usize],
+        block: &Planar,
+        _: &mut Scratch,
+    ) -> Planar {
+        let embedded = embed_dense(Cow::Borrowed(m), from, to).to_cmatrix();
+        Planar::from(&embedded.matmul_interleaved(&block.to_cmatrix()))
     }
 
     /// The entries of a matrix as bit patterns (signed zeros included).
@@ -796,34 +852,38 @@ mod tests {
     #[test]
     fn row_apply_is_bit_identical_to_the_embedded_product() {
         // Both branches of try_fuse that form a dense product: equal control
-        // sets, and different ones (mask-densifying).
-        let mut rng = ChaCha8Rng::seed_from_u64(24);
-        let (mut same_controls, mut mask_densified) = (0, 0);
-        for _ in 0..2000 {
-            let (Some(a), Some(b)) = (
-                segment_of(&random_op(4, &mut rng)),
-                segment_of(&random_op(4, &mut rng)),
-            ) else {
-                continue;
-            };
-            let fast = try_fuse(&a, &b, apply_embedded);
-            let oracle = try_fuse(&a, &b, embedded_product);
-            assert_eq!(fast.is_some(), oracle.is_some());
-            if let (Some(fast), Some(oracle)) = (fast, oracle) {
-                if let (Body::Dense(f), Body::Dense(o)) = (&fast.body, &oracle.body) {
-                    assert_eq!(bits(f), bits(o));
-                    if a.controls == b.controls {
-                        same_controls += 1;
-                    } else {
-                        mask_densified += 1;
+        // sets, and different ones (mask-densifying), on every kernel tier
+        // this CPU supports.
+        for tier in Tier::supported() {
+            let mut rng = ChaCha8Rng::seed_from_u64(24);
+            let (mut same_controls, mut mask_densified) = (0, 0);
+            let mut scratch = Scratch::default();
+            for _ in 0..2000 {
+                let (Some(a), Some(b)) = (
+                    segment_of(&random_op(4, &mut rng)),
+                    segment_of(&random_op(4, &mut rng)),
+                ) else {
+                    continue;
+                };
+                let fast = with_tier(tier, || try_fuse(&a, &b, apply_embedded, &mut scratch));
+                let oracle = try_fuse(&a, &b, embedded_product, &mut scratch);
+                assert_eq!(fast.is_some(), oracle.is_some());
+                if let (Some(fast), Some(oracle)) = (fast, oracle) {
+                    if let (Body::Dense(f), Body::Dense(o)) = (&fast.body, &oracle.body) {
+                        assert_eq!(bits(&f.to_cmatrix()), bits(&o.to_cmatrix()), "{tier:?}");
+                        if a.controls == b.controls {
+                            same_controls += 1;
+                        } else {
+                            mask_densified += 1;
+                        }
                     }
                 }
             }
+            assert!(
+                same_controls >= 50 && mask_densified >= 50,
+                "{tier:?}: {same_controls} same-control and {mask_densified} mask-densifying products"
+            );
         }
-        assert!(
-            same_controls >= 50 && mask_densified >= 50,
-            "{same_controls} same-control and {mask_densified} mask-densifying products"
-        );
     }
 
     #[test]
@@ -844,6 +904,154 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The Walsh–Hadamard matrix on `m` qubits, `(−1)^{popcount(r & c)}`
+    /// over `2^{m/2}`: exact in floating point for even `m`, and its own
+    /// inverse.
+    fn walsh(m: usize) -> CMatrix {
+        let scale = 1.0 / f64::from(1u32 << (m / 2));
+        CMatrix::from_fn(1 << m, 1 << m, |r, c| {
+            let sign = if (r & c).count_ones() % 2 == 0 {
+                1.0
+            } else {
+                -1.0
+            };
+            Complex64::new(sign * scale, 0.0)
+        })
+    }
+
+    /// A seeded monomial unitary on `m` qubits: a permutation whose entries
+    /// are ±1 or ±i, so every product with it is exact.
+    fn monomial(m: usize, rng: &mut ChaCha8Rng) -> CMatrix {
+        let dim = 1usize << m;
+        let mut perm: Vec<usize> = (0..dim).collect();
+        for i in (1..dim).rev() {
+            perm.swap(i, rng.gen_range(0..=i));
+        }
+        let units = [ONE, -ONE, Complex64::i(), -Complex64::i()];
+        let phases: Vec<Complex64> = (0..dim).map(|_| units[rng.gen_range(0..4usize)]).collect();
+        CMatrix::from_fn(dim, dim, |r, c| if perm[r] == c { phases[r] } else { ZERO })
+    }
+
+    /// The product of a control-free circuit's gates, embedded one by one
+    /// and multiplied by the interleaved loop (exact on the dyadic entries
+    /// of the nested-block corpus).
+    fn exact_unitary(body: &Circuit) -> CMatrix {
+        let all: Vec<usize> = (0..body.num_qubits()).collect();
+        let mut acc = CMatrix::identity(1 << body.num_qubits());
+        for op in body.operations() {
+            let (targets, m) = sorted_targets_matrix(op);
+            let embedded = embed_dense(Cow::Owned(Planar::from(&m)), &targets, &all);
+            acc = embedded.to_cmatrix().matmul_interleaved(&acc);
+        }
+        acc
+    }
+
+    #[test]
+    fn nested_large_blocks_fuse_bit_identically_to_the_oracle() {
+        // A 4- or 5-target dense op, then exactly invertible nested gates
+        // under the same controls, then one op that takes the block exactly
+        // to the identity (it cancels), to a ±1/±i diagonal (it turns
+        // diagonal) or to an op that is the identity on one target (it
+        // drops that qubit), then inexact nested gates that keep fusing.
+        let mut rng = ChaCha8Rng::seed_from_u64(27);
+        let mut events = [0usize; 3];
+        for trial in 0..48 {
+            let k = 4 + trial % 2;
+            let goal = (trial / 2) % 3;
+            let dense = if k == 4 {
+                monomial(4, &mut rng).matmul(&walsh(4))
+            } else {
+                monomial(5, &mut rng).matmul(&walsh(4).kron(&monomial(1, &mut rng)))
+            };
+            let mut body = Circuit::new(k);
+            let all: Vec<usize> = (0..k).collect();
+            body.gate(Gate::Unitary(dense), &all);
+            for _ in 0..rng.gen_range(2..8) {
+                let a = rng.gen_range(0..k);
+                let b = (a + rng.gen_range(1..k)) % k;
+                match rng.gen_range(0..7u32) {
+                    0 => body.x(a),
+                    1 => body.z(a),
+                    2 => body.gate(Gate::S, &[a]),
+                    3 => body.gate(Gate::Sdg, &[a]),
+                    4 => body.swap(a, b),
+                    5 => body.gate(Gate::Unitary(walsh(2)), &[a, b]),
+                    _ => body.gate(Gate::Unitary(monomial(2, &mut rng)), &[b, a]),
+                };
+            }
+            // The block's exact inverse, taken to the goal.
+            let inverse = exact_unitary(&body).adjoint();
+            let dim = 1usize << k;
+            let target = match goal {
+                0 => CMatrix::identity(dim),
+                1 => {
+                    let units = [ONE, -ONE, Complex64::i(), -Complex64::i()];
+                    let d: Vec<Complex64> =
+                        (0..dim).map(|_| units[rng.gen_range(0..4usize)]).collect();
+                    CMatrix::from_fn(dim, dim, |r, c| if r == c { d[r] } else { ZERO })
+                }
+                _ => {
+                    let t = rng.gen_range(0..k);
+                    let inner = monomial(k - 1, &mut rng);
+                    let drop = |i: usize| ((i >> (t + 1)) << t) | (i & ((1 << t) - 1));
+                    CMatrix::from_fn(dim, dim, |r, c| {
+                        if (r ^ c) >> t & 1 == 0 {
+                            inner[(drop(r), drop(c))]
+                        } else {
+                            ZERO
+                        }
+                    })
+                }
+            };
+            body.gate(Gate::Unitary(target.matmul(&inverse)), &all);
+            // Spread the targets over a wider register, out of order, under
+            // zero to two controls.
+            let n = k + 2;
+            let mut qubits: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                qubits.swap(i, rng.gen_range(0..=i));
+            }
+            let controls: Vec<usize> = qubits[k..k + rng.gen_range(0..=2usize)].to_vec();
+            let place = |c: &Circuit| c.remapped(n, |q| qubits[q]).into_controlled(&controls);
+            let prefix = place(&body);
+            let fused = optimize_circuit_for(&prefix, n);
+            let event = match goal {
+                0 => fused.is_empty(),
+                1 => fused.len() == 1 && fused.operations()[0].gate.matrix().diagonal().is_some(),
+                _ => fused.len() == 1 && fused.operations()[0].targets.len() < k,
+            };
+            assert!(event, "trial {trial}: goal {goal} not reached: {fused:?}");
+            events[goal] += 1;
+            // Inexact nested gates after the event keep the block fusing.
+            for _ in 0..rng.gen_range(1..5) {
+                let a = rng.gen_range(0..k);
+                let b = (a + rng.gen_range(1..k)) % k;
+                let angle = rng.gen_range(-3.0..3.0);
+                match rng.gen_range(0..4u32) {
+                    0 => body.h(a),
+                    1 => body.ry(a, angle),
+                    2 => body.phase(a, angle),
+                    _ => body.gate(
+                        Gate::Unitary(Gate::H.matrix().kron(&Gate::Rx(angle).matrix())),
+                        &[a, b],
+                    ),
+                };
+            }
+            let full = place(&body);
+            for tier in Tier::supported() {
+                for circuit in [&prefix, &full] {
+                    for width in [n, 14] {
+                        assert_bit_identical(
+                            &with_tier(tier, || optimize_circuit_for(circuit, width)),
+                            &fuse_with(circuit, width, embedded_product),
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(events, [16, 16, 16]);
     }
 
     #[test]

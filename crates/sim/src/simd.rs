@@ -1,6 +1,6 @@
 //! SIMD (`f64x4`) statevector kernels — vectorized bodies for the hot
 //! uncontrolled sweeps of [`crate::kernels`], plus the generic-kernel
-//! subspace matvec (which vectorizes for controlled ops too) and the row
+//! subspace matvec (which vectorizes for controlled ops too) and the block
 //! accumulation of dense complex products (`CMatrix::matmul` and the
 //! fusion pass).
 //!
@@ -24,9 +24,11 @@
 //! the roundings.  The generic kernel instead splits the gate matrix into
 //! column-major re/im planes and assigns four *output* rows per lane pair
 //! (`dim = 2^k ≥ 4` is always lane-divisible), accumulating each output in
-//! the scalar kernel's ascending-column order.  The dense-product row
+//! the scalar kernel's ascending-column order.  The dense-product block
 //! accumulation works on row-major re/im planes the same way, one output
-//! column per lane, in plain array loops the compiler vectorizes.
+//! column per lane, in plain array loops the compiler vectorizes; it takes
+//! every row's terms in one call, so a gate with one nonzero per row costs
+//! one call per product, not one per row.
 //!
 //! # Remainder convention
 //!
@@ -43,13 +45,20 @@
 //!
 //! # Dispatch
 //!
-//! Like `qls-linalg`, every kernel is compiled at the x86-64 baseline and
-//! again under `#[target_feature(enable = "avx2,fma")]`, selected at
-//! runtime through the cached [`wide::runtime::avx2_fma_available`] check;
-//! both clones execute the identical operation sequence.  The thread-local
-//! [`with_scalar_kernels`] switch forces the verbatim scalar loops instead
-//! — the equivalence oracle and the baseline for the
-//! `simd_vs_scalar_speedup` benchmark fields.
+//! Every kernel is compiled at the x86-64 baseline and, as in `qls-linalg`,
+//! under `#[target_feature(enable = "avx2,fma")]`, plus a third time under
+//! `#[target_feature(enable = "avx512f,avx2,fma")]`; each call runs the
+//! highest tier the CPU supports, found by the cached
+//! [`wide::runtime::avx512f_available`] and
+//! [`wide::runtime::avx2_fma_available`] checks.  All three clones execute
+//! the identical operation sequence (the compiler never contracts a
+//! multiply and an add into an fma on its own), so every tier gives the
+//! same bits; the wider tiers only fill wider registers, and the dense
+//! product's `[f64; 8]` strips fill one 512-bit register.  The unit tests
+//! reach the lower clones on a higher-tier host through the test-only
+//! `with_tier` cap.  The thread-local [`with_scalar_kernels`] switch forces
+//! the verbatim scalar loops instead — the equivalence oracle and the
+//! baseline for the `simd_vs_scalar_speedup` benchmark fields.
 
 use num_complex::Complex64;
 use std::cell::Cell;
@@ -97,25 +106,100 @@ fn im_coeff(w: Complex64) -> f64x4 {
     f64x4::new([-w.im, w.im, -w.im, w.im])
 }
 
-/// Generate the baseline + `avx2,fma` clones of a kernel body and a
-/// dispatcher (same pattern as `qls-linalg`; identical operation sequence
-/// in both clones).
+/// The instruction-set tiers the kernels are compiled for, lowest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Tier {
+    /// The x86-64 baseline (SSE2), or any non-x86 target.
+    Baseline,
+    /// AVX2 with FMA.
+    Avx2Fma,
+    /// AVX-512F (with AVX2 and FMA).
+    Avx512,
+}
+
+impl Tier {
+    /// The highest tier this CPU supports (each check runs once and is
+    /// cached).
+    #[inline]
+    fn detected() -> Self {
+        if wide::runtime::avx512f_available() {
+            Tier::Avx512
+        } else if wide::runtime::avx2_fma_available() {
+            Tier::Avx2Fma
+        } else {
+            Tier::Baseline
+        }
+    }
+
+    /// Every tier this CPU supports, lowest first.
+    #[cfg(test)]
+    pub(crate) fn supported() -> Vec<Self> {
+        [Tier::Baseline, Tier::Avx2Fma, Tier::Avx512]
+            .into_iter()
+            .filter(|&t| t <= Tier::detected())
+            .collect()
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The highest tier the kernels may run on this thread (tests only).
+    static TIER_CAP: Cell<Tier> = const { Cell::new(Tier::Avx512) };
+}
+
+/// The tier a kernel call dispatches to: the detected one, capped on this
+/// thread by [`with_tier`] in the unit tests.
+#[inline]
+fn dispatch_tier() -> Tier {
+    let tier = Tier::detected();
+    #[cfg(test)]
+    let tier = tier.min(TIER_CAP.with(Cell::get));
+    tier
+}
+
+/// Run `f` with the kernels on this thread capped at `tier`, restoring the
+/// previous cap afterwards (panic-safe), so a test reaches every clone the
+/// CPU supports.
+#[cfg(test)]
+pub(crate) fn with_tier<R>(tier: Tier, f: impl FnOnce() -> R) -> R {
+    TIER_CAP.with(|c| {
+        struct Restore<'a>(&'a Cell<Tier>, Tier);
+        impl Drop for Restore<'_> {
+            fn drop(&mut self) {
+                self.0.set(self.1);
+            }
+        }
+        let _restore = Restore(c, c.replace(tier));
+        f()
+    })
+}
+
+/// Generate the baseline, `avx2,fma` and `avx512f` clones of a kernel body
+/// and a dispatcher (identical operation sequence in every clone).
 macro_rules! multiversioned {
     ($(#[$meta:meta])* $name:ident => $body:ident ( $($arg:ident : $ty:ty),* $(,)? )) => {
         $(#[$meta])*
         pub(crate) fn $name($($arg: $ty),*) {
             #[cfg(target_arch = "x86_64")]
-            {
-                #[target_feature(enable = "avx2,fma")]
-                unsafe fn accelerated($($arg: $ty),*) {
-                    $body($($arg),*)
-                }
-                if ::wide::runtime::avx2_fma_available() {
-                    // SAFETY: avx2+fma presence verified on this CPU.
-                    return unsafe { accelerated($($arg),*) };
-                }
+            #[target_feature(enable = "avx512f,avx2,fma")]
+            unsafe fn avx512($($arg: $ty),*) {
+                $body($($arg),*)
             }
-            $body($($arg),*)
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2,fma")]
+            unsafe fn avx2($($arg: $ty),*) {
+                $body($($arg),*)
+            }
+            match dispatch_tier() {
+                // SAFETY: avx512f, avx2 and fma presence verified on this
+                // CPU (the tier never exceeds the detected one).
+                #[cfg(target_arch = "x86_64")]
+                Tier::Avx512 => unsafe { avx512($($arg),*) },
+                // SAFETY: avx2+fma presence verified on this CPU.
+                #[cfg(target_arch = "x86_64")]
+                Tier::Avx2Fma => unsafe { avx2($($arg),*) },
+                _ => $body($($arg),*),
+            }
         }
     };
 }
@@ -415,62 +499,73 @@ multiversioned! {
 }
 
 // ---------------------------------------------------------------------------
-// Dense-product row accumulation on split re/im planes: one output row of
-// `Σ_t a_t · rhs[k_t]`, the kernel of `CMatrix::matmul` and the fusion
-// pass's row-apply.
+// Dense-product block accumulation on split re/im planes: every output row
+// `Σ_t a_t · rhs[k_t]` of one product in one call, the kernel of
+// `CMatrix::matmul` and of the fusion pass's row-apply.
 // ---------------------------------------------------------------------------
 
 #[inline(always)]
-fn accumulate_rows_body(
+fn accumulate_block_body(
+    ends: &[usize],
     terms: &[(usize, Complex64)],
     rhs_re: &[f64],
     rhs_im: &[f64],
-    acc_re: &mut [f64],
-    acc_im: &mut [f64],
+    out_re: &mut [f64],
+    out_im: &mut [f64],
 ) {
-    // Each output adds the terms one by one, in order, as `o += a·b` with
-    // `Complex64`'s products and sums: re += a.re·b.re − a.im·b.im,
-    // im += a.re·b.im + a.im·b.re.  Strips of eight columns keep their
-    // accumulators in registers across all the terms.
-    let n = acc_re.len();
+    // Each output starts at zero and adds its row's terms one by one, in
+    // order, as `o += a·b` with `Complex64`'s products and sums:
+    // re += a.re·b.re − a.im·b.im, im += a.re·b.im + a.im·b.re.  Strips of
+    // eight columns keep their accumulators in registers across all the
+    // terms.
+    let n = out_re.len().checked_div(ends.len()).unwrap_or(0);
     let strips = n - n % 8;
-    for j in (0..strips).step_by(8) {
-        let mut re: [f64; 8] = acc_re[j..j + 8].try_into().expect("strip of 8");
-        let mut im: [f64; 8] = acc_im[j..j + 8].try_into().expect("strip of 8");
-        for &(k, a) in terms {
-            let row = k * n + j;
-            let b_re: &[f64; 8] = rhs_re[row..row + 8].try_into().expect("strip of 8");
-            let b_im: &[f64; 8] = rhs_im[row..row + 8].try_into().expect("strip of 8");
-            for l in 0..8 {
-                re[l] += a.re * b_re[l] - a.im * b_im[l];
-                im[l] += a.re * b_im[l] + a.im * b_re[l];
+    let mut start = 0;
+    for (i, &end) in ends.iter().enumerate() {
+        let row_terms = &terms[start..end];
+        start = end;
+        let o_re = &mut out_re[i * n..(i + 1) * n];
+        let o_im = &mut out_im[i * n..(i + 1) * n];
+        for j in (0..strips).step_by(8) {
+            let mut re = [0.0f64; 8];
+            let mut im = [0.0f64; 8];
+            for &(k, a) in row_terms {
+                let row = k * n + j;
+                let b_re: &[f64; 8] = rhs_re[row..row + 8].try_into().expect("strip of 8");
+                let b_im: &[f64; 8] = rhs_im[row..row + 8].try_into().expect("strip of 8");
+                for l in 0..8 {
+                    re[l] += a.re * b_re[l] - a.im * b_im[l];
+                    im[l] += a.re * b_im[l] + a.im * b_re[l];
+                }
             }
+            o_re[j..j + 8].copy_from_slice(&re);
+            o_im[j..j + 8].copy_from_slice(&im);
         }
-        acc_re[j..j + 8].copy_from_slice(&re);
-        acc_im[j..j + 8].copy_from_slice(&im);
-    }
-    for j in strips..n {
-        let (mut re, mut im) = (acc_re[j], acc_im[j]);
-        for &(k, a) in terms {
-            let (b_re, b_im) = (rhs_re[k * n + j], rhs_im[k * n + j]);
-            re += a.re * b_re - a.im * b_im;
-            im += a.re * b_im + a.im * b_re;
+        for j in strips..n {
+            let (mut re, mut im) = (0.0f64, 0.0f64);
+            for &(k, a) in row_terms {
+                let (b_re, b_im) = (rhs_re[k * n + j], rhs_im[k * n + j]);
+                re += a.re * b_re - a.im * b_im;
+                im += a.re * b_im + a.im * b_re;
+            }
+            o_re[j] = re;
+            o_im[j] = im;
         }
-        acc_re[j] = re;
-        acc_im[j] = im;
     }
 }
 
 multiversioned! {
-    /// `acc += Σ a·rhs[k]` over `terms` in order, on row-major re/im planes
-    /// of `rhs` whose rows are `acc`'s length; bit-identical to the
-    /// interleaved `Complex64` loop (separate multiplies and adds, no fma).
-    accumulate_rows => accumulate_rows_body(
+    /// Row `i` of `out = Σ a·rhs[k]` over the terms `terms[ends[i−1]..ends[i]]`
+    /// in order, from zero, on row-major re/im planes whose rows all have
+    /// `out`'s row length; bit-identical to the interleaved `Complex64` loop
+    /// (separate multiplies and adds, no fma).
+    accumulate_block => accumulate_block_body(
+        ends: &[usize],
         terms: &[(usize, Complex64)],
         rhs_re: &[f64],
         rhs_im: &[f64],
-        acc_re: &mut [f64],
-        acc_im: &mut [f64],
+        out_re: &mut [f64],
+        out_im: &mut [f64],
     )
 }
 
@@ -479,4 +574,62 @@ multiversioned! {
 #[inline]
 pub(crate) fn active() -> bool {
     simd_kernels_enabled()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// The amplitudes as bit patterns (signed zeros included).
+    fn bits(amps: &[Complex64]) -> Vec<[u64; 2]> {
+        amps.iter()
+            .map(|z| [z.re.to_bits(), z.im.to_bits()])
+            .collect()
+    }
+
+    /// Every statevector kernel on one seeded 6-qubit input, on `tier`:
+    /// the amplitudes each call leaves.
+    fn run_every_kernel(tier: Tier) -> Vec<Vec<[u64; 2]>> {
+        let mut rng = ChaCha8Rng::seed_from_u64(27);
+        let mut z = || Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
+        let amps: Vec<Complex64> = (0..64).map(|_| z()).collect();
+        let m: [Complex64; 4] = std::array::from_fn(|_| z());
+        let table: Vec<Complex64> = (0..8).map(|_| z()).collect();
+        let (col_re, col_im): (Vec<f64>, Vec<f64>) =
+            (0..64).map(|_| z()).map(|w| (w.re, w.im)).unzip();
+        with_tier(tier, || {
+            let mut outs = Vec::new();
+            let mut run = |f: &dyn Fn(&mut [Complex64])| {
+                let mut a = amps.clone();
+                f(&mut a);
+                outs.push(bits(&a));
+            };
+            for bit in 0..6 {
+                run(&|a| single_qubit(a, bit, &m));
+                run(&|a| diagonal(a, bit, &[m[0], m[3]]));
+            }
+            run(&|a| scale_run(a, m[1]));
+            run(&|a| {
+                let (lo, hi) = a.split_at_mut(32);
+                single_qubit_runs(lo, hi, &m);
+            });
+            run(&|a| diagonal_k(a, &[0, 2, 5], &table));
+            run(&|a| diagonal_k(a, &[1, 4, 3], &table));
+            run(&|a| {
+                let src = a[..8].to_vec();
+                generic_matvec(&col_re, &col_im, 8, &src, &mut a[8..16]);
+            });
+            outs
+        })
+    }
+
+    #[test]
+    fn every_tier_gives_the_baseline_bits() {
+        let baseline = run_every_kernel(Tier::Baseline);
+        for tier in Tier::supported() {
+            assert!(run_every_kernel(tier) == baseline, "{tier:?}");
+        }
+    }
 }
