@@ -1,14 +1,17 @@
 //! Criterion micro-benchmarks of the circuit-optimizer pass
 //! (`qls_sim::fuse`): fused vs unoptimized compile-once execution on
 //! representative workloads, plus the one-time cost of the pass itself,
-//! there and on the QSVT circuit of the `circuit_exact` benchmark.
+//! there and on the QSVT circuit of the `circuit_exact` benchmark, and that
+//! circuit's warm build from the fused-circuit cache.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qls_encoding::DilationBlockEncoding;
 use qls_linalg::Svd;
 use qls_poly::InversePolynomial;
 use qls_qsvt::{find_phases, PhaseFindingOptions, QsvtCircuit};
-use qls_sim::{Circuit, CompiledCircuit, QuantumExecutor, StateVector};
+use qls_sim::{
+    CachePolicy, Circuit, CompiledCircuit, ExecMode, OptLevel, QuantumExecutor, StateVector,
+};
 
 /// A projector-rotation-shaped workload (the QSVT inner-loop pattern):
 /// X-conjugated controlled phases between dense single-qubit layers.
@@ -73,6 +76,20 @@ fn bench_fused_vs_unfused(c: &mut Criterion) {
     group.bench_function("circuit_exact_qsvt/optimize_pass", |b| {
         b.iter(|| std::hint::black_box(qls_sim::optimize_circuit_for(&qsvt, qsvt.num_qubits())))
     });
+    // The warm build: fingerprint, read, checksum, decode and compile of
+    // the entry the first build stores in a fresh cache directory.
+    let dir = std::env::temp_dir().join(format!("qls-bench-warm-build-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let build = || {
+        QuantumExecutor::with_config(&qsvt, OptLevel::Fuse, ExecMode::Flat, CachePolicy::Enabled)
+    };
+    qls_cache::with_cache_dir(&dir, || {
+        build();
+        group.bench_function("circuit_exact_qsvt/warm_build", |b| {
+            b.iter(|| std::hint::black_box(build()))
+        });
+    });
+    let _ = std::fs::remove_dir_all(&dir);
     group.finish();
 }
 

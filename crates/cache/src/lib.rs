@@ -22,10 +22,13 @@
 //!   mathematical problem, not the call site.
 //! * **Fused circuits** (`fused-circuits`): register width, the full raw
 //!   operation list (gate kind tags, angle/matrix bit patterns, targets,
-//!   controls), every fusion option, and the [`machine_fingerprint`] —
-//!   fused products carry the platform's `sin`/`cos` roundoff, so entries
-//!   never migrate between unlike machines; on one machine a warm hit
-//!   replays the cold run's fusion decisions exactly.
+//!   controls), and the [`machine_fingerprint`] — fused products carry the
+//!   platform's `sin`/`cos` roundoff, so entries never migrate between
+//!   unlike machines; on one machine a warm hit replays the cold run's
+//!   fusion decisions exactly.  The entry holds the fused operation list,
+//!   each fused matrix's floats as 16 lower-case hex digits of their bit
+//!   pattern (the format of `qls_sim::CMatrix`'s own serde impl), so a
+//!   replay decodes every bit without printing or parsing decimals.
 //!
 //! ## Invalidation rules
 //!

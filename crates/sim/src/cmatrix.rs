@@ -96,6 +96,19 @@ impl CMatrix {
         Arc::ptr_eq(&self.data, &other.data)
     }
 
+    /// True when both matrices hold the same entries bit for bit.  `==`
+    /// differs twice: it matches a signed zero with an unsigned one, whose
+    /// products can differ in sign, and it never matches a NaN.
+    pub(crate) fn bits_eq(&self, other: &Self) -> bool {
+        self.rows == other.rows
+            && self.cols == other.cols
+            && self
+                .data
+                .iter()
+                .zip(other.data.iter())
+                .all(|(a, b)| a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits())
+    }
+
     /// Matrix product.  Each output row sums `self[(i, k)] · other[k]` over
     /// the nonzero entries of `self`'s row in ascending `k`, on split re/im
     /// planes of `other`: the products and sums of an interleaved
@@ -402,22 +415,46 @@ impl IndexMut<(usize, usize)> for CMatrix {
     }
 }
 
-// Hand-written (not derived) so the wire format stays flat — entries as an
-// interleaved `[re, im, re, im, …]` float sequence — and so deserialization
-// can validate the `data.len() == rows·cols` invariant the private fields
+/// The lower-case hex digits, by value.
+const HEX: &[u8; 16] = b"0123456789abcdef";
+/// Hex digits per float in `CMatrix`'s wire format.
+const HEX_DIGITS: usize = 16;
+/// The flag [`NIBBLE`] gives a byte that is not a lower-case hex digit.
+const NOT_HEX: u8 = 0x10;
+/// Each byte's value as a lower-case hex digit, or [`NOT_HEX`].
+const NIBBLE: [u8; 256] = {
+    let mut table = [NOT_HEX; 256];
+    let mut digit = 0;
+    while digit < 16 {
+        table[HEX[digit] as usize] = digit as u8;
+        digit += 1;
+    }
+    table
+};
+
+// Hand-written (not derived) so the wire format stays compact — `data` is
+// one string of 16 lower-case hex digits per float, `f64::to_bits` of each
+// entry's re then im, which replays every bit and takes a fraction of the
+// time decimal text takes to print and parse — and so deserialization can
+// validate the `data.len() == rows·cols` invariant the private fields
 // guarantee, returning a decode error instead of a corrupt matrix.  Used by
 // the fused-circuit artifact cache (`Gate::Unitary` payloads).
 impl serde::Serialize for CMatrix {
     fn serialize(&self) -> serde::Value {
-        let mut entries = Vec::with_capacity(self.data.len() * 2);
-        for z in self.data.iter() {
-            entries.push(serde::Value::Float(z.re));
-            entries.push(serde::Value::Float(z.im));
+        let mut hex = Vec::with_capacity(self.data.len() * 2 * HEX_DIGITS);
+        for x in self.data.iter().flat_map(|z| [z.re, z.im]) {
+            let bits = x.to_bits();
+            hex.extend(
+                (0..HEX_DIGITS)
+                    .rev()
+                    .map(|d| HEX[(bits >> (4 * d)) as usize & 0xf]),
+            );
         }
+        let hex = String::from_utf8(hex).expect("hex digits are ASCII");
         serde::Value::Map(vec![
             ("rows".to_string(), serde::Value::Int(self.rows as i64)),
             ("cols".to_string(), serde::Value::Int(self.cols as i64)),
-            ("data".to_string(), serde::Value::Seq(entries)),
+            ("data".to_string(), serde::Value::Str(hex)),
         ])
     }
 }
@@ -426,18 +463,47 @@ impl<'de> serde::Deserialize<'de> for CMatrix {
     fn deserialize(value: &serde::Value) -> Result<Self, serde::DeError> {
         let rows = usize::deserialize(value.field("CMatrix", "rows")?)?;
         let cols = usize::deserialize(value.field("CMatrix", "cols")?)?;
-        let flat = Vec::<f64>::deserialize(value.field("CMatrix", "data")?)?;
-        let needed = rows.checked_mul(cols).and_then(|n| n.checked_mul(2));
-        if needed != Some(flat.len()) {
+        let hex = match value.field("CMatrix", "data")? {
+            serde::Value::Str(hex) => hex.as_bytes(),
+            other => {
+                return Err(serde::DeError::new(format!(
+                    "CMatrix: `data` must be a string of hex digits, found {}",
+                    other.kind()
+                )))
+            }
+        };
+        let needed = rows
+            .checked_mul(cols)
+            .and_then(|n| n.checked_mul(2 * HEX_DIGITS));
+        if needed != Some(hex.len()) {
             return Err(serde::DeError::new(format!(
-                "CMatrix: {rows}x{cols} needs {needed:?} floats, found {}",
-                flat.len()
+                "CMatrix: {rows}x{cols} needs {needed:?} hex digits, found {}",
+                hex.len()
             )));
         }
-        let data = flat
-            .chunks_exact(2)
-            .map(|p| Complex64::new(p[0], p[1]))
+        // Every digit ORs its table entry into `flags`, so one test after
+        // the loop finds any byte that is not a lower-case hex digit.
+        let mut flags = 0;
+        let mut float = |digits: &[u8]| {
+            let bits = digits.iter().fold(0u64, |bits, &b| {
+                let nibble = NIBBLE[usize::from(b)];
+                flags |= nibble;
+                bits << 4 | u64::from(nibble & 0xf)
+            });
+            f64::from_bits(bits)
+        };
+        let data = hex
+            .chunks_exact(2 * HEX_DIGITS)
+            .map(|pair| {
+                let (re, im) = pair.split_at(HEX_DIGITS);
+                Complex64::new(float(re), float(im))
+            })
             .collect();
+        if flags & NOT_HEX != 0 {
+            return Err(serde::DeError::new(
+                "CMatrix: `data` holds a byte that is not a lower-case hex digit",
+            ));
+        }
         Ok(CMatrix::from_vec(rows, cols, data))
     }
 }
@@ -517,6 +583,94 @@ mod tests {
                     "{tier:?}: {rows}x{inner} · {inner}x{cols}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn every_bit_pattern_round_trips_through_json() {
+        let specials = [
+            0.0,
+            -0.0,
+            f64::from_bits(1), // the smallest subnormal
+            -f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(0x7ff8_0000_0000_0001), // quiet NaN with payload
+            f64::from_bits(0xfff8_dead_beef_0042),
+            f64::from_bits(0x7ff0_0000_0000_0001), // signalling NaN with payload
+            f64::from_bits(0x7ff4_0000_0000_abcd),
+            1.0,
+            -std::f64::consts::PI,
+            2.2250738585072014e-308, // the smallest normal
+        ];
+        let m = CMatrix::from_fn(4, 4, |i, j| {
+            let k = 2 * (i * 4 + j);
+            c(specials[k % 15], specials[(k + 1) % 15])
+        });
+        let json = serde::to_json_string(&m);
+        assert!(
+            json.starts_with("{\"rows\":4,\"cols\":4,\"data\":\"00000000000000008000000000000000"),
+            "{json}"
+        );
+        let back: CMatrix = serde::from_json_str(&json).expect("decodes");
+        assert_eq!((back.nrows(), back.ncols()), (4, 4));
+        assert_eq!(bits(&back), bits(&m));
+    }
+
+    #[test]
+    fn malformed_data_strings_are_decode_errors() {
+        let m = CMatrix::from_fn(2, 2, |i, j| c(i as f64 + 0.5, -(j as f64)));
+        let json = serde::to_json_string(&m);
+        let hex = &json[json.find("\"data\":\"").unwrap() + 8..json.len() - 2];
+        assert_eq!(hex.len(), 2 * 2 * 2 * 16);
+        let entry =
+            |rows: &str, data: &str| format!("{{\"rows\":{rows},\"cols\":2,\"data\":{data}}}");
+        let quoted = |data: &str| format!("\"{data}\"");
+        assert_eq!(
+            serde::from_json_str::<CMatrix>(&entry("2", &quoted(hex))),
+            Ok(m)
+        );
+        let letter = hex.find(|d: char| d.is_ascii_lowercase()).unwrap();
+        let cases = [
+            ("one digit short", entry("2", &quoted(&hex[1..]))),
+            ("one digit long", entry("2", &quoted(&format!("{hex}0")))),
+            (
+                "rows·cols overflows",
+                entry(&usize::MAX.to_string(), &quoted(hex)),
+            ),
+            (
+                "an upper-case digit",
+                entry(
+                    "2",
+                    &quoted(&hex.replacen(
+                        &hex[letter..=letter],
+                        &hex[letter..=letter].to_uppercase(),
+                        1,
+                    )),
+                ),
+            ),
+            (
+                "a non-hex byte",
+                entry("2", &quoted(&format!("g{}", &hex[1..]))),
+            ),
+            (
+                "a two-byte character",
+                entry("2", &quoted(&format!("{}é", &hex[2..]))),
+            ),
+            (
+                "a three-byte character",
+                entry("2", &quoted(&format!("€{}", &hex[3..]))),
+            ),
+            (
+                "the v5 float array",
+                entry("2", "[0.5,0.0,0.5,-1.0,1.5,0.0,1.5,-1.0]"),
+            ),
+        ];
+        for (what, json) in cases {
+            let decoded = serde::from_json_str::<CMatrix>(&json);
+            assert!(decoded.is_err(), "{what}: {json} decoded to {decoded:?}");
         }
     }
 

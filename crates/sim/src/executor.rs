@@ -60,20 +60,23 @@ const FUSED_CACHE_KIND: &str = "fused-circuits";
 /// [`CachedFusion`] wire shape, the entry format, or the fingerprint recipe
 /// below changes meaning — old entries become misses (4: entries carry a
 /// payload checksum; 5: diagonals under different control sets no longer
-/// fold into one uncontrolled diagonal).  An entry holds the fused
-/// matrices' floats, so a change to any bit the pass computes needs a bump
-/// too, and a faster pass that computes every bit as before (the split
-/// re/im product, its AVX-512 clone) needs none.
-const FUSED_CACHE_VERSION: u32 = 5;
+/// fold into one uncontrolled diagonal; 6: fused matrices' floats as hex bit
+/// patterns, and repeated matrices found by equal bits).  An entry holds
+/// the fused matrices' floats, so a change to any bit the pass computes
+/// needs a bump too, and a faster pass that computes every bit as before
+/// (the split re/im product, its AVX-512 clone, the pass's memo of
+/// repeated matrices) needs none.
+const FUSED_CACHE_VERSION: u32 = 6;
 
 /// The on-disk payload of one fused-circuit cache entry: the rewritten
 /// operation list, fused matrices included (for the `circuit_exact` QSVT
-/// circuit two 32×32 blocks, whose floats fill most of its 92 KB entry),
-/// plus the before/after report.  Compilation itself (matrix flattening,
-/// control masks, stride tables) is cheap and machine-width-dependent, so a
-/// hit replays the stored operations — the floats the pass produced — and
-/// recompiles: [`crate::kernels::circuit_compile_count`] still ticks once
-/// per construction, preserving the compile-once contract tests, while
+/// circuit two 32×32 blocks, whose floats, 16 hex digits each, fill most
+/// of its 67 KB entry), plus the before/after report.  Compilation itself
+/// (matrix flattening, control masks, stride tables) is cheap and
+/// machine-width-dependent, so a hit replays the stored operations — the
+/// floats the pass produced — and recompiles:
+/// [`crate::kernels::circuit_compile_count`] still ticks once per
+/// construction, preserving the compile-once contract tests, while
 /// [`crate::fuse::fusion_pass_count`] does not.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct CachedFusion {
@@ -98,12 +101,12 @@ fn fused_circuit_fingerprint(circuit: &Circuit) -> Fingerprint {
     // than a warm cache replay saves.  Each *distinct* matrix is hashed
     // once; repeats hash as a back-reference to its first occurrence.  A
     // repeat is usually a clone sharing the first occurrence's storage
-    // (`Circuit::append`), found by pointer; otherwise an equality check
-    // against the distinct set (a memcmp, several times cheaper than
-    // streaming the matrix through the hash) finds it.  Either way the same
-    // bytes are hashed (a matrix holding NaN, which never compares equal,
-    // is the one exception).  The encoding stays injective: the op stream
-    // determines the distinct list and every op's matrix content.
+    // (`Circuit::append`), found by pointer; otherwise a bitwise comparison
+    // with the distinct set (several times cheaper than streaming the
+    // matrix through the hash) finds it.  Either way the same bytes are
+    // hashed; `==` would also match a signed zero with an unsigned one,
+    // whose fused products can differ.  The encoding stays injective: the
+    // op stream determines the distinct list and every op's matrix content.
     let mut distinct: Vec<&crate::cmatrix::CMatrix> = Vec::new();
     for op in circuit.operations() {
         b.write_str(op.gate.name());
@@ -114,7 +117,7 @@ fn fused_circuit_fingerprint(circuit: &Circuit) -> Fingerprint {
             Gate::Unitary(m) => match distinct
                 .iter()
                 .position(|d| d.shares_storage(m))
-                .or_else(|| distinct.iter().position(|d| *d == m))
+                .or_else(|| distinct.iter().position(|d| d.bits_eq(m)))
             {
                 Some(i) => {
                     b.write_u64(u64::MAX);
@@ -404,6 +407,134 @@ mod tests {
             assert_eq!(exec.run_zero().amplitudes(), fresh.run_zero().amplitudes());
         });
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A payload stored as it stands, whatever it holds.
+    struct Raw(serde::Value);
+
+    impl Serialize for Raw {
+        fn serialize(&self) -> serde::Value {
+            self.0.clone()
+        }
+    }
+
+    /// An edit of a fused matrix's hex digits: the `data` value it leaves.
+    type Edit = fn(&str) -> serde::Value;
+
+    fn hex(digits: &str) -> serde::Value {
+        serde::Value::Str(digits.to_string())
+    }
+
+    /// The payload with its first `Unitary` matrix's `data` edited.
+    fn with_edited_data(payload: &serde::Value, edit: Edit) -> serde::Value {
+        fn walk(v: &mut serde::Value, edit: Edit) -> bool {
+            match v {
+                serde::Value::Map(entries) => entries.iter_mut().any(|(key, v)| match v {
+                    serde::Value::Str(digits) if key == "data" => {
+                        *v = edit(digits);
+                        true
+                    }
+                    v => walk(v, edit),
+                }),
+                serde::Value::Seq(items) => items.iter_mut().any(|v| walk(v, edit)),
+                _ => false,
+            }
+        }
+        let mut edited = payload.clone();
+        assert!(walk(&mut edited, edit), "the payload holds a fused matrix");
+        edited
+    }
+
+    #[test]
+    fn a_checksummed_entry_with_a_malformed_matrix_is_a_miss() {
+        // Each entry decodes as JSON and carries a checksum over its own
+        // bytes, so only the matrix decoder can refuse it: the lookup is a
+        // miss, and the circuit is fused afresh.
+        let dir = std::env::temp_dir().join(format!("qls-exec-hex-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let circ = test_circuit(3);
+        let key = fused_circuit_fingerprint(&circ);
+        let payload = CachedFusion {
+            fused: crate::fuse::optimize_circuit_for(&circ, 3),
+            stats: crate::resources::fusion_stats(&circ),
+        }
+        .serialize();
+        let fresh = QuantumExecutor::new(&circ).run_zero();
+        let cases: [(&str, Edit); 6] = [
+            ("intact", hex),
+            ("one digit short", |d| hex(&d[1..])),
+            ("an upper-case digit", |d| hex(&d.replacen('f', "F", 1))),
+            ("a non-hex byte", |d| hex(&format!("x{}", &d[1..]))),
+            ("a two-byte character", |d| hex(&format!("ß{}", &d[2..]))),
+            ("the v5 float array", |d| {
+                serde::Value::Seq(vec![serde::Value::Float(0.0); d.len() / 16])
+            }),
+        ];
+        qls_cache::with_cache_dir(&dir, || {
+            for (what, edit) in cases {
+                let stored = CacheStore::open().unwrap().store(
+                    FUSED_CACHE_KIND,
+                    FUSED_CACHE_VERSION,
+                    key,
+                    &Raw(with_edited_data(&payload, edit)),
+                );
+                assert!(stored);
+                let (h, m) = (qls_cache::cache_hit_count(), qls_cache::cache_miss_count());
+                let f = crate::fuse::fusion_pass_count();
+                let exec = QuantumExecutor::with_config(
+                    &circ,
+                    OptLevel::Fuse,
+                    ExecMode::Flat,
+                    CachePolicy::Enabled,
+                );
+                let counts = (
+                    qls_cache::cache_hit_count() - h,
+                    qls_cache::cache_miss_count() - m,
+                    crate::fuse::fusion_pass_count() - f,
+                );
+                let expected = if what == "intact" {
+                    (1, 0, 0)
+                } else {
+                    (0, 1, 1)
+                };
+                assert_eq!(counts, expected, "{what}: (hits, misses, fusion passes)");
+                assert_eq!(exec.run_zero().amplitudes(), fresh.amplitudes(), "{what}");
+            }
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn repeats_differing_in_a_signed_zero_fuse_and_fingerprint_apart() {
+        // diag(1, 0) then diag(1, ±0): `==` calls the second a repeat either
+        // way, yet the two circuits fuse to diagonals whose zeros differ in
+        // sign (when the pass builds each op's own segment), so they must
+        // not share a key.
+        let diag = |last: f64| {
+            let c = num_complex::Complex64::new;
+            let entries = vec![c(1.0, 0.0), c(0.0, 0.0), c(0.0, 0.0), c(last, 0.0)];
+            Gate::Unitary(crate::cmatrix::CMatrix::from_vec(2, 2, entries))
+        };
+        let circuit = |zero: f64| {
+            let mut c = Circuit::new(1);
+            c.gate(diag(0.0), &[0]).gate(diag(zero), &[0]);
+            c
+        };
+        let bits = |c: &Circuit| match &crate::fuse::optimize_circuit_for(c, 1).operations()[0].gate
+        {
+            Gate::Unitary(m) => m
+                .as_slice()
+                .iter()
+                .map(|z| z.re.to_bits())
+                .collect::<Vec<_>>(),
+            g => panic!("expected a fused unitary, found {g:?}"),
+        };
+        let (plus, minus) = (circuit(0.0), circuit(-0.0));
+        assert_ne!(bits(&plus), bits(&minus));
+        assert_ne!(
+            fused_circuit_fingerprint(&plus),
+            fused_circuit_fingerprint(&minus)
+        );
     }
 
     #[test]

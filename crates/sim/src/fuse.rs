@@ -71,13 +71,25 @@
 //! written into a spare block that then takes the replaced block's place
 //! (and hands its buffers on as the next spare), so absorbing a gate
 //! neither re-splits nor re-interleaves the block; every product gives the
-//! bits the embedded interleaved product gave.  Deep circuits that collapse
-//! into dense products cost the most: the degree-117 QSVT sequence of the
-//! `circuit_exact` benchmark (1184 ops, 234 of them 32×32 block-encoding
-//! products) fuses into 5 ops in about 2.8 ms on a 2-thread x86-64
-//! container with AVX-512, about 2 ms of it in the 234 products, repaid
-//! across the many-execution workloads the compile-once engines exist for;
-//! on large registers the pass mostly declines to fuse.
+//! bits the embedded interleaved product gave.
+//!
+//! Deep circuits that collapse into dense products cost the most, and they
+//! repeat one matrix many times: the QSVT sequence applies its block
+//! encoding `U` and `U†` degree-many times each.  So the pass keeps a memo
+//! of the dense matrices a circuit repeats, each under one placement (the
+//! same matrix, by shared storage or else by equal bits, on the same
+//! targets and controls).  A repeated matrix's segment (its planes, diagonal check
+//! and pruning) is built once and every repeat borrows it; its row terms
+//! are built once per fused support, so every repeat makes the same kernel
+//! call on the same terms as before.  Until a fusion replaces it, a segment
+//! also borrows its raw op (supports and gate), so a one-qubit or diagonal
+//! op pays little besides its kernel call.  The degree-117 QSVT sequence of
+//! the `circuit_exact` benchmark (1184 ops, 234 of them 32×32
+//! block-encoding products) fuses into 5 ops in about 1.9 ms on a 2-thread
+//! x86-64 container with AVX-512, about 1.3 ms of it in the kernel calls of
+//! the dense products, repaid across the many-execution workloads the
+//! compile-once engines exist for; on large registers the pass mostly
+//! declines to fuse.
 //!
 //! Use [`optimize_circuit_for`] directly, or (more commonly)
 //! `CompiledCircuit::optimized`
@@ -95,7 +107,7 @@ use crate::gate::Gate;
 use num_complex::Complex64;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 
 const ZERO: Complex64 = Complex64::new(0.0, 0.0);
 const ONE: Complex64 = Complex64::new(1.0, 0.0);
@@ -261,26 +273,119 @@ fn ratio(raw: usize, fused: usize) -> f64 {
 
 /// How a segment acts on its targets.
 #[derive(Debug, Clone)]
-enum Body {
+enum Body<'a> {
     /// Dense `2^k × 2^k` matrix on split re/im planes (row/column bit `t`
     /// ↔ `targets[t]`).
-    Dense(Planar),
+    Dense(Cow<'a, Planar>),
     /// Diagonal of a computational-basis-diagonal op (`2^k` entries).
-    Diag(Vec<Complex64>),
+    Diag(Cow<'a, [Complex64]>),
 }
 
-/// One (possibly fused) operation in the optimizer's working list.
+/// One (possibly fused) operation in the optimizer's working list.  It
+/// borrows its supports, body and original op from its raw op or [`Memo`]
+/// entry for as long as they are still theirs; a fusion gives it a body of
+/// its own.
 #[derive(Debug, Clone)]
-struct Segment {
+struct Segment<'a> {
     /// Control qubits, sorted ascending.
-    controls: Vec<usize>,
+    controls: Cow<'a, [usize]>,
     /// Target qubits, sorted ascending.
-    targets: Vec<usize>,
-    body: Body,
+    targets: Cow<'a, [usize]>,
+    body: Body<'a>,
     /// The original operation when the segment is still exactly that op
     /// (so emission preserves the specialized `X`/`SWAP`/named-gate kernels
-    /// for everything the pass never touched).
-    pristine: Option<Operation>,
+    /// for everything the pass never touched); [`emit`] clones it.
+    pristine: Option<&'a Operation>,
+    /// The [`Memo`] entry this segment is a copy of, until a fusion
+    /// replaces it.
+    shared: Option<usize>,
+}
+
+impl Segment<'_> {
+    /// This memo entry's segment for `op`, one of the ops that repeat it:
+    /// the supports and body borrowed, nothing copied.
+    fn borrowed<'m>(&'m self, op: &'m Operation, entry: usize) -> Segment<'m> {
+        Segment {
+            controls: Cow::Borrowed(&self.controls),
+            targets: Cow::Borrowed(&self.targets),
+            body: match &self.body {
+                Body::Dense(m) => Body::Dense(Cow::Borrowed(m)),
+                Body::Diag(d) => Body::Diag(Cow::Borrowed(d)),
+            },
+            pristine: self.pristine.map(|_| op),
+            shared: Some(entry),
+        }
+    }
+}
+
+/// The dense matrices a circuit repeats, each under one placement: the QSVT
+/// sequence applies its block encoding `U` and `U†` degree-many times.
+/// Ops are grouped by their `Unitary` matrix, found as
+/// `fused_circuit_fingerprint` (`executor.rs`) finds repeats (shared
+/// storage first, then equal bits), and by their targets and controls.  A
+/// group's segment (planes, diagonal check and pruning) is built once, when
+/// the pass meets its first op, and every op of the group borrows it; the
+/// pass's [`Scratch`] builds the group's row terms once per fused support.
+/// So every op gets the segment and the terms it would have built itself.
+#[derive(Debug, Default)]
+struct Memo<'a> {
+    /// Each group's segment once built (`None` inside: the identity).
+    entries: Vec<OnceCell<Option<Segment<'a>>>>,
+    /// Each op's group, for the ops whose matrix and placement repeat.
+    slots: Vec<Option<usize>>,
+}
+
+impl<'a> Memo<'a> {
+    fn of(circuit: &'a Circuit) -> Self {
+        let mut firsts: Vec<(&Operation, &CMatrix)> = Vec::new();
+        let mut uses: Vec<usize> = Vec::new();
+        let mut slots: Vec<Option<usize>> = Vec::with_capacity(circuit.len());
+        for op in circuit.operations() {
+            let Gate::Unitary(m) = &op.gate else {
+                slots.push(None);
+                continue;
+            };
+            let placed =
+                |first: &Operation| first.targets == op.targets && first.controls == op.controls;
+            let id = firsts
+                .iter()
+                .position(|(first, f)| placed(first) && f.shares_storage(m))
+                .or_else(|| {
+                    firsts
+                        .iter()
+                        .position(|(first, f)| placed(first) && f.bits_eq(m))
+                })
+                .unwrap_or_else(|| {
+                    firsts.push((op, m));
+                    uses.push(0);
+                    firsts.len() - 1
+                });
+            uses[id] += 1;
+            slots.push(Some(id));
+        }
+        // A matrix placed once has nothing to share.
+        for slot in &mut slots {
+            if slot.is_some_and(|id| uses[id] == 1) {
+                *slot = None;
+            }
+        }
+        Memo {
+            entries: uses.iter().map(|_| OnceCell::new()).collect(),
+            slots,
+        }
+    }
+
+    /// The segment of `op`, the circuit's op `i` (`None` drops it): its
+    /// group's, borrowed, when its matrix and placement repeat, else its own.
+    fn segment_of<'m>(&'m self, i: usize, op: &'a Operation) -> Option<Segment<'m>> {
+        match self.slots.get(i).copied().flatten() {
+            Some(entry) => self.entries[entry]
+                .get_or_init(|| segment_of(op))
+                .as_ref()
+                .map(|seg| seg.borrowed(op, entry)),
+            None => segment_of(op),
+        }
+    }
 }
 
 fn union_sorted(a: &[usize], b: &[usize]) -> Vec<usize> {
@@ -290,29 +395,71 @@ fn union_sorted(a: &[usize], b: &[usize]) -> Vec<usize> {
     out
 }
 
-fn disjoint(a: &[usize], b: &[usize]) -> bool {
-    a.iter().all(|q| !b.contains(q))
+/// The union of two sorted supports: a copy of whichever holds the other
+/// (free while that one is borrowed), else a new list.
+fn union_of<'a>(a: &Cow<'a, [usize]>, b: &Cow<'a, [usize]>) -> Cow<'a, [usize]> {
+    if b.iter().all(|q| a.contains(q)) {
+        a.clone()
+    } else if a.iter().all(|q| b.contains(q)) {
+        b.clone()
+    } else {
+        Cow::Owned(union_sorted(a, b))
+    }
 }
 
-/// Position of every element of `sub` inside `sup` (both sorted, `sub ⊆ sup`).
+/// The qubits sorted ascending, borrowed when they already are.
+fn sorted(qubits: &[usize]) -> Cow<'_, [usize]> {
+    if qubits.is_sorted() {
+        Cow::Borrowed(qubits)
+    } else {
+        let mut owned = qubits.to_vec();
+        owned.sort_unstable();
+        Cow::Owned(owned)
+    }
+}
+
+/// True when the two segments share no qubit, controls included.
+fn disjoint(a: &Segment, b: &Segment) -> bool {
+    a.controls
+        .iter()
+        .chain(a.targets.iter())
+        .all(|q| !b.controls.contains(q) && !b.targets.contains(q))
+}
+
+/// Position of every element of `sub` inside `sup`.
 fn positions(sub: &[usize], sup: &[usize]) -> Vec<usize> {
     sub.iter()
         .map(|q| sup.iter().position(|x| x == q).expect("subset of support"))
         .collect()
 }
 
-/// Gather the bits of `idx` at `pos` into a compact sub-index.
-fn gather_bits(idx: usize, pos: &[usize]) -> usize {
-    pos.iter()
-        .enumerate()
-        .fold(0usize, |acc, (t, &p)| acc | (((idx >> p) & 1) << t))
+/// The positions of `sub`'s qubits inside `sup` (both sorted, `sub ⊆ sup`)
+/// as a bit mask.
+fn mask_of(sub: &[usize], sup: &[usize]) -> usize {
+    sub.iter().fold(0, |mask, q| {
+        mask | 1 << sup.iter().position(|x| x == q).expect("subset of support")
+    })
+}
+
+/// The bits of `idx` under `mask`, packed into the low bits in order.
+fn extract(idx: usize, mask: usize) -> usize {
+    let (mut packed, mut rest, mut bit) = (0, mask, 0);
+    while rest != 0 {
+        let low = rest & rest.wrapping_neg();
+        if idx & low != 0 {
+            packed |= 1 << bit;
+        }
+        rest ^= low;
+        bit += 1;
+    }
+    packed
 }
 
 /// Re-express a diagonal table from support `from` on the larger support `to`.
 fn embed_table(table: &[Complex64], from: &[usize], to: &[usize]) -> Vec<Complex64> {
-    let pos = positions(from, to);
+    let mask = mask_of(from, to);
     (0..1usize << to.len())
-        .map(|j| table[gather_bits(j, &pos)])
+        .map(|j| table[extract(j, mask)])
         .collect()
 }
 
@@ -323,14 +470,13 @@ fn embed_dense<'a>(m: Cow<'a, Planar>, from: &[usize], to: &[usize]) -> Cow<'a, 
     if from == to {
         return m;
     }
-    let pos = positions(from, to);
-    let from_mask: usize = pos.iter().map(|&p| 1usize << p).sum();
+    let mask = mask_of(from, to);
     let dim = 1usize << to.len();
     Cow::Owned(Planar::from_fn(dim, dim, |r, c| {
-        if (r ^ c) & !from_mask != 0 {
+        if (r ^ c) & !mask != 0 {
             ZERO
         } else {
-            m.get(gather_bits(r, &pos), gather_bits(c, &pos))
+            m.get(extract(r, mask), extract(c, mask))
         }
     }))
 }
@@ -343,6 +489,41 @@ struct Scratch {
     /// The matrix the next product is written into: the body of the last
     /// segment a fusion replaced (empty until a fusion has replaced one).
     spare: Planar,
+    /// For each [`Memo`] group, the row terms of its matrix on each fused
+    /// support it has met (its own support never changes), each built once.
+    shared: Vec<Vec<(Vec<usize>, RowTerms)>>,
+}
+
+impl Scratch {
+    /// [`apply_embedded`] for the matrix `m` of [`Memo`] group `entry`: the
+    /// same kernel call on the same terms, which the group builds on its
+    /// first product on the fused support `to` and keeps for the rest of
+    /// the pass.
+    fn shared_product(
+        &mut self,
+        entry: usize,
+        m: &Planar,
+        from: &[usize],
+        to: &[usize],
+        block: &Planar,
+    ) -> Planar {
+        if self.shared.len() <= entry {
+            self.shared.resize_with(entry + 1, Vec::new);
+        }
+        let supports = &mut self.shared[entry];
+        let at = match supports.iter().position(|(support, _)| support[..] == *to) {
+            Some(at) => at,
+            None => {
+                let mut terms = RowTerms::default();
+                row_terms(m, from, to, &mut terms);
+                supports.push((to.to_vec(), terms));
+                supports.len() - 1
+            }
+        };
+        let mut out = std::mem::take(&mut self.spare);
+        out.assign_product(&self.shared[entry][at].1, block);
+        out
+    }
 }
 
 /// `embed_dense(m, from, to) · block` without building the embedding, in
@@ -361,35 +542,42 @@ fn apply_embedded(
     block: &Planar,
     scratch: &mut Scratch,
 ) -> Planar {
-    let pos = positions(from, to);
-    let from_mask: usize = pos.iter().map(|&p| 1usize << p).sum();
-    let scattered: Vec<usize> = (0..m.ncols())
-        .map(|c| gather_bits_scatter(c, &pos))
-        .collect();
-    let terms = &mut scratch.terms;
+    row_terms(m, from, to, &mut scratch.terms);
+    let mut out = std::mem::take(&mut scratch.spare);
+    out.assign_product(&scratch.terms, block);
+    out
+}
+
+/// The row terms [`apply_embedded`] hands the kernel, in place of `terms`'
+/// old ones.
+fn row_terms(m: &Planar, from: &[usize], to: &[usize], terms: &mut RowTerms) {
+    let mask = mask_of(from, to);
     terms.clear();
-    for r in 0..block.nrows() {
-        let (row, rest) = (gather_bits(r, &pos), r & !from_mask);
-        for (a, &bits) in m.row(row).zip(&scattered) {
+    for r in 0..1usize << to.len() {
+        let (row, rest) = (extract(r, mask), r & !mask);
+        // `k` steps through the subsets of `mask` in ascending order: the
+        // column of the embedding that holds `m[(row, c)]`.
+        let mut k = 0;
+        for a in m.row(row) {
             if a != ZERO {
-                terms.push(rest | bits, a);
+                terms.push(rest | k, a);
             }
+            k = (k | !mask).wrapping_add(1) & mask;
         }
         terms.end_row();
     }
-    let mut out = std::mem::take(&mut scratch.spare);
-    out.assign_product(terms, block);
-    out
 }
 
 /// How [`try_fuse`] forms `embed(second) · embed(first)`: the arguments are
 /// `second`'s matrix, its support, the fused support, `embed(first)` and
-/// the pass's scratch.  The pass uses [`apply_embedded`]; the tests swap in
-/// the `embed_dense` + interleaved `matmul` oracle.
+/// the pass's scratch.  The pass uses [`apply_embedded`] (through
+/// [`Scratch::shared_product`] for a [`Memo`] group's segment); the tests
+/// swap in the `embed_dense` + interleaved `matmul` oracle on a pass with
+/// no memo.
 type Product = fn(&Planar, &[usize], &[usize], &Planar, &mut Scratch) -> Planar;
 
 /// The segment's body as a dense matrix on its own targets.
-fn dense_of(seg: &Segment) -> Cow<'_, Planar> {
+fn dense_of<'s>(seg: &'s Segment) -> Cow<'s, Planar> {
     match &seg.body {
         Body::Dense(m) => Cow::Borrowed(m),
         Body::Diag(d) => Cow::Owned(Planar::from_fn(d.len(), d.len(), |r, c| {
@@ -402,33 +590,46 @@ fn dense_of(seg: &Segment) -> Cow<'_, Planar> {
     }
 }
 
-/// Turn one raw operation into a segment; `None` drops it (identity).
-fn segment_of(op: &Operation) -> Option<Segment> {
+/// Turn one raw operation into a segment that borrows it; `None` drops it
+/// (identity).
+fn segment_of(op: &Operation) -> Option<Segment<'_>> {
     if matches!(op.gate, Gate::I) {
         return None;
     }
-    let mut controls = op.controls.clone();
-    controls.sort_unstable();
-    let (targets, matrix) = sorted_targets_matrix(op);
-    let body = match matrix.diagonal() {
-        Some(d) => Body::Diag(d),
-        None => Body::Dense(Planar::from(&matrix)),
+    let (targets, body) = match op.gate.matrix2() {
+        // One target, and a matrix on the stack.
+        Some(m) => (Cow::Borrowed(&op.targets[..]), body_of(&m, 2)),
+        None => {
+            let (targets, m) = sorted_targets_matrix(op);
+            (targets, body_of(m.as_slice(), m.nrows()))
+        }
     };
     simplify(Segment {
-        controls,
+        controls: sorted(&op.controls),
         targets,
         body,
-        pristine: Some(op.clone()),
+        pristine: Some(op),
+        shared: None,
     })
+}
+
+/// The body of a row-major `dim × dim` gate matrix: its diagonal when every
+/// off-diagonal entry is exactly zero, its planes otherwise.
+fn body_of(m: &[Complex64], dim: usize) -> Body<'static> {
+    let at = |r: usize, c: usize| m[r * dim + c];
+    if (0..dim).all(|r| (0..dim).all(|c| r == c || at(r, c) == ZERO)) {
+        Body::Diag(Cow::Owned((0..dim).map(|i| at(i, i)).collect()))
+    } else {
+        Body::Dense(Cow::Owned(Planar::from_fn(dim, dim, at)))
+    }
 }
 
 /// The gate matrix re-indexed so bit `t` of the sub-index corresponds to the
 /// `t`-th *ascending* target qubit.
-fn sorted_targets_matrix(op: &Operation) -> (Vec<usize>, CMatrix) {
+fn sorted_targets_matrix(op: &Operation) -> (Cow<'_, [usize]>, CMatrix) {
     let m = op.gate.matrix();
-    let mut targets = op.targets.clone();
-    targets.sort_unstable();
-    if targets == op.targets {
+    let targets = sorted(&op.targets);
+    if let Cow::Borrowed(_) = targets {
         return (targets, m);
     }
     let pos = positions(&targets, &op.targets);
@@ -448,12 +649,12 @@ fn gather_bits_scatter(j: usize, pos: &[usize]) -> usize {
 
 /// Canonicalize a segment: recognise diagonals, prune qubits the body does
 /// not depend on, and drop exact identities entirely (`None`).
-fn simplify(mut seg: Segment) -> Option<Segment> {
+fn simplify(mut seg: Segment<'_>) -> Option<Segment<'_>> {
     // A dense fusion product that came out diagonal joins the diagonal class
     // (cheaper kernel, wider mergeability).
     if let Body::Dense(m) = &seg.body {
         if let Some(d) = m.diagonal() {
-            seg.body = Body::Diag(d);
+            seg.body = Body::Diag(Cow::Owned(d));
             seg.pristine = None;
         }
     }
@@ -474,8 +675,8 @@ fn simplify(mut seg: Segment) -> Option<Segment> {
                         .filter(|j| j & bit == 0)
                         .map(|j| table[j])
                         .collect();
-                    *table = kept;
-                    seg.targets.remove(t);
+                    *table = Cow::Owned(kept);
+                    seg.targets.to_mut().remove(t);
                     seg.pristine = None;
                 } else {
                     t += 1;
@@ -487,8 +688,8 @@ fn simplify(mut seg: Segment) -> Option<Segment> {
             let mut t = 0;
             while seg.targets.len() > 1 && t < seg.targets.len() {
                 if dense_identity_factor(m, t) {
-                    *m = dense_drop_bit(m, t);
-                    seg.targets.remove(t);
+                    *m = Cow::Owned(dense_drop_bit(m, t));
+                    seg.targets.to_mut().remove(t);
                     seg.pristine = None;
                 } else {
                     t += 1;
@@ -530,17 +731,17 @@ fn dense_drop_bit(m: &Planar, t: usize) -> Planar {
 
 /// Fuse `second ∘ first` when the rules allow it (`first` is applied before
 /// `second` in circuit order).  The result is not yet simplified.
-fn try_fuse(
-    first: &Segment,
-    second: &Segment,
+fn try_fuse<'a>(
+    first: &Segment<'a>,
+    second: &Segment<'a>,
     product: Product,
     scratch: &mut Scratch,
-) -> Option<Segment> {
+) -> Option<Segment<'a>> {
     if first.controls == second.controls {
-        let union = union_sorted(&first.targets, &second.targets);
+        let union = union_of(&first.targets, &second.targets);
         // Nested targets fuse for free: the fused op is no bigger than one
         // the circuit already contained.
-        let nested = union == first.targets || union == second.targets;
+        let nested = union.len() == first.targets.len() || union.len() == second.targets.len();
         if let (Body::Diag(da), Body::Diag(db)) = (&first.body, &second.body) {
             if !nested && union.len() > MAX_DIAGONAL_QUBITS {
                 return None;
@@ -551,35 +752,42 @@ fn try_fuse(
             return Some(Segment {
                 controls: first.controls.clone(),
                 targets: union,
-                body: Body::Diag(table),
+                body: Body::Diag(Cow::Owned(table)),
                 pristine: None,
+                shared: None,
             });
         }
         if !nested && union.len() > MAX_FUSED_QUBITS {
             return None;
         }
         let block = embed_dense(dense_of(first), &first.targets, &union);
-        let fused = product(&dense_of(second), &second.targets, &union, &block, scratch);
+        let m = dense_of(second);
+        let fused = match second.shared {
+            Some(entry) => scratch.shared_product(entry, &m, &second.targets, &union, &block),
+            None => product(&m, &second.targets, &union, &block, scratch),
+        };
         return Some(Segment {
             controls: first.controls.clone(),
             targets: union,
-            body: Body::Dense(fused),
+            body: Body::Dense(Cow::Owned(fused)),
             pristine: None,
+            shared: None,
         });
     }
     // Mask-densifying fusion: ops with different control sets fuse by
     // embedding each as an *uncontrolled* block-diagonal matrix over its
     // controls ∪ targets (identity wherever its controls are unsatisfied).
-    let sa = union_sorted(&first.controls, &first.targets);
-    let sb = union_sorted(&second.controls, &second.targets);
     // Only attempted on overlapping supports — fusing disjoint ops saves
     // nothing and would block commuting hops (and later cancellations) —
     // and always within the dense cap, since the fused op trades the cheap
     // control-subspace enumeration for a full dense sweep.  The caller's
     // cost gate decides whether that trade pays.
-    if disjoint(&sa, &sb) {
+    let support = |seg: &Segment| seg.controls.len() + seg.targets.len();
+    if support(first).max(support(second)) > MAX_FUSED_QUBITS || disjoint(first, second) {
         return None;
     }
+    let sa = union_sorted(&first.controls, &first.targets);
+    let sb = union_sorted(&second.controls, &second.targets);
     let union = union_sorted(&sa, &sb);
     if union.len() > MAX_FUSED_QUBITS {
         return None;
@@ -587,10 +795,11 @@ fn try_fuse(
     let block = embed_dense(Cow::Owned(controlled_dense(first)), &sa, &union);
     let fused = product(&controlled_dense(second), &sb, &union, &block, scratch);
     Some(Segment {
-        controls: Vec::new(),
-        targets: union,
-        body: Body::Dense(fused),
+        controls: Cow::Borrowed(&[]),
+        targets: Cow::Owned(union),
+        body: Body::Dense(Cow::Owned(fused)),
         pristine: None,
+        shared: None,
     })
 }
 
@@ -599,12 +808,8 @@ fn try_fuse(
 /// identity elsewhere.
 fn controlled_dense(seg: &Segment) -> Planar {
     let qubits = union_sorted(&seg.controls, &seg.targets);
-    let cmask: usize = positions(&seg.controls, &qubits)
-        .iter()
-        .map(|&p| 1usize << p)
-        .sum();
-    let tpos = positions(&seg.targets, &qubits);
-    let tmask: usize = tpos.iter().map(|&p| 1usize << p).sum();
+    let cmask = mask_of(&seg.controls, &qubits);
+    let tmask = mask_of(&seg.targets, &qubits);
     let m = dense_of(seg);
     let dim = 1usize << qubits.len();
     Planar::from_fn(dim, dim, |r, c| {
@@ -618,7 +823,7 @@ fn controlled_dense(seg: &Segment) -> Planar {
         } else if (r ^ c) & !tmask != 0 {
             ZERO
         } else {
-            m.get(gather_bits(r, &tpos), gather_bits(c, &tpos))
+            m.get(extract(r, tmask), extract(c, tmask))
         }
     })
 }
@@ -642,7 +847,7 @@ fn sweep_cost(seg: &Segment, len: usize) -> usize {
         Body::Diag(_) => (len >> c, units.diagk),
         Body::Dense(_) => {
             let k = seg.targets.len();
-            let unit = match seg.pristine.as_ref().map(|op| &op.gate) {
+            let unit = match seg.pristine.map(|op| &op.gate) {
                 // Permutation kernels move amplitudes without arithmetic.
                 Some(Gate::X) | Some(Gate::Swap) => units.perm,
                 // The generic k ≥ 2 kernel pays a gather/scatter and strided
@@ -660,21 +865,20 @@ fn sweep_cost(seg: &Segment, len: usize) -> usize {
 /// True when the two segments are guaranteed to commute: disjoint supports
 /// (controls included), or both diagonal in the computational basis.
 fn commutes(a: &Segment, b: &Segment) -> bool {
-    if matches!(a.body, Body::Diag(_)) && matches!(b.body, Body::Diag(_)) {
-        return true;
-    }
-    let sa = union_sorted(&a.controls, &a.targets);
-    let sb = union_sorted(&b.controls, &b.targets);
-    disjoint(&sa, &sb)
+    matches!((&a.body, &b.body), (Body::Diag(_), Body::Diag(_))) || disjoint(a, b)
 }
 
 /// Emit a segment back as an operation.
 fn emit(seg: Segment) -> Operation {
     if let Some(op) = seg.pristine {
-        return op;
+        return op.clone();
     }
     let matrix = dense_of(&seg).to_cmatrix();
-    Operation::new(Gate::Unitary(matrix), seg.targets, seg.controls)
+    Operation::new(
+        Gate::Unitary(matrix),
+        seg.targets.into_owned(),
+        seg.controls.into_owned(),
+    )
 }
 
 /// Run the fusion/diagonal-merging pass, returning the rewritten circuit:
@@ -693,11 +897,17 @@ pub fn optimize_circuit(circuit: &Circuit, _opts: &FusionOptions) -> Circuit {
 /// width, so a small circuit compiled for a big register keeps its cheap
 /// structured sweeps instead of densifying.
 pub fn optimize_circuit_for(circuit: &Circuit, num_qubits: usize) -> Circuit {
-    fuse_with(circuit, num_qubits, apply_embedded)
+    fuse_ops(circuit, num_qubits, apply_embedded, &Memo::of(circuit))
 }
 
-/// The fusion pass, forming each fused matrix with `product`.
-fn fuse_with(circuit: &Circuit, num_qubits: usize, product: Product) -> Circuit {
+/// The fusion pass, taking each op's segment from `memo` and forming each
+/// fused matrix with `product`.
+fn fuse_ops<'a>(
+    circuit: &'a Circuit,
+    num_qubits: usize,
+    product: Product,
+    memo: &Memo<'a>,
+) -> Circuit {
     assert!(
         circuit.num_qubits() <= num_qubits,
         "circuit needs {} qubits, register has {}",
@@ -709,8 +919,8 @@ fn fuse_with(circuit: &Circuit, num_qubits: usize, product: Product) -> Circuit 
     let cost = |seg: &Segment| sweep_cost(seg, len);
     let mut out: Vec<Segment> = Vec::new();
     let mut scratch = Scratch::default();
-    'ops: for op in circuit.operations() {
-        let Some(seg) = segment_of(op) else {
+    'ops: for (i, op) in circuit.operations().iter().enumerate() {
+        let Some(seg) = memo.segment_of(i, op) else {
             continue; // identity
         };
         let lo = out.len().saturating_sub(LOOKBACK);
@@ -730,8 +940,11 @@ fn fuse_with(circuit: &Circuit, num_qubits: usize, product: Product) -> Circuit 
                             .saturating_add(cost(&seg))
                             .saturating_add(OP_OVERHEAD_COST);
                         if cost(&f) <= split {
-                            // The replaced body takes the next product.
-                            if let Body::Dense(old) = std::mem::replace(&mut out[j], f).body {
+                            // The replaced body, unless borrowed from the
+                            // memo, takes the next product.
+                            if let Body::Dense(Cow::Owned(old)) =
+                                std::mem::replace(&mut out[j], f).body
+                            {
                                 scratch.spare = old;
                             }
                             continue 'ops;
@@ -790,6 +1003,12 @@ mod tests {
     /// The fusion pass at the circuit's own width.
     fn fuse(c: &Circuit) -> Circuit {
         optimize_circuit_for(c, c.num_qubits())
+    }
+
+    /// The fusion pass with no memo, every op building its own segment,
+    /// forming each fused matrix with `product`.
+    fn fuse_with(circuit: &Circuit, num_qubits: usize, product: Product) -> Circuit {
+        fuse_ops(circuit, num_qubits, product, &Memo::default())
     }
 
     /// The row-apply's oracle: the embedded matrix times the block, by the
@@ -859,10 +1078,8 @@ mod tests {
             let (mut same_controls, mut mask_densified) = (0, 0);
             let mut scratch = Scratch::default();
             for _ in 0..2000 {
-                let (Some(a), Some(b)) = (
-                    segment_of(&random_op(4, &mut rng)),
-                    segment_of(&random_op(4, &mut rng)),
-                ) else {
+                let ops = [random_op(4, &mut rng), random_op(4, &mut rng)];
+                let (Some(a), Some(b)) = (segment_of(&ops[0]), segment_of(&ops[1])) else {
                     continue;
                 };
                 let fast = with_tier(tier, || try_fuse(&a, &b, apply_embedded, &mut scratch));
@@ -1080,6 +1297,111 @@ mod tests {
         let fused = fuse(&raw);
         assert_eq!(fused.len(), 5);
         assert_bit_identical(&fused, &fuse_with(&raw, raw.num_qubits(), embedded_product));
+    }
+
+    /// The circuit of `circuit_exact_qsvt_circuit_fuses_bit_identically_to_the_oracle`,
+    /// carried over serialized, so its 234 block-encoding calls hold
+    /// separate copies of U and U†.
+    fn circuit_exact_circuit() -> Circuit {
+        use qls_encoding::DilationBlockEncoding;
+        use qls_linalg::{random_matrix_with_cond, MatrixEnsemble, SingularValueDistribution, Svd};
+        use qls_qsvt::{find_phases, PhaseFindingOptions, QsvtCircuit};
+        let a = random_matrix_with_cond(
+            16,
+            8.0,
+            SingularValueDistribution::Geometric,
+            MatrixEnsemble::General,
+            &mut ChaCha8Rng::seed_from_u64(1),
+        );
+        let svd = Svd::new(&a);
+        let poly = qls_poly::InversePolynomial::new(svd.cond(), 0.05);
+        let phases = find_phases(&poly.series, &PhaseFindingOptions).expect("phases");
+        let be = DilationBlockEncoding::of_adjoint(&a, svd.norm2());
+        let qsvt = QsvtCircuit::with_real_part_extraction(&be, &phases.phases);
+        Circuit::deserialize(&qsvt.circuit().serialize()).expect("circuit")
+    }
+
+    #[test]
+    fn block_encodings_sharing_storage_fuse_bit_identically_to_the_unshared_oracle() {
+        // The QSVT builder's circuit shares U's and U†'s storage among
+        // their 234 calls, as the memo finds it: re-share the serialized
+        // copy's equal matrices (each repeat a clone of its first
+        // occurrence) and fuse it, against the oracle pass on the copy.
+        let unshared = circuit_exact_circuit();
+        let mut firsts: Vec<CMatrix> = Vec::new();
+        let mut shared = Circuit::new(unshared.num_qubits());
+        for op in unshared.operations() {
+            let gate = match &op.gate {
+                Gate::Unitary(m) => match firsts.iter().find(|first| *first == m) {
+                    Some(first) => Gate::Unitary(first.clone()),
+                    None => {
+                        firsts.push(m.clone());
+                        op.gate.clone()
+                    }
+                },
+                gate => gate.clone(),
+            };
+            shared.push(Operation::new(
+                gate,
+                op.targets.clone(),
+                op.controls.clone(),
+            ));
+        }
+        let calls = shared
+            .operations()
+            .iter()
+            .filter(|op| match &op.gate {
+                Gate::Unitary(m) => firsts.iter().any(|first| first.shares_storage(m)),
+                _ => false,
+            })
+            .count();
+        assert_eq!((firsts.len(), calls), (2, 234), "U and U†, 117 calls each");
+        let n = shared.num_qubits();
+        let fused = optimize_circuit_for(&shared, n);
+        assert_eq!(fused.len(), 5);
+        assert_bit_identical(&fused, &fuse_with(&unshared, n, embedded_product));
+    }
+
+    #[test]
+    fn a_matrix_repeated_on_two_placements_fuses_bit_identically_to_the_oracle() {
+        // One dense 8×8 matrix, shared by storage, on two target orders
+        // under two control sets, among random ops and 4-qubit dense ops
+        // that take it onto a larger fused support: each placement needs
+        // its own segment and each fused support its own row terms.
+        let mut rng = ChaCha8Rng::seed_from_u64(28);
+        let placements = [(vec![0, 1, 2], vec![]), (vec![2, 0, 1], vec![4])];
+        for _ in 0..40 {
+            let n = 6;
+            let m = monomial(3, &mut rng).matmul(
+                &Gate::H
+                    .matrix()
+                    .kron(&Gate::Rx(rng.gen_range(-3.0..3.0)).matrix())
+                    .kron(&Gate::Ry(rng.gen_range(-3.0..3.0)).matrix()),
+            );
+            let mut c = Circuit::new(n);
+            for _ in 0..40 {
+                let (targets, controls) = &placements[rng.gen_range(0..2usize)];
+                match rng.gen_range(0..5u32) {
+                    0 | 1 => c.push(Operation::new(
+                        Gate::Unitary(m.clone()),
+                        targets.clone(),
+                        controls.clone(),
+                    )),
+                    2 => c.push(Operation::new(
+                        Gate::Unitary(monomial(4, &mut rng).matmul(&walsh(4))),
+                        vec![3, 1, 0, 2],
+                        controls.clone(),
+                    )),
+                    _ => c.push(random_op(n, &mut rng)),
+                };
+            }
+            for width in [n, 14] {
+                assert_bit_identical(
+                    &optimize_circuit_for(&c, width),
+                    &fuse_with(&c, width, embedded_product),
+                );
+            }
+        }
     }
 
     fn assert_equivalent(raw: &Circuit) -> Circuit {

@@ -69,85 +69,7 @@ impl Gate {
 
     /// The gate's unitary matrix (dimension `2^arity`).
     pub fn matrix(&self) -> CMatrix {
-        let inv_sqrt2 = 1.0 / 2f64.sqrt();
         match self {
-            Gate::I => CMatrix::identity(2),
-            Gate::X => CMatrix::from_vec(2, 2, vec![c(0., 0.), c(1., 0.), c(1., 0.), c(0., 0.)]),
-            Gate::Y => CMatrix::from_vec(2, 2, vec![c(0., 0.), c(0., -1.), c(0., 1.), c(0., 0.)]),
-            Gate::Z => CMatrix::from_vec(2, 2, vec![c(1., 0.), c(0., 0.), c(0., 0.), c(-1., 0.)]),
-            Gate::H => CMatrix::from_vec(
-                2,
-                2,
-                vec![
-                    c(inv_sqrt2, 0.),
-                    c(inv_sqrt2, 0.),
-                    c(inv_sqrt2, 0.),
-                    c(-inv_sqrt2, 0.),
-                ],
-            ),
-            Gate::S => CMatrix::from_vec(2, 2, vec![c(1., 0.), c(0., 0.), c(0., 0.), c(0., 1.)]),
-            Gate::Sdg => CMatrix::from_vec(2, 2, vec![c(1., 0.), c(0., 0.), c(0., 0.), c(0., -1.)]),
-            Gate::T => CMatrix::from_vec(
-                2,
-                2,
-                vec![
-                    c(1., 0.),
-                    c(0., 0.),
-                    c(0., 0.),
-                    c(
-                        std::f64::consts::FRAC_1_SQRT_2,
-                        std::f64::consts::FRAC_1_SQRT_2,
-                    ),
-                ],
-            ),
-            Gate::Tdg => CMatrix::from_vec(
-                2,
-                2,
-                vec![
-                    c(1., 0.),
-                    c(0., 0.),
-                    c(0., 0.),
-                    c(
-                        std::f64::consts::FRAC_1_SQRT_2,
-                        -std::f64::consts::FRAC_1_SQRT_2,
-                    ),
-                ],
-            ),
-            Gate::Rx(theta) => {
-                let (s, cos) = (theta / 2.0).sin_cos();
-                CMatrix::from_vec(2, 2, vec![c(cos, 0.), c(0., -s), c(0., -s), c(cos, 0.)])
-            }
-            Gate::Ry(theta) => {
-                let (s, cos) = (theta / 2.0).sin_cos();
-                CMatrix::from_vec(2, 2, vec![c(cos, 0.), c(-s, 0.), c(s, 0.), c(cos, 0.)])
-            }
-            Gate::Rz(theta) => {
-                let half = theta / 2.0;
-                CMatrix::from_vec(
-                    2,
-                    2,
-                    vec![
-                        Complex64::from_polar(1.0, -half),
-                        c(0., 0.),
-                        c(0., 0.),
-                        Complex64::from_polar(1.0, half),
-                    ],
-                )
-            }
-            Gate::Phase(phi) => CMatrix::from_vec(
-                2,
-                2,
-                vec![
-                    c(1., 0.),
-                    c(0., 0.),
-                    c(0., 0.),
-                    Complex64::from_polar(1.0, *phi),
-                ],
-            ),
-            Gate::GlobalPhase(phi) => {
-                let p = Complex64::from_polar(1.0, *phi);
-                CMatrix::from_vec(2, 2, vec![p, c(0., 0.), c(0., 0.), p])
-            }
             Gate::Swap => {
                 let mut m = CMatrix::zeros(4, 4);
                 m[(0, 0)] = c(1., 0.);
@@ -157,7 +79,74 @@ impl Gate {
                 m
             }
             Gate::Unitary(m) => m.clone(),
+            one_qubit => {
+                let entries = one_qubit.matrix2().expect("a one-qubit named gate");
+                CMatrix::from_vec(2, 2, entries.to_vec())
+            }
         }
+    }
+
+    /// The row-major 2×2 matrix of a one-qubit named gate, on the stack:
+    /// [`Gate::matrix`]'s entries without its allocation.  `None` for `Swap`
+    /// and `Unitary`.
+    pub(crate) fn matrix2(&self) -> Option<[Complex64; 4]> {
+        let inv_sqrt2 = 1.0 / 2f64.sqrt();
+        let zero = c(0., 0.);
+        Some(match self {
+            Gate::I => [c(1., 0.), zero, zero, c(1., 0.)],
+            Gate::X => [zero, c(1., 0.), c(1., 0.), zero],
+            Gate::Y => [zero, c(0., -1.), c(0., 1.), zero],
+            Gate::Z => [c(1., 0.), zero, zero, c(-1., 0.)],
+            Gate::H => [
+                c(inv_sqrt2, 0.),
+                c(inv_sqrt2, 0.),
+                c(inv_sqrt2, 0.),
+                c(-inv_sqrt2, 0.),
+            ],
+            Gate::S => [c(1., 0.), zero, zero, c(0., 1.)],
+            Gate::Sdg => [c(1., 0.), zero, zero, c(0., -1.)],
+            Gate::T => [
+                c(1., 0.),
+                zero,
+                zero,
+                c(
+                    std::f64::consts::FRAC_1_SQRT_2,
+                    std::f64::consts::FRAC_1_SQRT_2,
+                ),
+            ],
+            Gate::Tdg => [
+                c(1., 0.),
+                zero,
+                zero,
+                c(
+                    std::f64::consts::FRAC_1_SQRT_2,
+                    -std::f64::consts::FRAC_1_SQRT_2,
+                ),
+            ],
+            Gate::Rx(theta) => {
+                let (s, cos) = (theta / 2.0).sin_cos();
+                [c(cos, 0.), c(0., -s), c(0., -s), c(cos, 0.)]
+            }
+            Gate::Ry(theta) => {
+                let (s, cos) = (theta / 2.0).sin_cos();
+                [c(cos, 0.), c(-s, 0.), c(s, 0.), c(cos, 0.)]
+            }
+            Gate::Rz(theta) => {
+                let half = theta / 2.0;
+                [
+                    Complex64::from_polar(1.0, -half),
+                    zero,
+                    zero,
+                    Complex64::from_polar(1.0, half),
+                ]
+            }
+            Gate::Phase(phi) => [c(1., 0.), zero, zero, Complex64::from_polar(1.0, *phi)],
+            Gate::GlobalPhase(phi) => {
+                let p = Complex64::from_polar(1.0, *phi);
+                [p, zero, zero, p]
+            }
+            Gate::Swap | Gate::Unitary(_) => return None,
+        })
     }
 
     /// The adjoint (inverse) gate.
