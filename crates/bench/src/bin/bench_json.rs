@@ -23,8 +23,11 @@
 //! 4. an end-to-end hybrid refinement solve (Algorithm 2, circuit mode) on
 //!    the fused engine, plus the circuit-compile count inside the loop (from
 //!    the thread-local `qls_sim::circuit_compile_count`);
-//! 5. the multi-RHS workload: one refiner, many right-hand sides — batched
-//!    (`HybridRefiner::solve_many`) vs a sequential loop of `solve`;
+//! 5. the multi-RHS workload: one refiner, many right-hand sides —
+//!    `HybridRefiner::solve_many`, whose workers each pull the next whole
+//!    system, vs a sequential loop of `solve` on the calling thread.  Under
+//!    exact readout both compute the same bits, so on a machine with more
+//!    than one thread their ratio is the fan-out's speedup;
 //! 6. the structured-operator residual workload (`sparse_residual`): the
 //!    refinement-loop hot path `r = b − A x` on the 2-D Poisson problem
 //!    through the dense matrix and the CSR operator — the O(N²) vs O(nnz)

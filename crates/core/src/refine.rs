@@ -56,10 +56,10 @@
 use crate::error::QlsError;
 use crate::solver::{QsvtLinearSolver, QsvtSolverOptions, SolveCost};
 use qls_linalg::lu::LinalgError;
-use qls_linalg::{residual, FactorizableOperator, InnerSolver, Matrix, Vector};
+use qls_linalg::{par_map_pulled, residual, FactorizableOperator, InnerSolver, Matrix, Vector};
 use qls_qsvt::QsvtError;
 use qls_sim::fault::SharedFaultInjector;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 use std::sync::OnceLock;
 
 /// Recovery rung 1: plain re-runs of a failed correction solve.
@@ -549,23 +549,21 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
         }
     }
 
-    /// One guarded refinement step: health-check the candidate iterate of
-    /// the batched `primary` correction solve, and walk the recovery ladder
-    /// until a rung produces a healthy step or the ladder is exhausted.
+    /// One guarded refinement step: solve `A e = r` at accuracy ε_l,
+    /// health-check the candidate iterate, and walk the recovery ladder until
+    /// a rung produces a healthy step or the ladder is exhausted.
     ///
-    /// `x = None` marks the initial solve (the "correction" *is* the
-    /// iterate, and the contraction check does not apply — `prev_omega` is
-    /// `None`).  On the clean path (healthy primary, which is the only
-    /// possibility with recovery disabled and no faults) this performs
-    /// exactly the operations of the pre-recovery loop.
-    #[allow(clippy::too_many_arguments)]
+    /// `prev = None` marks the initial solve (the "correction" *is* the
+    /// iterate, and the contraction check does not apply); otherwise it holds
+    /// the current iterate and its scaled residual.  On the clean path
+    /// (healthy primary solve, which is the only possibility with recovery
+    /// disabled and no faults) this performs exactly the operations of the
+    /// pre-recovery loop.
     fn guarded_step<R: Rng>(
         &self,
         b: &Vector<f64>,
-        x: Option<&Vector<f64>>,
+        prev: Option<(&Vector<f64>, f64)>,
         r: &Vector<f64>,
-        prev_omega: Option<f64>,
-        primary: Attempt,
         iteration: usize,
         rng: &mut R,
         log: &mut RecoveryLog,
@@ -573,20 +571,25 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
         let mut best: Option<Candidate> = None;
         let mut pending: Option<HealthIssue> = None;
 
-        // Rungs run lazily: the loop returns on the first healthy attempt.
-        let rungs = self
-            .recovery_ladder()
-            .into_iter()
-            .map(|action| (Some(action), self.run_action(action, r, rng)));
-        for (action, attempt) in std::iter::once((None, primary)).chain(rungs) {
+        // The primary solve, then the rungs, lazily: the loop returns on the
+        // first healthy attempt.
+        let actions = std::iter::once(None).chain(self.recovery_ladder().into_iter().map(Some));
+        for action in actions {
+            let attempt = match action {
+                None => self
+                    .solver
+                    .solve(r, rng)
+                    .map(|res| (res.solution, res.cost)),
+                Some(action) => self.run_action(action, r, rng),
+            };
             let health: Result<Candidate, HealthIssue> = match attempt {
                 Err(e) => Err(HealthIssue::SolveFailed(failure_reason(&e))),
                 Ok((correction, cost)) => {
                     if !correction.iter().all(|v| v.is_finite()) {
                         Err(HealthIssue::NonFiniteCorrection)
                     } else {
-                        let candidate = match x {
-                            Some(x0) => {
+                        let candidate = match prev {
+                            Some((x0, _)) => {
                                 let mut c = x0.clone();
                                 c += &correction;
                                 c
@@ -597,11 +600,11 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
                         if !omega.is_finite() {
                             Err(HealthIssue::NonFiniteResidual)
                         } else {
-                            let healthy = match prev_omega {
+                            let healthy = match prev {
                                 None => true,
-                                Some(prev) => {
+                                Some((_, prev_omega)) => {
                                     omega <= self.options.target_epsilon
-                                        || omega <= prev * CONTRACTION_TOLERANCE
+                                        || omega <= prev_omega * CONTRACTION_TOLERANCE
                                 }
                             };
                             let candidate = Candidate {
@@ -685,11 +688,11 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
         }
     }
 
-    /// Run Algorithm 2 for the right-hand side `b`: [`HybridRefiner::solve_many`]
-    /// on `[b]`.
+    /// Run Algorithm 2 for the right-hand side `b`, drawing any sampled
+    /// readout from `rng`.
     ///
-    /// `Err` is reserved for malformed inputs (a non-finite, all-zero or
-    /// wrong-length `b`); every runtime failure of the loop itself — solver
+    /// `Err` is reserved for malformed input: a wrong-length, non-finite or
+    /// all-zero `b`.  Every runtime failure of the loop itself — solver
     /// errors, injected faults, an exhausted recovery ladder — is reported
     /// **in-band** as [`HybridStatus::Failed`] with the partial history
     /// preserved, so multi-system callers and services can inspect what
@@ -699,160 +702,127 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
         b: &Vector<f64>,
         rng: &mut R,
     ) -> Result<(Vector<f64>, HybridHistory), QlsError> {
-        self.solve_many(std::slice::from_ref(b), rng)?
-            .pop()
-            .ok_or(QlsError::Qsvt(QsvtError::Internal(
-                "one result per right-hand side",
-            )))
+        self.check_right_hand_side(b)?;
+        Ok(self.refine(b, rng))
     }
 
     /// Run Algorithm 2 for **many** right-hand sides against the same matrix
     /// — the multi-RHS workload (e.g. a Poisson problem under several
-    /// forcing terms).  All systems share the one compiled QSVT circuit, and
-    /// each round of the refinement loop (the initial solve is round 0)
-    /// batches the inner solves of every still-active system through the
-    /// inner solver's batched solve (coarse-grained thread fan-out across
-    /// the batch in circuit mode).
+    /// forcing terms).  All systems share the one compiled QSVT circuit.
     ///
-    /// A malformed right-hand side (wrong length, non-finite or all zeros)
-    /// rejects the whole call before any solve.  Runtime failures are
-    /// **per-system**: one failed post-selection or injected fault only
-    /// sends that system through the recovery ladder (or marks it
-    /// [`HybridStatus::Failed`]) — its siblings keep refining.
+    /// Any malformed right-hand side (as for [`HybridRefiner::solve`])
+    /// rejects the whole call before any solve and before `rng` is touched;
+    /// that is the only `Err`.  Then system `k` gets a stream of its own,
+    /// `R::seed_from_u64(s_k)` with `s_k` the `k`-th `next_u64` of `rng`,
+    /// and its result equals `solve(&bs[k], &mut R::seed_from_u64(s_k))`
+    /// bit for bit.  Runtime failures are therefore per-system: one failed
+    /// post-selection or injected fault only sends that system through the
+    /// recovery ladder (or marks it [`HybridStatus::Failed`]).
     ///
-    /// With exact readout (`shots: None`) the returned solutions and
-    /// histories are identical to calling [`HybridRefiner::solve`] per
-    /// right-hand side; with finite-shot sampling the RNG is consumed in
-    /// batch order instead of per-system order.
-    pub fn solve_many<R: Rng>(
+    /// Systems run whole, one per worker at a time, on up to
+    /// `rayon::current_num_threads()` workers that pull the next system as
+    /// they finish one; results come back in input order and do not depend
+    /// on the worker count.  With a fault injector attached the systems run
+    /// one after another in input order on the calling thread, because the
+    /// injector is one stream of device runs: system 0's runs come first.
+    /// With exact readout (`shots: None`) no stream is read, so each result
+    /// also equals `solve(&bs[k], rng)`.
+    pub fn solve_many<R: Rng + SeedableRng>(
         &self,
         bs: &[Vector<f64>],
         rng: &mut R,
     ) -> Result<Vec<(Vector<f64>, HybridHistory)>, QlsError> {
         for b in bs {
-            if b.len() != self.solver.operator().nrows() {
-                return Err(QlsError::Linalg(LinalgError::DimensionMismatch));
-            }
-            if !b.iter().all(|v| v.is_finite()) {
-                return Err(QlsError::NonFinite {
-                    boundary: "right-hand side",
-                });
-            }
-            if b.iter().all(|&v| v == 0.0) {
-                return Err(QlsError::Qsvt(QsvtError::InvalidInput(
-                    "zero right-hand side",
-                )));
-            }
+            self.check_right_hand_side(b)?;
         }
+        let seeds: Vec<u64> = bs.iter().map(|_| rng.next_u64()).collect();
+        let max_workers = if self.fault.is_some() { 1 } else { usize::MAX };
+        Ok(par_map_pulled(bs.len(), max_workers, |k| {
+            self.refine(&bs[k], &mut R::seed_from_u64(seeds[k]))
+        }))
+    }
+
+    /// Reject a right-hand side the loop cannot start from: wrong length,
+    /// non-finite or all zeros.
+    fn check_right_hand_side(&self, b: &Vector<f64>) -> Result<(), QlsError> {
+        if b.len() != self.solver.operator().nrows() {
+            return Err(QlsError::Linalg(LinalgError::DimensionMismatch));
+        }
+        if !b.iter().all(|v| v.is_finite()) {
+            return Err(QlsError::NonFinite {
+                boundary: "right-hand side",
+            });
+        }
+        if b.iter().all(|&v| v == 0.0) {
+            return Err(QlsError::Qsvt(QsvtError::InvalidInput(
+                "zero right-hand side",
+            )));
+        }
+        Ok(())
+    }
+
+    /// The refinement loop of one checked right-hand side.
+    fn refine<R: Rng>(&self, b: &Vector<f64>, rng: &mut R) -> (Vector<f64>, HybridHistory) {
         let kappa = self.solver.kappa();
         let epsilon_l = self.options.epsilon_l;
         let contraction = (epsilon_l * kappa).min(1.0);
-
-        struct System {
-            x: Vector<f64>,
-            /// The right-hand side of the next inner solve: `b` in round 0,
-            /// then the residual `b − A x` the last step's guard formed.
-            r: Vector<f64>,
-            steps: Vec<HybridStep>,
-            status: Option<HybridStatus>,
-            prev_omega: f64,
-            streak: usize,
-            log: RecoveryLog,
-        }
-        let mut systems: Vec<System> = bs
-            .iter()
-            .map(|b| System {
-                x: Vector::zeros(b.len()),
-                r: b.clone(),
-                steps: Vec::new(),
-                status: None,
-                prev_omega: f64::INFINITY,
-                streak: 0,
-                log: RecoveryLog::default(),
-            })
-            .collect();
-
+        let mut x = Vector::zeros(b.len());
+        // The right-hand side of the next inner solve: `b` for the initial
+        // solve, then the residual `b − A x` the last step's guard formed.
+        let mut r = b.clone();
+        let mut steps: Vec<HybridStep> = Vec::new();
+        let mut log = RecoveryLog::default();
+        let mut streak = 0;
+        let mut status = None;
         for it in 0..=self.options.max_iterations {
-            // CPU: the right-hand side of every active system's inner solve —
-            // `b` itself in round 0, then the high-precision residual
-            // `b − A x` that the previous step's guard already formed
-            // (boundary-guarded per system).
-            let mut batch: Vec<usize> = Vec::with_capacity(systems.len());
-            let mut residuals: Vec<Vector<f64>> = Vec::with_capacity(systems.len());
-            for (k, sys) in systems.iter_mut().enumerate() {
-                if sys.status.is_some() {
-                    continue;
-                }
-                let r = std::mem::replace(&mut sys.r, Vector::zeros(0));
-                if r.iter().all(|v| v.is_finite()) {
-                    batch.push(k);
-                    residuals.push(r);
-                } else {
-                    sys.status = Some(HybridStatus::Failed {
-                        reason: FailureReason::NonFiniteResidual,
-                    });
-                }
-            }
-            if batch.is_empty() {
+            // CPU boundary guard on the high-precision residual.
+            if !r.iter().all(|v| v.is_finite()) {
+                status = Some(HybridStatus::Failed {
+                    reason: FailureReason::NonFiniteResidual,
+                });
                 break;
             }
-            // QPU: one batched round of inner solves at accuracy ε_l, with
-            // per-system verdicts feeding the per-system guard.
-            let solves = self.solver.solve_many(&residuals, rng);
-            for ((&k, r), solve) in batch.iter().zip(&residuals).zip(solves) {
-                let sys = &mut systems[k];
-                let primary = solve.map(|res| (res.solution, res.cost));
-                let (x, prev_omega) = if it == 0 {
-                    (None, None)
-                } else {
-                    (Some(&sys.x), Some(sys.prev_omega))
-                };
-                let step =
-                    self.guarded_step(&bs[k], x, r, prev_omega, primary, it, rng, &mut sys.log);
-                let (Candidate { x, r, omega, cost }, stalled) = match step {
-                    StepResult::Accepted(candidate) => (candidate, false),
-                    StepResult::BestEffort(candidate) => (candidate, true),
-                    StepResult::Dead { reason } => {
-                        sys.status = Some(HybridStatus::Failed { reason });
-                        continue;
-                    }
-                };
-                sys.x = x;
-                sys.r = r;
-                sys.steps.push(HybridStep {
-                    iteration: it,
-                    scaled_residual: omega,
-                    theoretical_bound: contraction.powi(it as i32 + 1),
-                    cost,
-                });
-                sys.prev_omega = omega;
-                if stalled {
-                    sys.streak += 1;
-                    if sys.streak >= STAGNATION_WINDOW {
-                        sys.status = Some(HybridStatus::Stagnated);
-                    }
-                } else if omega <= self.options.target_epsilon {
-                    sys.status = Some(Self::success_status(&sys.log));
-                } else {
-                    sys.streak = 0;
+            // QPU: the inner solve at accuracy ε_l, guarded.
+            let prev = steps.last().map(|s| (&x, s.scaled_residual));
+            let (candidate, stalled) = match self.guarded_step(b, prev, &r, it, rng, &mut log) {
+                StepResult::Accepted(candidate) => (candidate, false),
+                StepResult::BestEffort(candidate) => (candidate, true),
+                StepResult::Dead { reason } => {
+                    status = Some(HybridStatus::Failed { reason });
+                    break;
                 }
+            };
+            let omega = candidate.omega;
+            x = candidate.x;
+            r = candidate.r;
+            steps.push(HybridStep {
+                iteration: it,
+                scaled_residual: omega,
+                theoretical_bound: contraction.powi(it as i32 + 1),
+                cost: candidate.cost,
+            });
+            if stalled {
+                streak += 1;
+                if streak >= STAGNATION_WINDOW {
+                    status = Some(HybridStatus::Stagnated);
+                    break;
+                }
+            } else if omega <= self.options.target_epsilon {
+                status = Some(Self::success_status(&log));
+                break;
+            } else {
+                streak = 0;
             }
         }
-
-        Ok(systems
-            .into_iter()
-            .map(|sys| {
-                let history = HybridHistory {
-                    steps: sys.steps,
-                    status: sys.status.unwrap_or(HybridStatus::MaxIterations),
-                    kappa,
-                    epsilon_l,
-                    target_epsilon: self.options.target_epsilon,
-                    recovery: sys.log,
-                };
-                (sys.x, history)
-            })
-            .collect())
+        let history = HybridHistory {
+            steps,
+            status: status.unwrap_or(HybridStatus::MaxIterations),
+            kappa,
+            epsilon_l,
+            target_epsilon: self.options.target_epsilon,
+            recovery: log,
+        };
+        (x, history)
     }
 }
 
@@ -1081,12 +1051,14 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(17);
         let before_solve = qls_sim::circuit_compile_count();
         let (_, history) = refiner.solve(&b, &mut rng).unwrap();
-        let (_, _) = (
-            refiner
-                .solve_many(&[b.clone(), b.clone()], &mut rng)
-                .unwrap(),
-            (),
-        );
+        // `solve_many` fans its systems out; at one worker they all run on
+        // this thread, where the counter sees them.
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap()
+            .install(|| refiner.solve_many(&[b.clone(), b.clone()], &mut rng))
+            .unwrap();
         assert_eq!(
             qls_sim::circuit_compile_count(),
             before_solve,
@@ -1297,8 +1269,7 @@ mod tests {
     #[test]
     fn wrong_length_right_hand_side_is_an_error_at_every_entry_point() {
         // The same holds for an all-zero right-hand side, which has no state
-        // `b/‖b‖` to prepare: a typed error in both modes, and in a batched
-        // inner solve only its own system fails.
+        // `b/‖b‖` to prepare: a typed error in both modes.
         let (a, b) = system(2.0, 4, 166);
         let short = Vector::from_f64_slice(&[0.25; 2]);
         let zero = Vector::zeros(4);
@@ -1339,9 +1310,6 @@ mod tests {
                 .solve_many(&[b.clone(), zero.clone()], &mut rng)
                 .is_err_and(|e| zero_rhs(&e)));
             assert!(solver.solve(&zero, &mut rng).is_err_and(|e| zero_rhs(&e)));
-            let batch = solver.solve_many(&[b.clone(), zero.clone(), b.clone()], &mut rng);
-            assert!(batch[0].is_ok() && batch[2].is_ok(), "{mode:?}");
-            assert!(batch[1].as_ref().is_err_and(zero_rhs), "{mode:?}");
         }
     }
 

@@ -180,58 +180,22 @@ impl<Op: LinearOperator<f64>> QsvtLinearSolver<Op> {
     /// reads exact amplitudes; `Some(0)` is a `QsvtError::InvalidInput`).
     /// This is the recovery ladder's shot-escalation rung: the same prepared
     /// solver, more measurements.
+    ///
+    /// Guards the readout boundary: a non-finite direction (e.g. a
+    /// NaN-poisoned register from an injected fault) is reported as
+    /// [`QlsError::NonFinite`] instead of leaking into the refinement loop.
     pub(crate) fn solve_with_shots<R: Rng>(
         &self,
         b: &Vector<f64>,
-        shots: Option<usize>,
-        rng: &mut R,
-    ) -> Result<QsvtSolveResult, QlsError> {
-        check_shots(shots)?;
-        check_right_hand_side(b, self.operator.nrows())?;
-        // Quantum solve: direction of the solution, through the compiled-once
-        // circuit.
-        let (direction, success_probability) = self.inverter.solve_direction(b)?;
-        self.finish_solve(b, direction, success_probability, shots, rng)
-    }
-
-    /// Solve `A x = b_k` for **many** right-hand sides, reusing the one
-    /// compiled QSVT circuit across the whole batch
-    /// (`QsvtInverter::solve_direction_batch_checked`, which fans the
-    /// registers out across threads in circuit mode).  Results are identical
-    /// to calling [`QsvtLinearSolver::solve`] per right-hand side in order.
-    /// Each system gets its own verdict: one wrong-length or all-zero
-    /// right-hand side, failed post-selection or injected fault only fails
-    /// that system, and every other system still returns its solution.
-    pub(crate) fn solve_many<R: Rng>(
-        &self,
-        bs: &[Vector<f64>],
-        rng: &mut R,
-    ) -> Vec<Result<QsvtSolveResult, QlsError>> {
-        let directions = self.inverter.solve_direction_batch_checked(bs);
-        bs.iter()
-            .zip(directions)
-            .map(|(b, outcome)| {
-                check_right_hand_side(b, self.operator.nrows())?;
-                let (direction, success) = outcome?;
-                self.finish_solve(b, direction, success, self.options.shots, rng)
-            })
-            .collect()
-    }
-
-    /// Classical pre/post-processing shared by the single and batched solve:
-    /// state-preparation accounting, optional finite-shot readout (with a
-    /// per-call shot override), Brent norm recovery (Remark 2) and the cost
-    /// record.  Guards the readout boundary: a non-finite direction (e.g. a
-    /// NaN-poisoned register from an injected fault) is reported as
-    /// [`QlsError::NonFinite`] instead of leaking into the refinement loop.
-    fn finish_solve<R: Rng>(
-        &self,
-        b: &Vector<f64>,
-        mut direction: Vector<f64>,
-        success_probability: f64,
         shots_override: Option<usize>,
         rng: &mut R,
     ) -> Result<QsvtSolveResult, QlsError> {
+        check_shots(shots_override)?;
+        check_right_hand_side(b, self.operator.nrows())?;
+        // Quantum solve: direction of the solution, through the compiled-once
+        // circuit.
+        let (mut direction, success_probability) = self.inverter.solve_direction(b)?;
+
         // Classical pre-processing: the state-preparation tree of b/‖b‖.
         let prep = StatePreparation::new(b);
         let state_prep_flops = prep.classical_flops;

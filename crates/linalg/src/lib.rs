@@ -84,7 +84,7 @@ pub use inner::{
     InnerSolverKind, ThomasFactorization, DENSIFY_FALLBACK_MAX,
 };
 pub use lu::LuFactorization;
-pub use matrix::Matrix;
+pub use matrix::{par_map_pulled, Matrix};
 pub use operator::LinearOperator;
 pub use qr::QrFactorization;
 pub use refine::{ClassicalRefiner, RefinementHistory, RefinementOptions, RefinementStatus};

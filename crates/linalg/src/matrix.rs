@@ -14,6 +14,7 @@ use crate::simd;
 use crate::vector::Vector;
 use rayon::prelude::*;
 use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Minimum number of scalar multiply-adds before a kernel fans out across
 /// threads.
@@ -40,6 +41,61 @@ pub(crate) fn par_map_rows<T: Real>(
         (0..rows).map(f).collect()
     };
     Vector::from_vec(data)
+}
+
+/// Compute `f(k)` for every `k` in `0..len` and return the results in index
+/// order, on `rayon::current_num_threads()` workers capped at `max_workers`
+/// and at `len`.
+///
+/// Each worker pulls the next index from one shared counter and runs that
+/// item whole, so items of uneven cost balance themselves.  Nested parallel
+/// calls inside a worker run at width 1, so no second layer of threads
+/// starts.  With one worker every item runs inline on the calling thread, in
+/// index order.  When `f(k)` depends only on `k` the result is bit-identical
+/// at any worker count.
+pub fn par_map_pulled<T: Send>(
+    len: usize,
+    max_workers: usize,
+    f: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let workers = rayon::current_num_threads().min(max_workers).min(len);
+    if workers <= 1 {
+        return (0..len).map(f).collect();
+    }
+    // The counter only hands out indices; results travel through `join`.
+    let next = AtomicUsize::new(0);
+    let nested = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("a one-worker pool always builds");
+    let worker = || {
+        nested.install(|| {
+            let mut done = Vec::new();
+            loop {
+                let k = next.fetch_add(1, Ordering::Relaxed);
+                if k >= len {
+                    return done;
+                }
+                done.push((k, f(k)));
+            }
+        })
+    };
+    let mut slots: Vec<Option<T>> = (0..len).map(|_| None).collect();
+    std::thread::scope(|s| {
+        let spawned: Vec<_> = (1..workers).map(|_| s.spawn(worker)).collect();
+        let own = worker();
+        let parts = spawned.into_iter().map(|h| {
+            h.join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        });
+        for (k, value) in parts.chain([own]).flatten() {
+            slots[k] = Some(value);
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every index is pulled exactly once"))
+        .collect()
 }
 
 /// A dense row-major matrix over a [`Real`] scalar type.
@@ -569,6 +625,41 @@ mod tests {
             }
             assert!((c[(i, j)] - s).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn pulled_map_is_ordered_and_nests_at_width_one() {
+        // 24 items on 1, 2, 3 and 8 workers.  A barrier as wide as the
+        // fan-out makes every worker take one item per round, so each worker
+        // returns items of every round and only the index slots order them.
+        for threads in [1, 2, 3, 8] {
+            let round = std::sync::Barrier::new(threads);
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let got = pool.install(|| {
+                par_map_pulled(24, usize::MAX, |k| {
+                    round.wait();
+                    (k, rayon::current_num_threads())
+                })
+            });
+            let order: Vec<usize> = got.iter().map(|&(k, _)| k).collect();
+            assert_eq!(order, (0..24).collect::<Vec<_>>(), "threads = {threads}");
+            // Nested calls inside a worker run at width 1.
+            assert!(got.iter().all(|&(_, w)| w == 1), "threads = {threads}");
+        }
+        // One item, or a cap of one worker, runs inline at the caller's width.
+        let four = rayon::ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .unwrap();
+        let width = |_| rayon::current_num_threads();
+        assert_eq!(four.install(|| par_map_pulled(1, usize::MAX, width)), [4]);
+        assert_eq!(four.install(|| par_map_pulled(3, 1, width)), [4; 3]);
+        assert!(four
+            .install(|| par_map_pulled(0, usize::MAX, width))
+            .is_empty());
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! block-encoding, inversion polynomial, phase factors and compiled QSVT
 //! circuit never change — only the forcing term does.  This example builds
 //! the hybrid refiner **once** and solves `-u'' = f_k` for several forcing
-//! functions through `HybridRefiner::solve_many`, which batches every round
-//! of QSVT correction solves across the still-active systems (coarse-grained
-//! thread fan-out via `qls_sim::QuantumExecutor::run_batch`).
+//! functions through `HybridRefiner::solve_many`, which refines each system
+//! whole on one of its worker threads (workers pull the next forcing as
+//! they finish one).  Every system draws from its own RNG stream, so the
+//! output is the same at any thread count (`RAYON_NUM_THREADS=1` included).
 //!
 //! Run with `cargo run --example poisson1d_multirhs`.
 
@@ -75,10 +76,10 @@ fn main() {
         .map(|(_, f, _)| poisson_rhs::<f64>(n, f))
         .collect();
 
-    // Batched hybrid solve: all systems share the compiled circuit, each
-    // refinement round batches the correction solves of the active systems.
+    // Multi-RHS hybrid solve: all systems share the compiled circuit, and
+    // each refines on its own stream, one system per worker at a time.
     let mut rng = experiment_rng(7);
-    let solutions = refiner.solve_many(&bs, &mut rng).expect("batched solve");
+    let solutions = refiner.solve_many(&bs, &mut rng).expect("multi-RHS solve");
 
     println!("  forcing      | iters | final residual | error vs analytic (max-norm)");
     for (((name, _, exact), b), (u, history)) in cases.iter().zip(&bs).zip(&solutions) {
@@ -106,7 +107,7 @@ fn main() {
         solutions
             .iter()
             .any(|(_, history)| history.iterations() >= 1),
-        "at least one system should exercise the batched refinement loop"
+        "at least one system should exercise the refinement loop"
     );
 
     let total_be_calls: usize = solutions

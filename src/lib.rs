@@ -64,10 +64,14 @@
 //! circuit the same way, and `qls_sim::fusion_stats` reports the circuit
 //! the executor runs.
 //!
-//! Threads enter in two places only: `QuantumExecutor::run_batch` runs one
-//! register per worker, and `qls-linalg` partitions the rows of its large
-//! matvec, SpMV and matmul kernels.  A single gate sweep always runs on the
-//! calling thread.
+//! Threads enter in three places.  `HybridRefiner::solve_many` runs whole
+//! systems on workers that each pull the next right-hand side
+//! (`qls_linalg::par_map_pulled`); every system draws from its own RNG
+//! stream, so the results do not depend on the worker count.
+//! `QuantumExecutor::run_batch` runs one register per worker, and
+//! `qls-linalg` partitions the rows of its large matvec, SpMV and matmul
+//! kernels; inside a `solve_many` worker both run at width 1.  A single gate
+//! sweep always runs on the calling thread.
 //!
 //! ## Robustness: faults and recovery
 //!

@@ -167,13 +167,18 @@ fn no_fault_configuration_is_bit_identical_to_the_plain_path() {
 
 #[test]
 fn solve_many_quarantines_the_faulted_system() {
-    // One transient at batch run index 1 (= the second system's initial
-    // solve).  Without recovery that system fails in-band; its siblings
-    // refine to convergence untouched.
+    // With an injector attached the systems run one after another, each
+    // whole, so the second system's initial solve is the device run right
+    // after every run of the first system: its step count in a fault-free
+    // solve.  One transient there; without recovery that system fails
+    // in-band, and its siblings refine to convergence untouched.
     let (a, _) = system(10.0, 16, 305);
     let mut rng = experiment_rng(9);
     let bs: Vec<Vector<f64>> = (0..3).map(|_| random_unit_vector(16, &mut rng)).collect();
-    let plan = FaultPlan::new(29).with_transient(1, TransientKind::InjectedError);
+    let (_, clean) = refiner_with(&a, false, None)
+        .solve(&bs[0], &mut experiment_rng(9))
+        .unwrap();
+    let plan = FaultPlan::new(29).with_transient(clean.steps.len(), TransientKind::InjectedError);
 
     let disabled = refiner_with(&a, false, Some(plan.clone()));
     let results = disabled.solve_many(&bs, &mut rng).unwrap();

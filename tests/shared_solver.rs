@@ -3,8 +3,11 @@
 //! `Send + Sync`, and solves on concurrent threads against one shared
 //! refiner must reproduce a single-thread solve bit for bit — each thread
 //! brings its own identically seeded RNG, and nothing else is per-call.
+//! `solve_many` shares the refiner across its own workers the same way, and
+//! its results do not depend on how many there are.
 
 use qls::prelude::*;
+use rand::RngCore;
 use std::sync::Barrier;
 
 const THREADS: usize = 4;
@@ -87,4 +90,67 @@ fn threads_sharing_one_circuit_mode_refiner_match_a_single_thread_solve() {
         assert_eq!(got.0, expected.0, "thread {thread}: solution bits differ");
         assert_eq!(got.1, expected.1, "thread {thread}: history differs");
     }
+}
+
+#[test]
+fn solve_many_is_bit_identical_at_every_worker_count() {
+    // The `circuit_shots_batched` setting: N = 16, κ = 8, ε_l = 0.05, 10⁴
+    // shots per readout, circuit mode, 16 right-hand sides.  System k runs
+    // on its own stream, seeded by the k-th `next_u64` of the caller's RNG,
+    // so neither the worker count nor the order in which workers pull the
+    // systems can change a bit.
+    let mut rng = experiment_rng(16);
+    let a = random_matrix_with_cond(
+        16,
+        8.0,
+        SingularValueDistribution::Geometric,
+        MatrixEnsemble::General,
+        &mut rng,
+    );
+    let bs: Vec<Vector<f64>> = (0..16).map(|_| random_unit_vector(16, &mut rng)).collect();
+    let refiner = HybridRefiner::new(
+        &a,
+        HybridRefinementOptions {
+            target_epsilon: 1e-10,
+            epsilon_l: 0.05,
+            solver: QsvtSolverOptions {
+                mode: QsvtMode::CircuitReal,
+                shots: Some(10_000),
+                cache: CachePolicy::Disabled,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    )
+    .unwrap();
+
+    let mut seeds = experiment_rng(RNG_SEED);
+    let expected: Vec<_> = bs
+        .iter()
+        .map(|b| {
+            let mut stream = experiment_rng(seeds.next_u64());
+            let (x, history) = refiner.solve(b, &mut stream).unwrap();
+            assert_eq!(history.status, HybridStatus::Converged);
+            fingerprint(&x, &history)
+        })
+        .collect();
+    for threads in [1, 2, 3, 8] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        let got = pool
+            .install(|| refiner.solve_many(&bs, &mut experiment_rng(RNG_SEED)))
+            .unwrap();
+        assert_eq!(got.len(), bs.len());
+        for (k, (x, history)) in got.iter().enumerate() {
+            assert_eq!(
+                fingerprint(x, history),
+                expected[k],
+                "{threads} workers, system {k}"
+            );
+        }
+    }
+    let empty = refiner.solve_many(&[], &mut experiment_rng(RNG_SEED));
+    assert!(empty.is_ok_and(|results| results.is_empty()));
 }
